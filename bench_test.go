@@ -142,21 +142,6 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelProcessSwitch measures the goroutine handoff cost of one
-// process Wait.
-func BenchmarkKernelProcessSwitch(b *testing.B) {
-	k := sim.NewKernel()
-	k.Spawn("p", func(c *sim.Context) {
-		for i := 0; i < b.N; i++ {
-			c.Wait(1)
-		}
-	})
-	b.ResetTimer()
-	if _, err := k.RunUntilIdle(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // The model-level micro-benchmarks delegate to internal/benches — the
 // same drivers cmd/pimbench records into BENCH_<n>.json, so the workload
 // behind each trajectory name cannot fork.

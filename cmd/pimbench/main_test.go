@@ -116,8 +116,6 @@ func TestMicroBenchNamesStable(t *testing.T) {
 	// put; pin them.
 	want := []string{
 		"kernel_schedule",
-		"kernel_wait_resume",
-		"kernel_handoff_chain",
 		"kernel_activity_chain",
 		"mm1_simulation",
 		"hostpim_simulate",

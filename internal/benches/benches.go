@@ -52,67 +52,14 @@ func KernelSchedule(b *testing.B) {
 	}
 }
 
-// KernelWaitResume measures the kernel's hottest path — a process
-// advancing time with Wait. Under direct handoff the process's own
-// resumption is dispatched by the parking goroutine itself, so a burst of
-// Waits costs one controller round trip per Advance window, not two
-// channel operations per event. The ns/op is per completed Wait.
-func KernelWaitResume(b *testing.B) {
-	k := sim.NewKernel()
-	k.Spawn("waiter", func(c *sim.Context) {
-		for {
-			c.Wait(1)
-		}
-	})
-	b.Cleanup(func() { _ = k.Run(k.Now()) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 1024
-	for done := 0; done < b.N; done += batch {
-		if err := k.Advance(sim.Time(done + batch)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// KernelHandoffChain measures a proc→proc resumption chain: two processes
-// alternate at the same timestamps, so every dispatch hands the logical
-// thread directly from one process goroutine to the other (one channel
-// operation per switch instead of a round trip through a central event
-// loop).
-func KernelHandoffChain(b *testing.B) {
-	k := sim.NewKernel()
-	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(c *sim.Context) {
-			for {
-				c.Wait(1)
-			}
-		})
-	}
-	b.Cleanup(func() { _ = k.Run(k.Now()) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 512
-	for done := 0; done < b.N; done += batch {
-		// Each window completes batch Waits per process; 2 procs → count
-		// iterations in proc-waits.
-		if err := k.Advance(sim.Time((done + batch) / 2)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// waitLoop is the activity counterpart of the KernelHandoffChain /
-// KernelWaitResume workers: an endless 1-cycle wait loop.
+// waitLoop is an endless 1-cycle wait loop.
 type waitLoop struct{}
 
 func (waitLoop) Step(a *sim.ActCtx) { a.Wait(1) }
 
-// KernelActivityChain is KernelHandoffChain in activity mode: two
-// activities alternate at the same timestamps, so every switch is a heap
-// pop plus an inline Step — no goroutines, no channel operations. The
-// ns/op gap to KernelHandoffChain is the cost the activity execution mode
-// removes from every proc→proc switch.
+// KernelActivityChain measures the activity switch: two activities
+// alternate at the same timestamps, so every switch is a heap pop plus an
+// inline Step. The ns/op is per completed Wait.
 func KernelActivityChain(b *testing.B) {
 	k := sim.NewKernel()
 	var w waitLoop
@@ -132,10 +79,8 @@ func KernelActivityChain(b *testing.B) {
 }
 
 // MM1Simulation measures throughput of the queueing toolkit on a standard
-// M/M/1 at rho=0.7, using the activity-mode stations (jobs are values
-// flowing through inline handlers; the Proc-based stations remain for
-// interactive models and are covered by the queueing package's own
-// benchmarks).
+// M/M/1 at rho=0.7 (jobs are values flowing through inline station
+// handlers).
 func MM1Simulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()

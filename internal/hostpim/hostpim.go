@@ -241,11 +241,9 @@ type SimOptions struct {
 // Fig. 2 followed by the N-node LWP array of Fig. 3, with the control run
 // executed in the same stochastic style. Returns the measured Result.
 //
-// The model executes in the kernel's activity mode: every work loop is a
-// run-to-completion state machine stepped inline by the dispatch loop, so
-// the N-way interleaved LWP phase costs a heap pop per switch instead of a
-// goroutine handoff. The event trajectory (and therefore every statistic)
-// is identical to the original Proc-based formulation.
+// Every work loop is an activity: a run-to-completion state machine
+// stepped inline by the kernel's dispatch loop, so the N-way interleaved
+// LWP phase costs a heap pop per switch.
 func Simulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -360,7 +358,7 @@ func simulateControl(p Params, opt SimOptions, chunk int, res *Result) error {
 
 // stationWork drives a batch of operations through one two-resource
 // station (CPU then memory) as a run-to-completion state machine — the
-// activity-mode form of the old blocking work loop. Operations are
+// activity form of a blocking work loop. Operations are
 // processed in chunks whose internal composition is sampled exactly, so
 // batching changes only event granularity, not the statistics. The same
 // machine serves the HWP station of Fig. 2 (hwp true: issue + cache-hit

@@ -4,15 +4,13 @@
 // delay independent of source and destination ("system wide latency which
 // is considered to be flat (fixed delay) for this study"). FlatNetwork
 // reproduces that. For the A3 ablation we also provide hop-count
-// topologies (ring, 2-D mesh/torus, hypercube) and a bandwidth-limited
-// link model so the flat-latency assumption can be stress-tested.
+// topologies (ring, 2-D mesh/torus, hypercube) so the flat-latency
+// assumption can be stress-tested.
 package network
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // Network maps a (source, destination) node pair to a one-way message
@@ -291,50 +289,6 @@ func MeanHops(t Topology) float64 {
 	}
 	return float64(total) / float64(n*(n-1))
 }
-
-// Link is a bandwidth-limited, latency-bearing channel built on the DES
-// kernel: each message holds the link for size/bandwidth cycles
-// (serialization) and arrives latency cycles after transmission completes.
-// It models the contention the flat model abstracts away.
-type Link struct {
-	res *sim.Resource
-	// Latency is the propagation delay in cycles.
-	Latency float64
-	// CyclesPerByte is the serialization cost.
-	CyclesPerByte float64
-}
-
-// NewLink creates a link attached to kernel k.
-func NewLink(k *sim.Kernel, name string, latency, cyclesPerByte float64) *Link {
-	if latency < 0 || cyclesPerByte < 0 {
-		panic(fmt.Sprintf("network: NewLink(%g, %g)", latency, cyclesPerByte))
-	}
-	return &Link{
-		res:           sim.NewResource(k, name, 1, sim.FIFO),
-		Latency:       latency,
-		CyclesPerByte: cyclesPerByte,
-	}
-}
-
-// Send transmits a message of the given size, blocking the caller for
-// serialization plus propagation (cut-through: the caller may continue once
-// delivery completes). deliver runs at arrival time.
-func (l *Link) Send(c *sim.Context, sizeBytes int, deliver func()) {
-	if sizeBytes < 0 {
-		panic(fmt.Sprintf("network: Send with negative size %d", sizeBytes))
-	}
-	l.res.Acquire(c)
-	c.Wait(l.CyclesPerByte * float64(sizeBytes))
-	l.res.Release(1)
-	if deliver == nil {
-		c.Wait(l.Latency)
-		return
-	}
-	c.Kernel().Schedule(l.Latency, deliver)
-}
-
-// Utilization returns the link's mean utilization.
-func (l *Link) Utilization(now sim.Time) float64 { return l.res.Utilization(now) }
 
 // abs is integer absolute value.
 func abs(x int) int {

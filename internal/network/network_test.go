@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestFlatNetwork(t *testing.T) {
@@ -156,57 +154,6 @@ func TestTopologySymmetryProperty(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", topo.Name(), err)
 		}
-	}
-}
-
-func TestLinkSerialization(t *testing.T) {
-	k := sim.NewKernel()
-	l := NewLink(k, "wire", 50, 0.5)
-	var sendDone, arrive sim.Time
-	k.Spawn("sender", func(c *sim.Context) {
-		l.Send(c, 100, func() { arrive = k.Now() })
-		sendDone = c.Now()
-	})
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if sendDone != 50 { // 100 bytes * 0.5 cycles
-		t.Errorf("serialization completed at %g, want 50", sendDone)
-	}
-	if arrive != 100 { // + 50 propagation
-		t.Errorf("arrival at %g, want 100", arrive)
-	}
-}
-
-func TestLinkContention(t *testing.T) {
-	// Two messages of 100 bytes on a 1-cycle/byte link: second waits for
-	// the first to serialize.
-	k := sim.NewKernel()
-	l := NewLink(k, "wire", 0, 1)
-	var done []sim.Time
-	for i := 0; i < 2; i++ {
-		k.Spawn("s", func(c *sim.Context) {
-			l.Send(c, 100, nil)
-			done = append(done, c.Now())
-		})
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if done[0] != 100 || done[1] != 200 {
-		t.Errorf("completion times = %v, want [100 200]", done)
-	}
-}
-
-func TestLinkUtilization(t *testing.T) {
-	k := sim.NewKernel()
-	l := NewLink(k, "wire", 0, 1)
-	k.Spawn("s", func(c *sim.Context) { l.Send(c, 25, nil) })
-	if err := k.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if u := l.Utilization(k.Now()); math.Abs(u-0.25) > 1e-9 {
-		t.Errorf("utilization = %g, want 0.25", u)
 	}
 }
 

@@ -32,6 +32,7 @@ type TimedMachine struct {
 
 	outstanding int64
 	idleSig     *sim.Signal
+	deliver     func(any) // bound once: every delivery event reuses it
 	err         error
 }
 
@@ -47,6 +48,9 @@ func DefaultActionCycles(memCycles, invokeCycles float64) func(Action) float64 {
 		}
 	}
 }
+
+// defaultActionCycles prices actions when ActionCycles is nil.
+var defaultActionCycles = DefaultActionCycles(6, 20)
 
 // NewTimedMachine creates an n-node timed parcel machine on kernel k.
 func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latency float64) (*TimedMachine, error) {
@@ -67,14 +71,17 @@ func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latenc
 		Handled: make([]int64, n),
 		idleSig: sim.NewSignal(k, "parcel-quiescent"),
 	}
+	tm.deliver = func(x any) {
+		q := x.(*Parcel)
+		tm.queues[q.DestNode].TryPut(q)
+	}
 	for i := 0; i < n; i++ {
 		tm.nodes = append(tm.nodes, NewNode(uint32(i), reg))
 		tm.queues = append(tm.queues, sim.NewStore[*Parcel](k, fmt.Sprintf("pq%d", i)))
 		tm.Busy[i].Set(k.Now(), 0)
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("pnode-%d", i), func(c *sim.Context) { tm.serve(c, i) })
+		k.SpawnActivity(fmt.Sprintf("pnode-%d", i), &timedNode{tm: tm, i: i})
 	}
 	return tm, nil
 }
@@ -94,55 +101,104 @@ func (tm *TimedMachine) Inject(p *Parcel) error {
 	return nil
 }
 
-// serve is one node's processor loop.
-func (tm *TimedMachine) serve(c *sim.Context, i int) {
-	actionCost := tm.ActionCycles
-	if actionCost == nil {
-		actionCost = DefaultActionCycles(6, 20)
-	}
+// timedNode is one node's processor loop: take a parcel, assimilate it,
+// perform its action, then emit each continuation after its creation
+// overhead.
+type timedNode struct {
+	tm    *TimedMachine
+	i     int
+	state int // see Step
+	cur   *Parcel
+	out   []*Parcel // continuations still to emit
+}
+
+// Node loop states.
+const (
+	nodeTake     = iota // wait for the next parcel
+	nodeAct             // assimilated: perform the action
+	nodeHandle          // action time elapsed: run the handler
+	nodeEmit            // emit out[0], paying its creation overhead first
+	nodeDispatch        // creation overhead paid: send out[0]
+)
+
+func (n *timedNode) Step(a *sim.ActCtx) {
+	tm, i := n.tm, n.i
 	for {
-		p := tm.queues[i].Get(c)
-		tm.Busy[i].Set(c.Now(), 1)
-		if tm.cost.AssimilateCycles > 0 {
-			c.Wait(tm.cost.AssimilateCycles)
-		}
-		c.Wait(actionCost(p.Action))
-		out, err := tm.nodes[i].Handle(p)
-		if err != nil {
-			tm.err = err
-			tm.outstanding--
-			tm.Busy[i].Set(c.Now(), 0)
-			tm.maybeQuiesce()
+		switch n.state {
+		case nodeTake:
+			p, ok := tm.queues[i].GetAct(a)
+			if !ok {
+				return
+			}
+			n.cur = p
+			tm.Busy[i].Set(a.Now(), 1)
+			n.state = nodeAct
+			if tm.cost.AssimilateCycles > 0 {
+				a.Wait(tm.cost.AssimilateCycles)
+				return
+			}
+		case nodeAct:
+			cost := tm.ActionCycles
+			if cost == nil {
+				cost = defaultActionCycles
+			}
+			n.state = nodeHandle
+			a.Wait(cost(n.cur.Action))
 			return
-		}
-		tm.Handled[i]++
-		for _, q := range out {
-			if int(q.DestNode) >= len(tm.nodes) {
-				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
+		case nodeHandle:
+			out, err := tm.nodes[i].Handle(n.cur)
+			n.cur = nil
+			if err != nil {
+				tm.err = err
+				tm.finishParcel(i, a.Now())
+				a.Exit()
+				return
+			}
+			tm.Handled[i]++
+			n.out = out
+			n.state = nodeEmit
+		case nodeEmit:
+			if len(n.out) == 0 {
+				tm.finishParcel(i, a.Now())
+				n.state = nodeTake
 				continue
 			}
-			if tm.cost.CreateCycles > 0 {
-				c.Wait(tm.cost.CreateCycles)
+			if q := n.out[0]; int(q.DestNode) >= len(tm.nodes) {
+				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
+				n.out = n.out[1:]
+				continue
 			}
+			n.state = nodeDispatch
+			if tm.cost.CreateCycles > 0 {
+				a.Wait(tm.cost.CreateCycles)
+				return
+			}
+		case nodeDispatch:
+			q := n.out[0]
+			n.out = n.out[1:]
 			lat := 0.0
 			if q.DestNode != uint32(i) {
 				lat = tm.Latency
 			}
-			q := q
 			tm.outstanding++
-			c.Kernel().Schedule(lat, func() { tm.queues[q.DestNode].TryPut(q) })
+			a.Kernel().ScheduleArg(lat, tm.deliver, q)
+			n.state = nodeEmit
 		}
-		tm.outstanding--
-		tm.Busy[i].Set(c.Now(), 0)
-		tm.maybeQuiesce()
 	}
+}
+
+// finishParcel retires the parcel node i just handled.
+func (tm *TimedMachine) finishParcel(i int, now sim.Time) {
+	tm.outstanding--
+	tm.Busy[i].Set(now, 0)
+	tm.maybeQuiesce()
 }
 
 // maybeQuiesce fires the quiescence signal when no parcels remain.
 func (tm *TimedMachine) maybeQuiesce() {
 	if tm.outstanding == 0 {
 		tm.idleSig.Trigger()
-		tm.idleSig = sim.NewSignal(tm.k, "parcel-quiescent")
+		tm.idleSig.Reset()
 	}
 }
 
@@ -154,15 +210,16 @@ func (tm *TimedMachine) RunToQuiescence(maxCycles sim.Time) (sim.Time, error) {
 		return tm.k.Now(), nil
 	}
 	var done sim.Time = -1
-	watcher := tm.k.Spawn("quiesce-watch", func(c *sim.Context) {
+	tm.k.SpawnActivity("quiesce-watch", sim.ActivityFunc(func(a *sim.ActCtx) {
 		for tm.outstanding > 0 {
-			sig := tm.idleSig
-			sig.Wait(c)
+			if !tm.idleSig.WaitAct(a) {
+				return
+			}
 		}
-		done = c.Now()
-		c.Kernel().Stop()
-	})
-	_ = watcher
+		done = a.Now()
+		a.Exit()
+		a.Kernel().Stop()
+	}))
 	if err := tm.k.Run(maxCycles); err != nil {
 		return tm.k.Now(), err
 	}

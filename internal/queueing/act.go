@@ -1,13 +1,7 @@
 package queueing
 
-// Activity-mode (event-oriented) stations. The Proc-based components in
-// this package give every job its own process, which reads naturally but
-// pays a goroutine handoff per station visit. The Act* components below
-// run entirely inside the kernel's dispatch loop: jobs are plain values,
-// a station visit is an inline call plus one scheduled completion event,
-// and a whole M/M/1 run executes with zero goroutines. Use them for hot
-// measurement loops; keep the Proc components for interactive examples
-// and models whose control flow does not fit run-to-completion handlers.
+// The stations. Each is an ActNode: AcceptAct takes a job inline and
+// forwards it downstream when its visit ends.
 
 import (
 	"fmt"
@@ -16,8 +10,8 @@ import (
 	"repro/internal/stats"
 )
 
-// ActNode consumes jobs in activity mode. AcceptAct must not block: it
-// runs to completion inside the caller's dispatch step.
+// ActNode consumes jobs. AcceptAct must not block: it runs to completion
+// inside the caller's dispatch step.
 type ActNode interface {
 	AcceptAct(k *sim.Kernel, j *Job)
 }
@@ -28,9 +22,7 @@ type ActNodeFunc func(k *sim.Kernel, j *Job)
 // AcceptAct calls the function.
 func (f ActNodeFunc) AcceptAct(k *sim.Kernel, j *Job) { f(k, j) }
 
-// AcceptAct lets a Sink terminate an activity-mode chain. When Recycle is
-// set, the absorbed job is handed to it (an ActSource's Dispose closes the
-// allocation loop).
+// AcceptAct absorbs the job, handing it to Recycle when set.
 func (s *Sink) AcceptAct(k *sim.Kernel, j *Job) {
 	s.count++
 	s.Sojourn.Add(k.Now() - j.Created)
@@ -39,10 +31,9 @@ func (s *Sink) AcceptAct(k *sim.Kernel, j *Job) {
 	}
 }
 
-// ActSource generates jobs in activity mode: one activity re-arms itself
-// per interarrival instead of spawning a process per job. Jobs disposed
-// back to the source are reused, so a steady-state run allocates nothing
-// per job.
+// ActSource generates jobs with a given interarrival distribution: one
+// activity re-arms itself per interarrival. Jobs disposed back to the
+// source are reused, so a steady-state run allocates nothing per job.
 type ActSource struct {
 	Name string
 	// Limit stops generation after this many jobs (0 = unlimited); the
@@ -58,8 +49,8 @@ type ActSource struct {
 	free   []*Job
 }
 
-// NewActSource creates an activity-mode source of class-0 jobs with the
-// given interarrival sampler, feeding out. Call Start to launch it.
+// NewActSource creates a source of class-0 jobs with the given
+// interarrival sampler, feeding out. Call Start to launch it.
 func NewActSource(k *sim.Kernel, name string, interarrival func() float64, out ActNode) *ActSource {
 	return &ActSource{Name: name, k: k, inter: interarrival, out: out}
 }
@@ -77,8 +68,8 @@ func (s *ActSource) Generated() int64 { return s.next }
 // the terminal Sink's Recycle field).
 func (s *ActSource) Dispose(j *Job) { s.free = append(s.free, j) }
 
-// Step emits one job per resumption: like the Proc source, the first
-// arrival happens one interarrival after the start time.
+// Step emits one job per resumption; the first arrival happens one
+// interarrival after the start time.
 func (s *ActSource) Step(a *sim.ActCtx) {
 	if !s.primed {
 		s.primed = true
@@ -106,10 +97,9 @@ func (s *ActSource) Step(a *sim.ActCtx) {
 	a.Wait(s.inter())
 }
 
-// ActServer is the activity-mode k-server FIFO station: arriving jobs
-// enter service immediately when a server is free and queue otherwise;
-// each service is one scheduled completion event carrying the job (no
-// closure per job). Statistics mirror the Proc Server's.
+// ActServer is the k-server FIFO station: arriving jobs enter service
+// immediately when a server is free and queue otherwise; each service is
+// one scheduled completion event carrying the job (no closure per job).
 type ActServer struct {
 	Name string
 	// Service samples the service times actually drawn.
@@ -131,8 +121,8 @@ type ActServer struct {
 	complete func(any) // bound once; every completion event reuses it
 }
 
-// NewActServer creates an activity-mode station with `servers` identical
-// servers, service sampler svc, and downstream node out.
+// NewActServer creates a station with `servers` identical servers,
+// service sampler svc, and downstream node out (nil drops the job).
 func NewActServer(k *sim.Kernel, name string, servers int, svc func(*Job) float64, out ActNode) *ActServer {
 	if servers <= 0 {
 		panic(fmt.Sprintf("queueing: NewActServer %q with %d servers", name, servers))
@@ -202,8 +192,9 @@ func (s *ActServer) finish(x any) {
 	}
 }
 
-// ActDelay holds each job for a sampled time without queueing (the
-// infinite-server station in activity mode).
+// ActDelay holds each job for a sampled time without queueing (an
+// infinite-server station; models pure latency such as the paper's flat
+// interconnect delay).
 type ActDelay struct {
 	Name string
 
@@ -213,7 +204,7 @@ type ActDelay struct {
 	forward func(any)
 }
 
-// NewActDelay creates an activity-mode pure-delay node.
+// NewActDelay creates a pure-delay node.
 func NewActDelay(k *sim.Kernel, name string, d func(*Job) float64, out ActNode) *ActDelay {
 	ad := &ActDelay{Name: name, k: k, d: d, out: out}
 	ad.forward = func(x any) {
@@ -274,8 +265,7 @@ type ActRouter struct {
 	outs   []ActNode
 }
 
-// NewActRouter creates an activity-mode router. choose must return an
-// index into outs.
+// NewActRouter creates a router. choose must return an index into outs.
 func NewActRouter(name string, choose func(*Job) int, outs ...ActNode) *ActRouter {
 	return &ActRouter{Name: name, choose: choose, outs: outs}
 }
@@ -287,4 +277,162 @@ func (r *ActRouter) AcceptAct(k *sim.Kernel, j *Job) {
 		panic(fmt.Sprintf("queueing: router %q chose invalid output %d of %d", r.Name, idx, len(r.outs)))
 	}
 	r.outs[idx].AcceptAct(k, j)
+}
+
+// ActClosedLoop keeps a fixed population of jobs circulating through a
+// chain of stations forever — the closed-network counterpart of
+// ActSource. Wire the last station's output to the loop and Start it with
+// the first station: every job that comes back completes one circuit and
+// starts the next. Throughput gives the metric MVA predicts.
+type ActClosedLoop struct {
+	Name string
+	// CycleTimes samples the duration of each completed circuit.
+	CycleTimes stats.Sample
+
+	cycles     int64
+	population int
+	first      ActNode
+}
+
+// NewActClosedLoop creates a loop of `population` jobs.
+func NewActClosedLoop(name string, population int) *ActClosedLoop {
+	if population <= 0 {
+		panic(fmt.Sprintf("queueing: NewActClosedLoop with %d jobs", population))
+	}
+	return &ActClosedLoop{Name: name, population: population}
+}
+
+// Start injects the population into first at the current time.
+func (cl *ActClosedLoop) Start(k *sim.Kernel, first ActNode) {
+	cl.first = first
+	for i := 0; i < cl.population; i++ {
+		first.AcceptAct(k, &Job{ID: int64(i), Created: k.Now()})
+	}
+}
+
+// AcceptAct completes a circuit: Created is reset to the start of the
+// job's next circuit.
+func (cl *ActClosedLoop) AcceptAct(k *sim.Kernel, j *Job) {
+	cl.cycles++
+	cl.CycleTimes.Add(k.Now() - j.Created)
+	j.Created = k.Now()
+	cl.first.AcceptAct(k, j)
+}
+
+// Population returns the circulating job count.
+func (cl *ActClosedLoop) Population() int { return cl.population }
+
+// Cycles returns the number of completed circuits.
+func (cl *ActClosedLoop) Cycles() int64 { return cl.cycles }
+
+// Throughput returns completed circuits per unit time over [0, now].
+func (cl *ActClosedLoop) Throughput(now sim.Time) float64 {
+	if now <= 0 {
+		return 0
+	}
+	return float64(cl.cycles) / now
+}
+
+// ActPSServer is an egalitarian processor-sharing station: all resident
+// jobs progress simultaneously, each at rate 1/n of the server. Mean
+// sojourn in M/M/1-PS equals M/M/1-FCFS, which the tests exploit; unlike
+// FCFS the sojourn of a job depends only on its own size and the load.
+type ActPSServer struct {
+	Name string
+	// Sojourn samples the time each job spent at the station.
+	Sojourn stats.Sample
+	// Load is the time-weighted number of resident jobs.
+	Load stats.TimeWeighted
+
+	k        *sim.Kernel
+	svc      func(*Job) float64
+	out      ActNode
+	jobs     []psJob // in arrival order
+	lastT    sim.Time
+	next     *Job // the job the pending completion event finishes
+	timer    sim.Timer
+	complete func()
+}
+
+type psJob struct {
+	j         *Job
+	remaining float64 // remaining service requirement
+}
+
+// NewActPSServer creates a processor-sharing station with service sampler
+// svc and downstream node out (nil drops the job).
+func NewActPSServer(k *sim.Kernel, name string, svc func(*Job) float64, out ActNode) *ActPSServer {
+	ps := &ActPSServer{Name: name, k: k, svc: svc, out: out}
+	ps.Load.Set(k.Now(), 0)
+	ps.complete = ps.finish
+	return ps
+}
+
+// Resident returns the current number of jobs in service.
+func (ps *ActPSServer) Resident() int { return len(ps.jobs) }
+
+// AcceptAct admits the job into service.
+func (ps *ActPSServer) AcceptAct(k *sim.Kernel, j *Job) {
+	req := ps.svc(j)
+	if req < 0 {
+		panic(fmt.Sprintf("queueing: PS server %q sampled negative service %g", ps.Name, req))
+	}
+	ps.advance()
+	j.Start = k.Now()
+	ps.jobs = append(ps.jobs, psJob{j: j, remaining: req})
+	ps.Load.Set(k.Now(), float64(len(ps.jobs)))
+	ps.reschedule()
+}
+
+// advance applies elapsed processing to all resident jobs.
+func (ps *ActPSServer) advance() {
+	now := ps.k.Now()
+	if dt := now - ps.lastT; dt > 0 && len(ps.jobs) > 0 {
+		rate := 1 / float64(len(ps.jobs))
+		for i := range ps.jobs {
+			ps.jobs[i].remaining -= dt * rate
+		}
+	}
+	ps.lastT = now
+}
+
+// reschedule replaces any pending completion event with one for the
+// resident job closest to done (the earliest arrival on ties).
+func (ps *ActPSServer) reschedule() {
+	ps.timer.Cancel()
+	ps.timer, ps.next = sim.Timer{}, nil
+	if len(ps.jobs) == 0 {
+		return
+	}
+	best := 0
+	for i, pj := range ps.jobs {
+		if pj.remaining < ps.jobs[best].remaining {
+			best = i
+		}
+	}
+	dt := ps.jobs[best].remaining * float64(len(ps.jobs))
+	if dt < 0 {
+		dt = 0
+	}
+	ps.next = ps.jobs[best].j
+	ps.timer = ps.k.Schedule(dt, ps.complete)
+}
+
+// finish completes the scheduled job and forwards it downstream.
+func (ps *ActPSServer) finish() {
+	ps.advance()
+	j := ps.next
+	for i := range ps.jobs {
+		if ps.jobs[i].j == j {
+			ps.jobs = append(ps.jobs[:i], ps.jobs[i+1:]...)
+			break
+		}
+	}
+	now := ps.k.Now()
+	ps.Load.Set(now, float64(len(ps.jobs)))
+	ps.Sojourn.Add(now - j.Start)
+	ps.reschedule()
+	if ps.out != nil {
+		ps.out.AcceptAct(ps.k, j)
+	}
 }

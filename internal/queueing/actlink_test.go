@@ -1,6 +1,6 @@
 package queueing
 
-// ActLink: a ring of activity-mode stations spread across the partitions
+// ActLink: a ring of stations spread across the partitions
 // of a sim.ParKernel must reproduce the serial kernel's trajectory
 // exactly — same absorption count, same sojourn statistics, same final
 // time — for every worker count tried. The same network description runs

@@ -123,7 +123,7 @@ func TestBottleneckSaturationPoint(t *testing.T) {
 
 func TestMVAMatchesClosedNetworkSimulation(t *testing.T) {
 	// Simulate the closed machine-repairman-style network via the
-	// ClosedLoop component: N customers cycling through an exponential
+	// ActClosedLoop component: N customers cycling through an exponential
 	// CPU (queueing) and an exponential think delay. Compare throughput
 	// and cycle time with exact MVA.
 	const cpuDemand, thinkDemand = 1.0, 8.0
@@ -140,9 +140,10 @@ func TestMVAMatchesClosedNetworkSimulation(t *testing.T) {
 	k := sim.NewKernel()
 	svc := rng.NewWithStream(77, 1)
 	think := rng.NewWithStream(77, 2)
-	cpu := NewServer(k, "cpu", 1, sim.FIFO, func(*Job) float64 { return svc.Exp(cpuDemand) }, nil)
-	wait := NewDelay("think", func(*Job) float64 { return think.Exp(thinkDemand) }, nil)
-	loop := NewClosedLoop(k, "repair", n, wait, cpu)
+	loop := NewActClosedLoop("repair", n)
+	cpu := NewActServer(k, "cpu", 1, func(*Job) float64 { return svc.Exp(cpuDemand) }, loop)
+	wait := NewActDelay(k, "think", func(*Job) float64 { return think.Exp(thinkDemand) }, cpu)
+	loop.Start(k, wait)
 	const horizon = 200000
 	if err := k.Run(horizon); err != nil {
 		t.Fatal(err)
@@ -150,8 +151,8 @@ func TestMVAMatchesClosedNetworkSimulation(t *testing.T) {
 	if stats.RelErr(loop.Throughput(horizon), want.Throughput) > 0.03 {
 		t.Errorf("sim X = %g, MVA X = %g", loop.Throughput(horizon), want.Throughput)
 	}
-	if stats.RelErr(cpu.Resource().Utilization(k.Now()), want.Utilizations[0]) > 0.03 {
-		t.Errorf("sim U = %g, MVA U = %g", cpu.Resource().Utilization(k.Now()), want.Utilizations[0])
+	if stats.RelErr(cpu.Utilization(k.Now()), want.Utilizations[0]) > 0.03 {
+		t.Errorf("sim U = %g, MVA U = %g", cpu.Utilization(k.Now()), want.Utilizations[0])
 	}
 	if stats.RelErr(loop.CycleTimes.Mean(), want.CycleTime) > 0.03 {
 		t.Errorf("sim cycle = %g, MVA cycle = %g", loop.CycleTimes.Mean(), want.CycleTime)
@@ -164,9 +165,10 @@ func TestClosedLoopPopulationConserved(t *testing.T) {
 	const n = 5
 	k := sim.NewKernel()
 	svc := rng.NewWithStream(3, 1)
-	cpu := NewServer(k, "cpu", 1, sim.FIFO, func(*Job) float64 { return svc.Exp(2) }, nil)
-	wait := NewDelay("z", func(*Job) float64 { return 8 }, nil)
-	loop := NewClosedLoop(k, "loop", n, cpu, wait)
+	loop := NewActClosedLoop("loop", n)
+	wait := NewActDelay(k, "z", func(*Job) float64 { return 8 }, loop)
+	cpu := NewActServer(k, "cpu", 1, func(*Job) float64 { return svc.Exp(2) }, wait)
+	loop.Start(k, cpu)
 	const horizon = 100000
 	if err := k.Run(horizon); err != nil {
 		t.Fatal(err)
@@ -181,13 +183,12 @@ func TestClosedLoopPopulationConserved(t *testing.T) {
 }
 
 func TestClosedLoopPanicsOnBadArgs(t *testing.T) {
-	k := sim.NewKernel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewClosedLoop(k, "bad", 0, NewSink("s"))
+	NewActClosedLoop("bad", 0)
 }
 
 func TestMVAModelsParcelControlSystem(t *testing.T) {

@@ -1,11 +1,15 @@
 // Package queueing provides composable queueing-network components on top of
-// the sim kernel — sources, servers, delays, routers, sinks — plus the
-// classical closed-form results (M/M/1, M/M/c, M/D/1, M/G/1, processor
-// sharing) used to validate the kernel against theory.
+// the sim kernel — sources, servers, delays, routers, sinks, closed loops
+// and processor sharing — plus the classical closed-form results (M/M/1,
+// M/M/c, M/D/1, M/G/1, processor sharing, MVA) used to validate the kernel
+// against theory.
 //
 // This is the layer at which the paper's SES/Workbench models are expressed:
 // a Workbench model is a directed graph of service and delay nodes through
 // which transactions flow, which maps one-to-one onto these components.
+// Jobs are plain values: a station visit is an inline AcceptAct call plus
+// at most one scheduled completion event, so a whole run executes inside
+// the kernel's dispatch loop.
 package queueing
 
 import (
@@ -23,36 +27,20 @@ type Job struct {
 	ID      int64
 	Class   int // workload class, available for routing decisions
 	Created sim.Time
-	// Start is per-station scratch used by the activity-mode stations:
-	// the arrival time at the station currently holding the job.
+	// Start is per-station scratch: the arrival time at the station
+	// currently holding the job.
 	Start sim.Time
 	// Attrs carries model-specific baggage.
 	Attrs map[string]float64
 }
-
-// Node consumes jobs. Components forward jobs to their downstream Node.
-type Node interface {
-	// Accept takes ownership of the job at the current simulated time.
-	// Accept must not block the caller's process; components that need
-	// queueing do it internally.
-	Accept(c *sim.Context, j *Job)
-}
-
-// NodeFunc adapts a function to the Node interface.
-type NodeFunc func(c *sim.Context, j *Job)
-
-// Accept calls the function.
-func (f NodeFunc) Accept(c *sim.Context, j *Job) { f(c, j) }
 
 // Sink absorbs jobs and records their end-to-end sojourn times.
 type Sink struct {
 	Name string
 	// Sojourn samples job lifetime (now - Created).
 	Sojourn stats.Sample
-	// Recycle, when non-nil, receives each job absorbed through AcceptAct
-	// (activity mode) so its allocation can be reused. The Proc-mode
-	// Accept never calls it: a process may still hold its job after the
-	// sink returns.
+	// Recycle, when non-nil, receives each absorbed job so its allocation
+	// can be reused (an ActSource's Dispose closes the loop).
 	Recycle func(*Job)
 	count   int64
 }
@@ -60,149 +48,8 @@ type Sink struct {
 // NewSink creates a sink.
 func NewSink(name string) *Sink { return &Sink{Name: name} }
 
-// Accept absorbs the job.
-func (s *Sink) Accept(c *sim.Context, j *Job) {
-	s.count++
-	s.Sojourn.Add(c.Now() - j.Created)
-}
-
 // Count returns the number of jobs absorbed.
 func (s *Sink) Count() int64 { return s.count }
-
-// Source generates jobs with a given interarrival distribution and feeds
-// them to a downstream node. Each job runs as its own process, which lets
-// downstream components block it freely.
-type Source struct {
-	Name  string
-	k     *sim.Kernel
-	inter func() float64 // interarrival sampler
-	class int
-	out   Node
-	next  int64
-	// Limit stops generation after this many jobs (0 = unlimited).
-	Limit int64
-}
-
-// NewSource creates a source of class-0 jobs with the given interarrival
-// sampler, feeding out.
-func NewSource(k *sim.Kernel, name string, interarrival func() float64, out Node) *Source {
-	return &Source{Name: name, k: k, inter: interarrival, out: out}
-}
-
-// SetClass sets the class of generated jobs.
-func (s *Source) SetClass(class int) { s.class = class }
-
-// Start launches the generator process.
-func (s *Source) Start() {
-	s.k.Spawn(s.Name, func(c *sim.Context) {
-		for s.Limit == 0 || s.next < s.Limit {
-			c.Wait(s.inter())
-			id := s.next
-			s.next++
-			j := &Job{ID: id, Class: s.class, Created: c.Now()}
-			c.Spawn(fmt.Sprintf("%s-job%d", s.Name, id), func(jc *sim.Context) {
-				s.out.Accept(jc, j)
-			})
-		}
-	})
-}
-
-// Generated returns the number of jobs generated so far.
-func (s *Source) Generated() int64 { return s.next }
-
-// Server is a k-server FIFO (or priority) queueing station: jobs queue for
-// one of capacity identical servers, hold it for a sampled service time,
-// then continue downstream. It blocks the job's own process, so it must be
-// reached from a per-job process (Source arranges this).
-type Server struct {
-	Name string
-	res  *sim.Resource
-	svc  func(*Job) float64 // service time sampler
-	out  Node
-	// Service samples the service times actually drawn.
-	Service stats.Sample
-	// Sojourn samples wait + service per visit.
-	Sojourn stats.Sample
-}
-
-// NewServer creates a station with `servers` identical servers, service
-// sampler svc, and downstream node out.
-func NewServer(k *sim.Kernel, name string, servers int, d sim.Discipline, svc func(*Job) float64, out Node) *Server {
-	return &Server{
-		Name: name,
-		res:  sim.NewResource(k, name, servers, d),
-		svc:  svc,
-		out:  out,
-	}
-}
-
-// Accept queues the job, serves it, and forwards it.
-func (s *Server) Accept(c *sim.Context, j *Job) {
-	start := c.Now()
-	s.res.Acquire(c)
-	t := s.svc(j)
-	if t < 0 {
-		panic(fmt.Sprintf("queueing: server %q sampled negative service time %g", s.Name, t))
-	}
-	s.Service.Add(t)
-	c.Wait(t)
-	s.res.Release(1)
-	s.Sojourn.Add(c.Now() - start)
-	if s.out != nil {
-		s.out.Accept(c, j)
-	}
-}
-
-// Resource exposes the underlying sim resource for statistics access.
-func (s *Server) Resource() *sim.Resource { return s.res }
-
-// Delay holds each job for a sampled time without any queueing (an
-// infinite-server station; models pure latency such as the paper's flat
-// interconnect delay).
-type Delay struct {
-	Name string
-	d    func(*Job) float64
-	out  Node
-}
-
-// NewDelay creates a pure-delay node.
-func NewDelay(name string, d func(*Job) float64, out Node) *Delay {
-	return &Delay{Name: name, d: d, out: out}
-}
-
-// Accept delays the job and forwards it.
-func (d *Delay) Accept(c *sim.Context, j *Job) {
-	t := d.d(j)
-	if t < 0 {
-		panic(fmt.Sprintf("queueing: delay %q sampled negative time %g", d.Name, t))
-	}
-	c.Wait(t)
-	if d.out != nil {
-		d.out.Accept(c, j)
-	}
-}
-
-// Router sends each job to one of several outputs according to a choice
-// function (probabilistic routing, class-based routing, round-robin...).
-type Router struct {
-	Name   string
-	choose func(*Job) int
-	outs   []Node
-}
-
-// NewRouter creates a router. choose must return an index into outs.
-func NewRouter(name string, choose func(*Job) int, outs ...Node) *Router {
-	return &Router{Name: name, choose: choose, outs: outs}
-}
-
-// Accept forwards the job to the chosen output.
-func (r *Router) Accept(c *sim.Context, j *Job) {
-	idx := r.choose(j)
-	if idx < 0 || idx >= len(r.outs) {
-		panic(fmt.Sprintf("queueing: router %q chose invalid output %d of %d", r.Name, idx, len(r.outs)))
-	}
-	r.outs[idx].Accept(c, j)
-}
 
 // ProbRouter returns a choice function routing to output i with probability
 // probs[i] (probabilities must sum to ~1).
@@ -216,154 +63,3 @@ func ProbRouter(st *rng.Stream, probs []float64) func(*Job) int {
 	}
 	return func(*Job) int { return st.Discrete(probs) }
 }
-
-// ClosedLoop keeps a fixed population of jobs circulating through a chain
-// of nodes forever — the closed-network counterpart of Source. Each
-// completed circuit is counted, so Throughput gives the metric MVA
-// predicts. Jobs never leave; the loop ends with the simulation horizon.
-type ClosedLoop struct {
-	Name string
-	k    *sim.Kernel
-	// CycleTimes samples the duration of each completed circuit.
-	CycleTimes stats.Sample
-	cycles     int64
-	population int
-}
-
-// NewClosedLoop creates a loop of `population` jobs, each repeatedly
-// traversing the given stages (each stage blocks the job's process, e.g. a
-// Server visit or Delay). Stages run in order; after the last, the circuit
-// counts and the job starts over.
-func NewClosedLoop(k *sim.Kernel, name string, population int, stages ...Node) *ClosedLoop {
-	if population <= 0 || len(stages) == 0 {
-		panic(fmt.Sprintf("queueing: NewClosedLoop(%d jobs, %d stages)", population, len(stages)))
-	}
-	cl := &ClosedLoop{Name: name, k: k, population: population}
-	for i := 0; i < population; i++ {
-		id := int64(i)
-		k.Spawn(fmt.Sprintf("%s-cust%d", name, i), func(c *sim.Context) {
-			j := &Job{ID: id, Created: c.Now()}
-			for {
-				start := c.Now()
-				for _, stage := range stages {
-					stage.Accept(c, j)
-				}
-				cl.cycles++
-				cl.CycleTimes.Add(c.Now() - start)
-			}
-		})
-	}
-	return cl
-}
-
-// Population returns the circulating job count.
-func (cl *ClosedLoop) Population() int { return cl.population }
-
-// Cycles returns the number of completed circuits.
-func (cl *ClosedLoop) Cycles() int64 { return cl.cycles }
-
-// Throughput returns completed circuits per unit time over [0, now].
-func (cl *ClosedLoop) Throughput(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(cl.cycles) / now
-}
-
-// PSServer is an egalitarian processor-sharing station: all resident jobs
-// progress simultaneously, each at rate 1/n of the server. Mean sojourn in
-// M/M/1-PS equals M/M/1-FCFS, which the tests exploit; unlike FCFS the
-// sojourn of a job depends only on its own size and the load.
-type PSServer struct {
-	Name string
-	k    *sim.Kernel
-	svc  func(*Job) float64
-	out  Node
-
-	jobs    map[*psJob]struct{}
-	lastT   sim.Time
-	Sojourn stats.Sample
-	// Load is the time-weighted number of resident jobs.
-	Load stats.TimeWeighted
-
-	timer sim.Timer
-}
-
-type psJob struct {
-	j         *Job
-	remaining float64 // remaining service requirement
-	entered   sim.Time
-	done      *sim.Signal
-}
-
-// NewPSServer creates a processor-sharing station.
-func NewPSServer(k *sim.Kernel, name string, svc func(*Job) float64, out Node) *PSServer {
-	ps := &PSServer{Name: name, k: k, svc: svc, out: out, jobs: make(map[*psJob]struct{})}
-	ps.Load.Set(k.Now(), 0)
-	return ps
-}
-
-// Accept admits the job; the calling process blocks until its service
-// requirement completes under processor sharing.
-func (ps *PSServer) Accept(c *sim.Context, j *Job) {
-	req := ps.svc(j)
-	if req < 0 {
-		panic(fmt.Sprintf("queueing: PS server %q sampled negative service %g", ps.Name, req))
-	}
-	ps.advance()
-	pj := &psJob{j: j, remaining: req, entered: c.Now(), done: sim.NewSignal(ps.k, ps.Name+"-done")}
-	ps.jobs[pj] = struct{}{}
-	ps.Load.Set(c.Now(), float64(len(ps.jobs)))
-	ps.reschedule()
-	pj.done.Wait(c)
-	ps.Sojourn.Add(c.Now() - pj.entered)
-	if ps.out != nil {
-		ps.out.Accept(c, j)
-	}
-}
-
-// advance applies elapsed processing to all resident jobs.
-func (ps *PSServer) advance() {
-	now := ps.k.Now()
-	if len(ps.jobs) > 0 {
-		dt := now - ps.lastT
-		if dt > 0 {
-			rate := 1 / float64(len(ps.jobs))
-			for pj := range ps.jobs {
-				pj.remaining -= dt * rate
-			}
-		}
-	}
-	ps.lastT = now
-}
-
-// reschedule cancels any pending completion event and schedules the next.
-func (ps *PSServer) reschedule() {
-	ps.timer.Cancel()
-	ps.timer = sim.Timer{}
-	if len(ps.jobs) == 0 {
-		return
-	}
-	var next *psJob
-	for pj := range ps.jobs {
-		if next == nil || pj.remaining < next.remaining ||
-			(pj.remaining == next.remaining && pj.entered < next.entered) {
-			next = pj
-		}
-	}
-	dt := next.remaining * float64(len(ps.jobs))
-	if dt < 0 {
-		dt = 0
-	}
-	ps.timer = ps.k.Schedule(dt, func() {
-		ps.advance()
-		// Numerical guard: the chosen job should be (close to) finished.
-		delete(ps.jobs, next)
-		ps.Load.Set(ps.k.Now(), float64(len(ps.jobs)))
-		next.done.Trigger()
-		ps.reschedule()
-	})
-}
-
-// Resident returns the current number of jobs in service.
-func (ps *PSServer) Resident() int { return len(ps.jobs) }

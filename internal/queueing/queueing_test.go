@@ -18,13 +18,14 @@ func simulateMM1(t *testing.T, lambda, mu, horizon float64, seed uint64) (w, uti
 	arr := rng.NewWithStream(seed, 1)
 	svc := rng.NewWithStream(seed, 2)
 	sink = NewSink("out")
-	srv := NewServer(k, "srv", 1, sim.FIFO, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
-	src := NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv)
+	srv := NewActServer(k, "srv", 1, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
+	src := NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv)
+	sink.Recycle = src.Dispose
 	src.Start()
 	if err := k.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
-	return sink.Sojourn.Mean(), srv.Resource().Utilization(k.Now()), sink
+	return sink.Sojourn.Mean(), srv.Utilization(k.Now()), sink
 }
 
 func TestMM1TheoryKnownValues(t *testing.T) {
@@ -68,15 +69,14 @@ func TestMM1LittlesLaw(t *testing.T) {
 	arr := rng.NewWithStream(7, 1)
 	svc := rng.NewWithStream(7, 2)
 	sink := NewSink("out")
-	srv := NewServer(k, "srv", 1, sim.FIFO, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
-	src := NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv)
-	src.Start()
+	srv := NewActServer(k, "srv", 1, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv).Start()
 	const horizon = 200000
 	if err := k.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	// L measured as time-average of (queue + in service).
-	l := srv.Resource().QueueLen.Mean(k.Now()) + srv.Resource().Util.Mean(k.Now())
+	l := srv.QueueLen.Mean(k.Now()) + srv.Util.Mean(k.Now())
 	effLambda := float64(sink.Count()) / horizon
 	w := sink.Sojourn.Mean()
 	if stats.RelErr(l, effLambda*w) > 0.05 {
@@ -118,8 +118,8 @@ func TestMMCSimulationMatchesTheory(t *testing.T) {
 	arr := rng.NewWithStream(13, 1)
 	svc := rng.NewWithStream(13, 2)
 	sink := NewSink("out")
-	srv := NewServer(k, "srv", c, sim.FIFO, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
-	NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv).Start()
+	srv := NewActServer(k, "srv", c, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv).Start()
 	if err := k.Run(200000); err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ func TestMD1SimulationMatchesTheory(t *testing.T) {
 	k := sim.NewKernel()
 	arr := rng.NewWithStream(17, 1)
 	sink := NewSink("out")
-	srv := NewServer(k, "srv", 1, sim.FIFO, func(*Job) float64 { return svcTime }, sink)
-	NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv).Start()
+	srv := NewActServer(k, "srv", 1, func(*Job) float64 { return svcTime }, sink)
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv).Start()
 	if err := k.Run(200000); err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ func TestPSServerMeanSojournMatchesTheory(t *testing.T) {
 	arr := rng.NewWithStream(23, 1)
 	svc := rng.NewWithStream(23, 2)
 	sink := NewSink("out")
-	ps := NewPSServer(k, "ps", func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
-	NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, ps).Start()
+	ps := NewActPSServer(k, "ps", func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, ps).Start()
 	if err := k.Run(200000); err != nil {
 		t.Fatal(err)
 	}
@@ -207,20 +207,20 @@ func TestPSServerShortJobsFinishFaster(t *testing.T) {
 	arr := rng.NewWithStream(29, 1)
 	svc := rng.NewWithStream(29, 2)
 	var shortS, longS stats.Sample
-	sink := NodeFunc(func(c *sim.Context, j *Job) {
-		soj := c.Now() - j.Created
+	sink := ActNodeFunc(func(k *sim.Kernel, j *Job) {
+		soj := k.Now() - j.Created
 		if j.Attrs["size"] < 0.5 {
 			shortS.Add(soj)
 		} else if j.Attrs["size"] > 2 {
 			longS.Add(soj)
 		}
 	})
-	ps := NewPSServer(k, "ps", func(j *Job) float64 {
+	ps := NewActPSServer(k, "ps", func(j *Job) float64 {
 		x := svc.Exp(1 / mu)
 		j.Attrs = map[string]float64{"size": x}
 		return x
 	}, sink)
-	NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, ps).Start()
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, ps).Start()
 	if err := k.Run(50000); err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,9 @@ func TestPSServerShortJobsFinishFaster(t *testing.T) {
 func TestDelayIsPureLatency(t *testing.T) {
 	k := sim.NewKernel()
 	sink := NewSink("out")
-	d := NewDelay("wire", func(*Job) float64 { return 25 }, sink)
+	d := NewActDelay(k, "wire", func(*Job) float64 { return 25 }, sink)
 	for i := 0; i < 10; i++ {
-		k.Spawn("j", func(c *sim.Context) {
-			d.Accept(c, &Job{Created: c.Now()})
-		})
+		d.AcceptAct(k, &Job{Created: k.Now()})
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -255,12 +253,10 @@ func TestDelayIsPureLatency(t *testing.T) {
 func TestRouterClassBased(t *testing.T) {
 	k := sim.NewKernel()
 	s0, s1 := NewSink("c0"), NewSink("c1")
-	r := NewRouter("byclass", func(j *Job) int { return j.Class }, s0, s1)
-	k.Spawn("p", func(c *sim.Context) {
-		r.Accept(c, &Job{Class: 0, Created: c.Now()})
-		r.Accept(c, &Job{Class: 1, Created: c.Now()})
-		r.Accept(c, &Job{Class: 1, Created: c.Now()})
-	})
+	r := NewActRouter("byclass", func(j *Job) int { return j.Class }, s0, s1)
+	for _, class := range []int{0, 1, 1} {
+		r.AcceptAct(k, &Job{Class: class, Created: k.Now()})
+	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +269,10 @@ func TestProbRouterFrequencies(t *testing.T) {
 	k := sim.NewKernel()
 	st := rng.New(31)
 	s0, s1 := NewSink("a"), NewSink("b")
-	r := NewRouter("prob", ProbRouter(st, []float64{0.25, 0.75}), s0, s1)
-	k.Spawn("p", func(c *sim.Context) {
-		for i := 0; i < 40000; i++ {
-			r.Accept(c, &Job{Created: c.Now()})
-		}
-	})
+	r := NewActRouter("prob", ProbRouter(st, []float64{0.25, 0.75}), s0, s1)
+	for i := 0; i < 40000; i++ {
+		r.AcceptAct(k, &Job{Created: k.Now()})
+	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +285,7 @@ func TestProbRouterFrequencies(t *testing.T) {
 func TestSourceLimit(t *testing.T) {
 	k := sim.NewKernel()
 	sink := NewSink("out")
-	src := NewSource(k, "in", func() float64 { return 1 }, sink)
+	src := NewActSource(k, "in", func() float64 { return 1 }, sink)
 	src.Limit = 7
 	src.Start()
 	if _, err := k.RunUntilIdle(); err != nil {
@@ -371,8 +365,8 @@ func TestKingmanPredictsErlangArrivalSim(t *testing.T) {
 	arr := rng.NewWithStream(51, 1)
 	svc := rng.NewWithStream(51, 2)
 	sink := NewSink("out")
-	srv := NewServer(k, "srv", 1, sim.FIFO, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
-	NewSource(k, "in", func() float64 { return arr.Erlang(2, meanIA/2) }, srv).Start()
+	srv := NewActServer(k, "srv", 1, func(*Job) float64 { return svc.Exp(1 / mu) }, sink)
+	NewActSource(k, "in", func() float64 { return arr.Erlang(2, meanIA/2) }, srv).Start()
 	if err := k.Run(200000); err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +401,8 @@ func TestAllenCunneenReducesToMMC(t *testing.T) {
 
 func TestServerNegativeServicePanics(t *testing.T) {
 	k := sim.NewKernel()
-	srv := NewServer(k, "bad", 1, sim.FIFO, func(*Job) float64 { return -1 }, nil)
-	k.Spawn("j", func(c *sim.Context) {
-		srv.Accept(c, &Job{Created: c.Now()})
-	})
+	srv := NewActServer(k, "bad", 1, func(*Job) float64 { return -1 }, nil)
+	k.Schedule(1, func() { srv.AcceptAct(k, &Job{Created: k.Now()}) })
 	if err := k.Run(10); err == nil {
 		t.Fatal("expected error from negative service time")
 	}
@@ -425,10 +417,10 @@ func TestTandemNetworkSimulation(t *testing.T) {
 	s1 := rng.NewWithStream(41, 2)
 	s2 := rng.NewWithStream(41, 3)
 	sink := NewSink("out")
-	srv2 := NewServer(k, "srv2", 1, sim.FIFO, func(*Job) float64 { return s2.Exp(1) }, sink)
-	wire := NewDelay("wire", func(*Job) float64 { return 10 }, srv2)
-	srv1 := NewServer(k, "srv1", 1, sim.FIFO, func(*Job) float64 { return s1.Exp(0.5) }, wire)
-	NewSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv1).Start()
+	srv2 := NewActServer(k, "srv2", 1, func(*Job) float64 { return s2.Exp(1) }, sink)
+	wire := NewActDelay(k, "wire", func(*Job) float64 { return 10 }, srv2)
+	srv1 := NewActServer(k, "srv1", 1, func(*Job) float64 { return s1.Exp(0.5) }, wire)
+	NewActSource(k, "in", func() float64 { return arr.Exp(1 / lambda) }, srv1).Start()
 	if err := k.Run(100000); err != nil {
 		t.Fatal(err)
 	}

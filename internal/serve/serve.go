@@ -118,14 +118,15 @@ type Snapshot struct {
 
 // flight is one admitted run; coalesced requests wait on the same flight.
 type flight struct {
-	key     string
-	r       scenario.Resolved
-	ctx     context.Context // carries the initiator's deadline
-	cancel  context.CancelFunc
-	started time.Time
-	done    chan struct{} // closed once status/resp are set
-	status  int
-	resp    RunResponse
+	key      string
+	r        scenario.Resolved
+	ctx      context.Context // carries the initiator's deadline
+	cancel   context.CancelFunc
+	deadline time.Time // the initiator's absolute deadline, shared with its waiter
+	started  time.Time
+	done     chan struct{} // closed once status/resp are set
+	status   int
+	resp     RunResponse
 }
 
 // Server routes spec requests through a bounded queue into the engine. It
@@ -305,9 +306,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if timeout > s.opts.MaxTimeout {
 		timeout = s.opts.MaxTimeout
 	}
-	// The waiter's clock: tied to the client connection, so a dropped
-	// caller stops waiting immediately.
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), timeout)
+	// One absolute deadline per request bounds both the waiter and the
+	// flight it starts, so the flight can never outlive its waiter's
+	// budget. The waiter's context is also tied to the client connection,
+	// so a dropped caller stops waiting immediately.
+	now := time.Now()
+	deadline := now.Add(timeout)
+	waitCtx, cancelWait := context.WithDeadline(r.Context(), deadline)
 	defer cancelWait()
 
 	key := res.Key()
@@ -326,12 +331,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The flight's own clock is detached from the initiating connection:
 	// coalesced waiters may outlive the initiator, and a result computed
 	// anyway is a cache entry worth keeping.
-	flCtx, flCancel := context.WithTimeout(context.Background(), timeout)
+	flCtx, flCancel := context.WithDeadline(context.Background(), deadline)
 	fl := &flight{
 		key: key, r: res,
 		ctx: flCtx, cancel: flCancel,
-		started: time.Now(),
-		done:    make(chan struct{}),
+		deadline: deadline,
+		started:  now,
+		done:     make(chan struct{}),
 	}
 	s.flights[key] = fl
 	s.inflight.Add(1)
@@ -379,8 +385,10 @@ func (s *Server) runFlight(fl *flight) {
 				RunResponse{Key: fl.key, Error: fmt.Sprintf("backend panic: %v", v)})
 		}
 	}()
-	if fl.ctx.Err() != nil {
-		// Spent its whole budget queued; don't burn a worker on it.
+	if !time.Now().Before(fl.deadline) {
+		// Spent its whole budget queued; don't burn a worker on it. The
+		// clock is read directly: the context's timer may not have fired
+		// yet even though its waiter already gave up.
 		s.deadlines.Add(1)
 		s.finish(fl, http.StatusGatewayTimeout,
 			RunResponse{Key: fl.key, Error: "deadline exceeded before the run started"})
@@ -393,7 +401,7 @@ func (s *Server) runFlight(fl *flight) {
 			err = result.Err
 		}
 		status := http.StatusInternalServerError
-		if fl.ctx.Err() != nil {
+		if !time.Now().Before(fl.deadline) {
 			s.deadlines.Add(1)
 			status = http.StatusGatewayTimeout
 		}

@@ -252,11 +252,14 @@ func TestQueuedPastDeadlineGets504(t *testing.T) {
 	defer drain(t, s)
 
 	var runs atomic.Int64
+	var startOnce sync.Once
 	started := make(chan struct{})
 	release := make(chan struct{})
 	s.run = func(ctx context.Context, r scenario.Resolved) (engine.Result, error) {
 		runs.Add(1)
-		close(started)
+		// Idempotent, so a flight that runs by mistake is counted by the
+		// check below instead of panicking the worker.
+		startOnce.Do(func() { close(started) })
 		<-release
 		return okResult()
 	}

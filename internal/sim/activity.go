@@ -1,19 +1,12 @@
 package sim
 
-// Activity execution mode: run-to-completion event handlers driven inline
-// by the kernel's dispatch loop, with zero goroutines, zero channel
-// operations, and zero stack switches. Activities coexist with Proc-based
-// processes on the same event heap — mixed models interleave under the
-// exact same deterministic (t, seq) order — but a switch between two
-// activities costs only a heap pop and a method call, where a switch
-// between two processes costs a goroutine handoff.
-//
-// The price is the classic event-oriented one: an activity cannot block
-// mid-function. It is a state machine the kernel steps; every blocking
-// primitive comes in a "try or register" form (AcquireAct, GetAct,
-// WaitAct) whose slow path registers the activity and returns, and the
-// activity is stepped again when the wait is over. See the package
-// comment for guidance on choosing between the two modes.
+// Activities: run-to-completion event handlers driven inline by the
+// kernel's dispatch loop. A switch between two activities costs a heap pop
+// and a method call. An activity cannot block mid-function: it is a state
+// machine the kernel steps, and every blocking primitive comes in a "try
+// or register" form (AcquireAct, GetAct, PutAct, WaitAct) whose slow path
+// registers the activity and returns; the activity is stepped again when
+// the wait is over.
 
 import "fmt"
 
@@ -34,17 +27,16 @@ type ActivityFunc func(a *ActCtx)
 func (f ActivityFunc) Step(a *ActCtx) { f(a) }
 
 // ActCtx is the kernel-side record of one spawned activity and the handle
-// its Step method uses to interact with the kernel (the activity-mode
-// counterpart of Context). An ActCtx is only valid between SpawnActivity
-// and Exit, on the kernel's single logical thread.
+// its Step method uses to interact with the kernel. An ActCtx is only
+// valid between SpawnActivity and Exit, on the goroutine driving the
+// kernel.
 type ActCtx struct {
 	k    *Kernel
 	act  Activity
 	name string
-	id   int64
 
 	started bool // first Step delivered (traces "start")
-	done    bool // Exit called or killed at end of run
+	done    bool // Exit called or finished at end of run
 	// pending is set while a resumption is owed — a scheduled resume
 	// event, or a registration in a resource/store/signal queue that will
 	// schedule one. At most one may exist at a time; a second blocking
@@ -53,11 +45,12 @@ type ActCtx struct {
 	// waiting is set while the activity is registered in a wait structure
 	// with no scheduled event (it counts toward deadlock detection).
 	waiting bool
-	// waitTraced mirrors the Proc trace protocol: Wait traces "wait" and
-	// the matching resumption traces "run".
+	// waitTraced pairs the trace protocol's states: Wait traces "wait"
+	// and the matching resumption traces "run".
 	waitTraced bool
 
-	// sleep is the pending interruptible Sleep timer, for Interrupt.
+	// sleep is the pending interruptible Sleep timer, for
+	// InterruptActivity.
 	sleep       Timer
 	interrupted bool
 
@@ -77,9 +70,8 @@ func (k *Kernel) SpawnActivity(name string, act Activity) *ActCtx {
 
 // SpawnActivityAt registers act with its first Step at absolute time t.
 func (k *Kernel) SpawnActivityAt(t Time, name string, act Activity) *ActCtx {
-	a := &ActCtx{k: k, act: act, name: name, id: k.nextID}
+	a := &ActCtx{k: k, act: act, name: name}
 	a.rw.a = a
-	k.nextID++
 	k.addAct(a)
 	if t < k.now {
 		panic(fmt.Sprintf("sim: SpawnActivityAt(%g) before now (%g)", t, k.now))
@@ -90,9 +82,9 @@ func (k *Kernel) SpawnActivityAt(t Time, name string, act Activity) *ActCtx {
 }
 
 // addAct registers a spawned activity, sweeping finished entries when the
-// roster has grown well past the live population (same policy as addProc).
+// roster has grown well past the live population.
 func (k *Kernel) addAct(a *ActCtx) {
-	if !k.draining && len(k.acts) >= 64 && len(k.acts) >= 2*k.liveActs {
+	if len(k.acts) >= 64 && len(k.acts) >= 2*k.liveActs {
 		kept := k.acts[:0]
 		for _, q := range k.acts {
 			if !q.done {
@@ -108,9 +100,9 @@ func (k *Kernel) addAct(a *ActCtx) {
 	k.liveActs++
 }
 
-// stepActivity delivers one resumption: it runs Step inline on whichever
-// goroutine is dispatching, converting a panic into the run's error (the
-// same containment runCallback gives scheduled callbacks).
+// stepActivity delivers one resumption: it runs Step inline, converting a
+// panic into the run's error (the same containment runCallback gives
+// scheduled callbacks).
 func (k *Kernel) stepActivity(a *ActCtx) {
 	a.pending = false
 	if k.Tracer != nil {
@@ -185,9 +177,8 @@ func (a *ActCtx) Name() string { return a.name }
 func (a *ActCtx) Done() bool { return a.done }
 
 // Wait schedules this activity's next Step after d (>= 0) simulated time.
-// It is the inline-fast-path equivalent of Context.Wait: the resumption is
-// a recycled event, so the path does not allocate. Step must return after
-// calling Wait without issuing another blocking call.
+// The resumption is a recycled event, so the path does not allocate. Step
+// must return after calling Wait without issuing another blocking call.
 func (a *ActCtx) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait with negative duration %g", d))
@@ -211,7 +202,7 @@ func (a *ActCtx) WaitUntil(t Time) { a.Wait(t - a.k.now) }
 func (a *ActCtx) Yield() { a.Wait(0) }
 
 // Sleep is the interruptible wait: the next Step runs after d simulated
-// time, or immediately if another process or activity calls
+// time, or immediately if a callback or another activity calls
 // InterruptActivity meanwhile. The resumed Step distinguishes the two with
 // Interrupted.
 func (a *ActCtx) Sleep(d Time) {
@@ -237,8 +228,7 @@ func (a *ActCtx) Interrupted() bool {
 // InterruptActivity wakes target early if it is blocked in an
 // interruptible Sleep, reporting whether an interrupt was delivered.
 // Interrupting an activity that is not sleeping is a no-op returning
-// false (matching Kernel.Interrupt for processes: only interruptible
-// waits are interruptible).
+// false: only Sleep is interruptible.
 func (k *Kernel) InterruptActivity(target *ActCtx) bool {
 	if target.done || !target.sleep.Cancel() {
 		return false
@@ -260,12 +250,6 @@ func (a *ActCtx) Exit() {
 		panic(fmt.Sprintf("sim: activity %q exited while registered in a wait queue", a.name))
 	}
 	a.k.finishAct(a)
-}
-
-// Spawn starts a child process at the current time (activities may own
-// process-based helpers in mixed models).
-func (a *ActCtx) Spawn(name string, fn func(*Context)) *Proc {
-	return a.k.Spawn(name, fn)
 }
 
 // SpawnActivity starts a sibling activity at the current time.

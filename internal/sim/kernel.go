@@ -1,35 +1,20 @@
-// Package sim is a deterministic discrete-event simulation kernel with two
-// execution modes sharing one event heap. It is the replacement for the
-// commercial HyPerformix SES/Workbench tool the paper used.
+// Package sim is a deterministic discrete-event simulation kernel. It is
+// the replacement for the commercial HyPerformix SES/Workbench tool the
+// paper used.
 //
-// Process mode (Proc, Context): transactions are modeled as lightweight
-// processes (goroutines) that advance simulated time by waiting, acquiring
-// resources, and exchanging messages, while a single logical thread of
-// control guarantees reproducible execution order. Any number of process
-// goroutines may exist, but exactly one of them (or the controller that
-// called Run) executes at any instant. The logical thread is handed
-// directly from goroutine to goroutine: a parking process continues
-// dispatching events itself, so a burst of same-window resumptions costs
-// one channel handoff per process switch (and none at all when a process's
-// next event resumes the process itself). Write models in this mode when
-// straight-line control flow matters more than throughput: the model body
-// reads like sequential code and may block anywhere.
+// The kernel has one execution mode. A scheduled event carries either a
+// callback (Schedule, ScheduleArg) or one step of an activity (Activity,
+// ActCtx): a run-to-completion event handler the kernel calls inline in
+// its dispatch loop, with no goroutines, channel operations or stack
+// switches. A transaction in the SES/Workbench sense is an activity
+// written as an explicit state machine. Every blocking primitive has a
+// "try or register" form (AcquireAct, GetAct, PutAct, WaitAct): the fast
+// path continues inline, the slow path registers the activity and
+// returns, and the activity is stepped again when the wait is over.
 //
-// Activity mode (Activity, ActCtx): run-to-completion event handlers the
-// kernel steps inline in its dispatch loop — zero goroutines, zero channel
-// operations, zero stack switches. A switch between two activities costs a
-// heap pop instead of a goroutine handoff (an order of magnitude cheaper),
-// at the price of event-oriented style: the model is an explicit state
-// machine and every blocking primitive becomes a "try or register" call
-// (AcquireAct, GetAct, WaitAct). Write hot simulation loops in this mode;
-// the repository's heavy studies (hostpim, parcelsys, the activity-mode
-// queueing stations) all do.
-//
-// The two modes coexist on the same kernel: events carry either a callback,
-// a process resumption, or an activity step, and the single (t, seq) order
-// covers all three, so a mixed model is exactly as deterministic as a pure
-// one. The same seed and model always produce the same trajectory; ties in
-// event time are broken by schedule order.
+// Events fire in (t, seq) order, where seq is the kernel's schedule
+// counter, so ties in event time are broken by schedule order and the
+// same seed and model always produce the same trajectory.
 //
 // For big models, ParKernel partitions a run across shard kernels advanced
 // concurrently in conservative time windows, with cross-shard interactions
@@ -49,23 +34,21 @@ import (
 // cycles), but the kernel itself is unit-agnostic.
 type Time = float64
 
-// ErrDeadlock is returned by RunUntilIdle when no events remain but live
-// processes are still blocked.
-var ErrDeadlock = errors.New("sim: deadlock: no scheduled events but processes remain blocked")
+// ErrDeadlock is returned by RunUntilIdle when no events remain but
+// activities are still blocked in a wait queue.
+var ErrDeadlock = errors.New("sim: deadlock: no scheduled events but activities remain blocked")
 
-// event is a scheduled callback, process resumption, or activity step.
-// Events are recycled through the kernel's free list once fired or
-// collected dead, so steady-state scheduling does not allocate; gen
-// distinguishes incarnations so a stale Timer cannot cancel the struct's
-// next tenant. Resumptions carry the process or activity directly instead
-// of a closure, keeping the kernel's hottest paths — Wait and
-// blocking-wakeup events in both execution modes — entirely
+// event is a scheduled callback or activity step. Events are recycled
+// through the kernel's free list once fired or collected dead, so
+// steady-state scheduling does not allocate; gen distinguishes
+// incarnations so a stale Timer cannot cancel the struct's next tenant.
+// Activity steps carry the activity directly instead of a closure, keeping
+// the kernel's hottest paths — Wait and blocking-wakeup events — entirely
 // allocation-free; ScheduleArg callbacks likewise carry their argument out
 // of line so one function value can serve many deliveries.
 type event struct {
 	t    Time
 	seq  uint64  // tie-breaker: schedule order
-	proc *Proc   // when non-nil, resume this process
 	act  *ActCtx // when non-nil, step this activity
 	fn   func()
 	afn  func(any) // when non-nil, call afn(arg)
@@ -144,22 +127,6 @@ func (q *eventHeap) pop() *event {
 	return top
 }
 
-// dispatchState is the outcome of one dispatch burst (see Kernel.dispatch).
-type dispatchState int
-
-const (
-	// resumedSelf: the next due event resumes the dispatching process
-	// itself — it continues immediately, with no channel traffic at all.
-	resumedSelf dispatchState = iota
-	// handedOff: another process now owns the logical thread; the caller
-	// must wait for it to come back (own wake channel, or yield for the
-	// controller) or simply exit (a finished process).
-	handedOff
-	// exhausted: nothing is due (bound reached, queue empty, or the run
-	// stopped); the logical thread returns to the controller.
-	exhausted
-)
-
 // Kernel is a discrete-event simulation instance. Create one with NewKernel;
 // the zero value is not usable.
 type Kernel struct {
@@ -175,23 +142,15 @@ type Kernel struct {
 	// carries the shard's window state and cross-shard buffers.
 	par *shardState
 
-	// procs lists every spawned, not-yet-reaped process in id (== spawn)
-	// order; done processes are swept lazily. live counts the non-done
-	// ones, so the hot paths never touch a map.
-	procs []*Proc
-	live  int
-
-	// acts is the activity roster (same sweep policy as procs); liveActs
-	// counts the not-yet-exited ones, actsBlocked the subset registered in
-	// a wait structure with no scheduled resumption (these count toward
-	// deadlock detection exactly as blocked processes do).
+	// acts lists every spawned, not-yet-reaped activity in spawn order;
+	// exited ones are swept lazily. liveActs counts the not-yet-exited
+	// ones, actsBlocked the subset registered in a wait structure with no
+	// scheduled resumption (these count toward deadlock detection).
 	acts        []*ActCtx
 	liveActs    int
 	actsBlocked int
 
-	yield  chan struct{} // logical thread -> controller handoff (cap 1)
-	err    error         // first process panic, if any
-	nextID int64
+	err error // first model panic, if any
 
 	// until/bounded frame the current drain window (set by Advance, Run,
 	// and RunUntilIdle; read by every dispatcher). strict excludes events
@@ -201,26 +160,25 @@ type Kernel struct {
 	bounded bool
 	strict  bool
 
-	// Tracer, if non-nil, observes process state transitions. Used by the
+	// Tracer, if non-nil, observes activity state transitions. Used by the
 	// trace package to build per-processor timelines.
 	Tracer Tracer
 
-	stopped  bool // Stop() requested
-	draining bool // shutdown in progress: dispatch is suspended
-	running  bool // a drain window is active: Run/Advance must not reenter
+	stopped bool // Stop() requested
+	running bool // a drain window is active: Run/Advance must not reenter
 }
 
-// Tracer receives process lifecycle callbacks. All callbacks run on the
-// simulation's single logical thread.
+// Tracer receives activity lifecycle callbacks. All callbacks run on the
+// goroutine driving the kernel.
 type Tracer interface {
-	// ProcState is called when process name enters the given informal state
-	// ("start", "wait", "run", "done", ...) at simulated time t.
+	// ProcState is called when activity name enters the given informal
+	// state ("start", "wait", "run", "done") at simulated time t.
 	ProcState(t Time, name string, state string)
 }
 
 // NewKernel returns an empty simulation at time 0.
 func NewKernel() *Kernel {
-	return &Kernel{events: new(eventHeap), yield: make(chan struct{}, 1)}
+	return &Kernel{events: new(eventHeap)}
 }
 
 // Now returns the current simulated time.
@@ -285,18 +243,8 @@ func (k *Kernel) nextSeq() uint64 {
 	return s
 }
 
-// scheduleEvent is the internal Timer-free scheduling path: it registers
-// either a callback (fn) or a process resumption (p) at absolute time t,
-// reusing a recycled event when one is free.
-func (k *Kernel) scheduleEvent(t Time, fn func(), p *Proc) *event {
-	ev := k.newEvent(t)
-	ev.fn, ev.proc = fn, p
-	k.events.push(ev)
-	return ev
-}
-
 // scheduleActEvent registers a step of activity a at absolute time t —
-// the activity-mode resumption path, allocation-free at steady state.
+// the resumption path, allocation-free at steady state.
 func (k *Kernel) scheduleActEvent(t Time, a *ActCtx) *event {
 	ev := k.newEvent(t)
 	ev.act = a
@@ -307,7 +255,9 @@ func (k *Kernel) scheduleActEvent(t Time, a *ActCtx) *event {
 // ScheduleAt registers fn to run at absolute simulated time t. Scheduling
 // in the past panics (events must be causal).
 func (k *Kernel) ScheduleAt(t Time, fn func()) Timer {
-	ev := k.scheduleEvent(t, fn, nil)
+	ev := k.newEvent(t)
+	ev.fn = fn
+	k.events.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -322,9 +272,9 @@ func (k *Kernel) Schedule(delay Time, fn func()) Timer {
 // ScheduleArg registers fn(arg) to run after the given delay (>= 0). The
 // callback and its argument travel separately through the (recycled)
 // event, so one per-run function value can serve any number of scheduled
-// deliveries with no closure allocation per call — the timed message-
-// delivery path of the activity-mode models. Passing a pointer as arg does
-// not allocate.
+// deliveries with no closure allocation per call — the timed
+// message-delivery path of the models. Passing a pointer as arg does not
+// allocate.
 func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %g", delay))
@@ -336,30 +286,18 @@ func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
 }
 
 // Stop requests that the current Run call return after the event that is
-// executing finishes. Remaining processes are killed as on normal
+// executing finishes. Remaining activities are finished as on normal
 // completion.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// dispatch executes due events on the calling goroutine until the logical
-// thread must move elsewhere. self is the parked process driving the loop
-// (nil for the controller and for finished processes). Callback events run
-// inline; a resumption of self returns resumedSelf with no channel
-// traffic; a resumption of any other process starts or wakes it and
-// returns handedOff — the caller must then relinquish control. When
-// nothing is due within the window, dispatch returns exhausted.
+// dispatch executes due events until nothing is due within the current
+// window (bound reached, queue empty, or the run stopped). Callbacks and
+// activity steps both run inline on the calling goroutine.
 //
 // A panicking callback is recorded as the run's error and stops the run
-// (it would otherwise unwind whichever goroutine happened to be
-// dispatching, crashing the program from a process that did nothing
-// wrong).
-func (k *Kernel) dispatch(self *Proc) dispatchState {
-	for {
-		if k.stopped || k.draining {
-			return exhausted
-		}
-		if len(*k.events) == 0 {
-			return exhausted
-		}
+// instead of unwinding the caller.
+func (k *Kernel) dispatch() {
+	for !k.stopped && len(*k.events) > 0 {
 		ev := (*k.events)[0]
 		if ev.dead {
 			k.events.pop()
@@ -367,40 +305,23 @@ func (k *Kernel) dispatch(self *Proc) dispatchState {
 			continue
 		}
 		if k.bounded && (ev.t > k.until || (k.strict && ev.t == k.until)) {
-			return exhausted
+			return
 		}
 		k.events.pop()
 		k.now = ev.t
 		if sh := k.par; sh != nil && sh.window {
-			// Every schedule made while this event (or code it hands the
-			// logical thread to) runs is logged under it for the barrier's
-			// serial renumbering.
+			// Every schedule made while this event runs is logged under it
+			// for the barrier's serial renumbering.
 			sh.curT, sh.curSeq, sh.curLogged = ev.t, ev.seq, false
 		}
 		// The payload fields are read lazily, most-frequent kind first, so
-		// the hot resume paths touch as little of the event as possible.
+		// the hot resume path touches as little of the event as possible.
 		if a := ev.act; a != nil {
 			k.recycle(ev)
-			// Activity step: runs inline on this goroutine — the logical
-			// thread never moves, whole bursts of activity events drain
-			// with no handoffs at all.
 			if !a.done {
 				k.stepActivity(a)
 			}
 			continue
-		}
-		if p := ev.proc; p != nil {
-			k.recycle(ev)
-			if p.done {
-				// Stale resumption of a finished process (possible only for
-				// events left over from a previous window); skip it.
-				continue
-			}
-			if p == self {
-				return resumedSelf
-			}
-			k.startOrWake(p)
-			return handedOff
 		}
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		k.recycle(ev)
@@ -413,8 +334,7 @@ func (k *Kernel) dispatch(self *Proc) dispatchState {
 }
 
 // runCallback runs one scheduled callback, converting a panic into the
-// run's error so the failure surfaces from Run regardless of which
-// goroutine was dispatching.
+// run's error so the failure surfaces from Run.
 func (k *Kernel) runCallback(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -440,22 +360,10 @@ func (k *Kernel) runArgCallback(fn func(any), arg any) {
 	fn(arg)
 }
 
-// startOrWake gives the logical thread to process p.
-func (k *Kernel) startOrWake(p *Proc) {
-	if !p.started {
-		p.started = true
-		go p.main()
-	} else {
-		p.wake <- struct{}{}
-	}
-}
-
 // recycle returns a popped event to the free list for the next
-// scheduleEvent. Bumping gen invalidates any Timer still holding the
-// struct.
+// newEvent. Bumping gen invalidates any Timer still holding the struct.
 func (k *Kernel) recycle(ev *event) {
 	ev.fn = nil
-	ev.proc = nil
 	ev.act = nil
 	ev.afn = nil
 	ev.arg = nil
@@ -463,13 +371,10 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = append(k.free, ev)
 }
 
-// drain runs the event loop from the controller side over the given
-// window: dispatch until nothing is due, waiting out each burst that
-// process goroutines carry among themselves. Reentry — Run or Advance
-// called from a callback or process while a window is active — would
-// clobber the window and can deadlock the handoff protocol, so it panics
-// instead (surfacing as the run's error when it happens inside the
-// simulation).
+// drain runs the event loop over the given window. Reentry — Run or
+// Advance called from a callback or activity while a window is active —
+// would clobber the window, so it panics instead (surfacing as the run's
+// error when it happens inside the simulation).
 func (k *Kernel) drain(until Time, bounded bool) {
 	if k.running {
 		panic("sim: Run/Advance called from inside the running simulation")
@@ -477,22 +382,15 @@ func (k *Kernel) drain(until Time, bounded bool) {
 	k.running = true
 	defer func() { k.running = false }()
 	k.until, k.bounded = until, bounded
-	for !k.stopped {
-		switch k.dispatch(nil) {
-		case handedOff:
-			<-k.yield
-		case exhausted:
-			return
-		}
-	}
+	k.dispatch()
 }
 
 // Advance runs the simulation up to simulated time `until` and returns the
-// first process error, if any. Unlike Run it does not kill the remaining
-// processes, so repeated Advance calls execute a simulation incrementally;
-// after Advance returns, Now() == until (unless Stop was called). Advance
-// must be called from outside the simulation — calling it from a process
-// or scheduled callback panics.
+// first model error, if any. Unlike Run it does not finish the remaining
+// activities, so repeated Advance calls execute a simulation
+// incrementally; after Advance returns, Now() == until (unless Stop was
+// called). Advance must be called from outside the simulation — calling
+// it from an activity or scheduled callback panics.
 func (k *Kernel) Advance(until Time) error {
 	if until < k.now {
 		return fmt.Errorf("sim: Advance(%g) before now (%g)", until, k.now)
@@ -504,9 +402,10 @@ func (k *Kernel) Advance(until Time) error {
 	return k.err
 }
 
-// Run advances the simulation until simulated time `until`, then kills any
-// remaining processes and returns the first process error (model panic), if
-// any. After Run returns, Now() == until (unless Stop was called earlier).
+// Run advances the simulation until simulated time `until`, then finishes
+// any remaining activities and returns the first model error (a panicking
+// callback or Step), if any. After Run returns, Now() == until (unless
+// Stop was called earlier).
 func (k *Kernel) Run(until Time) error {
 	if until < k.now {
 		return fmt.Errorf("sim: Run(%g) before now (%g)", until, k.now)
@@ -520,112 +419,31 @@ func (k *Kernel) Run(until Time) error {
 }
 
 // RunUntilIdle advances the simulation until no events remain. It returns
-// the final simulated time and ErrDeadlock if blocked processes remain, or
-// the first process error.
+// the final simulated time and ErrDeadlock if activities remain blocked in
+// a wait queue, or the first model error. Activities that merely returned
+// without a pending resumption are dormant by design (an idle
+// event-oriented server) and do not count.
 func (k *Kernel) RunUntilIdle() (Time, error) {
 	k.drain(0, false)
-	if k.err != nil {
-		k.shutdown()
-		return k.now, k.err
-	}
-	if k.live > 0 || k.actsBlocked > 0 {
-		// Blocked processes and blocked (queue-registered) activities both
-		// mean the model stalled. Activities that merely returned without a
-		// pending resumption are dormant by design (an idle event-oriented
-		// server) and do not count.
-		blocked := k.live + k.actsBlocked
-		k.shutdown()
-		if k.err != nil {
-			return k.now, k.err
-		}
+	blocked := k.actsBlocked
+	k.shutdown()
+	if k.err == nil && blocked > 0 {
 		return k.now, fmt.Errorf("%w (%d blocked)", ErrDeadlock, blocked)
 	}
-	k.shutdown()
 	return k.now, k.err
 }
 
-// shutdown kills every remaining process so no goroutines leak. The procs
-// list is in spawn (id) order, so processes die lowest id first —
-// deterministic and, unlike a min-scan per kill, linear in the number of
-// processes. A process whose deferred cleanup parks again (a blocking
-// Wait or Acquire in a defer) is re-killed until it finishes, one defer
-// level per pass, exactly as the old retry-until-empty loop did.
-// Dispatch is suspended for the duration: events scheduled by dying
-// processes' deferred cleanup accumulate but never fire.
+// shutdown finishes every remaining activity. Activities have no stack to
+// unwind: finishing one marks it done, which also drops the blocked ones
+// from the deadlock count. Pending events stay queued but can never step
+// a finished activity.
 func (k *Kernel) shutdown() {
-	k.draining = true
-	for i := 0; i < len(k.procs); i++ { // len re-read: defers may Spawn
-		p := k.procs[i]
-		for !p.done {
-			k.kill(p)
-		}
-	}
-	k.procs = k.procs[:0]
-	k.live = 0
-	// Activities have no stack to unwind: finishing them is marking them
-	// done (which also deregisters the blocked ones from the deadlock
-	// count). They die after the processes so that dying processes'
-	// deferred cleanup may still Release/Trigger toward them.
 	for _, a := range k.acts {
 		k.finishAct(a)
 	}
 	k.acts = k.acts[:0]
 	k.liveActs = 0
 	k.actsBlocked = 0
-	k.draining = false
-}
-
-// kill terminates one live process and waits for it to unwind.
-func (k *Kernel) kill(p *Proc) {
-	p.killed = true
-	if p.cancel != nil {
-		p.cancel()
-		p.cancel = nil
-	}
-	k.startOrWake(p)
-	<-k.yield
-}
-
-// addProc registers a newly spawned process, sweeping reaped entries when
-// the roster has grown well past the live population. The sweep is
-// suppressed mid-shutdown: it would shift not-yet-killed processes below
-// the kill loop's index.
-func (k *Kernel) addProc(p *Proc) {
-	if !k.draining && len(k.procs) >= 64 && len(k.procs) >= 2*k.live {
-		kept := k.procs[:0]
-		for _, q := range k.procs {
-			if !q.done {
-				kept = append(kept, q)
-			}
-		}
-		for i := len(kept); i < len(k.procs); i++ {
-			k.procs[i] = nil
-		}
-		k.procs = kept
-	}
-	k.procs = append(k.procs, p)
-	k.live++
-}
-
-// scheduleResume schedules process p to be resumed after delay. This is the
-// only correct way to wake a process from inside another process (direct
-// resume would re-enter the handoff protocol). The wakeup is a recycled
-// proc-carrying event, so the path does not allocate.
-func (k *Kernel) scheduleResume(p *Proc, delay Time) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %g", delay))
-	}
-	k.scheduleEvent(k.now+delay, nil, p)
-}
-
-// scheduleResumeTimer is scheduleResume with a cancel handle, for
-// interruptible waits.
-func (k *Kernel) scheduleResumeTimer(p *Proc, delay Time) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %g", delay))
-	}
-	ev := k.scheduleEvent(k.now+delay, nil, p)
-	return Timer{ev: ev, gen: ev.gen}
 }
 
 // PopFront removes and returns the head of a FIFO slice by compacting in
@@ -642,17 +460,14 @@ func PopFront[T any](q []T) ([]T, T) {
 }
 
 // Idle reports whether nothing can ever happen again: no events are
-// pending, no processes are live, and no activities are blocked in a wait
-// queue. Dormant activities (spawned, not exited, nothing pending) do not
-// count — with no events left they will never be stepped again.
-func (k *Kernel) Idle() bool { return len(*k.events) == 0 && k.live == 0 && k.actsBlocked == 0 }
+// pending and no activities are blocked in a wait queue. Dormant
+// activities (spawned, not exited, nothing pending) do not count — with no
+// events left they will never be stepped again.
+func (k *Kernel) Idle() bool { return len(*k.events) == 0 && k.actsBlocked == 0 }
 
 // PendingEvents returns the number of scheduled (possibly canceled) events;
 // exposed for tests and diagnostics.
 func (k *Kernel) PendingEvents() int { return len(*k.events) }
-
-// LiveProcs returns the number of live processes.
-func (k *Kernel) LiveProcs() int { return k.live }
 
 // LiveActivities returns the number of spawned, not-yet-exited activities.
 func (k *Kernel) LiveActivities() int { return k.liveActs }

@@ -13,8 +13,6 @@ import (
 )
 
 func BenchmarkKernelSchedule(b *testing.B)      { benches.KernelSchedule(b) }
-func BenchmarkKernelWaitResume(b *testing.B)    { benches.KernelWaitResume(b) }
-func BenchmarkKernelHandoffChain(b *testing.B)  { benches.KernelHandoffChain(b) }
 func BenchmarkKernelActivityChain(b *testing.B) { benches.KernelActivityChain(b) }
 
 // BenchmarkTimerCancel measures the cancel-and-collect path: schedule,
@@ -70,17 +68,20 @@ func TestScheduleAllocsPinned(t *testing.T) {
 	}
 }
 
-// TestWaitWakeupAllocsPinned: a process Wait (schedule resume, park,
-// dispatch own wakeup) is allocation-free.
+// waitLoop is an endless 1-cycle wait loop.
+type waitLoop struct{}
+
+func (waitLoop) Step(a *sim.ActCtx) { a.Wait(1) }
+
+// TestWaitWakeupAllocsPinned: two activities alternating Wait and wakeup
+// at the same timestamps (the kernel_activity_chain workload) are
+// allocation-free.
 func TestWaitWakeupAllocsPinned(t *testing.T) {
 	k := sim.NewKernel()
-	k.Spawn("waiter", func(c *sim.Context) {
-		for {
-			c.Wait(1)
-		}
-	})
+	k.SpawnActivity("a0", waitLoop{})
+	k.SpawnActivity("a1", waitLoop{})
 	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	// Prime: first window starts the goroutine and grows the queue.
+	// Prime: the first window grows the queue and the free list.
 	next := sim.Time(256)
 	if err := k.Advance(next); err != nil {
 		t.Fatal(err)

@@ -45,9 +45,8 @@ import (
 )
 
 // shardState is the per-shard half of a partitioned run, hung off
-// Kernel.par. During a window it is touched only by the worker (and the
-// process goroutines) driving that shard; the coordinator touches it only
-// between windows, with channel synchronization ordering the two.
+// Kernel.par. During a window it is touched only by the worker driving
+// that shard; the coordinator touches it only between windows, with channel synchronization ordering the two.
 type shardState struct {
 	pk  *ParKernel
 	idx int
@@ -466,15 +465,12 @@ func (pk *ParKernel) Run(until Time) error {
 	}
 	err := pk.Advance(until)
 	pk.shutdown()
-	if err == nil {
-		err = pk.err
-	}
 	return err
 }
 
 // AdvanceUntilIdle runs the partitioned simulation until no events remain
-// anywhere, without shutting anything down: blocked processes and
-// activities stay parked and the worker pool stays up, so a phased model
+// anywhere, without shutting anything down: blocked activities stay
+// registered and the worker pool stays up, so a phased model
 // can spawn its next phase and drive it with another Advance* call.
 // Afterwards every shard's clock stands at the returned time (the latest
 // shard time), giving the next phase a common start — shards that went
@@ -501,7 +497,7 @@ func (pk *ParKernel) AdvanceUntilIdle() (Time, error) {
 
 // RunUntilIdle advances until no events remain anywhere, returning the
 // final simulated time (the latest shard time) and ErrDeadlock if blocked
-// processes or activities remain on any shard. The worker pool is
+// activities remain on any shard. The worker pool is
 // stopped.
 func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	if len(pk.parts) == 1 {
@@ -509,19 +505,12 @@ func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	}
 	pk.runWindows(0, false)
 	pk.collect()
-	if pk.err != nil {
-		pk.shutdown()
-		return pk.Now(), pk.err
-	}
 	blocked := 0
 	for _, k := range pk.parts {
-		blocked += k.live + k.actsBlocked
+		blocked += k.actsBlocked
 	}
 	pk.shutdown()
-	if pk.err != nil {
-		return pk.Now(), pk.err
-	}
-	if blocked > 0 && !pk.stopped {
+	if pk.err == nil && blocked > 0 && !pk.stopped {
 		return pk.Now(), fmt.Errorf("%w (%d blocked)", ErrDeadlock, blocked)
 	}
 	return pk.Now(), pk.err
@@ -542,14 +531,11 @@ func (pk *ParKernel) Stop() {
 // Err returns the run's first recorded error.
 func (pk *ParKernel) Err() error { return pk.err }
 
-// shutdown kills shard processes and activities shard by shard in index
-// order, then stops the workers.
+// shutdown finishes shard activities shard by shard in index order, then
+// stops the workers.
 func (pk *ParKernel) shutdown() {
 	for _, k := range pk.parts {
 		k.shutdown()
-		if k.err != nil && pk.err == nil {
-			pk.err = k.err
-		}
 	}
 	pk.Close()
 }

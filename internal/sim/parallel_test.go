@@ -1,17 +1,18 @@
 package sim
 
 // Tests of the partitioned kernel (parallel.go): byte-identical
-// trajectories against the serial kernel for mixed Proc+Activity models
-// across worker counts and partition assignments — the partitioned
-// extension of TestActivityProcTraceEquivalence — plus the window
-// mechanics (incremental Advance, infinite lookahead, lookahead
-// violation surfacing, deadlock parity) and the queue empty-pop
-// contract's kernel-facing consequences. Run under -race these tests
-// also prove the window discipline keeps shard state single-threaded.
+// trajectories against the serial kernel across partition counts, worker
+// counts and partition assignments — a fixed corpus in
+// TestParKernelTraceEquivalence and a generator in FuzzParKernelTrace —
+// plus the window mechanics (incremental Advance, infinite lookahead,
+// lookahead violation surfacing, deadlock parity). Run under -race these
+// tests also prove the window discipline keeps shard state
+// single-threaded.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,19 +20,29 @@ import (
 	"repro/internal/rng"
 )
 
-// copyState is one replicated model copy: a resource contended by mixed
-// proc/activity workers, and a ping counter bumped only by cross-copy
+// copyState is one replicated model copy: a resource contended by plan
+// workers and store producers, a consumer draining the store, and a ping
+// counter bumped only by cross-copy
 // deliveries (so it exercises the barrier merge when copies land on
 // different partitions).
 type copyState struct {
 	g     int
+	k     *Kernel
 	res   *Resource
+	box   *Store[int]
+	got   int
 	pings int
+	track string // trace track of ping deliveries
 }
 
 // bumpPing is the cross-copy delivery callback; it runs on the
-// destination copy's kernel.
-func bumpPing(arg any) { arg.(*copyState).pings++ }
+// destination copy's kernel and traces the delivery, so its position
+// among the partition's other events is part of the compared trajectory.
+func bumpPing(arg any) {
+	cs := arg.(*copyState)
+	cs.pings++
+	cs.k.trace(cs.k.now, cs.track, "ping")
+}
 
 // pinger sends a timed ping to the next copy between plan-driven waits.
 // The ping delay never drops below the declared lookahead of 1.
@@ -54,30 +65,52 @@ func (p *pinger) Step(a *ActCtx) {
 	p.i++
 }
 
-// buildCopy constructs copy g on kernel k: even-index workers are
-// processes, odd-index workers are activities, all contending one FIFO
-// resource.
+// buildCopy constructs copy g on kernel k, all workers contending one FIFO
+// resource: odd-index workers follow their plan with planWorker;
+// even-index workers run the same plan as a script that also puts one
+// item per hold into a bounded store, which a consumer drains.
 func buildCopy(k *Kernel, g, capacity int, plans []workerPlan) *copyState {
-	cs := &copyState{g: g}
+	cs := &copyState{g: g, k: k, track: fmt.Sprintf("g%d/ping-in", g)}
 	cs.res = NewResource(k, fmt.Sprintf("g%d/res", g), capacity, FIFO)
+	cs.box = NewBoundedStore[int](k, fmt.Sprintf("g%d/box", g), 2)
+	puts := 0
 	for i := range plans {
 		pl := &plans[i]
 		name := fmt.Sprintf("g%d/w%d", g, i)
-		if i%2 == 0 {
-			r := cs.res
-			k.Spawn(name, func(c *Context) {
-				for j := range pl.waits {
-					c.Wait(pl.waits[j])
-					r.Acquire(c)
-					c.Wait(pl.holds[j])
-					r.Release(1)
-				}
-			})
-		} else {
+		if i%2 == 1 {
 			k.SpawnActivity(name, &planWorker{pl: pl, r: cs.res})
+			continue
 		}
+		var stages []stage
+		for j := range pl.waits {
+			stages = append(stages, wait(pl.waits[j]))
+			stages = append(stages, hold(cs.res, pl.holds[j])...)
+			stages = append(stages, put(cs.box, j))
+			puts++
+		}
+		k.SpawnActivity(name, run(stages...))
 	}
+	k.SpawnActivity(fmt.Sprintf("g%d/drain", g), &copyDrain{cs: cs, want: puts})
 	return cs
+}
+
+// copyDrain takes the copy's items from its store, resting 0.5 after
+// each, and exits after the last one.
+type copyDrain struct {
+	cs   *copyState
+	want int
+}
+
+func (d *copyDrain) Step(a *ActCtx) {
+	if d.cs.got == d.want {
+		a.Exit()
+		return
+	}
+	if _, ok := d.cs.box.GetAct(a); !ok {
+		return
+	}
+	d.cs.got++
+	a.Wait(0.5)
 }
 
 // parModelSpec is one generated workload: per-copy worker plans and ping
@@ -103,6 +136,25 @@ func makeParModel(seed uint64, copies, workers, steps, pings int) parModelSpec {
 	return spec
 }
 
+// snapToGrid rounds every drawn time up to a whole unit, so events of
+// different copies coincide and the barrier's tie-breaking between
+// partitions is exercised (with continuous draws, cross-partition ties
+// almost never happen).
+func (spec parModelSpec) snapToGrid() {
+	up := func(ts []Time) {
+		for i := range ts {
+			ts[i] = math.Ceil(ts[i])
+		}
+	}
+	for g := range spec.plans {
+		for i := range spec.plans[g] {
+			up(spec.plans[g][i].waits)
+			up(spec.plans[g][i].holds)
+		}
+		up(spec.pings[g])
+	}
+}
+
 // buildParModel lays the spec's copies out across the given per-copy
 // kernels (all the same kernel for a serial run) and wires the ping ring.
 func buildParModel(spec parModelSpec, kfor func(g int) *Kernel, partOf func(g int) int) []*copyState {
@@ -123,9 +175,18 @@ func buildParModel(spec parModelSpec, kfor func(g int) *Kernel, partOf func(g in
 type parRunResult struct {
 	traces [][]traceEvent // per partition (one entry for the serial run)
 	grants []int64
+	got    []int
 	pings  []int
 	now    Time
 	seq    uint64
+}
+
+func (res *parRunResult) collect(states []*copyState) {
+	for _, cs := range states {
+		res.grants = append(res.grants, cs.res.Grants())
+		res.got = append(res.got, cs.got)
+		res.pings = append(res.pings, cs.pings)
+	}
 }
 
 func runParModelSerial(spec parModelSpec) (parRunResult, error) {
@@ -135,10 +196,7 @@ func runParModelSerial(spec parModelSpec) (parRunResult, error) {
 	states := buildParModel(spec, func(int) *Kernel { return k }, func(int) int { return 0 })
 	now, err := k.RunUntilIdle()
 	res := parRunResult{traces: [][]traceEvent{rec.events}, now: now, seq: k.seq}
-	for _, cs := range states {
-		res.grants = append(res.grants, cs.res.Grants())
-		res.pings = append(res.pings, cs.pings)
-	}
+	res.collect(states)
 	return res, err
 }
 
@@ -158,10 +216,7 @@ func runParModelPartitioned(spec parModelSpec, parts, workers int, assign func(g
 	for _, r := range recs {
 		res.traces = append(res.traces, r.events)
 	}
-	for _, cs := range states {
-		res.grants = append(res.grants, cs.res.Grants())
-		res.pings = append(res.pings, cs.pings)
-	}
+	res.collect(states)
 	return res, err
 }
 
@@ -177,7 +232,7 @@ func copyOfTrack(track string) int {
 }
 
 // filterTrace restricts a serial trace to the copies a partition owns.
-func filterTrace(events []traceEvent, parts int, assign func(g int) int, part int) []traceEvent {
+func filterTrace(events []traceEvent, assign func(g int) int, part int) []traceEvent {
 	out := []traceEvent{}
 	for _, e := range events {
 		if assign(copyOfTrack(e.track)) == part {
@@ -196,58 +251,98 @@ func parAssignments(copies, parts int) map[string]func(g int) int {
 	}
 }
 
-// TestParKernelTraceEquivalence is the partitioned extension of
-// TestActivityProcTraceEquivalence: the same mixed Proc+Activity model,
-// replicated and wired into a cross-partition ping ring, produces the
-// serial kernel's exact trajectory — per-partition traces equal to the
-// serial trace restricted to each partition's copies, identical grant
-// and ping counts, identical final time, and an identical final value of
-// the schedule counter (the sharpest witness that the barrier's replay
-// renumbering reproduced every serial sequence number) — for every
-// tested partition count, worker count, and assignment function.
+// checkParEquivalence runs spec partitioned and compares it with the
+// serial run want: per-partition traces equal to the serial trace
+// restricted to each partition's copies, identical grant, drain and ping
+// counts, identical final time, and an identical final value of the
+// schedule counter (the sharpest witness that the barrier's replay
+// renumbering reproduced every serial sequence number).
+func checkParEquivalence(t *testing.T, spec parModelSpec, want parRunResult, parts, workers int, assign func(g int) int) {
+	t.Helper()
+	got, err := runParModelPartitioned(spec, parts, workers, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.now != want.now {
+		t.Fatalf("final time %g, serial %g", got.now, want.now)
+	}
+	if got.seq != want.seq {
+		t.Fatalf("final schedule counter %d, serial %d", got.seq, want.seq)
+	}
+	for g := 0; g < spec.copies; g++ {
+		if got.grants[g] != want.grants[g] || got.got[g] != want.got[g] || got.pings[g] != want.pings[g] {
+			t.Fatalf("copy %d grants/drained/pings %d/%d/%d, serial %d/%d/%d", g,
+				got.grants[g], got.got[g], got.pings[g], want.grants[g], want.got[g], want.pings[g])
+		}
+	}
+	for p := 0; p < parts; p++ {
+		ref := filterTrace(want.traces[0], assign, p)
+		if !tracesEqual(got.traces[p], ref) {
+			t.Fatalf("partition %d trace diverges from serial restriction (%d vs %d events)",
+				p, len(got.traces[p]), len(ref))
+		}
+	}
+}
+
+// TestParKernelTraceEquivalence: the replicated model, wired into a
+// cross-partition ping ring, produces the serial kernel's exact
+// trajectory (see checkParEquivalence) for every tested partition count,
+// worker count, and assignment function, both with continuous times and
+// snapped to a whole-unit grid.
 func TestParKernelTraceEquivalence(t *testing.T) {
 	const copies = 8
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		spec := makeParModel(seed, copies, 4, 6, 10)
+		grid := makeParModel(seed, copies, 4, 6, 10)
+		grid.snapToGrid()
 		want, err := runParModelSerial(spec)
 		if err != nil {
 			t.Fatalf("seed %d: serial run: %v", seed, err)
+		}
+		wantGrid, err := runParModelSerial(grid)
+		if err != nil {
+			t.Fatalf("seed %d: serial run on the grid: %v", seed, err)
 		}
 		for _, parts := range []int{1, 2, 4, 7} {
 			for aname, assign := range parAssignments(copies, parts) {
 				for _, workers := range []int{1, 2, parts} {
 					name := fmt.Sprintf("seed%d/p%d/%s/w%d", seed, parts, aname, workers)
 					t.Run(name, func(t *testing.T) {
-						got, err := runParModelPartitioned(spec, parts, workers, assign)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.now != want.now {
-							t.Fatalf("final time %g, serial %g", got.now, want.now)
-						}
-						if got.seq != want.seq {
-							t.Fatalf("final schedule counter %d, serial %d", got.seq, want.seq)
-						}
-						for g := 0; g < copies; g++ {
-							if got.grants[g] != want.grants[g] {
-								t.Fatalf("copy %d grants %d, serial %d", g, got.grants[g], want.grants[g])
-							}
-							if got.pings[g] != want.pings[g] {
-								t.Fatalf("copy %d pings %d, serial %d", g, got.pings[g], want.pings[g])
-							}
-						}
-						for p := 0; p < parts; p++ {
-							ref := filterTrace(want.traces[0], parts, assign, p)
-							if !tracesEqual(got.traces[p], ref) {
-								t.Fatalf("partition %d trace diverges from serial restriction (%d vs %d events)",
-									p, len(got.traces[p]), len(ref))
-							}
-						}
+						checkParEquivalence(t, spec, want, parts, workers, assign)
+						checkParEquivalence(t, grid, wantGrid, parts, workers, assign)
 					})
 				}
 			}
 		}
 	}
+}
+
+// FuzzParKernelTrace generates the equivalence check's inputs: the model
+// seed (which also sizes each copy), the number of copies, the partition
+// and worker counts, whether times snap to a whole-unit grid, and an
+// arbitrary copy-to-partition assignment (copy g goes to partition
+// assign[g mod len] mod parts; strided when assign is empty).
+func FuzzParKernelTrace(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(4), uint8(2), false, []byte{})
+	f.Add(uint64(7), uint8(5), uint8(3), uint8(3), true, []byte{0, 0, 2, 1, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, copiesRaw, partsRaw, workersRaw uint8, grid bool, assignRaw []byte) {
+		copies := 1 + int(copiesRaw%10)
+		parts := 1 + int(partsRaw%8)
+		workers := 1 + int(workersRaw)%parts
+		assign := func(g int) int { return g % parts }
+		if len(assignRaw) > 0 {
+			assign = func(g int) int { return int(assignRaw[g%len(assignRaw)]) % parts }
+		}
+		spec := makeParModel(seed, copies, 1+int(seed%4), 1+int(seed>>2%6), 1+int(seed>>5%10))
+		if grid {
+			spec.snapToGrid()
+		}
+		want, err := runParModelSerial(spec)
+		if err != nil {
+			t.Fatalf("serial run: %v", err)
+		}
+		checkParEquivalence(t, spec, want, parts, workers, assign)
+	})
 }
 
 // TestParKernelAdvanceIncremental: driving the partitioned run through
@@ -340,12 +435,12 @@ func TestParKernelSendLookaheadViolation(t *testing.T) {
 	}
 }
 
-// TestParKernelDeadlockParity: a starved process on one shard reports
+// TestParKernelDeadlockParity: a starved activity on one shard reports
 // ErrDeadlock exactly as the serial kernel does.
 func TestParKernelDeadlockParity(t *testing.T) {
 	build := func(k *Kernel) {
 		s := NewStore[int](k, "empty")
-		k.Spawn("starved", func(c *Context) { s.Get(c) })
+		k.SpawnActivity("starved", run(get(s, nil)))
 	}
 	sk := NewKernel()
 	build(sk)

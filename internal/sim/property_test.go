@@ -1,8 +1,8 @@
 package sim
 
 // Property-based tests of kernel invariants under randomized workloads:
-// resource conservation, store conservation, clock monotonicity, and
-// schedule-order stability.
+// resource conservation, store conservation, clock monotonicity, FIFO
+// grant order, and work conservation.
 
 import (
 	"testing"
@@ -27,15 +27,17 @@ func TestResourceConservationProperty(t *testing.T) {
 			n := 1 + st.Intn(capacity)
 			delay := st.Exp(5)
 			hold := st.Exp(3)
-			k.SpawnAt(delay, "job", func(c *Context) {
-				r.AcquireN(c, n, 0)
-				if r.InUse() > r.Capacity() || r.InUse() < 0 {
-					violations++
-				}
-				c.Wait(hold)
-				r.Release(n)
-				releases++
-			})
+			k.SpawnActivityAt(delay, "job", run(
+				acquire(r, n, 0),
+				do(func(*ActCtx) {
+					if r.InUse() > r.Capacity() || r.InUse() < 0 {
+						violations++
+					}
+				}),
+				wait(hold),
+				release(r, n),
+				do(func(*ActCtx) { releases++ }),
+			))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
@@ -58,16 +60,12 @@ func TestStoreConservationProperty(t *testing.T) {
 		s := NewStore[int](k, "box")
 		got := 0
 		for i := 0; i < nPuts; i++ {
-			v := i
-			k.SpawnAt(st.Exp(3), "put", func(c *Context) { s.Put(c, v) })
+			k.SpawnActivityAt(st.Exp(3), "put", run(put(s, i)))
 		}
 		for i := 0; i < nGets; i++ {
-			k.SpawnAt(st.Exp(3), "get", func(c *Context) {
-				_ = s.Get(c)
-				got++
-			})
+			k.SpawnActivityAt(st.Exp(3), "get", run(get(s, func(*ActCtx, int) { got++ })))
 		}
-		// Run bounded: excess getters stay blocked and are killed.
+		// Run bounded: excess getters stay registered and are finished.
 		if err := k.Run(1e7); err != nil {
 			return false
 		}
@@ -83,8 +81,8 @@ func TestStoreConservationProperty(t *testing.T) {
 	}
 }
 
-// TestClockMonotonicityProperty: a process observes non-decreasing time
-// across arbitrary waits and resource interactions.
+// TestClockMonotonicityProperty: an activity observes non-decreasing time
+// across arbitrary waits, resource holds and yields.
 func TestClockMonotonicityProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		st := rng.New(seed)
@@ -92,25 +90,26 @@ func TestClockMonotonicityProperty(t *testing.T) {
 		r := NewResource(k, "res", 2, FIFO)
 		ok := true
 		for i := 0; i < 10; i++ {
-			k.Spawn("p", func(c *Context) {
-				last := c.Now()
-				for step := 0; step < 20; step++ {
-					switch st.Intn(3) {
-					case 0:
-						c.Wait(st.Exp(2))
-					case 1:
-						r.Acquire(c)
-						c.Wait(st.Exp(1))
-						r.Release(1)
-					case 2:
-						c.Yield()
-					}
-					if c.Now() < last {
-						ok = false
-					}
-					last = c.Now()
+			last := Time(0)
+			check := do(func(a *ActCtx) {
+				if a.Now() < last {
+					ok = false
 				}
+				last = a.Now()
 			})
+			var stages []stage
+			for step := 0; step < 20; step++ {
+				switch st.Intn(3) {
+				case 0:
+					stages = append(stages, wait(st.Exp(2)))
+				case 1:
+					stages = append(stages, hold(r, st.Exp(1))...)
+				case 2:
+					stages = append(stages, once(func(a *ActCtx) bool { a.Yield(); return false }))
+				}
+				stages = append(stages, check)
+			}
+			k.SpawnActivity("p", run(stages...))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
@@ -130,27 +129,21 @@ func TestFIFOOrderProperty(t *testing.T) {
 		st := rng.New(seed)
 		k := NewKernel()
 		r := NewResource(k, "res", 1, FIFO)
-		type rec struct {
-			arrival Time
-			index   int
-		}
-		var grants []rec
+		var grants []Time // arrival times, in grant order
 		for j := 0; j < jobs; j++ {
-			j := j
 			at := st.Exp(1)
-			k.SpawnAt(at, "job", func(c *Context) {
-				arr := c.Now()
-				r.Acquire(c)
-				grants = append(grants, rec{arrival: arr, index: j})
-				c.Wait(st.Exp(4))
-				r.Release(1)
-			})
+			k.SpawnActivityAt(at, "job", run(
+				acquire(r, 1, 0),
+				do(func(*ActCtx) { grants = append(grants, at) }),
+				wait(st.Exp(4)),
+				release(r, 1),
+			))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
 		}
 		for i := 1; i < len(grants); i++ {
-			if grants[i].arrival < grants[i-1].arrival {
+			if grants[i] < grants[i-1] {
 				return false
 			}
 		}
@@ -175,11 +168,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		for demand < 2*horizon {
 			d := st.Exp(20)
 			demand += d
-			k.Spawn("job", func(c *Context) {
-				r.Acquire(c)
-				c.Wait(d)
-				r.Release(1)
-			})
+			k.SpawnActivity("job", run(hold(r, d)...))
 		}
 		if err := k.Run(horizon); err != nil {
 			return false

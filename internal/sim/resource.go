@@ -52,18 +52,14 @@ type Resource struct {
 	grants int64 // total successful acquisitions
 }
 
-// resWaiter is one queued acquisition — by a process (p) or an activity
-// (a). Process waiters are allocated per block; activity waiters are
-// embedded in the ActCtx (an activity blocks on at most one resource at a
-// time), so the activity path does not allocate.
+// resWaiter is one queued acquisition. It is embedded in the ActCtx (an
+// activity blocks on at most one resource at a time), so queueing does
+// not allocate.
 type resWaiter struct {
-	p       *Proc
-	a       *ActCtx
-	n       int
-	prio    float64
-	since   Time
-	granted bool
-	removed bool
+	a     *ActCtx
+	n     int
+	prio  float64
+	since Time
 }
 
 // NewResource creates a resource with the given capacity and discipline.
@@ -96,46 +92,17 @@ func (r *Resource) QueueLength() int { return len(r.queue) }
 // Grants returns the number of acquisitions granted so far.
 func (r *Resource) Grants() int64 { return r.grants }
 
-// Acquire obtains one unit, blocking in queue order if none is free.
-func (r *Resource) Acquire(c *Context) { r.AcquireN(c, 1, 0) }
-
-// AcquireN obtains n units with the given priority (lower is served first
-// under the Priority discipline; ignored otherwise). It blocks until
-// granted.
-func (r *Resource) AcquireN(c *Context, n int, prio float64) {
-	if n <= 0 || n > r.capacity {
-		panic(fmt.Sprintf("sim: AcquireN(%d) on resource %q with capacity %d", n, r.name, r.capacity))
-	}
-	now := c.k.now
-	if len(r.queue) == 0 && r.capacity-r.inUse >= n {
-		r.take(n, now)
-		r.WaitTime.Add(0)
-		return
-	}
-	w := &resWaiter{p: c.p, n: n, prio: prio, since: now}
-	r.enqueue(w)
-	r.QueueLen.Set(now, float64(len(r.queue)))
-	c.p.cancel = func() { r.remove(w) }
-	c.p.park()
-	c.p.cancel = nil
-	if !w.granted {
-		// Interrupted out of the queue before being granted; surface as a
-		// model bug because resource waits are not interruptible.
-		panic(fmt.Sprintf("sim: process %q resumed in resource %q queue without grant", c.p.name, r.name))
-	}
-	r.WaitTime.Add(c.k.now - w.since)
-}
-
 // Acquire1Act is AcquireAct for the common single-unit, zero-priority
 // case.
 func (r *Resource) Acquire1Act(a *ActCtx) bool { return r.AcquireAct(a, 1, 0) }
 
-// AcquireAct is the activity-mode acquire: when n units are free (and
-// nobody queues ahead) it takes them and returns true — the caller holds
-// the resource and continues inline. Otherwise it registers the activity
-// in the queue and returns false; the caller's Step must return, and the
-// activity is stepped again holding the grant (the same queue, discipline,
-// and FIFO fairness as the blocking AcquireN, allocation-free).
+// AcquireAct obtains n units with the given priority (lower is served
+// first under the Priority discipline; ignored otherwise). When n units
+// are free and nobody queues ahead it takes them and returns true — the
+// caller holds the resource and continues inline. Otherwise it registers
+// the activity in the queue and returns false; the caller's Step must
+// return, and the activity is stepped again holding the grant.
+// Allocation-free.
 func (r *Resource) AcquireAct(a *ActCtx, n int, prio float64) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: AcquireAct(%d) on resource %q with capacity %d", n, r.name, r.capacity))
@@ -149,19 +116,19 @@ func (r *Resource) AcquireAct(a *ActCtx, n int, prio float64) bool {
 	r.k.blockAct(a)
 	w := &a.rw
 	w.n, w.prio, w.since = n, prio, now
-	w.granted, w.removed = false, false
 	r.enqueue(w)
 	r.QueueLen.Set(now, float64(len(r.queue)))
 	return false
 }
 
-// TryAcquire obtains n units without blocking; it reports success.
-func (r *Resource) TryAcquire(c *Context, n int) bool {
+// TryAcquire obtains n units without registering in the queue; it reports
+// success.
+func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: TryAcquire(%d) on resource %q with capacity %d", n, r.name, r.capacity))
 	}
 	if len(r.queue) == 0 && r.capacity-r.inUse >= n {
-		r.take(n, c.k.now)
+		r.take(n, r.k.now)
 		r.WaitTime.Add(0)
 		return true
 	}
@@ -207,21 +174,6 @@ func (r *Resource) enqueue(w *resWaiter) {
 	}
 }
 
-// remove deregisters a waiter (kill-cancel path).
-func (r *Resource) remove(w *resWaiter) {
-	if w.removed || w.granted {
-		return
-	}
-	for i, q := range r.queue {
-		if q == w {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			w.removed = true
-			r.QueueLen.Set(r.k.now, float64(len(r.queue)))
-			return
-		}
-	}
-}
-
 // dispatch grants queued requests while units are available. Grants respect
 // the queue head strictly (no bypassing a large request with a small one),
 // which keeps FIFO fairness exact.
@@ -233,18 +185,9 @@ func (r *Resource) dispatch() {
 		}
 		r.queue, _ = PopFront(r.queue)
 		r.QueueLen.Set(r.k.now, float64(len(r.queue)))
-		head.granted = true
 		r.take(head.n, r.k.now)
-		if head.a != nil {
-			// Activity grant: the wait ends now, so the waiting-time sample
-			// lands here (the blocking path records the same value after
-			// its same-time resumption).
-			r.WaitTime.Add(r.k.now - head.since)
-			r.k.resumeBlockedAct(head.a)
-			continue
-		}
-		p := head.p
-		r.k.scheduleEvent(r.k.now, nil, p)
+		r.WaitTime.Add(r.k.now - head.since)
+		r.k.resumeBlockedAct(head.a)
 	}
 }
 

@@ -1,11 +1,98 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/rng"
 )
+
+// stage is one step of a scripted test activity. It is called again at
+// every resumption until it reports done; the script then moves on to the
+// next stage inline.
+type stage func(a *ActCtx) (done bool)
+
+// script is a test activity that runs its stages in order and exits after
+// the last one, so straight-line test models read like the sequential
+// code they describe.
+type script []stage
+
+func (s *script) Step(a *ActCtx) {
+	for len(*s) > 0 {
+		if !(*s)[0](a) {
+			return
+		}
+		*s = (*s)[1:]
+	}
+	a.Exit()
+}
+
+// run builds a scripted activity from stages.
+func run(stages ...stage) *script {
+	s := script(stages)
+	return &s
+}
+
+// once turns a call that may register or schedule a resumption into a
+// stage: the first call reports f's answer, the call at the resumption
+// reports done.
+func once(f func(a *ActCtx) bool) stage {
+	called := false
+	return func(a *ActCtx) bool {
+		if called {
+			return true
+		}
+		called = true
+		return f(a)
+	}
+}
+
+// do runs f inline and moves on.
+func do(f func(a *ActCtx)) stage {
+	return func(a *ActCtx) bool { f(a); return true }
+}
+
+// wait waits d.
+func wait(d Time) stage {
+	return once(func(a *ActCtx) bool { a.Wait(d); return false })
+}
+
+// acquire takes n units of r at the given priority.
+func acquire(r *Resource, n int, prio float64) stage {
+	return once(func(a *ActCtx) bool { return r.AcquireAct(a, n, prio) })
+}
+
+// release returns n units of r.
+func release(r *Resource, n int) stage {
+	return do(func(*ActCtx) { r.Release(n) })
+}
+
+// hold acquires one unit of r, keeps it for d and releases it.
+func hold(r *Resource, d Time) []stage {
+	return []stage{acquire(r, 1, 0), wait(d), release(r, 1)}
+}
+
+// get takes one item from s and hands it to f (which may be nil).
+func get[T any](s *Store[T], f func(a *ActCtx, v T)) stage {
+	return func(a *ActCtx) bool {
+		v, ok := s.GetAct(a)
+		if ok && f != nil {
+			f(a, v)
+		}
+		return ok
+	}
+}
+
+// put adds v to s.
+func put[T any](s *Store[T], v T) stage {
+	return once(func(a *ActCtx) bool { return s.PutAct(a, v) })
+}
+
+// join waits for wg.
+func join(wg *WaitGroup) stage {
+	return once(func(a *ActCtx) bool { return wg.WaitAct(a) })
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	k := NewKernel()
@@ -65,17 +152,15 @@ func TestTimerCancel(t *testing.T) {
 func TestProcessWait(t *testing.T) {
 	k := NewKernel()
 	var times []Time
-	k.Spawn("p", func(c *Context) {
-		times = append(times, c.Now())
-		c.Wait(3)
-		times = append(times, c.Now())
-		c.Wait(4)
-		times = append(times, c.Now())
-	})
+	stamp := do(func(a *ActCtx) { times = append(times, a.Now()) })
+	k.SpawnActivity("p", run(stamp, wait(3), stamp, wait(4), stamp))
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{0, 3, 7}
+	if len(times) != len(want) {
+		t.Fatalf("times = %v, want %v", times, want)
+	}
 	for i := range want {
 		if times[i] != want[i] {
 			t.Fatalf("times = %v, want %v", times, want)
@@ -86,52 +171,51 @@ func TestProcessWait(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	k := NewKernel()
 	var start Time = -1
-	k.SpawnAt(42, "late", func(c *Context) { start = c.Now() })
+	k.SpawnActivityAt(42, "late", run(do(func(a *ActCtx) { start = a.Now() })))
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	if start != 42 {
-		t.Errorf("process started at %g, want 42", start)
+		t.Errorf("activity started at %g, want 42", start)
 	}
 }
 
 func TestRunKillsBlockedProcesses(t *testing.T) {
+	// Run finishes every activity still live at the horizon: one waiting
+	// on a timer and one registered in an empty store.
 	k := NewKernel()
 	reached := false
-	k.Spawn("sleeper", func(c *Context) {
-		c.Wait(1000)
-		reached = true // must never run: killed at t=10
-	})
+	k.SpawnActivity("sleeper", run(wait(1000), do(func(*ActCtx) { reached = true })))
+	s := NewStore[int](k, "empty")
+	k.SpawnActivity("getter", run(get(s, nil)))
 	if err := k.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	if reached {
-		t.Fatal("killed process continued past end of run")
+		t.Fatal("finished activity continued past end of run")
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
+	if k.LiveActivities() != 0 {
+		t.Fatalf("LiveActivities = %d after Run", k.LiveActivities())
+	}
+	// The leftover timer event must not step the finished activity.
+	if _, err := k.RunUntilIdle(); err != nil || reached {
+		t.Fatalf("leftover event after Run: err=%v reached=%v", err, reached)
 	}
 }
 
 func TestProcessPanicPropagates(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("bad", func(c *Context) {
-		c.Wait(1)
-		panic("model bug")
-	})
+	k.SpawnActivity("bad", run(wait(1), do(func(*ActCtx) { panic("model bug") })))
 	err := k.Run(10)
 	if err == nil {
-		t.Fatal("expected error from panicking process")
+		t.Fatal("expected error from panicking activity")
 	}
 }
 
 func TestRunUntilIdle(t *testing.T) {
 	k := NewKernel()
 	var end Time
-	k.Spawn("p", func(c *Context) {
-		c.Wait(7)
-		end = c.Now()
-	})
+	k.SpawnActivity("p", run(wait(7), do(func(a *ActCtx) { end = a.Now() })))
 	final, err := k.RunUntilIdle()
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +227,11 @@ func TestRunUntilIdle(t *testing.T) {
 
 func TestRunUntilIdleDeadlock(t *testing.T) {
 	k := NewKernel()
-	sig := NewSignal(k, "never")
-	k.Spawn("stuck", func(c *Context) { sig.Wait(c) })
+	wg := NewWaitGroup(k, "never", 1)
+	k.SpawnActivity("stuck", run(join(wg)))
 	_, err := k.RunUntilIdle()
-	if err == nil {
-		t.Fatal("expected deadlock error")
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 }
 
@@ -156,16 +240,18 @@ func TestResourceMutualExclusion(t *testing.T) {
 	r := NewResource(k, "cpu", 1, FIFO)
 	var maxConc, conc int
 	for i := 0; i < 5; i++ {
-		k.Spawn("worker", func(c *Context) {
-			r.Acquire(c)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			c.Wait(2)
-			conc--
-			r.Release(1)
-		})
+		k.SpawnActivity("worker", run(
+			acquire(r, 1, 0),
+			do(func(*ActCtx) {
+				conc++
+				if conc > maxConc {
+					maxConc = conc
+				}
+			}),
+			wait(2),
+			do(func(*ActCtx) { conc-- }),
+			release(r, 1),
+		))
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -178,22 +264,31 @@ func TestResourceMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestResourceFIFOOrder(t *testing.T) {
+// grantOrder runs four one-unit requesters arriving at t = 0, 1, 2, 3
+// against a capacity-1 resource of the given discipline, each holding it
+// for 10, and returns the order in which they were granted.
+func grantOrder(t *testing.T, d Discipline) []int {
+	t.Helper()
 	k := NewKernel()
-	r := NewResource(k, "cpu", 1, FIFO)
+	r := NewResource(k, "cpu", 1, d)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		k.SpawnAt(Time(i), "w", func(c *Context) {
-			r.Acquire(c)
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
+		k.SpawnActivityAt(Time(i), "w", run(
+			acquire(r, 1, 0),
+			do(func(*ActCtx) { order = append(order, i) }),
+			wait(10),
+			release(r, 1),
+		))
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
+	return order
+}
+
+func TestResourceFIFOOrder(t *testing.T) {
+	order := grantOrder(t, FIFO)
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("FIFO order violated: %v", order)
@@ -202,23 +297,9 @@ func TestResourceFIFOOrder(t *testing.T) {
 }
 
 func TestResourceLIFOOrder(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "cpu", 1, LIFO)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		k.SpawnAt(Time(i), "w", func(c *Context) {
-			r.Acquire(c)
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
 	// First arrival (t=0) grabs the idle server; the rest queue and are
 	// served newest-first: 0, 3, 2, 1.
+	order := grantOrder(t, LIFO)
 	want := []int{0, 3, 2, 1}
 	for i := range want {
 		if order[i] != want[i] {
@@ -234,19 +315,15 @@ func TestResourcePriorityOrder(t *testing.T) {
 	prios := []float64{3, 1, 2}
 	for i := 0; i < 3; i++ {
 		i := i
-		k.SpawnAt(Time(i)+1, "w", func(c *Context) {
-			r.AcquireN(c, 1, prios[i])
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
+		k.SpawnActivityAt(Time(i)+1, "w", run(
+			acquire(r, 1, prios[i]),
+			do(func(*ActCtx) { order = append(order, i) }),
+			wait(10),
+			release(r, 1),
+		))
 	}
 	// A holder occupies the resource while the three contenders arrive.
-	k.Spawn("holder", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(5)
-		r.Release(1)
-	})
+	k.SpawnActivity("holder", run(hold(r, 5)...))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,23 +339,12 @@ func TestResourceNUnitGrants(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "mem", 4, FIFO)
 	var events []string
-	k.Spawn("big", func(c *Context) {
-		r.AcquireN(c, 3, 0)
-		events = append(events, "big+")
-		c.Wait(10)
-		r.Release(3)
-		events = append(events, "big-")
-	})
-	k.SpawnAt(1, "bigger", func(c *Context) {
-		r.AcquireN(c, 4, 0) // must wait for all 4
-		events = append(events, "bigger+")
-		r.Release(4)
-	})
-	k.SpawnAt(2, "small", func(c *Context) {
-		r.Acquire(c) // 1 unit free, but must not bypass FIFO head
-		events = append(events, "small+")
-		r.Release(1)
-	})
+	note := func(e string) stage { return do(func(*ActCtx) { events = append(events, e) }) }
+	k.SpawnActivity("big", run(acquire(r, 3, 0), note("big+"), wait(10), release(r, 3), note("big-")))
+	// bigger must wait for all 4 units; small finds 1 unit free but must
+	// not bypass the FIFO head.
+	k.SpawnActivityAt(1, "bigger", run(acquire(r, 4, 0), note("bigger+"), release(r, 4)))
+	k.SpawnActivityAt(2, "small", run(acquire(r, 1, 0), note("small+"), release(r, 1)))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +363,13 @@ func TestTryAcquire(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
 	var got []bool
-	k.Spawn("p", func(c *Context) {
-		got = append(got, r.TryAcquire(c, 1)) // true
-		got = append(got, r.TryAcquire(c, 1)) // false: busy
+	k.SpawnActivity("p", run(do(func(*ActCtx) {
+		got = append(got, r.TryAcquire(1)) // true
+		got = append(got, r.TryAcquire(1)) // false: busy
 		r.Release(1)
-		got = append(got, r.TryAcquire(c, 1)) // true again
+		got = append(got, r.TryAcquire(1)) // true again
 		r.Release(1)
-	})
+	})))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +381,7 @@ func TestTryAcquire(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
-	k.Spawn("p", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(30)
-		r.Release(1)
-	})
+	k.SpawnActivity("p", run(hold(r, 30)...))
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +394,9 @@ func TestStoreFIFO(t *testing.T) {
 	k := NewKernel()
 	s := NewStore[int](k, "box")
 	var got []int
-	k.Spawn("consumer", func(c *Context) {
-		for i := 0; i < 3; i++ {
-			got = append(got, s.Get(c))
-		}
-	})
-	k.Spawn("producer", func(c *Context) {
-		for i := 1; i <= 3; i++ {
-			c.Wait(1)
-			s.Put(c, i)
-		}
-	})
+	take := get(s, func(_ *ActCtx, v int) { got = append(got, v) })
+	k.SpawnActivity("consumer", run(take, take, take))
+	k.SpawnActivity("producer", run(wait(1), put(s, 1), wait(1), put(s, 2), wait(1), put(s, 3)))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +411,8 @@ func TestStoreGetBlocksUntilPut(t *testing.T) {
 	k := NewKernel()
 	s := NewStore[string](k, "box")
 	var when Time
-	k.Spawn("consumer", func(c *Context) {
-		_ = s.Get(c)
-		when = c.Now()
-	})
-	k.SpawnAt(9, "producer", func(c *Context) { s.Put(c, "x") })
+	k.SpawnActivity("consumer", run(get(s, func(a *ActCtx, _ string) { when = a.Now() })))
+	k.SpawnActivityAt(9, "producer", run(put(s, "x")))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,18 +425,18 @@ func TestBoundedStorePutBlocks(t *testing.T) {
 	k := NewKernel()
 	s := NewBoundedStore[int](k, "box", 2)
 	var putDone Time = -1
-	k.Spawn("producer", func(c *Context) {
-		s.Put(c, 1)
-		s.Put(c, 2)
-		s.Put(c, 3) // blocks until a Get
-		putDone = c.Now()
-	})
-	k.SpawnAt(5, "consumer", func(c *Context) { _ = s.Get(c) })
+	k.SpawnActivity("producer", run(
+		put(s, 1),
+		put(s, 2),
+		put(s, 3), // waits until a get makes room
+		do(func(a *ActCtx) { putDone = a.Now() }),
+	))
+	k.SpawnActivityAt(5, "consumer", run(get(s, nil)))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if putDone != 5 {
-		t.Errorf("third Put completed at %g, want 5", putDone)
+		t.Errorf("third put completed at %g, want 5", putDone)
 	}
 	if s.Size() != 2 {
 		t.Errorf("store size = %d, want 2", s.Size())
@@ -395,21 +446,21 @@ func TestBoundedStorePutBlocks(t *testing.T) {
 func TestTryPutTryGet(t *testing.T) {
 	k := NewKernel()
 	s := NewBoundedStore[int](k, "box", 1)
-	k.Spawn("p", func(c *Context) {
+	k.SpawnActivity("p", run(do(func(*ActCtx) {
 		if !s.TryPut(7) {
 			t.Error("TryPut into empty bounded store failed")
 		}
 		if s.TryPut(8) {
 			t.Error("TryPut into full store succeeded")
 		}
-		v, ok := s.TryGet(c)
+		v, ok := s.TryGet()
 		if !ok || v != 7 {
 			t.Errorf("TryGet = (%d, %v), want (7, true)", v, ok)
 		}
-		if _, ok := s.TryGet(c); ok {
+		if _, ok := s.TryGet(); ok {
 			t.Error("TryGet from empty store succeeded")
 		}
-	})
+	})))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +471,12 @@ func TestSignalBroadcast(t *testing.T) {
 	sig := NewSignal(k, "go")
 	var woke []Time
 	for i := 0; i < 3; i++ {
-		k.Spawn("waiter", func(c *Context) {
-			sig.Wait(c)
-			woke = append(woke, c.Now())
-		})
+		k.SpawnActivity("waiter", run(
+			once(sig.WaitAct),
+			do(func(a *ActCtx) { woke = append(woke, a.Now()) }),
+		))
 	}
-	k.SpawnAt(4, "trigger", func(c *Context) { sig.Trigger() })
+	k.Schedule(4, sig.Trigger)
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,15 +488,12 @@ func TestSignalBroadcast(t *testing.T) {
 			t.Errorf("waiter woke at %g, want 4", w)
 		}
 	}
-	// Wait after trigger returns immediately.
+	// A wait after the trigger returns immediately.
 	k2 := NewKernel()
 	sig2 := NewSignal(k2, "done")
 	sig2.Trigger()
 	var at Time = -1
-	k2.Spawn("late", func(c *Context) {
-		sig2.Wait(c)
-		at = c.Now()
-	})
+	k2.SpawnActivity("late", run(once(sig2.WaitAct), do(func(a *ActCtx) { at = a.Now() })))
 	if _, err := k2.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -459,16 +507,9 @@ func TestWaitGroupJoin(t *testing.T) {
 	wg := NewWaitGroup(k, "join", 3)
 	var joined Time = -1
 	for i := 1; i <= 3; i++ {
-		d := Time(i * 10)
-		k.Spawn("w", func(c *Context) {
-			c.Wait(d)
-			wg.Done()
-		})
+		k.SpawnActivity("w", run(wait(Time(i*10)), do(func(*ActCtx) { wg.Done() })))
 	}
-	k.Spawn("joiner", func(c *Context) {
-		wg.Wait(c)
-		joined = c.Now()
-	})
+	k.SpawnActivity("joiner", run(join(wg), do(func(a *ActCtx) { joined = a.Now() })))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,24 +518,30 @@ func TestWaitGroupJoin(t *testing.T) {
 	}
 }
 
+// sleep sleeps d and records, at the resumption, the time and whether it
+// was interrupted.
+func sleep(d Time, when *Time, interrupted *bool) []stage {
+	return []stage{
+		once(func(a *ActCtx) bool { a.Sleep(d); return false }),
+		do(func(a *ActCtx) { *when, *interrupted = a.Now(), a.Interrupted() }),
+	}
+}
+
 func TestSleepInterrupt(t *testing.T) {
 	k := NewKernel()
-	var result error
 	var when Time
-	p := k.Spawn("sleeper", func(c *Context) {
-		result = c.Sleep(100)
-		when = c.Now()
-	})
-	k.SpawnAt(5, "waker", func(c *Context) {
-		if !c.Kernel().Interrupt(p) {
-			t.Error("Interrupt reported no delivery")
+	var interrupted bool
+	p := k.SpawnActivity("sleeper", run(sleep(100, &when, &interrupted)...))
+	k.SpawnActivityAt(5, "waker", run(do(func(a *ActCtx) {
+		if !a.Kernel().InterruptActivity(p) {
+			t.Error("interrupt reported no delivery")
 		}
-	})
+	})))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if result != ErrInterrupted {
-		t.Errorf("Sleep returned %v, want ErrInterrupted", result)
+	if !interrupted {
+		t.Error("Sleep resumed without the interrupted flag")
 	}
 	if when != 5 {
 		t.Errorf("interrupted at %g, want 5", when)
@@ -503,52 +550,58 @@ func TestSleepInterrupt(t *testing.T) {
 
 func TestSleepUninterrupted(t *testing.T) {
 	k := NewKernel()
-	var result error = ErrInterrupted
-	k.Spawn("sleeper", func(c *Context) { result = c.Sleep(4) })
+	var when Time
+	interrupted := true
+	k.SpawnActivity("sleeper", run(sleep(4, &when, &interrupted)...))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if result != nil {
-		t.Errorf("Sleep returned %v, want nil", result)
+	if interrupted || when != 4 {
+		t.Errorf("Sleep resumed at %g interrupted=%v, want 4 false", when, interrupted)
 	}
 }
 
 func TestInterruptNonBlockedIsNoop(t *testing.T) {
 	k := NewKernel()
-	p := k.Spawn("runner", func(c *Context) { c.Wait(10) })
+	p := k.SpawnActivity("runner", run(wait(10)))
 	delivered := true
-	k.SpawnAt(1, "waker", func(c *Context) {
-		delivered = c.Kernel().Interrupt(p) // p is in Wait, not Sleep
-	})
+	k.SpawnActivityAt(1, "waker", run(do(func(a *ActCtx) {
+		delivered = a.Kernel().InterruptActivity(p) // p is in Wait, not Sleep
+	})))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {
-		t.Error("Interrupt on uninterruptible Wait reported delivery")
+		t.Error("interrupt of an uninterruptible Wait reported delivery")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func(seed uint64) []float64 {
+	run1 := func(seed uint64) []float64 {
 		k := NewKernel()
 		r := NewResource(k, "cpu", 2, FIFO)
 		st := rng.New(seed)
 		var finish []float64
 		for i := 0; i < 50; i++ {
-			k.Spawn("job", func(c *Context) {
-				c.Wait(st.Exp(3))
-				r.Acquire(c)
-				c.Wait(st.Exp(5))
-				r.Release(1)
-				finish = append(finish, c.Now())
-			})
+			// Durations are drawn when the activity reaches them, so the
+			// shared stream is consumed in event order.
+			draw := func(mean float64) stage {
+				return once(func(a *ActCtx) bool { a.Wait(st.Exp(mean)); return false })
+			}
+			k.SpawnActivity("job", run(
+				draw(3),
+				acquire(r, 1, 0),
+				draw(5),
+				release(r, 1),
+				do(func(a *ActCtx) { finish = append(finish, a.Now()) }),
+			))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			t.Fatal(err)
 		}
 		return finish
 	}
-	a, b := run(12345), run(12345)
+	a, b := run1(12345), run1(12345)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -557,7 +610,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("trajectory diverged at %d: %g vs %g", i, a[i], b[i])
 		}
 	}
-	c := run(54321)
+	c := run1(54321)
 	same := true
 	for i := range a {
 		if i >= len(c) || a[i] != c[i] {
@@ -573,14 +626,10 @@ func TestDeterminism(t *testing.T) {
 func TestYieldRunsSameTimeEvents(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.Spawn("a", func(c *Context) {
-		order = append(order, "a1")
-		c.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(c *Context) {
-		order = append(order, "b1")
-	})
+	note := func(e string) stage { return do(func(*ActCtx) { order = append(order, e) }) }
+	yield := once(func(a *ActCtx) bool { a.Yield(); return false })
+	k.SpawnActivity("a", run(note("a1"), yield, note("a2")))
+	k.SpawnActivity("b", run(note("b1")))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +667,7 @@ func TestStopEndsRun(t *testing.T) {
 
 func TestNegativeWaitPanics(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("bad", func(c *Context) { c.Wait(-1) })
+	k.SpawnActivity("bad", run(wait(-1)))
 	if err := k.Run(1); err == nil {
 		t.Fatal("expected error from negative Wait")
 	}
@@ -628,16 +677,8 @@ func TestResourceQueueStats(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
 	// Two jobs: first holds [0,10], second arrives at 0 and waits 10.
-	k.Spawn("first", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(10)
-		r.Release(1)
-	})
-	k.Spawn("second", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(10)
-		r.Release(1)
-	})
+	k.SpawnActivity("first", run(hold(r, 10)...))
+	k.SpawnActivity("second", run(hold(r, 10)...))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -692,64 +733,9 @@ func TestCanceledEventRecycledAndReused(t *testing.T) {
 	}
 }
 
-func TestShutdownReKillsProcessParkingInDefer(t *testing.T) {
-	// A process whose deferred cleanup blocks again (Wait in a defer) must
-	// be re-killed until it fully unwinds — one defer level per kill pass.
-	k := NewKernel()
-	cleanupRan := false
-	k.Spawn("p", func(c *Context) {
-		defer func() { cleanupRan = true }()
-		defer func() { c.Wait(100) }() // parks again during kill unwinding
-		c.Wait(1000)
-	})
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if !cleanupRan {
-		t.Fatal("outer defer never ran: process leaked blocked in its deferred Wait")
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
-	}
-}
-
-func TestShutdownKillsProcsSpawnedInDefers(t *testing.T) {
-	// Dying processes may Spawn in their defers (the roster grows
-	// mid-shutdown, and with enough processes the compaction threshold is
-	// in play); every process — original and defer-spawned — must unwind.
-	k := NewKernel()
-	const n = 80
-	finished := 0
-	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("p", func(c *Context) {
-			defer func() { finished++ }()
-			if i < 4 {
-				defer func() {
-					c.Kernel().Spawn("late", func(lc *Context) {
-						defer func() { finished++ }()
-						lc.Wait(1e9)
-					})
-				}()
-			}
-			c.Wait(1e9)
-		})
-	}
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if want := n + 4; finished != want {
-		t.Fatalf("finished = %d processes, want %d (leak during shutdown)", finished, want)
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
-	}
-}
-
 func TestNestedRunFromCallbackErrors(t *testing.T) {
 	// Run/Advance from inside the simulation would clobber the active
-	// drain window and can deadlock the handoff protocol; it must surface
-	// as a run error, never hang.
+	// drain window; it must surface as a run error, never hang.
 	k := NewKernel()
 	k.Schedule(1, func() { _ = k.Advance(50) })
 	err := k.Run(10)
@@ -758,11 +744,8 @@ func TestNestedRunFromCallbackErrors(t *testing.T) {
 	}
 
 	k2 := NewKernel()
-	k2.Spawn("p", func(c *Context) {
-		c.Wait(1)
-		_ = c.Kernel().Run(50)
-	})
+	k2.SpawnActivity("p", run(wait(1), do(func(a *ActCtx) { _ = a.Kernel().Run(50) })))
 	if err := k2.Run(10); err == nil {
-		t.Fatal("nested Run from a process did not error")
+		t.Fatal("nested Run from an activity did not error")
 	}
 }

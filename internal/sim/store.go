@@ -7,9 +7,9 @@ import (
 )
 
 // Store is a FIFO buffer of items of type T with optional capacity bound.
-// Get blocks while the store is empty; Put blocks while it is full (if
-// bounded). It is the kernel's message-queue primitive: mailboxes, parcel
-// queues, and work pools are all Stores.
+// GetAct waits while the store is empty; PutAct waits while it is full
+// (if bounded). It is the kernel's message-queue primitive: mailboxes,
+// parcel queues, and work pools are all Stores.
 type Store[T any] struct {
 	k        *Kernel
 	name     string
@@ -17,38 +17,35 @@ type Store[T any] struct {
 	items    []T
 	getters  []*storeWaiter[T]
 	putters  []*putWaiter[T]
-	// freeGetW/freePutW recycle activity waiters (see storeWaiter).
+	// freeGetW/freePutW recycle waiters (see storeWaiter).
 	freeGetW []*storeWaiter[T]
 	freePutW []*putWaiter[T]
 
 	// Len is the time-weighted number of buffered items.
 	Len stats.TimeWeighted
-	// GetWait samples how long each Get blocked.
+	// GetWait samples how long each get waited.
 	GetWait stats.Sample
 
 	puts, gets int64
 }
 
-// storeWaiter is one blocked Get — by a process (p) or an activity (a).
-// Activity waiters are recycled through the store's free list, so the
-// activity get path does not allocate at steady state.
+// storeWaiter is one registered GetAct. Waiters are recycled through the
+// store's free list, so the get path does not allocate at steady state.
 type storeWaiter[T any] struct {
-	p *Proc
 	a *ActCtx
-	// owner pins an activity waiter to the store that registered it, so a
-	// GetAct on a different store of the same element type cannot collect
-	// it by accident.
+	// owner pins a waiter to the store that registered it, so a GetAct on
+	// a different store of the same element type cannot collect it by
+	// accident.
 	owner   *Store[T]
 	item    T
 	granted bool
 	since   Time
 }
 
+// putWaiter is one registered PutAct on a full bounded store.
 type putWaiter[T any] struct {
-	p       *Proc
-	a       *ActCtx
-	item    T
-	granted bool
+	a    *ActCtx
+	item T
 }
 
 // NewStore creates an unbounded store.
@@ -73,27 +70,11 @@ func (s *Store[T]) Name() string { return s.name }
 // Size returns the current number of buffered items.
 func (s *Store[T]) Size() int { return len(s.items) }
 
-// Puts returns the total number of completed Put operations.
+// Puts returns the total number of completed put operations.
 func (s *Store[T]) Puts() int64 { return s.puts }
 
-// Gets returns the total number of completed Get operations.
+// Gets returns the total number of completed get operations.
 func (s *Store[T]) Gets() int64 { return s.gets }
-
-// Put adds an item, blocking while a bounded store is full.
-func (s *Store[T]) Put(c *Context, item T) {
-	if s.capacity > 0 && len(s.items) >= s.capacity {
-		w := &putWaiter[T]{p: c.p, item: item}
-		s.putters = append(s.putters, w)
-		c.p.cancel = func() { s.removePutter(w) }
-		c.p.park()
-		c.p.cancel = nil
-		if !w.granted {
-			panic(fmt.Sprintf("sim: process %q resumed in store %q put queue without grant", c.p.name, s.name))
-		}
-		return
-	}
-	s.deposit(item)
-}
 
 // TryPut adds an item without blocking; it reports success. For unbounded
 // stores it always succeeds.
@@ -114,38 +95,15 @@ func (s *Store[T]) deposit(item T) {
 		g.item = item
 		g.granted = true
 		s.gets++
-		if g.a != nil {
-			s.k.resumeBlockedAct(g.a)
-			return
-		}
-		p := g.p
-		s.k.scheduleEvent(s.k.now, nil, p)
+		s.k.resumeBlockedAct(g.a)
 		return
 	}
 	s.items = append(s.items, item)
 	s.Len.Set(s.k.now, float64(len(s.items)))
 }
 
-// Get removes and returns the oldest item, blocking while the store is
-// empty.
-func (s *Store[T]) Get(c *Context) T {
-	if len(s.items) > 0 {
-		return s.takeHead()
-	}
-	w := &storeWaiter[T]{p: c.p, since: c.k.now}
-	s.getters = append(s.getters, w)
-	c.p.cancel = func() { s.removeGetter(w) }
-	c.p.park()
-	c.p.cancel = nil
-	if !w.granted {
-		panic(fmt.Sprintf("sim: process %q resumed in store %q get queue without item", c.p.name, s.name))
-	}
-	s.GetWait.Add(c.k.now - w.since)
-	return w.item
-}
-
 // TryGet removes and returns the oldest item without blocking.
-func (s *Store[T]) TryGet(c *Context) (T, bool) {
+func (s *Store[T]) TryGet() (T, bool) {
 	if len(s.items) == 0 {
 		var zero T
 		return zero, false
@@ -153,13 +111,13 @@ func (s *Store[T]) TryGet(c *Context) (T, bool) {
 	return s.takeHead(), true
 }
 
-// GetAct is the activity-mode get. Fast path: an item is buffered, it is
-// taken and returned inline with ok true. Slow path: the store is empty,
-// the activity is registered as a getter and (zero, false) returns; when
-// an item arrives the activity is stepped again, and that step's GetAct
-// call collects the delivered item (ok true). Between the registering call
+// GetAct removes and returns the oldest item. Fast path: an item is
+// buffered, it is taken and returned inline with ok true. Slow path: the
+// store is empty, the activity is registered as a getter and (zero,
+// false) returns; when an item arrives the activity is stepped again, and
+// that step's GetAct call collects the delivered item (ok true). Between the registering call
 // and the collecting call the activity must not interact with any other
-// store. Steady-state allocation-free: activity waiters are recycled.
+// store. Steady-state allocation-free: waiters are recycled.
 func (s *Store[T]) GetAct(a *ActCtx) (T, bool) {
 	if w, ok := a.wslot.(*storeWaiter[T]); ok {
 		if w.owner != s {
@@ -195,11 +153,11 @@ func (s *Store[T]) GetAct(a *ActCtx) (T, bool) {
 	return zero, false
 }
 
-// PutAct is the activity-mode put. It deposits immediately (returning
-// true) unless a bounded store is full, in which case the activity is
-// registered as a putter and false returns; the item is deposited when
-// space opens and the activity is stepped again — the resumption itself
-// is the acknowledgement, no collecting call is needed.
+// PutAct adds an item. It deposits immediately (returning true) unless a
+// bounded store is full, in which case the activity is registered as a
+// putter and false returns; the item is deposited when space opens and
+// the activity is stepped again — the resumption itself is the
+// acknowledgement, no collecting call is needed.
 func (s *Store[T]) PutAct(a *ActCtx, item T) bool {
 	if s.capacity > 0 && len(s.items) >= s.capacity {
 		s.k.blockAct(a)
@@ -211,7 +169,7 @@ func (s *Store[T]) PutAct(a *ActCtx, item T) bool {
 		} else {
 			w = &putWaiter[T]{}
 		}
-		w.a, w.item, w.granted = a, item, false
+		w.a, w.item = a, item
 		s.putters = append(s.putters, w)
 		return false
 	}
@@ -239,54 +197,23 @@ func (s *Store[T]) admitPutter() {
 	}
 	var w *putWaiter[T]
 	s.putters, w = PopFront(s.putters)
-	w.granted = true
 	s.items = append(s.items, w.item)
 	s.Len.Set(s.k.now, float64(len(s.items)))
-	if w.a != nil {
-		s.k.resumeBlockedAct(w.a)
-		var zero T
-		w.item, w.a = zero, nil
-		s.freePutW = append(s.freePutW, w)
-		return
-	}
-	p := w.p
-	s.k.scheduleEvent(s.k.now, nil, p)
+	s.k.resumeBlockedAct(w.a)
+	var zero T
+	w.item, w.a = zero, nil
+	s.freePutW = append(s.freePutW, w)
 }
 
-func (s *Store[T]) removeGetter(w *storeWaiter[T]) {
-	for i, g := range s.getters {
-		if g == w {
-			s.getters = append(s.getters[:i], s.getters[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *Store[T]) removePutter(w *putWaiter[T]) {
-	for i, g := range s.putters {
-		if g == w {
-			s.putters = append(s.putters[:i], s.putters[i+1:]...)
-			return
-		}
-	}
-}
-
-// Signal is a one-shot broadcast event: processes and activities that
-// Wait before Trigger block; Trigger releases all of them and subsequent
-// Waits return immediately. Reset rearms a fired signal for reuse.
+// Signal is a one-shot broadcast event: activities that WaitAct before
+// Trigger are registered; Trigger releases all of them in registration
+// order and subsequent waits return immediately. Reset rearms a fired
+// signal for reuse.
 type Signal struct {
 	k         *Kernel
 	name      string
 	triggered bool
-	waiters   []sigWaiter
-}
-
-// sigWaiter is one blocked waiter — a process or an activity. A single
-// list keeps the release order equal to the registration order across the
-// two execution modes.
-type sigWaiter struct {
-	p *Proc
-	a *ActCtx
+	waiters   []*ActCtx
 }
 
 // NewSignal creates an untriggered signal.
@@ -297,36 +224,16 @@ func NewSignal(k *Kernel, name string) *Signal {
 // Triggered reports whether the signal has fired.
 func (s *Signal) Triggered() bool { return s.triggered }
 
-// Wait blocks until the signal fires (returns immediately if it already
-// has).
-func (s *Signal) Wait(c *Context) {
-	if s.triggered {
-		return
-	}
-	s.waiters = append(s.waiters, sigWaiter{p: c.p})
-	p := c.p
-	c.p.cancel = func() {
-		for i, q := range s.waiters {
-			if q.p == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				return
-			}
-		}
-	}
-	c.p.park()
-	c.p.cancel = nil
-}
-
-// WaitAct is the activity-mode wait: true when the signal already fired
-// (continue inline); false when the activity was registered — it is
-// stepped again when Trigger fires. Allocation-free at steady state (the
+// WaitAct waits for the signal: true when it already fired (continue
+// inline); false when the activity was registered — it is stepped again
+// when Trigger fires. Allocation-free at steady state (the
 // waiter list keeps its capacity across Reset cycles).
 func (s *Signal) WaitAct(a *ActCtx) bool {
 	if s.triggered {
 		return true
 	}
 	s.k.blockAct(a)
-	s.waiters = append(s.waiters, sigWaiter{a: a})
+	s.waiters = append(s.waiters, a)
 	return false
 }
 
@@ -339,13 +246,8 @@ func (s *Signal) Trigger() {
 	s.triggered = true
 	ws := s.waiters
 	s.waiters = s.waiters[:0]
-	for _, w := range ws {
-		if w.a != nil {
-			s.k.resumeBlockedAct(w.a)
-			continue
-		}
-		p := w.p
-		s.k.scheduleEvent(s.k.now, nil, p)
+	for _, a := range ws {
+		s.k.resumeBlockedAct(a)
 	}
 }
 
@@ -354,9 +256,9 @@ func (s *Signal) Trigger() {
 // Waiters registered after a Reset block until the next Trigger.
 func (s *Signal) Reset() { s.triggered = false }
 
-// WaitGroup counts down from an initial count; Wait blocks until the count
-// reaches zero. It is the join primitive used for fork/join workloads such
-// as the paper's Fig. 4 thread timeline.
+// WaitGroup counts down from an initial count; WaitAct waits until the
+// count reaches zero. It is the join primitive used for fork/join
+// workloads such as the paper's Fig. 4 thread timeline.
 type WaitGroup struct {
 	sig   *Signal
 	count int
@@ -386,10 +288,7 @@ func (wg *WaitGroup) Done() {
 	}
 }
 
-// Wait blocks until the count reaches zero.
-func (wg *WaitGroup) Wait(c *Context) { wg.sig.Wait(c) }
-
-// WaitAct is the activity-mode join: true when the count is already zero,
+// WaitAct is the join: true when the count is already zero,
 // false when the activity was registered for the completion trigger.
 func (wg *WaitGroup) WaitAct(a *ActCtx) bool { return wg.sig.WaitAct(a) }
 

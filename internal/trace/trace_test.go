@@ -13,10 +13,15 @@ func TestRecorderCollectsKernelEvents(t *testing.T) {
 	k := sim.NewKernel()
 	rec := NewRecorder()
 	k.Tracer = rec
-	k.Spawn("worker", func(c *sim.Context) {
-		c.Wait(5)
-		c.Wait(5)
-	})
+	waits := 0
+	k.SpawnActivity("worker", sim.ActivityFunc(func(a *sim.ActCtx) {
+		if waits == 2 {
+			a.Exit()
+			return
+		}
+		waits++
+		a.Wait(5)
+	}))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
