@@ -429,18 +429,20 @@ func (s *Server) runFlight(fl *flight) {
 }
 
 // finish publishes the flight's outcome to every waiter and retires it.
+// The outcome counters move before done closes, so a waiter that has its
+// answer also sees it counted in Metrics.
 func (s *Server) finish(fl *flight, status int, resp RunResponse) {
 	s.mu.Lock()
 	delete(s.flights, fl.key)
 	s.mu.Unlock()
-	fl.status, fl.resp = status, resp
-	close(fl.done)
-	fl.cancel()
 	if status == http.StatusOK {
 		s.completed.Add(1)
 	} else {
 		s.failed.Add(1)
 	}
+	fl.status, fl.resp = status, resp
+	close(fl.done)
+	fl.cancel()
 	s.inflight.Done()
 }
 

@@ -1,7 +1,7 @@
 package sim
 
 // Activities: run-to-completion event handlers driven inline by the
-// kernel's dispatch loop. A switch between two activities costs a heap pop
+// kernel's dispatch loop. A switch between two activities costs a queue pop
 // and a method call. An activity cannot block mid-function: it is a state
 // machine the kernel steps, and every blocking primitive comes in a "try
 // or register" form (AcquireAct, GetAct, PutAct, WaitAct) whose slow path

@@ -14,7 +14,10 @@
 //
 // Events fire in (t, seq) order, where seq is the kernel's schedule
 // counter, so ties in event time are broken by schedule order and the
-// same seed and model always produce the same trajectory.
+// same seed and model always produce the same trajectory. The pending
+// events live in a two-tier queue (queue.go): sorted FIFO lanes take the
+// events that arrive in order — constant-delay message deliveries — and
+// a 4-ary heap takes the rest; the front is the minimum over both tiers.
 //
 // For big models, ParKernel partitions a run across shard kernels advanced
 // concurrently in conservative time windows, with cross-shard interactions
@@ -57,84 +60,14 @@ type event struct {
 	gen  uint64 // incarnation counter, bumped on recycle
 }
 
-// eventHeap is a 4-ary min-heap on (t, seq) specialized to *event: the
-// comparisons are inlined and nothing is boxed, unlike container/heap's
-// interface-driven sift. The wider fan-out halves the tree depth of the
-// binary heap, which pays on the pop-heavy dispatch loop. It is the
-// single-partition implementation of the eventQueue interface (see
-// queue.go); the Kernel uses it concretely so the hot paths keep their
-// devirtualized, inlinable calls.
-type eventHeap []*event
-
-// push inserts ev, sifting up with inlined (t, seq) comparisons.
-func (q *eventHeap) push(ev *event) {
-	a := append(*q, ev)
-	i := len(a) - 1
-	t, seq := ev.t, ev.seq
-	for i > 0 {
-		pi := (i - 1) >> 2
-		p := a[pi]
-		if p.t < t || (p.t == t && p.seq < seq) {
-			break
-		}
-		a[i] = p
-		i = pi
-	}
-	a[i] = ev
-	*q = a
-}
-
-// pop removes and returns the minimum event, nil when the heap is empty
-// (the eventQueue contract both implementations share — see queue.go).
-func (q *eventHeap) pop() *event {
-	a := *q
-	n := len(a) - 1
-	if n < 0 {
-		return nil
-	}
-	top := a[0]
-	last := a[n]
-	a[n] = nil
-	a = a[:n]
-	*q = a
-	if n > 0 {
-		i := 0
-		t, seq := last.t, last.seq
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m, mc := c, a[c]
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				cj := a[j]
-				if cj.t < mc.t || (cj.t == mc.t && cj.seq < mc.seq) {
-					m, mc = j, cj
-				}
-			}
-			if t < mc.t || (t == mc.t && seq < mc.seq) {
-				break
-			}
-			a[i] = mc
-			i = m
-		}
-		a[i] = last
-	}
-	return top
-}
-
 // Kernel is a discrete-event simulation instance. Create one with NewKernel;
 // the zero value is not usable.
 type Kernel struct {
 	now Time
 	// events is a pointer so a partitioned run can alias one shard of a
 	// partitionedQueue here (see parallel.go); the calls stay devirtualized
-	// *eventHeap methods either way.
-	events *eventHeap
+	// *laneQueue methods either way.
+	events *laneQueue
 	free   []*event // recycled events (see event)
 	seq    uint64
 
@@ -178,7 +111,7 @@ type Tracer interface {
 
 // NewKernel returns an empty simulation at time 0.
 func NewKernel() *Kernel {
-	return &Kernel{events: new(eventHeap)}
+	return &Kernel{events: new(laneQueue)}
 }
 
 // Now returns the current simulated time.
@@ -211,20 +144,25 @@ func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%g) before now (%g)", t, k.now))
 	}
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		ev.t, ev.dead = t, false
-	} else {
-		ev = &event{t: t}
-	}
+	ev := k.allocEvent(t)
 	ev.seq = k.nextSeq()
 	if sh := k.par; sh != nil && sh.window {
 		sh.logCall(ev, ev.gen)
 	}
 	return ev
+}
+
+// allocEvent takes a recycled event from the free list (or allocates
+// one) and stamps it live at time t; the caller assigns seq and payload.
+func (k *Kernel) allocEvent(t Time) *event {
+	if n := len(k.free); n > 0 {
+		ev := k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+		ev.t, ev.dead = t, false
+		return ev
+	}
+	return &event{t: t}
 }
 
 // nextSeq draws the next sequence number. A standalone kernel uses its own
@@ -297,17 +235,21 @@ func (k *Kernel) Stop() { k.stopped = true }
 // A panicking callback is recorded as the run's error and stops the run
 // instead of unwinding the caller.
 func (k *Kernel) dispatch() {
-	for !k.stopped && len(*k.events) > 0 {
-		ev := (*k.events)[0]
+	q := k.events
+	for !k.stopped {
+		ev, src := q.front()
+		if ev == nil {
+			return
+		}
 		if ev.dead {
-			k.events.pop()
+			q.take(src)
 			k.recycle(ev)
 			continue
 		}
 		if k.bounded && (ev.t > k.until || (k.strict && ev.t == k.until)) {
 			return
 		}
-		k.events.pop()
+		q.take(src)
 		k.now = ev.t
 		if sh := k.par; sh != nil && sh.window {
 			// Every schedule made while this event runs is logged under it
@@ -463,11 +405,11 @@ func PopFront[T any](q []T) ([]T, T) {
 // pending and no activities are blocked in a wait queue. Dormant
 // activities (spawned, not exited, nothing pending) do not count — with no
 // events left they will never be stepped again.
-func (k *Kernel) Idle() bool { return len(*k.events) == 0 && k.actsBlocked == 0 }
+func (k *Kernel) Idle() bool { return k.events.size() == 0 && k.actsBlocked == 0 }
 
 // PendingEvents returns the number of scheduled (possibly canceled) events;
 // exposed for tests and diagnostics.
-func (k *Kernel) PendingEvents() int { return len(*k.events) }
+func (k *Kernel) PendingEvents() int { return k.events.size() }
 
 // LiveActivities returns the number of spawned, not-yet-exited activities.
 func (k *Kernel) LiveActivities() int { return k.liveActs }

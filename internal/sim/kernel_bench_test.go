@@ -3,9 +3,12 @@ package sim_test
 // The kernel micro-benchmarks delegate to internal/benches, the single
 // source of the workloads that cmd/pimbench records into BENCH_<n>.json —
 // tuning a driver there changes both measurements together, so the
-// trajectory stays comparable.
+// trajectory stays comparable. BenchmarkKernelDeliveries is test-only:
+// it profiles the event queue's lane tier without changing the pimbench
+// suite.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/benches"
@@ -34,6 +37,67 @@ func BenchmarkTimerCancel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// holdModel is a hold model of message traffic: in-flight messages each
+// delivered after a constant latency and re-sent on arrival — already
+// sorted arrivals, the lane path — beside activities doing short Waits
+// that go through the heap.
+type holdModel struct {
+	k       *sim.Kernel
+	latency sim.Time
+	deliver func(any)
+	n       int // deliveries so far
+}
+
+func newHoldModel(msgs, waiters int, latency sim.Time) *holdModel {
+	m := &holdModel{k: sim.NewKernel(), latency: latency}
+	m.deliver = func(arg any) {
+		m.n++
+		m.k.ScheduleArg(m.latency, m.deliver, arg)
+	}
+	for i := 0; i < msgs; i++ {
+		// Spread the first arrivals over one latency so deliveries are
+		// steady rather than one burst.
+		m.k.ScheduleArg(latency*sim.Time(i)/sim.Time(msgs), m.deliver, m)
+	}
+	for i := 0; i < waiters; i++ {
+		m.k.SpawnActivity(fmt.Sprintf("w%d", i), &shortWaiter{d: 1 + sim.Time(i%3)})
+	}
+	return m
+}
+
+// shortWaiter waits d, 2d, 3d, d, ... cycles forever.
+type shortWaiter struct {
+	d sim.Time
+	i int
+}
+
+func (w *shortWaiter) Step(a *sim.ActCtx) {
+	w.i++
+	a.Wait(w.d * sim.Time(1+w.i%3))
+}
+
+// BenchmarkKernelDeliveries: ~8 K in-flight constant-delay deliveries
+// plus 64 short-Wait activities; one op is one dispatched delivery.
+func BenchmarkKernelDeliveries(b *testing.B) {
+	const msgs, latency = 8192, 500
+	m := newHoldModel(msgs, 64, latency)
+	next := sim.Time(latency)
+	if err := m.k.Advance(next); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := m.n
+	for m.n-start < b.N {
+		next += latency / 8
+		if err := m.k.Advance(next); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_ = m.k.Run(m.k.Now())
 }
 
 // --- Allocation regression guards -------------------------------------
@@ -121,5 +185,30 @@ func TestTimerCancelAllocsPinned(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Schedule+Cancel+collect allocates %.1f objects per 256-timer batch, want 0", allocs)
+	}
+}
+
+// TestScheduleArgAllocsPinned: steady-state constant-delay ScheduleArg
+// deliveries — in-flight messages re-sent on arrival, the event queue's
+// lane path — are allocation-free once the lanes and the free list have
+// grown.
+func TestScheduleArgAllocsPinned(t *testing.T) {
+	const latency = 64
+	m := newHoldModel(256, 0, latency)
+	next := sim.Time(2 * latency)
+	if err := m.k.Advance(next); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		next += latency
+		if err := m.k.Advance(next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.n < 100*256 {
+		t.Fatalf("only %d deliveries ran", m.n)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state ScheduleArg deliveries allocate %.1f objects per 256-delivery window, want 0", allocs)
 	}
 }

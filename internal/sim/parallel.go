@@ -3,7 +3,7 @@ package sim
 // Conservative time-windowed parallel execution of one simulation —
 // ROADMAP item 1's DES half, the counterpart of the machine backend's
 // isa.runParallel (PR 7). A ParKernel is P shard kernels whose event
-// heaps alias the partitions of one partitionedQueue. The coordinator
+// queues alias the partitions of one partitionedQueue. The coordinator
 // reads the queue's merge front for the global minimum W and opens the
 // window [W, W+L), where L is the model-declared lookahead: the minimum
 // cross-shard event delay. Persistent workers drain their shards up to
@@ -26,7 +26,8 @@ package sim
 // resolving provisional caller seqs through the assignments already made
 // — and hands out exact serial seqs call by call. Still-queued events
 // are re-stamped in place (provisional and serial numbering are
-// order-isomorphic within a shard, so the heap order is unchanged);
+// order-isomorphic within a shard, so the heap order and every lane's
+// order are unchanged);
 // buffered cross-shard sends become deliveries carrying their exact
 // seq. Every provisional number is gone by the time anything can observe
 // it across shards.
@@ -145,15 +146,7 @@ func (k *Kernel) deliverEvent(t Time, seq uint64, fn func(any), arg any) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: cross-partition delivery at %g before destination now (%g)", t, k.now))
 	}
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		ev.t, ev.dead = t, false
-	} else {
-		ev = &event{t: t}
-	}
+	ev := k.allocEvent(t)
 	ev.seq = seq
 	ev.afn, ev.arg = fn, arg
 	k.events.push(ev)
@@ -188,7 +181,8 @@ type ParKernel struct {
 	workers   int
 	seq       uint64 // the shared serial schedule counter
 
-	deliveries []delivery // barrier scratch, reused across windows
+	deliveries []delivery    // barrier scratch, reused across windows
+	curs       []mergeCursor // barrier scratch: per-shard log positions
 
 	work    []chan windowJob
 	done    chan struct{}
@@ -198,6 +192,10 @@ type ParKernel struct {
 	err     error
 	stopped bool
 }
+
+// mergeCursor is the barrier's read position in one shard's logs: the
+// next caller record, call record and outbox entry.
+type mergeCursor struct{ ci, ki, oi int }
 
 // delivery is one renumbered cross-shard message awaiting injection.
 type delivery struct {
@@ -230,6 +228,7 @@ func NewParKernel(parts, workers int, lookahead Time) *ParKernel {
 		pq:        newPartitionedQueue(parts, nil),
 		lookahead: lookahead,
 		workers:   workers,
+		curs:      make([]mergeCursor, parts),
 	}
 	pk.parts = make([]*Kernel, parts)
 	for i := range pk.parts {
@@ -382,8 +381,8 @@ func (pk *ParKernel) runWindows(until Time, bounded bool) {
 // re-stamp them in place; cross-shard sends become deliveries, injected
 // in assignment order.
 func (pk *ParKernel) merge(base uint64) {
-	type cursor struct{ ci, ki, oi int }
-	curs := make([]cursor, len(pk.parts))
+	curs := pk.curs
+	clear(curs)
 	for {
 		best := -1
 		var bt Time

@@ -1,30 +1,34 @@
 package sim
 
-// This file factors the kernel's event ordering behind a small
-// eventQueue interface — the groundwork for conservative parallel
-// execution of a single run (ROADMAP item 1, the machine backend's
-// isa.runParallel counterpart for the DES kernel). partitionedQueue
-// holds one 4-ary eventHeap per partition and pops through a merge
-// front: the global minimum over the partition heads. Because (t, seq)
-// is a strict total order (seq is the kernel's unique schedule counter),
-// the merge front is deterministic and the pop sequence is byte-identical
-// to a single heap for every partition count and assignment function —
-// the property tests in queue_test.go are the proof. The Kernel itself
-// keeps a concrete *eventHeap: the PR 3 hot-path overhaul de-interfaced
-// the ~33 ns Schedule path deliberately, so the partitioned kernel
-// (parallel.go) aliases each shard kernel's events field to one partition
-// of a partitionedQueue instead of re-virtualizing the serial paths; the
-// queue's merge front then serves as the coordinator's global-minimum
-// (next window base) scan.
+// This file holds the kernel's event ordering. The pending-event set is
+// a two-tier queue (laneQueue): a 4-ary min-heap on (t, seq) plus a few
+// sorted FIFO lanes beside it. Events that arrive in order — the
+// constant-delay message deliveries that dominate the parcel models,
+// each scheduled at now + latency — append to a lane and pop from its
+// head in O(1); everything else sifts through the heap. The front is the
+// minimum of the heap top and the lane heads, so the pop order is the
+// exact (t, seq) total order the heap alone would produce. This is the
+// cheap half of the calendar/ladder-queue idea (Brown, "Calendar
+// Queues", CACM 31(10), 1988): keep the heap, give already-ordered runs
+// a FIFO.
+//
+// partitionedQueue holds one laneQueue per partition and pops through a
+// merge front: the global minimum over the partition fronts. Because
+// (t, seq) is a strict total order (seq is the kernel's unique schedule
+// counter), the merge front is deterministic and the pop sequence is
+// byte-identical to a single queue for every partition count and
+// assignment function — the property tests in queue_test.go are the
+// proof. The Kernel keeps a concrete *laneQueue so the hot paths stay
+// devirtualized; the partitioned kernel (parallel.go) aliases each shard
+// kernel's queue to one partition of a partitionedQueue, and the
+// queue's merge front serves as the coordinator's global-minimum (next
+// window base) scan.
 
-// eventQueue is the kernel's event-ordering contract: push any number of
-// events, pop them in strictly ascending (t, seq) order. pop on an empty
-// queue returns nil — explicitly, in both implementations (the
-// partitioned queue used to forward front() == -1 straight into a slice
-// index, turning "empty" into an opaque bounds panic where the single
-// heap's behavior differed; the contract test in queue_test.go pins the
-// two to the same answer). peek returns the next event without removing
-// it, nil when empty.
+// eventQueue is the event-ordering contract: push any number of events,
+// pop them in strictly ascending (t, seq) order. pop on an empty queue
+// returns nil in every implementation (the contract test in
+// queue_test.go pins them to the same answer). peek returns the next
+// event without removing it, nil when empty.
 type eventQueue interface {
 	push(*event)
 	pop() *event
@@ -34,8 +38,81 @@ type eventQueue interface {
 
 var (
 	_ eventQueue = (*eventHeap)(nil)
+	_ eventQueue = (*laneQueue)(nil)
 	_ eventQueue = (*partitionedQueue)(nil)
 )
+
+// before reports whether a precedes b in the (t, seq) order.
+func before(a, b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap on (t, seq) specialized to *event: the
+// comparisons are inlined and nothing is boxed, unlike container/heap's
+// interface-driven sift. The wider fan-out halves the tree depth of the
+// binary heap, which pays on the pop-heavy dispatch loop. It is the
+// unordered tier of laneQueue.
+type eventHeap []*event
+
+// push inserts ev, sifting up with inlined (t, seq) comparisons.
+func (q *eventHeap) push(ev *event) {
+	a := append(*q, ev)
+	i := len(a) - 1
+	t, seq := ev.t, ev.seq
+	for i > 0 {
+		pi := (i - 1) >> 2
+		p := a[pi]
+		if p.t < t || (p.t == t && p.seq < seq) {
+			break
+		}
+		a[i] = p
+		i = pi
+	}
+	a[i] = ev
+	*q = a
+}
+
+// pop removes and returns the minimum event, nil when the heap is empty.
+func (q *eventHeap) pop() *event {
+	a := *q
+	n := len(a) - 1
+	if n < 0 {
+		return nil
+	}
+	top := a[0]
+	last := a[n]
+	a[n] = nil
+	a = a[:n]
+	*q = a
+	if n > 0 {
+		i := 0
+		t, seq := last.t, last.seq
+		for {
+			c := i<<2 + 1
+			if c >= n {
+				break
+			}
+			m, mc := c, a[c]
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			for j := c + 1; j < end; j++ {
+				cj := a[j]
+				if cj.t < mc.t || (cj.t == mc.t && cj.seq < mc.seq) {
+					m, mc = j, cj
+				}
+			}
+			if t < mc.t || (t == mc.t && seq < mc.seq) {
+				break
+			}
+			a[i] = mc
+			i = m
+		}
+		a[i] = last
+	}
+	return top
+}
 
 // peek returns the minimum event without removing it, nil when empty.
 func (q *eventHeap) peek() *event {
@@ -48,17 +125,155 @@ func (q *eventHeap) peek() *event {
 // size returns the number of queued events.
 func (q *eventHeap) size() int { return len(*q) }
 
-// partitionedQueue distributes events over per-partition 4-ary heaps by
+// numLanes is the lane count of a laneQueue. A handful is enough: each
+// steady stream of constant-delay deliveries needs one lane, and a push
+// scans every lane tail.
+const numLanes = 4
+
+// fromHeap is the front source that names the heap tier (lanes are
+// 0..numLanes-1).
+const fromHeap = -1
+
+// lane is a FIFO ring of events sorted by (t, seq) by construction: push
+// only appends an event that does not precede the tail. The ring's
+// length is a power of two (or zero before the first append).
+type lane struct {
+	buf  []*event
+	head int
+	n    int
+}
+
+// tail returns the lane's last event; the lane must be non-empty.
+func (l *lane) tail() *event {
+	return l.buf[(l.head+l.n-1)&(len(l.buf)-1)]
+}
+
+// append adds ev at the tail, doubling the ring when it is full.
+func (l *lane) append(ev *event) {
+	if l.n == len(l.buf) {
+		size := 2 * len(l.buf)
+		if size == 0 {
+			size = 16
+		}
+		buf := make([]*event, size)
+		for i := 0; i < l.n; i++ {
+			buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// laneQueue is the kernel's two-tier pending-event set: sorted FIFO
+// lanes for events that arrive in order, a 4-ary heap for the rest.
+//
+// push appends the event to the non-empty lane whose tail is the latest
+// one not after it (the tightest fit, so a steady delivery stream keeps
+// extending its own lane), else to an empty lane, else to the heap.
+// Every lane stays sorted, so the minimum of the heap top and the lane
+// heads is the global (t, seq) minimum. Keys are read through the event
+// pointers, so ParKernel's barrier re-stamp — order-isomorphic within a
+// shard — needs no lane bookkeeping.
+type laneQueue struct {
+	heap  eventHeap
+	lanes [numLanes]lane
+}
+
+// push inserts ev into the tightest-fitting lane, or the heap.
+func (q *laneQueue) push(ev *event) {
+	best, empty := -1, -1
+	var bt *event
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			if empty < 0 {
+				empty = i
+			}
+			continue
+		}
+		if tl := l.tail(); before(tl, ev) && (bt == nil || before(bt, tl)) {
+			best, bt = i, tl
+		}
+	}
+	if best < 0 {
+		best = empty
+	}
+	if best < 0 {
+		q.heap.push(ev)
+		return
+	}
+	q.lanes[best].append(ev)
+}
+
+// front returns the minimum event and its source — fromHeap or a lane
+// index — for take; nil when the queue is empty. The dispatch loop
+// computes it once per event and removes through take, so the front is
+// never searched twice.
+func (q *laneQueue) front() (*event, int) {
+	var best *event
+	src := fromHeap
+	if len(q.heap) > 0 {
+		best = q.heap[0]
+	}
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if ev := l.buf[l.head]; best == nil || before(ev, best) {
+			best, src = ev, i
+		}
+	}
+	return best, src
+}
+
+// take removes the front event of src, as returned by front.
+func (q *laneQueue) take(src int) {
+	if src == fromHeap {
+		q.heap.pop()
+		return
+	}
+	l := &q.lanes[src]
+	l.buf[l.head] = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// pop removes and returns the minimum event, nil when empty.
+func (q *laneQueue) pop() *event {
+	ev, src := q.front()
+	if ev != nil {
+		q.take(src)
+	}
+	return ev
+}
+
+// peek returns the minimum event without removing it, nil when empty.
+func (q *laneQueue) peek() *event {
+	ev, _ := q.front()
+	return ev
+}
+
+// size returns the number of queued events, lanes included.
+func (q *laneQueue) size() int {
+	n := len(q.heap)
+	for i := range q.lanes {
+		n += q.lanes[i].n
+	}
+	return n
+}
+
+// partitionedQueue distributes events over per-partition laneQueues by
 // an assignment function (by processor, by node, by shard — any total
 // function of the event) and merges at pop time by scanning the
-// partition heads. Pops cost O(partitions + log(size/partitions));
-// pushes stay O(log(size/partitions)) and touch only the owning
-// partition — the property a parallel kernel needs so concurrent
-// partitions can schedule without contending on one heap.
+// partition fronts. Pushes touch only the owning partition — the
+// property a parallel kernel needs so concurrent partitions can schedule
+// without contending on one queue. A ParKernel leaves assign nil: its
+// shard kernels push into their own partitions directly.
 type partitionedQueue struct {
-	parts  []eventHeap
+	parts  []laneQueue
 	assign func(*event) int
-	n      int
 }
 
 // newPartitionedQueue creates a queue of the given partition count.
@@ -68,7 +283,7 @@ func newPartitionedQueue(parts int, assign func(*event) int) *partitionedQueue {
 	if parts < 1 {
 		parts = 1
 	}
-	return &partitionedQueue{parts: make([]eventHeap, parts), assign: assign}
+	return &partitionedQueue{parts: make([]laneQueue, parts), assign: assign}
 }
 
 func (q *partitionedQueue) push(ev *event) {
@@ -77,43 +292,41 @@ func (q *partitionedQueue) push(ev *event) {
 		p = 0
 	}
 	q.parts[p].push(ev)
-	q.n++
 }
 
-// front returns the index of the partition holding the global (t, seq)
-// minimum, -1 when every partition is empty.
-func (q *partitionedQueue) front() int {
-	best := -1
-	var bt Time
-	var bseq uint64
+// front returns the global minimum, the partition holding it and its
+// source within that partition; part is -1 when every partition is
+// empty.
+func (q *partitionedQueue) front() (ev *event, part, src int) {
+	part = -1
 	for i := range q.parts {
-		h := q.parts[i]
-		if len(h) == 0 {
-			continue
-		}
-		ev := h[0]
-		if best < 0 || ev.t < bt || (ev.t == bt && ev.seq < bseq) {
-			best, bt, bseq = i, ev.t, ev.seq
+		e, s := q.parts[i].front()
+		if e != nil && (ev == nil || before(e, ev)) {
+			ev, part, src = e, i, s
 		}
 	}
-	return best
+	return ev, part, src
 }
 
 func (q *partitionedQueue) pop() *event {
-	i := q.front()
-	if i < 0 {
-		return nil
+	ev, part, src := q.front()
+	if part >= 0 {
+		q.parts[part].take(src)
 	}
-	q.n--
-	return q.parts[i].pop()
+	return ev
 }
 
 func (q *partitionedQueue) peek() *event {
-	i := q.front()
-	if i < 0 {
-		return nil
-	}
-	return q.parts[i][0]
+	ev, _, _ := q.front()
+	return ev
 }
 
-func (q *partitionedQueue) size() int { return q.n }
+// size sums the partitions, so it stays exact however the events got
+// there — through push or straight into a partition.
+func (q *partitionedQueue) size() int {
+	n := 0
+	for i := range q.parts {
+		n += q.parts[i].size()
+	}
+	return n
+}

@@ -1,13 +1,16 @@
 package sim
 
 // Property tests of the partitioned event queue against the single
-// 4-ary heap: for arbitrary randomized schedules — duplicate
-// timestamps, interleaved pushes and pops — and for every partition
-// count and assignment function tried, both eventQueue implementations
-// must pop the identical event sequence. Together with heap_test.go
-// (single heap == container/heap) this chains the partitioned queue all
-// the way to the original reference ordering, so a future partitioned
-// kernel preserves byte-identical trajectories by construction.
+// 4-ary heap and container/heap: for arbitrary randomized schedules —
+// constant-delay runs, duplicate timestamps, interleaved pushes, pops
+// and cancels — and for every partition count and assignment function
+// tried, the partitioned queue (one lane queue per partition) must pop
+// the identical event sequence. Together with heap_test.go (single heap
+// == lane queue == container/heap) this chains the partitioned queue all
+// the way to the original reference ordering, so the partitioned kernel
+// preserves byte-identical trajectories by construction. FuzzEventQueue
+// lets the mutator hunt for a queue program on which any of them
+// diverges.
 
 import (
 	"fmt"
@@ -42,13 +45,12 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 		for name, assign := range assigners(parts) {
 			t.Run(fmt.Sprintf("p%d/%s", parts, name), func(t *testing.T) {
 				err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
-					n := 1 + int(sizeRaw%400)
-					st := rng.New(seed)
+					ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400))
+					n := len(ts)
 					var ref eventHeap
 					pq := newPartitionedQueue(parts, assign)
-					for i := 0; i < n; i++ {
-						// Coarse timestamps force plenty of (t, seq) ties.
-						ev := &event{t: Time(st.Intn(16)), seq: uint64(i)}
+					for i, at := range ts {
+						ev := &event{t: at, seq: uint64(i)}
 						ref.push(ev)
 						pq.push(ev)
 					}
@@ -73,37 +75,18 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 	}
 }
 
-// TestPartitionedQueueInterleaved: arbitrary interleavings of pushes and
-// pops — the dispatch loop's shape, where firing events schedule new
-// ones — agree with the single heap at every step.
+// TestPartitionedQueueInterleaved: arbitrary interleavings of pushes,
+// pops and cancels — the dispatch loop's shape, where firing events
+// schedule new ones — agree with container/heap at every step.
 func TestPartitionedQueueInterleaved(t *testing.T) {
 	const parts = 4
 	for name, assign := range assigners(parts) {
 		t.Run(name, func(t *testing.T) {
 			err := quick.Check(func(seed uint64, opsRaw uint16) bool {
-				ops := 10 + int(opsRaw%1500)
-				st := rng.New(seed)
-				var ref eventHeap
-				pq := newPartitionedQueue(parts, assign)
-				now := Time(0)
-				seq := uint64(0)
-				for i := 0; i < ops; i++ {
-					if pq.size() != ref.size() {
-						return false
-					}
-					if ref.size() == 0 || st.Float64() < 0.55 {
-						// Causal schedule: never before the virtual clock.
-						ev := &event{t: now + Time(st.Intn(8)), seq: seq}
-						seq++
-						ref.push(ev)
-						pq.push(ev)
-						continue
-					}
-					want := ref.pop()
-					if got := pq.pop(); got != want {
-						return false
-					}
-					now = want.t
+				prog := randomProgram(rng.New(seed), 10+int(opsRaw%1500))
+				if _, err := runQueueProgram(newPartitionedQueue(parts, assign), prog); err != nil {
+					t.Log(err)
+					return false
 				}
 				return true
 			}, &quick.Config{MaxCount: 40})
@@ -114,15 +97,34 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 	}
 }
 
+// FuzzEventQueue runs arbitrary queue programs (see runQueueProgram for
+// the opcodes) differentially against container/heap, on the lane queue
+// and on a partitioned queue of 1-4 partitions.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00}, uint8(0))
+	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03}, uint8(3))
+	f.Fuzz(func(t *testing.T, prog []byte, partsRaw uint8) {
+		if _, err := runQueueProgram(&laneQueue{}, prog); err != nil {
+			t.Fatalf("lanes: %v", err)
+		}
+		parts := 1 + int(partsRaw%4)
+		pq := newPartitionedQueue(parts, func(ev *event) int { return int(ev.seq*2654435761>>7) % parts })
+		if _, err := runQueueProgram(pq, prog); err != nil {
+			t.Fatalf("partitioned/%d: %v", parts, err)
+		}
+	})
+}
+
 // TestEventQueueEmptyPopContract pins the empty-queue contract across
-// both implementations: pop and peek on an empty queue return nil — the
+// every implementation: pop and peek on an empty queue return nil — the
 // partitioned queue used to forward its front() == -1 sentinel straight
 // into a slice index, turning "empty" into an opaque bounds panic — and
 // draining to empty then popping again behaves the same way, with the
 // size and the merge front intact afterwards.
 func TestEventQueueEmptyPopContract(t *testing.T) {
 	impls := map[string]func() eventQueue{
-		"heap": func() eventQueue { return &eventHeap{} },
+		"heap":  func() eventQueue { return &eventHeap{} },
+		"lanes": func() eventQueue { return &laneQueue{} },
 		"partitioned": func() eventQueue {
 			return newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 })
 		},
@@ -160,7 +162,7 @@ func TestEventQueueEmptyPopContract(t *testing.T) {
 	}
 }
 
-// TestEventQueueInterfaceConformance drives both implementations through
+// TestEventQueueInterfaceConformance drives every implementation through
 // the eventQueue interface itself, so the interface's contract — not
 // just the concrete methods — is what the ordering proof covers.
 func TestEventQueueInterfaceConformance(t *testing.T) {
@@ -182,13 +184,65 @@ func TestEventQueueInterfaceConformance(t *testing.T) {
 	}
 	const n, seed = 300, 99
 	single := drain(&eventHeap{}, n, seed)
-	part := drain(newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 }), n, seed)
-	if len(single) != n || len(part) != n {
-		t.Fatalf("drained %d and %d of %d", len(single), len(part), n)
-	}
-	for i := range single {
-		if single[i] != part[i] {
-			t.Fatalf("pop %d: single heap seq %d, partitioned seq %d", i, single[i], part[i])
+	for name, q := range map[string]eventQueue{
+		"lanes":       &laneQueue{},
+		"partitioned": newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 }),
+	} {
+		got := drain(q, n, seed)
+		if len(single) != n || len(got) != n {
+			t.Fatalf("%s: drained %d and %d of %d", name, len(single), len(got), n)
 		}
+		for i := range single {
+			if single[i] != got[i] {
+				t.Fatalf("%s: pop %d: single heap seq %d, got seq %d", name, i, single[i], got[i])
+			}
+		}
+	}
+}
+
+// TestPartitionedQueueSizeMatchesShards: a ParKernel's shards push into
+// their partitions directly, never through partitionedQueue.push, so the
+// queue's size must come from the partitions themselves — it equals the
+// sum of the shards' PendingEvents with lanes populated, at setup and
+// between windows.
+func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
+	const parts = 3
+	pk := NewParKernel(parts, 2, 5)
+	defer pk.Close()
+	var hops func(any)
+	hops = func(arg any) {
+		k := arg.(*Kernel)
+		k.ScheduleArg(7, hops, k)
+		k.Send((k.Partition()+1)%parts, 5, func(any) {}, nil)
+	}
+	for i := 0; i < parts; i++ {
+		k := pk.Part(i)
+		for j := 0; j < 20; j++ {
+			k.ScheduleArg(Time(j), hops, k)
+		}
+		k.Schedule(Time(30-i), func() {})
+	}
+	check := func(when string) {
+		t.Helper()
+		sum, inLanes := 0, 0
+		for i := 0; i < parts; i++ {
+			sum += pk.Part(i).PendingEvents()
+			for _, l := range pk.pq.parts[i].lanes {
+				inLanes += l.n
+			}
+		}
+		if got := pk.pq.size(); got != sum || sum == 0 {
+			t.Fatalf("%s: partitioned size %d, shards hold %d", when, got, sum)
+		}
+		if inLanes == 0 {
+			t.Fatalf("%s: no events in lanes", when)
+		}
+	}
+	check("setup")
+	for _, until := range []Time{12, 40, 41.5, 100} {
+		if err := pk.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after Advance(%g)", until))
 	}
 }
