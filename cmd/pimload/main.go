@@ -29,19 +29,26 @@
 //	-timeout D        per-request deadline sent as timeout_ms (default 10s)
 //	-json             emit the report as JSON
 //
+// Each request's latency runs from its scheduled send time, not from
+// when the generator got round to sending it, so a generator that falls
+// behind its schedule cannot hide its own lateness: it shows up in the
+// latencies, and the report's max_late_ms says how far behind the
+// generator fell.
+//
 // Exit status is 0 as long as the load completed and every response was
 // either a success or a deliberate overload response (429/503/504); any
 // transport failure or 4xx/5xx outside that contract fails the run.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,7 +101,13 @@ type Report struct {
 	HitRate   float64 `json:"cache_hit_rate"` // of OK responses
 	ElapsedS  float64 `json:"elapsed_s"`
 	RateSent  float64 `json:"rate_sent"` // achieved send rate
+	// MaxLateMS is the generator's worst lateness: how long after its
+	// scheduled send time a request actually went out.
+	MaxLateMS float64 `json:"max_late_ms"`
 }
+
+// sleepUntil blocks until t; the send loop paces arrivals with it.
+var sleepUntil = func(t time.Time) { time.Sleep(time.Until(t)) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pimload", flag.ContinueOnError)
@@ -177,7 +190,8 @@ func run(args []string, stdout io.Writer) error {
 	client := &http.Client{Timeout: *timeout + 5*time.Second}
 	type outcome struct {
 		status    int
-		latency   time.Duration
+		late      time.Duration // send time minus scheduled time
+		latency   time.Duration // response time minus scheduled time
 		coalesced bool
 		fromCache bool
 		failed    error
@@ -189,15 +203,15 @@ func run(args []string, stdout io.Writer) error {
 	next := start
 	for i := 0; i < *requests; i++ {
 		next = next.Add(time.Duration(arrivals.Next() * float64(time.Second)))
-		time.Sleep(time.Until(next))
+		sleepUntil(next)
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, sched time.Time) {
 			defer wg.Done()
-			t0 := time.Now()
+			late := time.Since(sched)
 			resp, err := client.Post(base+"/run", "application/json",
-				strings.NewReader(string(bodies[i])))
+				bytes.NewReader(bodies[i]))
 			if err != nil {
-				outcomes[i] = outcome{failed: err}
+				outcomes[i] = outcome{late: late, failed: err}
 				return
 			}
 			var rr serve.RunResponse
@@ -206,16 +220,17 @@ func run(args []string, stdout io.Writer) error {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if decErr != nil {
-				outcomes[i] = outcome{failed: fmt.Errorf("bad response body: %w", decErr)}
+				outcomes[i] = outcome{late: late, failed: fmt.Errorf("bad response body: %w", decErr)}
 				return
 			}
 			outcomes[i] = outcome{
 				status:    resp.StatusCode,
-				latency:   time.Since(t0),
+				late:      late,
+				latency:   time.Since(sched),
 				coalesced: rr.Coalesced,
 				fromCache: rr.FromCache,
 			}
-		}(i)
+		}(i, next)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -227,6 +242,9 @@ func run(args []string, stdout io.Writer) error {
 	var latencies []float64
 	var firstErr error
 	for _, o := range outcomes {
+		if ms := float64(o.late) / float64(time.Millisecond); ms > rep.MaxLateMS {
+			rep.MaxLateMS = ms
+		}
 		if o.failed != nil {
 			rep.Errors++
 			if firstErr == nil {
@@ -281,6 +299,7 @@ func run(args []string, stdout io.Writer) error {
 			rep.Coalesced, rep.CacheHits, 100*rep.HitRate)
 		fmt.Fprintf(stdout, "  latency ms: p50 %.2f  p99 %.2f  max %.2f\n",
 			rep.P50MS, rep.P99MS, rep.MaxMS)
+		fmt.Fprintf(stdout, "  generator max lateness %.2f ms\n", rep.MaxLateMS)
 	}
 	if firstErr != nil {
 		return fmt.Errorf("%d request(s) failed, first: %w", rep.Errors, firstErr)

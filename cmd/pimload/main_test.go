@@ -87,6 +87,55 @@ func TestLoadMMPPShedsUnderOverload(t *testing.T) {
 	t.Logf("overload report: ok %d shed %d p99 %.2fms", rep.OK, rep.Shed, rep.P99MS)
 }
 
+// TestStalledGeneratorShowsLateness: a generator that falls behind its
+// schedule must not hide it. The pacing sleep stalls 60ms once, so every
+// request goes out at least that late: the report's max_late_ms says so,
+// and latencies, timed from the scheduled send time, include the stall.
+func TestStalledGeneratorShowsLateness(t *testing.T) {
+	const stall = 60 * time.Millisecond
+	orig := sleepUntil
+	t.Cleanup(func() { sleepUntil = orig })
+	stalled := false
+	sleepUntil = func(at time.Time) {
+		orig(at)
+		if !stalled {
+			stalled = true
+			time.Sleep(stall)
+		}
+	}
+	_, url := loadServer(t, serve.Options{})
+	var out bytes.Buffer
+	err := run([]string{
+		"-addr", url,
+		"-requests", "5",
+		"-rate", "5000",
+		"-preset", "machine-gups",
+		"-field", "nodes=4", "-field", "updates=8",
+		"-json",
+	}, &out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(out.Bytes(), &fields); err != nil {
+		t.Fatalf("bad report %q: %v", out.String(), err)
+	}
+	if _, ok := fields["max_late_ms"]; !ok {
+		t.Fatalf("report has no max_late_ms field: %s", out.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	minMS := float64(stall) / float64(time.Millisecond)
+	if rep.MaxLateMS < minMS {
+		t.Errorf("max_late_ms = %.2f, want >= %.0f after a %v stall", rep.MaxLateMS, minMS, stall)
+	}
+	if rep.OK == 0 || rep.MaxMS < minMS {
+		t.Errorf("ok %d, max latency %.2fms: want latencies timed from the schedule, >= %.0fms", rep.OK, rep.MaxMS, minMS)
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-requests", "0"},

@@ -3,8 +3,9 @@ package sim_test
 // The kernel micro-benchmarks delegate to internal/benches, the single
 // source of the workloads that cmd/pimbench records into BENCH_<n>.json —
 // tuning a driver there changes both measurements together, so the
-// trajectory stays comparable. BenchmarkKernelDeliveries is test-only:
-// it profiles the event queue's lane tier without changing the pimbench
+// trajectory stays comparable. BenchmarkKernelDeliveries and
+// BenchmarkKernelCycleWaits are test-only: they profile the event
+// queue's lane and cycle-wheel tiers without changing the pimbench
 // suite.
 
 import (
@@ -92,6 +93,70 @@ func BenchmarkKernelDeliveries(b *testing.B) {
 	start := m.n
 	for m.n-start < b.N {
 		next += latency / 8
+		if err := m.k.Advance(next); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_ = m.k.Run(m.k.Now())
+}
+
+// cycleModel is whole-cycle traffic, the shape of the HWP-cycle models:
+// activities waiting a few cycles at a time — op counts, memory and
+// parcel overheads — beside self-rescheduling ScheduleArg callbacks
+// with small integral delays. Every event lands a few cycles ahead, the
+// cycle wheel's path.
+type cycleModel struct {
+	k    *sim.Kernel
+	tick func(any)
+	n    int // events dispatched so far
+}
+
+func newCycleModel(waiters, ticks int) *cycleModel {
+	m := &cycleModel{k: sim.NewKernel()}
+	m.tick = func(arg any) {
+		m.n++
+		c := arg.(*cycleWaiter)
+		c.i++
+		m.k.ScheduleArg(c.delay(), m.tick, c)
+	}
+	for i := 0; i < waiters; i++ {
+		m.k.SpawnActivity(fmt.Sprintf("w%d", i), &cycleWaiter{n: &m.n, i: i})
+	}
+	for i := 0; i < ticks; i++ {
+		m.k.ScheduleArg(sim.Time(i%8), m.tick, &cycleWaiter{i: i})
+	}
+	return m
+}
+
+// cycleWaiter waits 1-10 cycles at a time, in a pattern that differs
+// from step to step and waiter to waiter.
+type cycleWaiter struct {
+	n *int
+	i int
+}
+
+func (w *cycleWaiter) delay() sim.Time { return sim.Time(1 + (w.i*7)%10) }
+
+func (w *cycleWaiter) Step(a *sim.ActCtx) {
+	*w.n++
+	w.i++
+	a.Wait(w.delay())
+}
+
+// BenchmarkKernelCycleWaits: 1024 activities doing small integral Waits;
+// one op is one dispatched event.
+func BenchmarkKernelCycleWaits(b *testing.B) {
+	m := newCycleModel(1024, 0)
+	next := sim.Time(64)
+	if err := m.k.Advance(next); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := m.n
+	for m.n-start < b.N {
+		next += 4
 		if err := m.k.Advance(next); err != nil {
 			b.Fatal(err)
 		}
@@ -210,5 +275,30 @@ func TestScheduleArgAllocsPinned(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("steady-state ScheduleArg deliveries allocate %.1f objects per 256-delivery window, want 0", allocs)
+	}
+}
+
+// TestCycleWaitAllocsPinned: steady-state whole-cycle Waits and
+// small-integral ScheduleArg callbacks — the event queue's cycle-wheel
+// path — are allocation-free once the free list has grown.
+func TestCycleWaitAllocsPinned(t *testing.T) {
+	m := newCycleModel(256, 64)
+	t.Cleanup(func() { _ = m.k.Run(m.k.Now()) })
+	next := sim.Time(128)
+	if err := m.k.Advance(next); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		next += 64
+		if err := m.k.Advance(next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 320 sources, each firing at least once per 10 cycles.
+	if m.n < 100*320*64/10 {
+		t.Fatalf("only %d events ran", m.n)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state cycle waits allocate %.1f objects per 64-cycle window, want 0", allocs)
 	}
 }

@@ -26,8 +26,8 @@ package sim
 // resolving provisional caller seqs through the assignments already made
 // — and hands out exact serial seqs call by call. Still-queued events
 // are re-stamped in place (provisional and serial numbering are
-// order-isomorphic within a shard, so the heap order and every lane's
-// order are unchanged);
+// order-isomorphic within a shard, so the heap order and the order of
+// every lane and wheel bucket are unchanged);
 // buffered cross-shard sends become deliveries carrying their exact
 // seq. Every provisional number is gone by the time anything can observe
 // it across shards.

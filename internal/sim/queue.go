@@ -1,16 +1,28 @@
 package sim
 
+import "math/bits"
+
 // This file holds the kernel's event ordering. The pending-event set is
-// a two-tier queue (laneQueue): a 4-ary min-heap on (t, seq) plus a few
-// sorted FIFO lanes beside it. Events that arrive in order — the
-// constant-delay message deliveries that dominate the parcel models,
-// each scheduled at now + latency — append to a lane and pop from its
-// head in O(1); everything else sifts through the heap. The front is the
-// minimum of the heap top and the lane heads, so the pop order is the
-// exact (t, seq) total order the heap alone would produce. This is the
-// cheap half of the calendar/ladder-queue idea (Brown, "Calendar
-// Queues", CACM 31(10), 1988): keep the heap, give already-ordered runs
-// a FIFO.
+// a three-tier queue (laneQueue) on the (t, seq) order:
+//
+//   - a cycle wheel: one FIFO bucket per integral time in [lo, lo+64),
+//     where lo is the floor of the latest time taken. The models count
+//     time in whole HWP cycles — op counts, memory and parcel overheads —
+//     so most waits land a few cycles ahead and append to their bucket
+//     in O(1); the first occupied bucket is one bit scan away.
+//   - a few sorted FIFO lanes for events that arrive in order but off
+//     the wheel: the constant-delay message deliveries (now + 500-cycle
+//     latency) that dominate the parcel models, and ordered
+//     non-integral streams.
+//   - a 4-ary min-heap for everything else.
+//
+// The front is the minimum over the heap top, the lane heads and the
+// first occupied bucket, so the pop order is the exact (t, seq) total
+// order the heap alone would produce. This is the calendar-queue and
+// timing-wheel idea (Brown, "Calendar Queues", CACM 31(10), 1988;
+// Varghese & Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987)
+// cut down to what the models need: keep the heap as the catch-all and
+// give the common, already-ordered cases an O(1) path.
 //
 // partitionedQueue holds one laneQueue per partition and pops through a
 // merge front: the global minimum over the partition fronts. Because
@@ -130,9 +142,12 @@ func (q *eventHeap) size() int { return len(*q) }
 // scans every lane tail.
 const numLanes = 4
 
-// fromHeap is the front source that names the heap tier (lanes are
-// 0..numLanes-1).
-const fromHeap = -1
+// Front sources, as returned by laneQueue.front for take: fromHeap names
+// the heap, 0..numLanes-1 a lane, and fromWheel+b wheel bucket b.
+const (
+	fromHeap  = -1
+	fromWheel = numLanes
+)
 
 // lane is a FIFO ring of events sorted by (t, seq) by construction: push
 // only appends an event that does not precede the tail. The ring's
@@ -165,23 +180,108 @@ func (l *lane) append(ev *event) {
 	l.n++
 }
 
-// laneQueue is the kernel's two-tier pending-event set: sorted FIFO
-// lanes for events that arrive in order, a 4-ary heap for the rest.
+// wheelSize is the cycle wheel's span in cycles: one bucket per integral
+// time in [lo, lo+wheelSize). 64 keeps the occupancy bitmap in one word
+// and the wheel small enough to give every kernel one.
+const wheelSize = 64
+
+// maxWheelTime bounds the times the wheel takes: every integral float64
+// below 2^53 converts to uint64 exactly.
+const maxWheelTime = 1 << 53
+
+// cycleWheel is the integral-time tier of laneQueue. Bucket c&63 holds
+// the events at time c, sorted by seq: each bucket is a circular
+// singly-linked FIFO threaded through event.next and addressed by its
+// tail (tail.next is the head), and occ has bit b set when bucket b is
+// non-empty.
+type cycleWheel struct {
+	tails [wheelSize]*event
+	occ   uint64
+	n     int
+}
+
+// add appends ev, at integral time c, to its bucket unless the bucket's
+// tail follows it in seq order; it reports whether ev was taken.
+func (w *cycleWheel) add(ev *event, c uint64) bool {
+	b := c & (wheelSize - 1)
+	tail := w.tails[b]
+	if tail == nil {
+		ev.next = ev
+		w.occ |= 1 << b
+	} else {
+		if tail.seq > ev.seq {
+			return false
+		}
+		ev.next = tail.next
+		tail.next = ev
+	}
+	w.tails[b] = ev
+	w.n++
+	return true
+}
+
+// first returns the bucket holding the earliest wheel time at or after
+// cycle lo; the wheel must be non-empty.
+func (w *cycleWheel) first(lo uint64) int {
+	r := int(lo & (wheelSize - 1))
+	return (r + bits.TrailingZeros64(bits.RotateLeft64(w.occ, -r))) & (wheelSize - 1)
+}
+
+// take removes and returns the head of bucket b, which must be
+// non-empty.
+func (w *cycleWheel) take(b int) *event {
+	tail := w.tails[b]
+	head := tail.next
+	if head == tail {
+		w.tails[b] = nil
+		w.occ &^= 1 << b
+	} else {
+		tail.next = head.next
+	}
+	head.next = nil
+	w.n--
+	return head
+}
+
+// laneQueue is the kernel's three-tier pending-event set: a cycle wheel
+// for integral times just ahead, sorted FIFO lanes for other events that
+// arrive in order, a 4-ary heap for the rest.
 //
-// push appends the event to the non-empty lane whose tail is the latest
-// one not after it (the tightest fit, so a steady delivery stream keeps
-// extending its own lane), else to an empty lane, else to the heap.
-// Every lane stays sorted, so the minimum of the heap top and the lane
-// heads is the global (t, seq) minimum. Keys are read through the event
-// pointers, so ParKernel's barrier re-stamp — order-isomorphic within a
-// shard — needs no lane bookkeeping.
+// push puts an event on the wheel when its time is an integral cycle c
+// in [lo, lo+wheelSize) and its bucket is empty or ends before it in seq
+// order. Otherwise it appends the event to the non-empty lane whose tail
+// is the latest one not after it (the tightest fit, so a steady delivery
+// stream keeps extending its own lane), else to an empty lane, else to
+// the heap. Every bucket and lane stays sorted, and every queued wheel
+// time stays in [lo, lo+wheelSize): take raises lo only to the time of
+// the front, which no queued event precedes, and never lowers it. So
+// each queued cycle has a bucket of its own, and the minimum of the heap
+// top, the lane heads and the first occupied bucket from lo is the
+// global (t, seq) minimum. Keys are read through the event pointers, so
+// ParKernel's barrier re-stamp — order-isomorphic within a shard — needs
+// no bucket or lane bookkeeping. The wheel is allocated on its first
+// push, so a kernel that never schedules an integral time within its
+// span never pays for it.
 type laneQueue struct {
 	heap  eventHeap
 	lanes [numLanes]lane
+	wheel *cycleWheel
+	lo    uint64 // the wheel's first cycle: floor of the latest time taken
 }
 
-// push inserts ev into the tightest-fitting lane, or the heap.
+// push inserts ev into the wheel, the tightest-fitting lane, or the heap.
 func (q *laneQueue) push(ev *event) {
+	if t := ev.t; t >= 0 && t < maxWheelTime {
+		// c < lo wraps c-q.lo past the span, so one compare bounds both ends.
+		if c := uint64(t); Time(c) == t && c-q.lo < wheelSize {
+			if q.wheel == nil {
+				q.wheel = new(cycleWheel)
+			}
+			if q.wheel.add(ev, c) {
+				return
+			}
+		}
+	}
 	best, empty := -1, -1
 	var bt *event
 	for i := range q.lanes {
@@ -206,10 +306,10 @@ func (q *laneQueue) push(ev *event) {
 	q.lanes[best].append(ev)
 }
 
-// front returns the minimum event and its source — fromHeap or a lane
-// index — for take; nil when the queue is empty. The dispatch loop
-// computes it once per event and removes through take, so the front is
-// never searched twice.
+// front returns the minimum event and its source — fromHeap, a lane
+// index, or fromWheel+bucket — for take; nil when the queue is empty.
+// The dispatch loop computes it once per event and removes through take,
+// so the front is never searched twice.
 func (q *laneQueue) front() (*event, int) {
 	var best *event
 	src := fromHeap
@@ -225,19 +325,36 @@ func (q *laneQueue) front() (*event, int) {
 			best, src = ev, i
 		}
 	}
+	if w := q.wheel; w != nil && w.occ != 0 {
+		b := w.first(q.lo)
+		if ev := w.tails[b].next; best == nil || before(ev, best) {
+			best, src = ev, fromWheel+b
+		}
+	}
 	return best, src
 }
 
-// take removes the front event of src, as returned by front.
+// take removes the front event of src, as returned by front, and moves
+// the wheel's span up to the removed event's cycle.
 func (q *laneQueue) take(src int) {
-	if src == fromHeap {
-		q.heap.pop()
-		return
+	var ev *event
+	switch {
+	case src == fromHeap:
+		ev = q.heap.pop()
+	case src < fromWheel:
+		l := &q.lanes[src]
+		ev = l.buf[l.head]
+		l.buf[l.head] = nil
+		l.head = (l.head + 1) & (len(l.buf) - 1)
+		l.n--
+	default:
+		ev = q.wheel.take(src - fromWheel)
 	}
-	l := &q.lanes[src]
-	l.buf[l.head] = nil
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
+	if t := ev.t; t >= 0 && t < maxWheelTime {
+		if c := uint64(t); c > q.lo {
+			q.lo = c
+		}
+	}
 }
 
 // pop removes and returns the minimum event, nil when empty.
@@ -255,11 +372,14 @@ func (q *laneQueue) peek() *event {
 	return ev
 }
 
-// size returns the number of queued events, lanes included.
+// size returns the number of queued events, lanes and wheel included.
 func (q *laneQueue) size() int {
 	n := len(q.heap)
 	for i := range q.lanes {
 		n += q.lanes[i].n
+	}
+	if q.wheel != nil {
+		n += q.wheel.n
 	}
 	return n
 }

@@ -2,11 +2,12 @@ package sim
 
 // Property tests of the partitioned event queue against the single
 // 4-ary heap and container/heap: for arbitrary randomized schedules —
-// constant-delay runs, duplicate timestamps, interleaved pushes, pops
-// and cancels — and for every partition count and assignment function
-// tried, the partitioned queue (one lane queue per partition) must pop
+// integral-cycle and constant-delay runs, wheel fallbacks, duplicate
+// timestamps, interleaved pushes, pops, cancels and Advance jumps — and
+// for every partition count and assignment function tried, the
+// partitioned queue (one three-tier laneQueue per partition) must pop
 // the identical event sequence. Together with heap_test.go (single heap
-// == lane queue == container/heap) this chains the partitioned queue all
+// == laneQueue == container/heap) this chains the partitioned queue all
 // the way to the original reference ordering, so the partitioned kernel
 // preserves byte-identical trajectories by construction. FuzzEventQueue
 // lets the mutator hunt for a queue program on which any of them
@@ -44,31 +45,35 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 5, 8} {
 		for name, assign := range assigners(parts) {
 			t.Run(fmt.Sprintf("p%d/%s", parts, name), func(t *testing.T) {
-				err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
-					ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400))
-					n := len(ts)
-					var ref eventHeap
-					pq := newPartitionedQueue(parts, assign)
-					for i, at := range ts {
-						ev := &event{t: at, seq: uint64(i)}
-						ref.push(ev)
-						pq.push(ev)
-					}
-					if pq.size() != ref.size() {
-						return false
-					}
-					for i := 0; i < n; i++ {
-						if pq.peek() != ref.peek() {
-							return false
+				for _, shape := range queueShapes {
+					t.Run(shape.name, func(t *testing.T) {
+						err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
+							ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400), shape.frac)
+							n := len(ts)
+							var ref eventHeap
+							pq := newPartitionedQueue(parts, assign)
+							for i, at := range ts {
+								ev := &event{t: at, seq: uint64(i)}
+								ref.push(ev)
+								pq.push(ev)
+							}
+							if pq.size() != ref.size() {
+								return false
+							}
+							for i := 0; i < n; i++ {
+								if pq.peek() != ref.peek() {
+									return false
+								}
+								if pq.pop() != ref.pop() {
+									return false
+								}
+							}
+							return pq.size() == 0 && pq.peek() == nil
+						}, &quick.Config{MaxCount: 60})
+						if err != nil {
+							t.Error(err)
 						}
-						if pq.pop() != ref.pop() {
-							return false
-						}
-					}
-					return pq.size() == 0 && pq.peek() == nil
-				}, &quick.Config{MaxCount: 60})
-				if err != nil {
-					t.Error(err)
+					})
 				}
 			})
 		}
@@ -76,41 +81,53 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 }
 
 // TestPartitionedQueueInterleaved: arbitrary interleavings of pushes,
-// pops and cancels — the dispatch loop's shape, where firing events
-// schedule new ones — agree with container/heap at every step.
+// pops, cancels and Advance jumps — the dispatch loop's shape, where
+// firing events schedule new ones — agree with container/heap at every
+// step, and exercise the tiers each shape exists for.
 func TestPartitionedQueueInterleaved(t *testing.T) {
 	const parts = 4
 	for name, assign := range assigners(parts) {
 		t.Run(name, func(t *testing.T) {
-			err := quick.Check(func(seed uint64, opsRaw uint16) bool {
-				prog := randomProgram(rng.New(seed), 10+int(opsRaw%1500))
-				if _, err := runQueueProgram(newPartitionedQueue(parts, assign), prog); err != nil {
-					t.Log(err)
-					return false
-				}
-				return true
-			}, &quick.Config{MaxCount: 40})
-			if err != nil {
-				t.Error(err)
+			for _, shape := range queueShapes {
+				t.Run(shape.name, func(t *testing.T) {
+					var total queueStats
+					err := quick.Check(func(seed uint64, opsRaw uint16) bool {
+						prog := randomProgram(rng.New(seed), 10+int(opsRaw%1500))
+						st, err := runQueueProgram(newPartitionedQueue(parts, assign), prog, shape.frac)
+						if err != nil {
+							t.Log(err)
+							return false
+						}
+						total.add(st)
+						return true
+					}, &quick.Config{MaxCount: 40})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkTiers(t, shape.name, total)
+				})
 			}
 		})
 	}
 }
 
 // FuzzEventQueue runs arbitrary queue programs (see runQueueProgram for
-// the opcodes) differentially against container/heap, on the lane queue
-// and on a partitioned queue of 1-4 partitions.
+// the opcodes) differentially against container/heap, on the three-tier
+// queue and on a partitioned queue of 1-4 partitions, with integral
+// (wheel-shaped) and half-cycle (lane-shaped) stream and random delays.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00}, uint8(0))
 	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03}, uint8(3))
 	f.Fuzz(func(t *testing.T, prog []byte, partsRaw uint8) {
-		if _, err := runQueueProgram(&laneQueue{}, prog); err != nil {
-			t.Fatalf("lanes: %v", err)
-		}
 		parts := 1 + int(partsRaw%4)
-		pq := newPartitionedQueue(parts, func(ev *event) int { return int(ev.seq*2654435761>>7) % parts })
-		if _, err := runQueueProgram(pq, prog); err != nil {
-			t.Fatalf("partitioned/%d: %v", parts, err)
+		for _, shape := range queueShapes {
+			if _, err := runQueueProgram(&laneQueue{}, prog, shape.frac); err != nil {
+				t.Fatalf("%s: %v", shape.name, err)
+			}
+			pq := newPartitionedQueue(parts, func(ev *event) int { return int(ev.seq*2654435761>>7) % parts })
+			if _, err := runQueueProgram(pq, prog, shape.frac); err != nil {
+				t.Fatalf("%s/partitioned/%d: %v", shape.name, parts, err)
+			}
 		}
 	})
 }
@@ -122,16 +139,12 @@ func FuzzEventQueue(f *testing.F) {
 // draining to empty then popping again behaves the same way, with the
 // size and the merge front intact afterwards.
 func TestEventQueueEmptyPopContract(t *testing.T) {
-	impls := map[string]func() eventQueue{
-		"heap":  func() eventQueue { return &eventHeap{} },
-		"lanes": func() eventQueue { return &laneQueue{} },
-		"partitioned": func() eventQueue {
-			return newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 })
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			q := mk()
+	impls := append(queueCases(), queueCase{"partitioned", func() eventQueue {
+		return newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 })
+	}, 0})
+	for _, c := range impls {
+		t.Run(c.name, func(t *testing.T) {
+			q := c.mk()
 			if got := q.pop(); got != nil {
 				t.Fatalf("pop on empty = %v, want nil", got)
 			}
@@ -141,7 +154,7 @@ func TestEventQueueEmptyPopContract(t *testing.T) {
 			// Fill, drain to empty, pop once more: still nil, not a panic,
 			// and the queue stays usable.
 			for i := 0; i < 7; i++ {
-				q.push(&event{t: Time(i % 3), seq: uint64(i)})
+				q.push(&event{t: Time(i%3) + c.frac, seq: uint64(i)})
 			}
 			for q.size() > 0 {
 				if q.pop() == nil {
@@ -154,7 +167,7 @@ func TestEventQueueEmptyPopContract(t *testing.T) {
 			if q.size() != 0 {
 				t.Fatalf("size after empty pops = %d, want 0", q.size())
 			}
-			q.push(&event{t: 1, seq: 99})
+			q.push(&event{t: 1 + c.frac, seq: 99})
 			if ev := q.pop(); ev == nil || ev.seq != 99 {
 				t.Fatalf("queue unusable after empty pops: got %v", ev)
 			}
@@ -203,8 +216,13 @@ func TestEventQueueInterfaceConformance(t *testing.T) {
 // TestPartitionedQueueSizeMatchesShards: a ParKernel's shards push into
 // their partitions directly, never through partitionedQueue.push, so the
 // queue's size must come from the partitions themselves — it equals the
-// sum of the shards' PendingEvents with lanes populated, at setup and
-// between windows.
+// sum of the shards' PendingEvents with every tier populated, at setup
+// and between windows. Hops start past the wheel's span and re-send
+// themselves 70 cycles ahead, so they stream through one lane; their
+// cross-shard Sends land 5 cycles ahead, on the wheel, beside a few
+// setup events at integral times; and each shard's decreasing
+// half-cycle times fit behind no lane tail, so they fill the other lanes
+// and spill onto the heap.
 func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	const parts = 3
 	pk := NewParKernel(parts, 2, 5)
@@ -212,30 +230,42 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	var hops func(any)
 	hops = func(arg any) {
 		k := arg.(*Kernel)
-		k.ScheduleArg(7, hops, k)
+		k.ScheduleArg(70, hops, k)
 		k.Send((k.Partition()+1)%parts, 5, func(any) {}, nil)
 	}
 	for i := 0; i < parts; i++ {
 		k := pk.Part(i)
-		for j := 0; j < 20; j++ {
-			k.ScheduleArg(Time(j), hops, k)
+		for j := 0; j < 24; j++ {
+			k.ScheduleArg(Time(64+3*j), hops, k)
 		}
-		k.Schedule(Time(30-i), func() {})
+		for j := 0; j < 8; j++ {
+			k.Schedule(Time(120-j)+0.5, func() {})
+		}
+		k.Schedule(Time(50-i), func() {})
 	}
 	check := func(when string) {
 		t.Helper()
-		sum, inLanes := 0, 0
+		var sum, inLanes, onWheel, inHeap int
 		for i := 0; i < parts; i++ {
 			sum += pk.Part(i).PendingEvents()
-			for _, l := range pk.pq.parts[i].lanes {
+			q := &pk.pq.parts[i]
+			for _, l := range q.lanes {
 				inLanes += l.n
 			}
+			onWheel += wheelLen(q)
+			inHeap += q.heap.size()
 		}
 		if got := pk.pq.size(); got != sum || sum == 0 {
 			t.Fatalf("%s: partitioned size %d, shards hold %d", when, got, sum)
 		}
 		if inLanes == 0 {
 			t.Fatalf("%s: no events in lanes", when)
+		}
+		if onWheel == 0 {
+			t.Fatalf("%s: no events on the wheel", when)
+		}
+		if inHeap == 0 {
+			t.Fatalf("%s: no events in the heap", when)
 		}
 	}
 	check("setup")
@@ -244,5 +274,31 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("after Advance(%g)", until))
+	}
+}
+
+// TestKernelCycleWaitsRideTheWheel: a kernel whose activities wait whole
+// cycles a few at a time keeps every pending event on the cycle wheel:
+// the heap and the lanes stay empty.
+func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 50; i++ {
+		d := Time(1 + i%9)
+		k.SpawnActivity(fmt.Sprintf("w%d", i), ActivityFunc(func(a *ActCtx) { a.Wait(d) }))
+	}
+	defer func() { _ = k.Run(k.Now()) }()
+	for _, until := range []Time{0, 3, 40, 41, 500, 502} {
+		if err := k.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		q := k.events
+		lanes := 0
+		for _, l := range q.lanes {
+			lanes += l.n
+		}
+		if on := wheelLen(q); on != 50 || lanes != 0 || q.heap.size() != 0 {
+			t.Fatalf("after Advance(%g): wheel %d, lanes %d, heap %d; want all 50 on the wheel",
+				until, on, lanes, q.heap.size())
+		}
 	}
 }
