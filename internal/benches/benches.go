@@ -127,12 +127,11 @@ func ParcelSysRun(b *testing.B) {
 
 // simParcel1K drives the big-run workload behind both sim-kernel
 // parallelism benchmarks: the parcel-scale-1k scenario shape (1024 nodes
-// x 8 parcels over a 500-cycle interconnect) on the partitioned parcelsys
-// formulation, executed with the given worker count. One driver for both
-// names keeps the serial baseline and the parallel run measuring the
-// identical workload — the partitioned kernel's results are identical for
-// every worker count >= 1, so the ns/op ratio is the single-run speedup
-// and nothing else.
+// x 8 parcels over a 500-cycle interconnect) on parcelsys, executed with
+// the given worker count. One driver for both names keeps the serial
+// baseline and the parallel run measuring the identical workload —
+// parcelsys's results are identical for every worker count, so the ns/op
+// ratio is the single-run speedup and nothing else.
 func simParcel1K(b *testing.B, workers int) {
 	p := parcelsys.DefaultParams()
 	p.Nodes = 1024

@@ -67,7 +67,7 @@ func runFig4(cfg Config, w io.Writer) (*Outcome, error) {
 	}
 	rec := trace.NewRecorder()
 	rec.Filter = func(track string) bool {
-		return track == "test-system" || strings.HasPrefix(track, "lwp-")
+		return track == "hwp-phase" || strings.HasPrefix(track, "lwp-")
 	}
 	res, err := hostpim.Simulate(p, hostpim.SimOptions{Seed: cfg.Seed, ChunkOps: 2000, Tracer: rec})
 	if err != nil {

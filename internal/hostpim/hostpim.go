@@ -17,7 +17,6 @@ package hostpim
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -224,16 +223,17 @@ type SimOptions struct {
 	ChunkOps int
 	// Tracer, when non-nil, observes the test system's process timeline —
 	// attach a trace.Recorder to regenerate the paper's Fig. 4 thread
-	// timeline. Tracing requires a serial run (RunParallel <= 1).
+	// timeline. Tracing requires a single shard (RunParallel <= 1 or
+	// N = 1).
 	Tracer sim.Tracer
-	// RunParallel runs the test system partitioned over min(RunParallel,
-	// N) shard kernels driven by that many workers (sim.ParKernel): the
-	// LWP nodes are sharded contiguously and never communicate, so the
-	// partitions declare an infinite lookahead and the whole run is one
-	// window. 0 or 1 keeps the serial single-kernel path. The Result is
-	// identical — every field, bit for bit — for every value, which the
-	// invariance test pins: the nodes' streams, resources, and event
-	// timelines are per-node and therefore shard-independent.
+	// RunParallel runs the test system partitioned over max(1,
+	// min(RunParallel, N)) shard kernels driven by that many workers
+	// (sim.ParKernel), so 0 and 1 both mean one shard: the LWP nodes are
+	// sharded contiguously and never communicate, so the partitions
+	// declare an infinite lookahead and each phase is one window. The
+	// Result is identical — every field, bit for bit — for every value,
+	// which the invariance test pins: the nodes' streams, resources, and
+	// event timelines are per-node and therefore shard-independent.
 	RunParallel int
 }
 
@@ -243,7 +243,8 @@ type SimOptions struct {
 //
 // Every work loop is an activity: a run-to-completion state machine
 // stepped inline by the kernel's dispatch loop, so the N-way interleaved
-// LWP phase costs a heap pop per switch.
+// LWP phase costs a heap pop per switch. The test system runs on the
+// partitioned driver (parallel.go) for every RunParallel value.
 func Simulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -252,16 +253,7 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	if chunk <= 0 {
 		chunk = int(math.Max(1, p.W/10000))
 	}
-	var res Result
-	var err error
-	if opt.RunParallel >= 2 && p.N >= 2 {
-		if opt.Tracer != nil {
-			return Result{}, fmt.Errorf("hostpim: Tracer requires a serial run (RunParallel <= 1)")
-		}
-		res, err = simulateTestPar(p, opt, chunk)
-	} else {
-		res, err = simulateTestSerial(p, opt, chunk)
-	}
+	res, err := simulateTestPar(p, opt, chunk)
 	if err != nil {
 		return Result{}, err
 	}
@@ -272,60 +264,6 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 		res.Gain = res.ControlTime / res.Total
 	}
 	res.Relative = res.Total / (p.W * p.HWPOpCycles(p.Pmiss))
-	return res, nil
-}
-
-// simulateTestSerial runs the test system on one kernel: the original
-// orchestrated Fig. 4 flow.
-func simulateTestSerial(p Params, opt SimOptions, chunk int) (Result, error) {
-	// --- Test system: HWP phase then LWP array phase (or concurrent in
-	// Overlap mode). ---
-	k := sim.NewKernel()
-	k.Tracer = opt.Tracer
-	hwpStream := rng.NewWithStream(opt.Seed, 1)
-	res := Result{}
-
-	hwpCPU := sim.NewResource(k, "hwp-cpu", 1, sim.FIFO)
-	hwpMem := sim.NewResource(k, "hwp-mem", 1, sim.FIFO)
-	lwpCPU := make([]*sim.Resource, p.N)
-	lwpMem := make([]*sim.Resource, p.N)
-	// One reseedable value slab for the per-node streams instead of one
-	// heap allocation per node per run.
-	lwpStreams := make([]rng.Stream, p.N)
-	lwpNames := make([]string, p.N)
-	for i := range lwpCPU {
-		num := strconv.Itoa(i)
-		lwpNames[i] = "lwp-" + num
-		lwpCPU[i] = sim.NewResource(k, "lwp-cpu-"+num, 1, sim.FIFO)
-		lwpMem[i] = sim.NewResource(k, "lwp-mem-"+num, 1, sim.FIFO)
-		lwpStreams[i].Reseed(opt.Seed, 100+uint64(i))
-	}
-
-	wh := (1 - p.PctWL) * p.W
-	res.NodeTimes = make([]float64, p.N)
-
-	ts := &testSystem{
-		k: k, p: p, res: &res, chunk: chunk,
-		lwpCPU: lwpCPU, lwpMem: lwpMem, lwpStreams: lwpStreams, lwpNames: lwpNames,
-		nodes: make([]lwpNode, p.N),
-	}
-	ts.hwp.init(p, hwpStream, p.Pmiss, wh, chunk, hwpCPU, hwpMem)
-	k.SpawnActivity("test-system", ts)
-	if _, err := k.RunUntilIdle(); err != nil {
-		return Result{}, err
-	}
-	res.Total = k.Now()
-	res.HWPUtil = hwpCPU.Util.Area(res.Total) + hwpMem.Util.Area(res.Total)
-	if res.Total > 0 {
-		res.HWPUtil /= res.Total
-	}
-	var lwpBusy float64
-	for i := range lwpCPU {
-		lwpBusy += lwpCPU[i].Util.Area(res.Total) + lwpMem[i].Util.Area(res.Total)
-	}
-	if res.Total > 0 && p.N > 0 {
-		res.LWPUtil = lwpBusy / (res.Total * float64(p.N))
-	}
 	return res, nil
 }
 
@@ -453,99 +391,6 @@ func (w *stationWork) run(a *sim.ActCtx) bool {
 			w.mem.Release(1)
 			w.state = swNextChunk
 		}
-	}
-}
-
-// testSystem orchestrates the Fig. 4 execution flow as an activity: the
-// HWP phase, then (or concurrently with, in Overlap mode) the N uniform
-// LWP threads, then the join.
-type testSystem struct {
-	k     *sim.Kernel
-	p     Params
-	res   *Result
-	chunk int
-
-	hwp        stationWork
-	lwpCPU     []*sim.Resource
-	lwpMem     []*sim.Resource
-	lwpStreams []rng.Stream
-	lwpNames   []string
-	nodes      []lwpNode
-
-	phase    int // 0: HWP work; 1: joined
-	started  bool
-	wg       *sim.WaitGroup
-	lwpStart sim.Time
-}
-
-// lwpNode is one LWP thread of the array: its station machine plus the
-// bookkeeping done at completion.
-type lwpNode struct {
-	w     stationWork
-	ts    *testSystem
-	idx   int
-	start sim.Time
-}
-
-// Step advances one LWP thread; at completion it records the node time
-// and joins.
-func (n *lwpNode) Step(a *sim.ActCtx) {
-	if !n.w.run(a) {
-		return
-	}
-	n.ts.res.NodeTimes[n.idx] = a.Now() - n.start
-	n.ts.wg.Done()
-	a.Exit()
-}
-
-// startLWPArray launches the N uniform concurrent LWP threads (Fig. 4) at
-// the current time.
-func (ts *testSystem) startLWPArray(now sim.Time) {
-	ts.wg = sim.NewWaitGroup(ts.k, "lwp-join", ts.p.N)
-	ts.lwpStart = now
-	perNode := ts.p.PctWL * ts.p.W / float64(ts.p.N)
-	for i := 0; i < ts.p.N; i++ {
-		n := &ts.nodes[i]
-		n.ts, n.idx, n.start = ts, i, now
-		n.w.initLWP(ts.p, &ts.lwpStreams[i], perNode, ts.chunk, ts.lwpCPU[i], ts.lwpMem[i])
-		ts.k.SpawnActivity(ts.lwpNames[i], n)
-	}
-}
-
-// Step drives the test system's phases.
-func (ts *testSystem) Step(a *sim.ActCtx) {
-	if ts.p.Overlap && !ts.started {
-		// Extension mode: HWP and LWP array execute concurrently.
-		ts.started = true
-		ts.startLWPArray(a.Now())
-	}
-	switch ts.phase {
-	case 0:
-		if !ts.hwp.run(a) {
-			return
-		}
-		ts.res.TimeHWPPhase = a.Now()
-		ts.phase = 1
-		if !ts.p.Overlap {
-			// Phase 2: the LWP array executes the low-locality work.
-			ts.startLWPArray(a.Now())
-		}
-		if !ts.wg.WaitAct(a) {
-			return
-		}
-		fallthrough
-	case 1:
-		if ts.p.Overlap {
-			ts.res.TimeLWPPhase = 0
-			for _, nt := range ts.res.NodeTimes {
-				if nt > ts.res.TimeLWPPhase {
-					ts.res.TimeLWPPhase = nt
-				}
-			}
-		} else {
-			ts.res.TimeLWPPhase = a.Now() - ts.lwpStart
-		}
-		a.Exit()
 	}
 }
 

@@ -1,21 +1,22 @@
 package hostpim
 
-// Partitioned execution of the test system (SimOptions.RunParallel >= 2):
-// the LWP nodes are sharded contiguously over a sim.ParKernel and the HWP
-// station lives on shard 0. The nodes never interact — each owns its
-// processor, memory bank, and RNG stream — so the partitions declare an
-// infinite lookahead and each phase drains in a single window. The Fig. 4
-// flow that the serial path expresses as an orchestrator activity is
-// driven here from plain Go between AdvanceUntilIdle barriers: run the
-// HWP phase to completion, spawn the LWP array at the common barrier
-// time, run it to completion (Overlap mode spawns both at t = 0 instead).
+// The test system's driver. The LWP nodes are sharded contiguously over
+// a sim.ParKernel of max(1, min(RunParallel, N)) shards and the HWP
+// station lives on shard 0; one shard is the plain serial kernel. The
+// nodes never interact — each owns its processor, memory bank, and RNG
+// stream — so the partitions declare an infinite lookahead and each phase
+// drains in a single window. The Fig. 4 flow is driven from plain Go
+// between AdvanceUntilIdle barriers: run the HWP phase to completion,
+// spawn the LWP array at the common barrier time, run it to completion
+// (Overlap mode spawns both at t = 0 instead).
 //
 // Every per-node quantity — stream draws, event timeline, completion
-// time, utilization area — is independent of the shard assignment and of
-// the orchestration style, so the Result is bit-for-bit identical to the
-// serial path's for every RunParallel value; the invariance test pins it.
+// time, utilization area — is independent of the shard assignment, so
+// the Result is bit-for-bit identical for every RunParallel value; the
+// invariance test pins it.
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/rng"
@@ -60,15 +61,16 @@ func (n *parLWPNode) Step(a *sim.ActCtx) {
 	a.Exit()
 }
 
-// simulateTestPar runs the test system partitioned. Callers guarantee
-// RunParallel >= 2 and N >= 2.
+// simulateTestPar runs the test system. A Tracer is attached to the
+// single shard; it is refused on more than one.
 func simulateTestPar(p Params, opt SimOptions, chunk int) (Result, error) {
-	parts := opt.RunParallel
-	if parts > p.N {
-		parts = p.N
+	parts := max(1, min(opt.RunParallel, p.N))
+	if opt.Tracer != nil && parts > 1 {
+		return Result{}, fmt.Errorf("hostpim: Tracer requires a single shard (RunParallel <= 1)")
 	}
 	pk := sim.NewParKernel(parts, opt.RunParallel, sim.InfLookahead())
 	defer pk.Close()
+	pk.Part(0).Tracer = opt.Tracer
 	partOf := func(i int) int { return i * parts / p.N }
 
 	hwpStream := rng.NewWithStream(opt.Seed, 1)

@@ -1,28 +1,24 @@
 package parcelsys
 
-// Partitioned formulation of both systems (Params.RunParallel >= 1):
-// the nodes are sharded contiguously over a sim.ParKernel and all
-// cross-node interaction goes through Kernel.Send with delay >= the
-// conservative lookahead — the minimum one-way latency. Two things had to
-// change from the serial formulation to make the model partitionable, and
-// both are partition-independent, so the results are identical for every
-// RunParallel >= 1 (the invariance tests pin this):
+// The drivers of both systems. The nodes are sharded contiguously over a
+// sim.ParKernel of max(1, min(RunParallel, Nodes)) shards, and every
+// cross-node interaction goes through Kernel.Send with a delay of at
+// least the conservative lookahead, the minimum one-way latency. One
+// shard is the plain serial kernel. Two choices make the model
+// partitionable, and neither depends on the partition, so the results are
+// identical for every RunParallel (the invariance tests pin this):
 //
-//   - Test system: the run-wide routing stream would be consumed from
-//     several shards at once, so each parcel carries its own routing
-//     stream instead (workParcel.rt). Parcel delivery becomes a Send to
-//     the destination node's shard; its delay is the one-way latency,
-//     which is >= the lookahead by construction.
+//   - Test system: each parcel draws its route from its own stream
+//     (workParcel.rt), and delivery is a Send to the destination node's
+//     shard whose delay is the one-way latency.
 //
-//   - Control system: a thread cannot Acquire a memory-bank Resource on
-//     another shard, so each node's bank becomes a request/reply server —
-//     an activity draining a FIFO request Store, serving each request for
-//     MemCycles, then replying. A remote access Sends the request (one-way
-//     latency), parks on the thread's reply signal, and is woken by the
-//     reply Send (one-way latency back): the same round trip, the same
-//     idle processor, the same FIFO bank, expressed as messages. A local
-//     access enqueues directly and parks holding the processor, exactly as
-//     the serial thread blocks on its local bank.
+//   - Control system: each node's memory bank is a FIFO single server
+//     with deterministic MemCycles service, held in closed form as the
+//     time it next falls free (bank). Only the bank's own shard books it.
+//     A remote access Sends the request (one-way latency) and idles the
+//     processor; the bank's shard books the next slot and Sends the reply,
+//     which leaves when the service ends and travels the latency back. A
+//     local access books its slot and waits for it holding the processor.
 
 import (
 	"fmt"
@@ -32,10 +28,10 @@ import (
 	"repro/internal/sim"
 )
 
-// partition returns the shard count and conservative lookahead for a
-// partitioned run: min(RunParallel, Nodes) shards, lookahead = the minimum
-// one-way latency between distinct nodes (the flat Latency, or the
-// topology minimum when Net is set — an O(Nodes²) scan done once per run).
+// partition returns the shard count and conservative lookahead of a run:
+// max(1, min(RunParallel, Nodes)) shards, lookahead = the minimum one-way
+// latency between distinct nodes (the flat Latency, or the topology
+// minimum when Net is set — an O(Nodes²) scan done once per system).
 func (p Params) partition() (parts int, lookahead float64, err error) {
 	parts = p.RunParallel
 	if parts > p.Nodes {
@@ -61,34 +57,35 @@ func (p Params) partition() (parts int, lookahead float64, err error) {
 	return parts, lookahead, nil
 }
 
-// partitionTable assigns nodes to shards contiguously.
-func partitionTable(nodes, parts int) []int {
-	tab := make([]int, nodes)
-	for i := range tab {
-		tab[i] = i * parts / nodes
+// parKernel builds one system's partitioned kernel; node i lives on shard
+// i*Parts()/Nodes.
+func (p Params) parKernel() (*sim.ParKernel, error) {
+	parts, look, err := p.partition()
+	if err != nil {
+		return nil, err
 	}
-	return tab
+	return sim.NewParKernel(parts, p.RunParallel, look), nil
 }
 
-// runTestPar simulates the split-transaction parcel system partitioned.
-// The nodes run the exact serial testNode machine — only shipping differs
-// (see testNode.send).
+// runTestPar simulates the split-transaction parcel system.
 func runTestPar(p Params, rs *runState) (SystemResult, error) {
-	parts, look, err := p.partition()
+	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
 	}
-	pk := sim.NewParKernel(parts, p.RunParallel, look)
-	tab := partitionTable(p.Nodes, parts)
 	rs.names.grow(p.Nodes)
 	rs.nodes = slab(rs.nodes, p.Nodes)
-	nodes := rs.nodes
-	queues := make([]*sim.Store[*workParcel], p.Nodes)
-	for i := range queues {
-		queues[i] = sim.NewStore[*workParcel](pk.Part(tab[i]), rs.names.queue[i])
+	rs.testNodes = slab(rs.testNodes, p.Nodes)
+	nodes, tns := rs.nodes, rs.testNodes
+	for i := range tns {
+		part := i * pk.Parts() / p.Nodes
+		q := sim.NewStore[*workParcel](pk.Part(part), rs.names.queue[i])
+		tns[i] = testNode{p: &p, i: i, part: part, ns: &nodes[i], queue: q, peers: tns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}
+	// Seed Parallelism parcels at every node: the paper's "average number
+	// of parcels per processor".
 	rs.parcels = slab(rs.parcels, p.Nodes*p.Parallelism)
 	for i := 0; i < p.Nodes; i++ {
 		for j := 0; j < p.Parallelism; j++ {
@@ -96,119 +93,87 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 			wp.pendingAccess = false
 			wp.st.Reseed(p.Seed, 2000+uint64(i)*64+uint64(j))
 			wp.rt.Reseed(p.Seed, 7000+uint64(i)*64+uint64(j))
-			queues[i].TryPut(wp)
+			tns[i].queue.TryPut(wp)
 		}
 	}
-	// deliver runs on the destination shard's kernel (the Store's own).
-	deliver := func(x any) {
-		wp := x.(*workParcel)
-		queues[wp.dst].TryPut(wp)
-	}
-	rs.testNodes = slab(rs.testNodes, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		n := &rs.testNodes[i]
-		*n = testNode{p: &p, i: i, ns: &nodes[i], queue: queues[i], deliver: deliver}
-		src, ki := i, pk.Part(tab[i])
-		n.send = func(wp *workParcel) {
-			ki.Send(tab[wp.dst], p.latency(src, wp.dst), deliver, wp)
-		}
-		ki.SpawnActivity(rs.names.test[i], n)
+	for i := range tns {
+		pk.Part(tns[i].part).SpawnActivity(rs.names.test[i], &tns[i])
 	}
 	if err := pk.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
-	return gather(nodes, queues, p.Horizon), nil
-}
-
-// memReq is one memory access in flight in the partitioned control
-// system. Each thread owns one, reused across accesses: the requester
-// parks on sig, the destination node's server serves and wakes it.
-type memReq struct {
-	origin int
-	part   int // origin's shard, the reply Send's destination
-	local  bool
-	ns     *nodeStats // origin's stats; the server marks local service busy
-	sig    *sim.Signal
-	wake   func(any) // reply callback: sig.Trigger, run on origin's shard
-}
-
-// memServer is one node's memory bank as a request/reply activity: FIFO
-// through the request store, MemCycles per access — the same serialization
-// the serial formulation's capacity-1 Resource provides.
-type memServer struct {
-	p    *Params
-	i    int
-	reqs *sim.Store[*memReq]
-
-	state int
-	cur   *memReq
-}
-
-// memServer states.
-const (
-	msFetch  = iota // take (or wait for) the next request
-	msServed        // service time elapsed: reply
-)
-
-// Step serves requests forever (the horizon kill ends it).
-func (s *memServer) Step(a *sim.ActCtx) {
-	for {
-		switch s.state {
-		case msFetch:
-			r, ok := s.reqs.GetAct(a)
-			if !ok {
-				return
-			}
-			s.cur = r
-			if r.local {
-				// A local access busies its own processor for the service
-				// (the serial formulation's ctHoldLMem accounting); remote
-				// service busies only the bank, never the processor stat.
-				r.ns.busy.Add(a.Now(), 1)
-			}
-			s.state = msServed
-			a.Wait(s.p.MemCycles)
-			return
-		case msServed:
-			r := s.cur
-			s.cur = nil
-			s.state = msFetch
-			if r.local {
-				r.ns.busy.Add(a.Now(), -1)
-				r.sig.Trigger() // same shard: the reply is immediate
-			} else {
-				a.Kernel().Send(r.part, s.p.latency(s.i, r.origin), r.wake, nil)
-			}
-		}
+	r := gather(nodes, p.Horizon)
+	var queueSum float64
+	for i := range tns {
+		queueSum += tns[i].queue.Len.Mean(p.Horizon)
 	}
+	r.QueueMean = queueSum / float64(p.Nodes)
+	return r, nil
 }
 
-// parCtrlThread is the blocking control thread of the partitioned
-// formulation: the serial ctrlThread with its memory-bank Acquires
-// replaced by request/reply against the node servers. The per-thread
-// workload stream and its draw order are identical to the serial thread's.
+// bank is one node's memory bank in closed form: a FIFO single server
+// with a deterministic service time is fully described by the time its
+// last booked service ends. It is read and booked only on its own shard.
+type bank struct {
+	k    *sim.Kernel // the owning shard's kernel
+	part int         // the owning shard
+	free sim.Time    // end of the last booked service
+}
+
+// book reserves the bank's next service slot for a request arriving now
+// and returns the slot's start.
+func (b *bank) book(service sim.Time) sim.Time {
+	start := b.k.Now()
+	if b.free > start {
+		start = b.free
+	}
+	b.free = start + service
+	return start
+}
+
+// bankRequest runs on the destination bank's shard when a remote request
+// arrives: it books the next slot and sends the reply, which leaves when
+// the service ends and travels the one-way latency back. The delay is at
+// least that latency, so it never undercuts the lookahead.
+func bankRequest(x any) {
+	t := x.(*parCtrlThread)
+	b := &t.banks[t.dst]
+	queued := b.book(t.p.MemCycles) - b.k.Now()
+	b.k.Send(t.banks[t.i].part, queued+t.p.MemCycles+t.p.latency(t.dst, t.i), bankReply, t)
+}
+
+// bankReply runs on the requester's shard: the round trip is over.
+func bankReply(x any) { x.(*parCtrlThread).reply.Trigger() }
+
+// parCtrlThread is one blocking control thread as an activity state
+// machine, and also its own memory request (a thread has at most one in
+// flight). One cycle: draw a segment, hold the processor for the useful
+// ops, then perform the access — a blocking remote round trip (the
+// thread releases the processor and idles the whole time, the paper's
+// third processor state) or a local access holding the processor.
 type parCtrlThread struct {
-	p      *Params
-	st     rng.Stream
-	ns     *nodeStats
-	i      int
-	cpu    *sim.Resource
-	accept []func(any) // per-node request enqueuers, indexed by node
-	tab    []int       // node -> shard
-	req    memReq
+	p     *Params
+	st    rng.Stream
+	ns    *nodeStats
+	i     int
+	cpu   *sim.Resource
+	banks []bank      // every node's bank, indexed by node
+	reply *sim.Signal // fired by bankReply
 
 	state  int
 	nops   int
 	remote bool
+	dst    int // the remote access's node
 }
 
 // parCtrlThread states.
 const (
-	pcSegment   = iota // draw the next segment, acquire the processor
-	pcHoldCPU          // processor granted: run the useful ops
-	pcUseful           // useful-ops wait finished: perform the access
-	pcReplied          // remote reply arrived: transaction complete
-	pcLocalDone        // local reply arrived: access complete
+	pcSegment    = iota // draw the next segment, acquire the processor
+	pcHoldCPU           // processor granted: run the useful ops
+	pcUseful            // useful-ops wait finished: perform the access
+	pcReplied           // remote reply arrived: transaction complete
+	pcLocalStart        // local bank slot reached: the access begins
+	pcLocalDone         // local access finished
 )
 
 // Step runs the thread until it must wait; it loops forever (the horizon
@@ -237,30 +202,32 @@ func (t *parCtrlThread) Step(a *sim.ActCtx) {
 				ns.ops += int64(t.nops)
 			}
 			if t.remote {
-				// Release the processor and idle for the whole round trip:
-				// request out, FIFO service at the destination bank, reply
-				// back — the paper's third processor state, as messages.
 				t.cpu.Release(1)
-				dst := p.pickDest(&t.st, t.i)
-				t.req.local = false
-				t.req.sig.Reset()
+				t.dst = p.pickDest(&t.st, t.i)
+				t.reply.Reset()
 				t.state = pcReplied
-				a.Kernel().Send(t.tab[dst], p.latency(t.i, dst), t.accept[dst], &t.req)
-			} else {
-				// Local access: hold the processor, queue at the own bank.
-				t.req.local = true
-				t.req.sig.Reset()
-				t.state = pcLocalDone
-				t.accept[t.i](&t.req)
+				a.Kernel().Send(t.banks[t.dst].part, p.latency(t.i, t.dst), bankRequest, t)
+				if !t.reply.WaitAct(a) {
+					return
+				}
+				continue
 			}
-			if !t.req.sig.WaitAct(a) {
+			t.state = pcLocalStart
+			if start := t.banks[t.i].book(p.MemCycles); start > a.Now() {
+				a.Wait(start - a.Now())
 				return
 			}
+		case pcLocalStart:
+			ns.busy.Add(a.Now(), 1)
+			t.state = pcLocalDone
+			a.Wait(p.MemCycles)
+			return
 		case pcReplied:
 			ns.rem++
 			ns.ops++ // the access itself is a completed operation
 			t.state = pcSegment
 		case pcLocalDone:
+			ns.busy.Add(a.Now(), -1)
 			t.cpu.Release(1)
 			ns.ops++
 			t.state = pcSegment
@@ -268,54 +235,42 @@ func (t *parCtrlThread) Step(a *sim.ActCtx) {
 	}
 }
 
-// runControlPar simulates the blocking message-passing system partitioned:
-// per-node memory servers plus the request/reply threads above.
+// runControlPar simulates the blocking message-passing system.
 func runControlPar(p Params, rs *runState) (SystemResult, error) {
-	parts, look, err := p.partition()
+	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
 	}
-	pk := sim.NewParKernel(parts, p.RunParallel, look)
-	tab := partitionTable(p.Nodes, parts)
 	rs.names.grow(p.Nodes)
 	rs.nodes = slab(rs.nodes, p.Nodes)
-	nodes := rs.nodes
+	rs.banks = slab(rs.banks, p.Nodes)
+	nodes, banks := rs.nodes, rs.banks
 	cpus := make([]*sim.Resource, p.Nodes)
-	accept := make([]func(any), p.Nodes)
-	servers := make([]memServer, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
-		ki := pk.Part(tab[i])
-		cpus[i] = sim.NewResource(ki, rs.names.cpu[i], 1, sim.FIFO)
-		reqs := sim.NewStore[*memReq](ki, rs.names.mem[i])
-		accept[i] = func(x any) { reqs.TryPut(x.(*memReq)) }
-		servers[i] = memServer{p: &p, i: i, reqs: reqs}
+		part := i * pk.Parts() / p.Nodes
+		banks[i] = bank{k: pk.Part(part), part: part}
+		cpus[i] = sim.NewResource(banks[i].k, rs.names.cpu[i], 1, sim.FIFO)
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
-	}
-	for i := range servers {
-		pk.Part(tab[i]).SpawnActivity(rs.names.mem[i]+"-srv", &servers[i])
 	}
 	threads := p.ControlThreads
 	if threads <= 0 {
 		threads = 1
 	}
-	ths := make([]parCtrlThread, p.Nodes*threads)
+	rs.threads = slab(rs.threads, p.Nodes*threads)
 	ctrlNames := rs.ctrlNames(p.Nodes, threads)
 	for i := 0; i < p.Nodes; i++ {
 		for j := 0; j < threads; j++ {
 			name := ctrlNames[j*p.Nodes+i]
-			th := &ths[j*p.Nodes+i]
-			ki := pk.Part(tab[i])
-			*th = parCtrlThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], accept: accept, tab: tab}
+			th := &rs.threads[j*p.Nodes+i]
+			k := banks[i].k
+			*th = parCtrlThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], banks: banks, reply: sim.NewSignal(k, name)}
 			th.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
-			sig := sim.NewSignal(ki, name+".reply")
-			th.req = memReq{origin: i, part: tab[i], ns: &nodes[i], sig: sig}
-			th.req.wake = func(any) { sig.Trigger() }
-			ki.SpawnActivity(name, th)
+			k.SpawnActivity(name, th)
 		}
 	}
 	if err := pk.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
-	return gather(nodes, nil, p.Horizon), nil
+	return gather(nodes, p.Horizon), nil
 }

@@ -1,19 +1,21 @@
 package parcelsys
 
-// The partitioned formulation's contract: Params.RunParallel >= 1 gives
-// results that are exactly identical — every op count, idle fraction, and
-// queue mean, bit for bit — for every worker count, because the
-// formulation's serial reference trajectory does not depend on the
-// partition assignment and sim.ParKernel reproduces that reference
-// byte-identically for every shard count. RunParallel = 1 is the
-// single-shard oracle the others are compared against.
+// The driver's contract: Params.RunParallel gives results that are
+// exactly identical — every op count, idle fraction, and queue mean, bit
+// for bit — for every value, because the model's trajectory does not
+// depend on the partition assignment and sim.ParKernel reproduces the
+// single-shard trajectory byte-identically for every shard count.
+// RunParallel 0 and 1 are both the single shard.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/stats"
+	"repro/internal/network"
+	"repro/internal/parcel"
+	"repro/internal/rng"
 )
 
 // parParams is a small but non-trivial point: multiple threads per
@@ -31,61 +33,123 @@ func parParams() Params {
 	return p
 }
 
+// genParams draws one parameter point: 1-12 nodes, 1-8 parcels per node,
+// 0-3 control threads, optional hotspot skew, either overhead model, and
+// a flat or hop-topology interconnect. A zero latency is drawn only for a
+// single node, the one case where every RunParallel value is one shard.
+func genParams(g *rng.Stream) Params {
+	p := DefaultParams()
+	p.Nodes = 1 + g.Intn(12)
+	p.Parallelism = 1 + g.Intn(8)
+	p.RemoteFrac = g.Uniform(0.05, 1)
+	p.MixMem = g.Uniform(0.1, 1)
+	p.MemCycles = float64(1 + g.Intn(20))
+	p.Latency = float64(1 + g.Intn(300))
+	if p.Nodes == 1 && g.Bool() {
+		p.Latency = 0
+	}
+	if g.Bool() {
+		p.Overhead = parcel.SoftwareOnly()
+	}
+	p.ControlThreads = g.Intn(4)
+	if g.Bool() {
+		p.Hotspot = g.Float64()
+	}
+	if p.Nodes > 1 && p.Latency > 0 && g.Bool() {
+		p.Net = network.NewHop(network.Ring{N: p.Nodes}, p.Latency/2, float64(g.Intn(5)))
+	}
+	p.Horizon = 2000 + float64(g.Intn(4000))
+	p.Seed = g.Uint64()
+	return p
+}
+
 func TestRunParallelInvariance(t *testing.T) {
-	p := parParams()
-	p.RunParallel = 1
-	want, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
+	points := 40
+	if testing.Short() {
+		points = 12
 	}
-	if want.Control.Ops == 0 || want.Test.Ops == 0 || want.Ratio == 0 {
-		t.Fatalf("degenerate oracle run: %+v", want)
-	}
-	// 16 > Nodes exercises the worker clamp: still 9 shards.
-	for _, rp := range []int{2, 4, 9, 16} {
-		q := p
-		q.RunParallel = rp
-		got, err := Run(q)
+	g := rng.New(2004)
+	for n := 0; n < points; n++ {
+		p := genParams(g)
+		want, err := Run(p)
 		if err != nil {
-			t.Fatalf("RunParallel=%d: %v", rp, err)
+			t.Fatalf("point %d %+v: %v", n, p, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("RunParallel=%d diverged:\n got  %+v\n want %+v", rp, got, want)
+		if want.Control.Ops == 0 || want.Test.Ops == 0 {
+			t.Fatalf("point %d: degenerate run %+v", n, want)
+		}
+		// Nodes+4 exercises the shard clamp: still Nodes shards.
+		for _, rp := range []int{1, 2, 3, p.Nodes + 4} {
+			q := p
+			q.RunParallel = rp
+			got, err := Run(q)
+			if err != nil {
+				t.Fatalf("point %d RunParallel=%d: %v", n, rp, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("point %d (%+v) RunParallel=%d diverged from 0:\n got  %+v\n want %+v",
+					n, p, rp, got, want)
+			}
 		}
 	}
 }
 
-// TestRunParallelAgreesWithSerial: the partitioned formulation is a
-// different formulation (per-parcel routing streams, message-based memory
-// banks), so it cannot be bit-identical to RunParallel = 0 — but it
-// simulates the same system, so the headline statistics must agree
-// closely.
-func TestRunParallelAgreesWithSerial(t *testing.T) {
-	p := parParams()
-	serial, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
+// TestRunParallelBankRoundTrip pins the bank in the one case with no
+// queueing at all: two nodes, every operation a remote access, one
+// thread each. Each thread's round trip is the request latency, the
+// service, and the reply latency, so it completes exactly
+// floor(Horizon/(2·Latency+MemCycles)) accesses and never computes.
+func TestRunParallelBankRoundTrip(t *testing.T) {
+	p := DefaultParams()
+	p.Nodes = 2
+	p.MixMem = 1
+	p.RemoteFrac = 1
+	p.Latency = 50
+	p.MemCycles = 10
+	p.Horizon = 20000
+	perThread := int64(math.Floor(p.Horizon / (2*p.Latency + p.MemCycles)))
+	for _, rp := range []int{0, 2} {
+		p.RunParallel = rp
+		r, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := r.Control
+		if c.Ops != 2*perThread || c.RemoteAccesses != 2*perThread {
+			t.Errorf("RunParallel=%d: ops %d, remote %d; want %d each",
+				rp, c.Ops, c.RemoteAccesses, 2*perThread)
+		}
+		if c.IdleFrac != 1 {
+			t.Errorf("RunParallel=%d: control idle %g, want 1 (no compute)", rp, c.IdleFrac)
+		}
 	}
-	p.RunParallel = 1
-	par, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := []struct {
-		name     string
-		got, ref float64
-		tol      float64
-	}{
-		{"ratio", par.Ratio, serial.Ratio, 0.10},
-		{"control ops", float64(par.Control.Ops), float64(serial.Control.Ops), 0.10},
-		{"test ops", float64(par.Test.Ops), float64(serial.Test.Ops), 0.10},
-		{"control idle", par.Control.IdleFrac, serial.Control.IdleFrac, 0.15},
-		{"test idle", par.Test.IdleFrac, serial.Test.IdleFrac, 0.25},
-	}
-	for _, c := range checks {
-		if e := stats.RelErr(c.got, c.ref); e > c.tol {
-			t.Errorf("%s: partitioned %g vs serial %g (rel err %.3f > %.2f)",
-				c.name, c.got, c.ref, e, c.tol)
+}
+
+// TestRunParallelBankHotspotSaturated pins the bank's FIFO service rate:
+// with Hotspot 1 every other node's accesses target node 0, whose bank
+// saturates and completes one access per MemCycles, while node 0's own
+// thread round-trips to idle banks at one access per
+// 2·Latency+MemCycles. Saturation needs (Nodes−1)·MemCycles ≥
+// 2·Latency+MemCycles; the hot bank's fill and drain at the horizon's
+// ends cost 2·Latency/MemCycles accesses, under Nodes here.
+func TestRunParallelBankHotspotSaturated(t *testing.T) {
+	p := DefaultParams()
+	p.Nodes = 12
+	p.MixMem = 1
+	p.RemoteFrac = 1
+	p.Hotspot = 1
+	p.Latency = 20
+	p.MemCycles = 10
+	p.Horizon = 20000
+	want := p.Horizon/p.MemCycles + p.Horizon/(2*p.Latency+p.MemCycles)
+	for _, rp := range []int{0, 3} {
+		p.RunParallel = rp
+		r, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := float64(r.Control.Ops); math.Abs(got-want) > float64(p.Nodes) {
+			t.Errorf("RunParallel=%d: control ops %g, want %g ± %d", rp, got, want, p.Nodes)
 		}
 	}
 }
@@ -100,9 +164,11 @@ func TestRunParallelNeedsPositiveLatency(t *testing.T) {
 	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "lookahead") {
 		t.Fatalf("zero latency with 2 shards: err = %v, want lookahead error", err)
 	}
-	p.RunParallel = 1
-	if _, err := Run(p); err != nil {
-		t.Fatalf("zero latency on a single shard should run: %v", err)
+	for _, rp := range []int{0, 1} {
+		p.RunParallel = rp
+		if _, err := Run(p); err != nil {
+			t.Fatalf("zero latency on a single shard (RunParallel=%d) should run: %v", rp, err)
+		}
 	}
 }
 
@@ -118,5 +184,27 @@ func TestRunParallelReplicate(t *testing.T) {
 	}
 	if rr.Ratio.N != 3 || rr.Ratio.Mean <= 0 {
 		t.Fatalf("replicated ratio %+v", rr.Ratio)
+	}
+}
+
+// TestReplicateAllocsPinned pins the allocation count of one run on
+// Replicate's reused-slab path (a warmed runState) at parParams. The
+// remaining allocations are per-run kernel state: two ParKernels,
+// resources, stores, signals, activity contexts, and the result slices.
+func TestReplicateAllocsPinned(t *testing.T) {
+	const pinned = 236
+	p := parParams()
+	var rs runState
+	if _, err := runWith(p, &rs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := runWith(p, &rs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per reused-slab run: %g", allocs)
+	if allocs > pinned {
+		t.Errorf("reused-slab run allocates %g objects, pinned at %d", allocs, pinned)
 	}
 }

@@ -75,16 +75,14 @@ type Params struct {
 	// parcels' remaining advantage (one-way migration vs round trips and
 	// hardware-assisted handling). 0 means 1.
 	ControlThreads int
-	// RunParallel selects the partitioned formulation and its worker
-	// count: 0 runs the original serial formulation (byte-identical to
-	// previous releases), k >= 1 runs both systems partitioned over
-	// min(k, Nodes) shard kernels driven by k workers (sim.ParKernel).
-	// Results are identical for every k >= 1 — the formulation routes
-	// parcels with per-parcel streams and serves memory accesses through
-	// request/reply node servers, so its trajectory does not depend on
-	// the partition assignment — but differ in their exact draws (not in
-	// expectation) from the serial formulation's. Partitioning requires a
-	// positive minimum one-way latency (it is the conservative lookahead).
+	// RunParallel is the worker count of one run: both systems run
+	// partitioned over min(RunParallel, Nodes) shard kernels
+	// (sim.ParKernel), at least one, so 0 and 1 both mean one shard.
+	// Results are identical for every value — parcels route with
+	// per-parcel streams and each memory bank is booked by its own
+	// node's shard, so the trajectory does not depend on the partition
+	// assignment. More than one shard requires a positive minimum one-way
+	// latency (it is the conservative lookahead).
 	RunParallel int
 }
 
@@ -190,14 +188,15 @@ func Run(p Params) (Result, error) {
 }
 
 // runState holds the per-run slabs — parcel structs with their embedded
-// RNG streams, per-node statistics, control-thread machines, test-node
-// machines, and node names — that Replicate reuses across replications
-// instead of reallocating per run. All state is fully re-initialized by
-// each run.
+// RNG streams, per-node statistics, memory banks, control-thread
+// machines, test-node machines, and node names — that Replicate reuses
+// across replications instead of reallocating per run. All state is fully
+// re-initialized by each run.
 type runState struct {
 	parcels   []workParcel
 	nodes     []nodeStats
-	threads   []ctrlThread
+	banks     []bank
+	threads   []parCtrlThread
 	testNodes []testNode
 	names     nodeNames
 	// ctrl caches the control-thread process names, indexed j*nodes+i;
@@ -209,14 +208,13 @@ type runState struct {
 // nodeNames caches the per-node resource/process names, which depend only
 // on the node count.
 type nodeNames struct {
-	mem, cpu, proc, queue, test []string
+	cpu, proc, queue, test []string
 }
 
 // grow ensures the name tables cover n nodes.
 func (nn *nodeNames) grow(n int) {
-	for i := len(nn.mem); i < n; i++ {
+	for i := len(nn.cpu); i < n; i++ {
 		num := strconv.Itoa(i)
-		nn.mem = append(nn.mem, "mem"+num)
 		nn.cpu = append(nn.cpu, "cpu"+num)
 		nn.proc = append(nn.proc, "ctrl-"+num)
 		nn.queue = append(nn.queue, "pq"+num)
@@ -255,15 +253,11 @@ func runWith(p Params, st *runState) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	runC, runT := runControl, runTest
-	if p.RunParallel >= 1 {
-		runC, runT = runControlPar, runTestPar
-	}
-	ctrl, err := runC(p, st)
+	ctrl, err := runControlPar(p, st)
 	if err != nil {
 		return Result{}, err
 	}
-	test, err := runT(p, st)
+	test, err := runTestPar(p, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -289,209 +283,23 @@ func segment(st *rng.Stream, p Params) (int, bool) {
 	return n, remote
 }
 
-// runControl simulates the blocking message-passing system. Each thread
-// is a run-to-completion activity (see ctrlThread), so the per-switch
-// cost of the N-way interleaving is a heap pop.
-func runControl(p Params, rs *runState) (SystemResult, error) {
-	k := sim.NewKernel()
-	mems := make([]*sim.Resource, p.Nodes)
-	cpus := make([]*sim.Resource, p.Nodes)
-	rs.names.grow(p.Nodes)
-	rs.nodes = slab(rs.nodes, p.Nodes)
-	nodes := rs.nodes
-	for i := range mems {
-		mems[i] = sim.NewResource(k, rs.names.mem[i], 1, sim.FIFO)
-		cpus[i] = sim.NewResource(k, rs.names.cpu[i], 1, sim.FIFO)
-		nodes[i] = nodeStats{}
-		nodes[i].busy.Set(0, 0)
-	}
-	threads := p.ControlThreads
-	if threads <= 0 {
-		threads = 1
-	}
-	rs.threads = slab(rs.threads, p.Nodes*threads)
-	ctrlNames := rs.ctrlNames(p.Nodes, threads)
-	for i := 0; i < p.Nodes; i++ {
-		for j := 0; j < threads; j++ {
-			th := &rs.threads[j*p.Nodes+i]
-			*th = ctrlThread{p: &p, i: i, ns: &nodes[i], cpus: cpus, mems: mems}
-			th.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
-			k.SpawnActivity(ctrlNames[j*p.Nodes+i], th)
-		}
-	}
-	if err := k.Run(p.Horizon); err != nil {
-		return SystemResult{}, err
-	}
-	return gather(nodes, nil, p.Horizon), nil
-}
-
-// ctrlThread is one blocking control thread as an activity state machine.
-// One cycle: draw a segment, hold the processor for the useful ops, then
-// perform the access — a blocking remote round trip (request out, service
-// at the destination memory, reply back; the thread releases the
-// processor and waits idle the whole time, the paper's third processor
-// state) or a local access busying processor and memory bank.
-type ctrlThread struct {
-	p    *Params
-	st   rng.Stream
-	ns   *nodeStats
-	i    int
-	cpus []*sim.Resource
-	mems []*sim.Resource
-
-	state  int
-	nops   int
-	remote bool
-	dst    int
-}
-
-// ctrlThread states.
-const (
-	ctSegment   = iota // draw the next segment, acquire the processor
-	ctHoldCPU          // processor granted: run the useful ops
-	ctUseful           // useful-ops wait finished
-	ctSent             // request latency elapsed: acquire remote memory
-	ctHoldRMem         // remote memory granted: service the access
-	ctServed           // remote service done: reply latency
-	ctReplied          // reply arrived: transaction complete
-	ctHoldLMem         // local memory granted: perform the access
-	ctLocalDone        // local access finished
-)
-
-// Step runs the control thread until it must wait; it loops forever (the
-// horizon kill ends it).
-func (t *ctrlThread) Step(a *sim.ActCtx) {
-	p, ns := t.p, t.ns
-	for {
-		switch t.state {
-		case ctSegment:
-			t.nops, t.remote = segment(&t.st, *p)
-			t.state = ctHoldCPU
-			if !t.cpus[t.i].Acquire1Act(a) {
-				return
-			}
-		case ctHoldCPU:
-			if t.nops > 0 {
-				ns.busy.Add(a.Now(), 1)
-				t.state = ctUseful
-				a.Wait(float64(t.nops))
-				return
-			}
-			t.state = ctUseful
-		case ctUseful:
-			if t.nops > 0 {
-				ns.busy.Add(a.Now(), -1)
-				ns.ops += int64(t.nops)
-			}
-			if t.remote {
-				t.cpus[t.i].Release(1)
-				t.dst = p.pickDest(&t.st, t.i)
-				t.state = ctSent
-				a.Wait(p.latency(t.i, t.dst))
-				return
-			}
-			t.state = ctHoldLMem
-			if !t.mems[t.i].Acquire1Act(a) {
-				return
-			}
-		case ctSent:
-			t.state = ctHoldRMem
-			if !t.mems[t.dst].Acquire1Act(a) {
-				return
-			}
-		case ctHoldRMem:
-			t.state = ctServed
-			a.Wait(p.MemCycles)
-			return
-		case ctServed:
-			t.mems[t.dst].Release(1)
-			t.state = ctReplied
-			a.Wait(p.latency(t.dst, t.i))
-			return
-		case ctReplied:
-			ns.rem++
-			ns.ops++ // the access itself is a completed operation
-			t.state = ctSegment
-		case ctHoldLMem:
-			ns.busy.Add(a.Now(), 1)
-			t.state = ctLocalDone
-			a.Wait(p.MemCycles)
-			return
-		case ctLocalDone:
-			ns.busy.Add(a.Now(), -1)
-			t.mems[t.i].Release(1)
-			t.cpus[t.i].Release(1)
-			ns.ops++
-			t.state = ctSegment
-		}
-	}
-}
-
 // workParcel is a migrating computation continuation in the test system.
 // The RNG stream is embedded by value so a run's parcels live in one
 // reusable slab instead of two allocations per parcel.
 type workParcel struct {
 	st rng.Stream
-	// rt draws the parcel's routing decisions in the partitioned
-	// formulation, where a run-wide shared stream would race across
-	// shards; the serial formulation leaves it untouched. Keeping it
-	// separate from st keeps the per-parcel workload draws identical
-	// between the two formulations.
+	// rt draws the parcel's routing decisions. A run-wide routing stream
+	// would be consumed from several shards at once; a per-parcel one is
+	// consumed only where the parcel is, so the draws do not depend on the
+	// partition.
 	rt rng.Stream
 	// dst is the destination node while the parcel is in flight (the
 	// shipping event carries the parcel, not a closure).
-	dst int
+	dst *testNode
 	// pendingAccess marks that the parcel migrated because of a remote
 	// memory access: the destination performs that access (now local)
 	// right after assimilation.
 	pendingAccess bool
-}
-
-// runTest simulates the split-transaction parcel system. Each node is a
-// run-to-completion activity (see testNode); an in-flight parcel is one
-// ScheduleArg event carrying the parcel itself, so the steady-state run
-// schedules no closures at all.
-func runTest(p Params, rs *runState) (SystemResult, error) {
-	k := sim.NewKernel()
-	queues := make([]*sim.Store[*workParcel], p.Nodes)
-	rs.names.grow(p.Nodes)
-	rs.nodes = slab(rs.nodes, p.Nodes)
-	nodes := rs.nodes
-	for i := range queues {
-		queues[i] = sim.NewStore[*workParcel](k, rs.names.queue[i])
-		nodes[i] = nodeStats{}
-		nodes[i].busy.Set(0, 0)
-	}
-	var route rng.Stream
-	route.Reseed(p.Seed, 500)
-
-	// Seed Parallelism parcels at every node: the paper's "average number
-	// of parcels per processor".
-	rs.parcels = slab(rs.parcels, p.Nodes*p.Parallelism)
-	for i := 0; i < p.Nodes; i++ {
-		for j := 0; j < p.Parallelism; j++ {
-			wp := &rs.parcels[i*p.Parallelism+j]
-			wp.pendingAccess = false
-			wp.st.Reseed(p.Seed, 2000+uint64(i)*64+uint64(j))
-			queues[i].TryPut(wp)
-		}
-	}
-
-	// deliver lands an in-flight parcel at its destination queue.
-	deliver := func(x any) {
-		wp := x.(*workParcel)
-		queues[wp.dst].TryPut(wp)
-	}
-	rs.testNodes = slab(rs.testNodes, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		n := &rs.testNodes[i]
-		*n = testNode{p: &p, i: i, ns: &nodes[i], queue: queues[i], route: &route, deliver: deliver}
-		k.SpawnActivity(rs.names.test[i], n)
-	}
-	if err := k.Run(p.Horizon); err != nil {
-		return SystemResult{}, err
-	}
-	return gather(nodes, queues, p.Horizon), nil
 }
 
 // testNode is one split-transaction processor as an activity state
@@ -502,16 +310,12 @@ func runTest(p Params, rs *runState) (SystemResult, error) {
 // which point the continuation ships one-way and the node services its
 // next pending parcel.
 type testNode struct {
-	p       *Params
-	i       int
-	ns      *nodeStats
-	queue   *sim.Store[*workParcel]
-	route   *rng.Stream
-	deliver func(any)
-	// send, when set, ships parcels the partitioned way: destination
-	// drawn from the parcel's own routing stream, delivery via a
-	// cross-partition Send (see runTestPar). nil = serial formulation.
-	send func(*workParcel)
+	p     *Params
+	i     int
+	part  int // this node's shard
+	ns    *nodeStats
+	queue *sim.Store[*workParcel]
+	peers []testNode // every node of the run, indexed by node
 
 	state int
 	wp    *workParcel
@@ -629,15 +433,17 @@ func (n *testNode) ship(a *sim.ActCtx) {
 	n.ns.rem++
 	wp := n.wp
 	wp.pendingAccess = true
-	if n.send != nil {
-		wp.dst = n.p.pickDest(&wp.rt, n.i)
-		n.send(wp)
-	} else {
-		wp.dst = n.p.pickDest(n.route, n.i)
-		a.Kernel().ScheduleArg(n.p.latency(n.i, wp.dst), n.deliver, wp)
-	}
+	wp.dst = &n.peers[n.p.pickDest(&wp.rt, n.i)]
+	a.Kernel().Send(wp.dst.part, n.p.latency(n.i, wp.dst.i), deliverParcel, wp)
 	n.wp = nil
 	n.state = tnFetch
+}
+
+// deliverParcel lands an in-flight parcel in its destination's queue. It
+// runs on the destination's shard.
+func deliverParcel(x any) {
+	wp := x.(*workParcel)
+	wp.dst.queue.TryPut(wp)
 }
 
 // otherNode picks a uniform destination distinct from self when possible.
@@ -655,10 +461,10 @@ func otherNode(st *rng.Stream, self, n int) int {
 // gather folds per-node statistics into a SystemResult. It copies
 // everything it reports, so the caller may reuse the nodes slab
 // immediately.
-func gather(nodes []nodeStats, queues []*sim.Store[*workParcel], horizon float64) SystemResult {
+func gather(nodes []nodeStats, horizon float64) SystemResult {
 	var r SystemResult
 	r.PerNodeIdle = make([]float64, len(nodes))
-	var idleSum, queueSum float64
+	var idleSum float64
 	for i := range nodes {
 		ns := &nodes[i]
 		r.Ops += ns.ops
@@ -672,12 +478,6 @@ func gather(nodes []nodeStats, queues []*sim.Store[*workParcel], horizon float64
 		idleSum += idle
 	}
 	r.IdleFrac = idleSum / float64(len(nodes))
-	if queues != nil {
-		for _, q := range queues {
-			queueSum += q.Len.Mean(horizon)
-		}
-		r.QueueMean = queueSum / float64(len(queues))
-	}
 	return r
 }
 

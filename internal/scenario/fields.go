@@ -81,7 +81,7 @@ var fields = []Field{
 	{"spawncycles", "VM parcel-launch cost in cycles (machine backend)",
 		func(s *Scenario, v float64) { s.Machine.SpawnCycles = v },
 		func(s Scenario) float64 { return s.Machine.SpawnCycles }},
-	{"runparallel", "workers for one run, 0/1 = serial (machine/sim backends; machine and study-1 results identical, parcel invariant for >= 1)",
+	{"runparallel", "workers for one run, 0/1 = serial (machine/sim backends; results identical for every value)",
 		func(s *Scenario, v float64) { s.Machine.RunParallel = int(v) },
 		func(s Scenario) float64 { return float64(s.Machine.RunParallel) }},
 	{"pagepolicy", "VM DRAM timing: 0 = flat MemCycles, 1 = open page, 2 = closed page",

@@ -138,7 +138,7 @@ var presets = []Scenario{
 		// The sim-backend parallel showcase (machine-gups-256 is the VM
 		// counterpart): parcelsys partitions the nodes across 4 workers,
 		// and the windowed kernel keeps the metrics identical for every
-		// worker count >= 1.
+		// worker count.
 		s.Machine.RunParallel = 4
 		return s
 	}(),

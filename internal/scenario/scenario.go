@@ -79,11 +79,9 @@ type Machine struct {
 	// machine backend it is isa.Machine.Parallelism: the VM nodes are
 	// partitioned and advanced in conservative lookahead windows, with
 	// results byte-identical to the serial run for any value. On the sim
-	// backend it partitions the DES models over a sim.ParKernel: study-1
-	// results are bit-identical to serial for every value; study-2 and
-	// hybrid scenarios run parcelsys's partitioned formulation, whose
-	// results are identical for every value >= 1 but differ in their
-	// exact draws (not in expectation) from 0. 0 or 1 runs serially.
+	// backend it partitions the DES models (hostpim's LWP array,
+	// parcelsys's nodes) over a sim.ParKernel, with results bit-identical
+	// for every value. 0 or 1 runs serially (one shard).
 	RunParallel int
 
 	// The fault-injection knobs (machine scenarios only; see

@@ -2,9 +2,8 @@ package scenario
 
 // Scenario-level face of the partitioned sim kernel's determinism
 // guarantee, mirroring TestMachineRunParallelInvariant for the sim
-// backend: study-1 metrics are bit-identical for every RunParallel value
-// (serial included), and parcel metrics are bit-identical across every
-// partitioned worker count >= 1.
+// backend: study-1 and parcel metrics are bit-identical for every
+// RunParallel value, serial included.
 
 import (
 	"reflect"
@@ -35,9 +34,6 @@ func TestSimStudy1RunParallelInvariant(t *testing.T) {
 }
 
 func TestSimParcelRunParallelInvariant(t *testing.T) {
-	// The partitioned parcelsys formulation draws from per-parcel routing
-	// streams, so RunParallel 0 (the legacy serial formulation) is a
-	// different — equally valid — sample path; the invariant starts at 1.
 	cfg := Config{Seed: 2004, Quick: true}
 	names := []string{"fig11-point", "parcel-scale-1k"}
 	if testing.Short() {
@@ -47,19 +43,19 @@ func TestSimParcelRunParallelInvariant(t *testing.T) {
 	}
 	for _, name := range names {
 		s := MustFind(name)
-		s.Machine.RunParallel = 1
+		s.Machine.RunParallel = 0
 		want, err := Run(s, "sim", cfg)
 		if err != nil {
-			t.Fatalf("%s p=1: %v", name, err)
+			t.Fatalf("%s serial: %v", name, err)
 		}
-		for _, p := range []int{2, 4} {
+		for _, p := range []int{1, 2, 4} {
 			s.Machine.RunParallel = p
 			got, err := Run(s, "sim", cfg)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-				t.Errorf("%s: RunParallel=%d leaks into metrics:\np=1: %v\np=%d: %v",
+				t.Errorf("%s: RunParallel=%d leaks into metrics:\nserial: %v\np=%d: %v",
 					name, p, want.Metrics, p, got.Metrics)
 			}
 		}
