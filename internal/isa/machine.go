@@ -177,7 +177,11 @@ type Machine struct {
 	// MemDelay, when non-nil, supplies the cost of one memory operation
 	// instead of the flat Timing.MemCycles/WideMemCycles — the hook a
 	// row-buffer timing model (internal/dram) plugs into. Costs below one
-	// cycle are clamped to one.
+	// cycle are clamped to one. Each node's calls arrive in that node's
+	// cycle order on every execution path, but calls for different nodes
+	// interleave differently per path and, with Parallelism > 1, run
+	// concurrently. So the hook must read and write only state private to
+	// the node it is called for (one DRAM bank per node, say).
 	MemDelay func(node int, addr uint64, wide bool) int64
 	// MaxCycles bounds Run (0 = no bound).
 	MaxCycles int64
@@ -194,7 +198,7 @@ type Machine struct {
 	// barriers, in canonical (sent, src) order. Every counter, memory
 	// word, fault, and cycle count is byte-identical to serial execution
 	// regardless of the worker count or partition assignment. Runs that
-	// install Trace/Output/MemDelay hooks, set ForceInterpret, or have no
+	// install Trace/Output hooks, set ForceInterpret, or have no
 	// usable lookahead (see NetLookahead) ignore Parallelism and execute
 	// serially.
 	Parallelism int
@@ -321,13 +325,14 @@ func (m *Machine) Run() (int64, error) {
 	// Node-major windowed execution (see runWindowed) needs every
 	// cross-node interaction bounded and unobserved: a network with a
 	// known minimum cross-node latency (the flat Timing.NetLatency, or a
-	// NetDelay hook with a declared NetLookahead), flat memory timing
-	// (MemDelay hooks may carry cross-call state), and no per-cycle
-	// observers (Trace, Output). ForceInterpret keeps the full
+	// NetDelay hook with a declared NetLookahead) and no per-cycle
+	// observers (Trace, Output). A MemDelay hook keeps the path: it sees
+	// each node's accesses in the same order either way, and touches only
+	// that node's state (its contract). ForceInterpret keeps the full
 	// pre-decode-era loop as the differential-testing oracle. With
 	// Parallelism > 1 and a positive lookahead the windows themselves run
 	// on multiple workers (runParallel), byte-identical to serial.
-	if m.Trace == nil && m.Output == nil && m.MemDelay == nil && !m.ForceInterpret {
+	if m.Trace == nil && m.Output == nil && !m.ForceInterpret {
 		if la, ok := m.lookahead(); ok {
 			window := la + 1
 			if maxW := m.maxWindow(); window > maxW || window < 1 {
@@ -598,8 +603,8 @@ func insertionSortFlights(fl []flight) {
 // appended. Cycle counts, counters, memory, and faults are identical to
 // the per-cycle loop; Run gates entry on the conditions that make the
 // proof hold (no Trace/Output observers ordering events across nodes
-// within a cycle, no MemDelay hook, and either a flat network or a
-// NetDelay hook with a declared NetLookahead).
+// within a cycle, and either a flat network or a NetDelay hook with a
+// declared NetLookahead).
 func (m *Machine) runWindowed(window int64) (int64, error) {
 	for {
 		live := false
@@ -819,9 +824,10 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 			readyM |= 1 << uint(i)
 		}
 	}
-	// MemDelay is nil on this path (the runWindowed gate checked), so
-	// every scalar memory op stalls the same fixed cost — hoist it,
-	// including the node's straggler scale (constant per node).
+	// Without a MemDelay hook every scalar memory op stalls the same
+	// fixed cost — hoist it, including the node's straggler scale
+	// (constant per node). With one, each op asks memCost.
+	memHook := m.MemDelay != nil
 	memC := m.Timing.MemCycles
 	if m.Fault != nil {
 		memC *= m.Fault.CostScale(n.ID)
@@ -1108,14 +1114,17 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				memOps++
 				t.PC++
 				lastIssue = c
-				// The stall cost is known statically, so move the thread
-				// straight to the stalled mask (the slab countdown stays
-				// untouched — flush rewrites it from wake). memC == 1
-				// means no stall: the thread stays ready.
-				if memC > 1 {
+				// Move the stalled thread straight to the stalled mask (the
+				// slab countdown stays untouched — flush rewrites it from
+				// wake). A cost of 1 means no stall: the thread stays ready.
+				cost := memC
+				if memHook {
+					cost = m.memCost(n, addr, false)
+				}
+				if cost > 1 {
 					readyM &^= 1 << uint(idx)
 					stalledM |= 1 << uint(idx)
-					w := c + memC
+					w := c + cost
 					wake[idx] = w
 					if w < minWake {
 						minWake = w
@@ -1139,10 +1148,14 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				memOps++
 				t.PC++
 				lastIssue = c
-				if memC > 1 {
+				cost := memC
+				if memHook {
+					cost = m.memCost(n, addr, false)
+				}
+				if cost > 1 {
 					readyM &^= 1 << uint(idx)
 					stalledM |= 1 << uint(idx)
-					w := c + memC
+					w := c + cost
 					wake[idx] = w
 					if w < minWake {
 						minWake = w

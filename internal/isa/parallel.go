@@ -103,7 +103,7 @@ func (m *Machine) partitions() (parts [][]*NodeState, owner []int, err error) {
 
 // runParallel is Run's multi-worker windowed loop. The caller (the Run
 // gate) guarantees Parallelism > 1, more than one node, a positive
-// lookahead behind the window bound, and no Trace/Output/MemDelay hooks.
+// lookahead behind the window bound, and no Trace/Output hooks.
 func (m *Machine) runParallel(window int64) (int64, error) {
 	parts, owner, err := m.partitions()
 	if err != nil {
@@ -117,6 +117,7 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 				Timing:       m.Timing,
 				NetDelay:     m.NetDelay,
 				NetLookahead: m.NetLookahead,
+				MemDelay:     m.MemDelay,
 				Fault:        m.Fault,
 				Reliable:     m.Reliable,
 			},

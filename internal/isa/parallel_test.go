@@ -227,28 +227,63 @@ func parallelModes() []struct {
 // TestParallelDeterminism is the tentpole's acceptance property: for
 // every builtin program × topology, every parallel configuration
 // produces the identical run fingerprint as the per-cycle serial
-// interpreter.
+// interpreter. Each case also runs with a stateful MemDelay hook
+// (openRowDelay). The hook keeps the windowed and parallel paths, so
+// there every mode agrees with the oracle only if each node's calls reach
+// the hook in that node's cycle order on every path; the per-node call
+// counts join the fingerprint.
 func TestParallelDeterminism(t *testing.T) {
 	for _, topo := range []string{"flat", "ring", "mesh", "torus", "hypercube"} {
 		for name, build := range parallelPrograms(t) {
-			t.Run(topo+"/"+name, func(t *testing.T) {
-				var want string
-				for _, mode := range parallelModes() {
-					m := build(t)
-					applyTopology(t, m, topo)
-					mode.apply(m)
-					got := runFingerprint(t, m)
-					if want == "" {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Fatalf("%s diverges from interp oracle:\n--- %s ---\n%s--- interp ---\n%s",
-							mode.name, mode.name, got, want)
-					}
+			for _, hook := range []bool{false, true} {
+				sub := topo + "/" + name
+				if hook {
+					sub += "/memdelay"
 				}
-			})
+				t.Run(sub, func(t *testing.T) {
+					var want string
+					for _, mode := range parallelModes() {
+						m := build(t)
+						applyTopology(t, m, topo)
+						calls := make([]int64, len(m.Nodes))
+						if hook {
+							m.MemDelay = openRowDelay(calls)
+						}
+						mode.apply(m)
+						got := runFingerprint(t, m) + fmt.Sprintf("calls=%v\n", calls)
+						if want == "" {
+							want = got
+							continue
+						}
+						if got != want {
+							t.Fatalf("%s diverges from interp oracle:\n--- %s ---\n%s--- interp ---\n%s",
+								mode.name, mode.name, got, want)
+						}
+					}
+				})
+			}
 		}
+	}
+}
+
+// openRowDelay returns a MemDelay hook that models one open-row buffer
+// per node, as internal/dram's banks do: an access to the row the node
+// touched last costs 2 cycles, any other 6 (9 when wide). It counts each
+// node's calls in calls and touches only that node's entries.
+func openRowDelay(calls []int64) func(node int, addr uint64, wide bool) int64 {
+	openRow := make([]uint64, len(calls))
+	return func(node int, addr uint64, wide bool) int64 {
+		calls[node]++
+		row := addr/32 + 1
+		switch {
+		case openRow[node] == row:
+			return 2
+		case wide:
+			openRow[node] = row
+			return 9
+		}
+		openRow[node] = row
+		return 6
 	}
 }
 

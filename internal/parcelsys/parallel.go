@@ -67,8 +67,11 @@ func (p Params) parKernel() (*sim.ParKernel, error) {
 	return sim.NewParKernel(parts, p.RunParallel, look), nil
 }
 
-// runTestPar simulates the split-transaction parcel system.
-func runTestPar(p Params, rs *runState) (SystemResult, error) {
+// runTestPar simulates the split-transaction parcel system. Each node is
+// its own activity unless act is non-nil, in which case act(node) runs in
+// its place over the same queues, parcels and statistics — the seam the
+// package's tests use to run the piecewise reference model.
+func runTestPar(p Params, rs *runState, act func(*testNode) sim.Activity) (SystemResult, error) {
 	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
@@ -97,7 +100,11 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 		}
 	}
 	for i := range tns {
-		pk.Part(tns[i].part).SpawnActivity(rs.names.test[i], &tns[i])
+		var a sim.Activity = &tns[i]
+		if act != nil {
+			a = act(&tns[i])
+		}
+		pk.Part(tns[i].part).SpawnActivity(rs.names.test[i], a)
 	}
 	if err := pk.Run(p.Horizon); err != nil {
 		return SystemResult{}, err

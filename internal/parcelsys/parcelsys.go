@@ -23,6 +23,17 @@
 //     parcel-creation overhead, ships the continuation (one-way latency L),
 //     and immediately services its next pending parcel; it idles only when
 //     no parcels are queued ("split transaction execution").
+//
+// Simulation. Both systems run on the sim kernel (the drivers are in
+// parallel.go). A control thread is a state machine with one event per
+// useful run and per access, because its accesses book a memory bank that
+// other threads share. A test node cannot be preempted and touches only
+// its own memory, so nothing can observe it between fetching a parcel and
+// shipping it: it plans the parcel's whole visit — assimilation, the
+// migrated access, the useful runs and local accesses up to the next
+// remote access, creation — when it fetches the parcel, and spends one
+// event on it. Ops are credited as each piece would complete, so a piece
+// ending on the horizon counts and one ending past it does not.
 package parcelsys
 
 import (
@@ -257,7 +268,7 @@ func runWith(p Params, st *runState) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	test, err := runTestPar(p, st)
+	test, err := runTestPar(p, st, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -302,13 +313,14 @@ type workParcel struct {
 	pendingAccess bool
 }
 
-// testNode is one split-transaction processor as an activity state
-// machine. One parcel service: idle until a parcel is queued, pay the
-// assimilation overhead, perform the access that caused the migration
-// (the computation moved to the data), then execute the thread locally —
-// useful ops and local accesses — until it needs remote data again, at
-// which point the continuation ships one-way and the node services its
-// next pending parcel.
+// testNode is one split-transaction processor as an activity. A test
+// node cannot be preempted: once it fetches a parcel it runs that thread
+// until the thread needs remote data, and nothing can observe the node in
+// between. So a visit is one busy period, planned whole when the parcel
+// is fetched (visit), marked busy once and waited out with one event;
+// then the continuation ships one-way and the node services its next
+// pending parcel. The node idles only while its queue is empty. Its two
+// states are fetching (wp nil) and visiting (wp the parcel).
 type testNode struct {
 	p     *Params
 	i     int
@@ -317,118 +329,69 @@ type testNode struct {
 	queue *sim.Store[*workParcel]
 	peers []testNode // every node of the run, indexed by node
 
-	state int
-	wp    *workParcel
-	nops  int
-	rem   bool
+	wp *workParcel // the parcel being visited; nil while fetching
 }
 
-// testNode states.
-const (
-	tnFetch      = iota // take (or wait for) the next pending parcel
-	tnAssimDone         // assimilation overhead paid
-	tnAccessDone        // migrated access performed
-	tnSegment           // draw the next execution segment
-	tnUsefulDone        // useful-ops run finished
-	tnLocalDone         // local memory access finished
-	tnCreateDone        // parcel-creation overhead paid: ship
-)
-
-// busyFor marks the node busy for d cycles and parks until they elapse,
-// resuming in state next (which starts by marking the node idle again).
-func (n *testNode) busyFor(a *sim.ActCtx, d float64, next int) {
-	n.ns.busy.Add(a.Now(), 1)
-	n.state = next
-	a.Wait(d)
-}
-
-// Step runs the node until it must wait; it loops forever (the horizon
-// kill ends it).
+// Step ends the visit in progress, if any, and starts the next one; it
+// loops forever (the horizon kill ends it).
 func (n *testNode) Step(a *sim.ActCtx) {
-	p, ns := n.p, n.ns
+	if n.wp != nil {
+		n.ns.busy.Add(a.Now(), -1)
+		n.ship(a)
+	}
 	for {
-		switch n.state {
-		case tnFetch:
-			// Idle while the queue is empty (the registration blocks).
-			wp, ok := n.queue.GetAct(a)
-			if !ok {
-				return
-			}
-			n.wp = wp
-			// Assimilation overhead to instantiate the parcel's action.
-			if p.Overhead.AssimilateCycles > 0 {
-				n.busyFor(a, p.Overhead.AssimilateCycles, tnAssimDone)
-				return
-			}
-			if n.postAssim(a) {
-				return
-			}
-		case tnAssimDone:
-			ns.busy.Add(a.Now(), -1)
-			if n.postAssim(a) {
-				return
-			}
-		case tnAccessDone:
-			ns.busy.Add(a.Now(), -1)
+		// Idle while the queue is empty (the registration blocks).
+		wp, ok := n.queue.GetAct(a)
+		if !ok {
+			return
+		}
+		n.wp = wp
+		if end := n.visit(a.Now()); end > a.Now() {
+			n.ns.busy.Add(a.Now(), 1)
+			a.WaitUntil(end)
+			return
+		}
+		n.ship(a) // a visit with no busy time ships at once
+	}
+}
+
+// visit plans the busy period of the fetched parcel n.wp from time t and
+// returns the time it ships. In order: the assimilation overhead that
+// instantiates the parcel's action, the access that caused the migration
+// (it executes here, where the data lives), then the thread's useful runs
+// and local accesses, drawn from the parcel's own stream, up to its next
+// remote access, and the creation overhead of the continuation. Each
+// piece's ops are credited as the piece would complete: only a piece
+// ending by the horizon counts, and no segment is drawn past it. A visit
+// the horizon cuts (every visit at RemoteFrac 0 or on one node) ends past
+// the horizon, so it never ships.
+func (n *testNode) visit(t sim.Time) sim.Time {
+	p, ns, wp := n.p, n.ns, n.wp
+	h := p.Horizon
+	t += p.Overhead.AssimilateCycles
+	if wp.pendingAccess {
+		wp.pendingAccess = false
+		if t += p.MemCycles; t <= h {
 			ns.ops++
-			n.state = tnSegment
-		case tnSegment:
-			n.nops, n.rem = segment(&n.wp.st, *p)
-			if n.nops > 0 {
-				n.busyFor(a, float64(n.nops), tnUsefulDone)
-				return
-			}
-			if n.afterUseful(a) {
-				return
-			}
-		case tnUsefulDone:
-			ns.busy.Add(a.Now(), -1)
-			ns.ops += int64(n.nops)
-			if n.afterUseful(a) {
-				return
-			}
-		case tnLocalDone:
-			ns.busy.Add(a.Now(), -1)
-			ns.ops++
-			n.state = tnSegment
-		case tnCreateDone:
-			ns.busy.Add(a.Now(), -1)
-			n.ship(a)
 		}
 	}
+	for t <= h {
+		nops, remote := segment(&wp.st, *p)
+		if t += float64(nops); t <= h {
+			ns.ops += int64(nops)
+		}
+		if remote {
+			return t + p.Overhead.CreateCycles
+		}
+		if t += p.MemCycles; t <= h {
+			ns.ops++
+		}
+	}
+	return t
 }
 
-// postAssim performs the access that caused the migration, if any — it
-// executes here, where the data lives. Reports whether the node parked.
-func (n *testNode) postAssim(a *sim.ActCtx) bool {
-	if n.wp.pendingAccess {
-		n.wp.pendingAccess = false
-		n.busyFor(a, n.p.MemCycles, tnAccessDone)
-		return true
-	}
-	n.state = tnSegment
-	return false
-}
-
-// afterUseful branches on the drawn access: local (busy the memory bank)
-// or remote (pay the creation overhead, then ship). Reports whether the
-// node parked; a free ship turns straight to the next fetch.
-func (n *testNode) afterUseful(a *sim.ActCtx) bool {
-	if !n.rem {
-		n.busyFor(a, n.p.MemCycles, tnLocalDone)
-		return true
-	}
-	// Remote access: move the computation to the data.
-	if n.p.Overhead.CreateCycles > 0 {
-		n.busyFor(a, n.p.Overhead.CreateCycles, tnCreateDone)
-		return true
-	}
-	n.ship(a)
-	return false
-}
-
-// ship sends the current parcel one-way to its destination and turns to
-// the next pending parcel.
+// ship sends the visited parcel one-way to its destination, where it
+// first performs the remote access it migrated for.
 func (n *testNode) ship(a *sim.ActCtx) {
 	n.ns.rem++
 	wp := n.wp
@@ -436,7 +399,6 @@ func (n *testNode) ship(a *sim.ActCtx) {
 	wp.dst = &n.peers[n.p.pickDest(&wp.rt, n.i)]
 	a.Kernel().Send(wp.dst.part, n.p.latency(n.i, wp.dst.i), deliverParcel, wp)
 	n.wp = nil
-	n.state = tnFetch
 }
 
 // deliverParcel lands an in-flight parcel in its destination's queue. It

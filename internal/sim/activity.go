@@ -183,6 +183,22 @@ func (a *ActCtx) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait with negative duration %g", d))
 	}
+	a.waitAt(a.k.now + d)
+}
+
+// WaitUntil schedules the next Step at exactly absolute simulated time
+// t (>= now), with the same contract as Wait. A model that sums a busy
+// period's pieces itself resumes at the sum, not at now plus its
+// difference from now, which can round differently.
+func (a *ActCtx) WaitUntil(t Time) {
+	if t < a.k.now {
+		panic(fmt.Sprintf("sim: WaitUntil(%g) before now (%g)", t, a.k.now))
+	}
+	a.waitAt(t)
+}
+
+// waitAt schedules the activity's next Step at absolute time t.
+func (a *ActCtx) waitAt(t Time) {
 	if a.pending {
 		panic(fmt.Sprintf("sim: activity %q scheduled a second resumption in one step", a.name))
 	}
@@ -191,11 +207,8 @@ func (a *ActCtx) Wait(d Time) {
 		a.waitTraced = true
 	}
 	a.pending = true
-	a.k.scheduleActEvent(a.k.now+d, a)
+	a.k.scheduleActEvent(t, a)
 }
-
-// WaitUntil schedules the next Step at absolute simulated time t (>= now).
-func (a *ActCtx) WaitUntil(t Time) { a.Wait(t - a.k.now) }
 
 // Yield lets every other event scheduled at the current instant run before
 // this activity's next Step (equivalent to Wait(0), named for intent).

@@ -385,6 +385,39 @@ func TestMixedModelsParallelRace(t *testing.T) {
 	}
 }
 
+// TestWaitUntilIsExact: WaitUntil resumes at exactly the time given, not
+// at now plus its difference from now, which rounds differently for some
+// pairs of times; a time before now panics like a negative Wait.
+func TestWaitUntilIsExact(t *testing.T) {
+	start, until := Time(0.2), Time(0.9)
+	if start+(until-start) == until {
+		t.Fatal("the times must be a pair whose difference rounds")
+	}
+	k := NewKernel()
+	var got Time
+	steps := 0
+	k.SpawnActivityAt(start, "w", ActivityFunc(func(a *ActCtx) {
+		steps++
+		if steps == 1 {
+			a.WaitUntil(until)
+			return
+		}
+		got = a.Now()
+		a.Exit()
+	}))
+	if _, err := k.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if got != until {
+		t.Errorf("WaitUntil(%v) from %v resumed at %v", until, start, got)
+	}
+	k = NewKernel()
+	k.SpawnActivityAt(1, "early", ActivityFunc(func(a *ActCtx) { a.WaitUntil(0.5) }))
+	if _, err := k.RunUntilIdle(); err == nil {
+		t.Error("WaitUntil before now did not fail the run")
+	}
+}
+
 // --- Allocation regression guards -------------------------------------
 //
 // The activity satellites of the kernel_bench_test.go guards: the

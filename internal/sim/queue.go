@@ -149,9 +149,15 @@ const (
 	fromWheel = numLanes
 )
 
+// laneRing is a lane's first ring length. The first lane a queue uses
+// allocates the first rings of all numLanes lanes as one slab, so a
+// kernel pays one allocation for its lanes until one of them outgrows
+// its ring.
+const laneRing = 16
+
 // lane is a FIFO ring of events sorted by (t, seq) by construction: push
 // only appends an event that does not precede the tail. The ring's
-// length is a power of two (or zero before the first append).
+// length is a power of two (zero until its queue carves the lane slab).
 type lane struct {
 	buf  []*event
 	head int
@@ -163,14 +169,11 @@ func (l *lane) tail() *event {
 	return l.buf[(l.head+l.n-1)&(len(l.buf)-1)]
 }
 
-// append adds ev at the tail, doubling the ring when it is full.
+// append adds ev at the tail, doubling the ring when it is full. The
+// ring must have been carved (laneQueue.carveLanes).
 func (l *lane) append(ev *event) {
 	if l.n == len(l.buf) {
-		size := 2 * len(l.buf)
-		if size == 0 {
-			size = 16
-		}
-		buf := make([]*event, size)
+		buf := make([]*event, 2*len(l.buf))
 		for i := 0; i < l.n; i++ {
 			buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 		}
@@ -261,7 +264,8 @@ func (w *cycleWheel) take(b int) *event {
 // ParKernel's barrier re-stamp — order-isomorphic within a shard — needs
 // no bucket or lane bookkeeping. The wheel is allocated on its first
 // push, so a kernel that never schedules an integral time within its
-// span never pays for it.
+// span never pays for it; likewise the lane rings are carved on the
+// first lane push.
 type laneQueue struct {
 	heap  eventHeap
 	lanes [numLanes]lane
@@ -303,7 +307,20 @@ func (q *laneQueue) push(ev *event) {
 		q.heap.push(ev)
 		return
 	}
+	if q.lanes[best].buf == nil {
+		q.carveLanes()
+	}
 	q.lanes[best].append(ev)
+}
+
+// carveLanes gives every lane its first ring, cut from one slab. Lanes
+// are carved together and a ring is never dropped, only replaced by a
+// larger one, so it runs once per queue.
+func (q *laneQueue) carveLanes() {
+	slab := make([]*event, numLanes*laneRing)
+	for i := range q.lanes {
+		q.lanes[i].buf = slab[i*laneRing : (i+1)*laneRing : (i+1)*laneRing]
+	}
 }
 
 // front returns the minimum event and its source — fromHeap, a lane
