@@ -21,9 +21,8 @@
 //	-builtin P    run a reference program from internal/isa instead of a
 //	              file (gups, treesum, ping, triad)
 //	-parallel P   execute the run on P workers via the VM's conservative
-//	              time-windowed PDES (default 1 = serial). Results are
-//	              byte-identical to serial for any P; OUT output is
-//	              unavailable in parallel mode.
+//	              time-windowed PDES (default 1 = serial). Results, OUT
+//	              lines included, are byte-identical to serial for any P.
 //	-fingerprint  print a determinism fingerprint (cycles, counters, and
 //	              an FNV-64a hash of every node's memory) after the run
 //	-faultdrop P     parcel drop probability per attempt, [0, 1)
@@ -277,12 +276,8 @@ func run(args []string) error {
 		return fmt.Errorf("-parallel %d: want at least 1", *parallel)
 	}
 	m.Parallelism = *parallel
-	if *parallel == 1 {
-		// An Output hook forces the observable per-cycle path, so only the
-		// serial mode streams OUT values; parallel runs leave OUT silent.
-		m.Output = func(node int, v uint64) {
-			fmt.Printf("node %d: %d\n", node, v)
-		}
+	m.Output = func(node int, v uint64) {
+		fmt.Printf("node %d: %d\n", node, v)
 	}
 	m.MaxCycles = *maxCycles
 	if *faultDrop != 0 || *faultCorrupt != 0 || *faultDup != 0 || *faultJitter != 0 || *straggler > 1 {

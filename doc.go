@@ -12,9 +12,9 @@
 // simulation, the hybrid composition, and the execution-driven machine
 // backend, which assembles ISA programs from internal/isa and runs them
 // on the multi-node VM — programs are pre-decoded into per-node slabs
-// for direct dispatch with superinstruction fusion and a
-// self-modification guard, with the per-cycle interpretive path kept as
-// a differential-testing oracle, and one run can execute on several PDES
+// for direct dispatch with a self-modification guard, every run goes
+// through one windowed issue loop that the tests hold to a cycle-by-cycle
+// reference interpreter, and one run can execute on several PDES
 // workers (Machine.RunParallel) via conservative time windows whose
 // results are byte-identical to serial — with internal/dram row-buffer
 // timing and internal/network parcel topologies) through a common interface, with

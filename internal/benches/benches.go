@@ -277,9 +277,8 @@ func MachineGUPSPar(b *testing.B) { machineGUPS256(b, runtime.GOMAXPROCS(0)) }
 
 // MachineDecode measures the pre-decoded dispatch layer in isolation: a
 // register-only countdown kernel on one node and one thread, so no
-// memory stalls break the issue stream and the superinstruction fuser
-// sees its single-ready-thread precondition every cycle. The ns/op is
-// (nearly) pure decode-and-issue cost; allocs/op pins the decoded slab's
+// memory stalls break the issue stream. The ns/op is (nearly) pure
+// decode-and-issue cost; allocs/op pins the decoded slab's
 // reuse across Reset/Load (steady state: 0).
 func MachineDecode(b *testing.B) {
 	prog, err := isa.Assemble(`

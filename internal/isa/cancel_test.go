@@ -17,7 +17,8 @@ func cancelAfter(n int64) func() bool {
 }
 
 // TestCancelStopsRun proves the Cancel hook actually terminates all three
-// run paths — per-cycle interpretive, windowed, and parallel PDES — on a
+// window shapes — one-cycle windows (a NetDelay hook without a declared
+// lookahead), lookahead-wide serial windows, and parallel PDES — on a
 // program that would otherwise spin to the cycle limit.
 func TestCancelStopsRun(t *testing.T) {
 	const backstop = 5_000_000 // guards the test if cancellation breaks
@@ -25,9 +26,9 @@ func TestCancelStopsRun(t *testing.T) {
 		name  string
 		build func(t *testing.T) *Machine
 	}{
-		{"interpretive", func(t *testing.T) *Machine {
-			m := mustMachine(t, spinSrc, 1)
-			m.ForceInterpret = true
+		{"one-cycle-windows", func(t *testing.T) *Machine {
+			m := mustMachine(t, spinSrc, 2)
+			m.NetDelay = func(src, dst int) int64 { return 5 }
 			return m
 		}},
 		{"windowed", func(t *testing.T) *Machine {

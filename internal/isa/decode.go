@@ -4,35 +4,19 @@ import "fmt"
 
 // This file is the pre-decoded dispatch layer. Load/LoadAll translate the
 // program image into a dense slab of decoded-op structs (one decop per
-// image word, operands unpacked, immediates pre-converted) so the
-// per-cycle hot path switches on a dense opcode instead of re-running
-// DecodeInstr on the instruction word every issued cycle. Execution
-// semantics stay bit-identical to the interpretive path (executeInterp in
-// machine.go, reachable via Machine.ForceInterpret or a PC outside the
-// decoded span): same cycle counts, same counters, same faults, same
-// Trace stream — the decoded-vs-interpretive property tests are the
-// oracle.
+// image word, operands unpacked, immediates pre-converted) so the issue
+// loop (runNodeWindow in machine.go) switches on a dense opcode instead
+// of re-running DecodeInstr on the instruction word every issued cycle.
+// A PC outside the slab, and every issue of a traced run, decodes its
+// word with decodeOp at issue and takes the same dispatch, so every op has
+// one implementation: the hot ones (ALU, branches, LD/ST) inline in the
+// issue loop, the rest in execDecoded.
 //
-// Two exact accelerations sit on top of the slab:
-//
-//   - Superinstructions: at pre-decode time every non-stalling ALU op
-//     (add..shr, addi, lui, nodeid) with an in-span successor is marked
-//     as a fusible head. When the dispatching thread is the only thread
-//     that can issue this cycle *and* the next (sole ready thread, every
-//     other live thread stalled for >= 2 more cycles, no parcel in
-//     flight, no Trace hook), the head and its successor execute in one
-//     dispatch and the thread is charged a 1-cycle stall for the hidden
-//     issue slot — the schedule any cycle-by-cycle run would produce.
-//     This fuses the dominant pairs of the gups/treesum/triad inner
-//     loops (addi+ld, add+ld, xor+st, addi+bne back-edges) without a
-//     pattern table.
-//
-//   - Self-modification guard: every ST/AMO/VADD that lands inside the
-//     node's program span re-decodes the patched word (NodeState.patch),
-//     so stores into code are visible to the very next fetch, exactly as
-//     in the interpretive path. Writes to NodeState.Mem made directly by
-//     host code (staging input data) must stay outside the program span
-//     or be followed by a re-Load.
+// Self-modification guard: every ST/AMO/VADD that lands inside the
+// node's program span re-decodes the patched word (NodeState.patch), so
+// stores into code are visible to the very next fetch. Writes to
+// NodeState.Mem made directly by host code (staging input data) must
+// stay outside the program span or be followed by a re-Load.
 
 // decop is one pre-decoded instruction, packed to 16 bytes so a typical
 // inner loop's slab spans two cache lines. imm is the op-specific
@@ -43,14 +27,11 @@ import "fmt"
 type decop struct {
 	op         Op
 	rd, ra, rb uint8
-	// fuse marks a fusible superinstruction head: a non-stalling ALU op
-	// with a successor inside the decoded span.
-	fuse bool
-	imm  uint64
+	imm        uint64
 }
 
 // decodeOp pre-decodes one memory word. Undecodable words become
-// OpInvalid entries; executing one re-derives the interpretive fault.
+// OpInvalid entries; executing one re-derives DecodeInstr's fault.
 func decodeOp(w uint64) decop {
 	op := Op(w >> 56)
 	if op == OpInvalid || op >= numOps {
@@ -71,22 +52,9 @@ func decodeOp(w uint64) decop {
 		// immediate's sign-extension must not leak into bits 48-55.
 		d.imm = uint64(uint32(raw)&0xffffff) << 24
 	case OpBeq, OpBne, OpBlt, OpJmp:
-		d.imm = uint64(raw) // sign-extends, matching the interpretive path
+		d.imm = uint64(raw) // sign-extends, as DecodeInstr does
 	}
 	return d
-}
-
-// fusibleHead reports whether op can head a superinstruction pair: it
-// must be non-stalling, non-branching, non-faulting, and touch nothing
-// but one destination register, so executing its successor in the same
-// dispatch cannot change any observable schedule.
-func fusibleHead(op Op) bool {
-	switch op {
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpAddi, OpLui, OpNodeID:
-		return true
-	}
-	return false
 }
 
 // predecode (re)builds the decoded slab for the span [base, base+span)
@@ -100,9 +68,7 @@ func (n *NodeState) predecode(base, span uint64) {
 		n.decoded = n.decoded[:span]
 	}
 	for i := uint64(0); i < span; i++ {
-		d := decodeOp(n.Mem[base+i])
-		d.fuse = fusibleHead(d.op) && i+1 < span
-		n.decoded[i] = d
+		n.decoded[i] = decodeOp(n.Mem[base+i])
 	}
 }
 
@@ -114,9 +80,7 @@ func (n *NodeState) patch(addr uint64) {
 	if off >= uint64(len(n.decoded)) {
 		return
 	}
-	d := decodeOp(n.Mem[addr])
-	d.fuse = fusibleHead(d.op) && off+1 < uint64(len(n.decoded))
-	n.decoded[off] = d
+	n.decoded[off] = decodeOp(n.Mem[addr])
 }
 
 // patchWide applies the self-modification guard to a wide store over
@@ -140,29 +104,20 @@ func (n *NodeState) wideCheck(pc, base uint64) error {
 	return nil
 }
 
-// execDecoded executes the pre-decoded op *d at t.PC. The caller
-// guarantees d = &n.decoded[t.PC-n.progBase] and t = &n.threads[ti] —
-// both already in hand on the hot paths, so the prologue re-indexes
-// nothing. fusible is stepNode's proof that this thread also owns the
-// next issue slot, enabling superinstruction pairs.
-func (m *Machine) execDecoded(n *NodeState, t *Thread, d *decop, ti int, fusible bool) error {
+// execDecoded executes the cold op *d — halt, amoadd, vadd, vsum, spawn,
+// nodeid, print, or an undecodable word — at t.PC, where
+// t = &n.threads[ti]. The issue loop executes every other op inline. The
+// issuing thread's t.stall is zero; a stalling op leaves its countdown
+// there.
+func (m *Machine) execDecoded(n *NodeState, t *Thread, d *decop, ti int) error {
 	if d.op == OpInvalid {
-		// Re-derive the interpretive fault (before Trace or counters,
-		// exactly like a failing DecodeInstr).
+		// Re-derive DecodeInstr's fault (before counters, as no
+		// instruction issued).
 		_, err := DecodeInstr(n.Mem[t.PC])
 		return fmt.Errorf("isa: node %d pc %d: %w", n.ID, t.PC, err)
 	}
-	if m.Trace != nil {
-		// Re-decode the memory word so the hook sees the exact Instr the
-		// interpretive decoder produces (decop drops the raw immediate).
-		in, _ := DecodeInstr(n.Mem[t.PC])
-		m.Trace(m.cycle, n.ID, t.PC, in)
-		fusible = false // the hook must see both halves at their own cycles
-	}
 	n.Instructions++
-	pcNext := t.PC + 1
 	regs := &t.Regs
-
 	switch d.op {
 	case OpHalt:
 		t.done = true
@@ -170,81 +125,6 @@ func (m *Machine) execDecoded(n *NodeState, t *Thread, d *decop, ti int, fusible
 		n.Completed++
 		n.free = append(n.free, int32(ti))
 		return nil
-	case OpAdd:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] + regs[d.rb]
-		}
-	case OpSub:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] - regs[d.rb]
-		}
-	case OpMul:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] * regs[d.rb]
-		}
-	case OpAnd:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] & regs[d.rb]
-		}
-	case OpOr:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] | regs[d.rb]
-		}
-	case OpXor:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] ^ regs[d.rb]
-		}
-	case OpShl:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] << (regs[d.rb] & 63)
-		}
-	case OpShr:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] >> (regs[d.rb] & 63)
-		}
-	case OpAddi:
-		if d.rd != 0 {
-			regs[d.rd] = regs[d.ra] + d.imm
-		}
-	case OpLui:
-		if d.rd != 0 {
-			regs[d.rd] = d.imm
-		}
-	case OpLd:
-		addr := regs[d.ra] + d.imm
-		if addr >= uint64(len(n.Mem)) {
-			return memFault(n, t.PC, addr)
-		}
-		if d.rd != 0 {
-			regs[d.rd] = n.Mem[addr]
-		}
-		t.stall = m.memCost(n, addr, false) - 1
-		n.MemOps++
-	case OpSt:
-		addr := regs[d.ra] + d.imm
-		if addr >= uint64(len(n.Mem)) {
-			return memFault(n, t.PC, addr)
-		}
-		n.Mem[addr] = regs[d.rd]
-		n.patch(addr)
-		t.stall = m.memCost(n, addr, false) - 1
-		n.MemOps++
-	case OpBeq:
-		if regs[d.ra] == regs[d.rb] {
-			pcNext = d.imm
-		}
-	case OpBne:
-		if regs[d.ra] != regs[d.rb] {
-			pcNext = d.imm
-		}
-	case OpBlt:
-		if regs[d.ra] < regs[d.rb] {
-			pcNext = d.imm
-		}
-	case OpJmp:
-		pcNext = d.imm
-	case OpJr:
-		pcNext = regs[d.ra]
 	case OpAmoAdd:
 		addr := regs[d.ra]
 		if addr >= uint64(len(n.Mem)) {
@@ -260,6 +140,9 @@ func (m *Machine) execDecoded(n *NodeState, t *Thread, d *decop, ti int, fusible
 		n.MemOps++
 	case OpVAdd:
 		dst, a, b := regs[d.rd], regs[d.ra], regs[d.rb]
+		// wideCheck rather than a check of x+WideWords-1: the latter wraps
+		// for near-uint64-max bases and would let the element loop index
+		// out of range.
 		if err := n.wideCheck(t.PC, dst); err != nil {
 			return err
 		}
@@ -304,52 +187,16 @@ func (m *Machine) execDecoded(n *NodeState, t *Thread, d *decop, ti int, fusible
 		}
 	case OpPrint:
 		if m.Output != nil {
-			m.Output(n.ID, regs[d.ra])
+			m.events = append(m.events, hookEvent{cycle: m.cycle, node: n.ID, word: regs[d.ra], out: true})
 		}
 	default:
 		return fmt.Errorf("isa: node %d pc %d: unimplemented op %v", n.ID, t.PC, d.op)
 	}
-	t.PC = pcNext
-
-	// Superinstruction head: this thread owns the next issue slot too
-	// (sole ready thread, every other live thread stalled past the next
-	// cycle), so queue the successor to run in the same dispatch. The
-	// tail executes at the end of the machine cycle, once every node has
-	// stepped — only then is it known that no same-cycle spawn can
-	// deliver a competing thread on the next cycle.
-	if fusible && d.fuse {
-		m.fusePending = append(m.fusePending, fuseRef{n: n, ti: int32(ti)})
-	}
+	t.PC++
 	return nil
 }
 
-// execFusedTail runs the queued successor of a fused pair, charging the
-// thread a 1-cycle stall for the hidden issue slot. Halt would end the
-// run a cycle early, spawn would stamp the wrong launch cycle, and print
-// would reorder the output stream across nodes, so those stay unfused; a
-// faulting successor is un-issued again and replays, interpretively
-// identical, at its own cycle.
-func (m *Machine) execFusedTail(n *NodeState, ti int32) {
-	t := &n.threads[ti]
-	off := t.PC - n.progBase
-	if off >= uint64(len(n.decoded)) {
-		return
-	}
-	d := &n.decoded[off]
-	switch d.op {
-	case OpHalt, OpSpawn, OpPrint, OpInvalid:
-		return
-	}
-	before := n.Instructions
-	if err := m.execDecoded(n, t, d, int(ti), false); err != nil {
-		n.Instructions = before
-		return
-	}
-	t.stall++
-}
-
-// memFault is the out-of-range memory access fault, shared by both
-// execution paths.
+// memFault is the out-of-range memory access fault.
 func memFault(n *NodeState, pc, addr uint64) error {
 	return fmt.Errorf("isa: node %d pc %d: memory access %d out of %d",
 		n.ID, pc, addr, len(n.Mem))

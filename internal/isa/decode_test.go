@@ -3,30 +3,26 @@ package isa
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"testing"
 )
 
 // Differential and regression tests for the pre-decoded dispatch layer
-// (decode.go): the decoded slab must be observationally identical to the
-// per-cycle interpretive path, stay coherent under self-modifying code,
-// and must not fossilize either of the two interpreter bugs fixed
-// alongside it (the wide-op bounds-check overflow wrap and the LUI
-// immediate sign-extension leak).
+// (decode.go): Run must be observationally identical to the reference
+// interpreter (refRun), which decodes the instruction word every cycle;
+// the decoded slab must stay coherent under self-modifying code; and
+// neither of the two interpreter bugs fixed alongside it (the wide-op
+// bounds-check overflow wrap and the LUI immediate sign-extension leak)
+// may come back.
 
-// runBoth runs the same freshly-built machine twice — decoded dispatch
-// and ForceInterpret — and hands each run's machine to check.
+// runBoth runs the same freshly-built machine twice — through Run
+// ("decoded") and the reference interpreter ("interpretive") — and hands
+// each run's machine to check.
 func runBoth(t *testing.T, build func(t *testing.T) *Machine, check func(t *testing.T, m *Machine, err error)) {
 	t.Helper()
-	for _, fi := range []bool{false, true} {
-		name := "decoded"
-		if fi {
-			name = "interpretive"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []execMode{{"decoded", (*Machine).Run}, {"interpretive", refRun}} {
+		t.Run(mode.name, func(t *testing.T) {
 			m := build(t)
-			m.ForceInterpret = fi
-			_, err := m.Run()
+			_, err := mode.run(m)
 			check(t, m, err)
 		})
 	}
@@ -330,29 +326,27 @@ func kernelBuilders(lat int64) map[string]func(t *testing.T) *Machine {
 	}
 }
 
-// TestDecodedTraceEquivalence is the property test from the tentpole's
-// acceptance: with a Trace hook attached, the decoded dispatch and the
-// per-cycle interpretive path must emit byte-identical trace streams —
-// every (cycle, node, pc, instruction) tuple, in order — across all the
-// builtin kernels.
+// TestDecodedTraceEquivalence is the trace property: with a Trace hook
+// attached, Run and the reference interpreter must emit byte-identical
+// trace streams — every (cycle, node, pc, instruction) tuple, in order —
+// across all the builtin kernels.
 func TestDecodedTraceEquivalence(t *testing.T) {
-	trace := func(t *testing.T, build func(t *testing.T) *Machine, fi bool) []byte {
+	trace := func(t *testing.T, build func(t *testing.T) *Machine, run func(*Machine) (int64, error)) []byte {
 		t.Helper()
 		m := build(t)
-		m.ForceInterpret = fi
 		var buf bytes.Buffer
 		m.Trace = func(cycle int64, node int, pc uint64, in Instr) {
 			fmt.Fprintf(&buf, "%d %d %d %v\n", cycle, node, pc, in)
 		}
-		if _, err := m.Run(); err != nil {
+		if _, err := run(m); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	for name, build := range kernelBuilders(DefaultTiming().NetLatency) {
 		t.Run(name, func(t *testing.T) {
-			decoded := trace(t, build, false)
-			interp := trace(t, build, true)
+			decoded := trace(t, build, (*Machine).Run)
+			interp := trace(t, build, refRun)
 			if len(decoded) == 0 {
 				t.Fatal("empty trace")
 			}
@@ -363,44 +357,17 @@ func TestDecodedTraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecodedRunEquivalence is the no-hook variant: with tracing off the
-// decoded dispatch takes the windowed fast path, and its observable
-// outcome — cycle count, every per-node counter, and all of memory —
-// must match a ForceInterpret run exactly, across kernels and network
-// latencies.
+// TestDecodedRunEquivalence is the no-hook variant: the observable
+// outcome of Run — cycle count, every per-node counter, and all of
+// memory — must match the reference interpreter exactly, across kernels
+// and network latencies.
 func TestDecodedRunEquivalence(t *testing.T) {
-	fingerprint := func(t *testing.T, build func(t *testing.T) *Machine, fi bool) string {
-		t.Helper()
-		m := build(t)
-		m.ForceInterpret = fi
-		cycles, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "cycles=%d\n", cycles)
-		for _, n := range m.Nodes {
-			for _, w := range n.Mem {
-				var raw [8]byte
-				for i := range raw {
-					raw[i] = byte(w >> (8 * i))
-				}
-				h.Write(raw[:])
-			}
-			fmt.Fprintf(&b, "node %d: instr=%d mem=%d wide=%d spawn=%d busy=%d idle=%d done=%d\n",
-				n.ID, n.Instructions, n.MemOps, n.WideOps, n.Spawns,
-				n.BusyCycles, n.IdleCycles, n.Completed)
-		}
-		fmt.Fprintf(&b, "memhash=%#x\n", h.Sum64())
-		return b.String()
-	}
 	for _, lat := range []int64{0, 1, 200} {
 		builders := kernelBuilders(lat)
 		for name, build := range builders {
 			t.Run(fmt.Sprintf("%s/lat%d", name, lat), func(t *testing.T) {
-				decoded := fingerprint(t, build, false)
-				interp := fingerprint(t, build, true)
+				decoded := runFingerprint(t, build(t))
+				interp := runFingerprintWith(t, build(t), refRun)
 				if decoded != interp {
 					t.Errorf("run outcomes diverge:\n--- decoded ---\n%s--- interpretive ---\n%s", decoded, interp)
 				}

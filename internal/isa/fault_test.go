@@ -37,20 +37,14 @@ func faultMatrix() map[string]fault.Config {
 }
 
 // faultModes trims the execution-mode matrix to the acceptance set:
-// per-cycle oracle, serial windowed, and P ∈ {1, 2, 4} with both
+// reference oracle, serial windowed, and P ∈ {1, 2, 4} with both
 // contiguous and strided partitions.
-func faultModes() []struct {
-	name  string
-	apply func(m *Machine)
-} {
+func faultModes() []execMode {
 	keep := map[string]bool{
-		"interp": true, "serial": true,
+		"ref": true, "serial": true,
 		"p1-contig": true, "p2-contig": true, "p4-contig": true, "p4-strided": true,
 	}
-	var out []struct {
-		name  string
-		apply func(m *Machine)
-	}
+	var out []execMode
 	for _, mode := range parallelModes() {
 		if keep[mode.name] {
 			out = append(out, mode)
@@ -63,7 +57,7 @@ func faultModes() []struct {
 // every nonzero fault mix, reliable-delivery runs of all four builtins
 // complete, and the full fingerprint — cycles, every counter including
 // the delivery counters, and all memory — is byte-identical across the
-// per-cycle, windowed, and parallel schedules. (The Test name keeps the
+// reference, windowed, and parallel schedules. (The Test name keeps the
 // CI "TestParallel" race-step prefix riding.)
 func TestParallelFaultMatrix(t *testing.T) {
 	for _, topo := range []string{"flat", "torus"} {
@@ -76,8 +70,7 @@ func TestParallelFaultMatrix(t *testing.T) {
 						applyTopology(t, m, topo)
 						m.Fault = mustFaultPlan(t, cfg)
 						m.Reliable = true
-						mode.apply(m)
-						got := runFingerprint(t, m)
+						got := runFingerprintWith(t, m, mode.run)
 						if want == "" {
 							want, wantMode = got, mode.name
 							continue
@@ -107,8 +100,7 @@ func TestParallelFaultUnreliableDeterminism(t *testing.T) {
 				applyTopology(t, m, "torus")
 				m.Fault = mustFaultPlan(t, cfg)
 				m.Reliable = false
-				mode.apply(m)
-				got := runFingerprint(t, m)
+				got := runFingerprintWith(t, m, mode.run)
 				if want == "" {
 					want, wantMode = got, mode.name
 					continue
@@ -217,29 +209,28 @@ func TestFaultReliableTreeSumVerified(t *testing.T) {
 // quietly instead of hanging it.)
 func TestFaultUnreliableTotalLossLivelock(t *testing.T) {
 	build := parallelPrograms(t)["treesum"]
-	errString := func(mode func(m *Machine)) string {
+	errString := func(run func(m *Machine) (int64, error)) string {
 		m := build(t)
 		applyTopology(t, m, "torus")
 		m.Fault = mustFaultPlan(t, fault.Config{Seed: 1, DropRate: 1})
 		m.Reliable = false
 		m.MaxCycles = 5000
-		mode(m)
-		_, err := m.Run()
+		_, err := run(m)
 		if err == nil {
 			t.Fatal("total-loss run completed")
 		}
 		return err.Error()
 	}
-	want := errString(func(m *Machine) { m.ForceInterpret = true })
+	want := errString(refRun)
 	for _, sub := range []string{"exceeded 5000 cycles", "at cycle 5000", "live threads", "parcels in flight"} {
 		if !strings.Contains(want, sub) {
 			t.Fatalf("livelock error %q missing %q", want, sub)
 		}
 	}
-	if got := errString(func(m *Machine) {}); got != want {
+	if got := errString((*Machine).Run); got != want {
 		t.Fatalf("windowed livelock error diverges:\n got %q\nwant %q", got, want)
 	}
-	if got := errString(func(m *Machine) { m.Parallelism = 4 }); got != want {
+	if got := errString(parallelRun(4, false)); got != want {
 		t.Fatalf("parallel livelock error diverges:\n got %q\nwant %q", got, want)
 	}
 }
@@ -249,24 +240,22 @@ func TestFaultUnreliableTotalLossLivelock(t *testing.T) {
 // identically on the serial and parallel paths.
 func TestFaultLivelockErrorDetail(t *testing.T) {
 	build := parallelPrograms(t)["treesum"]
-	errString := func(mode func(m *Machine)) string {
+	errString := func(run func(m *Machine) (int64, error)) string {
 		m := build(t)
 		applyTopology(t, m, "torus")
 		m.MaxCycles = 200
-		mode(m)
-		_, err := m.Run()
+		_, err := run(m)
 		if err == nil {
 			t.Fatal("treesum finished in 200 cycles?")
 		}
 		return err.Error()
 	}
-	want := errString(func(m *Machine) { m.ForceInterpret = true })
+	want := errString(refRun)
 	if !strings.Contains(want, "exceeded 200 cycles") || !strings.Contains(want, "node") {
 		t.Fatalf("livelock error %q lacks cycle/per-node detail", want)
 	}
 	for _, p := range []int{1, 4} {
-		p := p
-		if got := errString(func(m *Machine) { m.Parallelism = p }); got != want {
+		if got := errString(parallelRun(p, false)); got != want {
 			t.Fatalf("P=%d livelock error diverges:\n got %q\nwant %q", p, got, want)
 		}
 	}
@@ -276,25 +265,24 @@ func TestFaultLivelockErrorDetail(t *testing.T) {
 // same crash error — node, cycle, machine state — on every path.
 func TestFaultCrashDeterminism(t *testing.T) {
 	build := parallelPrograms(t)["treesum"]
-	errString := func(mode func(m *Machine)) string {
+	errString := func(run func(m *Machine) (int64, error)) string {
 		m := build(t)
 		applyTopology(t, m, "torus")
 		m.Fault = mustFaultPlan(t, fault.Config{Seed: 2, CrashNode: 3, CrashCycle: 40})
-		mode(m)
-		_, err := m.Run()
+		_, err := run(m)
 		if err == nil {
 			t.Fatal("crashed run reported success")
 		}
 		return err.Error()
 	}
-	want := errString(func(m *Machine) { m.ForceInterpret = true })
+	want := errString(refRun)
 	if !strings.Contains(want, "node 3 crashed at cycle 40") {
 		t.Fatalf("crash error %q lacks node/cycle attribution", want)
 	}
-	if got := errString(func(m *Machine) {}); got != want {
+	if got := errString((*Machine).Run); got != want {
 		t.Fatalf("windowed crash error diverges:\n got %q\nwant %q", got, want)
 	}
-	if got := errString(func(m *Machine) { m.Parallelism = 4 }); got != want {
+	if got := errString(parallelRun(4, false)); got != want {
 		t.Fatalf("parallel crash error diverges:\n got %q\nwant %q", got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // FuzzAsmRoundTrip feeds arbitrary text to the assembler. Anything that
@@ -83,9 +85,17 @@ func canonicalWord(w uint64) uint64 {
 	return w
 }
 
-// FuzzMachineExecute runs arbitrary words as a program image: whatever the
-// bytes, the interpreter must fault cleanly (error) or halt, never panic
-// or run away past MaxCycles.
+// FuzzMachineExecute runs arbitrary words as a program image on two nodes
+// through every execution path — the reference interpreter, serial
+// windows, Parallelism 2 and 3, and a zero-rate fault plan — with Trace
+// and Output hooks on, and once more serially without hooks (the only
+// run that dispatches from the decoded slab: a traced run decodes every
+// issue). Whatever the bytes, the paths must agree on the returned
+// cycle, the error string, and the hook stream (which stops at a fault's
+// issue); a run that completes or stops at the cycle limit must also
+// agree on the full fingerprint. (After an execution fault the other
+// node's state is best-effort: a windowed run may have stepped it past
+// the fault cycle.) None may panic or run past MaxCycles.
 func FuzzMachineExecute(f *testing.F) {
 	good, _ := Assemble("main:\n addi r1, r0, 9\n st r1, r0, 100\n halt\n")
 	if good != nil {
@@ -110,6 +120,17 @@ func FuzzMachineExecute(f *testing.F) {
 		}
 		f.Add(bs)
 	}
+	// A remote spawn, a print and a fault on the second node.
+	cross, _ := Assemble("main:\n addi r3, r0, 1\n addi r5, r0, far\n spawn r3, r3, r5\n print r3\n halt\nfar:\n print r1\n ld r2, r1, -2\n halt\n")
+	if cross != nil {
+		var bs []byte
+		for _, w := range cross.Words {
+			for i := 0; i < 8; i++ {
+				bs = append(bs, byte(w>>(8*i)))
+			}
+		}
+		f.Add(bs)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 || len(raw) > 8*512 {
 			return
@@ -118,19 +139,59 @@ func FuzzMachineExecute(f *testing.F) {
 		for i, b := range raw {
 			words[i/8] |= uint64(b) << (8 * (i % 8))
 		}
-		m, err := NewMachine(2, 1024, DefaultTiming())
-		if err != nil {
-			t.Fatal(err)
-		}
 		prog := &Program{Words: words, Origin: 0}
-		if err := m.LoadAll(prog); err != nil {
-			t.Fatal(err)
+		zeroFault := func(m *Machine) (int64, error) {
+			plan, err := fault.New(fault.Config{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Fault, m.Reliable = plan, true
+			return m.Run()
 		}
-		m.Nodes[0].StartThread(0, 0, 0)
-		m.MaxCycles = 5000
-		if _, err := m.Run(); err == nil {
-			// Fine: the random program halted cleanly.
-			return
+		modes := []execMode{
+			{"ref", refRun},
+			{"serial", (*Machine).Run},
+			{"p2", parallelRun(2, false)},
+			{"p3", parallelRun(3, false)},
+			{"zero-fault", zeroFault},
+			{"untraced", (*Machine).Run},
+		}
+		var want, wantHooks string
+		for _, mode := range modes {
+			m, err := NewMachine(2, 1024, DefaultTiming())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadAll(prog); err != nil {
+				t.Fatal(err)
+			}
+			m.Nodes[0].StartThread(0, 0, 0)
+			m.MaxCycles = 5000
+			var b strings.Builder
+			if mode.name != "untraced" {
+				m.Trace = func(cycle int64, node int, pc uint64, in Instr) {
+					fmt.Fprintf(&b, "%d %d %d %v\n", cycle, node, pc, in)
+				}
+				m.Output = func(node int, v uint64) { fmt.Fprintf(&b, "out %d %d\n", node, v) }
+			}
+			cycles, err := mode.run(m)
+			if cycles > m.MaxCycles {
+				t.Fatalf("%s ran to cycle %d past MaxCycles %d", mode.name, cycles, m.MaxCycles)
+			}
+			got := fmt.Sprintf("cycles=%d err=%v\n", cycles, err)
+			if err == nil || strings.Contains(err.Error(), "exceeded") {
+				got += fingerprint(m, cycles)
+			}
+			if mode.name == "ref" {
+				want, wantHooks = got, b.String()
+				continue
+			}
+			if got != want {
+				t.Fatalf("%s diverges from the reference:\n--- %s ---\n%s--- ref ---\n%s", mode.name, mode.name, got, want)
+			}
+			if mode.name != "untraced" && b.String() != wantHooks {
+				t.Fatalf("%s hook stream diverges from the reference:\n--- %s ---\n%s--- ref ---\n%s", mode.name, mode.name, b.String(), wantHooks)
+			}
 		}
 	})
 }

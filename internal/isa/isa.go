@@ -10,10 +10,10 @@
 // a textual assembly language, a disassembler, and (in machine.go) a
 // deterministic cycle-driven multi-node interpreter with the Table 1
 // timing parameters. Loaded program images are pre-decoded into per-node
-// slabs (decode.go) for direct dispatch — with superinstruction fusion of
-// fusible pairs and a self-modification guard that re-decodes entries
-// clobbered by in-span stores — while Machine.ForceInterpret keeps the
-// per-cycle decode path alive as a differential-testing oracle.
+// slabs (decode.go) for direct dispatch, with a self-modification guard
+// that re-decodes entries clobbered by in-span stores; one node-window
+// issue loop executes every run, serial or parallel, and the package
+// tests hold it to a cycle-by-cycle reference interpreter.
 //
 // The parcel network can run under deterministic fault injection
 // (Machine.Fault, an internal/fault plan): per-attempt drop, corruption,
@@ -22,9 +22,9 @@
 // seq/ack retransmit protocol whose every attempt's fate is resolved
 // analytically at send time from the parcel's identity (sent cycle,
 // source, sequence number) — never from execution order — so faulted
-// runs stay byte-identical across the interpreted, windowed, and
-// parallel (PDES) execution paths; per-node counters and
-// Machine.DeliveryStats expose the degradation.
+// runs stay byte-identical across the serial and parallel (PDES)
+// execution paths; per-node counters and Machine.DeliveryStats expose
+// the degradation.
 package isa
 
 import (
@@ -166,10 +166,9 @@ func (in Instr) Encode() uint64 {
 }
 
 // DecodeInstr unpacks an instruction word with fixed shift/mask
-// extraction (it sits on the interpreter's per-cycle hot path). Fields
-// outside the opcode's operand syntax are don't-cares on the wire and
-// come back as raw bits; Canonical zeroes them when fidelity matters
-// (disassembly round trips).
+// extraction. Fields outside the opcode's operand syntax are don't-cares
+// on the wire and come back as raw bits; Canonical zeroes them when
+// fidelity matters (disassembly round trips).
 func DecodeInstr(w uint64) (Instr, error) {
 	op := Op(w >> 56)
 	if op == OpInvalid || op >= numOps {

@@ -527,6 +527,25 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestStepCycleExact pins Step to one cycle: a lone thread running an
+// addi chain retires exactly one instruction per Step, so after k Steps
+// its PC and the node's instruction count are both k.
+func TestStepCycleExact(t *testing.T) {
+	const k = 12
+	src := "main:\n" + strings.Repeat("    addi r1, r1, 1\n", k) + "    halt\n"
+	m := mustMachine(t, src, 1)
+	for i := int64(1); i <= k; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		n := m.Nodes[0]
+		if n.Instructions != i || n.threads[0].PC != uint64(i) || m.Cycle() != i {
+			t.Fatalf("after %d Steps: instructions=%d pc=%d cycle=%d, want %d each",
+				i, n.Instructions, n.threads[0].PC, m.Cycle(), i)
+		}
+	}
+}
+
 func TestDeterministicMachine(t *testing.T) {
 	run := func() int64 {
 		m := runProgram(t, `

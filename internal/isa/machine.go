@@ -1,9 +1,11 @@
 package isa
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -55,11 +57,10 @@ type Thread struct {
 }
 
 // flight is a parcel in transit. (sent, src) is a strict total order over
-// flights — a node issues at most one instruction per cycle and fused
-// tails never spawn — and it is exactly the order the per-cycle loop
-// appends (and therefore delivers) them in. Windowed and parallel
-// execution restore that order at every window barrier, so same-cycle
-// deliveries at one node always replay the serial schedule.
+// flights — a node issues at most one instruction per cycle — and it is
+// exactly the order a cycle-by-cycle schedule appends (and therefore
+// delivers) them in. Every window barrier restores that order, so
+// same-cycle deliveries at one node always replay that schedule.
 type flight struct {
 	arrive int64 // cycle of delivery
 	sent   int64 // cycle the spawn issued
@@ -67,6 +68,16 @@ type flight struct {
 	entry  uint64
 	arg    uint64
 	src    uint64
+}
+
+// hookEvent is one Trace or Output call, buffered during a window and
+// replayed at its barrier.
+type hookEvent struct {
+	cycle int64
+	node  int
+	pc    uint64 // Trace: the issuing PC
+	word  uint64 // Trace: the instruction word; Output: the printed value
+	out   bool
 }
 
 // NodeState is one PIM node of the machine.
@@ -83,7 +94,7 @@ type NodeState struct {
 	// decoded is the pre-decoded program slab covering node memory
 	// [progBase, progBase+len(decoded)): built by Load, kept coherent
 	// with VM stores by patch/patchWide, dropped by Reset. PCs outside
-	// the span fall back to per-cycle DecodeInstr.
+	// the span decode their word at issue.
 	progBase uint64
 	decoded  []decop
 
@@ -135,7 +146,7 @@ func (n *NodeState) StartThread(entry, arg, src uint64) {
 }
 
 // startThread is StartThread returning the slot index the thread landed
-// in, for callers tracking readiness by slot (runNodeWindowFast).
+// in, for callers tracking readiness by slot (runNodeWindow).
 func (n *NodeState) startThread(entry, arg, src uint64) int {
 	var idx int
 	if k := len(n.free); k > 0 {
@@ -165,9 +176,16 @@ type Machine struct {
 	Nodes  []*NodeState
 	Timing Timing
 	// Output receives values from the print instruction (nil = dropped).
+	// Like Trace, it is called at the barrier of the window the print
+	// issued in, in (cycle, node) order, so it must not read machine
+	// state: by then the machine has run to the end of the window.
 	Output func(node int, value uint64)
-	// Trace, when non-nil, observes every issued instruction before it
-	// executes — the debugger/profiler hook.
+	// Trace, when non-nil, observes every issued instruction — the
+	// debugger/profiler hook. Calls arrive at each window barrier in
+	// (cycle, node) order, the same stream on every execution path; the
+	// hook must not read machine state (see Output). A traced run decodes
+	// every issue from memory instead of dispatching from the decoded
+	// slab, so it runs slower.
 	Trace func(cycle int64, node int, pc uint64, in Instr)
 	// NetDelay, when non-nil, supplies the parcel flight time between
 	// distinct nodes instead of the flat Timing.NetLatency — the hook a
@@ -185,22 +203,15 @@ type Machine struct {
 	MemDelay func(node int, addr uint64, wide bool) int64
 	// MaxCycles bounds Run (0 = no bound).
 	MaxCycles int64
-	// ForceInterpret disables the pre-decoded dispatch: every issued
-	// cycle re-decodes the instruction word, as the VM did before the
-	// decoded slab existed. The two paths are semantically identical —
-	// this switch is the differential-testing oracle and the debugging
-	// escape hatch.
-	ForceInterpret bool
-	// Parallelism, when > 1, runs the windowed node-major schedule on
-	// that many workers under a conservative time-windowed protocol (see
-	// runParallel): node partitions advance in lockstep windows bounded
-	// by the network lookahead and exchange parcels only at window
-	// barriers, in canonical (sent, src) order. Every counter, memory
-	// word, fault, and cycle count is byte-identical to serial execution
-	// regardless of the worker count or partition assignment. Runs that
-	// install Trace/Output hooks, set ForceInterpret, or have no
-	// usable lookahead (see NetLookahead) ignore Parallelism and execute
-	// serially.
+	// Parallelism, when > 1, runs the windows on that many workers under
+	// a conservative time-windowed protocol (see runParallel): node
+	// partitions advance in lockstep windows bounded by the network
+	// lookahead and exchange parcels only at window barriers, in
+	// canonical (sent, src) order. Every counter, memory word, fault,
+	// cycle count and hook call is byte-identical to serial execution
+	// regardless of the worker count or partition assignment. Runs with
+	// no positive lookahead (see NetLookahead) ignore Parallelism and
+	// execute serially.
 	Parallelism int
 	// Partition optionally assigns node i to worker Partition[i] in
 	// [0, Parallelism); nil means contiguous balanced blocks. The
@@ -209,16 +220,13 @@ type Machine struct {
 	// NetLookahead is the caller's promise that NetDelay(src, dst) >=
 	// NetLookahead for every src != dst pair — the conservative lookahead
 	// that bounds the execution window when a topology hook is installed.
-	// 0 means unknown: the machine falls back to serial per-cycle
-	// execution rather than guess (a NetDelay below the promise is caught
-	// at the first window barrier and reported as an error). Ignored when
-	// NetDelay is nil (the flat Timing.NetLatency is its own lookahead).
-	// The function must be pure: parallel workers call it concurrently.
+	// 0 means unknown: the machine runs one-cycle windows, exact for any
+	// non-negative NetDelay, rather than guess (a NetDelay below the
+	// promise is caught at the first window barrier and reported as an
+	// error). Ignored when NetDelay is nil (the flat Timing.NetLatency is
+	// its own lookahead). The function must be pure: parallel workers call
+	// it concurrently.
 	NetLookahead int64
-	// MaxWindow caps the synchronization window width in cycles so a
-	// huge lookahead cannot starve parcel-free runs of termination
-	// checks (0 = the 65536 default).
-	MaxWindow int64
 	// Fault, when non-nil, injects the plan's deterministic faults into
 	// the run: parcel drop/corruption/duplication/jitter on the remote
 	// spawn path, straggler cost scaling on memory and spawn stalls, and
@@ -227,7 +235,7 @@ type Machine struct {
 	// order — so faulted runs keep the byte-identical-under-parallelism
 	// guarantee. Jitter only adds latency, so declared lookaheads hold.
 	Fault *fault.Plan
-	// Cancel, when non-nil, is polled at cycle/window boundaries; once it
+	// Cancel, when non-nil, is polled at window boundaries; once it
 	// returns true the run stops with ErrCanceled (machine state is
 	// best-effort, as on any mid-run fault). It must be safe to call from
 	// the Run goroutine at any time — an atomic load or closed-channel
@@ -246,16 +254,13 @@ type Machine struct {
 
 	cycle    int64
 	inFlight []flight
-	// fusePending holds the superinstruction tails queued this cycle;
-	// they run once every node has stepped, and only if no parcel is in
-	// flight (see decode.go). The slab is reused cycle to cycle.
-	fusePending []fuseRef
-}
-
-// fuseRef names a thread whose fused successor is pending this cycle.
-type fuseRef struct {
-	n  *NodeState
-	ti int32
+	// events buffers the current window's Trace/Output calls.
+	events []hookEvent
+	// sched is the issue loop's scratch for the node running its window.
+	sched sched
+	// maxWindow caps the window width in cycles (0 = windowCeiling);
+	// tests shrink it to multiply barriers.
+	maxWindow int64
 }
 
 // NewMachine creates n nodes with memWords words of memory each.
@@ -293,7 +298,7 @@ func (m *Machine) LoadAll(p *Program) error {
 func (m *Machine) Reset() {
 	m.cycle = 0
 	m.inFlight = m.inFlight[:0]
-	m.fusePending = m.fusePending[:0]
+	m.events = m.events[:0]
 	for _, n := range m.Nodes {
 		clear(n.Mem)
 		n.threads = n.threads[:0]
@@ -314,36 +319,49 @@ func (m *Machine) Reset() {
 // until MaxCycles. It returns the cycle count and an error for execution
 // faults (bad opcode, out-of-range memory) or cycle exhaustion.
 //
-// Run fast-forwards through cycles in which nothing can issue: when a
-// cycle goes by without a single issued instruction, every live thread
-// is stalled and the next possible issue is the minimum of the stall
-// expiries and the next parcel arrival, so the intervening cycles are
-// pure bookkeeping and are applied in bulk. Cycle counts, counters, and
-// faults are identical to per-cycle stepping (the Step API still
-// advances one exact cycle at a time).
+// Run executes node-major in windows of at most lookahead+1 cycles (see
+// runWindowed) — one cycle when no lookahead is known — on Parallelism
+// workers when a positive lookahead allows (runParallel). Trace and
+// Output are called at each window barrier in (cycle, node) order and
+// must not read machine state. Cycle counts, counters, memory, faults
+// and the hook streams are those of cycle-by-cycle execution on every
+// path.
 func (m *Machine) Run() (int64, error) {
-	// Node-major windowed execution (see runWindowed) needs every
-	// cross-node interaction bounded and unobserved: a network with a
-	// known minimum cross-node latency (the flat Timing.NetLatency, or a
-	// NetDelay hook with a declared NetLookahead) and no per-cycle
-	// observers (Trace, Output). A MemDelay hook keeps the path: it sees
-	// each node's accesses in the same order either way, and touches only
-	// that node's state (its contract). ForceInterpret keeps the full
-	// pre-decode-era loop as the differential-testing oracle. With
-	// Parallelism > 1 and a positive lookahead the windows themselves run
-	// on multiple workers (runParallel), byte-identical to serial.
-	if m.Trace == nil && m.Output == nil && !m.ForceInterpret {
-		if la, ok := m.lookahead(); ok {
-			window := la + 1
-			if maxW := m.maxWindow(); window > maxW || window < 1 {
-				window = maxW
-			}
-			if m.Parallelism > 1 && la > 0 && len(m.Nodes) > 1 {
-				return m.runParallel(window)
-			}
-			return m.runWindowed(window)
+	la, ok := m.lookahead()
+	window := int64(1)
+	if ok {
+		window = la + 1
+		if maxW := m.windowCap(); window > maxW || window < 1 {
+			window = maxW
 		}
 	}
+	if ok && la > 0 && m.Parallelism > 1 && len(m.Nodes) > 1 {
+		return m.runParallel(window)
+	}
+	return m.runWindowed(window)
+}
+
+// canceled polls the Cancel hook.
+func (m *Machine) canceled() bool { return m.Cancel != nil && m.Cancel() }
+
+// Step advances the machine one cycle: a one-cycle window, with the
+// hooks replayed at its end.
+func (m *Machine) Step() error {
+	_, err := m.window(m.cycle+1, m.cycle+1)
+	return err
+}
+
+// runWindowed executes the machine node-major in windows of the given
+// width: each node runs a whole window over its own threads and memory
+// before the next node starts. Within one window the nodes cannot
+// interact — a cross-node parcel launched at cycle c arrives no earlier
+// than c+lookahead+1, past the window's last cycle — so per-node
+// execution over the same cycle range is exactly the cycle-by-cycle
+// interleaving, while the node's threads and memory stay cache-hot
+// across the whole window. Node-local parcels (latency zero) are
+// delivered inside the window by scanning the flights the node itself
+// appended.
+func (m *Machine) runWindowed(window int64) (int64, error) {
 	for {
 		live := false
 		for _, n := range m.Nodes {
@@ -358,118 +376,115 @@ func (m *Machine) Run() (int64, error) {
 		if m.canceled() {
 			return m.cycle, ErrCanceled
 		}
-		if lim := m.limit(); lim > 0 && m.cycle >= lim {
+		lim := m.limit()
+		if lim > 0 && m.cycle >= lim {
 			return m.cycle, m.limitErr(lim)
 		}
-		issued, err := m.step()
+		wend := m.cycle + window
+		if lim > 0 && wend > lim {
+			wend = lim
+		}
+		lastIssue, err := m.window(m.cycle+1, wend)
 		if err != nil {
 			return m.cycle, err
 		}
-		if !issued {
-			m.fastForward()
+		// If the machine finished inside the window, the run ended at the
+		// final halt: roll back the idle cycles each node charged past it.
+		if len(m.inFlight) == 0 {
+			done := true
+			for _, n := range m.Nodes {
+				if n.live > 0 {
+					done = false
+					break
+				}
+			}
+			if done {
+				for _, n := range m.Nodes {
+					n.IdleCycles -= wend - lastIssue
+				}
+				m.cycle = lastIssue
+				return m.cycle, nil
+			}
 		}
 	}
 }
 
-// canceled polls the Cancel hook.
-func (m *Machine) canceled() bool { return m.Cancel != nil && m.Cancel() }
-
-// Step advances the machine one cycle.
-func (m *Machine) Step() error {
-	_, err := m.step()
-	return err
-}
-
-// step advances one cycle and reports whether any node issued an
-// instruction (false means every live thread is stalled — the
-// fast-forward trigger).
-func (m *Machine) step() (bool, error) {
-	m.cycle++
-	// Deliver parcels due this cycle (in send order: deterministic).
+// window runs every node over [wstart, wend] in node order and settles
+// the barrier: the first fault in (cycle, node) order wins, the hook
+// events up to it replay, delivered flights drop out of the queue, and
+// the window's new parcels take their canonical (sent, src) place. It
+// returns the last cycle any node issued at. Later-ordered nodes may
+// have run past a fault cycle when it is reported; post-fault machine
+// state is best-effort.
+func (m *Machine) window(wstart, wend int64) (lastIssue int64, err error) {
+	var errCycle int64
+	errNode := len(m.Nodes)
+	for _, n := range m.Nodes {
+		last, ec, e := m.runNodeWindow(n, wstart, wend)
+		if e != nil && (err == nil || ec < errCycle) {
+			err, errCycle, errNode = e, ec, n.ID
+		}
+		lastIssue = max(lastIssue, last)
+	}
+	if err != nil {
+		m.replayHooks(errCycle, errNode)
+		m.cycle = errCycle
+		return lastIssue, err
+	}
+	m.replayHooks(wend, errNode)
+	// Drop delivered flights (tombstoned by runNodeWindow) and restore
+	// canonical order over the window's new parcels, so same-cycle
+	// deliveries at one node replay the cycle-by-cycle schedule even when
+	// flight times differ per pair (NetDelay). Any surviving flight due
+	// inside the window means a cross-node latency undercut the declared
+	// lookahead — the window proof is void, so fault rather than silently
+	// diverge.
 	kept := m.inFlight[:0]
 	for _, f := range m.inFlight {
-		if f.arrive <= m.cycle {
-			m.Nodes[f.node].StartThread(f.entry, f.arg, f.src)
-		} else {
+		if f.node >= 0 {
+			if f.arrive <= wend {
+				m.cycle = wend
+				return lastIssue, fmt.Errorf(
+					"isa: parcel %d->%d due at cycle %d survived the window ending %d: NetDelay below NetLookahead %d",
+					f.src, f.node, f.arrive, wend, m.NetLookahead)
+			}
 			kept = append(kept, f)
 		}
 	}
 	m.inFlight = kept
-	issued := false
-	for _, n := range m.Nodes {
-		ok, err := m.stepNode(n, true)
-		if err != nil {
-			return issued, err
-		}
-		issued = issued || ok
-	}
-	// Fused superinstruction tails run once the whole cycle has stepped:
-	// only now is it known that no spawn issued this cycle, so no parcel
-	// can deliver a competing thread on the (pre-claimed) next cycle.
-	if len(m.fusePending) > 0 {
-		if len(m.inFlight) == 0 {
-			for _, p := range m.fusePending {
-				m.execFusedTail(p.n, p.ti)
-			}
-		}
-		m.fusePending = m.fusePending[:0]
-	}
-	return issued, nil
+	sortNewFlights(m.inFlight, wstart)
+	m.cycle = wend
+	return lastIssue, nil
 }
 
-// fastForward bulk-applies the cycles up to (but not including) the next
-// cycle on which anything can issue: stall expiries tick down, busy/idle
-// counters advance, the clock jumps. Callers guarantee the current cycle
-// issued nothing, so every skipped cycle would have been an exact no-op
-// scan. The jump is capped at the run limit (MaxCycles, or an earlier
-// planned crash) so exhaustion faults at the same cycle a per-cycle run
-// would report.
-func (m *Machine) fastForward() {
-	const never = int64(^uint64(0) >> 1)
-	next := never
-	for _, f := range m.inFlight {
-		if f.arrive < next {
-			next = f.arrive
-		}
-	}
-	for _, n := range m.Nodes {
-		if n.live == 0 {
-			continue
-		}
-		for i := range n.threads {
-			t := &n.threads[i]
-			if t.done {
-				continue
-			}
-			if c := m.cycle + t.stall + 1; c < next {
-				next = c
-			}
-		}
-	}
-	if next == never {
+// replayHooks calls Trace and Output for the window's buffered events in
+// (cycle, node) order, stopping after the events of the issue at
+// (cutCycle, cutNode) — a faulting issue's own trace still replays, as it
+// precedes the fault. Each node buffers its events in cycle order and an
+// issue's trace precedes its output, so a stable sort yields the
+// cycle-by-cycle call order.
+func (m *Machine) replayHooks(cutCycle int64, cutNode int) {
+	if len(m.events) == 0 {
 		return
 	}
-	delta := next - m.cycle - 1
-	if lim := m.limit(); lim > 0 && m.cycle+delta > lim {
-		delta = lim - m.cycle
-	}
-	if delta <= 0 {
-		return
-	}
-	m.cycle += delta
-	for _, n := range m.Nodes {
-		if n.live == 0 {
-			n.IdleCycles += delta
-			continue
+	slices.SortStableFunc(m.events, func(a, b hookEvent) int {
+		if a.cycle != b.cycle {
+			return cmp.Compare(a.cycle, b.cycle)
 		}
-		n.BusyCycles += delta
-		for i := range n.threads {
-			t := &n.threads[i]
-			if !t.done && t.stall > 0 {
-				t.stall -= delta
-			}
+		return a.node - b.node
+	})
+	for _, e := range m.events {
+		if e.cycle > cutCycle || (e.cycle == cutCycle && e.node > cutNode) {
+			break
+		}
+		if e.out {
+			m.Output(e.node, e.word)
+		} else {
+			in, _ := DecodeInstr(e.word)
+			m.Trace(e.cycle, e.node, e.pc, in)
 		}
 	}
+	m.events = m.events[:0]
 }
 
 // limit returns the run's effective cycle bound: MaxCycles, tightened to
@@ -534,7 +549,7 @@ func (m *Machine) liveSummary() string {
 // parcel sent at cycle c cannot arrive before c+L+1 — and whether one is
 // known. With the flat network the latency itself is the bound; with a
 // NetDelay hook the caller must declare one via NetLookahead (ok=false
-// otherwise, routing Run to the per-cycle loop).
+// otherwise, and Run falls back to one-cycle windows).
 func (m *Machine) lookahead() (la int64, ok bool) {
 	if m.NetDelay == nil {
 		return m.Timing.NetLatency, true
@@ -545,17 +560,17 @@ func (m *Machine) lookahead() (la int64, ok bool) {
 	return 0, false
 }
 
-// defaultMaxWindow caps the synchronization window when MaxWindow is
-// unset: wide enough that every in-repo latency regime (<= 5000 cycles)
-// runs one barrier per lookahead, small enough that termination checks
-// and clock arithmetic stay sane for extreme NetLatency values.
-const defaultMaxWindow = 1 << 16
+// windowCeiling caps the synchronization window: wide enough that
+// every in-repo latency regime (<= 5000 cycles) runs one barrier per
+// lookahead, small enough that termination checks and clock arithmetic
+// stay sane for extreme NetLatency values.
+const windowCeiling = 1 << 16
 
-func (m *Machine) maxWindow() int64 {
-	if m.MaxWindow > 0 {
-		return m.MaxWindow
+func (m *Machine) windowCap() int64 {
+	if m.maxWindow > 0 {
+		return m.maxWindow
 	}
-	return defaultMaxWindow
+	return windowCeiling
 }
 
 // sortNewFlights restores canonical (sent, src) send order over the
@@ -564,7 +579,7 @@ func (m *Machine) maxWindow() int64 {
 // flights already in the queue at window start (sent < wstart) are in
 // canonical order and precede every new one, so sorting the new tail —
 // insertion sort, alloc-free, tails are at most a handful of parcels —
-// re-establishes the global order the per-cycle loop would have produced.
+// re-establishes the global cycle-by-cycle order.
 func sortNewFlights(fl []flight, wstart int64) {
 	b := len(fl)
 	for i := range fl {
@@ -590,244 +605,34 @@ func insertionSortFlights(fl []flight) {
 	}
 }
 
-// runWindowed executes the machine node-major in windows of at most
-// lookahead+1 cycles: each node runs a whole window over its own
-// threads and memory before the next node starts. Within one window the
-// nodes cannot interact — a cross-node parcel launched at cycle c
-// arrives no earlier than c+lookahead+1, past the window's last cycle —
-// so per-node execution over the same cycle range is exactly the serial
-// interleaving, while the round-robin scan and the node's memory stay
-// cache-hot across the whole window instead of being evicted by seven
-// other nodes every cycle. Node-local parcels (latency zero) are
-// delivered inside the window by scanning the flights the node itself
-// appended. Cycle counts, counters, memory, and faults are identical to
-// the per-cycle loop; Run gates entry on the conditions that make the
-// proof hold (no Trace/Output observers ordering events across nodes
-// within a cycle, and either a flat network or a NetDelay hook with a
-// declared NetLookahead).
-func (m *Machine) runWindowed(window int64) (int64, error) {
-	for {
-		live := false
-		for _, n := range m.Nodes {
-			if n.live > 0 {
-				live = true
-				break
-			}
-		}
-		if !live && len(m.inFlight) == 0 {
-			return m.cycle, nil
-		}
-		if m.canceled() {
-			return m.cycle, ErrCanceled
-		}
-		if lim := m.limit(); lim > 0 && m.cycle >= lim {
-			return m.cycle, m.limitErr(lim)
-		}
-		wstart := m.cycle + 1
-		wend := wstart + window - 1
-		if lim := m.limit(); lim > 0 && wend > lim {
-			wend = lim
-		}
-		// The first fault in (cycle, node) order wins, as in the serial
-		// loop. Later-ordered nodes may have run past the fault cycle
-		// when it is reported; post-fault machine state is best-effort
-		// either way.
-		var (
-			firstErr      error
-			firstErrCycle int64
-			lastIssue     int64
-		)
-		for _, n := range m.Nodes {
-			last, errCycle, err := m.runNodeWindow(n, wstart, wend)
-			if err != nil && (firstErr == nil || errCycle < firstErrCycle) {
-				firstErr, firstErrCycle = err, errCycle
-			}
-			if last > lastIssue {
-				lastIssue = last
-			}
-		}
-		if firstErr != nil {
-			m.cycle = firstErrCycle
-			return m.cycle, firstErr
-		}
-		// Drop delivered flights (tombstoned by runNodeWindow) and restore
-		// canonical (sent, src) send order over the window's new parcels,
-		// so same-cycle deliveries at one node replay the serial schedule
-		// even when flight times differ per pair (NetDelay). Any surviving
-		// flight due inside the window means a cross-node latency undercut
-		// the declared lookahead — the window proof is void, so fault
-		// rather than silently diverge from per-cycle execution.
-		kept := m.inFlight[:0]
-		for _, f := range m.inFlight {
-			if f.node >= 0 {
-				if f.arrive <= wend {
-					m.cycle = wend
-					return m.cycle, fmt.Errorf(
-						"isa: parcel %d->%d due at cycle %d survived the window ending %d: NetDelay below NetLookahead %d",
-						f.src, f.node, f.arrive, wend, m.NetLookahead)
-				}
-				kept = append(kept, f)
-			}
-		}
-		m.inFlight = kept
-		sortNewFlights(m.inFlight, wstart)
-		m.cycle = wend
-		// If the machine finished inside the window, the run ended at
-		// the final halt: the serial loop stops there, so roll back the
-		// idle cycles each node charged past it.
-		if len(m.inFlight) == 0 {
-			done := true
-			for _, n := range m.Nodes {
-				if n.live > 0 {
-					done = false
-					break
-				}
-			}
-			if done {
-				for _, n := range m.Nodes {
-					n.IdleCycles -= wend - lastIssue
-				}
-				m.cycle = lastIssue
-				return m.cycle, nil
-			}
-		}
-	}
-}
-
-// runNodeWindow runs node n alone over cycles [wstart, wend], returning
-// the last cycle at which it issued an instruction and, on an execution
-// fault, the cycle it faulted. Delivered flights are tombstoned
-// (node = -1) in place so the shared slice stays index-stable for the
-// nodes that have not run their window yet.
+// runNodeWindow runs node n alone over cycles [wstart, wend] — the VM's
+// one scheduler — returning the last cycle at which it issued an
+// instruction and, on an execution fault, the cycle it faulted.
+// Delivered flights are tombstoned (node = -1) in place so the shared
+// slice stays index-stable for the nodes that have not run their window
+// yet.
+//
+// Each cycle the node issues one instruction from the first ready thread
+// at or after its round-robin pointer. The scan is event-driven: ready
+// and stalled threads live in per-slot bitsets (the first set bit from
+// the pointer is the scan's choice), stalled threads carry absolute wake
+// cycles instead of countdowns (nothing ticks), and the next wake or
+// arrival is a single compare per cycle, so all-stalled and idle
+// stretches are skipped in one step. Word 0 of each bitset (slots 0-63,
+// all of them on most nodes) lives in a local; the words above it, and
+// the wakes, are scratch on the Machine (see sched). The scratch is
+// rebuilt from the slab on entry and flushed back to countdowns on every
+// exit.
 func (m *Machine) runNodeWindow(n *NodeState, wstart, wend int64) (lastIssue, errCycle int64, err error) {
-	c := wstart
-	if len(n.threads) < 64 {
-		var resume int64
-		lastIssue, resume, errCycle, err = m.runNodeWindowFast(n, wstart, wend)
-		if err != nil || resume == 0 {
-			return lastIssue, errCycle, err
-		}
-		// The thread slab outgrew the 64-slot readiness mask mid-window
-		// (a delivery burst); finish the window generically.
-		c = resume
-	}
-	for c <= wend {
-		m.cycle = c
-		if len(m.inFlight) > 0 {
-			for i := range m.inFlight {
-				f := &m.inFlight[i]
-				if f.node == n.ID && f.arrive <= c {
-					n.StartThread(f.entry, f.arg, f.src)
-					f.node = -1
-				}
-			}
-		}
-		if n.live == 0 {
-			// Idle until the node's next parcel arrival, or out the
-			// window if none is due.
-			next := wend + 1
-			for i := range m.inFlight {
-				f := &m.inFlight[i]
-				if f.node == n.ID && f.arrive < next {
-					next = f.arrive
-				}
-			}
-			n.IdleCycles += next - c
-			c = next
-			continue
-		}
-		issued, serr := m.stepNode(n, c < wend)
-		if serr != nil {
-			return lastIssue, c, serr
-		}
-		// Drain the fused tail this node may have queued: within its
-		// window the node owns the next cycle's slot outright (stepNode
-		// only marks fusion fusible away from the window edge, and an
-		// empty flight queue at issue time rules out a competing
-		// delivery), so the tail runs here instead of at the end of a
-		// global cycle.
-		if len(m.fusePending) > 0 {
-			if len(m.inFlight) == 0 {
-				for _, p := range m.fusePending {
-					m.execFusedTail(p.n, p.ti)
-				}
-			}
-			m.fusePending = m.fusePending[:0]
-		}
-		if issued {
-			lastIssue = c
-			c++
-			continue
-		}
-		// Every live thread is stalled: jump to the next stall expiry
-		// or parcel arrival, mirroring fastForward node-locally.
-		next := wend + 1
-		for i := range n.threads {
-			t := &n.threads[i]
-			if !t.done {
-				if w := c + t.stall + 1; w < next {
-					next = w
-				}
-			}
-		}
-		for i := range m.inFlight {
-			f := &m.inFlight[i]
-			if f.node == n.ID && f.arrive > c && f.arrive < next {
-				next = f.arrive
-			}
-		}
-		if delta := next - c - 1; delta > 0 {
-			n.BusyCycles += delta
-			for i := range n.threads {
-				t := &n.threads[i]
-				if !t.done && t.stall > 0 {
-					t.stall -= delta
-				}
-			}
-		}
-		c = next
-	}
-	return lastIssue, 0, nil
-}
-
-// runNodeWindowFast is runNodeWindow's event-driven inner loop for nodes
-// whose thread slab fits a 64-bit readiness mask. The per-cycle
-// round-robin scan — O(threads) loads and stall decrements every cycle —
-// collapses to O(1): ready threads live in a bitmask (first-set-bit from
-// the rotating issue pointer is exactly the serial scan's choice),
-// stalled threads carry absolute wake cycles instead of countdowns (so
-// nothing ticks), and the next wake/arrival is a single compare per
-// cycle. State is local to the window — masks are rebuilt from the slab
-// on entry and flushed back (wake minus resume cycle = countdown) on
-// every exit — so the slab representation, and with it the generic and
-// per-cycle paths, stay untouched. Returns resume == 0 when the window
-// completed, or the cycle the generic loop must take over from when a
-// delivery pushed the slab past the mask width.
-func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue, resume, errCycle int64, err error) {
-	const never = int64(^uint64(0) >> 1)
-	var readyM, stalledM uint64
-	var wake [64]int64
-	minWake := never
-	for i := range n.threads {
-		t := &n.threads[i]
-		if t.done {
-			continue
-		}
-		if t.stall > 0 {
-			stalledM |= 1 << uint(i)
-			w := wstart + t.stall
-			wake[i] = w
-			if w < minWake {
-				minWake = w
-			}
-		} else {
-			readyM |= 1 << uint(i)
-		}
-	}
+	sc := &m.sched
+	ready, stalled, minWake := sc.load(n, wstart)
+	// The scratch slices are read through sc rather than copied to locals:
+	// local slice headers that a delivery must refresh inside the loop
+	// measurably slowed the hot path. wide: the slab has slots past word 0.
+	wide := len(sc.readyHi) > 0
 	// Without a MemDelay hook every scalar memory op stalls the same
 	// fixed cost — hoist it, including the node's straggler scale
 	// (constant per node). With one, each op asks memCost.
-	memHook := m.MemDelay != nil
 	memC := m.Timing.MemCycles
 	if m.Fault != nil {
 		memC *= m.Fault.CostScale(n.ID)
@@ -836,108 +641,92 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 		memC = 1
 	}
 	// Hot node state hoisted to locals: the stores below (node memory,
-	// fuse queue, counters) would otherwise force a reload of every
-	// n-field on each iteration. The slab headers are stable inside a
-	// window except threads, which parcel delivery can grow — refreshed
-	// there. Instruction/memop counts accumulate locally and flush once;
-	// execDecoded still bumps the n-fields directly, and the sums commute.
+	// counters) would otherwise force a reload of every n-field on each
+	// iteration. The slab headers are stable inside a window except
+	// threads, which parcel delivery can grow — refreshed there.
+	// Instruction/memop counts accumulate locally and flush once;
+	// execDecoded bumps the n-fields directly, and the sums commute.
 	mem := n.Mem
 	prog := n.decoded
+	if m.Trace != nil {
+		// A traced run decodes every issue from memory, the one dispatch
+		// path that records trace events, so the decoded path carries no
+		// hook check.
+		prog = nil
+	}
 	progBase := n.progBase
 	threads := n.threads
-	var instr, memOps int64
-	nextArr := never
-	for i := range m.inFlight {
-		f := &m.inFlight[i]
-		if f.node == n.ID && f.arrive < nextArr {
-			nextArr = f.arrive
-		}
-	}
+	// Every cycle the loop passes is idle (no live thread) or busy, so
+	// only idle cycles are counted; a fault's cycle counts busy.
+	var instr, memOps, idle int64
+	var outside decop // an issue decoded from memory (see fetch)
 	next := n.next
-	if next >= len(n.threads) {
+	if next >= len(threads) {
 		next = 0
 	}
-	var busy, idle int64
+	// nextArr <= c sends the loop through its housekeeping: parcel
+	// delivery and the slab compaction check. The first cycle always
+	// takes it.
+	nextArr := wstart
 	c := wstart
 	for c <= wend {
 		if nextArr <= c {
-			// Deliver this node's due parcels in flight order.
-			for i := range m.inFlight {
-				f := &m.inFlight[i]
-				if f.node == n.ID && f.arrive <= c {
-					idx := n.startThread(f.entry, f.arg, f.src)
-					f.node = -1
-					if idx >= 64 {
-						// Mask exhausted: hand the rest of the window
-						// (and any still-undelivered parcels) to the
-						// generic loop.
-						resume = c
-						goto flush
-					}
-					readyM |= 1 << uint(idx)
-				}
-			}
-			// startThread may have grown the slab.
-			threads = n.threads
-			nextArr = never
-			for i := range m.inFlight {
-				f := &m.inFlight[i]
-				if f.node == n.ID && f.arrive < nextArr {
-					nextArr = f.arrive
-				}
-			}
+			ready, stalled, minWake, next, nextArr = m.housekeep(n, c, ready, stalled, minWake, next)
+			threads, wide = n.threads, len(sc.readyHi) > 0
 		}
 		if minWake <= c {
-			// Move expired stalls to the ready mask, tracking the next
-			// wake among the remainder.
+			// Move expired stalls to the ready set, tracking the next wake
+			// among the remainder. The slab countdown may hold the stall a
+			// cold op set; clear it so the post-execute check below sees
+			// only a fresh one.
 			mw := never
-			for sm := stalledM; sm != 0; sm &= sm - 1 {
+			for sm := stalled; sm != 0; sm &= sm - 1 {
 				i := bits.TrailingZeros64(sm)
-				if wake[i] <= c {
-					stalledM &^= 1 << uint(i)
-					readyM |= 1 << uint(i)
-					// Clear the slab countdown too: the post-execute
-					// check below reads t.stall to detect a fresh stall,
-					// so a stale positive value would re-stall the
-					// thread for a ghost cycle.
+				if sc.wake[i] <= c {
+					stalled &^= 1 << uint(i)
+					ready |= 1 << uint(i)
 					threads[i].stall = 0
-				} else if wake[i] < mw {
-					mw = wake[i]
+				} else {
+					mw = min(mw, sc.wake[i])
+				}
+			}
+			for w, sm := range sc.stalledHi {
+				for ; sm != 0; sm &= sm - 1 {
+					b := bits.TrailingZeros64(sm)
+					if i := (w+1)<<6 | b; sc.wake[i] <= c {
+						sc.stalledHi[w] &^= 1 << uint(b)
+						sc.readyHi[w] |= 1 << uint(b)
+						threads[i].stall = 0
+					} else {
+						mw = min(mw, sc.wake[i])
+					}
 				}
 			}
 			minWake = mw
 		}
-		if readyM == 0 {
+		if ready == 0 && (!wide || none(sc.readyHi)) {
+			to := min(nextArr, wend+1)
 			if n.live == 0 {
-				to := nextArr
-				if to > wend {
-					to = wend + 1
-				}
 				idle += to - c
-				c = to
-				continue
+			} else {
+				// Every live thread is stalled: jump to the next wake or
+				// arrival (all-stalled cycles count busy — the bank works).
+				to = min(to, minWake)
 			}
-			// Every live thread is stalled: jump to the next wake or
-			// arrival (all-stalled cycles count busy, as in stepNode).
-			to := minWake
-			if nextArr < to {
-				to = nextArr
-			}
-			if to > wend {
-				to = wend + 1
-			}
-			busy += to - c
 			c = to
 			continue
 		}
-		// Choose: first ready slot at or after the issue pointer,
-		// wrapping — the serial round-robin scan's pick.
-		r := readyM &^ (1<<uint(next) - 1)
+		// Choose: first ready slot at or after the issue pointer, wrapping.
+		// (A pointer past word 0 shifts the mask to zero.)
+		r := ready &^ (1<<uint(next) - 1)
+		if r == 0 && !wide {
+			r = ready
+		}
 		var idx int
 		if r != 0 {
 			idx = bits.TrailingZeros64(r)
 		} else {
-			idx = bits.TrailingZeros64(readyM)
+			idx = pick(ready, sc.readyHi, next)
 		}
 		nT := len(threads)
 		i0 := idx - next
@@ -948,14 +737,14 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 		if next >= nT {
 			next = 0
 		}
-		// stepNode's scan recomputes its index from n.next, which moves
-		// when a thread is chosen mid-scan: with q = min(i0, nT-2-i0) and
-		// i0 the chosen slot's distance from the scan start, the q+1 slots
-		// after the chosen one are not visited this cycle (their stalls do
-		// not tick) and the q slots before it are visited twice (their
-		// stalls tick twice, not below zero). Reproduce that schedule
-		// exactly on the wake array.
-		if q := min(i0, nT-2-i0); q >= 0 && stalledM != 0 {
+		// The cycle-by-cycle scan recomputes its index from the issue
+		// pointer, which moves when a thread is chosen mid-scan: with
+		// q = min(i0, nT-2-i0) and i0 the chosen slot's distance from the
+		// scan start, the q+1 slots after the chosen one are not visited
+		// this cycle (their stalls do not tick) and the q slots before it
+		// are visited twice (their stalls tick twice, not below zero).
+		// Reproduce that schedule exactly on the wake array.
+		if q := min(i0, nT-2-i0); q >= 0 && minWake != never {
 			// A pushed-out wake only invalidates minWake if it held it.
 			recompute := false
 			for k := 1; k <= q+1; k++ {
@@ -963,11 +752,11 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				if s >= nT {
 					s -= nT
 				}
-				if stalledM&(1<<uint(s)) != 0 {
-					if wake[s] == minWake {
+				if isSet(stalled, sc.stalledHi, s) {
+					if sc.wake[s] == minWake {
 						recompute = true
 					}
-					wake[s]++
+					sc.wake[s]++
 				}
 			}
 			for k := 1; k <= q; k++ {
@@ -975,284 +764,359 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				if s < 0 {
 					s += nT
 				}
-				if stalledM&(1<<uint(s)) != 0 {
-					if w := wake[s] - 1; w > c {
-						wake[s] = w
-						if w < minWake {
-							minWake = w
-						}
+				if isSet(stalled, sc.stalledHi, s) {
+					if w := sc.wake[s] - 1; w > c {
+						sc.wake[s] = w
+						minWake = min(minWake, w)
 					}
 				}
 			}
 			if recompute {
-				mw := never
-				for sm := stalledM; sm != 0; sm &= sm - 1 {
-					if i := bits.TrailingZeros64(sm); wake[i] < mw {
-						mw = wake[i]
-					}
-				}
-				minWake = mw
+				minWake = sc.minWake(stalled)
 			}
 		}
-		busy++
-		// Dispatch inline (ForceInterpret is false on this path — the
-		// runWindowed gate checked — so only the span check remains). The
-		// common op classes — ALU (OpAdd..OpLui), control (OpBeq..OpJr),
-		// and scalar LD/ST — execute right here, mirroring execDecoded
-		// without the call: none can halt, spawn, or trace on this path,
-		// none reads m.cycle, and the fixed memory cost is hoisted above.
-		// Everything else (wide, amo, spawn, halt, print, invalid) goes
-		// through execDecoded behind an m.cycle store and spawn tracking.
-		//
-		// The superinstruction precondition, evaluated only where a fuse
-		// head can act on it and sharpened to what the node can see: sole
-		// ready thread, chosen at the scan's last slot (i0 == nT-1, the
-		// only case stepNode's double-visit of the chosen slot cannot
-		// inflate its ready count past one), no stall expiring into cycle
-		// c+1, and no parcel arriving here by c+1 (cross-node parcels from
-		// this window land past wend, and c < wend keeps the tail's slot
-		// inside the window, so nextArr covers every candidate).
 		t := &threads[idx]
-		var serr error
+		d := &outside
 		if off := t.PC - progBase; off < uint64(len(prog)) {
-			d := &prog[off]
-			if d.op >= OpAdd && d.op <= OpLui {
-				// ALU ops cannot fault, halt, or stall, so they skip the
-				// shared epilogue entirely; only a drained fused tail can
-				// change the thread's scheduling state, handled inline.
-				instr++
-				regs := &t.Regs
-				var v uint64
-				switch d.op {
-				case OpAdd:
-					v = regs[d.ra] + regs[d.rb]
-				case OpSub:
-					v = regs[d.ra] - regs[d.rb]
-				case OpMul:
-					v = regs[d.ra] * regs[d.rb]
-				case OpAnd:
-					v = regs[d.ra] & regs[d.rb]
-				case OpOr:
-					v = regs[d.ra] | regs[d.rb]
-				case OpXor:
-					v = regs[d.ra] ^ regs[d.rb]
-				case OpShl:
-					v = regs[d.ra] << (regs[d.rb] & 63)
-				case OpShr:
-					v = regs[d.ra] >> (regs[d.rb] & 63)
-				case OpAddi:
-					v = regs[d.ra] + d.imm
-				case OpLui:
-					v = d.imm
-				}
-				if d.rd != 0 {
-					regs[d.rd] = v
-				}
-				t.PC++
-				lastIssue = c
-				if d.fuse && c < wend && readyM == 1<<uint(idx) && i0 == nT-1 &&
-					minWake != c+1 && nextArr > c+1 {
-					// Conditions proven, so the tail runs right here (no
-					// queue round-trip). It cannot halt — execFusedTail
-					// skips terminal ops — so only a fresh stall (the
-					// tail's own cost, or a memory tail's) can result.
-					m.execFusedTail(n, int32(idx))
-					if st := t.stall; st > 0 {
-						readyM &^= 1 << uint(idx)
-						stalledM |= 1 << uint(idx)
-						w := c + st + 1
-						wake[idx] = w
-						if w < minWake {
-							minWake = w
-						}
-					}
-				}
-				c++
-				continue
+			d = &prog[off]
+		} else if t.PC < uint64(len(mem)) {
+			outside = m.fetch(n, c, t.PC)
+		} else {
+			errCycle, err = c, fmt.Errorf("isa: node %d: PC %d out of memory", n.ID, t.PC)
+			break
+		}
+		// The hot op classes — ALU (OpAdd..OpLui), control (OpBeq..OpJr),
+		// and scalar LD/ST — execute right here, without a call: none can
+		// halt or spawn, none reads m.cycle, and the fixed memory cost is
+		// hoisted above. Everything else (halt, amo, wide, spawn, nodeid,
+		// print, invalid) goes through execDecoded.
+		if d.op >= OpAdd && d.op <= OpLui {
+			regs := &t.Regs
+			var v uint64
+			switch d.op {
+			case OpAdd:
+				v = regs[d.ra] + regs[d.rb]
+			case OpSub:
+				v = regs[d.ra] - regs[d.rb]
+			case OpMul:
+				v = regs[d.ra] * regs[d.rb]
+			case OpAnd:
+				v = regs[d.ra] & regs[d.rb]
+			case OpOr:
+				v = regs[d.ra] | regs[d.rb]
+			case OpXor:
+				v = regs[d.ra] ^ regs[d.rb]
+			case OpShl:
+				v = regs[d.ra] << (regs[d.rb] & 63)
+			case OpShr:
+				v = regs[d.ra] >> (regs[d.rb] & 63)
+			case OpAddi:
+				v = regs[d.ra] + d.imm
+			case OpLui:
+				v = d.imm
 			}
-			if d.op >= OpBeq && d.op <= OpJr {
-				// Control ops only move the PC: no fault, no stall, no
-				// fusion (branches are never fuse heads) — skip the
-				// epilogue.
-				instr++
-				regs := &t.Regs
-				pc := t.PC + 1
-				switch d.op {
-				case OpBeq:
-					if regs[d.ra] == regs[d.rb] {
-						pc = d.imm
-					}
-				case OpBne:
-					if regs[d.ra] != regs[d.rb] {
-						pc = d.imm
-					}
-				case OpBlt:
-					if regs[d.ra] < regs[d.rb] {
-						pc = d.imm
-					}
-				case OpJmp:
+			if d.rd != 0 {
+				regs[d.rd] = v
+			}
+			instr++
+			t.PC++
+			lastIssue = c
+			c++
+			continue
+		}
+		if d.op >= OpBeq && d.op <= OpJr {
+			regs := &t.Regs
+			pc := t.PC + 1
+			switch d.op {
+			case OpBeq:
+				if regs[d.ra] == regs[d.rb] {
 					pc = d.imm
-				case OpJr:
-					pc = regs[d.ra]
 				}
-				t.PC = pc
-				lastIssue = c
-				c++
-				continue
+			case OpBne:
+				if regs[d.ra] != regs[d.rb] {
+					pc = d.imm
+				}
+			case OpBlt:
+				if regs[d.ra] < regs[d.rb] {
+					pc = d.imm
+				}
+			case OpJmp:
+				pc = d.imm
+			case OpJr:
+				pc = regs[d.ra]
+			}
+			instr++
+			t.PC = pc
+			lastIssue = c
+			c++
+			continue
+		}
+		var cost int64
+		if d.op == OpLd || d.op == OpSt {
+			instr++
+			regs := &t.Regs
+			addr := regs[d.ra] + d.imm
+			if addr >= uint64(len(mem)) {
+				errCycle, err = c, memFault(n, t.PC, addr)
+				break
 			}
 			if d.op == OpLd {
-				instr++
-				regs := &t.Regs
-				addr := regs[d.ra] + d.imm
-				if addr >= uint64(len(mem)) {
-					errCycle, err = c, memFault(n, t.PC, addr)
-					goto flush
-				}
 				if d.rd != 0 {
 					regs[d.rd] = mem[addr]
 				}
-				memOps++
-				t.PC++
-				lastIssue = c
-				// Move the stalled thread straight to the stalled mask (the
-				// slab countdown stays untouched — flush rewrites it from
-				// wake). A cost of 1 means no stall: the thread stays ready.
-				cost := memC
-				if memHook {
-					cost = m.memCost(n, addr, false)
-				}
-				if cost > 1 {
-					readyM &^= 1 << uint(idx)
-					stalledM |= 1 << uint(idx)
-					w := c + cost
-					wake[idx] = w
-					if w < minWake {
-						minWake = w
-					}
-				}
-				c++
-				continue
-			}
-			if d.op == OpSt {
-				instr++
-				regs := &t.Regs
-				addr := regs[d.ra] + d.imm
-				if addr >= uint64(len(mem)) {
-					errCycle, err = c, memFault(n, t.PC, addr)
-					goto flush
-				}
+			} else {
 				mem[addr] = regs[d.rd]
-				if addr-progBase < uint64(len(prog)) {
+				if addr-progBase < uint64(len(n.decoded)) {
 					n.patch(addr)
 				}
-				memOps++
-				t.PC++
-				lastIssue = c
-				cost := memC
-				if memHook {
-					cost = m.memCost(n, addr, false)
-				}
-				if cost > 1 {
-					readyM &^= 1 << uint(idx)
-					stalledM |= 1 << uint(idx)
-					w := c + cost
-					wake[idx] = w
-					if w < minWake {
-						minWake = w
-					}
-				}
-				c++
-				continue
 			}
-			{
-				m.cycle = c
-				flightsBefore := len(m.inFlight)
-				fusible := c < wend && readyM == 1<<uint(idx) && i0 == nT-1 &&
-					minWake != c+1 && nextArr > c+1
-				serr = m.execDecoded(n, t, d, idx, fusible)
-				if len(m.inFlight) > flightsBefore {
-					// A spawn launched: only a node-local parcel can land
-					// inside the window, but track it either way.
-					for i := flightsBefore; i < len(m.inFlight); i++ {
-						f := &m.inFlight[i]
-						if f.node == n.ID && f.arrive < nextArr {
-							nextArr = f.arrive
-						}
-					}
-				}
+			memOps++
+			t.PC++
+			cost = memC
+			if m.MemDelay != nil {
+				cost = m.memCost(n, addr, false)
 			}
 		} else {
 			m.cycle = c
 			flightsBefore := len(m.inFlight)
-			serr = m.executeInterp(n, idx)
-			if len(m.inFlight) > flightsBefore {
-				for i := flightsBefore; i < len(m.inFlight); i++ {
-					f := &m.inFlight[i]
-					if f.node == n.ID && f.arrive < nextArr {
-						nextArr = f.arrive
-					}
+			if serr := m.execDecoded(n, t, d, idx); serr != nil {
+				errCycle, err = c, serr
+				break
+			}
+			// A spawn launched: only a node-local parcel can land inside
+			// the window, but track it either way.
+			for i := flightsBefore; i < len(m.inFlight); i++ {
+				if f := &m.inFlight[i]; f.node == n.ID {
+					nextArr = min(nextArr, f.arrive)
 				}
 			}
-		}
-		if serr != nil {
-			errCycle, err = c, serr
-			goto flush
+			if t.done {
+				if idx < 64 {
+					ready &^= 1 << uint(idx)
+				} else {
+					sc.readyHi[idx>>6-1] &^= 1 << uint(idx&63)
+				}
+				if nT >= 64 {
+					// The halt may let compaction fire: check next cycle.
+					nextArr = min(nextArr, c+1)
+				}
+			}
+			cost = t.stall + 1
 		}
 		lastIssue = c
-		if len(m.fusePending) > 0 {
-			// Conditions were proven at queue time and nothing else has
-			// run since, so the tail executes unconditionally here.
-			for _, p := range m.fusePending {
-				m.execFusedTail(p.n, p.ti)
+		// Move a stalled thread straight to the stalled set (the slab
+		// countdown stays untouched — sched.flush rewrites it from wake).
+		// A cost of 1 means no stall: the thread stays ready.
+		if cost > 1 {
+			if idx < 64 {
+				ready &^= 1 << uint(idx)
+				stalled |= 1 << uint(idx)
+			} else {
+				sc.readyHi[idx>>6-1] &^= 1 << uint(idx&63)
+				sc.stalledHi[idx>>6-1] |= 1 << uint(idx&63)
 			}
-			m.fusePending = m.fusePending[:0]
-		}
-		if t.done {
-			readyM &^= 1 << uint(idx)
-		} else if t.stall > 0 {
-			readyM &^= 1 << uint(idx)
-			stalledM |= 1 << uint(idx)
-			w := c + t.stall + 1
-			wake[idx] = w
-			if w < minWake {
-				minWake = w
-			}
+			sc.wake[idx] = c + cost
+			minWake = min(minWake, c+cost)
 		}
 		c++
 	}
-flush:
-	// Convert wake cycles back to countdowns relative to the first cycle
-	// this loop did not execute, restoring the slab representation the
-	// generic/per-cycle paths (and the next window) expect.
-	for sm := stalledM; sm != 0; sm &= sm - 1 {
-		i := bits.TrailingZeros64(sm)
-		s := wake[i] - c
-		if s < 0 {
-			s = 0
-		}
-		n.threads[i].stall = s
-	}
-	for rm := readyM; rm != 0; rm &= rm - 1 {
-		n.threads[bits.TrailingZeros64(rm)].stall = 0
-	}
+	sc.flush(n, c, stalled)
 	n.next = next
 	n.Instructions += instr
 	n.MemOps += memOps
-	n.BusyCycles += busy
+	n.BusyCycles += c - wstart - idle
+	if err != nil {
+		n.BusyCycles++
+	}
 	n.IdleCycles += idle
-	return lastIssue, resume, errCycle, err
+	return lastIssue, errCycle, err
 }
 
-// compact drops finished thread contexts once they dominate the slab, so
-// a node that fanned out a burst of threads doesn't scan their dead slots
-// forever after the burst drains. (The free list bounds slab growth under
-// steady churn; this bounds the scan after a one-off spike.) The kept
-// contexts stay in issue order and the backing array is reused, so both
+// never is the wake/arrival sentinel: no event pending.
+const never = int64(^uint64(0) >> 1)
+
+// housekeep runs the issue loop's rare work at cycle c: it starts the
+// threads of n's parcels due by c, in flight order, and, when finished
+// contexts dominate the slab (every live cycle checks), compacts it and
+// re-indexes the scratch. It takes and returns the loop's scheduling
+// state — word 0 of the ready and stalled bitsets, the earliest wake, the
+// issue pointer — and returns n's next arrival (never if none).
+func (m *Machine) housekeep(n *NodeState, c int64, ready, stalled uint64, minWake int64, next int) (uint64, uint64, int64, int, int64) {
+	sc := &m.sched
+	nextArr := never
+	for i := range m.inFlight {
+		f := &m.inFlight[i]
+		if f.node != n.ID {
+			continue
+		}
+		if f.arrive > c {
+			nextArr = min(nextArr, f.arrive)
+			continue
+		}
+		idx := n.startThread(f.entry, f.arg, f.src)
+		f.node = -1
+		sc.fit(len(n.threads))
+		if idx < 64 {
+			ready |= 1 << uint(idx)
+		} else {
+			sc.readyHi[idx>>6-1] |= 1 << uint(idx&63)
+		}
+	}
+	if len(n.threads) >= 64 && n.live > 0 && n.live*2 <= len(n.threads) {
+		sc.flush(n, c, stalled)
+		n.compact()
+		ready, stalled, minWake = sc.load(n, c)
+		next = 0
+	}
+	return ready, stalled, minWake, next, nextArr
+}
+
+// fetch decodes the instruction word at pc for an issue the decoded slab
+// does not cover — a PC outside the program span, or any issue of a
+// traced run — and records the issue's Trace event on a traced run.
+func (m *Machine) fetch(n *NodeState, c int64, pc uint64) decop {
+	d := decodeOp(n.Mem[pc])
+	if m.Trace != nil && d.op != OpInvalid {
+		m.events = append(m.events, hookEvent{cycle: c, node: n.ID, pc: pc, word: n.Mem[pc]})
+	}
+	return d
+}
+
+// none reports whether every word of a bitset is zero.
+func none(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// isSet reports whether slot i is set in the bitset with word 0 w0 and
+// higher words hi.
+func isSet(w0 uint64, hi []uint64, i int) bool {
+	if i < 64 {
+		return w0&(1<<uint(i)) != 0
+	}
+	return hi[i>>6-1]&(1<<uint(i&63)) != 0
+}
+
+// pick returns the first set slot at or after from in the non-empty
+// bitset with word 0 w0 and higher words hi, wrapping past the end. The
+// caller has already found no set slot at or after from in word 0.
+func pick(w0 uint64, hi []uint64, from int) int {
+	for w := max(from>>6, 1); w <= len(hi); w++ {
+		r := hi[w-1]
+		if w == from>>6 {
+			r &^= 1<<uint(from&63) - 1
+		}
+		if r != 0 {
+			return w<<6 | bits.TrailingZeros64(r)
+		}
+	}
+	if w0 != 0 {
+		return bits.TrailingZeros64(w0)
+	}
+	for w := 1; ; w++ {
+		if r := hi[w-1]; r != 0 {
+			return w<<6 | bits.TrailingZeros64(r)
+		}
+	}
+}
+
+// sched is the issue loop's scratch for the node running its window,
+// indexed by thread slot: the ready and stalled bitset words above word
+// 0 (slot 64k+b is bit b of word k-1) and each stalled thread's wake
+// cycle. It lives on the Machine (one per parallel worker) rather than on
+// each node, so it stays cache-hot from node to node, and runs allocate
+// nothing once it has grown.
+type sched struct {
+	readyHi, stalledHi []uint64
+	wake               []int64
+}
+
+// load rebuilds the scratch from n's thread slab at cycle c, the first
+// cycle to execute: a live thread with countdown s > 0 is stalled until
+// c+s, any other live thread is ready. It returns word 0 of the ready
+// and stalled bitsets and the earliest wake.
+func (sc *sched) load(n *NodeState, c int64) (ready0, stalled0 uint64, minWake int64) {
+	sc.readyHi, sc.stalledHi = sc.readyHi[:0], sc.stalledHi[:0]
+	sc.fit(len(n.threads))
+	minWake = never
+	for i := range n.threads {
+		t := &n.threads[i]
+		switch {
+		case t.done:
+		case t.stall > 0:
+			if i < 64 {
+				stalled0 |= 1 << uint(i)
+			} else {
+				sc.stalledHi[i>>6-1] |= 1 << uint(i&63)
+			}
+			sc.wake[i] = c + t.stall
+			minWake = min(minWake, c+t.stall)
+		case i < 64:
+			ready0 |= 1 << uint(i)
+		default:
+			sc.readyHi[i>>6-1] |= 1 << uint(i&63)
+		}
+	}
+	return ready0, stalled0, minWake
+}
+
+// fit extends the scratch to cover nT slots; new words start empty. (A
+// wake entry is read only while its slot is stalled, which writes it.)
+func (sc *sched) fit(nT int) {
+	if nT > len(sc.wake) {
+		sc.wake = slices.Grow(sc.wake, nT-len(sc.wake))[:nT]
+	}
+	for len(sc.readyHi) < (nT-1)>>6 {
+		sc.readyHi = append(sc.readyHi, 0)
+		sc.stalledHi = append(sc.stalledHi, 0)
+	}
+}
+
+// flush writes the stalled threads' wakes back to n's slab countdowns
+// relative to cycle c, the first cycle the window loop did not execute;
+// stalled0 is word 0 of the stalled bitset. (Ready threads' countdowns
+// are already zero: the loop clears a countdown when its stall expires.)
+func (sc *sched) flush(n *NodeState, c int64, stalled0 uint64) {
+	for sm := stalled0; sm != 0; sm &= sm - 1 {
+		i := bits.TrailingZeros64(sm)
+		n.threads[i].stall = max(sc.wake[i]-c, 0)
+	}
+	for w, sm := range sc.stalledHi {
+		for ; sm != 0; sm &= sm - 1 {
+			i := (w+1)<<6 | bits.TrailingZeros64(sm)
+			n.threads[i].stall = max(sc.wake[i]-c, 0)
+		}
+	}
+}
+
+// minWake returns the earliest wake among the stalled threads; stalled0
+// is word 0 of the stalled bitset.
+func (sc *sched) minWake(stalled0 uint64) int64 {
+	mw := never
+	for sm := stalled0; sm != 0; sm &= sm - 1 {
+		mw = min(mw, sc.wake[bits.TrailingZeros64(sm)])
+	}
+	for w, sm := range sc.stalledHi {
+		for ; sm != 0; sm &= sm - 1 {
+			mw = min(mw, sc.wake[(w+1)<<6|bits.TrailingZeros64(sm)])
+		}
+	}
+	return mw
+}
+
+// compact drops finished thread contexts, so a node that fanned out a
+// burst of threads doesn't scan their dead slots forever after the burst
+// drains. Every live cycle of a node whose slab holds at least 64 slots,
+// at most half of them live, compacts it. (The free list bounds slab
+// growth under steady churn; this bounds the scan after a one-off
+// spike.) The kept contexts stay in issue order, the issue pointer
+// restarts at slot 0, and the backing array is reused, so both
 // determinism and the zero-alloc discipline survive.
 func (n *NodeState) compact() {
-	if len(n.threads) < 64 || n.live*2 > len(n.threads) {
-		return
-	}
 	kept := n.threads[:0]
 	for i := range n.threads {
 		if !n.threads[i].done {
@@ -1262,60 +1126,6 @@ func (n *NodeState) compact() {
 	n.threads = kept
 	n.free = n.free[:0]
 	n.next = 0
-}
-
-// stepNode issues at most one instruction on node n, reporting whether
-// one issued. The single round-robin scan batch-services every thread of
-// the node: stalled threads tick down, the issue slot goes to the next
-// ready thread, and the scan proves (or disproves) that the chosen
-// thread also owns the *next* cycle's slot — the superinstruction
-// precondition (sole ready thread, every other live thread stalled
-// beyond the next cycle, no parcel arrival pending). fuseOK lets the
-// caller veto fusion when it cannot vouch for the next cycle's slot
-// (a windowed run at its window's last cycle).
-func (m *Machine) stepNode(n *NodeState, fuseOK bool) (bool, error) {
-	if n.live == 0 {
-		n.IdleCycles++
-		return false, nil
-	}
-	n.compact()
-	// Find the next ready thread round-robin; stalled threads tick down.
-	nThreads := len(n.threads)
-	chosen := -1
-	ready := 0
-	nextReady := false
-	for i := 0; i < nThreads; i++ {
-		idx := n.next + i
-		if idx >= nThreads {
-			idx -= nThreads
-		}
-		t := &n.threads[idx]
-		if t.done {
-			continue
-		}
-		if t.stall > 0 {
-			t.stall--
-			if t.stall == 0 {
-				nextReady = true
-			}
-			continue
-		}
-		ready++
-		if chosen < 0 {
-			chosen = idx
-			n.next = idx + 1
-			if n.next >= nThreads {
-				n.next = 0
-			}
-		}
-	}
-	// All live threads stalled counts busy (the bank is working).
-	n.BusyCycles++
-	if chosen < 0 {
-		return false, nil
-	}
-	fusible := fuseOK && ready == 1 && !nextReady && len(m.inFlight) == 0
-	return true, m.execute(n, chosen, fusible)
 }
 
 // memCost returns the cycle cost of one memory operation, scaled by the
@@ -1371,9 +1181,7 @@ func (m *Machine) rto(lat int64) int64 {
 }
 
 // sendParcel launches one spawn parcel from n to dst, routing it through
-// the fault plan when one is armed. Both execution paths (interpretive
-// and pre-decoded) call this, so fault semantics cannot fork between
-// them.
+// the fault plan when one is armed.
 //
 // The faulted path resolves the entire delivery analytically at send
 // time: every attempt's fate is a pure function of (plan seed, identity,
@@ -1439,180 +1247,6 @@ func (m *Machine) sendParcel(n *NodeState, dst int, entry, arg uint64) {
 			m.inFlight = append(m.inFlight, dup)
 		}
 	}
-}
-
-// execute runs one instruction on thread slot ti of node n, dispatching
-// through the pre-decoded slab when the PC is inside the program span
-// (the hot path) and falling back to per-cycle decode otherwise.
-func (m *Machine) execute(n *NodeState, ti int, fusible bool) error {
-	if off := n.threads[ti].PC - n.progBase; off < uint64(len(n.decoded)) && !m.ForceInterpret {
-		return m.execDecoded(n, &n.threads[ti], &n.decoded[off], ti, fusible)
-	}
-	return m.executeInterp(n, ti)
-}
-
-// executeInterp is the interpretive path: decode the instruction word at
-// t.PC and execute it. Semantically identical to execDecoded — it serves
-// PCs outside the decoded span, the ForceInterpret differential-testing
-// mode, and documents the reference semantics the decoded path must
-// preserve.
-func (m *Machine) executeInterp(n *NodeState, ti int) error {
-	t := &n.threads[ti]
-	if t.PC >= uint64(len(n.Mem)) {
-		return fmt.Errorf("isa: node %d: PC %d out of memory", n.ID, t.PC)
-	}
-	in, err := DecodeInstr(n.Mem[t.PC])
-	if err != nil {
-		return fmt.Errorf("isa: node %d pc %d: %w", n.ID, t.PC, err)
-	}
-	if m.Trace != nil {
-		m.Trace(m.cycle, n.ID, t.PC, in)
-	}
-	n.Instructions++
-	pcNext := t.PC + 1
-	rd := func() uint64 { return t.Regs[in.Rd] }
-	ra := func() uint64 { return t.Regs[in.Ra] }
-	rb := func() uint64 { return t.Regs[in.Rb] }
-	set := func(r uint8, v uint64) {
-		if r != 0 {
-			t.Regs[r] = v
-		}
-	}
-	mem := func(addr uint64) (uint64, error) {
-		if addr >= uint64(len(n.Mem)) {
-			return 0, fmt.Errorf("isa: node %d pc %d: memory access %d out of %d",
-				n.ID, t.PC, addr, len(n.Mem))
-		}
-		return n.Mem[addr], nil
-	}
-
-	switch in.Op {
-	case OpHalt:
-		t.done = true
-		n.live--
-		n.Completed++
-		n.free = append(n.free, int32(ti))
-		return nil
-	case OpAdd:
-		set(in.Rd, ra()+rb())
-	case OpSub:
-		set(in.Rd, ra()-rb())
-	case OpMul:
-		set(in.Rd, ra()*rb())
-	case OpAnd:
-		set(in.Rd, ra()&rb())
-	case OpOr:
-		set(in.Rd, ra()|rb())
-	case OpXor:
-		set(in.Rd, ra()^rb())
-	case OpShl:
-		set(in.Rd, ra()<<(rb()&63))
-	case OpShr:
-		set(in.Rd, ra()>>(rb()&63))
-	case OpAddi:
-		set(in.Rd, ra()+uint64(int64(in.Imm)))
-	case OpLui:
-		// Mask the immediate to its architectural 24 bits before
-		// shifting: Imm is sign-extended at decode, and the extension
-		// bits must not leak into result bits 48-55.
-		set(in.Rd, uint64(uint32(in.Imm)&0xffffff)<<24)
-	case OpLd:
-		addr := ra() + uint64(int64(in.Imm))
-		v, err := mem(addr)
-		if err != nil {
-			return err
-		}
-		set(in.Rd, v)
-		t.stall = m.memCost(n, addr, false) - 1
-		n.MemOps++
-	case OpSt:
-		addr := ra() + uint64(int64(in.Imm))
-		if _, err := mem(addr); err != nil {
-			return err
-		}
-		n.Mem[addr] = rd()
-		n.patch(addr)
-		t.stall = m.memCost(n, addr, false) - 1
-		n.MemOps++
-	case OpBeq:
-		if ra() == rb() {
-			pcNext = uint64(in.Imm)
-		}
-	case OpBne:
-		if ra() != rb() {
-			pcNext = uint64(in.Imm)
-		}
-	case OpBlt:
-		if ra() < rb() {
-			pcNext = uint64(in.Imm)
-		}
-	case OpJmp:
-		pcNext = uint64(in.Imm)
-	case OpJr:
-		pcNext = ra()
-	case OpAmoAdd:
-		addr := ra()
-		v, err := mem(addr)
-		if err != nil {
-			return err
-		}
-		n.Mem[addr] = v + rb()
-		n.patch(addr)
-		set(in.Rd, v)
-		t.stall = m.memCost(n, addr, false) - 1
-		n.MemOps++
-	case OpVAdd:
-		d, a, b := rd(), ra(), rb()
-		// wideCheck rather than mem(x+WideWords-1): the latter wraps
-		// for near-uint64-max bases and would let the element loop
-		// index out of range.
-		if err := n.wideCheck(t.PC, d); err != nil {
-			return err
-		}
-		if err := n.wideCheck(t.PC, a); err != nil {
-			return err
-		}
-		if err := n.wideCheck(t.PC, b); err != nil {
-			return err
-		}
-		for i := uint64(0); i < WideWords; i++ {
-			n.Mem[d+i] = n.Mem[a+i] + n.Mem[b+i]
-		}
-		n.patchWide(d)
-		t.stall = m.memCost(n, d, true) - 1
-		n.WideOps++
-	case OpVSum:
-		a := ra()
-		if err := n.wideCheck(t.PC, a); err != nil {
-			return err
-		}
-		var s uint64
-		for i := uint64(0); i < WideWords; i++ {
-			s += n.Mem[a+i]
-		}
-		set(in.Rd, s)
-		t.stall = m.memCost(n, a, true) - 1
-		n.WideOps++
-	case OpSpawn:
-		dst := int(ra())
-		if dst < 0 || dst >= len(m.Nodes) {
-			return fmt.Errorf("isa: node %d pc %d: spawn to node %d of %d",
-				n.ID, t.PC, dst, len(m.Nodes))
-		}
-		m.sendParcel(n, dst, rb(), rd())
-		t.stall = m.spawnStall(n)
-		n.Spawns++
-	case OpNodeID:
-		set(in.Rd, uint64(n.ID))
-	case OpPrint:
-		if m.Output != nil {
-			m.Output(n.ID, ra())
-		}
-	default:
-		return fmt.Errorf("isa: node %d pc %d: unimplemented op %v", n.ID, t.PC, in.Op)
-	}
-	t.PC = pcNext
-	return nil
 }
 
 // TotalInstructions sums instruction counts over nodes.

@@ -15,24 +15,20 @@ import (
 // only at the barrier, merged into the destination partitions' arrival
 // queues in canonical (sent, src) order. Because no worker can observe
 // another inside a window and the barrier merge is a deterministic
-// function of the flights alone, every counter, memory word, fault, and
-// cycle count is byte-identical to serial execution — for any worker
-// count and any partition assignment.
+// function of the flights alone, every counter, memory word, fault,
+// cycle count and hook call is byte-identical to serial execution — for
+// any worker count and any partition assignment.
 //
 // Each worker owns a shallow Machine view: the shared (read-only) Nodes
-// slice plus private cycle/inFlight/fusePending state, so the whole
-// single-threaded window machinery — runNodeWindow, the bitmask fast
-// path, pre-decoded dispatch, superinstruction fusion — runs unchanged
-// on a partition-local arrival queue. Fusion decisions may differ from
-// serial (a partition queue can be empty while another partition has
-// parcels in flight), but fused execution is timing-transparent by
-// construction (execFusedTail charges the hidden issue slot), so the
-// difference is unobservable.
+// slice plus private cycle/inFlight/events state, so the one issue loop
+// (runNodeWindow) runs unchanged on a partition-local arrival queue. The
+// workers buffer hook events; the coordinator replays them at the
+// barrier.
 
 // parWorker is one partition of a parallel run.
 type parWorker struct {
 	// vm is the worker's shallow Machine view: shared Nodes/Timing/
-	// NetDelay, private clock and queues. Hooks are nil by the Run gate.
+	// NetDelay, private clock, queues and hook-event buffer.
 	vm Machine
 	// nodes is this partition's node set, in ascending node order (the
 	// serial iteration order, which error reduction depends on).
@@ -102,8 +98,8 @@ func (m *Machine) partitions() (parts [][]*NodeState, owner []int, err error) {
 }
 
 // runParallel is Run's multi-worker windowed loop. The caller (the Run
-// gate) guarantees Parallelism > 1, more than one node, a positive
-// lookahead behind the window bound, and no Trace/Output hooks.
+// gate) guarantees Parallelism > 1, more than one node, and a positive
+// lookahead behind the window bound.
 func (m *Machine) runParallel(window int64) (int64, error) {
 	parts, owner, err := m.partitions()
 	if err != nil {
@@ -120,13 +116,15 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 				MemDelay:     m.MemDelay,
 				Fault:        m.Fault,
 				Reliable:     m.Reliable,
+				Trace:        m.Trace,
+				Output:       m.Output,
 			},
 			nodes: nodes,
 			start: make(chan [2]int64, 1),
 		}
 	}
-	// Route the pre-existing flight queue (per-cycle append order, so
-	// already canonical) to the destination partitions.
+	// Route the pre-existing flight queue (already in canonical order) to
+	// the destination partitions.
 	for _, f := range m.inFlight {
 		w := workers[owner[f.node]]
 		w.queue = append(w.queue, f)
@@ -207,10 +205,11 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 
 		// Reduce per-worker faults to the serial winner: first in
 		// (cycle, node) order, as the ascending node-major loop reports.
+		// The workers' hook events replay up to it.
 		var (
 			firstErr      error
 			firstErrCycle int64
-			firstErrNode  int
+			firstErrNode  = len(m.Nodes)
 			lastIssue     int64
 		)
 		for _, w := range workers {
@@ -221,12 +220,16 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 			if w.lastIssue > lastIssue {
 				lastIssue = w.lastIssue
 			}
+			m.events = append(m.events, w.vm.events...)
+			w.vm.events = w.vm.events[:0]
 		}
 		if firstErr != nil {
+			m.replayHooks(firstErrCycle, firstErrNode)
 			m.cycle = firstErrCycle
 			gather()
 			return m.cycle, firstErr
 		}
+		m.replayHooks(wend, firstErrNode)
 
 		// Barrier merge: compact each partition queue (dropping delivered
 		// tombstones), pull out the window's new sends, order them

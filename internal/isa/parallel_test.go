@@ -7,17 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/network"
 )
 
 // This file is the determinism suite for the conservative time-windowed
 // parallel executor (parallel.go): for every builtin program on every
 // topology, a parallel run — at any worker count, under any partition
-// shape — must be byte-identical to the serial per-cycle interpreter in
-// every observable: cycle count, all per-node counters, and all of
-// memory. The per-cycle ForceInterpret path is the oracle; the serial
-// windowed path rides along as a third independent schedule of the same
-// machine.
+// shape — must be byte-identical to the reference interpreter (refRun)
+// in every observable: cycle count, all per-node counters, and all of
+// memory. The serial windowed path rides along as a third schedule of
+// the same machine.
 
 // parallelPrograms stages each builtin kernel on a 16-node machine
 // (square and a power of two, so every topology accepts it): the random
@@ -159,10 +159,21 @@ func applyTopology(t *testing.T, m *Machine, topoName string) {
 // count, per-node counters, and an FNV-64a hash over all node memory.
 func runFingerprint(t *testing.T, m *Machine) string {
 	t.Helper()
-	cycles, err := m.Run()
+	return runFingerprintWith(t, m, (*Machine).Run)
+}
+
+// runFingerprintWith is runFingerprint on the execution path run.
+func runFingerprintWith(t *testing.T, m *Machine, run func(*Machine) (int64, error)) string {
+	t.Helper()
+	cycles, err := run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fingerprint(m, cycles)
+}
+
+// fingerprint renders the machine's observables after a run of cycles.
+func fingerprint(m *Machine, cycles int64) string {
 	h := fnv.New64a()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "cycles=%d\n", cycles)
@@ -188,46 +199,46 @@ func runFingerprint(t *testing.T, m *Machine) string {
 	return b.String()
 }
 
-// parallelModes is the execution-mode matrix: the per-cycle oracle, the
-// serial windowed path, and P ∈ {1, 2, 4, 7} under contiguous (nil
-// Partition) and strided (node i -> worker i mod P) assignments. P=7
-// does not divide 16 and P exceeding no divisor exercises ragged
-// partitions; strided assignments split adjacent nodes across workers.
-func parallelModes() []struct {
-	name  string
-	apply func(m *Machine)
-} {
-	modes := []struct {
-		name  string
-		apply func(m *Machine)
-	}{
-		{"interp", func(m *Machine) { m.ForceInterpret = true }},
-		{"serial", func(m *Machine) {}},
-	}
-	for _, p := range []int{1, 2, 4, 7} {
-		p := p
-		modes = append(modes, struct {
-			name  string
-			apply func(m *Machine)
-		}{fmt.Sprintf("p%d-contig", p), func(m *Machine) { m.Parallelism = p }})
-		modes = append(modes, struct {
-			name  string
-			apply func(m *Machine)
-		}{fmt.Sprintf("p%d-strided", p), func(m *Machine) {
-			m.Parallelism = p
+// execMode is one execution path: the reference interpreter, or Run
+// under some configuration.
+type execMode struct {
+	name string
+	run  func(m *Machine) (int64, error)
+}
+
+// parallelRun returns the execution path that runs m on p workers, with
+// node i on worker i mod p when strided (nil Partition otherwise).
+func parallelRun(p int, strided bool) func(m *Machine) (int64, error) {
+	return func(m *Machine) (int64, error) {
+		m.Parallelism = p
+		if strided {
 			m.Partition = make([]int, len(m.Nodes))
 			for i := range m.Partition {
 				m.Partition[i] = i % p
 			}
-		}})
+		}
+		return m.Run()
+	}
+}
+
+// parallelModes is the execution-mode matrix: the reference oracle, the
+// serial windowed path, and P ∈ {1, 2, 4, 7} under contiguous (nil
+// Partition) and strided (node i -> worker i mod P) assignments. P=7
+// does not divide 16 and P exceeding no divisor exercises ragged
+// partitions; strided assignments split adjacent nodes across workers.
+func parallelModes() []execMode {
+	modes := []execMode{{"ref", refRun}, {"serial", (*Machine).Run}}
+	for _, p := range []int{1, 2, 4, 7} {
+		modes = append(modes,
+			execMode{fmt.Sprintf("p%d-contig", p), parallelRun(p, false)},
+			execMode{fmt.Sprintf("p%d-strided", p), parallelRun(p, true)})
 	}
 	return modes
 }
 
 // TestParallelDeterminism is the tentpole's acceptance property: for
 // every builtin program × topology, every parallel configuration
-// produces the identical run fingerprint as the per-cycle serial
-// interpreter. Each case also runs with a stateful MemDelay hook
+// produces the identical run fingerprint as the reference interpreter. Each case also runs with a stateful MemDelay hook
 // (openRowDelay). The hook keeps the windowed and parallel paths, so
 // there every mode agrees with the oracle only if each node's calls reach
 // the hook in that node's cycle order on every path; the per-node call
@@ -249,14 +260,13 @@ func TestParallelDeterminism(t *testing.T) {
 						if hook {
 							m.MemDelay = openRowDelay(calls)
 						}
-						mode.apply(m)
-						got := runFingerprint(t, m) + fmt.Sprintf("calls=%v\n", calls)
+						got := runFingerprintWith(t, m, mode.run) + fmt.Sprintf("calls=%v\n", calls)
 						if want == "" {
 							want = got
 							continue
 						}
 						if got != want {
-							t.Fatalf("%s diverges from interp oracle:\n--- %s ---\n%s--- interp ---\n%s",
+							t.Fatalf("%s diverges from the reference:\n--- %s ---\n%s--- ref ---\n%s",
 								mode.name, mode.name, got, want)
 						}
 					}
@@ -287,37 +297,40 @@ func openRowDelay(calls []int64) func(node int, addr uint64, wide bool) int64 {
 	}
 }
 
-// TestParallelTraceFallsBackToSerial documents the hook guarantee: a
-// Trace observer forces serial per-cycle execution even with Parallelism
-// set, so trace streams are byte-identical by construction.
-func TestParallelTraceFallsBackToSerial(t *testing.T) {
-	build := parallelPrograms(t)["treesum"]
-	trace := func(parallel int) []byte {
-		m := build(t)
-		applyTopology(t, m, "torus")
-		m.Parallelism = parallel
-		var buf bytes.Buffer
-		m.Trace = func(cycle int64, node int, pc uint64, in Instr) {
-			fmt.Fprintf(&buf, "%d %d %d %v\n", cycle, node, pc, in)
+// TestParallelTraceEquivalence pins the hook guarantee: Trace and
+// Output calls are buffered per window and replayed at the barrier in
+// (cycle, node) order, so the streams of serial and parallel runs are
+// byte-identical to the reference interpreter's, on every topology.
+func TestParallelTraceEquivalence(t *testing.T) {
+	for _, topo := range []string{"flat", "torus"} {
+		for name, build := range parallelPrograms(t) {
+			t.Run(topo+"/"+name, func(t *testing.T) {
+				var want string
+				for _, mode := range parallelModes() {
+					m := build(t)
+					applyTopology(t, m, topo)
+					var buf bytes.Buffer
+					m.Trace = func(cycle int64, node int, pc uint64, in Instr) {
+						fmt.Fprintf(&buf, "%d %d %d %v\n", cycle, node, pc, in)
+					}
+					m.Output = func(node int, v uint64) { fmt.Fprintf(&buf, "out %d %d\n", node, v) }
+					got := runFingerprintWith(t, m, mode.run) + buf.String()
+					if mode.name == "ref" {
+						want = got
+						continue
+					}
+					if got != want {
+						t.Fatalf("%s trace diverges from the reference (%d vs %d bytes)", mode.name, len(got), len(want))
+					}
+				}
+			})
 		}
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := trace(1)
-	par := trace(4)
-	if len(serial) == 0 {
-		t.Fatal("empty trace")
-	}
-	if !bytes.Equal(serial, par) {
-		t.Fatalf("trace streams diverge under Parallelism (%d vs %d bytes)", len(serial), len(par))
 	}
 }
 
 // TestParallelZeroLookaheadFallsBackToSerial is the adversarial case: a
 // zero-latency NetDelay (FlatNetwork with L=0) admits no conservative
-// window, so a parallel run must fall back to per-cycle serial execution
+// window, so a parallel run must fall back to serial one-cycle windows
 // — same result, no deadlock, no divergence — rather than guess a
 // lookahead.
 func TestParallelZeroLookaheadFallsBackToSerial(t *testing.T) {
@@ -328,10 +341,9 @@ func TestParallelZeroLookaheadFallsBackToSerial(t *testing.T) {
 		return runFingerprint(t, m)
 	}
 	// Oracle: the same zero-latency network expressed as the flat timing.
-	want := run(func(m *Machine) {
-		m.Timing.NetLatency = 0
-		m.ForceInterpret = true
-	})
+	m := build(t)
+	m.Timing.NetLatency = 0
+	want := runFingerprintWith(t, m, refRun)
 	for _, p := range []int{1, 4, 7} {
 		got := run(func(m *Machine) {
 			zero := network.NewFlat(len(m.Nodes), 0)
@@ -345,7 +357,7 @@ func TestParallelZeroLookaheadFallsBackToSerial(t *testing.T) {
 	}
 }
 
-// TestParallelMaxWindowEquivalence pins that shrinking the window bound
+// TestParallelMaxWindowEquivalence pins that shrinking the window cap
 // changes only barrier granularity, never results.
 func TestParallelMaxWindowEquivalence(t *testing.T) {
 	build := parallelPrograms(t)["ping"]
@@ -354,14 +366,14 @@ func TestParallelMaxWindowEquivalence(t *testing.T) {
 		m := build(t)
 		applyTopology(t, m, "ring")
 		m.Parallelism = 4
-		m.MaxWindow = maxW
+		m.maxWindow = maxW
 		got := runFingerprint(t, m)
 		if want == "" {
 			want = got
 			continue
 		}
 		if got != want {
-			t.Fatalf("MaxWindow=%d diverges:\n--- got ---\n%s--- want ---\n%s", maxW, got, want)
+			t.Fatalf("maxWindow=%d diverges:\n--- got ---\n%s--- want ---\n%s", maxW, got, want)
 		}
 	}
 }
@@ -449,5 +461,102 @@ func TestParallelResetReuse(t *testing.T) {
 		if got != want {
 			t.Fatalf("round %d diverges after Reset:\n--- got ---\n%s--- want ---\n%s", round, got, want)
 		}
+	}
+}
+
+// TestBurstBeyondSixtyFourThreads drives one node past 64 thread slots
+// mid-window: three nodes each spawn 34 short workers onto node 0, whose
+// two long-running threads are live when the burst lands. The workers
+// loop on a shared counter with memory stalls and halt after 1-7
+// iterations, so the slab also compacts while threads are live. Serial,
+// parallel (P = 2, 3) and zero-rate-fault runs must all match the
+// reference interpreter — run fingerprint and issue order — on a flat
+// and a hop-routed network.
+func TestBurstBeyondSixtyFourThreads(t *testing.T) {
+	const src = `
+main:
+    addi r5, r0, worker
+    spawn r1, r0, r5
+    halt
+worker:
+    addi r3, r0, 800
+loop:
+    ld   r4, r3, 0
+    addi r4, r4, 1
+    st   r4, r3, 0
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+`
+	prog, err := Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Memory ops stall about as long as a round-robin pass over the
+	// burst, so most workers are stalled most of the time and every
+	// wake cycle shapes the issue order.
+	timing := DefaultTiming()
+	timing.MemCycles = 97
+	build := func(t *testing.T, topo string) *Machine {
+		m, err := NewMachine(4, 2048, timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadAll(prog); err != nil {
+			t.Fatal(err)
+		}
+		applyTopology(t, m, topo)
+		mainPC, _ := prog.Entry("main")
+		worker, _ := prog.Entry("worker")
+		m.Nodes[0].StartThread(worker, 40, 0)
+		m.Nodes[0].StartThread(worker, 45, 0)
+		for _, n := range m.Nodes[1:] {
+			for i := 0; i < 34; i++ {
+				n.StartThread(mainPC, uint64(i%7+1), 0)
+			}
+		}
+		m.MaxCycles = 1_000_000
+		return m
+	}
+	zeroFault := func(run func(*Machine) (int64, error)) func(*Machine) (int64, error) {
+		return func(m *Machine) (int64, error) {
+			m.Fault = mustFaultPlan(t, fault.Config{Seed: 7})
+			m.Reliable = true
+			return run(m)
+		}
+	}
+	modes := []execMode{
+		{"serial", (*Machine).Run},
+		{"p2", parallelRun(2, false)},
+		{"p3", parallelRun(3, true)},
+		{"zero-fault", zeroFault((*Machine).Run)},
+		{"zero-fault-p3", zeroFault(parallelRun(3, false))},
+	}
+	// traced runs m with a Trace hook and returns the issue stream.
+	traced := func(m *Machine, run func(*Machine) (int64, error)) string {
+		var b strings.Builder
+		m.Trace = func(cycle int64, node int, pc uint64, in Instr) {
+			fmt.Fprintf(&b, "%d %d %d\n", cycle, node, pc)
+		}
+		runFingerprintWith(t, m, run)
+		return b.String()
+	}
+	for _, topo := range []string{"flat", "ring"} {
+		t.Run(topo, func(t *testing.T) {
+			want := runFingerprintWith(t, build(t, topo), refRun)
+			wantTrace := traced(build(t, topo), refRun)
+			for _, mode := range modes {
+				m := build(t, topo)
+				if got := runFingerprintWith(t, m, mode.run); got != want {
+					t.Fatalf("%s diverges from the reference:\n--- %s ---\n%s--- ref ---\n%s", mode.name, mode.name, got, want)
+				}
+				if c := cap(m.Nodes[0].threads); c < 64 {
+					t.Fatalf("%s: node 0's slab peaked at %d slots, want >= 64", mode.name, c)
+				}
+				if got := traced(build(t, topo), mode.run); got != wantTrace {
+					t.Fatalf("%s: issue order diverges from the reference", mode.name)
+				}
+			}
+		})
 	}
 }

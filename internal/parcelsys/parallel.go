@@ -190,7 +190,7 @@ func (t *parCtrlThread) Step(a *sim.ActCtx) {
 	for {
 		switch t.state {
 		case pcSegment:
-			t.nops, t.remote = segment(&t.st, *p)
+			t.nops, t.remote = segment(&t.st, p)
 			t.state = pcHoldCPU
 			if !t.cpu.Acquire1Act(a) {
 				return

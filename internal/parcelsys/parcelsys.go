@@ -288,7 +288,7 @@ type nodeStats struct {
 
 // segment draws one execution segment: the number of useful ops before the
 // next memory access (geometric in MixMem). Returns (usefulOps, isRemote).
-func segment(st *rng.Stream, p Params) (int, bool) {
+func segment(st *rng.Stream, p *Params) (int, bool) {
 	n := st.Geometric(p.MixMem)
 	remote := p.Nodes > 1 && st.Bernoulli(p.RemoteFrac)
 	return n, remote
@@ -376,7 +376,7 @@ func (n *testNode) visit(t sim.Time) sim.Time {
 		}
 	}
 	for t <= h {
-		nops, remote := segment(&wp.st, *p)
+		nops, remote := segment(&wp.st, p)
 		if t += float64(nops); t <= h {
 			ns.ops += int64(nops)
 		}

@@ -79,7 +79,7 @@ func (n *pieceNode) Step(a *sim.ActCtx) {
 			ns.ops++
 			n.state = pnSegment
 		case pnSegment:
-			n.nops, n.rem = segment(&n.wp.st, *p)
+			n.nops, n.rem = segment(&n.wp.st, p)
 			if n.nops > 0 {
 				n.busyFor(a, float64(n.nops), pnUsefulDone)
 				return
@@ -155,7 +155,7 @@ func firstPieceEnds(p Params, n int) (useful, local []float64) {
 	st.Reseed(p.Seed, 2000)
 	t := p.Overhead.AssimilateCycles
 	for len(useful) < n || len(local) < n {
-		nops, _ := segment(&st, p)
+		nops, _ := segment(&st, &p)
 		if nops > 0 {
 			t += float64(nops)
 			useful = append(useful, t)

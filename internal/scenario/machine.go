@@ -66,12 +66,6 @@ const lwpCycleNS = 5.0
 // exceeds it (livelock, runaway sweep point) errors instead of hanging.
 const machineMaxCycles = 100_000_000
 
-// machineForceInterpret routes every machine-backend run through the VM's
-// interpretive (per-cycle re-decode) path instead of the pre-decoded
-// dispatch. The two are semantically identical; tests flip this to prove
-// the backend's metrics do not depend on the dispatch strategy.
-var machineForceInterpret = false
-
 // machineProgramInfo describes one runnable ISA program.
 type machineProgramInfo struct {
 	about          string
@@ -237,7 +231,6 @@ func runMachineScenario(s Scenario, cfg Config) (map[string]float64, error) {
 		return nil, err
 	}
 	m.MaxCycles = machineMaxCycles
-	m.ForceInterpret = machineForceInterpret
 	m.Parallelism = s.Machine.RunParallel
 	m.Cancel = cfg.Cancel
 

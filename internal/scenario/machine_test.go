@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -315,34 +319,74 @@ func TestMachineRunParallelInvariant(t *testing.T) {
 	}
 }
 
-func TestMachineMetricsDispatchInvariant(t *testing.T) {
-	// The VM's pre-decoded dispatch (with superinstruction fusion and
-	// windowed execution) must be invisible in every metric: each machine
-	// preset, swept across interconnect topologies and DRAM page policies,
-	// produces the identical metric map with ForceInterpret flipped on.
-	run := func(s Scenario, force bool) map[string]float64 {
-		t.Helper()
-		machineForceInterpret = force
-		defer func() { machineForceInterpret = false }()
+// TestMachineMetricsGolden pins every machine preset, swept across
+// interconnect topologies and DRAM page policies, to the FNV-64a hash of
+// its metric map at seed 2004 in quick mode — the values the VM produced
+// before its execution paths were merged into one, so any change to the
+// VM's schedule, counters or memory shows up here.
+func TestMachineMetricsGolden(t *testing.T) {
+	golden := []struct {
+		preset, topo, policy string
+		hash                 uint64
+	}{
+		{"machine-gups", "", "", 0x439f5320f7b62cd0},
+		{"machine-gups", "", "closed", 0x9e8170103f1b8165},
+		{"machine-gups", "ring", "", 0x439f5320f7b62cd0},
+		{"machine-gups", "ring", "closed", 0x9e8170103f1b8165},
+		{"machine-treesum", "", "", 0x23b3ebde4dcf432a},
+		{"machine-treesum", "", "closed", 0x7f6b419a6944a488},
+		{"machine-treesum", "ring", "", 0xde4697f2ab6b4e92},
+		{"machine-treesum", "ring", "closed", 0xb0c63e23221854c1},
+		{"machine-ping", "", "", 0x6d108327d7c8e743},
+		{"machine-ping", "", "closed", 0x586cc3d5519897be},
+		{"machine-ping", "ring", "", 0x3169591e2f62539f},
+		{"machine-ping", "ring", "closed", 0x3ab5ea9805e79ac4},
+		{"machine-gups-256", "", "", 0xd52ea8e30a732238},
+		{"machine-gups-256", "", "closed", 0x48a7afdae26ff3e5},
+		{"machine-gups-256", "ring", "", 0xd52ea8e30a732238},
+		{"machine-gups-256", "ring", "closed", 0x48a7afdae26ff3e5},
+		{"machine-dram", "", "", 0xf0db88f8496e8f51},
+		{"machine-dram", "", "closed", 0xc82ece2370470d29},
+		{"machine-dram", "ring", "", 0xf0db88f8496e8f51},
+		{"machine-dram", "ring", "closed", 0xc82ece2370470d29},
+		{"machine-treesum-faults", "", "", 0xf01418d44800c5c8},
+		{"machine-treesum-faults", "", "closed", 0x75ac70cfa5e1c97d},
+		{"machine-treesum-faults", "ring", "", 0x590a192e7bf04a03},
+		{"machine-treesum-faults", "ring", "closed", 0xa6f25c447b47fcda},
+		{"machine-gups-straggler", "", "", 0x6f48dfbc73d23161},
+		{"machine-gups-straggler", "", "closed", 0xde5fe6c36f27dcd0},
+		{"machine-gups-straggler", "ring", "", 0x6f48dfbc73d23161},
+		{"machine-gups-straggler", "ring", "closed", 0xde5fe6c36f27dcd0},
+	}
+	if got, want := len(golden), 4*len(machinePresetNames(t)); got != want {
+		t.Fatalf("%d golden cases for %d presets x 2 topologies x 2 policies", got, want/4)
+	}
+	for _, g := range golden {
+		s := MustFind(g.preset)
+		s.Machine.Topology = g.topo
+		s.Machine.PagePolicy = g.policy
 		r, err := Run(s, "machine", Config{Seed: 2004, Quick: true})
 		if err != nil {
-			t.Fatalf("%s force=%v: %v", s.Name, force, err)
+			t.Fatalf("%s topo=%q policy=%q: %v", g.preset, g.topo, g.policy, err)
 		}
-		return r.Metrics
-	}
-	for _, name := range machinePresetNames(t) {
-		for _, topo := range []string{"", "ring"} {
-			for _, policy := range []string{"", "closed"} {
-				s := MustFind(name)
-				s.Machine.Topology = topo
-				s.Machine.PagePolicy = policy
-				decoded := run(s, false)
-				interp := run(s, true)
-				if !reflect.DeepEqual(decoded, interp) {
-					t.Errorf("%s topo=%q policy=%q: dispatch strategy leaks into metrics:\ndecoded:     %v\ninterpreted: %v",
-						name, topo, policy, decoded, interp)
-				}
-			}
+		if got := metricHash(r.Metrics); got != g.hash {
+			t.Errorf("%s topo=%q policy=%q: metric hash %#016x, want %#016x\nmetrics: %v",
+				g.preset, g.topo, g.policy, got, g.hash, r.Metrics)
 		}
 	}
+}
+
+// metricHash is the FNV-64a hash of a metric map: each name and the bits
+// of its value, in name order.
+func metricHash(m map[string]float64) uint64 {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	h := fnv.New64a()
+	for _, k := range names {
+		fmt.Fprintf(h, "%s=%016x\n", k, math.Float64bits(m[k]))
+	}
+	return h.Sum64()
 }
