@@ -8,9 +8,11 @@ package parcelsys
 // partitionable, and neither depends on the partition, so the results are
 // identical for every RunParallel (the invariance tests pin this):
 //
-//   - Test system: each parcel draws its route from its own stream
-//     (workParcel.rt), and delivery is a Send to the destination node's
-//     shard whose delay is the one-way latency.
+//   - Test system: each node is a FIFO server held in closed form as the
+//     time it next falls free (testNode), booked only on its own shard.
+//     Each parcel draws its route from its own stream (workParcel.rt), and
+//     a landing books the visit and Sends the parcel to the destination
+//     node's shard, to land when the visit ends plus the one-way latency.
 //
 //   - Control system: each node's memory bank is a FIFO single server
 //     with deterministic MemCycles service, held in closed form as the
@@ -67,23 +69,20 @@ func (p Params) parKernel() (*sim.ParKernel, error) {
 	return sim.NewParKernel(parts, p.RunParallel, look), nil
 }
 
-// runTestPar simulates the split-transaction parcel system. Each node is
-// its own activity unless act is non-nil, in which case act(node) runs in
-// its place over the same queues, parcels and statistics — the seam the
-// package's tests use to run the piecewise reference model.
-func runTestPar(p Params, rs *runState, act func(*testNode) sim.Activity) (SystemResult, error) {
+// runTestPar simulates the split-transaction parcel system: one event
+// per hop, the parcel's landing (testNode.land). The initial parcels
+// land at time 0, in order, at setup.
+func runTestPar(p Params, rs *runState) (SystemResult, error) {
 	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
 	}
-	rs.names.grow(p.Nodes)
 	rs.nodes = slab(rs.nodes, p.Nodes)
 	rs.testNodes = slab(rs.testNodes, p.Nodes)
 	nodes, tns := rs.nodes, rs.testNodes
 	for i := range tns {
 		part := i * pk.Parts() / p.Nodes
-		q := sim.NewStore[*workParcel](pk.Part(part), rs.names.queue[i])
-		tns[i] = testNode{p: &p, i: i, part: part, ns: &nodes[i], queue: q, peers: tns}
+		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}
@@ -93,26 +92,17 @@ func runTestPar(p Params, rs *runState, act func(*testNode) sim.Activity) (Syste
 	for i := 0; i < p.Nodes; i++ {
 		for j := 0; j < p.Parallelism; j++ {
 			wp := &rs.parcels[i*p.Parallelism+j]
-			wp.pendingAccess = false
-			wp.st.Reseed(p.Seed, 2000+uint64(i)*64+uint64(j))
-			wp.rt.Reseed(p.Seed, 7000+uint64(i)*64+uint64(j))
-			tns[i].queue.TryPut(wp)
+			p.seedParcel(wp, i, j)
+			tns[i].land(wp)
 		}
-	}
-	for i := range tns {
-		var a sim.Activity = &tns[i]
-		if act != nil {
-			a = act(&tns[i])
-		}
-		pk.Part(tns[i].part).SpawnActivity(rs.names.test[i], a)
 	}
 	if err := pk.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
 	r := gather(nodes, p.Horizon)
 	var queueSum float64
-	for i := range tns {
-		queueSum += tns[i].queue.Len.Mean(p.Horizon)
+	for i := range nodes {
+		queueSum += nodes[i].wait / p.Horizon
 	}
 	r.QueueMean = queueSum / float64(p.Nodes)
 	return r, nil

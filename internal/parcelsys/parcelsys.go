@@ -29,11 +29,14 @@
 // useful run and per access, because its accesses book a memory bank that
 // other threads share. A test node cannot be preempted and touches only
 // its own memory, so nothing can observe it between fetching a parcel and
-// shipping it: it plans the parcel's whole visit — assimilation, the
-// migrated access, the useful runs and local accesses up to the next
-// remote access, creation — when it fetches the parcel, and spends one
-// event on it. Ops are credited as each piece would complete, so a piece
-// ending on the horizon counts and one ending past it does not.
+// shipping it: it is a FIFO server held in closed form, like the bank,
+// and a parcel's hop costs one event, its landing. The landing books the
+// node's next busy period, plans the parcel's whole visit in it —
+// assimilation, the migrated access, the useful runs and local accesses
+// up to the next remote access, creation — and sends the parcel on to
+// land when the visit ends plus the one-way latency. Ops are credited as
+// each piece would complete, so a piece ending on the horizon counts and
+// one ending past it does not.
 package parcelsys
 
 import (
@@ -200,7 +203,7 @@ func Run(p Params) (Result, error) {
 
 // runState holds the per-run slabs — parcel structs with their embedded
 // RNG streams, per-node statistics, memory banks, control-thread
-// machines, test-node machines, and node names — that Replicate reuses
+// machines, test nodes, and control node names — that Replicate reuses
 // across replications instead of reallocating per run. All state is fully
 // re-initialized by each run.
 type runState struct {
@@ -216,10 +219,10 @@ type runState struct {
 	ctrlNodes int
 }
 
-// nodeNames caches the per-node resource/process names, which depend only
-// on the node count.
+// nodeNames caches the control system's per-node resource and process
+// names, which depend only on the node count.
 type nodeNames struct {
-	cpu, proc, queue, test []string
+	cpu, proc []string
 }
 
 // grow ensures the name tables cover n nodes.
@@ -228,8 +231,6 @@ func (nn *nodeNames) grow(n int) {
 		num := strconv.Itoa(i)
 		nn.cpu = append(nn.cpu, "cpu"+num)
 		nn.proc = append(nn.proc, "ctrl-"+num)
-		nn.queue = append(nn.queue, "pq"+num)
-		nn.test = append(nn.test, "test-"+num)
 	}
 }
 
@@ -268,7 +269,7 @@ func runWith(p Params, st *runState) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	test, err := runTestPar(p, st, nil)
+	test, err := runTestPar(p, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,11 +280,14 @@ func runWith(p Params, st *runState) (Result, error) {
 	return r, nil
 }
 
-// nodeStats accumulates per-node busy time and op counts.
+// nodeStats accumulates per-node busy time and op counts, and in the
+// test system the total time parcels waited in the node's queue by the
+// horizon.
 type nodeStats struct {
 	busy stats.TimeWeighted
 	ops  int64
 	rem  int64
+	wait float64
 }
 
 // segment draws one execution segment: the number of useful ops before the
@@ -305,7 +309,7 @@ type workParcel struct {
 	// partition.
 	rt rng.Stream
 	// dst is the destination node while the parcel is in flight (the
-	// shipping event carries the parcel, not a closure).
+	// landing event carries the parcel, not a closure).
 	dst *testNode
 	// pendingAccess marks that the parcel migrated because of a remote
 	// memory access: the destination performs that access (now local)
@@ -313,49 +317,59 @@ type workParcel struct {
 	pendingAccess bool
 }
 
-// testNode is one split-transaction processor as an activity. A test
-// node cannot be preempted: once it fetches a parcel it runs that thread
-// until the thread needs remote data, and nothing can observe the node in
-// between. So a visit is one busy period, planned whole when the parcel
-// is fetched (visit), marked busy once and waited out with one event;
-// then the continuation ships one-way and the node services its next
-// pending parcel. The node idles only while its queue is empty. Its two
-// states are fetching (wp nil) and visiting (wp the parcel).
+// seedParcel resets wp as parcel j of node i's initial Parallelism.
+func (p *Params) seedParcel(wp *workParcel, i, j int) {
+	wp.pendingAccess = false
+	wp.st.Reseed(p.Seed, 2000+uint64(i)*64+uint64(j))
+	wp.rt.Reseed(p.Seed, 7000+uint64(i)*64+uint64(j))
+}
+
+// testNode is one split-transaction processor. A test node cannot be
+// preempted: once it fetches a parcel it runs that thread until the
+// thread needs remote data, and nothing can observe the node in between.
+// So it is a FIFO single server whose service times are the visits, held
+// in closed form as the time it next falls free, and read and booked
+// only on its own shard. A landing parcel books the next visit, the
+// node idles only while nothing is booked, and the continuation ships
+// one-way when the visit ends.
 type testNode struct {
 	p     *Params
+	k     *sim.Kernel // the owning shard's kernel
 	i     int
 	part  int // this node's shard
 	ns    *nodeStats
-	queue *sim.Store[*workParcel]
 	peers []testNode // every node of the run, indexed by node
-
-	wp *workParcel // the parcel being visited; nil while fetching
+	free  sim.Time   // end of the last booked visit
 }
 
-// Step ends the visit in progress, if any, and starts the next one; it
-// loops forever (the horizon kill ends it).
-func (n *testNode) Step(a *sim.ActCtx) {
-	if n.wp != nil {
-		n.ns.busy.Add(a.Now(), -1)
-		n.ship(a)
+// land books the visit of parcel wp, landing now: it starts when the
+// node falls free and is credited in closed form — ops by visit, busy
+// time and the parcel's queue wait clipped to the horizon. A visit that
+// ends by the horizon ships the continuation, sent now to land when the
+// visit ends plus the one-way latency, so the delay is at least the
+// latency and never undercuts the lookahead.
+func (n *testNode) land(wp *workParcel) {
+	p, ns := n.p, n.ns
+	h := p.Horizon
+	now := n.k.Now()
+	start := max(now, n.free)
+	end := n.visit(wp, start)
+	n.free = end
+	ns.wait += min(start, h) - now
+	if start < h && end > start {
+		ns.busy.Add(start, 1)
+		ns.busy.Add(min(end, h), -1)
 	}
-	for {
-		// Idle while the queue is empty (the registration blocks).
-		wp, ok := n.queue.GetAct(a)
-		if !ok {
-			return
-		}
-		n.wp = wp
-		if end := n.visit(a.Now()); end > a.Now() {
-			n.ns.busy.Add(a.Now(), 1)
-			a.WaitUntil(end)
-			return
-		}
-		n.ship(a) // a visit with no busy time ships at once
+	if end > h {
+		return
 	}
+	ns.rem++
+	wp.pendingAccess = true
+	wp.dst = &n.peers[p.pickDest(&wp.rt, n.i)]
+	n.k.Send(wp.dst.part, end-now+p.latency(n.i, wp.dst.i), deliverParcel, wp)
 }
 
-// visit plans the busy period of the fetched parcel n.wp from time t and
+// visit plans the busy period of parcel wp starting at time t and
 // returns the time it ships. In order: the assimilation overhead that
 // instantiates the parcel's action, the access that caused the migration
 // (it executes here, where the data lives), then the thread's useful runs
@@ -365,8 +379,8 @@ func (n *testNode) Step(a *sim.ActCtx) {
 // ending by the horizon counts, and no segment is drawn past it. A visit
 // the horizon cuts (every visit at RemoteFrac 0 or on one node) ends past
 // the horizon, so it never ships.
-func (n *testNode) visit(t sim.Time) sim.Time {
-	p, ns, wp := n.p, n.ns, n.wp
+func (n *testNode) visit(wp *workParcel, t sim.Time) sim.Time {
+	p, ns := n.p, n.ns
 	h := p.Horizon
 	t += p.Overhead.AssimilateCycles
 	if wp.pendingAccess {
@@ -390,22 +404,11 @@ func (n *testNode) visit(t sim.Time) sim.Time {
 	return t
 }
 
-// ship sends the visited parcel one-way to its destination, where it
-// first performs the remote access it migrated for.
-func (n *testNode) ship(a *sim.ActCtx) {
-	n.ns.rem++
-	wp := n.wp
-	wp.pendingAccess = true
-	wp.dst = &n.peers[n.p.pickDest(&wp.rt, n.i)]
-	a.Kernel().Send(wp.dst.part, n.p.latency(n.i, wp.dst.i), deliverParcel, wp)
-	n.wp = nil
-}
-
-// deliverParcel lands an in-flight parcel in its destination's queue. It
-// runs on the destination's shard.
+// deliverParcel lands an in-flight parcel on its destination: the one
+// event of a hop. It runs on the destination's shard.
 func deliverParcel(x any) {
 	wp := x.(*workParcel)
-	wp.dst.queue.TryPut(wp)
+	wp.dst.land(wp)
 }
 
 // otherNode picks a uniform destination distinct from self when possible.

@@ -1,22 +1,30 @@
 package parcelsys
 
-// The test system's node plans a parcel's whole visit when it fetches the
-// parcel and spends one kernel event on it. pieceNode below is the model
-// as it was written before that: one kernel event per piece of the visit
-// (assimilation, migrated access, each useful run, each local access,
-// creation). It is the reference the visit model is held to. The two
-// draw the same numbers from every parcel's streams and credit the same
-// pieces by the horizon, so they differ only where the order of
+// The test system's node is a FIFO server in closed form: a parcel's hop
+// costs one kernel event, its landing, which books the visit and sends
+// the parcel on. This file keeps the two formulations it replaced as
+// oracles, both activities fetching parcels from a sim.Store:
+//
+//   - storeNode plans the parcel's whole visit when it fetches the
+//     parcel, waits it out with one event and ships at its end;
+//   - pieceNode spends one event on each piece of the visit
+//     (assimilation, migrated access, each useful run, each local access,
+//     creation), the model as first written.
+//
+// All three draw the same numbers from every parcel's streams and credit
+// the same pieces by the horizon, so they differ only where the order of
 // same-time events matters: which of two parcels landing on one node at
-// one instant is queued first. Without remote traffic no parcel ever
-// moves, and on two nodes no two parcels can land on one node at one
-// instant, so there the two runs must be identical bit for bit;
-// elsewhere they must agree statistically.
+// one instant is queued first, and — since a hop sends at booking time,
+// not at visit end — how the landing events are numbered. Without remote
+// traffic no parcel ever moves, and on two nodes no two parcels can land
+// on one node at one instant, so there the runs must be identical bit
+// for bit; elsewhere they must agree statistically.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/network"
@@ -25,9 +33,103 @@ import (
 	"repro/internal/sim"
 )
 
-// pieceNode runs a testNode's parcels piece by piece.
-type pieceNode struct {
+// storeNode is a test node as an activity over a sim.Store of pending
+// parcels. It plans a visit whole when it fetches the parcel (visit),
+// marks the node busy once and waits the visit out with one event; then
+// the continuation ships one-way and the node services its next pending
+// parcel. Its two states are fetching (wp nil) and visiting (wp the
+// parcel).
+type storeNode struct {
 	*testNode
+	queue   *sim.Store[*workParcel]
+	deliver func(any) // puts a landing parcel in its destination's queue
+	wp      *workParcel
+}
+
+// Step ends the visit in progress, if any, and starts the next one; it
+// loops forever (the horizon kill ends it).
+func (n *storeNode) Step(a *sim.ActCtx) {
+	if n.wp != nil {
+		n.ns.busy.Add(a.Now(), -1)
+		n.ship(a)
+	}
+	for {
+		// Idle while the queue is empty (the registration blocks).
+		wp, ok := n.queue.GetAct(a)
+		if !ok {
+			return
+		}
+		n.wp = wp
+		if end := n.visit(wp, a.Now()); end > a.Now() {
+			n.ns.busy.Add(a.Now(), 1)
+			a.WaitUntil(end)
+			return
+		}
+		n.ship(a) // a visit with no busy time ships at once
+	}
+}
+
+// ship sends the visited parcel one-way to its destination, where it
+// first performs the remote access it migrated for.
+func (n *storeNode) ship(a *sim.ActCtx) {
+	n.ns.rem++
+	wp := n.wp
+	wp.pendingAccess = true
+	wp.dst = &n.peers[n.p.pickDest(&wp.rt, n.i)]
+	a.Kernel().Send(wp.dst.part, n.p.latency(n.i, wp.dst.i), n.deliver, wp)
+	n.wp = nil
+}
+
+// runStores runs p's test system with one activity per node over a
+// sim.Store of pending parcels, the activity made by mk: the oracles'
+// driver. It seeds the same parcels and gathers the same statistics as
+// runTestPar, and takes the queue mean from the stores' time-weighted
+// lengths.
+func runStores(p Params, mk func(*storeNode) sim.Activity) (SystemResult, error) {
+	pk, err := p.parKernel()
+	if err != nil {
+		return SystemResult{}, err
+	}
+	nodes := make([]nodeStats, p.Nodes)
+	tns := make([]testNode, p.Nodes)
+	sns := make([]storeNode, p.Nodes)
+	deliver := func(x any) {
+		wp := x.(*workParcel)
+		sns[wp.dst.i].queue.TryPut(wp)
+	}
+	for i := range sns {
+		part := i * pk.Parts() / p.Nodes
+		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
+		nodes[i].busy.Set(0, 0)
+		q := sim.NewStore[*workParcel](pk.Part(part), "pq"+strconv.Itoa(i))
+		sns[i] = storeNode{testNode: &tns[i], queue: q, deliver: deliver}
+	}
+	parcels := make([]workParcel, p.Nodes*p.Parallelism)
+	for i := 0; i < p.Nodes; i++ {
+		for j := 0; j < p.Parallelism; j++ {
+			wp := &parcels[i*p.Parallelism+j]
+			p.seedParcel(wp, i, j)
+			sns[i].queue.TryPut(wp)
+		}
+	}
+	for i := range sns {
+		pk.Part(sns[i].part).SpawnActivity("test-"+strconv.Itoa(i), mk(&sns[i]))
+	}
+	if err := pk.Run(p.Horizon); err != nil {
+		return SystemResult{}, err
+	}
+	r := gather(nodes, p.Horizon)
+	var queueSum float64
+	for i := range sns {
+		queueSum += sns[i].queue.Len.Mean(p.Horizon)
+	}
+	r.QueueMean = queueSum / float64(p.Nodes)
+	return r, nil
+}
+
+// pieceNode runs a storeNode's parcels piece by piece.
+type pieceNode struct {
+	*storeNode
 	state int
 	nops  int
 	rem   bool
@@ -134,109 +236,155 @@ func (n *pieceNode) afterUseful(a *sim.ActCtx) bool {
 	return false
 }
 
-// runPieces runs p's test system with the piecewise reference nodes.
-func runPieces(p Params) (SystemResult, error) {
-	return runTestPar(p, &runState{}, func(n *testNode) sim.Activity {
-		return &pieceNode{testNode: n}
-	})
+// runVisits runs p's test system with the one-event-per-visit oracle.
+func runVisits(p Params) (SystemResult, error) {
+	return runStores(p, func(n *storeNode) sim.Activity { return n })
 }
 
-// runVisits runs p's test system with the one-event visit nodes.
-func runVisits(p Params) (SystemResult, error) {
-	return runTestPar(p, &runState{}, nil)
+// runPieces runs p's test system with the piecewise oracle.
+func runPieces(p Params) (SystemResult, error) {
+	return runStores(p, func(n *storeNode) sim.Activity { return &pieceNode{storeNode: n} })
+}
+
+// runHops runs p's test system as the package does: one event per hop.
+func runHops(p Params) (SystemResult, error) {
+	return runTestPar(p, &runState{})
 }
 
 // firstPieceEnds returns the times the first n pieces of node 0's first
 // parcel end when that parcel never leaves (RemoteFrac 0 or one node),
 // split into the ends of useful runs and of local accesses, redrawing
-// the parcel's stream as the model does.
-func firstPieceEnds(p Params, n int) (useful, local []float64) {
+// the parcel's stream as the model does. ship is the end of the
+// parcel's first visit, when it first ships, or 0 if it never does
+// within those pieces.
+func firstPieceEnds(p Params, n int) (useful, local []float64, ship float64) {
 	var st rng.Stream
 	st.Reseed(p.Seed, 2000)
 	t := p.Overhead.AssimilateCycles
 	for len(useful) < n || len(local) < n {
-		nops, _ := segment(&st, &p)
+		nops, remote := segment(&st, &p)
 		if nops > 0 {
 			t += float64(nops)
 			useful = append(useful, t)
 		}
+		if remote && ship == 0 {
+			ship = t + p.Overhead.CreateCycles
+		}
 		t += p.MemCycles
 		local = append(local, t)
 	}
-	return useful[:n], local[:n]
+	return useful[:n], local[:n], ship
 }
 
-// TestVisitMatchesPiecesExactly: where no parcel ever migrates — no
-// remote accesses, or a single node — the visit model and the piecewise
-// reference give identical results at every horizon, including horizons
-// that fall exactly on the end of a useful run or of a local access,
-// where the piece ending on the horizon must count. The same holds on two
-// nodes with remote traffic: a node's parcels all come from the other
-// node, which ships one per busy period, so no two land at one instant.
-// There the migrated access, the creation overhead and shipping are
-// checked exactly too.
-func TestVisitMatchesPiecesExactly(t *testing.T) {
-	type point struct {
-		name string
-		p    Params
-	}
-	var points []point
+// exactPoint is a parameter point where no two parcels can land on one
+// node at one instant, so every formulation must agree bit for bit.
+type exactPoint struct {
+	name string
+	p    Params
+}
+
+// exactPoints are the points without ties: no remote accesses on six
+// nodes, a single node, and two nodes with remote traffic, where a
+// node's parcels all come from the other node, which ships one per busy
+// period. On two nodes the migrated access, the creation overhead and
+// shipping are checked exactly too.
+func exactPoints() []exactPoint {
+	var points []exactPoint
 	base := DefaultParams()
 	base.Nodes = 6
 	base.RemoteFrac = 0
 	for _, par := range []int{1, 4} {
 		p := base
 		p.Parallelism = par
-		points = append(points, point{"remote0-hw", p})
+		points = append(points, exactPoint{"remote0-hw", p})
 		p.Overhead = parcel.SoftwareOnly()
-		points = append(points, point{"remote0-sw", p})
+		points = append(points, exactPoint{"remote0-sw", p})
 	}
 	one := DefaultParams()
 	one.Nodes = 1
 	one.Parallelism = 3
 	one.RemoteFrac = 0.5
-	points = append(points, point{"one-node", one})
+	points = append(points, exactPoint{"one-node", one})
 	one.Overhead = parcel.CostModel{}
 	one.Latency = 0
-	points = append(points, point{"one-node-free", one})
+	points = append(points, exactPoint{"one-node-free", one})
 	two := DefaultParams()
 	two.Nodes = 2
 	for _, par := range []int{1, 3} {
 		for _, rf := range []float64{0.3, 1} {
 			p := two
 			p.Parallelism, p.RemoteFrac = par, rf
-			points = append(points, point{"two-node-hw", p})
+			points = append(points, exactPoint{"two-node-hw", p})
 			p.Overhead = parcel.SoftwareOnly()
-			points = append(points, point{"two-node-sw", p})
+			points = append(points, exactPoint{"two-node-sw", p})
 		}
 	}
-	for _, pt := range points {
-		// On two nodes the first parcel leaves at its first remote
-		// access; there the later piece ends are plain horizons.
-		useful, local := firstPieceEnds(pt.p, 40)
-		horizons := []float64{1, 2, 3, 997.5, 20000, useful[0], local[0], useful[39], local[39]}
-		for _, h := range horizons {
+	return points
+}
+
+// exactHorizons are the horizons each exact point runs at, including
+// horizons that fall exactly on the end of a useful run or of a local
+// access, where the piece ending on the horizon must count, and on the
+// end of the first visit, where the parcel must still ship. On two nodes
+// the first parcel leaves at its first remote access; there the later
+// piece ends are plain horizons.
+func exactHorizons(p Params) []float64 {
+	useful, local, ship := firstPieceEnds(p, 40)
+	hs := []float64{1, 2, 3, 997.5, 20000, useful[0], local[0], useful[39], local[39]}
+	if ship > 0 {
+		hs = append(hs, ship)
+	}
+	return hs
+}
+
+// matchExactly runs got and want at every exact point and horizon and
+// fails t where their results differ in any bit.
+func matchExactly(t *testing.T, got, want func(Params) (SystemResult, error)) {
+	t.Helper()
+	for _, pt := range exactPoints() {
+		for _, h := range exactHorizons(pt.p) {
 			p := pt.p
 			p.Horizon = h
-			want, err := runPieces(p)
+			w, err := want(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runVisits(p)
+			g, err := got(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s P=%d horizon %g:\n visit  %+v\n pieces %+v",
-					pt.name, p.Parallelism, h, got, want)
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s P=%d horizon %g:\n got  %+v\n want %+v",
+					pt.name, p.Parallelism, h, g, w)
 			}
 		}
 	}
 }
 
-// TestVisitAgreesWithPiecesStatistically holds the visit model to the
-// piecewise reference where parcels migrate and the two trajectories part
-// at the first same-time tie. At each point both run the same seeds; the
+// TestVisitMatchesPiecesExactly: where no two parcels can land on one
+// node at one instant, the one-event-per-visit oracle and the piecewise
+// one give identical results at every horizon.
+func TestVisitMatchesPiecesExactly(t *testing.T) {
+	matchExactly(t, runVisits, runPieces)
+}
+
+// TestHopMatchesVisitExactly: where no two parcels can land on one node
+// at one instant, the closed-form node — one event per hop, busy time
+// and queue wait credited at booking — gives results identical to the
+// one-event-per-visit oracle at every horizon: ops, remote accesses,
+// per-node idle fractions and the queue mean, bit for bit. Both shard
+// counts run, so the exactness covers the partitioned kernel too.
+func TestHopMatchesVisitExactly(t *testing.T) {
+	matchExactly(t, runHops, runVisits)
+	matchExactly(t, func(p Params) (SystemResult, error) {
+		p.RunParallel = 2
+		return runHops(p)
+	}, runVisits)
+}
+
+// TestVisitAgreesWithPiecesStatistically holds the package's hop model
+// to the piecewise oracle where parcels migrate and the two trajectories
+// part at the first same-time tie. At each point both run the same seeds; the
 // means over the seeds of the test system's ops (the control system is
 // common, so they stand for Fig. 11's ratio), idle fraction and queue
 // mean must agree within the stated tolerances. Over 32 seeds at latency
@@ -286,7 +434,7 @@ func TestVisitAgreesWithPiecesStatistically(t *testing.T) {
 		for s := 0; s < seeds; s++ {
 			p := pt.p
 			p.Seed = uint64(100 + s)
-			for m, run := range []func(Params) (SystemResult, error){runPieces, runVisits} {
+			for m, run := range []func(Params) (SystemResult, error){runPieces, runHops} {
 				r, err := run(p)
 				if err != nil {
 					t.Fatal(err)

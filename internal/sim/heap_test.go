@@ -3,17 +3,20 @@ package sim
 // Property tests of the event queues against the reference
 // container/heap implementation the kernel used before the hot-path
 // overhaul: for arbitrary randomized schedules — integral-cycle waits
-// that ride the cycle wheel, constant-delay runs that ride the lanes,
-// random delays that sift through the heap, pushes the wheel must turn
-// away (past its span, non-integral, or ordered before their bucket's
-// tail), Advance-style jumps, duplicate timestamps, interleaved pushes
-// and pops, and canceled events sitting in any tier — every queue must
-// pop in the identical (t, seq) order, so kernel determinism (and
-// byte-identical suite output) is preserved by construction.
+// that ride the near wheel, hops hundreds to thousands of cycles ahead
+// that ride the far tier and cascade, constant-delay runs that ride the
+// lanes, random delays that sift through the heap, pushes the wheel
+// must turn away (past the far span, non-integral, or ordered before
+// their bucket's tail), Advance-style jumps across blocks, duplicate
+// timestamps, interleaved pushes and pops, and canceled events sitting
+// in any tier — every queue must pop in the identical (t, seq) order,
+// so kernel determinism (and byte-identical suite output) is preserved
+// by construction.
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -42,29 +45,36 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
-// queueShapes are the schedule shapes the three-tier queue is tested
-// on, as fractions added to the generated delays: 0.5 keeps every
-// stream and random delay off the wheel, so the lanes and the heap carry
-// the schedule; 0 keeps them integral, the wheel's shape.
-var queueShapes = []struct {
+// queueShape is a schedule shape: frac is added to the generated stream
+// and random delays, which mul scales first.
+type queueShape struct {
 	name string
 	frac Time
-}{{"lanes", 0.5}, {"wheel", 0}}
+	mul  Time
+}
+
+// queueShapes are the schedule shapes the queue is tested on: 0.5 keeps
+// every stream and random delay off the wheel, so the lanes and the
+// heap carry the schedule; 0 keeps them integral, the near wheel's
+// shape; and a scale of 67 cycles stretches the integral delays over
+// 64-4096 cycles, the far tier's shape (67 is coprime to the 64-cycle
+// block, so the times spread over every bucket).
+var queueShapes = []queueShape{{"lanes", 0.5, 1}, {"wheel", 0, 1}, {"far", 0, 67}}
 
 // queueCase is one entry of the single-queue corpus: a queue and the
-// fraction added to the generated delays.
+// shape of its schedules.
 type queueCase struct {
-	name string
-	mk   func() eventQueue
-	frac Time
+	name  string
+	mk    func() eventQueue
+	shape queueShape
 }
 
 // queueCases is the single-queue corpus of the ordering tests: the bare
-// 4-ary heap, and the kernel's three-tier queue on every shape.
+// 4-ary heap, and the kernel's laneQueue on every shape.
 func queueCases() []queueCase {
-	cases := []queueCase{{"heap", func() eventQueue { return &eventHeap{} }, 0}}
+	cases := []queueCase{{"heap", func() eventQueue { return &eventHeap{} }, queueShape{"heap", 0, 1}}}
 	for _, shape := range queueShapes {
-		cases = append(cases, queueCase{shape.name, func() eventQueue { return &laneQueue{} }, shape.frac})
+		cases = append(cases, queueCase{shape.name, func() eventQueue { return &laneQueue{} }, shape})
 	}
 	return cases
 }
@@ -78,19 +88,19 @@ var laneDelays = [4]Time{3, 5, 8, 13}
 // constant-delay streams (each advances by its own fixed step, so its
 // events arrive sorted; they run past the wheel's span), coarse random
 // times (plenty of (t, seq) ties, out of order), non-integral times,
-// and exact repeats of the previous time. frac is added to the stream
-// and coarse times.
-func mixedTimes(st *rng.Stream, n int, frac Time) []Time {
+// and exact repeats of the previous time. The stream steps and coarse
+// times are scaled by sh.mul, and sh.frac is added to them.
+func mixedTimes(st *rng.Stream, n int, sh queueShape) []Time {
 	var stream [len(laneDelays)]Time
 	ts := make([]Time, n)
 	for i := range ts {
 		switch r := st.Intn(10); {
 		case r < 5:
 			s := st.Intn(len(laneDelays))
-			stream[s] += laneDelays[s]
-			ts[i] = stream[s] + frac
+			stream[s] += laneDelays[s] * sh.mul
+			ts[i] = stream[s] + sh.frac
 		case r < 7 || i == 0:
-			ts[i] = Time(st.Intn(40)) + frac
+			ts[i] = Time(st.Intn(40))*sh.mul + sh.frac
 		case r < 8:
 			ts[i] = Time(st.Intn(40)) + 0.25
 		default:
@@ -108,19 +118,25 @@ const (
 	numTiers
 )
 
-// queueStats counts where a program's pops came from, and how many
-// pushes the program made that the wheel had to turn away because they
-// came after their bucket's tail in time but before it in seq.
+// queueStats counts where a program's pops came from, how many pushes
+// landed on the far tier, and how many stale pushes the program made —
+// after their bucket's tail in time but before it in seq — that the near
+// wheel had to turn away or that the far tier took, to be turned away
+// when their block cascades.
 type queueStats struct {
 	pops           int
 	tierPops       [numTiers]int
 	deadTierPops   [numTiers]int
+	farPushes      int
 	staleFallbacks int
+	staleFar       int
 }
 
 func (s *queueStats) add(o queueStats) {
 	s.pops += o.pops
+	s.farPushes += o.farPushes
 	s.staleFallbacks += o.staleFallbacks
+	s.staleFar += o.staleFar
 	for i := range s.tierPops {
 		s.tierPops[i] += o.tierPops[i]
 		s.deadTierPops[i] += o.deadTierPops[i]
@@ -147,7 +163,7 @@ func nextTier(q eventQueue) int {
 	return tierWheel
 }
 
-// wheelLen returns the number of events on q's cycle wheels.
+// wheelLen returns the number of events on q's near wheels.
 func wheelLen(q eventQueue) int {
 	n := 0
 	switch q := q.(type) {
@@ -163,22 +179,48 @@ func wheelLen(q eventQueue) int {
 	return n
 }
 
+// farLen returns the number of events on q's far tiers.
+func farLen(q eventQueue) int {
+	n := 0
+	switch q := q.(type) {
+	case *laneQueue:
+		if q.far != nil {
+			n = q.far.n
+		}
+	case *partitionedQueue:
+		for i := range q.parts {
+			n += farLen(&q.parts[i])
+		}
+	}
+	return n
+}
+
 // runQueueProgram executes a queue program against q and container/heap
 // side by side and reports the first divergence. Each byte is one
 // operation, causal like the dispatch loop (pushes never precede the
-// last popped time); frac is added to the stream and random delays:
+// last popped time). sh.mul scales the stream and random delays and the
+// short advances, and sh.frac is added to every push but the
+// non-integral ones and the ties; B is now's 64-cycle block:
 //
-//	0x00-0x3f  pop, and compare with the reference
+//	0x00-0x2f  pop, and compare with the reference
+//	0x30-0x37  push on a block edge: the first (b&4 clear) or last cycle
+//	           of block B+1, B+2, B+65 or B+66 (b&3) — the near span's
+//	           second block, the far span's first and last, and past it
+//	0x38-0x3b  push past the far span (now + 4224 + 61*(b&3)): the heap
+//	0x3c-0x3f  jump across blocks: advance to now + 64*(1+21*(b&3)) + 5,
+//	           so the next pop moves the queue's first cycle up to 66
+//	           blocks at once
 //	0x40-0x47  advance: pop (and compare) everything due by
 //	           now + 40 + 16*(b&7), then jump now there, as
 //	           Kernel.Advance does — the next pushes may land past the
 //	           wheel's span until a pop catches it up
 //	0x48-0x4f  stale push: at the last pushed time, with a seq just
 //	           below the last push's, like a cross-shard delivery
-//	           renumbered at a ParKernel barrier; the wheel must not
-//	           append it behind its bucket's tail
+//	           renumbered at a ParKernel barrier; the near wheel must not
+//	           append it behind its bucket's tail, and a far block must
+//	           not cascade it there
 //	0x50-0x8f  push on constant-delay stream b&3 (now + laneDelays[b&3])
-//	0x90-0x97  push far ahead (now + 64 + 16*(b&7)), past the wheel's span
+//	0x90-0x97  push far ahead (now + 64 + 512*(b&7)), onto the far tier
 //	0x98-0x9f  push after a non-integral delay (b&7) + 0.25
 //	0xa0-0xcf  push after a random delay b%16
 //	0xd0-0xe7  push at now: an equal-time tie
@@ -186,7 +228,7 @@ func wheelLen(q eventQueue) int {
 //
 // The rest drains after the program ends. size and peek are checked
 // before every operation.
-func runQueueProgram(q eventQueue, prog []byte, frac Time) (queueStats, error) {
+func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, error) {
 	var ref refHeap
 	var st queueStats
 	now := Time(0)
@@ -219,8 +261,24 @@ func runQueueProgram(q eventQueue, prog []byte, frac Time) (queueStats, error) {
 		return nil
 	}
 	push := func(ev *event) {
+		onFar := farLen(q)
 		q.push(ev)
 		heap.Push(&ref, ev)
+		if farLen(q) > onFar {
+			st.farPushes++
+		}
+	}
+	advance := func(until Time) error {
+		for len(ref) > 0 && ref[0].t <= until {
+			if err := pop(); err != nil {
+				return err
+			}
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		now = until
+		return nil
 	}
 	for _, b := range prog {
 		if err := check(); err != nil {
@@ -228,43 +286,51 @@ func runQueueProgram(q eventQueue, prog []byte, frac Time) (queueStats, error) {
 		}
 		var t Time
 		switch {
-		case b < 0x40:
+		case b < 0x30:
 			if len(ref) > 0 {
 				if err := pop(); err != nil {
 					return st, err
 				}
 			}
 			continue
-		case b < 0x48:
-			until := now + Time(40+16*(b&7))
-			for len(ref) > 0 && ref[0].t <= until {
-				if err := pop(); err != nil {
-					return st, err
-				}
-				if err := check(); err != nil {
-					return st, err
-				}
+		case b < 0x38:
+			blk := Time(math.Floor(float64(now)/blockSize)) + [4]Time{1, 2, 65, 66}[b&3]
+			t = blk*blockSize + sh.frac
+			if b&4 != 0 {
+				t += blockSize - 1
 			}
-			now = until
+		case b < 0x3c:
+			t = now + 4224 + 61*Time(b&3) + sh.frac
+		case b < 0x48:
+			jump := Time(40+16*(b&7)) * sh.mul
+			if b < 0x40 {
+				jump = 64*(1+21*Time(b&3)) + 5
+			}
+			if err := advance(now + jump); err != nil {
+				return st, err
+			}
 			continue
 		case b < 0x50:
 			if staleFree && last.t >= now {
 				staleFree = false
-				onWheel := wheelLen(q)
+				onWheel, onFar := wheelLen(q), farLen(q)
 				push(&event{t: last.t, seq: last.seq - 1})
-				if wheelLen(q) == onWheel {
+				switch {
+				case farLen(q) > onFar:
+					st.staleFar++
+				case wheelLen(q) == onWheel:
 					st.staleFallbacks++
 				}
 			}
 			continue
 		case b < 0x90:
-			t = now + laneDelays[b&3] + frac
+			t = now + laneDelays[b&3]*sh.mul + sh.frac
 		case b < 0x98:
-			t = now + 64 + Time(16*(b&7))
+			t = now + 64 + 512*Time(b&7) + sh.frac
 		case b < 0xa0:
 			t = now + Time(b&7) + 0.25
 		case b < 0xd0:
-			t = now + Time(b%16) + frac
+			t = now + Time(b%16)*sh.mul + sh.frac
 		case b < 0xe8:
 			t = now
 		default:
@@ -309,7 +375,8 @@ func randomProgram(st *rng.Stream, n int) []byte {
 // exists for: on lane-shaped schedules the lanes serve pops, dead ones
 // included; on wheel-shaped ones the wheel does, and the heap and the
 // lanes still take the pushes the wheel turns away, stale ones among
-// them.
+// them; on far-shaped ones the far tier takes pushes, stale ones among
+// them, and the wheel serves the pops its blocks cascade into.
 func checkTiers(t *testing.T, name string, total queueStats) {
 	t.Helper()
 	switch name {
@@ -322,6 +389,12 @@ func checkTiers(t *testing.T, name string, total queueStats) {
 			total.tierPops[tierLane] == 0 || total.tierPops[tierHeap] == 0 ||
 			total.staleFallbacks == 0 {
 			t.Errorf("wheel tier or its fallbacks not exercised: %+v", total)
+		}
+	case "far":
+		if total.farPushes == 0 || total.staleFar == 0 ||
+			total.tierPops[tierWheel] == 0 || total.deadTierPops[tierWheel] == 0 ||
+			total.tierPops[tierHeap] == 0 {
+			t.Errorf("far tier or its cascade not exercised: %+v", total)
 		}
 	}
 }
@@ -336,13 +409,17 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 			var total queueStats
 			err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
 				st := rng.New(seed)
-				ts := mixedTimes(st, 1+int(sizeRaw%600), c.frac)
+				ts := mixedTimes(st, 1+int(sizeRaw%600), c.shape)
 				q := c.mk()
 				var ref refHeap
 				for i, at := range ts {
 					ev := &event{t: at, seq: uint64(i)}
+					onFar := farLen(q)
 					q.push(ev)
 					heap.Push(&ref, ev)
+					if farLen(q) > onFar {
+						total.farPushes++
+					}
 				}
 				for i := range ts {
 					tier := nextTier(q)
@@ -363,6 +440,9 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 			if c.name == "wheel" && (total.tierPops[tierWheel] == 0 || total.tierPops[tierLane] == 0) {
 				t.Errorf("wheel or lane tier not exercised: %+v", total)
 			}
+			if c.name == "far" && (total.tierPops[tierWheel] == 0 || total.farPushes == 0) {
+				t.Errorf("far tier or its cascade not exercised: %+v", total)
+			}
 		})
 	}
 }
@@ -379,7 +459,7 @@ func TestEventQueueInterleavedMatchesContainerHeap(t *testing.T) {
 			var total queueStats
 			err := quick.Check(func(seed uint64, opsRaw uint16) bool {
 				prog := randomProgram(rng.New(seed), 10+int(opsRaw%2000))
-				st, err := runQueueProgram(c.mk(), prog, c.frac)
+				st, err := runQueueProgram(c.mk(), prog, c.shape)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -398,9 +478,9 @@ func TestEventQueueInterleavedMatchesContainerHeap(t *testing.T) {
 // TestEventQueueNonCausalPushes: the queue contract does not ask pushes
 // to follow the last pop — only the kernel's own schedulers are causal —
 // so pushes at any time, before or after what has already been popped,
-// still pop in (t, seq) order against container/heap. On the three-tier
+// still pop in (t, seq) order against container/heap. On the four-tier
 // queue this drives pushes below the wheel's span, which must fall back
-// rather than alias a bucket.
+// rather than alias a bucket or a far block.
 func TestEventQueueNonCausalPushes(t *testing.T) {
 	for _, c := range queueCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -415,7 +495,7 @@ func TestEventQueueNonCausalPushes(t *testing.T) {
 						}
 						continue
 					}
-					ev := &event{t: Time(st.Intn(200)) + c.frac, seq: uint64(i)}
+					ev := &event{t: Time(st.Intn(200))*c.shape.mul + c.shape.frac, seq: uint64(i)}
 					q.push(ev)
 					heap.Push(&ref, ev)
 				}

@@ -15,11 +15,13 @@
 // Events fire in (t, seq) order, where seq is the kernel's schedule
 // counter, so ties in event time are broken by schedule order and the
 // same seed and model always produce the same trajectory. The pending
-// events live in a three-tier queue (queue.go): a 64-cycle wheel takes
-// the events at integral times just ahead — the whole-cycle waits of the
-// HWP-cycle models — sorted FIFO lanes take other events that arrive in
-// order, such as constant-delay message deliveries, and a 4-ary heap
-// takes the rest; the front is the minimum over the three tiers.
+// events live in a four-tier queue (queue.go): a two-level cycle wheel
+// takes the events at integral times up to ~4096 cycles ahead — the
+// whole-cycle waits of the HWP-cycle models on a 128-cycle near wheel,
+// message hops hundreds of cycles out on a far wheel of 64-cycle blocks
+// that cascade into it — sorted FIFO lanes take other events that
+// arrive in order, and a 4-ary heap takes the rest; the front is the
+// minimum over the near wheel, the lanes and the heap.
 //
 // For big models, ParKernel partitions a run across shard kernels advanced
 // concurrently in conservative time windows, with cross-shard interactions
@@ -60,7 +62,7 @@ type event struct {
 	arg  any
 	dead bool   // canceled
 	gen  uint64 // incarnation counter, bumped on recycle
-	next *event // cycle-wheel bucket link while queued there (queue.go)
+	next *event // wheel bucket or far-block link while queued there (queue.go)
 }
 
 // Kernel is a discrete-event simulation instance. Create one with NewKernel;

@@ -3,26 +3,34 @@ package sim
 import "math/bits"
 
 // This file holds the kernel's event ordering. The pending-event set is
-// a three-tier queue (laneQueue) on the (t, seq) order:
+// a four-tier queue (laneQueue) on the (t, seq) order:
 //
-//   - a cycle wheel: one FIFO bucket per integral time in [lo, lo+64),
-//     where lo is the floor of the latest time taken. The models count
-//     time in whole HWP cycles — op counts, memory and parcel overheads —
-//     so most waits land a few cycles ahead and append to their bucket
-//     in O(1); the first occupied bucket is one bit scan away.
+//   - a near wheel: one FIFO bucket per integral time in a 128-cycle
+//     span starting at the 64-cycle block of lo, the floor of the latest
+//     time taken. The models count time in whole HWP cycles — op counts,
+//     memory and parcel overheads — so most waits land a few cycles ahead
+//     and append to their bucket in O(1); the first occupied bucket is
+//     one bit scan away.
+//   - a far wheel: one unsorted FIFO per 64-cycle block for the 64
+//     blocks after the near span, so integral times up to ~4096 cycles
+//     ahead — the parcel hops that land when a visit ends plus a
+//     500-cycle latency — also push in O(1). A block cascades into the
+//     near wheel, one bucket append per event, when it enters the near
+//     span.
 //   - a few sorted FIFO lanes for events that arrive in order but off
-//     the wheel: the constant-delay message deliveries (now + 500-cycle
-//     latency) that dominate the parcel models, and ordered
-//     non-integral streams.
+//     the wheels: ordered non-integral streams, such as constant
+//     non-integral delays.
 //   - a 4-ary min-heap for everything else.
 //
 // The front is the minimum over the heap top, the lane heads and the
-// first occupied bucket, so the pop order is the exact (t, seq) total
-// order the heap alone would produce. This is the calendar-queue and
-// timing-wheel idea (Brown, "Calendar Queues", CACM 31(10), 1988;
-// Varghese & Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987)
-// cut down to what the models need: keep the heap as the catch-all and
-// give the common, already-ordered cases an O(1) path.
+// first occupied near bucket — or, with the near wheel empty, the far
+// tier's first block — so the pop order is the exact (t, seq) total
+// order the heap alone would produce. This is the calendar-queue
+// and hierarchical timing-wheel idea (Brown, "Calendar Queues", CACM
+// 31(10), 1988; Varghese & Lauck, "Hashed and Hierarchical Timing
+// Wheels", SOSP 1987) cut down to what the models need: keep the heap
+// as the catch-all and give the common, already-ordered cases an O(1)
+// path.
 //
 // partitionedQueue holds one laneQueue per partition and pops through a
 // merge front: the global minimum over the partition fronts. Because
@@ -143,10 +151,12 @@ func (q *eventHeap) size() int { return len(*q) }
 const numLanes = 4
 
 // Front sources, as returned by laneQueue.front for take: fromHeap names
-// the heap, 0..numLanes-1 a lane, and fromWheel+b wheel bucket b.
+// the heap, 0..numLanes-1 a lane, fromWheel+b near bucket b, and
+// fromFar+s the lone event of far slot s.
 const (
 	fromHeap  = -1
 	fromWheel = numLanes
+	fromFar   = fromWheel + nearSize
 )
 
 // laneRing is a lane's first ring length. The first lane a queue uses
@@ -183,34 +193,43 @@ func (l *lane) append(ev *event) {
 	l.n++
 }
 
-// wheelSize is the cycle wheel's span in cycles: one bucket per integral
-// time in [lo, lo+wheelSize). 64 keeps the occupancy bitmap in one word
-// and the wheel small enough to give every kernel one.
-const wheelSize = 64
+// The wheel tiers count integral time in blocks of blockSize cycles:
+// block b holds the cycles [b·64, b·64+64), so one block's occupancy is
+// one bitmap word.
+const (
+	blockBits  = 6
+	blockSize  = 1 << blockBits
+	nearBlocks = 2                      // blocks in the near wheel's span
+	nearSize   = nearBlocks * blockSize // near wheel buckets, one per cycle
+	farBlocks  = 64                     // blocks in the far tier's span
+)
 
 // maxWheelTime bounds the times the wheel takes: every integral float64
 // below 2^53 converts to uint64 exactly.
 const maxWheelTime = 1 << 53
 
-// cycleWheel is the integral-time tier of laneQueue. Bucket c&63 holds
-// the events at time c, sorted by seq: each bucket is a circular
-// singly-linked FIFO threaded through event.next and addressed by its
-// tail (tail.next is the head), and occ has bit b set when bucket b is
-// non-empty.
+// cycleWheel is the near tier of laneQueue: one bucket per cycle of the
+// span [B·64, B·64+128), where B is the block of the queue's first cycle
+// lo — lo's block and the next, so the span always holds one whole
+// block past lo's. Bucket c&127 holds the events at time c, sorted by
+// seq: each bucket is a circular singly-linked FIFO threaded through
+// event.next and addressed by its tail (tail.next is the head). occ[w]
+// has bit i set when bucket w·64+i is non-empty, so block b's occupancy
+// is the word occ[b&1].
 type cycleWheel struct {
-	tails [wheelSize]*event
-	occ   uint64
+	tails [nearSize]*event
+	occ   [nearBlocks]uint64
 	n     int
 }
 
 // add appends ev, at integral time c, to its bucket unless the bucket's
 // tail follows it in seq order; it reports whether ev was taken.
 func (w *cycleWheel) add(ev *event, c uint64) bool {
-	b := c & (wheelSize - 1)
+	b := c & (nearSize - 1)
 	tail := w.tails[b]
 	if tail == nil {
 		ev.next = ev
-		w.occ |= 1 << b
+		w.occ[b>>blockBits] |= 1 << (b & (blockSize - 1))
 	} else {
 		if tail.seq > ev.seq {
 			return false
@@ -223,11 +242,16 @@ func (w *cycleWheel) add(ev *event, c uint64) bool {
 	return true
 }
 
-// first returns the bucket holding the earliest wheel time at or after
-// cycle lo; the wheel must be non-empty.
+// first returns the bucket holding the earliest wheel time; the wheel
+// must be non-empty. No queued time precedes lo, so the word of lo's
+// block holds only cycles from lo on and comes first.
 func (w *cycleWheel) first(lo uint64) int {
-	r := int(lo & (wheelSize - 1))
-	return (r + bits.TrailingZeros64(bits.RotateLeft64(w.occ, -r))) & (wheelSize - 1)
+	i := int(lo>>blockBits) & 1
+	if m := w.occ[i]; m != 0 {
+		return i<<blockBits | bits.TrailingZeros64(m)
+	}
+	i ^= 1
+	return i<<blockBits | bits.TrailingZeros64(w.occ[i])
 }
 
 // take removes and returns the head of bucket b, which must be
@@ -237,7 +261,7 @@ func (w *cycleWheel) take(b int) *event {
 	head := tail.next
 	if head == tail {
 		w.tails[b] = nil
-		w.occ &^= 1 << b
+		w.occ[b>>blockBits] &^= 1 << (b & (blockSize - 1))
 	} else {
 		tail.next = head.next
 	}
@@ -246,42 +270,106 @@ func (w *cycleWheel) take(b int) *event {
 	return head
 }
 
-// laneQueue is the kernel's three-tier pending-event set: a cycle wheel
-// for integral times just ahead, sorted FIFO lanes for other events that
-// arrive in order, a 4-ary heap for the rest.
+// farWheel is the far tier of laneQueue: one FIFO per block for the
+// farBlocks blocks after the near span, B+2 to B+65. Slot b&63 holds
+// block b's events in push order, unsorted, as a circular list through
+// event.next addressed by its tail like a near bucket; occ has bit b&63
+// set when the slot is non-empty. A block is sorted only when it
+// cascades into the near wheel, one bucket append per event.
+type farWheel struct {
+	tails [farBlocks]*event
+	occ   uint64
+	n     int
+}
+
+// add appends ev to block b's slot.
+func (f *farWheel) add(ev *event, b uint64) {
+	s := b & (farBlocks - 1)
+	if tail := f.tails[s]; tail == nil {
+		ev.next = ev
+		f.occ |= 1 << s
+	} else {
+		ev.next = tail.next
+		tail.next = ev
+	}
+	f.tails[s] = ev
+	f.n++
+}
+
+// first returns the earliest occupied block at or after block from, the
+// far span's first; the tier must be non-empty.
+func (f *farWheel) first(from uint64) uint64 {
+	r := int(from & (farBlocks - 1))
+	return from + uint64(bits.TrailingZeros64(bits.RotateLeft64(f.occ, -r)))
+}
+
+// take removes and returns the event of slot s, which must hold exactly
+// one.
+func (f *farWheel) take(s int) *event {
+	ev := f.tails[s]
+	f.tails[s] = nil
+	f.occ &^= 1 << s
+	f.n--
+	ev.next = nil
+	return ev
+}
+
+// laneQueue is the kernel's pending-event set: a two-level cycle wheel
+// for integral times up to ~4096 cycles ahead, sorted FIFO lanes for
+// other events that arrive in order, a 4-ary heap for the rest.
 //
-// push puts an event on the wheel when its time is an integral cycle c
-// in [lo, lo+wheelSize) and its bucket is empty or ends before it in seq
-// order. Otherwise it appends the event to the non-empty lane whose tail
-// is the latest one not after it (the tightest fit, so a steady delivery
-// stream keeps extending its own lane), else to an empty lane, else to
-// the heap. Every bucket and lane stays sorted, and every queued wheel
-// time stays in [lo, lo+wheelSize): take raises lo only to the time of
-// the front, which no queued event precedes, and never lowers it. So
-// each queued cycle has a bucket of its own, and the minimum of the heap
-// top, the lane heads and the first occupied bucket from lo is the
+// push puts an event at integral cycle c on the near wheel when c lies
+// in the near span [lo, B·64+128) and its bucket is empty or ends
+// before it in seq order, and on the far tier when c's block is one of
+// the far span's. Otherwise it appends the event to the non-empty lane
+// whose tail is the latest one not after it (the tightest fit, so a
+// steady delivery stream keeps extending its own lane), else to an
+// empty lane, else to the heap. Every bucket and lane stays sorted, and
+// no queued time precedes lo: take raises lo only to the time of the
+// front, and front only to the block before the first far block when
+// nothing precedes that block; neither lowers it. When lo enters a new
+// block, the far blocks that enter the near span cascade into it
+// (enter), so front cascades the first far block when the near wheel
+// runs empty and no heap or lane event precedes that block, unless it
+// holds a single event, which front offers from its slot as it stands.
+// A cascading event whose bucket's tail follows it in seq order falls
+// back to the lanes or the heap, as a push would. So each queued near
+// cycle has a bucket of its own, every far event follows every near one,
+// and the minimum of the heap top, the lane heads, the first occupied
+// bucket and, with the near wheel empty, the first far block is the
 // global (t, seq) minimum. Keys are read through the event pointers, so
-// ParKernel's barrier re-stamp — order-isomorphic within a shard — needs
-// no bucket or lane bookkeeping. The wheel is allocated on its first
-// push, so a kernel that never schedules an integral time within its
-// span never pays for it; likewise the lane rings are carved on the
-// first lane push.
+// ParKernel's barrier re-stamp — order-isomorphic within a
+// shard — needs no bucket or lane bookkeeping. The near wheel and the
+// far tier are each allocated on their first push, so a kernel that
+// never schedules an integral time within their spans never pays for
+// them; likewise the lane rings are carved on the first lane push.
 type laneQueue struct {
 	heap  eventHeap
 	lanes [numLanes]lane
 	wheel *cycleWheel
-	lo    uint64 // the wheel's first cycle: floor of the latest time taken
+	far   *farWheel
+	lo    uint64 // the wheel's first cycle: no queued time precedes it
 }
 
-// push inserts ev into the wheel, the tightest-fitting lane, or the heap.
+// push inserts ev into the near wheel, the far tier, the
+// tightest-fitting lane, or the heap.
 func (q *laneQueue) push(ev *event) {
 	if t := ev.t; t >= 0 && t < maxWheelTime {
-		// c < lo wraps c-q.lo past the span, so one compare bounds both ends.
-		if c := uint64(t); Time(c) == t && c-q.lo < wheelSize {
-			if q.wheel == nil {
-				q.wheel = new(cycleWheel)
-			}
-			if q.wheel.add(ev, c) {
+		// c < lo wraps both differences past their spans, so one compare
+		// bounds each tier at both ends.
+		if c := uint64(t); Time(c) == t {
+			if c-q.lo < nearSize-(q.lo&(blockSize-1)) {
+				if q.wheel == nil {
+					q.wheel = new(cycleWheel)
+				}
+				if q.wheel.add(ev, c) {
+					return
+				}
+			} else if b := c >> blockBits; b-(q.lo>>blockBits+nearBlocks) < farBlocks {
+				if q.far == nil {
+					q.far = new(farWheel)
+				}
+				q.far.add(ev, b)
 				return
 			}
 		}
@@ -323,10 +411,60 @@ func (q *laneQueue) carveLanes() {
 	}
 }
 
+// enter cascades the far blocks that enter the near span now that lo has
+// left block b0 for a later one: lo's block and the next. No queued time
+// precedes lo, so the far blocks before lo's hold nothing and neither
+// slot can hold a block other than the one cascaded. It reports whether
+// a cascading event fell back to the lanes or the heap.
+func (q *laneQueue) enter(b0 uint64) (spilled bool) {
+	nb := q.lo >> blockBits
+	for b := max(nb, b0+nearBlocks); b < nb+nearBlocks; b++ {
+		if q.far.occ&(1<<(b&(farBlocks-1))) != 0 && q.cascade(b) {
+			spilled = true
+		}
+	}
+	return spilled
+}
+
+// cascade moves far block b, which must lie in the near span, onto the
+// near wheel in push order. An event whose bucket's tail follows it in
+// seq order — a cross-shard delivery renumbered at a ParKernel barrier
+// can be pushed after a later-numbered event of its cycle — is pushed
+// again, which turns it away from the wheel to the lanes or the heap;
+// cascade reports whether any was.
+func (q *laneQueue) cascade(b uint64) (spilled bool) {
+	f := q.far
+	s := b & (farBlocks - 1)
+	tail := f.tails[s]
+	f.tails[s] = nil
+	f.occ &^= 1 << s
+	if q.wheel == nil {
+		q.wheel = new(cycleWheel)
+	}
+	for ev := tail.next; ; {
+		next := ev.next
+		f.n--
+		if !q.wheel.add(ev, uint64(ev.t)) {
+			ev.next = nil
+			q.push(ev)
+			spilled = true
+		}
+		if ev == tail {
+			return spilled
+		}
+		ev = next
+	}
+}
+
 // front returns the minimum event and its source — fromHeap, a lane
-// index, or fromWheel+bucket — for take; nil when the queue is empty.
-// The dispatch loop computes it once per event and removes through take,
-// so the front is never searched twice.
+// index, fromWheel+bucket or fromFar+slot — for take; nil when the queue
+// is empty. The dispatch loop computes it once per event and removes
+// through take, so the front is never searched twice. When the near
+// wheel is empty, the far tier's minimum is in its first block: a block
+// of one event is the minimum as it stands, so front compares it in its
+// slot; a larger block, unless a heap or lane event precedes it,
+// cascades first, and only an event that falls back to the lanes or the
+// heap on the way makes front search them again.
 func (q *laneQueue) front() (*event, int) {
 	var best *event
 	src := fromHeap
@@ -342,7 +480,28 @@ func (q *laneQueue) front() (*event, int) {
 			best, src = ev, i
 		}
 	}
-	if w := q.wheel; w != nil && w.occ != 0 {
+	w := q.wheel
+	if f := q.far; (w == nil || w.n == 0) && f != nil && f.n != 0 {
+		b := f.first(q.lo>>blockBits + nearBlocks)
+		if s := int(b & (farBlocks - 1)); f.tails[s].next == f.tails[s] {
+			if ev := f.tails[s]; best == nil || before(ev, best) {
+				best, src = ev, fromFar+s
+			}
+			return best, src
+		}
+		if best != nil && best.t < Time(b<<blockBits) {
+			return best, src
+		}
+		// Raising lo only to the block before b's keeps the wheel for
+		// pushes just ahead of now while the front waits for a window.
+		b0 := q.lo >> blockBits
+		q.lo = (b - 1) << blockBits
+		if q.enter(b0) {
+			return q.front()
+		}
+		w = q.wheel
+	}
+	if w != nil && w.n != 0 {
 		b := w.first(q.lo)
 		if ev := w.tails[b].next; best == nil || before(ev, best) {
 			best, src = ev, fromWheel+b
@@ -352,7 +511,8 @@ func (q *laneQueue) front() (*event, int) {
 }
 
 // take removes the front event of src, as returned by front, and moves
-// the wheel's span up to the removed event's cycle.
+// the wheel's span up to the removed event's cycle, cascading the far
+// blocks that enter it.
 func (q *laneQueue) take(src int) {
 	var ev *event
 	switch {
@@ -364,12 +524,18 @@ func (q *laneQueue) take(src int) {
 		l.buf[l.head] = nil
 		l.head = (l.head + 1) & (len(l.buf) - 1)
 		l.n--
-	default:
+	case src < fromFar:
 		ev = q.wheel.take(src - fromWheel)
+	default:
+		ev = q.far.take(src - fromFar)
 	}
 	if t := ev.t; t >= 0 && t < maxWheelTime {
 		if c := uint64(t); c > q.lo {
+			b0 := q.lo >> blockBits
 			q.lo = c
+			if f := q.far; f != nil && f.n != 0 && c>>blockBits != b0 {
+				q.enter(b0)
+			}
 		}
 	}
 }
@@ -389,7 +555,7 @@ func (q *laneQueue) peek() *event {
 	return ev
 }
 
-// size returns the number of queued events, lanes and wheel included.
+// size returns the number of queued events, every tier included.
 func (q *laneQueue) size() int {
 	n := len(q.heap)
 	for i := range q.lanes {
@@ -397,6 +563,9 @@ func (q *laneQueue) size() int {
 	}
 	if q.wheel != nil {
 		n += q.wheel.n
+	}
+	if q.far != nil {
+		n += q.far.n
 	}
 	return n
 }

@@ -5,7 +5,7 @@ package sim
 // integral-cycle and constant-delay runs, wheel fallbacks, duplicate
 // timestamps, interleaved pushes, pops, cancels and Advance jumps — and
 // for every partition count and assignment function tried, the
-// partitioned queue (one three-tier laneQueue per partition) must pop
+// partitioned queue (one four-tier laneQueue per partition) must pop
 // the identical event sequence. Together with heap_test.go (single heap
 // == laneQueue == container/heap) this chains the partitioned queue all
 // the way to the original reference ordering, so the partitioned kernel
@@ -48,7 +48,7 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 				for _, shape := range queueShapes {
 					t.Run(shape.name, func(t *testing.T) {
 						err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
-							ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400), shape.frac)
+							ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400), shape)
 							n := len(ts)
 							var ref eventHeap
 							pq := newPartitionedQueue(parts, assign)
@@ -93,7 +93,7 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 					var total queueStats
 					err := quick.Check(func(seed uint64, opsRaw uint16) bool {
 						prog := randomProgram(rng.New(seed), 10+int(opsRaw%1500))
-						st, err := runQueueProgram(newPartitionedQueue(parts, assign), prog, shape.frac)
+						st, err := runQueueProgram(newPartitionedQueue(parts, assign), prog, shape)
 						if err != nil {
 							t.Log(err)
 							return false
@@ -112,20 +112,21 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 }
 
 // FuzzEventQueue runs arbitrary queue programs (see runQueueProgram for
-// the opcodes) differentially against container/heap, on the three-tier
+// the opcodes) differentially against container/heap, on the four-tier
 // queue and on a partitioned queue of 1-4 partitions, with integral
-// (wheel-shaped) and half-cycle (lane-shaped) stream and random delays.
+// (wheel-shaped), stretched integral (far-shaped) and half-cycle
+// (lane-shaped) stream and random delays.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00}, uint8(0))
 	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03}, uint8(3))
 	f.Fuzz(func(t *testing.T, prog []byte, partsRaw uint8) {
 		parts := 1 + int(partsRaw%4)
 		for _, shape := range queueShapes {
-			if _, err := runQueueProgram(&laneQueue{}, prog, shape.frac); err != nil {
+			if _, err := runQueueProgram(&laneQueue{}, prog, shape); err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
 			}
 			pq := newPartitionedQueue(parts, func(ev *event) int { return int(ev.seq*2654435761>>7) % parts })
-			if _, err := runQueueProgram(pq, prog, shape.frac); err != nil {
+			if _, err := runQueueProgram(pq, prog, shape); err != nil {
 				t.Fatalf("%s/partitioned/%d: %v", shape.name, parts, err)
 			}
 		}
@@ -141,7 +142,7 @@ func FuzzEventQueue(f *testing.F) {
 func TestEventQueueEmptyPopContract(t *testing.T) {
 	impls := append(queueCases(), queueCase{"partitioned", func() eventQueue {
 		return newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 })
-	}, 0})
+	}, queueShape{"partitioned", 0, 1}})
 	for _, c := range impls {
 		t.Run(c.name, func(t *testing.T) {
 			q := c.mk()
@@ -154,7 +155,7 @@ func TestEventQueueEmptyPopContract(t *testing.T) {
 			// Fill, drain to empty, pop once more: still nil, not a panic,
 			// and the queue stays usable.
 			for i := 0; i < 7; i++ {
-				q.push(&event{t: Time(i%3) + c.frac, seq: uint64(i)})
+				q.push(&event{t: Time(i%3) + c.shape.frac, seq: uint64(i)})
 			}
 			for q.size() > 0 {
 				if q.pop() == nil {
@@ -167,7 +168,7 @@ func TestEventQueueEmptyPopContract(t *testing.T) {
 			if q.size() != 0 {
 				t.Fatalf("size after empty pops = %d, want 0", q.size())
 			}
-			q.push(&event{t: 1 + c.frac, seq: 99})
+			q.push(&event{t: 1 + c.shape.frac, seq: 99})
 			if ev := q.pop(); ev == nil || ev.seq != 99 {
 				t.Fatalf("queue unusable after empty pops: got %v", ev)
 			}
@@ -217,12 +218,13 @@ func TestEventQueueInterfaceConformance(t *testing.T) {
 // their partitions directly, never through partitionedQueue.push, so the
 // queue's size must come from the partitions themselves — it equals the
 // sum of the shards' PendingEvents with every tier populated, at setup
-// and between windows. Hops start past the wheel's span and re-send
+// and between windows. Hops start at half cycles and re-send
 // themselves 70 cycles ahead, so they stream through one lane; their
-// cross-shard Sends land 5 cycles ahead, on the wheel, beside a few
-// setup events at integral times; and each shard's decreasing
-// half-cycle times fit behind no lane tail, so they fill the other lanes
-// and spill onto the heap.
+// cross-shard Sends land 5.5 cycles ahead, at whole cycles on the near
+// wheel, beside a few setup events at integral times; one setup event
+// per shard lies some 900 cycles ahead, on the far tier; and each
+// shard's decreasing half-cycle times fit behind no lane tail, so they
+// fill the other lanes and spill onto the heap.
 func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	const parts = 3
 	pk := NewParKernel(parts, 2, 5)
@@ -231,21 +233,22 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	hops = func(arg any) {
 		k := arg.(*Kernel)
 		k.ScheduleArg(70, hops, k)
-		k.Send((k.Partition()+1)%parts, 5, func(any) {}, nil)
+		k.Send((k.Partition()+1)%parts, 5.5, func(any) {}, nil)
 	}
 	for i := 0; i < parts; i++ {
 		k := pk.Part(i)
 		for j := 0; j < 24; j++ {
-			k.ScheduleArg(Time(64+3*j), hops, k)
+			k.ScheduleArg(Time(64+3*j)+0.5, hops, k)
 		}
 		for j := 0; j < 8; j++ {
 			k.Schedule(Time(120-j)+0.5, func() {})
 		}
 		k.Schedule(Time(50-i), func() {})
+		k.Schedule(Time(1000+i), func() {})
 	}
 	check := func(when string) {
 		t.Helper()
-		var sum, inLanes, onWheel, inHeap int
+		var sum, inLanes, onWheel, onFar, inHeap int
 		for i := 0; i < parts; i++ {
 			sum += pk.Part(i).PendingEvents()
 			q := &pk.pq.parts[i]
@@ -253,6 +256,7 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 				inLanes += l.n
 			}
 			onWheel += wheelLen(q)
+			onFar += farLen(q)
 			inHeap += q.heap.size()
 		}
 		if got := pk.pq.size(); got != sum || sum == 0 {
@@ -263,6 +267,9 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 		}
 		if onWheel == 0 {
 			t.Fatalf("%s: no events on the wheel", when)
+		}
+		if onFar == 0 {
+			t.Fatalf("%s: no events on the far tier", when)
 		}
 		if inHeap == 0 {
 			t.Fatalf("%s: no events in the heap", when)
@@ -300,5 +307,87 @@ func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 			t.Fatalf("after Advance(%g): wheel %d, lanes %d, heap %d; want all 50 on the wheel",
 				until, on, lanes, q.heap.size())
 		}
+	}
+}
+
+// hopStream is the event shape of the parcel test system at scale: each
+// node is a FIFO server, and every event is a parcel landing on one. The landing books the node's next busy period of 1-70 cycles and
+// sends the parcel on to a random node, landing when the period ends
+// plus a 500-cycle latency: events 500-2000 cycles ahead, out of push
+// order, all at whole cycles.
+type hopStream struct {
+	q    *laneQueue
+	st   *rng.Stream
+	free []Time
+	seq  uint64
+}
+
+func newHopStream(q *laneQueue, nodes, parcels int) *hopStream {
+	h := &hopStream{q: q, st: rng.New(20), free: make([]Time, nodes)}
+	for i := 0; i < nodes*parcels; i++ {
+		h.land(&event{arg: i % nodes}, 0)
+	}
+	return h
+}
+
+// land books ev's parcel on its node at time now and pushes its next
+// landing.
+func (h *hopStream) land(ev *event, now Time) {
+	n := ev.arg.(int)
+	start := max(now, h.free[n])
+	h.free[n] = start + Time(1+h.st.Intn(70))
+	ev.t, ev.seq, ev.arg = h.free[n]+500, h.seq, h.st.Intn(len(h.free))
+	h.seq++
+	h.q.push(ev)
+}
+
+// step pops the next landing and lands it, returning the tier it came
+// from.
+func (h *hopStream) step() int {
+	tier := nextTier(h.q)
+	ev := h.q.pop()
+	h.land(ev, ev.t)
+	return tier
+}
+
+// TestFarTierCarriesHopStream: on the parcel system's hop stream the
+// two-level wheel serves nearly every pop — the hops land past the near
+// span, on the far tier, and reach the near wheel by cascading — and
+// the heap takes under 5% of them.
+func TestFarTierCarriesHopStream(t *testing.T) {
+	h := newHopStream(&laneQueue{}, 1024, 8)
+	var tiers [numTiers]int
+	const pops = 100000
+	for i := 0; i < pops; i++ {
+		tiers[h.step()]++
+	}
+	t.Logf("pops by tier (heap, lane, wheel): %v", tiers)
+	if share := float64(tiers[tierHeap]) / pops; share >= 0.05 {
+		t.Errorf("heap served %.1f%% of the hop stream's pops, want under 5%%: %v", 100*share, tiers)
+	}
+	if tiers[tierWheel] < pops/2 {
+		t.Errorf("wheel served %d of %d pops", tiers[tierWheel], pops)
+	}
+}
+
+// TestFarTierAllocsPinned: steady-state far pushes, cascades and pops
+// are allocation-free once both wheel tiers exist.
+func TestFarTierAllocsPinned(t *testing.T) {
+	q := &laneQueue{}
+	h := newHopStream(q, 64, 4)
+	for i := 0; i < 4096; i++ {
+		h.step()
+	}
+	far := q.far.n
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 256; i++ {
+			h.step()
+		}
+	})
+	if far == 0 || q.heap.size() != 0 {
+		t.Fatalf("far tier holds %d events, heap %d: the stream is not far-shaped", far, q.heap.size())
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state far push/cascade/pop allocates %.1f objects per 256 hops, want 0", allocs)
 	}
 }
