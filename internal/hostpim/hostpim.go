@@ -8,15 +8,18 @@
 // threads, one per LWP. At any instant either the HWP or the LWP array is
 // executing, never both — exactly the paper's execution flow.
 //
-// Two evaluation paths exist: Simulate (the discrete-event queuing model,
-// the counterpart of the paper's SES/Workbench runs behind Figs. 5 and 6)
-// and the closed forms in internal/analytic (the paper's §3.1.2 model
-// behind Fig. 7). The ACC experiment compares them.
+// Two evaluation paths exist: Simulate (the stochastic queuing model, the
+// counterpart of the paper's SES/Workbench runs behind Figs. 5 and 6) and
+// the closed forms in internal/analytic (the paper's §3.1.2 model behind
+// Fig. 7). The ACC experiment compares them. No station of the queuing
+// model shares a resource, so Simulate sums each station's service times
+// in a loop instead of running an event kernel.
 package hostpim
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -105,8 +108,14 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every float must be finite: NaN
+// passes each range comparison below (they are all false for it).
 func (p Params) Validate() error {
+	for _, x := range [...]float64{p.W, p.PctWL, p.TLCycle, p.TMH, p.TCH, p.TML, p.Pmiss, p.PmissLow, p.MixLS} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("hostpim: non-finite parameter in %+v", p)
+		}
+	}
 	switch {
 	case p.W <= 0:
 		return fmt.Errorf("hostpim: W = %g", p.W)
@@ -212,39 +221,35 @@ func TimeRelative(p Params) float64 {
 	return 1 - p.PctWL*(1-p.NB()/float64(p.N))
 }
 
-// SimOptions tunes the discrete-event simulation.
+// SimOptions tunes the stochastic simulation.
 type SimOptions struct {
-	// Seed drives all stochastic draws.
+	// Seed drives all stochastic draws: the HWP station draws from stream
+	// 1, LWP node i from stream 100+i, and the control run from stream 2.
 	Seed uint64
-	// ChunkOps batches operations per simulation event; the op *counts*
+	// ChunkOps batches operations per station step; the op *counts*
 	// inside a chunk are sampled exactly (binomial), so batching changes
-	// only event granularity, not the statistics. 0 means a default chosen
-	// for ~10k events per run.
+	// only the timeline's granularity, not the statistics. 0 means a
+	// default chosen for ~10k steps per run.
 	ChunkOps int
-	// Tracer, when non-nil, observes the test system's process timeline —
-	// attach a trace.Recorder to regenerate the paper's Fig. 4 thread
-	// timeline. Tracing requires a single shard (RunParallel <= 1 or
-	// N = 1).
+	// Tracer, when non-nil, observes the test system's station timelines
+	// (tracks "hwp-phase" and "lwp-<i>") — attach a trace.Recorder to
+	// regenerate the paper's Fig. 4 thread timeline. The calls come
+	// station by station, each track's in time order.
 	Tracer sim.Tracer
-	// RunParallel runs the test system partitioned over max(1,
-	// min(RunParallel, N)) shard kernels driven by that many workers
-	// (sim.ParKernel), so 0 and 1 both mean one shard: the LWP nodes are
-	// sharded contiguously and never communicate, so the partitions
-	// declare an infinite lookahead and each phase is one window. The
-	// Result is identical — every field, bit for bit — for every value,
-	// which the invariance test pins: the nodes' streams, resources, and
-	// event timelines are per-node and therefore shard-independent.
-	RunParallel int
 }
 
-// Simulate runs the queuing model on the DES kernel: the HWP station of
-// Fig. 2 followed by the N-node LWP array of Fig. 3, with the control run
-// executed in the same stochastic style. Returns the measured Result.
+// Simulate runs the queuing model: the HWP station of Fig. 2 followed by
+// the N-node LWP array of Fig. 3 (or both at once under Overlap), with
+// the control run executed in the same stochastic style. Returns the
+// measured Result.
 //
-// Every work loop is an activity: a run-to-completion state machine
-// stepped inline by the kernel's dispatch loop, so the N-way interleaved
-// LWP phase costs a heap pop per switch. The test system runs on the
-// partitioned driver (parallel.go) for every RunParallel value.
+// Every station owns a capacity-1 processor and memory that nobody else
+// uses, so no request ever queues: a station's timeline is the running
+// sum of its pieces' service times and its busy time the sum of their
+// lengths. Each station is therefore one loop over its own stream
+// (stationSum) rather than a process on the event kernel; the oracle
+// test holds the Result, every field bit for bit, and the traced
+// timeline to the kernel formulation.
 func Simulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -253,12 +258,52 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	if chunk <= 0 {
 		chunk = int(math.Max(1, p.W/10000))
 	}
-	res, err := simulateTestPar(p, opt, chunk)
-	if err != nil {
-		return Result{}, err
+	wh := (1 - p.PctWL) * p.W
+	wl := p.PctWL * p.W
+	tr := opt.Tracer
+
+	var st rng.Stream
+	st.Reseed(opt.Seed, 1)
+	hwpEnd, hwpCPU, hwpMem := stationSum(p, &st, true, p.Pmiss, wh, chunk, 0, tr, "hwp-phase")
+	res := Result{TimeHWPPhase: hwpEnd, NodeTimes: make([]float64, p.N)}
+
+	// The LWP array starts at the end of the HWP phase (Fig. 4's barrier),
+	// or with it under Overlap.
+	start := hwpEnd
+	if p.Overlap {
+		start = 0
 	}
-	if err := simulateControl(p, opt, chunk, &res); err != nil {
-		return Result{}, err
+	lwpEnd := start
+	var lwpBusy float64
+	for i := range res.NodeTimes {
+		st.Reseed(opt.Seed, 100+uint64(i))
+		var name string
+		if tr != nil {
+			name = "lwp-" + strconv.Itoa(i)
+		}
+		end, cpu, mem := stationSum(p, &st, false, 0, wl/float64(p.N), chunk, start, tr, name)
+		res.NodeTimes[i] = end - start
+		if end > lwpEnd {
+			lwpEnd = end
+		}
+		lwpBusy += cpu + mem
+	}
+	res.TimeLWPPhase = lwpEnd - start
+	res.Total = math.Max(hwpEnd, lwpEnd)
+	if res.Total > 0 {
+		res.HWPUtil = (hwpCPU + hwpMem) / res.Total
+		res.LWPUtil = lwpBusy / (res.Total * float64(p.N))
+	}
+
+	// The control system: the HWP alone, in one segment or (locality-aware)
+	// two back to back.
+	st.Reseed(opt.Seed, 2)
+	switch p.Control {
+	case ControlFixedMiss:
+		res.ControlTime, _, _ = stationSum(p, &st, true, p.Pmiss, p.W, chunk, 0, nil, "")
+	case ControlLocalityAware:
+		t, _, _ := stationSum(p, &st, true, p.Pmiss, wh, chunk, 0, nil, "")
+		res.ControlTime, _, _ = stationSum(p, &st, true, p.PmissLow, wl, chunk, t, nil, "")
 	}
 	if res.Total > 0 {
 		res.Gain = res.ControlTime / res.Total
@@ -267,150 +312,53 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	return res, nil
 }
 
-// simulateControl runs the control system — the HWP alone — and fills
-// res.ControlTime. The control is a single station and always serial.
-func simulateControl(p Params, opt SimOptions, chunk int, res *Result) error {
-	wh := (1 - p.PctWL) * p.W
-	wl := p.PctWL * p.W
-	kc := sim.NewKernel()
-	ctrlStream := rng.NewWithStream(opt.Seed, 2)
-	cCPU := sim.NewResource(kc, "hwp-cpu", 1, sim.FIFO)
-	cMem := sim.NewResource(kc, "hwp-mem", 1, sim.FIFO)
-	cs := &controlSystem{}
-	switch p.Control {
-	case ControlFixedMiss:
-		cs.seg[0].init(p, ctrlStream, p.Pmiss, p.W, chunk, cCPU, cMem)
-		cs.segs = 1
-	case ControlLocalityAware:
-		cs.seg[0].init(p, ctrlStream, p.Pmiss, wh, chunk, cCPU, cMem)
-		cs.seg[1].init(p, ctrlStream, p.PmissLow, wl, chunk, cCPU, cMem)
-		cs.segs = 2
+// stationSum runs ops operations through one station from time t, chunk
+// by chunk: it draws the chunk's composition from st, then holds the
+// processor for the compute cycles and, if there are any, the memory for
+// the access cycles. Batching changes only the timeline's granularity,
+// not the statistics. The HWP station of Fig. 2 (hwp true: issue +
+// cache-hit cycles on the CPU, miss cycles at rate pmiss on memory) and
+// an LWP node of Fig. 3 (hwp false: TLCycle per issue on the node CPU,
+// TML per load/store on its bank) share the loop. It returns the
+// station's end time and each resource's busy time, summed piece by piece
+// as end − start. tr, when non-nil, sees the timeline as track name.
+func stationSum(p Params, st *rng.Stream, hwp bool, pmiss, ops float64, chunk int, t float64, tr sim.Tracer, name string) (end, cpuBusy, memBusy float64) {
+	if tr != nil {
+		tr.ProcState(t, name, "start")
 	}
-	kc.SpawnActivity("control-system", cs)
-	if _, err := kc.RunUntilIdle(); err != nil {
-		return err
-	}
-	res.ControlTime = kc.Now()
-	return nil
-}
-
-// stationWork drives a batch of operations through one two-resource
-// station (CPU then memory) as a run-to-completion state machine — the
-// activity form of a blocking work loop. Operations are
-// processed in chunks whose internal composition is sampled exactly, so
-// batching changes only event granularity, not the statistics. The same
-// machine serves the HWP station of Fig. 2 (hwp true: issue + cache-hit
-// cycles on the CPU, miss cycles on memory) and an LWP node of Fig. 3
-// (hwp false: TLCycle per issue on the node CPU, TML per load/store on
-// its bank).
-type stationWork struct {
-	p         Params
-	st        *rng.Stream
-	pmiss     float64 // HWP miss rate (hwp mode only)
-	hwp       bool
-	remaining int64
-	chunk     int64
-	cpu, mem  *sim.Resource
-
-	state     int
-	cpuCycles float64
-	memCycles float64
-}
-
-// stationWork states: which step of the current chunk runs next.
-const (
-	swNextChunk = iota // draw the next chunk, acquire the CPU
-	swHoldCPU          // CPU granted: spend the compute cycles
-	swCPUDone          // compute done: release, acquire memory if needed
-	swHoldMem          // memory granted: spend the access cycles
-	swMemDone          // access done: release, next chunk
-)
-
-// init prepares the machine for ops operations at the given miss rate
-// (ignored for LWP stations, where initLWP applies).
-func (w *stationWork) init(p Params, st *rng.Stream, pmiss, ops float64, chunk int, cpu, mem *sim.Resource) {
-	*w = stationWork{p: p, st: st, pmiss: pmiss, hwp: true,
-		remaining: int64(math.Round(ops)), chunk: int64(chunk), cpu: cpu, mem: mem}
-}
-
-// initLWP prepares the machine as an LWP node.
-func (w *stationWork) initLWP(p Params, st *rng.Stream, ops float64, chunk int, cpu, mem *sim.Resource) {
-	*w = stationWork{p: p, st: st,
-		remaining: int64(math.Round(ops)), chunk: int64(chunk), cpu: cpu, mem: mem}
-}
-
-// run advances the machine until it must wait (returns false; call again
-// on the next resumption) or all operations are done (returns true).
-func (w *stationWork) run(a *sim.ActCtx) bool {
-	for {
-		switch w.state {
-		case swNextChunk:
-			if w.remaining <= 0 {
-				return true
-			}
-			n := w.chunk
-			if n > w.remaining {
-				n = w.remaining
-			}
-			w.remaining -= n
-			nLS := w.st.Binomial(int(n), w.p.MixLS)
-			if w.hwp {
-				nMiss := w.st.Binomial(nLS, w.pmiss)
-				// Issue + cache-hit portion on the CPU; memory portion on
-				// the memory device, mirroring the two service centres of
-				// Fig. 2.
-				w.cpuCycles = float64(n) + float64(nLS)*(w.p.TCH-1)
-				w.memCycles = float64(nMiss) * w.p.TMH
-			} else {
-				w.cpuCycles = float64(n-int64(nLS)) * w.p.TLCycle
-				w.memCycles = float64(nLS) * w.p.TML
-			}
-			w.state = swHoldCPU
-			if !w.cpu.Acquire1Act(a) {
-				return false
-			}
-		case swHoldCPU:
-			w.state = swCPUDone
-			a.Wait(w.cpuCycles)
-			return false
-		case swCPUDone:
-			w.cpu.Release(1)
-			if w.memCycles > 0 {
-				w.state = swHoldMem
-				if !w.mem.Acquire1Act(a) {
-					return false
-				}
-			} else {
-				w.state = swNextChunk
-			}
-		case swHoldMem:
-			w.state = swMemDone
-			a.Wait(w.memCycles)
-			return false
-		case swMemDone:
-			w.mem.Release(1)
-			w.state = swNextChunk
+	for left := int64(math.Round(ops)); left > 0; {
+		n := min(int64(chunk), left)
+		left -= n
+		nLS := st.Binomial(int(n), p.MixLS)
+		var cpu, mem float64
+		if hwp {
+			cpu = float64(n) + float64(nLS)*(p.TCH-1)
+			mem = float64(st.Binomial(nLS, pmiss)) * p.TMH
+		} else {
+			cpu = float64(n-int64(nLS)) * p.TLCycle
+			mem = float64(nLS) * p.TML
+		}
+		t = hold(t, cpu, &cpuBusy, tr, name)
+		if mem > 0 {
+			t = hold(t, mem, &memBusy, tr, name)
 		}
 	}
-}
-
-// controlSystem runs the control workload — the HWP alone — as one or two
-// sequential station segments (two under the locality-aware policy).
-type controlSystem struct {
-	seg  [2]stationWork
-	segs int
-	cur  int
-}
-
-// Step drives the control segments in order.
-func (cs *controlSystem) Step(a *sim.ActCtx) {
-	for cs.cur < cs.segs {
-		if !cs.seg[cs.cur].run(a) {
-			return
-		}
-		cs.cur++
+	if tr != nil {
+		tr.ProcState(t, name, "done")
 	}
-	a.Exit()
+	return t, cpuBusy, memBusy
+}
+
+// hold occupies a resource for d cycles from t: it adds the piece's
+// length to *busy and returns the piece's end.
+func hold(t, d float64, busy *float64, tr sim.Tracer, name string) float64 {
+	end := t + d
+	*busy += end - t
+	if tr != nil {
+		tr.ProcState(t, name, "wait")
+		tr.ProcState(end, name, "run")
+	}
+	return end
 }
 
 // GainCurve sweeps %WL for a fixed node count using the analytic path,

@@ -302,6 +302,16 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.TLCycle = 0 },
 		func(p *Params) { p.Pmiss = 2 },
 		func(p *Params) { p.MixLS = -1 },
+		func(p *Params) { p.W = math.NaN() },
+		func(p *Params) { p.W = math.Inf(1) },
+		func(p *Params) { p.PctWL = math.NaN() },
+		func(p *Params) { p.TLCycle = math.Inf(1) },
+		func(p *Params) { p.TMH = math.NaN() },
+		func(p *Params) { p.TCH = math.Inf(-1) },
+		func(p *Params) { p.TML = math.NaN() },
+		func(p *Params) { p.Pmiss = math.NaN() },
+		func(p *Params) { p.PmissLow = math.NaN() },
+		func(p *Params) { p.MixLS = math.NaN() },
 	}
 	for i, mod := range cases {
 		p := DefaultParams()

@@ -41,6 +41,7 @@ package parcelsys
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/network"
@@ -117,8 +118,16 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every float must be finite: NaN
+// passes each range comparison below (they are all false for it).
 func (p Params) Validate() error {
+	oh := p.Overhead
+	for _, x := range [...]float64{p.RemoteFrac, p.Latency, p.MixMem, p.MemCycles, p.Horizon, p.Hotspot,
+		oh.CreateCycles, oh.AssimilateCycles, oh.ReplyCycles} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("parcelsys: non-finite parameter in %+v", p)
+		}
+	}
 	switch {
 	case p.Nodes <= 0:
 		return fmt.Errorf("parcelsys: Nodes = %d", p.Nodes)

@@ -28,6 +28,17 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.MemCycles = 0 },
 		func(p *Params) { p.Horizon = 0 },
 		func(p *Params) { p.Overhead.CreateCycles = -1 },
+		func(p *Params) { p.RemoteFrac = math.NaN() },
+		func(p *Params) { p.Latency = math.NaN() },
+		func(p *Params) { p.Latency = math.Inf(1) },
+		func(p *Params) { p.MixMem = math.NaN() },
+		func(p *Params) { p.MemCycles = math.Inf(1) },
+		func(p *Params) { p.Horizon = math.NaN() },
+		func(p *Params) { p.Horizon = math.Inf(1) },
+		func(p *Params) { p.Hotspot = math.NaN() },
+		func(p *Params) { p.Overhead.CreateCycles = math.NaN() },
+		func(p *Params) { p.Overhead.AssimilateCycles = math.Inf(1) },
+		func(p *Params) { p.Overhead.ReplyCycles = math.NaN() },
 	}
 	for i, mod := range cases {
 		p := DefaultParams()

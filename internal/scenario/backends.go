@@ -246,7 +246,7 @@ func (b simBackend) Run(s Scenario, cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		r, err := hostpim.Simulate(p, hostpim.SimOptions{Seed: cfg.Seed, RunParallel: s.Machine.RunParallel})
+		r, err := hostpim.Simulate(p, hostpim.SimOptions{Seed: cfg.Seed})
 		if err != nil {
 			return Result{}, err
 		}

@@ -79,9 +79,9 @@ type Machine struct {
 	// machine backend it is isa.Machine.Parallelism: the VM nodes are
 	// partitioned and advanced in conservative lookahead windows, with
 	// results byte-identical to the serial run for any value. On the sim
-	// backend it partitions the DES models (hostpim's LWP array,
-	// parcelsys's nodes) over a sim.ParKernel, with results bit-identical
-	// for every value. 0 or 1 runs serially (one shard).
+	// backend it partitions parcelsys's nodes over a sim.ParKernel, with
+	// results bit-identical for every value; hostpim's study-1 simulation
+	// runs no kernel and ignores it. 0 or 1 runs serially (one shard).
 	RunParallel int
 
 	// The fault-injection knobs (machine scenarios only; see

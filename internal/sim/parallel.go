@@ -40,10 +40,7 @@ package sim
 // entirely and IS the serial kernel, which keeps the oracle honest: the
 // equivalence tests run the same model code both ways.
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // shardState is the per-shard half of a partitioned run, hung off
 // Kernel.par. During a window it is touched only by the worker driving
@@ -467,33 +464,6 @@ func (pk *ParKernel) Run(until Time) error {
 	return err
 }
 
-// AdvanceUntilIdle runs the partitioned simulation until no events remain
-// anywhere, without shutting anything down: blocked activities stay
-// registered and the worker pool stays up, so a phased model
-// can spawn its next phase and drive it with another Advance* call.
-// Afterwards every shard's clock stands at the returned time (the latest
-// shard time), giving the next phase a common start — shards that went
-// idle early jump forward exactly as they would have slept through the
-// remaining events. Close (or a final Run/RunUntilIdle) when done.
-func (pk *ParKernel) AdvanceUntilIdle() (Time, error) {
-	if len(pk.parts) == 1 {
-		k := pk.parts[0]
-		k.drain(0, false)
-		return k.now, k.err
-	}
-	pk.runWindows(0, false)
-	pk.collect()
-	t := pk.Now()
-	if !pk.stopped {
-		for _, k := range pk.parts {
-			if k.now < t {
-				k.now = t
-			}
-		}
-	}
-	return t, pk.err
-}
-
 // RunUntilIdle advances until no events remain anywhere, returning the
 // final simulated time (the latest shard time) and ErrDeadlock if blocked
 // activities remain on any shard. The worker pool is
@@ -538,7 +508,3 @@ func (pk *ParKernel) shutdown() {
 	}
 	pk.Close()
 }
-
-// InfLookahead is the lookahead for partitions that never communicate
-// during a drain: the whole run becomes a single window.
-func InfLookahead() Time { return math.Inf(1) }

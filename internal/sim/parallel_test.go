@@ -400,7 +400,7 @@ func TestParKernelInfiniteLookahead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pk := NewParKernel(4, 4, InfLookahead())
+	pk := NewParKernel(4, 4, math.Inf(1))
 	assign := func(g int) int { return g % 4 }
 	states := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
