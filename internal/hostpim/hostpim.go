@@ -129,6 +129,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("hostpim: miss rate out of [0,1]")
 	case p.MixLS < 0 || p.MixLS > 1:
 		return fmt.Errorf("hostpim: MixLS = %g", p.MixLS)
+	case p.Control != ControlFixedMiss && p.Control != ControlLocalityAware:
+		return fmt.Errorf("hostpim: unknown control policy %v", p.Control)
 	}
 	return nil
 }
@@ -261,10 +263,16 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	wh := (1 - p.PctWL) * p.W
 	wl := p.PctWL * p.W
 	tr := opt.Tracer
+	tabs := getTables()
+	defer putTables(tabs)
+	tabs.mix.Reset(p.MixLS)
+	tabs.miss.Reset(p.Pmiss)
+	tabs.missLow.Reset(p.PmissLow)
+	mix, miss := &tabs.mix, &tabs.miss
 
 	var st rng.Stream
 	st.Reseed(opt.Seed, 1)
-	hwpEnd, hwpCPU, hwpMem := stationSum(p, &st, true, p.Pmiss, wh, chunk, 0, tr, "hwp-phase")
+	hwpEnd, hwpCPU, hwpMem := stationSum(p, &st, mix, miss, wh, chunk, 0, tr, "hwp-phase")
 	res := Result{TimeHWPPhase: hwpEnd, NodeTimes: make([]float64, p.N)}
 
 	// The LWP array starts at the end of the HWP phase (Fig. 4's barrier),
@@ -281,7 +289,7 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 		if tr != nil {
 			name = "lwp-" + strconv.Itoa(i)
 		}
-		end, cpu, mem := stationSum(p, &st, false, 0, wl/float64(p.N), chunk, start, tr, name)
+		end, cpu, mem := stationSum(p, &st, mix, nil, wl/float64(p.N), chunk, start, tr, name)
 		res.NodeTimes[i] = end - start
 		if end > lwpEnd {
 			lwpEnd = end
@@ -300,10 +308,10 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	st.Reseed(opt.Seed, 2)
 	switch p.Control {
 	case ControlFixedMiss:
-		res.ControlTime, _, _ = stationSum(p, &st, true, p.Pmiss, p.W, chunk, 0, nil, "")
+		res.ControlTime, _, _ = stationSum(p, &st, mix, miss, p.W, chunk, 0, nil, "")
 	case ControlLocalityAware:
-		t, _, _ := stationSum(p, &st, true, p.Pmiss, wh, chunk, 0, nil, "")
-		res.ControlTime, _, _ = stationSum(p, &st, true, p.PmissLow, wl, chunk, t, nil, "")
+		t, _, _ := stationSum(p, &st, mix, miss, wh, chunk, 0, nil, "")
+		res.ControlTime, _, _ = stationSum(p, &st, mix, &tabs.missLow, wl, chunk, t, nil, "")
 	}
 	if res.Total > 0 {
 		res.Gain = res.ControlTime / res.Total
@@ -312,28 +320,59 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	return res, nil
 }
 
+// drawTables are the binomial tables of one Simulate call, one per
+// probability its stations draw with. A call owns its set until it
+// returns, so no two goroutines use one at once, and the channel hand-off
+// below orders their uses.
+type drawTables struct{ mix, miss, missLow rng.BinomialTable }
+
+// idleTables keeps finished calls' sets for reuse, so Simulate allocates
+// none once warm and a new p rebuilds tables in memory it already has.
+// It is a channel, not a sync.Pool, because its reuse must be
+// deterministic (the race detector makes sync.Pool drop entries at
+// random), and its capacity bounds the idle memory: at most 32 sets,
+// each capped by rng.BinomialTable, whatever p values callers send.
+var idleTables = make(chan *drawTables, 32)
+
+func getTables() *drawTables {
+	select {
+	case t := <-idleTables:
+		return t
+	default:
+		return new(drawTables)
+	}
+}
+
+func putTables(t *drawTables) {
+	select {
+	case idleTables <- t:
+	default:
+	}
+}
+
 // stationSum runs ops operations through one station from time t, chunk
 // by chunk: it draws the chunk's composition from st, then holds the
 // processor for the compute cycles and, if there are any, the memory for
 // the access cycles. Batching changes only the timeline's granularity,
-// not the statistics. The HWP station of Fig. 2 (hwp true: issue +
-// cache-hit cycles on the CPU, miss cycles at rate pmiss on memory) and
-// an LWP node of Fig. 3 (hwp false: TLCycle per issue on the node CPU,
-// TML per load/store on its bank) share the loop. It returns the
-// station's end time and each resource's busy time, summed piece by piece
-// as end − start. tr, when non-nil, sees the timeline as track name.
-func stationSum(p Params, st *rng.Stream, hwp bool, pmiss, ops float64, chunk int, t float64, tr sim.Tracer, name string) (end, cpuBusy, memBusy float64) {
+// not the statistics. mix draws each chunk's load/store count at MixLS.
+// The HWP station of Fig. 2 (miss non-nil: issue + cache-hit cycles on
+// the CPU, misses drawn from miss's rate on memory) and an LWP node of
+// Fig. 3 (miss nil: TLCycle per issue on the node CPU, TML per load/store
+// on its bank) share the loop. It returns the station's end time and each
+// resource's busy time, summed piece by piece as end − start. tr, when
+// non-nil, sees the timeline as track name.
+func stationSum(p Params, st *rng.Stream, mix, miss *rng.BinomialTable, ops float64, chunk int, t float64, tr sim.Tracer, name string) (end, cpuBusy, memBusy float64) {
 	if tr != nil {
 		tr.ProcState(t, name, "start")
 	}
 	for left := int64(math.Round(ops)); left > 0; {
 		n := min(int64(chunk), left)
 		left -= n
-		nLS := st.Binomial(int(n), p.MixLS)
+		nLS := mix.Sample(st, int(n))
 		var cpu, mem float64
-		if hwp {
+		if miss != nil {
 			cpu = float64(n) + float64(nLS)*(p.TCH-1)
-			mem = float64(st.Binomial(nLS, pmiss)) * p.TMH
+			mem = float64(miss.Sample(st, nLS)) * p.TMH
 		} else {
 			cpu = float64(n-int64(nLS)) * p.TLCycle
 			mem = float64(nLS) * p.TML

@@ -312,6 +312,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.Pmiss = math.NaN() },
 		func(p *Params) { p.PmissLow = math.NaN() },
 		func(p *Params) { p.MixLS = math.NaN() },
+		func(p *Params) { p.Control = ControlPolicy(5) },
+		func(p *Params) { p.Control = -1 },
 	}
 	for i, mod := range cases {
 		p := DefaultParams()

@@ -292,83 +292,6 @@ func (s *Stream) Poisson(mean float64) int {
 	return s.Poisson(half) + s.Poisson(mean-half)
 }
 
-// Binomial returns the number of successes in n Bernoulli(p) trials. Exact
-// (BTPE-free) sampling: CDF inversion by recursive probability ratios (the
-// classic BINV algorithm — one uniform draw and O(n·p) multiplications, no
-// logarithms) for small n·p, and a normal approximation with continuity
-// correction only above n·p·(1−p) > 1000, where its error is far below the
-// simulation noise floor.
-func (s *Stream) Binomial(n int, p float64) int {
-	switch {
-	case n < 0:
-		panic("rng: Binomial with n < 0")
-	case p <= 0 || n == 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	if p > 0.5 {
-		return n - s.Binomial(n, 1-p)
-	}
-	np := float64(n) * p
-	switch {
-	case np <= 30 || n <= 64:
-		return s.binv(n, p)
-	default:
-		v := float64(n) * p * (1 - p)
-		if v <= 1000 {
-			// Split to keep each half in an exactly-sampled regime.
-			h := n / 2
-			return s.Binomial(h, p) + s.Binomial(n-h, p)
-		}
-		x := math.Round(s.Normal(np, math.Sqrt(v)))
-		if x < 0 {
-			x = 0
-		}
-		if x > float64(n) {
-			x = float64(n)
-		}
-		return int(x)
-	}
-}
-
-// binv inverts the Binomial(n, p) CDF by walking it with the recursive
-// ratio P(k+1)/P(k) = (n−k)/(k+1) · p/q. Requires 0 < p <= 0.5 and small
-// n·p (so that P(0) = qⁿ ≳ e⁻⁶⁰ stays comfortably normal and the expected
-// walk length ≈ n·p stays short).
-func (s *Stream) binv(n int, p float64) int {
-	q := 1 - p
-	ratio := p / q
-	r := powN(q, n)
-	u := s.Float64Open()
-	k := 0
-	for u > r {
-		u -= r
-		k++
-		if k > n {
-			// Accumulated rounding left a residue beyond the support.
-			return n
-		}
-		r *= ratio * float64(n-k+1) / float64(k)
-	}
-	return k
-}
-
-// powN computes qⁿ by binary exponentiation — plain multiplications, so
-// the result (and therefore every stream's draw sequence) is identical on
-// every platform, unlike math.Pow's libm-dependent rounding.
-func powN(q float64, n int) float64 {
-	r := 1.0
-	for n > 0 {
-		if n&1 == 1 {
-			r *= q
-		}
-		q *= q
-		n >>= 1
-	}
-	return r
-}
-
 // Triangular returns a triangularly distributed variate on [lo, hi] with
 // mode m. It panics unless lo <= m <= hi and lo < hi.
 func (s *Stream) Triangular(lo, m, hi float64) float64 {

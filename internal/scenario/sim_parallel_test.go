@@ -2,36 +2,14 @@ package scenario
 
 // Scenario-level face of the partitioned sim kernel's determinism
 // guarantee, mirroring TestMachineRunParallelInvariant for the sim
-// backend: study-1 and parcel metrics are bit-identical for every
-// RunParallel value, serial included.
+// backend: parcel metrics are bit-identical for every RunParallel value,
+// serial included. (The study-1 sim path runs no kernel and does not
+// read RunParallel.)
 
 import (
 	"reflect"
 	"testing"
 )
-
-func TestSimStudy1RunParallelInvariant(t *testing.T) {
-	cfg := Config{Seed: 2004, Quick: true}
-	for _, name := range []string{"paper-baseline", "balanced-overlap"} {
-		s := MustFind(name)
-		s.Machine.RunParallel = 0
-		want, err := Run(s, "sim", cfg)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		for _, p := range []int{1, 3, 8} {
-			s.Machine.RunParallel = p
-			got, err := Run(s, "sim", cfg)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, p, err)
-			}
-			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-				t.Errorf("%s: RunParallel=%d leaks into metrics:\nserial:   %v\nparallel: %v",
-					name, p, want.Metrics, got.Metrics)
-			}
-		}
-	}
-}
 
 func TestSimParcelRunParallelInvariant(t *testing.T) {
 	cfg := Config{Seed: 2004, Quick: true}
