@@ -2,11 +2,11 @@ package parcelsys
 
 // The drivers of both systems. The nodes are sharded contiguously over a
 // sim.ParKernel of max(1, min(RunParallel, Nodes)) shards, and every
-// cross-node interaction goes through Kernel.Send with a delay of at
-// least the conservative lookahead, the minimum one-way latency. One
-// shard is the plain serial kernel. Two choices make the model
-// partitionable, and neither depends on the partition, so the results are
-// identical for every RunParallel (the invariance tests pin this):
+// cross-node interaction is a Send landing at least the conservative
+// lookahead, the minimum one-way latency, after it is made. One shard is
+// the plain serial kernel. Two choices make the model partitionable, and
+// neither depends on the partition, so the results are identical for
+// every RunParallel (the invariance tests pin this):
 //
 //   - Test system: each node is a FIFO server held in closed form as the
 //     time it next falls free (testNode), booked only on its own shard.
@@ -14,13 +14,14 @@ package parcelsys
 //     a landing books the visit and Sends the parcel to the destination
 //     node's shard, to land when the visit ends plus the one-way latency.
 //
-//   - Control system: each node's memory bank is a FIFO single server
-//     with deterministic MemCycles service, held in closed form as the
-//     time it next falls free (bank). Only the bank's own shard books it.
-//     A remote access Sends the request (one-way latency) and idles the
-//     processor; the bank's shard books the next slot and Sends the reply,
-//     which leaves when the service ends and travels the latency back. A
-//     local access books its slot and waits for it holding the processor.
+//   - Control system: each node's memory bank and CPU are held in closed
+//     form (ctrlNode), booked only on the node's own shard, and each
+//     thread draws from its own stream. A thread's events are its bank
+//     arrivals: a local access arrives at its own bank when its useful
+//     run ends, and a remote access Sends its request to land at the
+//     destination bank one-way latency after the run ends. The bank's
+//     shard books the next slot and Sends the reply, which leaves when
+//     the service ends and travels the latency back.
 
 import (
 	"fmt"
@@ -108,162 +109,224 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 	return r, nil
 }
 
-// bank is one node's memory bank in closed form: a FIFO single server
-// with a deterministic service time is fully described by the time its
-// last booked service ends. It is read and booked only on its own shard.
-type bank struct {
-	k    *sim.Kernel // the owning shard's kernel
-	part int         // the owning shard
-	free sim.Time    // end of the last booked service
+// ctrlNode is one control processor: its memory bank and its CPU, both
+// in closed form and read and booked only on the node's own shard.
+//
+// The bank is a FIFO single server with a deterministic service time, so
+// it is fully described by the time its last booked service ends.
+//
+// The CPU is granted to one thread at a time, first come first served.
+// A thread's hold is its useful run, followed for a local access by the
+// bank wait and the service, so the CPU's release is known at the grant
+// for a remote access and at the bank arrival for a local one; held marks
+// the stretch in between. Threads that finish an access while the CPU is
+// held, or while others wait ahead of them, queue on the node's FIFO,
+// which the release drains. With one thread per node nothing ever waits.
+type ctrlNode struct {
+	p     *Params
+	k     *sim.Kernel // the owning shard's kernel
+	i     int
+	part  int // this node's shard
+	ns    *nodeStats
+	peers []ctrlNode // every node of the run, indexed by node
+	bank  sim.Time   // end of the last booked bank service
+	cpu   sim.Time   // end of the last CPU hold whose end is known
+	held  bool       // a local access holds the CPU until its bank arrival
+	// head and tail link the threads waiting for the CPU through
+	// ctrlThread.next.
+	head, tail *ctrlThread
+	// rejoin is the thread whose local access ends at rejoinAt and which
+	// queues for the CPU then, when the node runs several threads. There
+	// is at most one: the node's next bank arrival comes no earlier and
+	// settles it first.
+	rejoin   *ctrlThread
+	rejoinAt sim.Time
+}
+
+// ctrlThread is one blocking control thread, and also its own memory
+// request (a thread has at most one in flight). A cycle draws a segment,
+// holds the CPU for the useful ops, then performs the access: a blocking
+// remote round trip, during which the thread has released the CPU and
+// idles (the paper's third processor state), or a local access that
+// holds the CPU through the bank wait and the service.
+type ctrlThread struct {
+	st     rng.Stream
+	n      *ctrlNode // home node
+	dst    *ctrlNode // the remote access's node
+	next   *ctrlThread
+	nops   int
+	remote bool
 }
 
 // book reserves the bank's next service slot for a request arriving now
 // and returns the slot's start.
-func (b *bank) book(service sim.Time) sim.Time {
-	start := b.k.Now()
-	if b.free > start {
-		start = b.free
-	}
-	b.free = start + service
+func (n *ctrlNode) book(service sim.Time) sim.Time {
+	start := max(n.k.Now(), n.bank)
+	n.bank = start + service
 	return start
 }
 
-// bankRequest runs on the destination bank's shard when a remote request
-// arrives: it books the next slot and sends the reply, which leaves when
-// the service ends and travels the one-way latency back. The delay is at
-// least that latency, so it never undercuts the lookahead.
-func bankRequest(x any) {
-	t := x.(*parCtrlThread)
-	b := &t.banks[t.dst]
-	queued := b.book(t.p.MemCycles) - b.k.Now()
-	b.k.Send(t.banks[t.i].part, queued+t.p.MemCycles+t.p.latency(t.dst, t.i), bankReply, t)
-}
-
-// bankReply runs on the requester's shard: the round trip is over.
-func bankReply(x any) { x.(*parCtrlThread).reply.Trigger() }
-
-// parCtrlThread is one blocking control thread as an activity state
-// machine, and also its own memory request (a thread has at most one in
-// flight). One cycle: draw a segment, hold the processor for the useful
-// ops, then perform the access — a blocking remote round trip (the
-// thread releases the processor and idles the whole time, the paper's
-// third processor state) or a local access holding the processor.
-type parCtrlThread struct {
-	p     *Params
-	st    rng.Stream
-	ns    *nodeStats
-	i     int
-	cpu   *sim.Resource
-	banks []bank      // every node's bank, indexed by node
-	reply *sim.Signal // fired by bankReply
-
-	state  int
-	nops   int
-	remote bool
-	dst    int // the remote access's node
-}
-
-// parCtrlThread states.
-const (
-	pcSegment    = iota // draw the next segment, acquire the processor
-	pcHoldCPU           // processor granted: run the useful ops
-	pcUseful            // useful-ops wait finished: perform the access
-	pcReplied           // remote reply arrived: transaction complete
-	pcLocalStart        // local bank slot reached: the access begins
-	pcLocalDone         // local access finished
-)
-
-// Step runs the thread until it must wait; it loops forever (the horizon
-// kill ends it).
-func (t *parCtrlThread) Step(a *sim.ActCtx) {
-	p, ns := t.p, t.ns
-	for {
-		switch t.state {
-		case pcSegment:
-			t.nops, t.remote = segment(&t.st, p)
-			t.state = pcHoldCPU
-			if !t.cpu.Acquire1Act(a) {
-				return
-			}
-		case pcHoldCPU:
-			if t.nops > 0 {
-				ns.busy.Add(a.Now(), 1)
-				t.state = pcUseful
-				a.Wait(float64(t.nops))
-				return
-			}
-			t.state = pcUseful
-		case pcUseful:
-			if t.nops > 0 {
-				ns.busy.Add(a.Now(), -1)
-				ns.ops += int64(t.nops)
-			}
-			if t.remote {
-				t.cpu.Release(1)
-				t.dst = p.pickDest(&t.st, t.i)
-				t.reply.Reset()
-				t.state = pcReplied
-				a.Kernel().Send(t.banks[t.dst].part, p.latency(t.i, t.dst), bankRequest, t)
-				if !t.reply.WaitAct(a) {
-					return
-				}
-				continue
-			}
-			t.state = pcLocalStart
-			if start := t.banks[t.i].book(p.MemCycles); start > a.Now() {
-				a.Wait(start - a.Now())
-				return
-			}
-		case pcLocalStart:
-			ns.busy.Add(a.Now(), 1)
-			t.state = pcLocalDone
-			a.Wait(p.MemCycles)
-			return
-		case pcReplied:
-			ns.rem++
-			ns.ops++ // the access itself is a completed operation
-			t.state = pcSegment
-		case pcLocalDone:
-			ns.busy.Add(a.Now(), -1)
-			t.cpu.Release(1)
-			ns.ops++
-			t.state = pcSegment
+// join queues thread t, whose next segment is drawn, for the CPU at time
+// at: it is granted then, or when the CPU's known hold ends, unless a
+// local access holds the CPU or others wait ahead of it.
+func (n *ctrlNode) join(t *ctrlThread, at sim.Time) {
+	if n.held || n.head != nil {
+		t.next = nil
+		if n.tail == nil {
+			n.head = t
+		} else {
+			n.tail.next = t
 		}
+		n.tail = t
+		return
+	}
+	n.grant(t, max(at, n.cpu))
+}
+
+// settle queues the thread whose local access has ended by now. It runs
+// first in every event that touches the CPU, so a thread ending a local
+// access queues ahead of a reply landing at the same instant.
+func (n *ctrlNode) settle() {
+	if t := n.rejoin; t != nil && n.rejoinAt <= n.k.Now() {
+		n.rejoin = nil
+		n.join(t, n.rejoinAt)
 	}
 }
 
-// runControlPar simulates the blocking message-passing system.
+// dispatch grants the waiting threads in order, each when the previous
+// hold ends, until one holds the CPU with a local access.
+func (n *ctrlNode) dispatch() {
+	for n.head != nil && !n.held {
+		t := n.head
+		if n.head = t.next; n.head == nil {
+			n.tail = nil
+		}
+		n.grant(t, n.cpu)
+	}
+}
+
+// grant gives thread t the CPU at time g ≥ now and books its useful run,
+// credited in closed form: busy time clipped to the horizon, ops only if
+// the run ends by it. A remote access releases the CPU when the run ends
+// and sends the request to land at the destination bank one-way latency
+// later — at least the lookahead after now. A local access keeps the CPU
+// and arrives at its own bank when the run ends.
+func (n *ctrlNode) grant(t *ctrlThread, g sim.Time) {
+	p, ns := n.p, n.ns
+	h := p.Horizon
+	end := g + float64(t.nops)
+	if g < h && t.nops > 0 {
+		ns.busy.Add(g, 1)
+		ns.busy.Add(min(end, h), -1)
+	}
+	if t.remote {
+		n.cpu = end
+	} else {
+		n.held = true
+	}
+	if end > h {
+		return
+	}
+	ns.ops += int64(t.nops)
+	if !t.remote {
+		n.k.SendAt(n.part, end, ctrlArrive, t)
+		return
+	}
+	t.dst = &n.peers[p.pickDest(&t.st, n.i)]
+	n.k.SendAt(t.dst.part, end+p.latency(n.i, t.dst.i), ctrlRequest, t)
+}
+
+// ctrlArrive is a local access's one event: the thread arrives at its
+// own bank. It books the service, credited like a useful run, and the
+// CPU falls free when the service ends. The thread then draws its next
+// segment and returns to the back of the CPU queue. Alone on its node it
+// is the only candidate, so it is granted at the service's end at once.
+// With company, the threads already waiting are granted in order from
+// the service's end, and a reply landing before that end goes ahead of
+// it, so it queues at the end: in the first event to touch the CPU from
+// then on, or in an event of its own.
+func ctrlArrive(x any) {
+	t := x.(*ctrlThread)
+	n := t.n
+	p, ns := n.p, n.ns
+	h := p.Horizon
+	n.settle()
+	start := n.book(p.MemCycles)
+	end := n.bank
+	if start < h {
+		ns.busy.Add(start, 1)
+		ns.busy.Add(min(end, h), -1)
+	}
+	if end <= h {
+		ns.ops++
+	}
+	n.held, n.cpu = false, end
+	t.nops, t.remote = segment(&t.st, p)
+	if p.ControlThreads <= 1 {
+		n.grant(t, end)
+		return
+	}
+	n.dispatch()
+	if end <= h {
+		n.rejoin, n.rejoinAt = t, end
+		n.k.SendAt(n.part, end, ctrlRejoin, n)
+	}
+}
+
+// ctrlRejoin queues the thread whose local access ends now, unless an
+// earlier event at this instant already has.
+func ctrlRejoin(x any) { x.(*ctrlNode).settle() }
+
+// ctrlRequest runs on the destination bank's shard when a remote request
+// arrives: it books the next slot and sends the reply, which leaves when
+// the service ends and travels the one-way latency back. The delay is at
+// least that latency, so it never undercuts the lookahead.
+func ctrlRequest(x any) {
+	t := x.(*ctrlThread)
+	b, p := t.dst, t.n.p
+	queued := b.book(p.MemCycles) - b.k.Now()
+	b.k.Send(t.n.part, queued+p.MemCycles+p.latency(b.i, t.n.i), ctrlReply, t)
+}
+
+// ctrlReply runs on the requester's shard: the round trip is over, the
+// access completes, and the thread draws its next segment and queues for
+// the CPU.
+func ctrlReply(x any) {
+	t := x.(*ctrlThread)
+	n := t.n
+	n.ns.rem++
+	n.ns.ops++
+	t.nops, t.remote = segment(&t.st, n.p)
+	n.settle()
+	n.join(t, n.k.Now())
+}
+
+// runControlPar simulates the blocking message-passing system. Every
+// thread draws its first segment and queues for its node's CPU at time
+// 0, thread 0 of each node first.
 func runControlPar(p Params, rs *runState) (SystemResult, error) {
 	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
 	}
-	rs.names.grow(p.Nodes)
 	rs.nodes = slab(rs.nodes, p.Nodes)
-	rs.banks = slab(rs.banks, p.Nodes)
-	nodes, banks := rs.nodes, rs.banks
-	cpus := make([]*sim.Resource, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
+	rs.ctrlNodes = slab(rs.ctrlNodes, p.Nodes)
+	nodes, cns := rs.nodes, rs.ctrlNodes
+	for i := range cns {
 		part := i * pk.Parts() / p.Nodes
-		banks[i] = bank{k: pk.Part(part), part: part}
-		cpus[i] = sim.NewResource(banks[i].k, rs.names.cpu[i], 1, sim.FIFO)
+		cns[i] = ctrlNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: cns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}
-	threads := p.ControlThreads
-	if threads <= 0 {
-		threads = 1
-	}
+	threads := max(p.ControlThreads, 1)
 	rs.threads = slab(rs.threads, p.Nodes*threads)
-	ctrlNames := rs.ctrlNames(p.Nodes, threads)
-	for i := 0; i < p.Nodes; i++ {
+	for i := range cns {
 		for j := 0; j < threads; j++ {
-			name := ctrlNames[j*p.Nodes+i]
-			th := &rs.threads[j*p.Nodes+i]
-			k := banks[i].k
-			*th = parCtrlThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], banks: banks, reply: sim.NewSignal(k, name)}
-			th.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
-			k.SpawnActivity(name, th)
+			t := &rs.threads[j*p.Nodes+i]
+			*t = ctrlThread{n: &cns[i]}
+			t.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
+			t.nops, t.remote = segment(&t.st, &p)
+			cns[i].join(t, 0)
 		}
 	}
 	if err := pk.Run(p.Horizon); err != nil {

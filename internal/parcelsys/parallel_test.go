@@ -190,11 +190,10 @@ func TestRunParallelReplicate(t *testing.T) {
 // TestReplicateAllocsPinned pins the allocation count of one run on
 // Replicate's reused-slab path (a warmed runState) at parParams. The
 // remaining allocations are per-run kernel state: two ParKernels, the
-// control system's resources, signals and activity contexts, the event
-// queues' wheels and lanes, and the result slices. The test system has
-// no stores or activity contexts left.
+// event queues' wheels and lanes, and the result slices. Neither system
+// has resources, signals, stores or activity contexts left.
 func TestReplicateAllocsPinned(t *testing.T) {
-	const pinned = 159
+	const pinned = 80
 	p := parParams()
 	var rs runState
 	if _, err := runWith(p, &rs); err != nil {

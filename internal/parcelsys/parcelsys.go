@@ -25,24 +25,41 @@
 //     no parcels are queued ("split transaction execution").
 //
 // Simulation. Both systems run on the sim kernel (the drivers are in
-// parallel.go). A control thread is a state machine with one event per
-// useful run and per access, because its accesses book a memory bank that
-// other threads share. A test node cannot be preempted and touches only
-// its own memory, so nothing can observe it between fetching a parcel and
-// shipping it: it is a FIFO server held in closed form, like the bank,
-// and a parcel's hop costs one event, its landing. The landing books the
-// node's next busy period, plans the parcel's whole visit in it —
-// assimilation, the migrated access, the useful runs and local accesses
-// up to the next remote access, creation — and sends the parcel on to
-// land when the visit ends plus the one-way latency. Ops are credited as
-// each piece would complete, so a piece ending on the horizon counts and
-// one ending past it does not.
+// parallel.go), and in both the model keeps its own state in closed form:
+// the kernel only orders events.
+//
+// A control thread's events are its arrivals at memory banks. A node's
+// bank is a FIFO server with a fixed service time, and its CPU is a FIFO
+// of threads that the model keeps itself: a thread holds the CPU for its
+// useful run, and through the bank wait and the service of a local
+// access, but releases it for the round trip of a remote one. So a local
+// access costs one event, the arrival at the node's own bank, which
+// books the service, credits the run and the access, draws the next
+// segment and plans the next arrival. A remote access costs two: the
+// request at the destination bank, which books the service and sends
+// the reply, and the reply, which completes the access. With several
+// threads per node, a thread ending a local access queues behind the
+// threads whose replies land during its service, so it queues in an
+// event of its own at the service's end, unless an event at that
+// instant comes first.
+//
+// A test node cannot be preempted and touches only its own memory, so
+// nothing can observe it between fetching a parcel and shipping it: it
+// is a FIFO server held in closed form, like the bank, and a parcel's
+// hop costs one event, its landing. The landing books the node's next
+// busy period, plans the parcel's whole visit in it — assimilation, the
+// migrated access, the useful runs and local accesses up to the next
+// remote access, creation — and sends the parcel on to land when the
+// visit ends plus the one-way latency.
+//
+// In both systems ops are credited as each piece would complete, so a
+// piece ending on the horizon counts and one ending past it does not,
+// and busy time is clipped to the horizon.
 package parcelsys
 
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/network"
 	"repro/internal/parcel"
@@ -160,7 +177,7 @@ func (p Params) Validate() error {
 }
 
 // pickDest selects the destination of a remote access from src.
-func (p Params) pickDest(st *rng.Stream, src int) int {
+func (p *Params) pickDest(st *rng.Stream, src int) int {
 	if p.Hotspot > 0 && st.Bernoulli(p.Hotspot) {
 		if src != 0 {
 			return 0
@@ -172,7 +189,7 @@ func (p Params) pickDest(st *rng.Stream, src int) int {
 
 // latency returns the one-way latency from src to dst: the flat Latency by
 // default, or the topology's value when Net is set.
-func (p Params) latency(src, dst int) float64 {
+func (p *Params) latency(src, dst int) float64 {
 	if p.Net != nil {
 		return p.Net.Latency(src, dst)
 	}
@@ -211,53 +228,15 @@ func Run(p Params) (Result, error) {
 }
 
 // runState holds the per-run slabs — parcel structs with their embedded
-// RNG streams, per-node statistics, memory banks, control-thread
-// machines, test nodes, and control node names — that Replicate reuses
-// across replications instead of reallocating per run. All state is fully
-// re-initialized by each run.
+// RNG streams, per-node statistics, control nodes and threads, and test
+// nodes — that Replicate reuses across replications instead of
+// reallocating per run. All state is fully re-initialized by each run.
 type runState struct {
 	parcels   []workParcel
 	nodes     []nodeStats
-	banks     []bank
-	threads   []parCtrlThread
+	ctrlNodes []ctrlNode
+	threads   []ctrlThread
 	testNodes []testNode
-	names     nodeNames
-	// ctrl caches the control-thread process names, indexed j*nodes+i;
-	// rebuilt only when the (nodes, threads) geometry changes.
-	ctrl      []string
-	ctrlNodes int
-}
-
-// nodeNames caches the control system's per-node resource and process
-// names, which depend only on the node count.
-type nodeNames struct {
-	cpu, proc []string
-}
-
-// grow ensures the name tables cover n nodes.
-func (nn *nodeNames) grow(n int) {
-	for i := len(nn.cpu); i < n; i++ {
-		num := strconv.Itoa(i)
-		nn.cpu = append(nn.cpu, "cpu"+num)
-		nn.proc = append(nn.proc, "ctrl-"+num)
-	}
-}
-
-// ctrlNames returns the control-thread name table for the given geometry.
-func (rs *runState) ctrlNames(nodes, threads int) []string {
-	if len(rs.ctrl) == nodes*threads && rs.ctrlNodes == nodes {
-		return rs.ctrl
-	}
-	rs.names.grow(nodes)
-	rs.ctrl = make([]string, nodes*threads)
-	for i := 0; i < nodes; i++ {
-		rs.ctrl[i] = rs.names.proc[i]
-		for j := 1; j < threads; j++ {
-			rs.ctrl[j*nodes+i] = rs.names.proc[i] + "." + strconv.Itoa(j)
-		}
-	}
-	rs.ctrlNodes = nodes
-	return rs.ctrl
 }
 
 // slab returns s resized to n elements, reusing capacity; the caller

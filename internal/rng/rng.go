@@ -10,7 +10,10 @@
 // are deterministic given a seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // multiplier for the 128-bit PCG LCG step (PCG_DEFAULT_MULTIPLIER_128).
 const (
@@ -265,7 +268,18 @@ func (s *Stream) Geometric(p float64) int {
 		return k
 	}
 	u := s.Float64Open()
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
+	// Below p ≈ 1.1e-16, 1-p rounds to 1 and its logarithm to 0; only then
+	// does Log1p take over, so every larger p keeps its draws. A variate
+	// past the int range saturates instead of converting ±Inf.
+	lq := math.Log(1 - p)
+	if lq == 0 {
+		lq = math.Log1p(-p)
+	}
+	x := math.Floor(math.Log(u) / lq)
+	if x >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(x)
 }
 
 // Poisson returns a Poisson-distributed variate with the given mean, using
@@ -407,26 +421,12 @@ func (s *SplitMix64) Next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// --- 128-bit helper arithmetic (no math/bits dependency kept minimal; we
-// use the obvious schoolbook forms for clarity and portability). ---
+// --- 128-bit helper arithmetic. ---
 
-// mulWide returns the 128-bit product of a and b as (hi, lo).
-func mulWide(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	w0 := t & mask
-	k := t >> 32
-	t = aHi*bLo + k
-	w1 := t & mask
-	w2 := t >> 32
-	t = aLo*bHi + w1
-	k = t >> 32
-	hi = aHi*bHi + w2 + k
-	lo = (t << 32) | w0
-	return hi, lo
-}
+// mulWide returns the 128-bit product of a and b as (hi, lo): one
+// widening multiply, which the tests hold to the schoolbook product of
+// four 32-bit halves.
+func mulWide(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
 
 // mul128 returns (a * b) mod 2^128 where a = aHi:aLo and b = bHi:bLo.
 func mul128(aLo, aHi, bLo, bHi uint64) (lo, hi uint64) {

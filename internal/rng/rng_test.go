@@ -482,3 +482,111 @@ func TestReseedDoesNotAllocate(t *testing.T) {
 		t.Errorf("Reseed allocates %.1f objects per 16-stream slab, want 0", allocs)
 	}
 }
+
+// mulWideSchoolbook is the 128-bit product from four 32-bit partial
+// products, the form mulWide used before bits.Mul64: the oracle of
+// TestMulWideMatchesSchoolbook.
+func mulWideSchoolbook(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo * bLo
+	w0 := t & mask
+	k := t >> 32
+	t = aHi*bLo + k
+	w1 := t & mask
+	w2 := t >> 32
+	t = aLo*bHi + w1
+	k = t >> 32
+	hi = aHi*bHi + w2 + k
+	lo = (t << 32) | w0
+	return hi, lo
+}
+
+// TestMulWideMatchesSchoolbook: the widening multiply gives the
+// schoolbook product's bits on every pair of edge values and on random
+// pairs.
+func TestMulWideMatchesSchoolbook(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, ^uint64(0) - 1, ^uint64(0),
+		pcgMulHi, pcgMulLo}
+	check := func(a, b uint64) {
+		gh, gl := mulWide(a, b)
+		wh, wl := mulWideSchoolbook(a, b)
+		if gh != wh || gl != wl {
+			t.Fatalf("mulWide(%#x, %#x) = %#x:%#x, schoolbook %#x:%#x", a, b, gh, gl, wh, wl)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	g := SplitMix64{State: 23}
+	for i := 0; i < 100000; i++ {
+		a, b := g.Next(), g.Next()
+		check(a, b)
+		check(a>>(b%64), b) // short operands too
+	}
+}
+
+// TestStreamGolden pins the first outputs of fresh streams and of
+// Uint64n, captured from the schoolbook multiply: a change to the
+// generator's arithmetic that moves any bit fails here.
+func TestStreamGolden(t *testing.T) {
+	cases := []struct {
+		seed, stream uint64
+		want         [4]uint64
+	}{
+		{0, 0, [4]uint64{0x76cc097a2d64776, 0x4a34486a35c827af, 0x44f28718e0c87a3c, 0x4f3b7527c845bf27}},
+		{1, 0, [4]uint64{0x2b6229e73f95a2ea, 0x8c6aae9ac795eba4, 0xd0842638d84b9bdc, 0x5a48d156487553c5}},
+		{2004, 0, [4]uint64{0xf45aa4dd28e75359, 0xd852ed099704d9e0, 0x6f384376a39e6350, 0x816eee1694ee5980}},
+		{42, 7, [4]uint64{0xd8ef3c4cc7a5bcaf, 0x3be80eee495334d0, 0xf0341757fe6cccbb, 0xfddc3fb08e19821f}},
+		{1, 1000, [4]uint64{0x7840427ae1d3c641, 0xd281ca3a82fe7e4d, 0x7160180c452d6adb, 0x932a3dd9e3144e7e}},
+		{^uint64(0), ^uint64(0), [4]uint64{0xf51d826d20132ca0, 0x8ac74c4f6d6935ed, 0xbd2e865964b656a5, 0xa6b17555761f95b9}},
+	}
+	for _, c := range cases {
+		s := NewWithStream(c.seed, c.stream)
+		for i, w := range c.want {
+			if got := s.Uint64(); got != w {
+				t.Errorf("NewWithStream(%d, %d) draw %d = %#x, want %#x", c.seed, c.stream, i, got, w)
+			}
+		}
+	}
+	if got := New(2004).Uint64(); got != 0xf45aa4dd28e75359 {
+		t.Errorf("New(2004) first draw = %#x", got)
+	}
+	s := New(9)
+	for _, c := range []struct{ n, want uint64 }{
+		{3, 1}, {10, 5}, {1000003, 433487}, {1<<63 + 1, 1895267946402424054}, {^uint64(0), 5890389376949784400},
+	} {
+		if got := s.Uint64n(c.n); got != c.want {
+			t.Errorf("Uint64n(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// TestGeometricTinyP: below p ≈ 1.1e-16, 1-p rounds to 1, and the
+// logarithmic inversion used to divide by log(1) = 0 and convert -Inf to
+// an int. The variate must stay non-negative and saturate at MaxInt,
+// and p just above that edge must keep its draws.
+func TestGeometricTinyP(t *testing.T) {
+	s := New(77)
+	for _, p := range []float64{1e-20, 1e-300, math.SmallestNonzeroFloat64, 5e-17} {
+		for i := 0; i < 1000; i++ {
+			if g := s.Geometric(p); g < 0 {
+				t.Fatalf("Geometric(%g) = %d", p, g)
+			}
+		}
+	}
+	if g := New(1).Geometric(1e-300); g != math.MaxInt {
+		t.Errorf("Geometric(1e-300) = %d, want MaxInt (saturated)", g)
+	}
+	// Where Log(1-p) is not zero, the draw is the plain inversion.
+	for _, p := range []float64{1e-15, 1e-9, 0.05} {
+		a, b := New(3), New(3)
+		want := int(math.Floor(math.Log(a.Float64Open()) / math.Log(1-p)))
+		if got := b.Geometric(p); got != want {
+			t.Errorf("Geometric(%g) = %d, want %d", p, got, want)
+		}
+	}
+}

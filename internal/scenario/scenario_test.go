@@ -324,3 +324,30 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyMixRunsOrErrs: a load/store mix so small that 1-mix rounds to
+// 1 passes Validate, and every backend that claims it must then run it
+// or fail with an error, never panic. The parcel systems once drew a
+// negative segment length there and scheduled an event in the past.
+func TestTinyMixRunsOrErrs(t *testing.T) {
+	s := MustFind("fig11-point")
+	if err := SetField(&s, "mixls", 1e-20); err != nil {
+		t.Fatal(err)
+	}
+	s.Workload.Horizon = 5000
+	if err := s.Validate(); err != nil {
+		t.Fatalf("mixls 1e-20 no longer validates (%v); the test needs a spec that does", err)
+	}
+	for _, b := range SupportingBackends(s) {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked: %v", b.Name(), r)
+				}
+			}()
+			if _, err := Run(s, b.Name(), Config{Seed: 1}); err != nil {
+				t.Logf("%s: %v", b.Name(), err)
+			}
+		}()
+	}
+}

@@ -222,7 +222,12 @@ func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %g", delay))
 	}
-	ev := k.newEvent(k.now + delay)
+	return k.scheduleArgAt(k.now+delay, fn, arg)
+}
+
+// scheduleArgAt registers fn(arg) to run at absolute time t.
+func (k *Kernel) scheduleArgAt(t Time, fn func(any), arg any) Timer {
+	ev := k.newEvent(t)
 	ev.afn, ev.arg = fn, arg
 	k.events.push(ev)
 	return Timer{ev: ev, gen: ev.gen}

@@ -113,15 +113,43 @@ func (k *Kernel) Send(part int, delay Time, fn func(any), arg any) {
 		k.ScheduleArg(delay, fn, arg)
 		return
 	}
-	pk := sh.pk
-	if part < 0 || part >= len(pk.parts) {
-		panic(fmt.Sprintf("sim: Send to partition %d of %d", part, len(pk.parts)))
-	}
-	if delay < pk.lookahead {
+	sh.checkPart(part)
+	if delay < sh.pk.lookahead {
 		panic(fmt.Sprintf("sim: Send delay %g below declared lookahead %g (partition %d -> %d)",
-			delay, pk.lookahead, sh.idx, part))
+			delay, sh.pk.lookahead, sh.idx, part))
 	}
-	t := k.now + delay
+	k.sendFar(part, k.now+delay, fn, arg)
+}
+
+// SendAt is Send at the absolute time t rather than after a delay. A
+// model that sums a busy period itself sends at the sum, not at now plus
+// its difference from now, which can round differently. A cross-shard
+// send must land at or after now + lookahead.
+func (k *Kernel) SendAt(part int, t Time, fn func(any), arg any) {
+	sh := k.par
+	if sh == nil || part == sh.idx {
+		k.scheduleArgAt(t, fn, arg)
+		return
+	}
+	sh.checkPart(part)
+	if t < k.now+sh.pk.lookahead {
+		panic(fmt.Sprintf("sim: SendAt(%g) from %g undercuts the declared lookahead %g (partition %d -> %d)",
+			t, k.now, sh.pk.lookahead, sh.idx, part))
+	}
+	k.sendFar(part, t, fn, arg)
+}
+
+// checkPart panics on a destination partition that does not exist.
+func (sh *shardState) checkPart(part int) {
+	if part < 0 || part >= len(sh.pk.parts) {
+		panic(fmt.Sprintf("sim: Send to partition %d of %d", part, len(sh.pk.parts)))
+	}
+}
+
+// sendFar delivers a checked cross-shard send landing at time t.
+func (k *Kernel) sendFar(part int, t Time, fn func(any), arg any) {
+	sh := k.par
+	pk := sh.pk
 	if !sh.window {
 		// Single-threaded phase: deliver directly with an exact seq.
 		seq := pk.seq

@@ -435,6 +435,41 @@ func TestParKernelSendLookaheadViolation(t *testing.T) {
 	}
 }
 
+// TestParKernelSendAt: SendAt lands at exactly the absolute time it is
+// given, on its own shard, across shards and on the serial kernel, where
+// now plus the difference would round elsewhere; a cross-shard SendAt
+// that lands before now + lookahead is the run's error.
+func TestParKernelSendAt(t *testing.T) {
+	const from, at = 0.2, 0.9 // 0.2 + (0.9-0.2) != 0.9 in float64
+	if f, a := Time(from), Time(at); f+(a-f) == a {
+		t.Fatal("the times no longer round apart")
+	}
+	for _, pk := range []*ParKernel{NewParKernel(1, 1, 0), NewParKernel(2, 2, 0.5)} {
+		// One slot per destination, each written only on its own shard.
+		var got [2]Time
+		land := func(k *Kernel, slot *Time) func(any) {
+			return func(any) { *slot = k.Now() }
+		}
+		k0, kn := pk.Part(0), pk.Part(pk.Parts()-1)
+		k0.Schedule(from, func() {
+			k0.SendAt(0, at, land(k0, &got[0]), nil)
+			k0.SendAt(pk.Parts()-1, at, land(kn, &got[1]), nil)
+		})
+		if err := pk.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != at || got[1] != at {
+			t.Errorf("%d shards: landed at %v, want %v twice", pk.Parts(), got, at)
+		}
+	}
+	pk := NewParKernel(2, 2, 5)
+	k1 := pk.Part(1)
+	k1.Schedule(1, func() { k1.SendAt(0, 5.5, func(any) {}, nil) }) // 4.5 < lookahead 5
+	if _, err := pk.RunUntilIdle(); err == nil || !strings.Contains(err.Error(), "undercuts the declared lookahead") {
+		t.Fatalf("err = %v, want lookahead violation", err)
+	}
+}
+
 // TestParKernelDeadlockParity: a starved activity on one shard reports
 // ErrDeadlock exactly as the serial kernel does.
 func TestParKernelDeadlockParity(t *testing.T) {
