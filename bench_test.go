@@ -146,7 +146,6 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 // same drivers cmd/pimbench records into BENCH_<n>.json, so the workload
 // behind each trajectory name cannot fork.
 
-func BenchmarkMM1Simulation(b *testing.B)   { benches.MM1Simulation(b) }
 func BenchmarkHostPIMSimulate(b *testing.B) { benches.HostPIMSimulate(b) }
 func BenchmarkParcelSysRun(b *testing.B)    { benches.ParcelSysRun(b) }
 func BenchmarkSimParcel1K(b *testing.B)     { benches.SimParcel1K(b) }

@@ -1,8 +1,8 @@
 // Command pimbench records the repository's performance trajectory: it
 // times the full artifact suite (every registered experiment, Quick mode,
 // through both the serial path and the concurrent engine) plus the
-// substrate micro-benchmarks (event queue, activity switch, the two DES
-// models, M/M/1 throughput), and writes a machine-readable BENCH_<n>.json
+// substrate micro-benchmarks (event queue, the two DES models, the VM,
+// the serving path), and writes a machine-readable BENCH_<n>.json
 // snapshot — ns/op, allocs/op, suite wall-clock, git SHA — next to the
 // previous ones, so every PR appends a point to a measured perf history
 // instead of asserting speedups in prose.
@@ -300,8 +300,6 @@ var microBenchmarks = []struct {
 	fn   func(b *testing.B)
 }{
 	{"kernel_schedule", benches.KernelSchedule},
-	{"kernel_activity_chain", benches.KernelActivityChain},
-	{"mm1_simulation", benches.MM1Simulation},
 	{"hostpim_simulate", benches.HostPIMSimulate},
 	{"parcelsys_run", benches.ParcelSysRun},
 	{"sim_parcel_1k", benches.SimParcel1K},

@@ -116,8 +116,6 @@ func TestMicroBenchNamesStable(t *testing.T) {
 	// put; pin them.
 	want := []string{
 		"kernel_schedule",
-		"kernel_activity_chain",
-		"mm1_simulation",
 		"hostpim_simulate",
 		"parcelsys_run",
 		"sim_parcel_1k",

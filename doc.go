@@ -3,7 +3,7 @@
 // Sterling, Brockman; SC 2004).
 //
 // The implementation lives under internal/: a deterministic discrete-event
-// simulation kernel (internal/sim) with queueing components
+// simulation kernel (internal/sim) with queueing theory
 // (internal/queueing) stands in for the paper's SES/Workbench substrate;
 // internal/hostpim and internal/parcelsys implement the paper's two
 // studies; internal/analytic holds the closed forms; internal/scenario is

@@ -21,7 +21,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/network"
 	"repro/internal/parcelsys"
-	"repro/internal/queueing"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/serve"
@@ -49,52 +48,6 @@ func KernelSchedule(b *testing.B) {
 	}
 	if sink < 0 {
 		b.Fatal("unreachable")
-	}
-}
-
-// waitLoop is an endless 1-cycle wait loop.
-type waitLoop struct{}
-
-func (waitLoop) Step(a *sim.ActCtx) { a.Wait(1) }
-
-// KernelActivityChain measures the activity switch: two activities
-// alternate at the same timestamps, so every switch is a heap pop plus an
-// inline Step. The ns/op is per completed Wait.
-func KernelActivityChain(b *testing.B) {
-	k := sim.NewKernel()
-	var w waitLoop
-	k.SpawnActivity("a0", w)
-	k.SpawnActivity("a1", w)
-	b.Cleanup(func() { _ = k.Run(k.Now()) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 512
-	for done := 0; done < b.N; done += batch {
-		// Each window completes batch Waits per activity; 2 activities →
-		// count iterations in activity-waits.
-		if err := k.Advance(sim.Time((done + batch) / 2)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// MM1Simulation measures throughput of the queueing toolkit on a standard
-// M/M/1 at rho=0.7 (jobs are values flowing through inline station
-// handlers).
-func MM1Simulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := sim.NewKernel()
-		arr := rng.NewWithStream(uint64(i), 1)
-		svc := rng.NewWithStream(uint64(i), 2)
-		sink := queueing.NewSink("out")
-		srv := queueing.NewActServer(k, "srv", 1,
-			func(*queueing.Job) float64 { return svc.Exp(1) }, sink)
-		src := queueing.NewActSource(k, "in", func() float64 { return arr.Exp(1 / 0.7) }, srv)
-		sink.Recycle = src.Dispose
-		src.Start()
-		if err := k.Run(5000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 	"strconv"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // ControlPolicy selects how the control run — the HWP executing *all* the
@@ -237,7 +237,7 @@ type SimOptions struct {
 	// (tracks "hwp-phase" and "lwp-<i>") — attach a trace.Recorder to
 	// regenerate the paper's Fig. 4 thread timeline. The calls come
 	// station by station, each track's in time order.
-	Tracer sim.Tracer
+	Tracer trace.Tracer
 }
 
 // Simulate runs the queuing model: the HWP station of Fig. 2 followed by
@@ -361,7 +361,7 @@ func putTables(t *drawTables) {
 // on its bank) share the loop. It returns the station's end time and each
 // resource's busy time, summed piece by piece as end − start. tr, when
 // non-nil, sees the timeline as track name.
-func stationSum(p Params, st *rng.Stream, mix, miss *rng.BinomialTable, ops float64, chunk int, t float64, tr sim.Tracer, name string) (end, cpuBusy, memBusy float64) {
+func stationSum(p Params, st *rng.Stream, mix, miss *rng.BinomialTable, ops float64, chunk int, t float64, tr trace.Tracer, name string) (end, cpuBusy, memBusy float64) {
 	if tr != nil {
 		tr.ProcState(t, name, "start")
 	}
@@ -390,7 +390,7 @@ func stationSum(p Params, st *rng.Stream, mix, miss *rng.BinomialTable, ops floa
 
 // hold occupies a resource for d cycles from t: it adds the piece's
 // length to *busy and returns the piece's end.
-func hold(t, d float64, busy *float64, tr sim.Tracer, name string) float64 {
+func hold(t, d float64, busy *float64, tr trace.Tracer, name string) float64 {
 	end := t + d
 	*busy += end - t
 	if tr != nil {

@@ -2,13 +2,14 @@ package hostpim
 
 // The oracle: the queuing model on the DES kernel, the formulation
 // Simulate's closed-form station loop replaced. Every station is a
-// run-to-completion activity that acquires its own capacity-1 processor
-// and memory (sim.Resource) and waits out each piece's service time; the
-// LWP array runs partitioned over a sim.ParKernel, the HWP phase and the
-// control run each on a serial kernel. Busy times are the resources'
-// utilization areas and phase ends are kernel clocks, so the oracle
-// shares with stationSum only the draws and each chunk's cycle counts.
-// Simulate must match it bit for bit, traced timeline included.
+// run-to-completion activity (internal/sim/simtest) that acquires its own
+// capacity-1 processor and memory resource and waits out each piece's
+// service time; the LWP array runs partitioned over a sim.ParKernel, the
+// HWP phase and the control run each on a serial kernel. Busy times are
+// the resources' utilization areas and phase ends are kernel clocks, so
+// the oracle shares with stationSum only the draws and each chunk's
+// cycle counts. Simulate must match it bit for bit, traced timeline
+// included.
 
 import (
 	"fmt"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // stationWork drives a batch of operations through one two-resource
@@ -31,7 +33,7 @@ type stationWork struct {
 	hwp       bool
 	remaining int64
 	chunk     int64
-	cpu, mem  *sim.Resource
+	cpu, mem  *simtest.Resource
 
 	state     int
 	cpuCycles float64
@@ -47,14 +49,14 @@ const (
 	swMemDone          // access done: release, next chunk
 )
 
-func newStationWork(p Params, st *rng.Stream, hwp bool, pmiss, ops float64, chunk int, cpu, mem *sim.Resource) stationWork {
+func newStationWork(p Params, st *rng.Stream, hwp bool, pmiss, ops float64, chunk int, cpu, mem *simtest.Resource) stationWork {
 	return stationWork{p: p, st: st, pmiss: pmiss, hwp: hwp,
 		remaining: int64(math.Round(ops)), chunk: int64(chunk), cpu: cpu, mem: mem}
 }
 
 // run advances the machine until it must wait (returns false; call again
 // on the next resumption) or all operations are done (returns true).
-func (w *stationWork) run(a *sim.ActCtx) bool {
+func (w *stationWork) run(a *simtest.ActCtx) bool {
 	for {
 		switch w.state {
 		case swNextChunk:
@@ -76,7 +78,7 @@ func (w *stationWork) run(a *sim.ActCtx) bool {
 				w.memCycles = float64(nLS) * w.p.TML
 			}
 			w.state = swHoldCPU
-			if !w.cpu.Acquire1Act(a) {
+			if !w.cpu.Acquire(a, 1) {
 				return false
 			}
 		case swHoldCPU:
@@ -87,7 +89,7 @@ func (w *stationWork) run(a *sim.ActCtx) bool {
 			w.cpu.Release(1)
 			if w.memCycles > 0 {
 				w.state = swHoldMem
-				if !w.mem.Acquire1Act(a) {
+				if !w.mem.Acquire(a, 1) {
 					return false
 				}
 			} else {
@@ -109,10 +111,10 @@ func (w *stationWork) run(a *sim.ActCtx) bool {
 type segments struct {
 	seg  []stationWork
 	cur  int
-	done func(a *sim.ActCtx)
+	done func(a *simtest.ActCtx)
 }
 
-func (s *segments) Step(a *sim.ActCtx) {
+func (s *segments) Step(a *simtest.ActCtx) {
 	for s.cur < len(s.seg) {
 		if !s.seg[s.cur].run(a) {
 			return
@@ -142,13 +144,14 @@ func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
 
 	// The HWP phase.
 	hk := sim.NewKernel()
-	hk.Tracer = opt.Tracer
-	hwpCPU := sim.NewResource(hk, "hwp-cpu", 1, sim.FIFO)
-	hwpMem := sim.NewResource(hk, "hwp-mem", 1, sim.FIFO)
-	hk.SpawnActivity("hwp-phase", &segments{
+	henv := simtest.New(hk)
+	henv.Tracer = opt.Tracer
+	hwpCPU := simtest.NewResource(hk, 1)
+	hwpMem := simtest.NewResource(hk, 1)
+	henv.Spawn("hwp-phase", &segments{
 		seg: []stationWork{newStationWork(p, rng.NewWithStream(opt.Seed, 1), true, p.Pmiss, wh, chunk, hwpCPU, hwpMem)},
 	})
-	hwpEnd, err := hk.RunUntilIdle()
+	hwpEnd, err := henv.RunUntilIdle()
 	if err != nil {
 		return Result{}, err
 	}
@@ -161,28 +164,37 @@ func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
 	}
 	pk := sim.NewParKernel(parts, parts, math.Inf(1))
 	defer pk.Close()
+	envs := make([]*simtest.Env, parts)
+	for i := range envs {
+		envs[i] = simtest.New(pk.Part(i))
+	}
 	if parts == 1 {
-		pk.Part(0).Tracer = opt.Tracer
+		envs[0].Tracer = opt.Tracer
 	}
 	if err := pk.Advance(start); err != nil {
 		return Result{}, err
 	}
-	lwpCPU := make([]*sim.Resource, p.N)
-	lwpMem := make([]*sim.Resource, p.N)
+	lwpCPU := make([]*simtest.Resource, p.N)
+	lwpMem := make([]*simtest.Resource, p.N)
 	for i := range lwpCPU {
 		num := strconv.Itoa(i)
-		k := pk.Part(i * parts / p.N)
-		lwpCPU[i] = sim.NewResource(k, "lwp-cpu-"+num, 1, sim.FIFO)
-		lwpMem[i] = sim.NewResource(k, "lwp-mem-"+num, 1, sim.FIFO)
-		k.SpawnActivity("lwp-"+num, &segments{
+		env := envs[i*parts/p.N]
+		lwpCPU[i] = simtest.NewResource(env.K, 1)
+		lwpMem[i] = simtest.NewResource(env.K, 1)
+		env.Spawn("lwp-"+num, &segments{
 			seg: []stationWork{newStationWork(p, rng.NewWithStream(opt.Seed, 100+uint64(i)), false, 0,
 				wl/float64(p.N), chunk, lwpCPU[i], lwpMem[i])},
-			done: func(a *sim.ActCtx) { res.NodeTimes[i] = a.Now() - start },
+			done: func(a *simtest.ActCtx) { res.NodeTimes[i] = a.Now() - start },
 		})
 	}
 	lwpEnd, err := pk.RunUntilIdle()
 	if err != nil {
 		return Result{}, err
+	}
+	for _, env := range envs {
+		if err := env.Deadlock(); err != nil {
+			return Result{}, err
+		}
 	}
 	res.TimeLWPPhase = lwpEnd - start
 	res.Total = math.Max(hwpEnd, lwpEnd)
@@ -201,9 +213,10 @@ func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
 
 	// The control system: the HWP alone, its segments in one activity.
 	kc := sim.NewKernel()
+	cenv := simtest.New(kc)
 	cs := rng.NewWithStream(opt.Seed, 2)
-	cCPU := sim.NewResource(kc, "hwp-cpu", 1, sim.FIFO)
-	cMem := sim.NewResource(kc, "hwp-mem", 1, sim.FIFO)
+	cCPU := simtest.NewResource(kc, 1)
+	cMem := simtest.NewResource(kc, 1)
 	var seg []stationWork
 	switch p.Control {
 	case ControlFixedMiss:
@@ -214,8 +227,8 @@ func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
 			newStationWork(p, cs, true, p.PmissLow, wl, chunk, cCPU, cMem),
 		}
 	}
-	kc.SpawnActivity("control-system", &segments{seg: seg})
-	if res.ControlTime, err = kc.RunUntilIdle(); err != nil {
+	cenv.Spawn("control-system", &segments{seg: seg})
+	if res.ControlTime, err = cenv.RunUntilIdle(); err != nil {
 		return Result{}, err
 	}
 	if res.Total > 0 {

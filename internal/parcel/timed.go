@@ -2,23 +2,32 @@ package parcel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // TimedMachine executes real parcels on the DES kernel: each node is a
-// simulated processor that assimilates parcels from its queue, performs
+// simulated processor that assimilates parcels in arrival order, performs
 // the action against its functional memory, and emits continuations with
 // creation overhead and network latency. It is the parcel-level
 // counterpart of the statistical parcelsys model — same mechanism, actual
 // parcels — and exists to cross-validate the two and to time real
 // parcel programs (graph walks, reductions) rather than synthetic ones.
+//
+// Each node is a closed-form FIFO server, like parcelsys's test node: a
+// parcel costs one event, its arrival, which books the node's next busy
+// period, handles the parcel and sends its continuations. The handler
+// runs at arrival rather than when the action completes; a node's memory
+// is its own and it serves parcels in arrival order, so the results are
+// the same.
 type TimedMachine struct {
-	k      *sim.Kernel
-	nodes  []*Node
-	queues []*sim.Store[*Parcel]
-	cost   CostModel
+	k     *sim.Kernel
+	nodes []*Node
+	free  []sim.Time // when each node finishes its booked parcels
+	dead  []bool     // the node stopped at a handler error
+	cost  CostModel
 	// Latency is the flat one-way inter-node latency in cycles.
 	Latency float64
 	// ActionCycles prices the service time of each action; nil uses
@@ -30,10 +39,14 @@ type TimedMachine struct {
 	// Handled counts parcels serviced per node.
 	Handled []int64
 
+	// outstanding counts parcels injected or sent and not yet finished
+	// by the horizon; last is the latest finish.
 	outstanding int64
-	idleSig     *sim.Signal
-	deliver     func(any) // bound once: every delivery event reuses it
+	last        sim.Time
+	horizon     sim.Time  // maxCycles of the last RunToQuiescence, else +Inf
+	arrive      func(any) // bound once: every arrival event reuses it
 	err         error
+	errAt       sim.Time // when err happened
 }
 
 // DefaultActionCycles prices memory-touching actions at memCycles and
@@ -65,23 +78,18 @@ func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latenc
 	}
 	tm := &TimedMachine{
 		k:       k,
+		free:    make([]sim.Time, n),
+		dead:    make([]bool, n),
 		cost:    cost,
 		Latency: latency,
 		Busy:    make([]stats.TimeWeighted, n),
 		Handled: make([]int64, n),
-		idleSig: sim.NewSignal(k, "parcel-quiescent"),
+		horizon: math.Inf(1),
 	}
-	tm.deliver = func(x any) {
-		q := x.(*Parcel)
-		tm.queues[q.DestNode].TryPut(q)
-	}
+	tm.arrive = tm.land
 	for i := 0; i < n; i++ {
 		tm.nodes = append(tm.nodes, NewNode(uint32(i), reg))
-		tm.queues = append(tm.queues, sim.NewStore[*Parcel](k, fmt.Sprintf("pq%d", i)))
 		tm.Busy[i].Set(k.Now(), 0)
-	}
-	for i := 0; i < n; i++ {
-		k.SpawnActivity(fmt.Sprintf("pnode-%d", i), &timedNode{tm: tm, i: i})
 	}
 	return tm, nil
 }
@@ -90,116 +98,88 @@ func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latenc
 // results).
 func (tm *TimedMachine) Node(i int) *Node { return tm.nodes[i] }
 
-// Inject enqueues a parcel from outside the machine at the current
+// Inject delivers a parcel from outside the machine at the current
 // simulated time.
 func (tm *TimedMachine) Inject(p *Parcel) error {
 	if int(p.DestNode) >= len(tm.nodes) {
 		return fmt.Errorf("parcel: inject to node %d of %d", p.DestNode, len(tm.nodes))
 	}
-	tm.outstanding++
-	tm.queues[p.DestNode].TryPut(p)
+	tm.send(tm.k.Now(), p)
 	return nil
 }
 
-// timedNode is one node's processor loop: take a parcel, assimilate it,
-// perform its action, then emit each continuation after its creation
-// overhead.
-type timedNode struct {
-	tm    *TimedMachine
-	i     int
-	state int // see Step
-	cur   *Parcel
-	out   []*Parcel // continuations still to emit
+// send launches parcel p to land at time t.
+func (tm *TimedMachine) send(t sim.Time, p *Parcel) {
+	tm.outstanding++
+	tm.k.SendAt(tm.k.Partition(), t, tm.arrive, p)
 }
 
-// Node loop states.
-const (
-	nodeTake     = iota // wait for the next parcel
-	nodeAct             // assimilated: perform the action
-	nodeHandle          // action time elapsed: run the handler
-	nodeEmit            // emit out[0], paying its creation overhead first
-	nodeDispatch        // creation overhead paid: send out[0]
-)
+// fail records err, which happened at time t; of several errors the
+// latest one stands.
+func (tm *TimedMachine) fail(err error, t sim.Time) {
+	if tm.err == nil || t >= tm.errAt {
+		tm.err, tm.errAt = err, t
+	}
+}
 
-func (n *timedNode) Step(a *sim.ActCtx) {
-	tm, i := n.tm, n.i
-	for {
-		switch n.state {
-		case nodeTake:
-			p, ok := tm.queues[i].GetAct(a)
-			if !ok {
-				return
-			}
-			n.cur = p
-			tm.Busy[i].Set(a.Now(), 1)
-			n.state = nodeAct
-			if tm.cost.AssimilateCycles > 0 {
-				a.Wait(tm.cost.AssimilateCycles)
-				return
-			}
-		case nodeAct:
-			cost := tm.ActionCycles
-			if cost == nil {
-				cost = defaultActionCycles
-			}
-			n.state = nodeHandle
-			a.Wait(cost(n.cur.Action))
-			return
-		case nodeHandle:
-			out, err := tm.nodes[i].Handle(n.cur)
-			n.cur = nil
-			if err != nil {
-				tm.err = err
-				tm.finishParcel(i, a.Now())
-				a.Exit()
-				return
-			}
-			tm.Handled[i]++
-			n.out = out
-			n.state = nodeEmit
-		case nodeEmit:
-			if len(n.out) == 0 {
-				tm.finishParcel(i, a.Now())
-				n.state = nodeTake
-				continue
-			}
-			if q := n.out[0]; int(q.DestNode) >= len(tm.nodes) {
-				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
-				n.out = n.out[1:]
-				continue
-			}
-			n.state = nodeDispatch
-			if tm.cost.CreateCycles > 0 {
-				a.Wait(tm.cost.CreateCycles)
-				return
-			}
-		case nodeDispatch:
-			q := n.out[0]
-			n.out = n.out[1:]
-			lat := 0.0
-			if q.DestNode != uint32(i) {
-				lat = tm.Latency
-			}
-			tm.outstanding++
-			a.Kernel().ScheduleArg(lat, tm.deliver, q)
-			n.state = nodeEmit
+// land is a parcel's arrival. It books the node's busy period from
+// max(now, free): assimilation, the action, then each continuation's
+// creation overhead, summed in that order; the handler runs here, and
+// continuation j leaves when its creation ends and lands one latency
+// later (a self-send at once). Each step happens only if it ends by the
+// horizon, as in a run cut there; a parcel that does not finish by then
+// stays outstanding.
+func (tm *TimedMachine) land(x any) {
+	p := x.(*Parcel)
+	i := int(p.DestNode)
+	if tm.dead[i] {
+		return
+	}
+	t := max(tm.k.Now(), tm.free[i])
+	if t > tm.horizon {
+		return // the node is booked past the horizon
+	}
+	tm.Busy[i].Set(t, 1)
+	t += tm.cost.AssimilateCycles
+	cost := tm.ActionCycles
+	if cost == nil {
+		cost = defaultActionCycles
+	}
+	t += cost(p.Action)
+	if tm.free[i] = t; t > tm.horizon {
+		return
+	}
+	out, err := tm.nodes[i].Handle(p)
+	if err != nil {
+		tm.fail(err, t)
+		tm.dead[i] = true
+		tm.finish(i, t)
+		return
+	}
+	tm.Handled[i]++
+	for _, q := range out {
+		if int(q.DestNode) >= len(tm.nodes) {
+			tm.fail(fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes)), t)
+			continue
 		}
+		t += tm.cost.CreateCycles
+		if tm.free[i] = t; t > tm.horizon {
+			return
+		}
+		lat := 0.0
+		if q.DestNode != uint32(i) {
+			lat = tm.Latency
+		}
+		tm.send(t+lat, q)
 	}
+	tm.finish(i, t)
 }
 
-// finishParcel retires the parcel node i just handled.
-func (tm *TimedMachine) finishParcel(i int, now sim.Time) {
+// finish retires the parcel node i finished at time t.
+func (tm *TimedMachine) finish(i int, t sim.Time) {
 	tm.outstanding--
-	tm.Busy[i].Set(now, 0)
-	tm.maybeQuiesce()
-}
-
-// maybeQuiesce fires the quiescence signal when no parcels remain.
-func (tm *TimedMachine) maybeQuiesce() {
-	if tm.outstanding == 0 {
-		tm.idleSig.Trigger()
-		tm.idleSig.Reset()
-	}
+	tm.Busy[i].Set(t, 0)
+	tm.last = max(tm.last, t)
 }
 
 // RunToQuiescence advances the kernel until all injected parcels (and
@@ -209,28 +189,18 @@ func (tm *TimedMachine) RunToQuiescence(maxCycles sim.Time) (sim.Time, error) {
 	if tm.outstanding == 0 {
 		return tm.k.Now(), nil
 	}
-	var done sim.Time = -1
-	tm.k.SpawnActivity("quiesce-watch", sim.ActivityFunc(func(a *sim.ActCtx) {
-		for tm.outstanding > 0 {
-			if !tm.idleSig.WaitAct(a) {
-				return
-			}
-		}
-		done = a.Now()
-		a.Exit()
-		a.Kernel().Stop()
-	}))
+	tm.horizon = maxCycles
 	if err := tm.k.Run(maxCycles); err != nil {
 		return tm.k.Now(), err
 	}
-	if tm.err != nil {
-		return tm.k.Now(), tm.err
-	}
-	if done < 0 {
+	if tm.outstanding > 0 {
+		if tm.err != nil {
+			return tm.k.Now(), tm.err
+		}
 		return tm.k.Now(), fmt.Errorf("parcel: %d parcels still outstanding at cycle %g",
 			tm.outstanding, maxCycles)
 	}
-	return done, nil
+	return tm.last, tm.err
 }
 
 // TotalHandled sums handled parcels across nodes.

@@ -4,9 +4,9 @@ package parcelsys
 // its bank arrivals: a local access costs one event, a remote access two
 // (the request and the reply), and a node's CPU is a FIFO of threads
 // kept in the model. This file keeps the formulation it replaced as the
-// oracle: an activity per thread on a sim.Resource CPU, waiting for its
-// reply on a sim.Signal, with an event for every useful run, bank wait,
-// service and wake-up.
+// oracle: an activity per thread on a FIFO resource CPU, waiting for its
+// reply on a signal (the test-only activity layer, internal/sim/simtest),
+// with an event for every useful run, bank wait, service and wake-up.
 //
 // Both draw the same numbers from every thread's stream and book every
 // bank at the same instants, and both queue a thread that ends a local
@@ -31,7 +31,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // actThread is one blocking control thread as an activity state
@@ -45,9 +45,9 @@ type actThread struct {
 	st    rng.Stream
 	ns    *nodeStats
 	i     int
-	cpu   *sim.Resource
-	banks []ctrlNode  // every node's bank, indexed by node
-	reply *sim.Signal // fired by actReply
+	cpu   *simtest.Resource
+	banks []ctrlNode      // every node's bank, indexed by node
+	reply *simtest.Signal // fired by actReply
 
 	state  int
 	nops   int
@@ -67,14 +67,14 @@ const (
 
 // Step runs the thread until it must wait; it loops forever (the horizon
 // kill ends it).
-func (t *actThread) Step(a *sim.ActCtx) {
+func (t *actThread) Step(a *simtest.ActCtx) {
 	p, ns := t.p, t.ns
 	for {
 		switch t.state {
 		case atSegment:
 			t.nops, t.remote = segment(&t.st, p)
 			t.state = atHoldCPU
-			if !t.cpu.Acquire1Act(a) {
+			if !t.cpu.Acquire(a, 1) {
 				return
 			}
 		case atHoldCPU:
@@ -144,21 +144,24 @@ func runControlActivity(p Params) (SystemResult, error) {
 	}
 	nodes := make([]nodeStats, p.Nodes)
 	banks := make([]ctrlNode, p.Nodes)
-	cpus := make([]*sim.Resource, p.Nodes)
+	cpus := make([]*simtest.Resource, p.Nodes)
+	envs := make([]*simtest.Env, pk.Parts())
+	for i := range envs {
+		envs[i] = simtest.New(pk.Part(i))
+	}
 	for i := range banks {
 		part := i * pk.Parts() / p.Nodes
 		banks[i] = ctrlNode{k: pk.Part(part), i: i, part: part}
-		cpus[i] = sim.NewResource(banks[i].k, "cpu"+strconv.Itoa(i), 1, sim.FIFO)
+		cpus[i] = simtest.NewResource(banks[i].k, 1)
 		nodes[i].busy.Set(0, 0)
 	}
 	threads := max(p.ControlThreads, 1)
 	for i := range banks {
 		for j := 0; j < threads; j++ {
 			name := "ctrl-" + strconv.Itoa(i) + "." + strconv.Itoa(j)
-			k := banks[i].k
-			th := &actThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], banks: banks, reply: sim.NewSignal(k, name)}
+			th := &actThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], banks: banks, reply: &simtest.Signal{}}
 			th.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
-			k.SpawnActivity(name, th)
+			envs[banks[i].part].Spawn(name, th)
 		}
 	}
 	if err := pk.Run(p.Horizon); err != nil {

@@ -354,7 +354,7 @@ func (n *testNode) land(wp *workParcel) {
 	ns.rem++
 	wp.pendingAccess = true
 	wp.dst = &n.peers[p.pickDest(&wp.rt, n.i)]
-	n.k.Send(wp.dst.part, end-now+p.latency(n.i, wp.dst.i), deliverParcel, wp)
+	n.k.SendAt(wp.dst.part, end+p.latency(n.i, wp.dst.i), deliverParcel, wp)
 }
 
 // visit plans the busy period of parcel wp starting at time t and

@@ -3,7 +3,8 @@ package parcelsys
 // The test system's node is a FIFO server in closed form: a parcel's hop
 // costs one kernel event, its landing, which books the visit and sends
 // the parcel on. This file keeps the two formulations it replaced as
-// oracles, both activities fetching parcels from a sim.Store:
+// oracles, both activities fetching parcels from a store (on the test-only
+// activity layer, internal/sim/simtest):
 //
 //   - storeNode plans the parcel's whole visit when it fetches the
 //     parcel, waits it out with one event and ships at its end;
@@ -30,10 +31,10 @@ import (
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
-// storeNode is a test node as an activity over a sim.Store of pending
+// storeNode is a test node as an activity over a store of pending
 // parcels. It plans a visit whole when it fetches the parcel (visit),
 // marks the node busy once and waits the visit out with one event; then
 // the continuation ships one-way and the node services its next pending
@@ -41,14 +42,14 @@ import (
 // parcel).
 type storeNode struct {
 	*testNode
-	queue   *sim.Store[*workParcel]
+	queue   *simtest.Store[*workParcel]
 	deliver func(any) // puts a landing parcel in its destination's queue
 	wp      *workParcel
 }
 
 // Step ends the visit in progress, if any, and starts the next one; it
 // loops forever (the horizon kill ends it).
-func (n *storeNode) Step(a *sim.ActCtx) {
+func (n *storeNode) Step(a *simtest.ActCtx) {
 	if n.wp != nil {
 		n.ns.busy.Add(a.Now(), -1)
 		n.ship(a)
@@ -71,7 +72,7 @@ func (n *storeNode) Step(a *sim.ActCtx) {
 
 // ship sends the visited parcel one-way to its destination, where it
 // first performs the remote access it migrated for.
-func (n *storeNode) ship(a *sim.ActCtx) {
+func (n *storeNode) ship(a *simtest.ActCtx) {
 	n.ns.rem++
 	wp := n.wp
 	wp.pendingAccess = true
@@ -81,11 +82,11 @@ func (n *storeNode) ship(a *sim.ActCtx) {
 }
 
 // runStores runs p's test system with one activity per node over a
-// sim.Store of pending parcels, the activity made by mk: the oracles'
+// store of pending parcels, the activity made by mk: the oracles'
 // driver. It seeds the same parcels and gathers the same statistics as
 // runTestPar, and takes the queue mean from the stores' time-weighted
 // lengths.
-func runStores(p Params, mk func(*storeNode) sim.Activity) (SystemResult, error) {
+func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, error) {
 	pk, err := p.parKernel()
 	if err != nil {
 		return SystemResult{}, err
@@ -95,25 +96,28 @@ func runStores(p Params, mk func(*storeNode) sim.Activity) (SystemResult, error)
 	sns := make([]storeNode, p.Nodes)
 	deliver := func(x any) {
 		wp := x.(*workParcel)
-		sns[wp.dst.i].queue.TryPut(wp)
+		sns[wp.dst.i].queue.Put(wp)
 	}
 	for i := range sns {
 		part := i * pk.Parts() / p.Nodes
 		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
 		nodes[i].busy.Set(0, 0)
-		q := sim.NewStore[*workParcel](pk.Part(part), "pq"+strconv.Itoa(i))
-		sns[i] = storeNode{testNode: &tns[i], queue: q, deliver: deliver}
+		sns[i] = storeNode{testNode: &tns[i], queue: simtest.NewStore[*workParcel](pk.Part(part)), deliver: deliver}
 	}
 	parcels := make([]workParcel, p.Nodes*p.Parallelism)
 	for i := 0; i < p.Nodes; i++ {
 		for j := 0; j < p.Parallelism; j++ {
 			wp := &parcels[i*p.Parallelism+j]
 			p.seedParcel(wp, i, j)
-			sns[i].queue.TryPut(wp)
+			sns[i].queue.Put(wp)
 		}
 	}
+	envs := make([]*simtest.Env, pk.Parts())
+	for i := range envs {
+		envs[i] = simtest.New(pk.Part(i))
+	}
 	for i := range sns {
-		pk.Part(sns[i].part).SpawnActivity("test-"+strconv.Itoa(i), mk(&sns[i]))
+		envs[sns[i].part].Spawn("test-"+strconv.Itoa(i), mk(&sns[i]))
 	}
 	if err := pk.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
@@ -148,13 +152,13 @@ const (
 
 // busyFor marks the node busy for d cycles and parks until they elapse,
 // resuming in state next (which starts by marking the node idle again).
-func (n *pieceNode) busyFor(a *sim.ActCtx, d float64, next int) {
+func (n *pieceNode) busyFor(a *simtest.ActCtx, d float64, next int) {
 	n.ns.busy.Add(a.Now(), 1)
 	n.state = next
 	a.Wait(d)
 }
 
-func (n *pieceNode) Step(a *sim.ActCtx) {
+func (n *pieceNode) Step(a *simtest.ActCtx) {
 	p, ns := n.p, n.ns
 	for {
 		switch n.state {
@@ -209,7 +213,7 @@ func (n *pieceNode) Step(a *sim.ActCtx) {
 
 // postAssim performs the access that caused the migration, if any.
 // Reports whether the node parked.
-func (n *pieceNode) postAssim(a *sim.ActCtx) bool {
+func (n *pieceNode) postAssim(a *simtest.ActCtx) bool {
 	if n.wp.pendingAccess {
 		n.wp.pendingAccess = false
 		n.busyFor(a, n.p.MemCycles, pnAccessDone)
@@ -222,7 +226,7 @@ func (n *pieceNode) postAssim(a *sim.ActCtx) bool {
 // afterUseful performs the drawn access: local (busy the memory bank) or
 // remote (pay the creation overhead, then ship). Reports whether the node
 // parked.
-func (n *pieceNode) afterUseful(a *sim.ActCtx) bool {
+func (n *pieceNode) afterUseful(a *simtest.ActCtx) bool {
 	if !n.rem {
 		n.busyFor(a, n.p.MemCycles, pnLocalDone)
 		return true
@@ -238,12 +242,12 @@ func (n *pieceNode) afterUseful(a *sim.ActCtx) bool {
 
 // runVisits runs p's test system with the one-event-per-visit oracle.
 func runVisits(p Params) (SystemResult, error) {
-	return runStores(p, func(n *storeNode) sim.Activity { return n })
+	return runStores(p, func(n *storeNode) simtest.Activity { return n })
 }
 
 // runPieces runs p's test system with the piecewise oracle.
 func runPieces(p Params) (SystemResult, error) {
-	return runStores(p, func(n *storeNode) sim.Activity { return &pieceNode{storeNode: n} })
+	return runStores(p, func(n *storeNode) simtest.Activity { return &pieceNode{storeNode: n} })
 }
 
 // runHops runs p's test system as the package does: one event per hop.
@@ -373,13 +377,35 @@ func TestVisitMatchesPiecesExactly(t *testing.T) {
 // and queue wait credited at booking — gives results identical to the
 // one-event-per-visit oracle at every horizon: ops, remote accesses,
 // per-node idle fractions and the queue mean, bit for bit. Both shard
-// counts run, so the exactness covers the partitioned kernel too.
+// counts run, so the exactness covers the partitioned kernel too. A
+// two-node point at non-integral latency and memory time, over 20
+// seeds, checks that a hop lands where the oracle's does, at the visit's
+// end plus the latency, to the last bit.
 func TestHopMatchesVisitExactly(t *testing.T) {
-	matchExactly(t, runHops, runVisits)
-	matchExactly(t, func(p Params) (SystemResult, error) {
+	par2 := func(p Params) (SystemResult, error) {
 		p.RunParallel = 2
 		return runHops(p)
-	}, runVisits)
+	}
+	matchExactly(t, runHops, runVisits)
+	matchExactly(t, par2, runVisits)
+	p := DefaultParams()
+	p.Nodes, p.Parallelism, p.Latency, p.MemCycles, p.Horizon = 2, 1, 203.13, 9.91, 20000
+	for seed := uint64(0); seed < 20; seed++ {
+		p.Seed = seed
+		w, err := runVisits(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shards, run := range []func(Params) (SystemResult, error){runHops, par2} {
+			g, err := run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("non-integral two-node point, seed %d, %d shards:\n got  %+v\n want %+v", seed, shards+1, g, w)
+			}
+		}
+	}
 }
 
 // TestVisitAgreesWithPiecesStatistically holds the package's hop model

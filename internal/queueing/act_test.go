@@ -1,14 +1,64 @@
 package queueing
 
-// The stations. Each is an ActNode: AcceptAct takes a job inline and
-// forwards it downstream when its visit ends.
+// The discrete-event stations the tests hold the closed forms to. Each is
+// an ActNode: AcceptAct takes a job inline and forwards it downstream
+// when its visit ends. Jobs are plain values: a station visit is an
+// inline AcceptAct call plus at most one scheduled completion event, so
+// a whole run executes inside the kernel's dispatch loop; only the
+// source is an activity (internal/sim/simtest).
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/stats"
 )
+
+// Job is the unit of flow through a queueing network (a Workbench
+// "transaction").
+type Job struct {
+	ID      int64
+	Class   int // workload class, available for routing decisions
+	Created sim.Time
+	// Start is per-station scratch: the arrival time at the station
+	// currently holding the job.
+	Start sim.Time
+	// Attrs carries model-specific baggage.
+	Attrs map[string]float64
+}
+
+// Sink absorbs jobs and records their end-to-end sojourn times.
+type Sink struct {
+	Name string
+	// Sojourn samples job lifetime (now - Created).
+	Sojourn stats.Sample
+	// Recycle, when non-nil, receives each absorbed job so its allocation
+	// can be reused (an ActSource's Dispose closes the loop).
+	Recycle func(*Job)
+	count   int64
+}
+
+// NewSink creates a sink.
+func NewSink(name string) *Sink { return &Sink{Name: name} }
+
+// Count returns the number of jobs absorbed.
+func (s *Sink) Count() int64 { return s.count }
+
+// ProbRouter returns a choice function routing to output i with probability
+// probs[i] (probabilities must sum to ~1).
+func ProbRouter(st *rng.Stream, probs []float64) func(*Job) int {
+	sum := 0.0
+	for _, p := range probs {
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		panic(fmt.Sprintf("queueing: ProbRouter probabilities sum to %g", sum))
+	}
+	return func(*Job) int { return st.Discrete(probs) }
+}
 
 // ActNode consumes jobs. AcceptAct must not block: it runs to completion
 // inside the caller's dispatch step.
@@ -59,7 +109,7 @@ func NewActSource(k *sim.Kernel, name string, interarrival func() float64, out A
 func (s *ActSource) SetClass(class int) { s.class = class }
 
 // Start launches the generator activity.
-func (s *ActSource) Start() { s.k.SpawnActivity(s.Name, s) }
+func (s *ActSource) Start() { simtest.New(s.k).Spawn(s.Name, s) }
 
 // Generated returns the number of jobs generated so far.
 func (s *ActSource) Generated() int64 { return s.next }
@@ -70,7 +120,7 @@ func (s *ActSource) Dispose(j *Job) { s.free = append(s.free, j) }
 
 // Step emits one job per resumption; the first arrival happens one
 // interarrival after the start time.
-func (s *ActSource) Step(a *sim.ActCtx) {
+func (s *ActSource) Step(a *simtest.ActCtx) {
 	if !s.primed {
 		s.primed = true
 		a.Wait(s.inter())
@@ -183,7 +233,7 @@ func (s *ActServer) finish(x any) {
 	s.Sojourn.Add(now - j.Start)
 	if len(s.queue) > 0 {
 		var head *Job
-		s.queue, head = sim.PopFront(s.queue)
+		s.queue, head = simtest.PopFront(s.queue)
 		s.QueueLen.Set(now, float64(len(s.queue)))
 		s.begin(head)
 	}

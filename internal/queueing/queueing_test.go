@@ -431,3 +431,22 @@ func TestTandemNetworkSimulation(t *testing.T) {
 		t.Errorf("tandem sojourn = %g, want ~%g", sink.Sojourn.Mean(), want)
 	}
 }
+
+// BenchmarkMM1Simulation measures throughput of the DES stations on a
+// standard M/M/1 at rho=0.7 (jobs are values flowing through inline
+// station handlers).
+func BenchmarkMM1Simulation(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		arr := rng.NewWithStream(uint64(i), 1)
+		svc := rng.NewWithStream(uint64(i), 2)
+		sink := NewSink("out")
+		srv := NewActServer(k, "srv", 1, func(*Job) float64 { return svc.Exp(1) }, sink)
+		src := NewActSource(k, "in", func() float64 { return arr.Exp(1 / 0.7) }, srv)
+		sink.Recycle = src.Dispose
+		src.Start()
+		if err := k.Run(5000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

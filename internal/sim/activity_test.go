@@ -1,15 +1,17 @@
-package sim
+package sim_test
 
-// Tests of activities beyond the scripted kernel tests in sim_test.go:
-// the Interrupt/Timer.Cancel/Advance interplay, model-bug reporting,
-// concurrently driven kernels, and allocation guards pinning the inline
-// paths at zero.
+// Tests of activities beyond the scripted tests in sim_test.go: the
+// Timer.Cancel/Advance interplay, model-bug reporting, concurrently
+// driven kernels, and allocation guards pinning the inline paths — a
+// resumption is one recycled kernel event — at zero.
 
 import (
 	"errors"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // recTracer records (t, track, state) triples for trace comparison.
@@ -18,12 +20,12 @@ type recTracer struct {
 }
 
 type traceEvent struct {
-	t     Time
+	t     sim.Time
 	track string
 	state string
 }
 
-func (r *recTracer) ProcState(t Time, name, state string) {
+func (r *recTracer) ProcState(t sim.Time, name, state string) {
 	r.events = append(r.events, traceEvent{t, name, state})
 }
 
@@ -31,15 +33,15 @@ func (r *recTracer) ProcState(t Time, name, state string) {
 // resource holds. Every run of a model consumes the same plans, so any
 // trajectory difference is the kernel's fault, not sampling noise.
 type workerPlan struct {
-	waits []Time
-	holds []Time
+	waits []sim.Time
+	holds []sim.Time
 }
 
 func makePlans(seed uint64, workers, steps int) []workerPlan {
 	st := rng.New(seed)
 	plans := make([]workerPlan, workers)
 	for i := range plans {
-		plans[i] = workerPlan{waits: make([]Time, steps), holds: make([]Time, steps)}
+		plans[i] = workerPlan{waits: make([]sim.Time, steps), holds: make([]sim.Time, steps)}
 		for j := 0; j < steps; j++ {
 			plans[i].waits[j] = st.Exp(3)
 			plans[i].holds[j] = st.Exp(2)
@@ -51,12 +53,12 @@ func makePlans(seed uint64, workers, steps int) []workerPlan {
 // planWorker executes one plan: wait, acquire, hold, release, repeat.
 type planWorker struct {
 	pl    *workerPlan
-	r     *Resource
+	r     *simtest.Resource
 	step  int
 	state int // 0: start wait; 1: acquire; 2: hold; 3: release
 }
 
-func (w *planWorker) Step(a *ActCtx) {
+func (w *planWorker) Step(a *simtest.ActCtx) {
 	for {
 		switch w.state {
 		case 0:
@@ -69,7 +71,7 @@ func (w *planWorker) Step(a *ActCtx) {
 			return
 		case 1:
 			w.state = 2
-			if !w.r.Acquire1Act(a) {
+			if !w.r.Acquire(a, 1) {
 				return
 			}
 		case 2:
@@ -96,63 +98,16 @@ func tracesEqual(a, b []traceEvent) bool {
 	return true
 }
 
-// TestActivityInterruptSleep: InterruptActivity ends a Sleep early with
-// the interrupted flag set; an undisturbed Sleep runs to term with the
-// flag clear; interrupting a non-sleeping activity is a refused no-op.
-func TestActivityInterruptSleep(t *testing.T) {
-	k := NewKernel()
-	var wakes []Time
-	var flags []bool
-	var sleeper *ActCtx
-	sleeper = k.SpawnActivity("sleeper", ActivityFunc(func(a *ActCtx) {
-		if len(wakes) > 0 || a.Now() > 0 {
-			wakes = append(wakes, a.Now())
-			flags = append(flags, a.Interrupted())
-		}
-		if len(wakes) >= 2 {
-			a.Exit()
-			return
-		}
-		a.Sleep(100)
-	}))
-	k.Schedule(5, func() {
-		if !k.InterruptActivity(sleeper) {
-			t.Error("interrupt of sleeping activity refused")
-		}
-	})
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	// First sleep starts at 0, interrupted at 5; second runs 5..105.
-	if len(wakes) != 2 || wakes[0] != 5 || wakes[1] != 105 {
-		t.Fatalf("wakes = %v, want [5 105]", wakes)
-	}
-	if !flags[0] || flags[1] {
-		t.Fatalf("interrupted flags = %v, want [true false]", flags)
-	}
-	if k.InterruptActivity(sleeper) {
-		t.Error("interrupt of an exited activity succeeded")
-	}
-
-	k2 := NewKernel()
-	idle := k2.SpawnActivity("idle", ActivityFunc(func(a *ActCtx) {}))
-	if err := k2.Advance(1); err != nil {
-		t.Fatal(err)
-	}
-	if k2.InterruptActivity(idle) {
-		t.Error("interrupt of a dormant (non-sleeping) activity succeeded")
-	}
-}
-
 // TestActivityTimerCancelAdvance: timers armed from activity steps honour
 // Cancel across Advance windows, Wait resumptions span window boundaries,
 // and a canceled resumption never steps the activity.
 func TestActivityTimerCancelAdvance(t *testing.T) {
-	k := NewKernel()
+	k := sim.NewKernel()
+	env := simtest.New(k)
 	fired := 0
-	var tm Timer
-	var steps []Time
-	k.SpawnActivity("arm", ActivityFunc(func(a *ActCtx) {
+	var tm sim.Timer
+	var steps []sim.Time
+	arm := env.Spawn("arm", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		steps = append(steps, a.Now())
 		if a.Now() == 0 {
 			// Arm a callback due in the second window; it is canceled from
@@ -185,15 +140,15 @@ func TestActivityTimerCancelAdvance(t *testing.T) {
 	if len(steps) != 3 || steps[0] != 0 || steps[1] != 10 || steps[2] != 30 {
 		t.Fatalf("steps = %v, want [0 10 30]", steps)
 	}
-	if k.LiveActivities() != 0 {
-		t.Fatalf("LiveActivities = %d after Exit", k.LiveActivities())
+	if !arm.Done() {
+		t.Fatal("activity live after Exit")
 	}
 }
 
 // TestScheduleArgDelivery: ScheduleArg delivers the argument without a
 // per-call closure, and its Timer cancels like any other.
 func TestScheduleArgDelivery(t *testing.T) {
-	k := NewKernel()
+	k := sim.NewKernel()
 	var got []int
 	deliver := func(x any) { got = append(got, x.(int)) }
 	k.ScheduleArg(2, deliver, 7)
@@ -210,25 +165,27 @@ func TestScheduleArgDelivery(t *testing.T) {
 	}
 }
 
-// TestActivitySignalJoin: a WaitGroup joins several activities; the
-// joiner resumes only after every member is done.
+// TestActivitySignalJoin: a signal joins several activities — the last
+// member to finish triggers it — and the joiner resumes only after every
+// member is done.
 func TestActivitySignalJoin(t *testing.T) {
-	k := NewKernel()
-	wg := NewWaitGroup(k, "join", 4)
-	var joinedAt Time = -1
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	j := &join{left: 4}
+	var joinedAt sim.Time = -1
 	for i := 0; i < 2; i++ {
-		d := Time(10 * (i + 1))
-		k.SpawnActivity("a", &delayedDone{wg: wg, d: d})
-		k.SpawnActivity("b", &delayedDone{wg: wg, d: d + 5})
+		d := sim.Time(10 * (i + 1))
+		env.Spawn("a", &delayedDone{j: j, d: d})
+		env.Spawn("b", &delayedDone{j: j, d: d + 5})
 	}
-	k.SpawnActivity("joiner", ActivityFunc(func(a *ActCtx) {
-		if !wg.WaitAct(a) {
+	env.Spawn("joiner", simtest.ActivityFunc(func(a *simtest.ActCtx) {
+		if !j.sig.WaitAct(a) {
 			return
 		}
 		joinedAt = a.Now()
 		a.Exit()
 	}))
-	if _, err := k.RunUntilIdle(); err != nil {
+	if _, err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if joinedAt != 25 {
@@ -236,42 +193,51 @@ func TestActivitySignalJoin(t *testing.T) {
 	}
 }
 
+// join counts members down and fires its signal at zero.
+type join struct {
+	sig  simtest.Signal
+	left int
+}
+
 type delayedDone struct {
-	wg    *WaitGroup
-	d     Time
+	j     *join
+	d     sim.Time
 	state int
 }
 
-func (d *delayedDone) Step(a *ActCtx) {
+func (d *delayedDone) Step(a *simtest.ActCtx) {
 	if d.state == 0 {
 		d.state = 1
 		a.Wait(d.d)
 		return
 	}
-	d.wg.Done()
+	if d.j.left--; d.j.left == 0 {
+		d.j.sig.Trigger()
+	}
 	a.Exit()
 }
 
 // TestActivityDeadlockDetection: a blocked (queue-registered) activity
 // with no events left is a deadlock; a dormant activity is not.
 func TestActivityDeadlockDetection(t *testing.T) {
-	k := NewKernel()
-	s := NewStore[int](k, "empty")
-	k.SpawnActivity("starved", ActivityFunc(func(a *ActCtx) {
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	s := simtest.NewStore[int](k)
+	env.Spawn("starved", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		if _, ok := s.GetAct(a); !ok {
 			return
 		}
 		a.Exit()
 	}))
-	if _, err := k.RunUntilIdle(); !errors.Is(err, ErrDeadlock) {
+	if _, err := env.RunUntilIdle(); !errors.Is(err, simtest.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 
-	k2 := NewKernel()
-	k2.SpawnActivity("dormant", ActivityFunc(func(a *ActCtx) {
+	env2 := simtest.New(sim.NewKernel())
+	env2.Spawn("dormant", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		// Returns without pending work: an idle event-oriented server.
 	}))
-	if _, err := k2.RunUntilIdle(); err != nil {
+	if _, err := env2.RunUntilIdle(); err != nil {
 		t.Fatalf("dormant activity reported: %v", err)
 	}
 }
@@ -279,11 +245,12 @@ func TestActivityDeadlockDetection(t *testing.T) {
 // TestActivityPanicSurfaces: a panicking Step becomes the run's error
 // instead of crashing whichever goroutine dispatched it.
 func TestActivityPanicSurfaces(t *testing.T) {
-	k := NewKernel()
-	k.SpawnActivity("bad", ActivityFunc(func(a *ActCtx) {
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	env.Spawn("bad", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		panic("boom")
 	}))
-	_, err := k.RunUntilIdle()
+	_, err := env.RunUntilIdle()
 	if err == nil {
 		t.Fatal("activity panic did not surface")
 	}
@@ -292,12 +259,13 @@ func TestActivityPanicSurfaces(t *testing.T) {
 // TestActivityDoubleBlockPanics: issuing two pending resumptions in one
 // step is a model bug and must be reported, not silently double-stepped.
 func TestActivityDoubleBlockPanics(t *testing.T) {
-	k := NewKernel()
-	k.SpawnActivity("greedy", ActivityFunc(func(a *ActCtx) {
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	env.Spawn("greedy", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		a.Wait(1)
 		a.Wait(2)
 	}))
-	if _, err := k.RunUntilIdle(); err == nil {
+	if _, err := env.RunUntilIdle(); err == nil {
 		t.Fatal("double Wait in one step not reported")
 	}
 }
@@ -306,14 +274,15 @@ func TestActivityDoubleBlockPanics(t *testing.T) {
 // registration outstanding would leave a dead activity enqueued (and leak
 // resource units at grant time); it must be reported as a model bug.
 func TestActivityExitWhileRegisteredPanics(t *testing.T) {
-	k := NewKernel()
-	s := NewStore[int](k, "box")
-	k.SpawnActivity("quitter", ActivityFunc(func(a *ActCtx) {
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	s := simtest.NewStore[int](k)
+	env.Spawn("quitter", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		if _, ok := s.GetAct(a); !ok {
 			a.Exit() // bug: still registered as a getter
 		}
 	}))
-	if _, err := k.RunUntilIdle(); err == nil {
+	if _, err := env.RunUntilIdle(); err == nil {
 		t.Fatal("Exit while registered not reported")
 	}
 }
@@ -322,10 +291,11 @@ func TestActivityExitWhileRegisteredPanics(t *testing.T) {
 // delivery is in flight on another store of the same element type must be
 // reported, not silently collect the wrong store's item.
 func TestActivityCrossStoreGetPanics(t *testing.T) {
-	k := NewKernel()
-	s1 := NewStore[int](k, "box1")
-	s2 := NewStore[int](k, "box2")
-	k.SpawnActivity("confused", ActivityFunc(func(a *ActCtx) {
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	s1 := simtest.NewStore[int](k)
+	s2 := simtest.NewStore[int](k)
+	env.Spawn("confused", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		if a.Now() == 0 {
 			if _, ok := s1.GetAct(a); ok {
 				t.Error("unexpected immediate delivery")
@@ -335,8 +305,8 @@ func TestActivityCrossStoreGetPanics(t *testing.T) {
 		// Resumed by s1's delivery, but collects from s2: model bug.
 		s2.GetAct(a)
 	}))
-	k.Schedule(1, func() { s1.TryPut(7) })
-	if _, err := k.RunUntilIdle(); err == nil {
+	k.Schedule(1, func() { s1.Put(7) })
+	if _, err := env.RunUntilIdle(); err == nil {
 		t.Fatal("cross-store GetAct not reported")
 	}
 }
@@ -350,12 +320,13 @@ func TestMixedModelsParallelRace(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		seed := uint64(g + 1)
 		go func() {
-			k := NewKernel()
-			r := NewResource(k, "res", 2, FIFO)
-			s := NewStore[int](k, "box")
+			k := sim.NewKernel()
+			env := simtest.New(k)
+			r := simtest.NewResource(k, 2)
+			s := simtest.NewStore[int](k)
 			plans := makePlans(seed, 4, 20)
 			for i := range plans {
-				k.SpawnActivity("a", &planWorker{pl: &plans[i], r: r})
+				env.Spawn("a", &planWorker{pl: &plans[i], r: r})
 			}
 			for i := 0; i < 4; i++ {
 				var stages []stage
@@ -364,22 +335,22 @@ func TestMixedModelsParallelRace(t *testing.T) {
 					stages = append(stages, hold(r, 0.3)...)
 					stages = append(stages, put(s, i*100+j))
 				}
-				k.SpawnActivity("p", run(stages...))
+				env.Spawn("p", run(stages...))
 			}
-			k.SpawnActivity("drain", ActivityFunc(func(a *ActCtx) {
+			env.Spawn("drain", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 				for {
 					if _, ok := s.GetAct(a); !ok {
 						return
 					}
 				}
 			}))
-			_, err := k.RunUntilIdle()
+			_, err := env.RunUntilIdle()
 			done <- err
 		}()
 	}
 	for g := 0; g < 4; g++ {
 		// The drain activity stays registered when the puts run out.
-		if err := <-done; err != nil && !errors.Is(err, ErrDeadlock) {
+		if err := <-done; err != nil && !errors.Is(err, simtest.ErrDeadlock) {
 			t.Error(err)
 		}
 	}
@@ -389,14 +360,15 @@ func TestMixedModelsParallelRace(t *testing.T) {
 // at now plus its difference from now, which rounds differently for some
 // pairs of times; a time before now panics like a negative Wait.
 func TestWaitUntilIsExact(t *testing.T) {
-	start, until := Time(0.2), Time(0.9)
+	start, until := sim.Time(0.2), sim.Time(0.9)
 	if start+(until-start) == until {
 		t.Fatal("the times must be a pair whose difference rounds")
 	}
-	k := NewKernel()
-	var got Time
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	var got sim.Time
 	steps := 0
-	k.SpawnActivityAt(start, "w", ActivityFunc(func(a *ActCtx) {
+	env.SpawnAt(start, "w", simtest.ActivityFunc(func(a *simtest.ActCtx) {
 		steps++
 		if steps == 1 {
 			a.WaitUntil(until)
@@ -405,15 +377,16 @@ func TestWaitUntilIsExact(t *testing.T) {
 		got = a.Now()
 		a.Exit()
 	}))
-	if _, err := k.RunUntilIdle(); err != nil {
+	if _, err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if got != until {
 		t.Errorf("WaitUntil(%v) from %v resumed at %v", until, start, got)
 	}
-	k = NewKernel()
-	k.SpawnActivityAt(1, "early", ActivityFunc(func(a *ActCtx) { a.WaitUntil(0.5) }))
-	if _, err := k.RunUntilIdle(); err == nil {
+	k = sim.NewKernel()
+	env = simtest.New(k)
+	env.SpawnAt(1, "early", simtest.ActivityFunc(func(a *simtest.ActCtx) { a.WaitUntil(0.5) }))
+	if _, err := env.RunUntilIdle(); err == nil {
 		t.Error("WaitUntil before now did not fail the run")
 	}
 }
@@ -421,17 +394,18 @@ func TestWaitUntilIsExact(t *testing.T) {
 // --- Allocation regression guards -------------------------------------
 //
 // The activity satellites of the kernel_bench_test.go guards: the
-// inline fast paths — Wait, Sleep+Interrupt, Signal rounds, contended
-// Acquire, store ping-pong — must stay allocation-free at steady state.
+// inline fast paths — Wait, Signal rounds, contended Acquire, store
+// ping-pong — must stay allocation-free at steady state.
 
 // TestActivityWaitAllocsPinned: the activity Wait/step cycle is
 // allocation-free.
 func TestActivityWaitAllocsPinned(t *testing.T) {
-	k := NewKernel()
+	k := sim.NewKernel()
+	env := simtest.New(k)
 	var w waitLoopAct
-	k.SpawnActivity("w", &w)
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	next := Time(256)
+	env.Spawn("w", &w)
+	t.Cleanup(func() { _ = env.Run(k.Now()) })
+	next := sim.Time(256)
 	if err := k.Advance(next); err != nil {
 		t.Fatal(err)
 	}
@@ -448,63 +422,25 @@ func TestActivityWaitAllocsPinned(t *testing.T) {
 
 type waitLoopAct struct{}
 
-func (*waitLoopAct) Step(a *ActCtx) { a.Wait(1) }
-
-// TestActivitySleepInterruptAllocsPinned: Sleep plus InterruptActivity is
-// allocation-free.
-func TestActivitySleepInterruptAllocsPinned(t *testing.T) {
-	k := NewKernel()
-	var s sleepLoopAct
-	target := k.SpawnActivity("s", &s)
-	interrupt := func() { k.InterruptActivity(target) }
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	next := Time(0)
-	window := func() {
-		for j := 0; j < 64; j++ {
-			k.Schedule(Time(j)+0.5, interrupt)
-		}
-		next += 64
-		if err := k.Advance(next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	window() // prime free lists and queue capacity
-	allocs := testing.AllocsPerRun(100, func() { window() })
-	if allocs != 0 {
-		t.Errorf("steady-state Sleep+Interrupt allocates %.1f objects per 64-cycle window, want 0", allocs)
-	}
-	if s.interrupts == 0 {
-		t.Fatal("no interrupts delivered")
-	}
-}
-
-type sleepLoopAct struct {
-	interrupts int
-}
-
-func (s *sleepLoopAct) Step(a *ActCtx) {
-	if a.Interrupted() {
-		s.interrupts++
-	}
-	a.Sleep(1000)
-}
+func (*waitLoopAct) Step(a *simtest.ActCtx) { a.Wait(1) }
 
 // TestActivitySignalAllocsPinned: a Trigger/Reset round over registered
 // activity waiters is allocation-free at steady state.
 func TestActivitySignalAllocsPinned(t *testing.T) {
-	k := NewKernel()
-	sig := NewSignal(k, "gate")
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	sig := &simtest.Signal{}
 	var ws [4]sigLoopAct
 	for i := range ws {
 		ws[i].sig = sig
-		k.SpawnActivity("w", &ws[i])
+		env.Spawn("w", &ws[i])
 	}
 	round := func() { sig.Trigger(); sig.Reset() }
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	next := Time(0)
+	t.Cleanup(func() { _ = env.Run(k.Now()) })
+	next := sim.Time(0)
 	window := func() {
 		for j := 0; j < 64; j++ {
-			k.Schedule(Time(j)+0.5, round)
+			k.Schedule(sim.Time(j)+0.5, round)
 		}
 		next += 64
 		if err := k.Advance(next); err != nil {
@@ -522,11 +458,11 @@ func TestActivitySignalAllocsPinned(t *testing.T) {
 }
 
 type sigLoopAct struct {
-	sig    *Signal
+	sig    *simtest.Signal
 	rounds int
 }
 
-func (s *sigLoopAct) Step(a *ActCtx) {
+func (s *sigLoopAct) Step(a *simtest.ActCtx) {
 	s.rounds++
 	if !s.sig.WaitAct(a) {
 		return
@@ -538,13 +474,14 @@ func (s *sigLoopAct) Step(a *ActCtx) {
 // TestActivityAcquireContendedAllocsPinned: contended activity acquires
 // (queue registration, grant, resumption) are allocation-free.
 func TestActivityAcquireContendedAllocsPinned(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "res", 1, FIFO)
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	r := simtest.NewResource(k, 1)
 	for i := 0; i < 3; i++ {
-		k.SpawnActivity("c", &contendLoopAct{r: r})
+		env.Spawn("c", &contendLoopAct{r: r})
 	}
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	next := Time(256)
+	t.Cleanup(func() { _ = env.Run(k.Now()) })
+	next := sim.Time(256)
 	if err := k.Advance(next); err != nil {
 		t.Fatal(err)
 	}
@@ -560,16 +497,16 @@ func TestActivityAcquireContendedAllocsPinned(t *testing.T) {
 }
 
 type contendLoopAct struct {
-	r     *Resource
+	r     *simtest.Resource
 	state int
 }
 
-func (c *contendLoopAct) Step(a *ActCtx) {
+func (c *contendLoopAct) Step(a *simtest.ActCtx) {
 	for {
 		switch c.state {
 		case 0:
 			c.state = 1
-			if !c.r.Acquire1Act(a) {
+			if !c.r.Acquire(a, 1) {
 				return
 			}
 		case 1:
@@ -583,20 +520,21 @@ func (c *contendLoopAct) Step(a *ActCtx) {
 	}
 }
 
-// TestActivityStoreAllocsPinned: the GetAct/TryPut ping-pong (register,
+// TestActivityStoreAllocsPinned: the GetAct/Put ping-pong (register,
 // deliver, collect) is allocation-free.
 func TestActivityStoreAllocsPinned(t *testing.T) {
-	k := NewKernel()
-	s := NewStore[int](k, "box")
+	k := sim.NewKernel()
+	env := simtest.New(k)
+	s := simtest.NewStore[int](k)
 	var g getLoopAct
 	g.s = s
-	k.SpawnActivity("g", &g)
-	feed := func() { s.TryPut(1) }
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
-	next := Time(0)
+	env.Spawn("g", &g)
+	feed := func() { s.Put(1) }
+	t.Cleanup(func() { _ = env.Run(k.Now()) })
+	next := sim.Time(0)
 	window := func() {
 		for j := 0; j < 64; j++ {
-			k.Schedule(Time(j)+0.5, feed)
+			k.Schedule(sim.Time(j)+0.5, feed)
 		}
 		next += 64
 		if err := k.Advance(next); err != nil {
@@ -606,7 +544,7 @@ func TestActivityStoreAllocsPinned(t *testing.T) {
 	window()
 	allocs := testing.AllocsPerRun(100, func() { window() })
 	if allocs != 0 {
-		t.Errorf("steady-state GetAct/TryPut allocates %.1f objects per 64-item window, want 0", allocs)
+		t.Errorf("steady-state GetAct/Put allocates %.1f objects per 64-item window, want 0", allocs)
 	}
 	if g.got == 0 {
 		t.Fatal("no items delivered")
@@ -614,11 +552,11 @@ func TestActivityStoreAllocsPinned(t *testing.T) {
 }
 
 type getLoopAct struct {
-	s   *Store[int]
+	s   *simtest.Store[int]
 	got int
 }
 
-func (g *getLoopAct) Step(a *ActCtx) {
+func (g *getLoopAct) Step(a *simtest.ActCtx) {
 	for {
 		if _, ok := g.s.GetAct(a); !ok {
 			return

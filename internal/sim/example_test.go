@@ -6,90 +6,44 @@ import (
 	"repro/internal/sim"
 )
 
-// producer puts its messages into a store, one every 5 time units.
-type producer struct {
-	box  *sim.Store[string]
-	msgs []string
-	next int
+// server is a closed-form FIFO server: a job's arrival books the server's
+// next busy period at once and schedules the departure at its end, so a
+// visit costs the kernel one event at each end and no waiting machinery.
+type server struct {
+	k       *sim.Kernel
+	free    sim.Time // when the server finishes its booked jobs
+	service sim.Time
 }
 
-func (p *producer) Step(a *sim.ActCtx) {
-	if a.Now() > 0 {
-		p.box.PutAct(a, p.msgs[p.next]) // unbounded: always deposits
-		p.next++
-	}
-	if p.next == len(p.msgs) {
-		a.Exit()
-		return
-	}
-	a.Wait(5)
+func (s *server) arrive(job any) {
+	start := max(s.k.Now(), s.free)
+	s.free = start + s.service
+	fmt.Printf("t=%v: %s arrives, served %v-%v\n", s.k.Now(), job, start, s.free)
+	// SendAt lands at exactly the booked end (a delay of s.free-now could
+	// round elsewhere); on a ParKernel shard the same call reaches
+	// another partition.
+	s.k.SendAt(s.k.Partition(), s.free, s.depart, job)
 }
 
-// A minimal two-activity simulation: a producer feeds a store, a consumer
-// drains it, the kernel interleaves them deterministically.
+func (s *server) depart(job any) { fmt.Printf("t=%v: %s departs\n", s.k.Now(), job) }
+
+// Events are callbacks. ScheduleArg carries an argument through the
+// recycled event, so one function value serves every job; Schedule takes
+// a closure.
 func Example() {
 	k := sim.NewKernel()
-	box := sim.NewStore[string](k, "box")
-	k.SpawnActivity("producer", &producer{box: box, msgs: []string{"hello", "world"}})
-	got := 0
-	k.SpawnActivity("consumer", sim.ActivityFunc(func(a *sim.ActCtx) {
-		for got < 2 {
-			msg, ok := box.GetAct(a)
-			if !ok {
-				return // registered: stepped again when a message arrives
-			}
-			fmt.Printf("t=%v: %s\n", a.Now(), msg)
-			got++
-		}
-		a.Exit()
-	}))
+	srv := &server{k: k, service: 4}
+	arrive := srv.arrive
+	k.ScheduleArg(0, arrive, "job0")
+	k.ScheduleArg(1, arrive, "job1")
+	k.Schedule(10, func() { fmt.Printf("t=%v: idle\n", k.Now()) })
 	if _, err := k.RunUntilIdle(); err != nil {
 		panic(err)
 	}
 	// Output:
-	// t=5: hello
-	// t=10: world
-}
-
-// job holds the cpu for 10 time units, then reports.
-type job struct {
-	id    int
-	cpu   *sim.Resource
-	state int // 0: request the cpu; 1: granted, serve; 2: served
-}
-
-func (j *job) Step(a *sim.ActCtx) {
-	switch j.state {
-	case 0:
-		j.state = 1
-		if !j.cpu.Acquire1Act(a) {
-			return // queued: stepped again holding the grant
-		}
-		fallthrough
-	case 1:
-		j.state = 2
-		a.Wait(10)
-	case 2:
-		j.cpu.Release(1)
-		fmt.Printf("job %d done at t=%v\n", j.id, a.Now())
-		a.Exit()
-	}
-}
-
-// Resources model servers: capacity 1 makes jobs queue FIFO.
-func ExampleResource() {
-	k := sim.NewKernel()
-	cpu := sim.NewResource(k, "cpu", 1, sim.FIFO)
-	for i := 0; i < 3; i++ {
-		k.SpawnActivity("job", &job{id: i, cpu: cpu})
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("utilization: %.0f%%\n", 100*cpu.Utilization(k.Now()))
-	// Output:
-	// job 0 done at t=10
-	// job 1 done at t=20
-	// job 2 done at t=30
-	// utilization: 100%
+	// t=0: job0 arrives, served 0-4
+	// t=1: job1 arrives, served 4-8
+	// t=4: job0 departs
+	// t=8: job1 departs
+	// t=10: idle
 }

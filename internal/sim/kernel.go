@@ -2,15 +2,16 @@
 // the replacement for the commercial HyPerformix SES/Workbench tool the
 // paper used.
 //
-// The kernel has one execution mode. A scheduled event carries either a
-// callback (Schedule, ScheduleArg) or one step of an activity (Activity,
-// ActCtx): a run-to-completion event handler the kernel calls inline in
-// its dispatch loop, with no goroutines, channel operations or stack
-// switches. A transaction in the SES/Workbench sense is an activity
-// written as an explicit state machine. Every blocking primitive has a
-// "try or register" form (AcquireAct, GetAct, PutAct, WaitAct): the fast
-// path continues inline, the slow path registers the activity and
-// returns, and the activity is stepped again when the wait is over.
+// The kernel has one event kind: a scheduled callback, either a closure
+// (Schedule, ScheduleAt) or a function and its argument carried through
+// the recycled event (ScheduleArg, Send, SendAt), run inline by the
+// dispatch loop. Models keep their own state: a service node in the
+// SES/Workbench sense is a closed-form server that books its busy period
+// when a job arrives and schedules the job's next arrival, so a job's
+// visit costs one event. (The run-to-completion activities and the
+// resources, stores and signals they waited on are a test-only layer on
+// this API, in internal/sim/simtest, for the oracles the closed-form
+// models are held to.)
 //
 // Events fire in (t, seq) order, where seq is the kernel's schedule
 // counter, so ties in event time are broken by schedule order and the
@@ -31,32 +32,22 @@
 // assignment — parallelism is an execution strategy, never a semantic.
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time. The models in this repository measure time in HWP
 // clock cycles (the paper normalizes all times to heavyweight-processor
 // cycles), but the kernel itself is unit-agnostic.
 type Time = float64
 
-// ErrDeadlock is returned by RunUntilIdle when no events remain but
-// activities are still blocked in a wait queue.
-var ErrDeadlock = errors.New("sim: deadlock: no scheduled events but activities remain blocked")
-
-// event is a scheduled callback or activity step. Events are recycled
-// through the kernel's free list once fired or collected dead, so
-// steady-state scheduling does not allocate; gen distinguishes
-// incarnations so a stale Timer cannot cancel the struct's next tenant.
-// Activity steps carry the activity directly instead of a closure, keeping
-// the kernel's hottest paths — Wait and blocking-wakeup events — entirely
-// allocation-free; ScheduleArg callbacks likewise carry their argument out
-// of line so one function value can serve many deliveries.
+// event is a scheduled callback. Events are recycled through the
+// kernel's free list once fired or collected dead, so steady-state
+// scheduling does not allocate; gen distinguishes incarnations so a stale
+// Timer cannot cancel the struct's next tenant. ScheduleArg callbacks
+// carry their argument out of line so one function value can serve many
+// deliveries with no closure per call.
 type event struct {
 	t    Time
-	seq  uint64  // tie-breaker: schedule order
-	act  *ActCtx // when non-nil, step this activity
+	seq  uint64 // tie-breaker: schedule order
 	fn   func()
 	afn  func(any) // when non-nil, call afn(arg)
 	arg  any
@@ -80,14 +71,6 @@ type Kernel struct {
 	// carries the shard's window state and cross-shard buffers.
 	par *shardState
 
-	// acts lists every spawned, not-yet-reaped activity in spawn order;
-	// exited ones are swept lazily. liveActs counts the not-yet-exited
-	// ones, actsBlocked the subset registered in a wait structure with no
-	// scheduled resumption (these count toward deadlock detection).
-	acts        []*ActCtx
-	liveActs    int
-	actsBlocked int
-
 	err error // first model panic, if any
 
 	// until/bounded frame the current drain window (set by Advance, Run,
@@ -98,20 +81,8 @@ type Kernel struct {
 	bounded bool
 	strict  bool
 
-	// Tracer, if non-nil, observes activity state transitions. Used by the
-	// trace package to build per-processor timelines.
-	Tracer Tracer
-
 	stopped bool // Stop() requested
 	running bool // a drain window is active: Run/Advance must not reenter
-}
-
-// Tracer receives activity lifecycle callbacks. All callbacks run on the
-// goroutine driving the kernel.
-type Tracer interface {
-	// ProcState is called when activity name enters the given informal
-	// state ("start", "wait", "run", "done") at simulated time t.
-	ProcState(t Time, name string, state string)
 }
 
 // NewKernel returns an empty simulation at time 0.
@@ -186,15 +157,6 @@ func (k *Kernel) nextSeq() uint64 {
 	return s
 }
 
-// scheduleActEvent registers a step of activity a at absolute time t —
-// the resumption path, allocation-free at steady state.
-func (k *Kernel) scheduleActEvent(t Time, a *ActCtx) *event {
-	ev := k.newEvent(t)
-	ev.act = a
-	k.events.push(ev)
-	return ev
-}
-
 // ScheduleAt registers fn to run at absolute simulated time t. Scheduling
 // in the past panics (events must be causal).
 func (k *Kernel) ScheduleAt(t Time, fn func()) Timer {
@@ -234,13 +196,12 @@ func (k *Kernel) scheduleArgAt(t Time, fn func(any), arg any) Timer {
 }
 
 // Stop requests that the current Run call return after the event that is
-// executing finishes. Remaining activities are finished as on normal
-// completion.
+// executing finishes. A stopped kernel dispatches nothing more.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // dispatch executes due events until nothing is due within the current
-// window (bound reached, queue empty, or the run stopped). Callbacks and
-// activity steps both run inline on the calling goroutine.
+// window (bound reached, queue empty, or the run stopped). Callbacks run
+// inline on the calling goroutine.
 //
 // A panicking callback is recorded as the run's error and stops the run
 // instead of unwinding the caller.
@@ -265,15 +226,6 @@ func (k *Kernel) dispatch() {
 			// Every schedule made while this event runs is logged under it
 			// for the barrier's serial renumbering.
 			sh.curT, sh.curSeq, sh.curLogged = ev.t, ev.seq, false
-		}
-		// The payload fields are read lazily, most-frequent kind first, so
-		// the hot resume path touches as little of the event as possible.
-		if a := ev.act; a != nil {
-			k.recycle(ev)
-			if !a.done {
-				k.stepActivity(a)
-			}
-			continue
 		}
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		k.recycle(ev)
@@ -316,7 +268,6 @@ func (k *Kernel) runArgCallback(fn func(any), arg any) {
 // newEvent. Bumping gen invalidates any Timer still holding the struct.
 func (k *Kernel) recycle(ev *event) {
 	ev.fn = nil
-	ev.act = nil
 	ev.afn = nil
 	ev.arg = nil
 	ev.gen++
@@ -324,7 +275,7 @@ func (k *Kernel) recycle(ev *event) {
 }
 
 // drain runs the event loop over the given window. Reentry — Run or
-// Advance called from a callback or activity while a window is active —
+// Advance called from a callback while a window is active —
 // would clobber the window, so it panics instead (surfacing as the run's
 // error when it happens inside the simulation).
 func (k *Kernel) drain(until Time, bounded bool) {
@@ -337,12 +288,11 @@ func (k *Kernel) drain(until Time, bounded bool) {
 	k.dispatch()
 }
 
-// Advance runs the simulation up to simulated time `until` and returns the
-// first model error, if any. Unlike Run it does not finish the remaining
-// activities, so repeated Advance calls execute a simulation
-// incrementally; after Advance returns, Now() == until (unless Stop was
-// called). Advance must be called from outside the simulation — calling
-// it from an activity or scheduled callback panics.
+// Advance runs the simulation up to simulated time `until` and returns
+// the first model error (a panicking callback), if any. After Advance
+// returns, Now() == until (unless Stop was called), so repeated calls
+// execute a simulation incrementally. Advance must be called from outside
+// the simulation — calling it from a scheduled callback panics.
 func (k *Kernel) Advance(until Time) error {
 	if until < k.now {
 		return fmt.Errorf("sim: Advance(%g) before now (%g)", until, k.now)
@@ -354,78 +304,16 @@ func (k *Kernel) Advance(until Time) error {
 	return k.err
 }
 
-// Run advances the simulation until simulated time `until`, then finishes
-// any remaining activities and returns the first model error (a panicking
-// callback or Step), if any. After Run returns, Now() == until (unless
-// Stop was called earlier).
-func (k *Kernel) Run(until Time) error {
-	if until < k.now {
-		return fmt.Errorf("sim: Run(%g) before now (%g)", until, k.now)
-	}
-	k.drain(until, true)
-	if !k.stopped {
-		k.now = until
-	}
-	k.shutdown()
-	return k.err
-}
+// Run is Advance under the name a one-shot run reads best with.
+func (k *Kernel) Run(until Time) error { return k.Advance(until) }
 
-// RunUntilIdle advances the simulation until no events remain. It returns
-// the final simulated time and ErrDeadlock if activities remain blocked in
-// a wait queue, or the first model error. Activities that merely returned
-// without a pending resumption are dormant by design (an idle
-// event-oriented server) and do not count.
+// RunUntilIdle advances the simulation until no events remain and returns
+// the final simulated time and the first model error, if any.
 func (k *Kernel) RunUntilIdle() (Time, error) {
 	k.drain(0, false)
-	blocked := k.actsBlocked
-	k.shutdown()
-	if k.err == nil && blocked > 0 {
-		return k.now, fmt.Errorf("%w (%d blocked)", ErrDeadlock, blocked)
-	}
 	return k.now, k.err
 }
-
-// shutdown finishes every remaining activity. Activities have no stack to
-// unwind: finishing one marks it done, which also drops the blocked ones
-// from the deadlock count. Pending events stay queued but can never step
-// a finished activity.
-func (k *Kernel) shutdown() {
-	for _, a := range k.acts {
-		k.finishAct(a)
-	}
-	k.acts = k.acts[:0]
-	k.liveActs = 0
-	k.actsBlocked = 0
-}
-
-// PopFront removes and returns the head of a FIFO slice by compacting in
-// place: q[1:] would creep through the backing array and eventually
-// reallocate, while shifting keeps steady-state queue traffic
-// allocation-free (simulation queues are short, the copy is cheap). The
-// kernel's wait queues and the queueing package's job queues share it.
-func PopFront[T any](q []T) ([]T, T) {
-	head := q[0]
-	n := copy(q, q[1:])
-	var zero T
-	q[n] = zero
-	return q[:n], head
-}
-
-// Idle reports whether nothing can ever happen again: no events are
-// pending and no activities are blocked in a wait queue. Dormant
-// activities (spawned, not exited, nothing pending) do not count — with no
-// events left they will never be stepped again.
-func (k *Kernel) Idle() bool { return k.events.size() == 0 && k.actsBlocked == 0 }
 
 // PendingEvents returns the number of scheduled (possibly canceled) events;
 // exposed for tests and diagnostics.
 func (k *Kernel) PendingEvents() int { return k.events.size() }
-
-// LiveActivities returns the number of spawned, not-yet-exited activities.
-func (k *Kernel) LiveActivities() int { return k.liveActs }
-
-func (k *Kernel) trace(t Time, name, state string) {
-	if k.Tracer != nil {
-		k.Tracer.ProcState(t, name, state)
-	}
-}

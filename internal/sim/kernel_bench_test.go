@@ -1,23 +1,23 @@
 package sim_test
 
-// The kernel micro-benchmarks delegate to internal/benches, the single
+// BenchmarkKernelSchedule delegates to internal/benches, the single
 // source of the workloads that cmd/pimbench records into BENCH_<n>.json —
 // tuning a driver there changes both measurements together, so the
 // trajectory stays comparable. BenchmarkKernelDeliveries and
 // BenchmarkKernelCycleWaits are test-only: they profile the event
 // queue's lane and cycle-wheel tiers without changing the pimbench
-// suite.
+// suite. (The activity switch, BenchmarkKernelActivityChain, is measured
+// with the activity layer in internal/sim/simtest.)
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/benches"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
-func BenchmarkKernelSchedule(b *testing.B)      { benches.KernelSchedule(b) }
-func BenchmarkKernelActivityChain(b *testing.B) { benches.KernelActivityChain(b) }
+func BenchmarkKernelSchedule(b *testing.B) { benches.KernelSchedule(b) }
 
 // BenchmarkTimerCancel measures the cancel-and-collect path: schedule,
 // cancel, and let the dead event be swept on the next drain.
@@ -42,8 +42,8 @@ func BenchmarkTimerCancel(b *testing.B) {
 
 // holdModel is a hold model of message traffic: in-flight messages each
 // delivered after a constant latency and re-sent on arrival — already
-// sorted arrivals, the lane path — beside activities doing short Waits
-// that go through the heap.
+// sorted arrivals, the lane path — beside waiters re-arming themselves
+// after short delays that go through the heap.
 type holdModel struct {
 	k       *sim.Kernel
 	latency sim.Time
@@ -63,24 +63,26 @@ func newHoldModel(msgs, waiters int, latency sim.Time) *holdModel {
 		m.k.ScheduleArg(latency*sim.Time(i)/sim.Time(msgs), m.deliver, m)
 	}
 	for i := 0; i < waiters; i++ {
-		m.k.SpawnActivity(fmt.Sprintf("w%d", i), &shortWaiter{d: 1 + sim.Time(i%3)})
+		m.k.ScheduleArg(0, shortWait, &shortWaiter{k: m.k, d: 1 + sim.Time(i%3)})
 	}
 	return m
 }
 
-// shortWaiter waits d, 2d, 3d, d, ... cycles forever.
+// shortWaiter re-arms itself after d, 2d, 3d, d, ... cycles forever.
 type shortWaiter struct {
+	k *sim.Kernel
 	d sim.Time
 	i int
 }
 
-func (w *shortWaiter) Step(a *sim.ActCtx) {
+func shortWait(arg any) {
+	w := arg.(*shortWaiter)
 	w.i++
-	a.Wait(w.d * sim.Time(1+w.i%3))
+	w.k.ScheduleArg(w.d*sim.Time(1+w.i%3), shortWait, w)
 }
 
 // BenchmarkKernelDeliveries: ~8 K in-flight constant-delay deliveries
-// plus 64 short-Wait activities; one op is one dispatched delivery.
+// plus 64 short waiters; one op is one dispatched delivery.
 func BenchmarkKernelDeliveries(b *testing.B) {
 	const msgs, latency = 8192, 500
 	m := newHoldModel(msgs, 64, latency)
@@ -97,15 +99,13 @@ func BenchmarkKernelDeliveries(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	_ = m.k.Run(m.k.Now())
 }
 
 // cycleModel is whole-cycle traffic, the shape of the HWP-cycle models:
-// activities waiting a few cycles at a time — op counts, memory and
-// parcel overheads — beside self-rescheduling ScheduleArg callbacks
-// with small integral delays. Every event lands a few cycles ahead, the
-// cycle wheel's path.
+// self-rescheduling ScheduleArg callbacks waiting a few cycles at a time
+// — op counts, memory and parcel overheads — the waiters starting at 0,
+// the ticks staggered over 8 cycles. Every event lands a few cycles
+// ahead, the cycle wheel's path.
 type cycleModel struct {
 	k    *sim.Kernel
 	tick func(any)
@@ -121,7 +121,7 @@ func newCycleModel(waiters, ticks int) *cycleModel {
 		m.k.ScheduleArg(c.delay(), m.tick, c)
 	}
 	for i := 0; i < waiters; i++ {
-		m.k.SpawnActivity(fmt.Sprintf("w%d", i), &cycleWaiter{n: &m.n, i: i})
+		m.k.ScheduleArg(0, m.tick, &cycleWaiter{i: i})
 	}
 	for i := 0; i < ticks; i++ {
 		m.k.ScheduleArg(sim.Time(i%8), m.tick, &cycleWaiter{i: i})
@@ -132,20 +132,13 @@ func newCycleModel(waiters, ticks int) *cycleModel {
 // cycleWaiter waits 1-10 cycles at a time, in a pattern that differs
 // from step to step and waiter to waiter.
 type cycleWaiter struct {
-	n *int
 	i int
 }
 
 func (w *cycleWaiter) delay() sim.Time { return sim.Time(1 + (w.i*7)%10) }
 
-func (w *cycleWaiter) Step(a *sim.ActCtx) {
-	*w.n++
-	w.i++
-	a.Wait(w.delay())
-}
-
-// BenchmarkKernelCycleWaits: 1024 activities doing small integral Waits;
-// one op is one dispatched event.
+// BenchmarkKernelCycleWaits: 1024 waiters re-arming themselves after
+// small integral delays; one op is one dispatched event.
 func BenchmarkKernelCycleWaits(b *testing.B) {
 	m := newCycleModel(1024, 0)
 	next := sim.Time(64)
@@ -161,8 +154,6 @@ func BenchmarkKernelCycleWaits(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	_ = m.k.Run(m.k.Now())
 }
 
 // --- Allocation regression guards -------------------------------------
@@ -200,16 +191,17 @@ func TestScheduleAllocsPinned(t *testing.T) {
 // waitLoop is an endless 1-cycle wait loop.
 type waitLoop struct{}
 
-func (waitLoop) Step(a *sim.ActCtx) { a.Wait(1) }
+func (waitLoop) Step(a *simtest.ActCtx) { a.Wait(1) }
 
 // TestWaitWakeupAllocsPinned: two activities alternating Wait and wakeup
-// at the same timestamps (the kernel_activity_chain workload) are
-// allocation-free.
+// at the same timestamps (simtest's BenchmarkKernelActivityChain
+// workload) are allocation-free: a resumption is one recycled event.
 func TestWaitWakeupAllocsPinned(t *testing.T) {
 	k := sim.NewKernel()
-	k.SpawnActivity("a0", waitLoop{})
-	k.SpawnActivity("a1", waitLoop{})
-	t.Cleanup(func() { _ = k.Run(k.Now()) })
+	env := simtest.New(k)
+	env.Spawn("a0", waitLoop{})
+	env.Spawn("a1", waitLoop{})
+	t.Cleanup(func() { _ = env.Run(k.Now()) })
 	// Prime: the first window grows the queue and the free list.
 	next := sim.Time(256)
 	if err := k.Advance(next); err != nil {
@@ -283,7 +275,6 @@ func TestScheduleArgAllocsPinned(t *testing.T) {
 // path — are allocation-free once the free list has grown.
 func TestCycleWaitAllocsPinned(t *testing.T) {
 	m := newCycleModel(256, 64)
-	t.Cleanup(func() { _ = m.k.Run(m.k.Now()) })
 	next := sim.Time(128)
 	if err := m.k.Advance(next); err != nil {
 		t.Fatal(err)

@@ -459,8 +459,8 @@ func (pk *ParKernel) merge(base uint64) {
 	pk.deliveries = pk.deliveries[:0]
 }
 
-// Advance runs the partitioned simulation up to simulated time `until`
-// without killing anything; every shard's Now() is `until` afterwards
+// Advance runs the partitioned simulation up to simulated time `until`;
+// every shard's Now() is `until` afterwards
 // (unless Stop was requested). The worker pool stays up for the next
 // call — Close it when done.
 func (pk *ParKernel) Advance(until Time) error {
@@ -480,36 +480,27 @@ func (pk *ParKernel) Advance(until Time) error {
 	return pk.err
 }
 
-// Run advances to `until`, then shuts every shard down (lowest shard
-// first, each deterministically as the serial kernel would) and stops the
-// workers. It returns the first model error, if any.
+// Run advances to `until` and stops the workers. It returns the first
+// model error, if any.
 func (pk *ParKernel) Run(until Time) error {
 	if len(pk.parts) == 1 {
 		return pk.parts[0].Run(until)
 	}
 	err := pk.Advance(until)
-	pk.shutdown()
+	pk.Close()
 	return err
 }
 
 // RunUntilIdle advances until no events remain anywhere, returning the
-// final simulated time (the latest shard time) and ErrDeadlock if blocked
-// activities remain on any shard. The worker pool is
-// stopped.
+// final simulated time (the latest shard time) and the first model error,
+// if any. The worker pool is stopped.
 func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	if len(pk.parts) == 1 {
 		return pk.parts[0].RunUntilIdle()
 	}
 	pk.runWindows(0, false)
 	pk.collect()
-	blocked := 0
-	for _, k := range pk.parts {
-		blocked += k.actsBlocked
-	}
-	pk.shutdown()
-	if pk.err == nil && blocked > 0 && !pk.stopped {
-		return pk.Now(), fmt.Errorf("%w (%d blocked)", ErrDeadlock, blocked)
-	}
+	pk.Close()
 	return pk.Now(), pk.err
 }
 
@@ -527,12 +518,3 @@ func (pk *ParKernel) Stop() {
 
 // Err returns the run's first recorded error.
 func (pk *ParKernel) Err() error { return pk.err }
-
-// shutdown finishes shard activities shard by shard in index order, then
-// stops the workers.
-func (pk *ParKernel) shutdown() {
-	for _, k := range pk.parts {
-		k.shutdown()
-	}
-	pk.Close()
-}

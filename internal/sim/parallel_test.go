@@ -1,13 +1,13 @@
-package sim
+package sim_test
 
 // Tests of the partitioned kernel (parallel.go): byte-identical
 // trajectories against the serial kernel across partition counts, worker
 // counts and partition assignments — a fixed corpus in
-// TestParKernelTraceEquivalence and a generator in FuzzParKernelTrace —
-// plus the window mechanics (incremental Advance, infinite lookahead,
-// lookahead violation surfacing, deadlock parity). Run under -race these
-// tests also prove the window discipline keeps shard state
-// single-threaded.
+// TestParKernelTraceEquivalence and a generator in FuzzParKernelTrace,
+// both on activity models (internal/sim/simtest) — plus the window
+// mechanics (incremental Advance, infinite lookahead, lookahead
+// violation surfacing, deadlock parity). Run under -race these tests
+// also prove the window discipline keeps shard state single-threaded.
 
 import (
 	"errors"
@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // copyState is one replicated model copy: a resource contended by plan
@@ -27,9 +29,9 @@ import (
 // different partitions).
 type copyState struct {
 	g     int
-	k     *Kernel
-	res   *Resource
-	box   *Store[int]
+	env   *simtest.Env
+	res   *simtest.Resource
+	box   *simtest.Store[int]
 	got   int
 	pings int
 	track string // trace track of ping deliveries
@@ -41,7 +43,9 @@ type copyState struct {
 func bumpPing(arg any) {
 	cs := arg.(*copyState)
 	cs.pings++
-	cs.k.trace(cs.k.now, cs.track, "ping")
+	if tr := cs.env.Tracer; tr != nil {
+		tr.ProcState(cs.env.K.Now(), cs.track, "ping")
+	}
 }
 
 // pinger sends a timed ping to the next copy between plan-driven waits.
@@ -49,13 +53,13 @@ func bumpPing(arg any) {
 type pinger struct {
 	dst     *copyState
 	dstPart int
-	waits   []Time
+	waits   []sim.Time
 	i       int
 }
 
-func (p *pinger) Step(a *ActCtx) {
+func (p *pinger) Step(a *simtest.ActCtx) {
 	if p.i > 0 {
-		a.Kernel().Send(p.dstPart, 1+Time(p.i%3), bumpPing, p.dst)
+		a.Kernel().Send(p.dstPart, 1+sim.Time(p.i%3), bumpPing, p.dst)
 	}
 	if p.i >= len(p.waits) {
 		a.Exit()
@@ -65,20 +69,20 @@ func (p *pinger) Step(a *ActCtx) {
 	p.i++
 }
 
-// buildCopy constructs copy g on kernel k, all workers contending one FIFO
-// resource: odd-index workers follow their plan with planWorker;
-// even-index workers run the same plan as a script that also puts one
-// item per hold into a bounded store, which a consumer drains.
-func buildCopy(k *Kernel, g, capacity int, plans []workerPlan) *copyState {
-	cs := &copyState{g: g, k: k, track: fmt.Sprintf("g%d/ping-in", g)}
-	cs.res = NewResource(k, fmt.Sprintf("g%d/res", g), capacity, FIFO)
-	cs.box = NewBoundedStore[int](k, fmt.Sprintf("g%d/box", g), 2)
+// buildCopy constructs copy g on env's kernel, all workers contending
+// one FIFO resource: odd-index workers follow their plan with
+// planWorker; even-index workers run the same plan as a script that also
+// puts one item per hold into a store, which a consumer drains.
+func buildCopy(env *simtest.Env, g, capacity int, plans []workerPlan) *copyState {
+	cs := &copyState{g: g, env: env, track: fmt.Sprintf("g%d/ping-in", g)}
+	cs.res = simtest.NewResource(env.K, capacity)
+	cs.box = simtest.NewStore[int](env.K)
 	puts := 0
 	for i := range plans {
 		pl := &plans[i]
 		name := fmt.Sprintf("g%d/w%d", g, i)
 		if i%2 == 1 {
-			k.SpawnActivity(name, &planWorker{pl: pl, r: cs.res})
+			env.Spawn(name, &planWorker{pl: pl, r: cs.res})
 			continue
 		}
 		var stages []stage
@@ -88,9 +92,9 @@ func buildCopy(k *Kernel, g, capacity int, plans []workerPlan) *copyState {
 			stages = append(stages, put(cs.box, j))
 			puts++
 		}
-		k.SpawnActivity(name, run(stages...))
+		env.Spawn(name, run(stages...))
 	}
-	k.SpawnActivity(fmt.Sprintf("g%d/drain", g), &copyDrain{cs: cs, want: puts})
+	env.Spawn(fmt.Sprintf("g%d/drain", g), &copyDrain{cs: cs, want: puts})
 	return cs
 }
 
@@ -101,7 +105,7 @@ type copyDrain struct {
 	want int
 }
 
-func (d *copyDrain) Step(a *ActCtx) {
+func (d *copyDrain) Step(a *simtest.ActCtx) {
 	if d.cs.got == d.want {
 		a.Exit()
 		return
@@ -119,7 +123,7 @@ type parModelSpec struct {
 	copies   int
 	capacity int
 	plans    [][]workerPlan
-	pings    [][]Time
+	pings    [][]sim.Time
 }
 
 func makeParModel(seed uint64, copies, workers, steps, pings int) parModelSpec {
@@ -127,7 +131,7 @@ func makeParModel(seed uint64, copies, workers, steps, pings int) parModelSpec {
 	st := rng.New(seed ^ 0x9e3779b97f4a7c15)
 	for g := 0; g < copies; g++ {
 		spec.plans = append(spec.plans, makePlans(seed+uint64(g)*7919, workers, steps))
-		pw := make([]Time, pings)
+		pw := make([]sim.Time, pings)
 		for i := range pw {
 			pw[i] = 0.5 + st.Exp(2)
 		}
@@ -141,7 +145,7 @@ func makeParModel(seed uint64, copies, workers, steps, pings int) parModelSpec {
 // partitions is exercised (with continuous draws, cross-partition ties
 // almost never happen).
 func (spec parModelSpec) snapToGrid() {
-	up := func(ts []Time) {
+	up := func(ts []sim.Time) {
 		for i := range ts {
 			ts[i] = math.Ceil(ts[i])
 		}
@@ -156,15 +160,15 @@ func (spec parModelSpec) snapToGrid() {
 }
 
 // buildParModel lays the spec's copies out across the given per-copy
-// kernels (all the same kernel for a serial run) and wires the ping ring.
-func buildParModel(spec parModelSpec, kfor func(g int) *Kernel, partOf func(g int) int) []*copyState {
+// rosters (all the same one for a serial run) and wires the ping ring.
+func buildParModel(spec parModelSpec, envFor func(g int) *simtest.Env, partOf func(g int) int) []*copyState {
 	states := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
-		states[g] = buildCopy(kfor(g), g, spec.capacity, spec.plans[g])
+		states[g] = buildCopy(envFor(g), g, spec.capacity, spec.plans[g])
 	}
 	for g := 0; g < spec.copies; g++ {
 		dst := (g + 1) % spec.copies
-		kfor(g).SpawnActivity(fmt.Sprintf("g%d/ping", g), &pinger{
+		envFor(g).Spawn(fmt.Sprintf("g%d/ping", g), &pinger{
 			dst: states[dst], dstPart: partOf(dst), waits: spec.pings[g],
 		})
 	}
@@ -177,7 +181,7 @@ type parRunResult struct {
 	grants []int64
 	got    []int
 	pings  []int
-	now    Time
+	now    sim.Time
 	seq    uint64
 }
 
@@ -190,34 +194,49 @@ func (res *parRunResult) collect(states []*copyState) {
 }
 
 func runParModelSerial(spec parModelSpec) (parRunResult, error) {
-	k := NewKernel()
+	k := sim.NewKernel()
+	env := simtest.New(k)
 	rec := &recTracer{}
-	k.Tracer = rec
-	states := buildParModel(spec, func(int) *Kernel { return k }, func(int) int { return 0 })
-	now, err := k.RunUntilIdle()
-	res := parRunResult{traces: [][]traceEvent{rec.events}, now: now, seq: k.seq}
+	env.Tracer = rec
+	states := buildParModel(spec, func(int) *simtest.Env { return env }, func(int) int { return 0 })
+	now, err := env.RunUntilIdle()
+	res := parRunResult{traces: [][]traceEvent{rec.events}, now: now, seq: sim.KernelSeq(k)}
 	res.collect(states)
 	return res, err
 }
 
 func runParModelPartitioned(spec parModelSpec, parts, workers int, assign func(g int) int) (parRunResult, error) {
-	pk := NewParKernel(parts, workers, 1)
+	pk := sim.NewParKernel(parts, workers, 1)
+	envs := shardEnvs(pk)
 	recs := make([]*recTracer, parts)
 	for i := 0; i < parts; i++ {
 		recs[i] = &recTracer{}
-		pk.Part(i).Tracer = recs[i]
+		envs[i].Tracer = recs[i]
 	}
-	states := buildParModel(spec, func(g int) *Kernel { return pk.Part(assign(g)) }, assign)
+	states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] }, assign)
 	now, err := pk.RunUntilIdle()
+	for _, env := range envs {
+		env.Finish()
+	}
 	// Shards draw setup and between-window seqs from the shared counter
 	// (including the single-partition case, which bypasses the window
-	// machinery entirely), so pk.seq is the run's final schedule counter.
-	res := parRunResult{now: now, seq: pk.seq}
+	// machinery entirely), so the ParKernel's counter is the run's final
+	// schedule counter.
+	res := parRunResult{now: now, seq: sim.ParKernelSeq(pk)}
 	for _, r := range recs {
 		res.traces = append(res.traces, r.events)
 	}
 	res.collect(states)
 	return res, err
+}
+
+// shardEnvs gives each shard of pk an activity roster.
+func shardEnvs(pk *sim.ParKernel) []*simtest.Env {
+	envs := make([]*simtest.Env, pk.Parts())
+	for i := range envs {
+		envs[i] = simtest.New(pk.Part(i))
+	}
+	return envs
 }
 
 // copyOfTrack extracts the copy index from a "g<N>/..." track name.
@@ -352,9 +371,10 @@ func TestParKernelAdvanceIncremental(t *testing.T) {
 	spec := makeParModel(11, 6, 3, 5, 8)
 	assign := func(g int) int { return g % 3 }
 
-	run := func(steps []Time) (int, Time) {
-		pk := NewParKernel(3, 3, 1)
-		states := buildParModel(spec, func(g int) *Kernel { return pk.Part(assign(g)) }, assign)
+	run := func(steps []sim.Time) (int, sim.Time) {
+		pk := sim.NewParKernel(3, 3, 1)
+		envs := shardEnvs(pk)
+		states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] }, assign)
 		for _, until := range steps {
 			if err := pk.Advance(until); err != nil {
 				t.Fatal(err)
@@ -371,12 +391,12 @@ func TestParKernelAdvanceIncremental(t *testing.T) {
 		return total, pk.Now()
 	}
 
-	var chunks []Time
-	for u := Time(4); u <= 60; u += 4 {
+	var chunks []sim.Time
+	for u := sim.Time(4); u <= 60; u += 4 {
 		chunks = append(chunks, u)
 	}
 	gotPings, gotNow := run(chunks)
-	wantPings, wantNow := run([]Time{60})
+	wantPings, wantNow := run([]sim.Time{60})
 	if gotPings != wantPings || gotNow != wantNow {
 		t.Fatalf("incremental Advance: %d pings at %g, one-shot: %d pings at %g",
 			gotPings, gotNow, wantPings, wantNow)
@@ -388,23 +408,24 @@ func TestParKernelAdvanceIncremental(t *testing.T) {
 // still matches the serial kernel exactly.
 func TestParKernelInfiniteLookahead(t *testing.T) {
 	spec := makeParModel(21, 6, 4, 6, 0)
-	spec.pings = make([][]Time, spec.copies) // no cross traffic at all
+	spec.pings = make([][]sim.Time, spec.copies) // no cross traffic at all
 
-	sk := NewKernel()
+	senv := simtest.New(sim.NewKernel())
 	serialStates := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
-		serialStates[g] = buildCopy(sk, g, spec.capacity, spec.plans[g])
+		serialStates[g] = buildCopy(senv, g, spec.capacity, spec.plans[g])
 	}
-	wantNow, err := sk.RunUntilIdle()
+	wantNow, err := senv.RunUntilIdle()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pk := NewParKernel(4, 4, math.Inf(1))
+	pk := sim.NewParKernel(4, 4, math.Inf(1))
+	envs := shardEnvs(pk)
 	assign := func(g int) int { return g % 4 }
 	states := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
-		states[g] = buildCopy(pk.Part(assign(g)), g, spec.capacity, spec.plans[g])
+		states[g] = buildCopy(envs[assign(g)], g, spec.capacity, spec.plans[g])
 	}
 	gotNow, err := pk.RunUntilIdle()
 	if err != nil {
@@ -424,7 +445,7 @@ func TestParKernelInfiniteLookahead(t *testing.T) {
 // declared lookahead is a model bug; it surfaces as the run's error, not
 // a crash, and names both partitions.
 func TestParKernelSendLookaheadViolation(t *testing.T) {
-	pk := NewParKernel(2, 2, 5)
+	pk := sim.NewParKernel(2, 2, 5)
 	k1 := pk.Part(1)
 	k1.Schedule(1, func() {
 		k1.Send(0, 2, func(any) {}, nil) // delay 2 < lookahead 5
@@ -441,13 +462,13 @@ func TestParKernelSendLookaheadViolation(t *testing.T) {
 // that lands before now + lookahead is the run's error.
 func TestParKernelSendAt(t *testing.T) {
 	const from, at = 0.2, 0.9 // 0.2 + (0.9-0.2) != 0.9 in float64
-	if f, a := Time(from), Time(at); f+(a-f) == a {
+	if f, a := sim.Time(from), sim.Time(at); f+(a-f) == a {
 		t.Fatal("the times no longer round apart")
 	}
-	for _, pk := range []*ParKernel{NewParKernel(1, 1, 0), NewParKernel(2, 2, 0.5)} {
+	for _, pk := range []*sim.ParKernel{sim.NewParKernel(1, 1, 0), sim.NewParKernel(2, 2, 0.5)} {
 		// One slot per destination, each written only on its own shard.
-		var got [2]Time
-		land := func(k *Kernel, slot *Time) func(any) {
+		var got [2]sim.Time
+		land := func(k *sim.Kernel, slot *sim.Time) func(any) {
 			return func(any) { *slot = k.Now() }
 		}
 		k0, kn := pk.Part(0), pk.Part(pk.Parts()-1)
@@ -462,7 +483,7 @@ func TestParKernelSendAt(t *testing.T) {
 			t.Errorf("%d shards: landed at %v, want %v twice", pk.Parts(), got, at)
 		}
 	}
-	pk := NewParKernel(2, 2, 5)
+	pk := sim.NewParKernel(2, 2, 5)
 	k1 := pk.Part(1)
 	k1.Schedule(1, func() { k1.SendAt(0, 5.5, func(any) {}, nil) }) // 4.5 < lookahead 5
 	if _, err := pk.RunUntilIdle(); err == nil || !strings.Contains(err.Error(), "undercuts the declared lookahead") {
@@ -470,22 +491,28 @@ func TestParKernelSendAt(t *testing.T) {
 	}
 }
 
-// TestParKernelDeadlockParity: a starved activity on one shard reports
-// ErrDeadlock exactly as the serial kernel does.
+// TestParKernelDeadlockParity: a starved activity on one shard is
+// reported as a deadlock exactly as on the serial kernel.
 func TestParKernelDeadlockParity(t *testing.T) {
-	build := func(k *Kernel) {
-		s := NewStore[int](k, "empty")
-		k.SpawnActivity("starved", run(get(s, nil)))
+	build := func(env *simtest.Env) {
+		s := simtest.NewStore[int](env.K)
+		env.Spawn("starved", run(get(s, nil)))
 	}
-	sk := NewKernel()
-	build(sk)
-	if _, err := sk.RunUntilIdle(); !errors.Is(err, ErrDeadlock) {
+	senv := simtest.New(sim.NewKernel())
+	build(senv)
+	if _, err := senv.RunUntilIdle(); !errors.Is(err, simtest.ErrDeadlock) {
 		t.Fatalf("serial err = %v, want ErrDeadlock", err)
 	}
-	pk := NewParKernel(3, 2, 1)
-	build(pk.Part(1))
-	if _, err := pk.RunUntilIdle(); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("partitioned err = %v, want ErrDeadlock", err)
+	pk := sim.NewParKernel(3, 2, 1)
+	envs := shardEnvs(pk)
+	build(envs[1])
+	if _, err := pk.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for i, env := range envs {
+		if err := env.Deadlock(); (i == 1) != errors.Is(err, simtest.ErrDeadlock) {
+			t.Fatalf("shard %d: err = %v, want ErrDeadlock on shard 1 only", i, err)
+		}
 	}
 }
 
@@ -493,7 +520,7 @@ func TestParKernelDeadlockParity(t *testing.T) {
 // single-threaded (model setup, between Advance windows) deliver
 // directly with exact sequence numbers.
 func TestParKernelSetupSend(t *testing.T) {
-	pk := NewParKernel(2, 2, 1)
+	pk := sim.NewParKernel(2, 2, 1)
 	var got []string
 	pk.Part(0).Send(1, 3, func(arg any) { got = append(got, arg.(string)) }, "setup")
 	if err := pk.Advance(10); err != nil {

@@ -1,14 +1,16 @@
-package sim
+package sim_test
 
-// Property-based tests of kernel invariants under randomized workloads:
-// resource conservation, store conservation, clock monotonicity, FIFO
-// grant order, and work conservation.
+// Property-based tests of invariants under randomized activity workloads
+// (internal/sim/simtest): resource conservation, store conservation,
+// clock monotonicity, FIFO grant order, and work conservation.
 
 import (
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // TestResourceConservationProperty: for any random mix of jobs, a resource
@@ -19,27 +21,28 @@ func TestResourceConservationProperty(t *testing.T) {
 		capacity := 1 + int(capRaw%8)
 		jobs := 1 + int(jobsRaw%40)
 		st := rng.New(seed)
-		k := NewKernel()
-		r := NewResource(k, "res", capacity, FIFO)
+		k := sim.NewKernel()
+		env := simtest.New(k)
+		r := simtest.NewResource(k, capacity)
 		violations := 0
 		releases := 0
 		for j := 0; j < jobs; j++ {
 			n := 1 + st.Intn(capacity)
 			delay := st.Exp(5)
 			hold := st.Exp(3)
-			k.SpawnActivityAt(delay, "job", run(
-				acquire(r, n, 0),
-				do(func(*ActCtx) {
-					if r.InUse() > r.Capacity() || r.InUse() < 0 {
+			env.SpawnAt(delay, "job", run(
+				acquire(r, n),
+				do(func(*simtest.ActCtx) {
+					if r.InUse() > capacity || r.InUse() < 0 {
 						violations++
 					}
 				}),
 				wait(hold),
 				release(r, n),
-				do(func(*ActCtx) { releases++ }),
+				do(func(*simtest.ActCtx) { releases++ }),
 			))
 		}
-		if _, err := k.RunUntilIdle(); err != nil {
+		if _, err := env.RunUntilIdle(); err != nil {
 			return false
 		}
 		return violations == 0 && releases == jobs && r.InUse() == 0
@@ -56,17 +59,18 @@ func TestStoreConservationProperty(t *testing.T) {
 		nPuts := 1 + int(putsRaw%50)
 		nGets := 1 + int(getsRaw%50)
 		st := rng.New(seed)
-		k := NewKernel()
-		s := NewStore[int](k, "box")
+		k := sim.NewKernel()
+		env := simtest.New(k)
+		s := simtest.NewStore[int](k)
 		got := 0
 		for i := 0; i < nPuts; i++ {
-			k.SpawnActivityAt(st.Exp(3), "put", run(put(s, i)))
+			env.SpawnAt(st.Exp(3), "put", run(put(s, i)))
 		}
 		for i := 0; i < nGets; i++ {
-			k.SpawnActivityAt(st.Exp(3), "get", run(get(s, func(*ActCtx, int) { got++ })))
+			env.SpawnAt(st.Exp(3), "get", run(get(s, func(*simtest.ActCtx, int) { got++ })))
 		}
 		// Run bounded: excess getters stay registered and are finished.
-		if err := k.Run(1e7); err != nil {
+		if err := env.Run(1e7); err != nil {
 			return false
 		}
 		expectedGot := nGets
@@ -82,16 +86,17 @@ func TestStoreConservationProperty(t *testing.T) {
 }
 
 // TestClockMonotonicityProperty: an activity observes non-decreasing time
-// across arbitrary waits, resource holds and yields.
+// across arbitrary waits, resource holds and yields (zero waits).
 func TestClockMonotonicityProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		st := rng.New(seed)
-		k := NewKernel()
-		r := NewResource(k, "res", 2, FIFO)
+		k := sim.NewKernel()
+		env := simtest.New(k)
+		r := simtest.NewResource(k, 2)
 		ok := true
 		for i := 0; i < 10; i++ {
-			last := Time(0)
-			check := do(func(a *ActCtx) {
+			last := sim.Time(0)
+			check := do(func(a *simtest.ActCtx) {
 				if a.Now() < last {
 					ok = false
 				}
@@ -105,13 +110,13 @@ func TestClockMonotonicityProperty(t *testing.T) {
 				case 1:
 					stages = append(stages, hold(r, st.Exp(1))...)
 				case 2:
-					stages = append(stages, once(func(a *ActCtx) bool { a.Yield(); return false }))
+					stages = append(stages, once(func(a *simtest.ActCtx) bool { a.Wait(0); return false }))
 				}
 				stages = append(stages, check)
 			}
-			k.SpawnActivity("p", run(stages...))
+			env.Spawn("p", run(stages...))
 		}
-		if _, err := k.RunUntilIdle(); err != nil {
+		if _, err := env.RunUntilIdle(); err != nil {
 			return false
 		}
 		return ok
@@ -127,19 +132,20 @@ func TestFIFOOrderProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64, jobsRaw uint8) bool {
 		jobs := 2 + int(jobsRaw%30)
 		st := rng.New(seed)
-		k := NewKernel()
-		r := NewResource(k, "res", 1, FIFO)
-		var grants []Time // arrival times, in grant order
+		k := sim.NewKernel()
+		env := simtest.New(k)
+		r := simtest.NewResource(k, 1)
+		var grants []sim.Time // arrival times, in grant order
 		for j := 0; j < jobs; j++ {
 			at := st.Exp(1)
-			k.SpawnActivityAt(at, "job", run(
-				acquire(r, 1, 0),
-				do(func(*ActCtx) { grants = append(grants, at) }),
+			env.SpawnAt(at, "job", run(
+				acquire(r, 1),
+				do(func(*simtest.ActCtx) { grants = append(grants, at) }),
 				wait(st.Exp(4)),
 				release(r, 1),
 			))
 		}
-		if _, err := k.RunUntilIdle(); err != nil {
+		if _, err := env.RunUntilIdle(); err != nil {
 			return false
 		}
 		for i := 1; i < len(grants); i++ {
@@ -160,17 +166,18 @@ func TestFIFOOrderProperty(t *testing.T) {
 func TestWorkConservationProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		st := rng.New(seed)
-		k := NewKernel()
-		r := NewResource(k, "res", 1, FIFO)
+		k := sim.NewKernel()
+		env := simtest.New(k)
+		r := simtest.NewResource(k, 1)
 		// Offer 2x the horizon in service demand, all arriving at t=0.
 		const horizon = 1000.0
 		demand := 0.0
 		for demand < 2*horizon {
 			d := st.Exp(20)
 			demand += d
-			k.SpawnActivity("job", run(hold(r, d)...))
+			env.Spawn("job", run(hold(r, d)...))
 		}
-		if err := k.Run(horizon); err != nil {
+		if err := env.Run(horizon); err != nil {
 			return false
 		}
 		util := r.Utilization(horizon)

@@ -284,16 +284,16 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	}
 }
 
-// TestKernelCycleWaitsRideTheWheel: a kernel whose activities wait whole
-// cycles a few at a time keeps every pending event on the cycle wheel:
-// the heap and the lanes stay empty.
+// TestKernelCycleWaitsRideTheWheel: a kernel whose callbacks re-arm
+// themselves whole cycles a few at a time keeps every pending event on
+// the cycle wheel: the heap and the lanes stay empty.
 func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 	k := NewKernel()
+	var rearm func(any)
+	rearm = func(d any) { k.ScheduleArg(d.(Time), rearm, d) }
 	for i := 0; i < 50; i++ {
-		d := Time(1 + i%9)
-		k.SpawnActivity(fmt.Sprintf("w%d", i), ActivityFunc(func(a *ActCtx) { a.Wait(d) }))
+		k.ScheduleArg(0, rearm, Time(1+i%9))
 	}
-	defer func() { _ = k.Run(k.Now()) }()
 	for _, until := range []Time{0, 3, 40, 41, 500, 502} {
 		if err := k.Advance(until); err != nil {
 			t.Fatal(err)

@@ -19,8 +19,16 @@ type Event struct {
 	State string
 }
 
-// Recorder collects events; it implements sim.Tracer so it can be attached
-// directly to a kernel, and models may also record custom tracks manually.
+// Tracer receives a model's timeline state changes. The models call it on
+// the goroutine driving the run.
+type Tracer interface {
+	// ProcState is called when track name enters the given informal state
+	// ("start", "wait", "run", "done") at simulated time t.
+	ProcState(t sim.Time, name string, state string)
+}
+
+// Recorder collects events; it implements Tracer so a model can report to
+// it directly, and models may also record custom tracks manually.
 type Recorder struct {
 	events []Event
 	// Filter, when non-nil, drops events whose track name it rejects.
@@ -30,7 +38,7 @@ type Recorder struct {
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// ProcState implements sim.Tracer.
+// ProcState implements Tracer.
 func (r *Recorder) ProcState(t sim.Time, name, state string) {
 	r.Record(t, name, state)
 }

@@ -5,34 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
-
-func TestRecorderCollectsKernelEvents(t *testing.T) {
-	k := sim.NewKernel()
-	rec := NewRecorder()
-	k.Tracer = rec
-	waits := 0
-	k.SpawnActivity("worker", sim.ActivityFunc(func(a *sim.ActCtx) {
-		if waits == 2 {
-			a.Exit()
-			return
-		}
-		waits++
-		a.Wait(5)
-	}))
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("no events recorded")
-	}
-	tracks := rec.Tracks()
-	if len(tracks) != 1 || tracks[0] != "worker" {
-		t.Errorf("tracks = %v", tracks)
-	}
-}
 
 func TestStateDurations(t *testing.T) {
 	rec := NewRecorder()
