@@ -108,13 +108,16 @@ func simParcel1K(b *testing.B, workers int) {
 func SimParcel1K(b *testing.B) { simParcel1K(b, 1) }
 
 // SimParcelPar is the parallel side of the sim-kernel pair: the identical
-// workload partitioned across GOMAXPROCS shards (floored at 2, so the
-// windowed kernel is exercised even on one core) with the 500-cycle
-// one-way latency as the conservative lookahead. A test-system hop is a
-// single event, and most hops send across shards, so the windows and the
-// barrier's serial renumbering are a large share of the partitioned run:
-// on a 2-vCPU host it reads slower than the serial one (about 0.8-0.9x).
-// The ratio is the speedup the shards win over that overhead.
+// workload at RunParallel GOMAXPROCS, floored at 2. From 2 on parcelsys
+// runs its two systems side by side, the control on ⌊RunParallel/2⌋
+// workers and the test on ⌈RunParallel/2⌉, and shards a system's nodes
+// over its workers with the 500-cycle one-way latency as the
+// conservative lookahead, so at 2 each system runs on one shard and the
+// run takes about as long as its test system, ~90% of the serial run,
+// on a 2-vCPU host. At 4 and more each system is sharded; a test-system
+// hop is a single event and most hops send across shards, so the
+// windows and the barrier's serial renumbering are a large share of a
+// sharded run.
 func SimParcelPar(b *testing.B) {
 	w := runtime.GOMAXPROCS(0)
 	if w < 2 {

@@ -2,7 +2,8 @@ package isa
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/gang"
 )
 
 // This file is the conservative time-windowed parallel executor — the
@@ -37,8 +38,6 @@ type parWorker struct {
 	// (sent, src) order; sends the partition launches during a window are
 	// appended behind it and pulled out at the barrier.
 	queue []flight
-	// start receives [wstart, wend] for the next window.
-	start chan [2]int64
 
 	// Per-window results, read by the coordinator after the barrier.
 	lastIssue int64
@@ -120,7 +119,6 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 				Output:       m.Output,
 			},
 			nodes: nodes,
-			start: make(chan [2]int64, 1),
 		}
 	}
 	// Route the pre-existing flight queue (already in canonical order) to
@@ -143,23 +141,11 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 		insertionSortFlights(m.inFlight)
 	}
 
-	// One persistent goroutine per worker for the whole run: a window is
-	// two channel operations, not a spawn — runs with hundreds of
-	// barriers stay cheap.
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		go func(w *parWorker) {
-			for win := range w.start {
-				w.runWindow(win[0], win[1])
-				wg.Done()
-			}
-		}(w)
-	}
-	defer func() {
-		for _, w := range workers {
-			close(w.start)
-		}
-	}()
+	// One gang for the whole run: the coordinator drains partition 0's
+	// window itself and a window costs one barrier round, not a spawn.
+	var wstart, wend int64
+	g := gang.New(len(workers), func(i int) { workers[i].runWindow(wstart, wend) })
+	defer g.Close()
 
 	var scratch []flight
 	for {
@@ -192,16 +178,12 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 			gather()
 			return m.cycle, m.limitErr(lim)
 		}
-		wstart := m.cycle + 1
-		wend := wstart + window - 1
+		wstart = m.cycle + 1
+		wend = wstart + window - 1
 		if lim := m.limit(); lim > 0 && wend > lim {
 			wend = lim
 		}
-		wg.Add(len(workers))
-		for _, w := range workers {
-			w.start <- [2]int64{wstart, wend}
-		}
-		wg.Wait()
+		g.Run()
 
 		// Reduce per-worker faults to the serial winner: first in
 		// (cycle, node) order, as the ascending node-major loop reports.

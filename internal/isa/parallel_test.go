@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/network"
+	"repro/internal/testutil"
 )
 
 // This file is the determinism suite for the conservative time-windowed
@@ -557,6 +559,46 @@ loop:
 					t.Fatalf("%s: issue order diverges from the reference", mode.name)
 				}
 			}
+		})
+	}
+}
+
+// TestParallelLeavesNoGoroutines: every way out of a parallel run — the
+// machine finishing, a fault, Cancel and the MaxCycles limit — closes
+// the window barrier's helpers, so the goroutine count returns to where
+// it was.
+func TestParallelLeavesNoGoroutines(t *testing.T) {
+	const faultSrc = "main:\n lui r1, 255\n ld r2, r1, 0\n halt"
+	cases := []struct {
+		name    string
+		build   func(t *testing.T) *Machine
+		wantErr bool
+	}{
+		{"finish", func(t *testing.T) *Machine { return parallelPrograms(t)["gups"](t) }, false},
+		{"fault", func(t *testing.T) *Machine { return mustMachine(t, faultSrc, 4) }, true},
+		{"cancel", func(t *testing.T) *Machine {
+			m := mustMachine(t, spinSrc, 4)
+			m.Cancel = cancelAfter(10)
+			return m
+		}, true},
+		{"max-cycles", func(t *testing.T) *Machine {
+			m := mustMachine(t, spinSrc, 4)
+			m.MaxCycles = 5000
+			return m
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.build(t)
+			m.Parallelism = 3
+			if m.MaxCycles == 0 {
+				m.MaxCycles = 5_000_000
+			}
+			base := runtime.NumGoroutine()
+			if _, err := m.Run(); (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want an error: %t", err, c.wantErr)
+			}
+			testutil.WaitGoroutines(t, base, "after the run")
 		})
 	}
 }

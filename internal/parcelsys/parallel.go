@@ -1,7 +1,9 @@
 package parcelsys
 
-// The drivers of both systems. The nodes are sharded contiguously over a
-// sim.ParKernel of max(1, min(RunParallel, Nodes)) shards, and every
+// The drivers of both systems. A system's nodes are sharded contiguously
+// over a sim.ParKernel of max(1, min(RunParallel, Nodes)) shards, where
+// RunParallel is the system's own share of the run's workers (see
+// runWith), and every
 // cross-node interaction is a Send landing at least the conservative
 // lookahead, the minimum one-way latency, after it is made. One shard is
 // the plain serial kernel. Two choices make the model partitionable, and
@@ -55,7 +57,7 @@ func (p Params) partition() (parts int, lookahead float64, err error) {
 		}
 	}
 	if !(lookahead > 0) {
-		return 0, 0, fmt.Errorf("parcelsys: RunParallel = %d needs a positive minimum one-way latency (the lookahead), got %g", p.RunParallel, lookahead)
+		return 0, 0, fmt.Errorf("parcelsys: %d shards need a positive minimum one-way latency (the lookahead), got %g", parts, lookahead)
 	}
 	return parts, lookahead, nil
 }
@@ -78,9 +80,9 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 	if err != nil {
 		return SystemResult{}, err
 	}
-	rs.nodes = slab(rs.nodes, p.Nodes)
+	rs.testStats = slab(rs.testStats, p.Nodes)
 	rs.testNodes = slab(rs.testNodes, p.Nodes)
-	nodes, tns := rs.nodes, rs.testNodes
+	nodes, tns := rs.testStats, rs.testNodes
 	for i := range tns {
 		part := i * pk.Parts() / p.Nodes
 		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
@@ -309,9 +311,9 @@ func runControlPar(p Params, rs *runState) (SystemResult, error) {
 	if err != nil {
 		return SystemResult{}, err
 	}
-	rs.nodes = slab(rs.nodes, p.Nodes)
+	rs.ctrlStats = slab(rs.ctrlStats, p.Nodes)
 	rs.ctrlNodes = slab(rs.ctrlNodes, p.Nodes)
-	nodes, cns := rs.nodes, rs.ctrlNodes
+	nodes, cns := rs.ctrlStats, rs.ctrlNodes
 	for i := range cns {
 		part := i * pk.Parts() / p.Nodes
 		cns[i] = ctrlNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: cns}

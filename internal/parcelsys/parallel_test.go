@@ -2,10 +2,13 @@ package parcelsys
 
 // The driver's contract: Params.RunParallel gives results that are
 // exactly identical — every op count, idle fraction, and queue mean, bit
-// for bit — for every value, because the model's trajectory does not
-// depend on the partition assignment and sim.ParKernel reproduces the
-// single-shard trajectory byte-identically for every shard count.
-// RunParallel 0 and 1 are both the single shard.
+// for bit — for every value, because the two systems share no state (so
+// running them side by side changes nothing), the model's trajectory
+// does not depend on the partition assignment, and sim.ParKernel
+// reproduces the single-shard trajectory byte-identically for every
+// shard count. RunParallel 0 and 1 run the systems one after the other
+// on one shard; 2 runs them side by side on one shard each; 3 shards the
+// test system over two kernels, and 4 both systems.
 
 import (
 	"math"
@@ -78,8 +81,9 @@ func TestRunParallelInvariance(t *testing.T) {
 		if want.Control.Ops == 0 || want.Test.Ops == 0 {
 			t.Fatalf("point %d: degenerate run %+v", n, want)
 		}
-		// Nodes+4 exercises the shard clamp: still Nodes shards.
-		for _, rp := range []int{1, 2, 3, p.Nodes + 4} {
+		// 2·Nodes+4 exercises the shard clamp: each system gets more
+		// than Nodes workers and still runs Nodes shards.
+		for _, rp := range []int{1, 2, 3, 4, 2*p.Nodes + 4} {
 			q := p
 			q.RunParallel = rp
 			got, err := Run(q)
@@ -155,19 +159,33 @@ func TestRunParallelBankHotspotSaturated(t *testing.T) {
 }
 
 // TestRunParallelNeedsPositiveLatency: partitioning is conservative PDES,
-// so a zero minimum latency (zero lookahead) must be rejected — except
-// when only one shard results and no lookahead is needed.
+// so a zero minimum latency (zero lookahead) must be rejected whenever a
+// system runs on two shards or more: from RunParallel 3, which gives the
+// test system two workers, and at 4, two shards per system. Below that
+// every system runs on one shard and needs no lookahead, and at 2, the
+// systems side by side, the results are those of the serial run.
 func TestRunParallelNeedsPositiveLatency(t *testing.T) {
 	p := parParams()
 	p.Latency = 0
-	p.RunParallel = 2
-	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "lookahead") {
-		t.Fatalf("zero latency with 2 shards: err = %v, want lookahead error", err)
-	}
-	for _, rp := range []int{0, 1} {
+	for _, rp := range []int{3, 4} {
 		p.RunParallel = rp
-		if _, err := Run(p); err != nil {
-			t.Fatalf("zero latency on a single shard (RunParallel=%d) should run: %v", rp, err)
+		if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "lookahead") {
+			t.Fatalf("zero latency at RunParallel %d: err = %v, want lookahead error", rp, err)
+		}
+	}
+	p.RunParallel = 0
+	want, err := Run(p)
+	if err != nil {
+		t.Fatalf("zero latency on a single shard should run: %v", err)
+	}
+	for _, rp := range []int{1, 2} {
+		p.RunParallel = rp
+		got, err := Run(p)
+		if err != nil {
+			t.Fatalf("zero latency at RunParallel %d (one shard per system) should run: %v", rp, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("zero latency at RunParallel %d diverged from 0:\n got  %+v\n want %+v", rp, got, want)
 		}
 	}
 }
@@ -193,8 +211,23 @@ func TestRunParallelReplicate(t *testing.T) {
 // event queues' wheels and lanes, and the result slices. Neither system
 // has resources, signals, stores or activity contexts left.
 func TestReplicateAllocsPinned(t *testing.T) {
-	const pinned = 80
+	checkReusedSlabAllocs(t, parParams(), 80)
+}
+
+// TestReplicateAllocsPinnedSideBySide pins the same path at RunParallel
+// 2, the systems side by side: the serial run's allocations plus five
+// for the control's goroutine — the goroutine, its closure, the results
+// it shares with the caller and the channel that joins it.
+func TestReplicateAllocsPinnedSideBySide(t *testing.T) {
 	p := parParams()
+	p.RunParallel = 2
+	checkReusedSlabAllocs(t, p, 85)
+}
+
+// checkReusedSlabAllocs fails unless one run of p on a warmed runState
+// allocates at most pinned objects.
+func checkReusedSlabAllocs(t *testing.T, p Params, pinned int) {
+	t.Helper()
 	var rs runState
 	if _, err := runWith(p, &rs); err != nil {
 		t.Fatal(err)
@@ -204,8 +237,8 @@ func TestReplicateAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs per reused-slab run: %g", allocs)
-	if allocs > pinned {
-		t.Errorf("reused-slab run allocates %g objects, pinned at %d", allocs, pinned)
+	t.Logf("allocs per reused-slab run at RunParallel %d: %g", p.RunParallel, allocs)
+	if allocs > float64(pinned) {
+		t.Errorf("reused-slab run at RunParallel %d allocates %g objects, pinned at %d", p.RunParallel, allocs, pinned)
 	}
 }

@@ -26,7 +26,8 @@
 //
 // Simulation. Both systems run on the sim kernel (the drivers are in
 // parallel.go), and in both the model keeps its own state in closed form:
-// the kernel only orders events.
+// the kernel only orders events. The systems share nothing, so from
+// RunParallel 2 on they run side by side on two goroutines.
 //
 // A control thread's events are its arrivals at memory banks. A node's
 // bank is a FIFO server with a fixed service time, and its CPU is a FIFO
@@ -107,14 +108,18 @@ type Params struct {
 	// parcels' remaining advantage (one-way migration vs round trips and
 	// hardware-assisted handling). 0 means 1.
 	ControlThreads int
-	// RunParallel is the worker count of one run: both systems run
-	// partitioned over min(RunParallel, Nodes) shard kernels
-	// (sim.ParKernel), at least one, so 0 and 1 both mean one shard.
-	// Results are identical for every value — parcels route with
-	// per-parcel streams and each memory bank is booked by its own
-	// node's shard, so the trajectory does not depend on the partition
-	// assignment. More than one shard requires a positive minimum one-way
-	// latency (it is the conservative lookahead).
+	// RunParallel is the worker count of one run. Below 2 the systems
+	// run one after the other, each on one shard kernel. From 2 on they
+	// run side by side, the control on ⌊RunParallel/2⌋ workers and the
+	// test on ⌈RunParallel/2⌉, and each system is partitioned over
+	// min(its workers, Nodes) shard kernels (sim.ParKernel), so sharding
+	// starts at RunParallel 3 for the test system and 4 for both.
+	// Results are identical for every value: the systems share no state,
+	// parcels route with per-parcel streams and each memory bank is
+	// booked by its own node's shard, so the trajectory does not depend
+	// on the partition assignment. More than one shard requires a
+	// positive minimum one-way latency (it is the conservative
+	// lookahead).
 	RunParallel int
 }
 
@@ -227,15 +232,18 @@ func Run(p Params) (Result, error) {
 	return runWith(p, &runState{})
 }
 
-// runState holds the per-run slabs — parcel structs with their embedded
-// RNG streams, per-node statistics, control nodes and threads, and test
-// nodes — that Replicate reuses across replications instead of
-// reallocating per run. All state is fully re-initialized by each run.
+// runState holds the per-run slabs — control nodes, threads and their
+// per-node statistics; parcel structs with their embedded RNG streams,
+// test nodes and theirs — that Replicate reuses across replications
+// instead of reallocating per run. Each system has slabs of its own, so
+// the two can run side by side (one after the other they share the
+// stats slab). All state is fully re-initialized by each run.
 type runState struct {
-	parcels   []workParcel
-	nodes     []nodeStats
+	ctrlStats []nodeStats
 	ctrlNodes []ctrlNode
 	threads   []ctrlThread
+	testStats []nodeStats
+	parcels   []workParcel
 	testNodes []testNode
 }
 
@@ -248,16 +256,27 @@ func slab[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runWith executes the paired experiment against reusable slabs.
+// runWith executes the paired experiment against reusable slabs: the
+// systems one after the other on one shard each below RunParallel 2,
+// else side by side.
 func runWith(p Params, st *runState) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	ctrl, err := runControlPar(p, st)
-	if err != nil {
-		return Result{}, err
+	var ctrl, test SystemResult
+	var err error
+	if p.RunParallel < 2 {
+		if ctrl, err = runControlPar(p, st); err == nil {
+			// One after the other, the systems can share one stats slab:
+			// gather has copied out what the control reports. The alias
+			// ends with the run, so a side-by-side run never sees it.
+			st.testStats = st.ctrlStats
+			test, err = runTestPar(p, st)
+			st.testStats = nil
+		}
+	} else {
+		ctrl, test, err = runSideBySide(p, st)
 	}
-	test, err := runTestPar(p, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -266,6 +285,35 @@ func runWith(p Params, st *runState) (Result, error) {
 		r.Ratio = float64(test.Ops) / float64(ctrl.Ops)
 	}
 	return r, nil
+}
+
+// runSideBySide runs the two systems concurrently, the control on a
+// goroutine of its own with ⌊RunParallel/2⌋ workers and the test on the
+// caller with the other ⌈RunParallel/2⌉. They share no mutable state, so
+// the results are those of the serial order. The control's error, the
+// one the serial order reports first, wins; a panic on the control's
+// goroutine is raised again on the caller.
+func runSideBySide(p Params, st *runState) (ctrl, test SystemResult, err error) {
+	c, t := p, p
+	c.RunParallel = p.RunParallel / 2
+	t.RunParallel = p.RunParallel - c.RunParallel
+	var cerr error
+	var cpanic any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { cpanic = recover() }()
+		ctrl, cerr = runControlPar(c, st)
+	}()
+	test, err = runTestPar(t, st)
+	<-done
+	if cpanic != nil {
+		panic(cpanic)
+	}
+	if cerr != nil {
+		return ctrl, test, cerr
+	}
+	return ctrl, test, err
 }
 
 // nodeStats accumulates per-node busy time and op counts, and in the

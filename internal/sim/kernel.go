@@ -32,7 +32,10 @@
 // assignment — parallelism is an execution strategy, never a semantic.
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Time is simulated time. The models in this repository measure time in HWP
 // clock cycles (the paper normalizes all times to heavyweight-processor
@@ -196,8 +199,27 @@ func (k *Kernel) scheduleArgAt(t Time, fn func(any), arg any) Timer {
 }
 
 // Stop requests that the current Run call return after the event that is
-// executing finishes. A stopped kernel dispatches nothing more.
+// executing finishes. The halt is for good: every later Run, Advance or
+// RunUntilIdle dispatches nothing, leaves Now() where the run stopped and
+// returns ErrStopped (or the run's first model error, which also stops
+// it).
 func (k *Kernel) Stop() { k.stopped = true }
+
+// ErrStopped is returned by a run call on a kernel that a Stop has
+// already halted.
+var ErrStopped = errors.New("sim: kernel already stopped")
+
+// haltErr is the error of a run call made after the kernel halted: its
+// first model error, else ErrStopped; nil while it can still run.
+func (k *Kernel) haltErr() error {
+	switch {
+	case !k.stopped:
+		return nil
+	case k.err != nil:
+		return k.err
+	}
+	return ErrStopped
+}
 
 // dispatch executes due events until nothing is due within the current
 // window (bound reached, queue empty, or the run stopped). Callbacks run
@@ -294,6 +316,9 @@ func (k *Kernel) drain(until Time, bounded bool) {
 // execute a simulation incrementally. Advance must be called from outside
 // the simulation — calling it from a scheduled callback panics.
 func (k *Kernel) Advance(until Time) error {
+	if err := k.haltErr(); err != nil {
+		return err
+	}
 	if until < k.now {
 		return fmt.Errorf("sim: Advance(%g) before now (%g)", until, k.now)
 	}
@@ -310,6 +335,9 @@ func (k *Kernel) Run(until Time) error { return k.Advance(until) }
 // RunUntilIdle advances the simulation until no events remain and returns
 // the final simulated time and the first model error, if any.
 func (k *Kernel) RunUntilIdle() (Time, error) {
+	if err := k.haltErr(); err != nil {
+		return k.now, err
+	}
 	k.drain(0, false)
 	return k.now, k.err
 }

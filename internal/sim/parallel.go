@@ -6,9 +6,10 @@ package sim
 // queues alias the partitions of one partitionedQueue. The coordinator
 // reads the queue's merge front for the global minimum W and opens the
 // window [W, W+L), where L is the model-declared lookahead: the minimum
-// cross-shard event delay. Persistent workers drain their shards up to
-// the horizon concurrently; cross-shard Sends buffer per shard and merge
-// at the barrier in canonical (t, seq) order.
+// cross-shard event delay. The workers — the coordinator itself and
+// persistent helpers, one gang (internal/gang) — drain their shards up
+// to the horizon concurrently; cross-shard Sends buffer per shard and
+// merge at the barrier in canonical (t, seq) order.
 //
 // What makes the trajectories byte-identical to the serial kernel — not
 // merely deterministic per worker count — is the barrier's replay
@@ -40,11 +41,16 @@ package sim
 // entirely and IS the serial kernel, which keeps the oracle honest: the
 // equivalence tests run the same model code both ways.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/gang"
+)
 
 // shardState is the per-shard half of a partitioned run, hung off
 // Kernel.par. During a window it is touched only by the worker driving
-// that shard; the coordinator touches it only between windows, with channel synchronization ordering the two.
+// that shard; the coordinator touches it only between windows, and the
+// window barrier (a gang, internal/gang) orders the two.
 type shardState struct {
 	pk  *ParKernel
 	idx int
@@ -195,10 +201,11 @@ type windowJob struct {
 }
 
 // ParKernel runs one simulation partitioned over P shard kernels on a
-// pool of persistent workers. Build the model across the shard kernels
-// (Part), communicate between partitions only via Send with delay >= the
-// declared lookahead, then drive the run with Run, Advance, or
-// RunUntilIdle from one goroutine.
+// gang of workers: the driving goroutine drains worker 0's shards itself
+// and persistent helpers drain the rest. Build the model across the
+// shard kernels (Part), communicate between partitions only via Send
+// with delay >= the declared lookahead, then drive the run with Run,
+// Advance, or RunUntilIdle from one goroutine.
 type ParKernel struct {
 	parts     []*Kernel
 	pq        *partitionedQueue
@@ -209,10 +216,9 @@ type ParKernel struct {
 	deliveries []delivery    // barrier scratch, reused across windows
 	curs       []mergeCursor // barrier scratch: per-shard log positions
 
-	work    []chan windowJob
-	done    chan struct{}
-	started bool
-	closed  bool
+	gang   *gang.Gang // the workers, started by the first window
+	job    windowJob  // the window the gang is draining
+	closed bool
 
 	err     error
 	stopped bool
@@ -289,45 +295,33 @@ func (pk *ParKernel) Now() Time {
 	return t
 }
 
-// startWorkers spins up the persistent pool on first use. Worker w owns
-// shards w, w+W, w+2W, ... and drains them in that order each window.
+// startWorkers starts the gang on first use.
 func (pk *ParKernel) startWorkers() {
 	if pk.closed {
 		panic("sim: ParKernel driven after Close")
 	}
-	if pk.started {
-		return
-	}
-	pk.started = true
-	pk.work = make([]chan windowJob, pk.workers)
-	pk.done = make(chan struct{}, pk.workers)
-	for w := range pk.work {
-		pk.work[w] = make(chan windowJob)
-		go func(w int) {
-			for job := range pk.work[w] {
-				for s := w; s < len(pk.parts); s += pk.workers {
-					k := pk.parts[s]
-					if !k.stopped {
-						k.windowDrain(job.h, job.strict)
-					}
-				}
-				pk.done <- struct{}{}
-			}
-		}(w)
+	if pk.gang == nil {
+		pk.gang = gang.New(pk.workers, pk.drainShards)
 	}
 }
 
-// Close stops the worker pool. Run and RunUntilIdle close on completion;
-// only Advance-style incremental driving needs an explicit Close.
-// Closing is idempotent.
-func (pk *ParKernel) Close() {
-	if !pk.started || pk.closed {
-		pk.closed = true
-		return
+// drainShards is worker w's share of a window: shards w, w+W, w+2W, …,
+// in that order.
+func (pk *ParKernel) drainShards(w int) {
+	for s := w; s < len(pk.parts); s += pk.workers {
+		if k := pk.parts[s]; !k.stopped {
+			k.windowDrain(pk.job.h, pk.job.strict)
+		}
 	}
+}
+
+// Close stops the workers and returns once they have exited. Run and
+// RunUntilIdle close on completion; only Advance-style incremental
+// driving needs an explicit Close. Closing is idempotent.
+func (pk *ParKernel) Close() {
 	pk.closed = true
-	for _, c := range pk.work {
-		close(c)
+	if pk.gang != nil {
+		pk.gang.Close()
 	}
 }
 
@@ -371,9 +365,9 @@ func (pk *ParKernel) runWindows(until Time, bounded bool) {
 		if bounded && w > until {
 			return
 		}
-		job := windowJob{h: w + pk.lookahead, strict: true}
-		if bounded && !(job.h <= until) {
-			job = windowJob{h: until, strict: false}
+		pk.job = windowJob{h: w + pk.lookahead, strict: true}
+		if bounded && !(pk.job.h <= until) {
+			pk.job = windowJob{h: until, strict: false}
 		}
 		base := pk.seq
 		for _, k := range pk.parts {
@@ -386,12 +380,7 @@ func (pk *ParKernel) runWindows(until Time, bounded bool) {
 			sh.outbox = sh.outbox[:0]
 			sh.assigned = sh.assigned[:0]
 		}
-		for _, c := range pk.work {
-			c <- job
-		}
-		for range pk.work {
-			<-pk.done
-		}
+		pk.gang.Run()
 		for _, k := range pk.parts {
 			k.par.window = false
 		}
@@ -460,12 +449,14 @@ func (pk *ParKernel) merge(base uint64) {
 }
 
 // Advance runs the partitioned simulation up to simulated time `until`;
-// every shard's Now() is `until` afterwards
-// (unless Stop was requested). The worker pool stays up for the next
-// call — Close it when done.
+// every shard's Now() is `until` afterwards (unless Stop was requested).
+// The workers stay up for the next call — Close the kernel when done.
 func (pk *ParKernel) Advance(until Time) error {
 	if len(pk.parts) == 1 {
 		return pk.parts[0].Advance(until)
+	}
+	if err := pk.haltErr(); err != nil {
+		return err
 	}
 	if until < pk.Now() {
 		return fmt.Errorf("sim: Advance(%g) before now (%g)", until, pk.Now())
@@ -493,10 +484,14 @@ func (pk *ParKernel) Run(until Time) error {
 
 // RunUntilIdle advances until no events remain anywhere, returning the
 // final simulated time (the latest shard time) and the first model error,
-// if any. The worker pool is stopped.
+// if any. The workers are stopped.
 func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	if len(pk.parts) == 1 {
 		return pk.parts[0].RunUntilIdle()
+	}
+	if err := pk.haltErr(); err != nil {
+		pk.Close()
+		return pk.Now(), err
 	}
 	pk.runWindows(0, false)
 	pk.collect()
@@ -508,12 +503,27 @@ func (pk *ParKernel) RunUntilIdle() (Time, error) {
 // effect at the enclosing window's barrier: the stopping shard halts
 // immediately, the others finish the window — so, unlike everything else
 // about the partitioned kernel, post-Stop side effects may differ from
-// the serial kernel's (which halts instantly).
+// the serial kernel's (which halts instantly). As on the serial kernel
+// the halt is for good: later Run, Advance and RunUntilIdle calls
+// dispatch nothing and return ErrStopped (or the run's first model
+// error).
 func (pk *ParKernel) Stop() {
 	pk.stopped = true
 	for _, k := range pk.parts {
 		k.stopped = true
 	}
+}
+
+// haltErr is the serial kernel's haltErr for the whole partitioned run.
+func (pk *ParKernel) haltErr() error {
+	pk.collect()
+	switch {
+	case !pk.stopped:
+		return nil
+	case pk.err != nil:
+		return pk.err
+	}
+	return ErrStopped
 }
 
 // Err returns the run's first recorded error.

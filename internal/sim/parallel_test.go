@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
+	"repro/internal/testutil"
 )
 
 // copyState is one replicated model copy: a resource contended by plan
@@ -534,4 +536,90 @@ func TestParKernelSetupSend(t *testing.T) {
 	if len(got) != 2 || got[0] != "setup" || got[1] != "between" {
 		t.Fatalf("deliveries = %v", got)
 	}
+}
+
+// tickShards schedules a self-rescheduling tick on every shard of pk,
+// one per time unit up to last, each also sending a ping to the next
+// shard, and returns the per-shard tick counts. When stopAt > 0, shard 1
+// stops its kernel at that time.
+func tickShards(pk *sim.ParKernel, last, stopAt sim.Time) []int {
+	ticks := make([]int, pk.Parts())
+	for i := 0; i < pk.Parts(); i++ {
+		k := pk.Part(i)
+		var tick func()
+		tick = func() {
+			ticks[i]++
+			if i == 1 && k.Now() == stopAt {
+				k.Stop()
+				return
+			}
+			k.Send((i+1)%pk.Parts(), pk.Lookahead(), func(any) {}, nil)
+			if k.Now() < last {
+				k.Schedule(1, tick)
+			}
+		}
+		k.Schedule(1, tick)
+	}
+	return ticks
+}
+
+// TestParKernelLeavesNoGoroutines: Run and RunUntilIdle stop the
+// workers on completion, and Close stops them after Advance, so the
+// goroutine count returns to where it was.
+func TestParKernelLeavesNoGoroutines(t *testing.T) {
+	drives := []struct {
+		name  string
+		drive func(pk *sim.ParKernel) error
+	}{
+		{"Run", func(pk *sim.ParKernel) error { return pk.Run(30) }},
+		{"RunUntilIdle", func(pk *sim.ParKernel) error {
+			_, err := pk.RunUntilIdle()
+			return err
+		}},
+		{"Advance+Close", func(pk *sim.ParKernel) error {
+			defer pk.Close()
+			if err := pk.Advance(10); err != nil {
+				return err
+			}
+			return pk.Advance(30)
+		}},
+	}
+	for _, d := range drives {
+		name, drive := d.name, d.drive
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			pk := sim.NewParKernel(3, 3, 1)
+			tickShards(pk, 20, 0)
+			if err := drive(pk); err != nil {
+				t.Fatal(err)
+			}
+			testutil.WaitGoroutines(t, base, name)
+		})
+	}
+}
+
+// TestParKernelStopIsFinal: a Stop from model code halts the run at the
+// window's barrier, and every later Advance or RunUntilIdle dispatches
+// nothing and returns ErrStopped.
+func TestParKernelStopIsFinal(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pk := sim.NewParKernel(3, 3, 1)
+	ticks := tickShards(pk, 100, 5)
+	if err := pk.Advance(50); err != nil {
+		t.Fatalf("the Advance that stops: %v", err)
+	}
+	now, before := pk.Now(), fmt.Sprint(ticks)
+	if now >= 50 {
+		t.Fatalf("Now = %g after a Stop at 5, want the stop's window", now)
+	}
+	if err := pk.Advance(80); !errors.Is(err, sim.ErrStopped) {
+		t.Fatalf("Advance after Stop: err = %v, want ErrStopped", err)
+	}
+	if _, err := pk.RunUntilIdle(); !errors.Is(err, sim.ErrStopped) {
+		t.Fatalf("RunUntilIdle after Stop: err = %v, want ErrStopped", err)
+	}
+	if pk.Now() != now || fmt.Sprint(ticks) != before {
+		t.Fatalf("a stopped kernel moved: Now %g -> %g, ticks %s -> %v", now, pk.Now(), before, ticks)
+	}
+	testutil.WaitGoroutines(t, base, "after RunUntilIdle on the stopped kernel")
 }

@@ -508,6 +508,49 @@ func TestStopEndsRun(t *testing.T) {
 	}
 }
 
+// TestStopIsFinal: after a Stop, every later Run, Advance or
+// RunUntilIdle dispatches nothing, leaves Now() where the run stopped and
+// returns ErrStopped; after a model panic, which also stops the kernel,
+// they return the panic's error.
+func TestStopIsFinal(t *testing.T) {
+	k := sim.NewKernel()
+	count := 0
+	var tick func()
+	tick = func() {
+		count++
+		if count == 5 {
+			k.Stop()
+		}
+		k.Schedule(1, tick)
+	}
+	k.Schedule(1, tick)
+	if err := k.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(2000); !errors.Is(err, sim.ErrStopped) {
+		t.Errorf("Run after Stop: err = %v, want ErrStopped", err)
+	}
+	if err := k.Advance(2000); !errors.Is(err, sim.ErrStopped) {
+		t.Errorf("Advance after Stop: err = %v, want ErrStopped", err)
+	}
+	if now, err := k.RunUntilIdle(); !errors.Is(err, sim.ErrStopped) || now != 5 {
+		t.Errorf("RunUntilIdle after Stop: (%g, %v), want (5, ErrStopped)", now, err)
+	}
+	if count != 5 || k.Now() != 5 {
+		t.Errorf("a stopped kernel moved: count %d, Now %g; want 5 and 5", count, k.Now())
+	}
+
+	k = sim.NewKernel()
+	k.Schedule(1, func() { panic("boom") })
+	first := k.Run(10)
+	if first == nil {
+		t.Fatal("a panicking callback returned no error")
+	}
+	if err := k.Run(20); err != first {
+		t.Errorf("Run after a model panic: err = %v, want the panic's %v", err, first)
+	}
+}
+
 func TestNegativeWaitPanics(t *testing.T) {
 	k := sim.NewKernel()
 	env := simtest.New(k)
