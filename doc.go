@@ -19,10 +19,8 @@
 // results are byte-identical to serial — with internal/dram row-buffer
 // timing and internal/network parcel topologies; on the simulation
 // backend the same RunParallel runs parcelsys's two systems side by
-// side from 2 on, the control on half the workers and the test on the
-// other half, rounded up, and shards each system's nodes over its own
-// workers from there, so every system is sharded from 4; both windowed
-// executors share one spin-then-park window barrier, internal/gang)
+// side from 2 on, one kernel each; the VM's windows use a
+// spin-then-park window barrier, internal/gang)
 // through a common interface, with
 // named presets and a cross-backend agreement validator; internal/core
 // registers one runnable experiment per table and figure (including the

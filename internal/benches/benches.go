@@ -103,21 +103,15 @@ func simParcel1K(b *testing.B, workers int) {
 }
 
 // SimParcel1K is the serial baseline of the sim-kernel pair: the
-// parcel-scale-1k workload on one shard (the plain serial kernel runs the
-// whole model).
+// parcel-scale-1k workload with its two systems one after the other, one
+// kernel each.
 func SimParcel1K(b *testing.B) { simParcel1K(b, 1) }
 
 // SimParcelPar is the parallel side of the sim-kernel pair: the identical
 // workload at RunParallel GOMAXPROCS, floored at 2. From 2 on parcelsys
-// runs its two systems side by side, the control on ⌊RunParallel/2⌋
-// workers and the test on ⌈RunParallel/2⌉, and shards a system's nodes
-// over its workers with the 500-cycle one-way latency as the
-// conservative lookahead, so at 2 each system runs on one shard and the
-// run takes about as long as its test system, ~90% of the serial run,
-// on a 2-vCPU host. At 4 and more each system is sharded; a test-system
-// hop is a single event and most hops send across shards, so the
-// windows and the barrier's serial renumbering are a large share of a
-// sharded run.
+// runs its two systems side by side, one kernel and one goroutine each,
+// so the run takes about as long as its test system, ~90% of the serial
+// run on a 2-vCPU host, whatever the worker count.
 func SimParcelPar(b *testing.B) {
 	w := runtime.GOMAXPROCS(0)
 	if w < 2 {

@@ -1,6 +1,6 @@
-// Package gang is the window barrier of the repository's two windowed
-// parallel executors, the VM's (isa) and the partitioned sim kernel's
-// (sim.ParKernel). A Gang runs a fixed set of members in lockstep
+// Package gang is the window barrier of the repository's windowed
+// parallel executor, the VM's (isa.Machine with Parallelism above 1). A
+// Gang runs a fixed set of members in lockstep
 // rounds: the goroutine that calls Run is member 0 and runs its share of
 // the round itself, and n−1 persistent helper goroutines run the rest.
 // Run returns once every member has finished the round, so whatever the

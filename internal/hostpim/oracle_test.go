@@ -4,8 +4,8 @@ package hostpim
 // Simulate's closed-form station loop replaced. Every station is a
 // run-to-completion activity (internal/sim/simtest) that acquires its own
 // capacity-1 processor and memory resource and waits out each piece's
-// service time; the LWP array runs partitioned over a sim.ParKernel, the
-// HWP phase and the control run each on a serial kernel. Busy times are
+// service time; the HWP phase, the LWP array and the control run each on
+// a kernel of their own. Busy times are
 // the resources' utilization areas and phase ends are kernel clocks, so
 // the oracle shares with stationSum only the draws and each chunk's
 // cycle counts. Simulate must match it bit for bit, traced timeline
@@ -127,10 +127,9 @@ func (s *segments) Step(a *simtest.ActCtx) {
 	a.Exit()
 }
 
-// oracleSimulate is Simulate on the kernel, the LWP array over parts
-// shards. tr is attached to the HWP kernel and, on one shard only, to the
-// LWP array.
-func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
+// oracleSimulate is Simulate on the kernel. opt.Tracer is attached to the
+// HWP phase and the LWP array.
+func oracleSimulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -162,39 +161,30 @@ func oracleSimulate(p Params, opt SimOptions, parts int) (Result, error) {
 	if p.Overlap {
 		start = 0
 	}
-	pk := sim.NewParKernel(parts, parts, math.Inf(1))
-	defer pk.Close()
-	envs := make([]*simtest.Env, parts)
-	for i := range envs {
-		envs[i] = simtest.New(pk.Part(i))
-	}
-	if parts == 1 {
-		envs[0].Tracer = opt.Tracer
-	}
-	if err := pk.Advance(start); err != nil {
+	lk := sim.NewKernel()
+	lenv := simtest.New(lk)
+	lenv.Tracer = opt.Tracer
+	if err := lk.Advance(start); err != nil {
 		return Result{}, err
 	}
 	lwpCPU := make([]*simtest.Resource, p.N)
 	lwpMem := make([]*simtest.Resource, p.N)
 	for i := range lwpCPU {
 		num := strconv.Itoa(i)
-		env := envs[i*parts/p.N]
-		lwpCPU[i] = simtest.NewResource(env.K, 1)
-		lwpMem[i] = simtest.NewResource(env.K, 1)
-		env.Spawn("lwp-"+num, &segments{
+		lwpCPU[i] = simtest.NewResource(lk, 1)
+		lwpMem[i] = simtest.NewResource(lk, 1)
+		lenv.Spawn("lwp-"+num, &segments{
 			seg: []stationWork{newStationWork(p, rng.NewWithStream(opt.Seed, 100+uint64(i)), false, 0,
 				wl/float64(p.N), chunk, lwpCPU[i], lwpMem[i])},
 			done: func(a *simtest.ActCtx) { res.NodeTimes[i] = a.Now() - start },
 		})
 	}
-	lwpEnd, err := pk.RunUntilIdle()
+	lwpEnd, err := lk.RunUntilIdle()
 	if err != nil {
 		return Result{}, err
 	}
-	for _, env := range envs {
-		if err := env.Deadlock(); err != nil {
-			return Result{}, err
-		}
+	if err := lenv.Deadlock(); err != nil {
+		return Result{}, err
 	}
 	res.TimeLWPPhase = lwpEnd - start
 	res.Total = math.Max(hwpEnd, lwpEnd)
@@ -278,8 +268,7 @@ func genPoint(st *rng.Stream) (Params, SimOptions) {
 }
 
 // TestSimulateMatchesKernelOracle holds Simulate to the kernel
-// formulation, every Result field bit for bit, over generated points, with
-// the oracle's LWP array on one shard and on several.
+// formulation, every Result field bit for bit, over generated points.
 func TestSimulateMatchesKernelOracle(t *testing.T) {
 	cases := 300
 	if testing.Short() {
@@ -292,15 +281,13 @@ func TestSimulateMatchesKernelOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d %+v: %v", c, p, err)
 		}
-		for _, parts := range []int{1, min(4, p.N)} {
-			want, err := oracleSimulate(p, opt, parts)
-			if err != nil {
-				t.Fatalf("case %d %+v: oracle: %v", c, p, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("case %d (%+v, %+v) parts %d: Simulate diverged from the kernel oracle:\n got  %+v\n want %+v",
-					c, p, opt, parts, got, want)
-			}
+		want, err := oracleSimulate(p, opt)
+		if err != nil {
+			t.Fatalf("case %d %+v: oracle: %v", c, p, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (%+v, %+v): Simulate diverged from the kernel oracle:\n got  %+v\n want %+v",
+				c, p, opt, got, want)
 		}
 	}
 }
@@ -328,7 +315,7 @@ func TestSimulateTraceMatchesKernelOracle(t *testing.T) {
 					if _, err := Simulate(p, SimOptions{Seed: seed, ChunkOps: chunk, Tracer: got}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := oracleSimulate(p, SimOptions{Seed: seed, ChunkOps: chunk, Tracer: want}, 1); err != nil {
+					if _, err := oracleSimulate(p, SimOptions{Seed: seed, ChunkOps: chunk, Tracer: want}); err != nil {
 						t.Fatal(err)
 					}
 					if len(got) != n+1 || len(want) != n+1 {

@@ -111,7 +111,7 @@ func (tm *TimedMachine) Inject(p *Parcel) error {
 // send launches parcel p to land at time t.
 func (tm *TimedMachine) send(t sim.Time, p *Parcel) {
 	tm.outstanding++
-	tm.k.SendAt(tm.k.Partition(), t, tm.arrive, p)
+	tm.k.ScheduleArgAt(t, tm.arrive, p)
 }
 
 // fail records err, which happened at time t; of several errors the

@@ -31,6 +31,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
 
@@ -94,7 +95,7 @@ func (t *actThread) Step(a *simtest.ActCtx) {
 				t.dst = p.pickDest(&t.st, t.i)
 				t.reply.Reset()
 				t.state = atReplied
-				a.Kernel().Send(t.banks[t.dst].part, p.latency(t.i, t.dst), actRequest, t)
+				a.Kernel().ScheduleArg(p.latency(t.i, t.dst), actRequest, t)
 				if !t.reply.WaitAct(a) {
 					return
 				}
@@ -128,7 +129,7 @@ func actRequest(x any) {
 	t := x.(*actThread)
 	b := &t.banks[t.dst]
 	queued := b.book(t.p.MemCycles) - b.k.Now()
-	b.k.Send(t.banks[t.i].part, queued+t.p.MemCycles+t.p.latency(t.dst, t.i), actReply, t)
+	b.k.ScheduleArg(queued+t.p.MemCycles+t.p.latency(t.dst, t.i), actReply, t)
 }
 
 // actReply wakes the requester: the round trip is over.
@@ -136,23 +137,16 @@ func actReply(x any) { x.(*actThread).reply.Trigger() }
 
 // runControlActivity runs p's control system with one activity per
 // thread: the oracle's driver. It seeds the same streams and gathers the
-// same statistics as runControlPar.
+// same statistics as runControlSystem.
 func runControlActivity(p Params) (SystemResult, error) {
-	pk, err := p.parKernel()
-	if err != nil {
-		return SystemResult{}, err
-	}
+	k := sim.NewKernel()
+	env := simtest.New(k)
 	nodes := make([]nodeStats, p.Nodes)
 	banks := make([]ctrlNode, p.Nodes)
 	cpus := make([]*simtest.Resource, p.Nodes)
-	envs := make([]*simtest.Env, pk.Parts())
-	for i := range envs {
-		envs[i] = simtest.New(pk.Part(i))
-	}
 	for i := range banks {
-		part := i * pk.Parts() / p.Nodes
-		banks[i] = ctrlNode{k: pk.Part(part), i: i, part: part}
-		cpus[i] = simtest.NewResource(banks[i].k, 1)
+		banks[i] = ctrlNode{k: k, i: i}
+		cpus[i] = simtest.NewResource(k, 1)
 		nodes[i].busy.Set(0, 0)
 	}
 	threads := max(p.ControlThreads, 1)
@@ -161,10 +155,10 @@ func runControlActivity(p Params) (SystemResult, error) {
 			name := "ctrl-" + strconv.Itoa(i) + "." + strconv.Itoa(j)
 			th := &actThread{p: &p, i: i, ns: &nodes[i], cpu: cpus[i], banks: banks, reply: &simtest.Signal{}}
 			th.st.Reseed(p.Seed, 1000+uint64(i)+uint64(j)*uint64(p.Nodes))
-			envs[banks[i].part].Spawn(name, th)
+			env.Spawn(name, th)
 		}
 	}
-	if err := pk.Run(p.Horizon); err != nil {
+	if err := k.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
 	return gather(nodes, p.Horizon), nil
@@ -172,7 +166,7 @@ func runControlActivity(p Params) (SystemResult, error) {
 
 // runControl runs p's control system as the package does.
 func runControl(p Params) (SystemResult, error) {
-	return runControlPar(p, &runState{})
+	return runControlSystem(p, &runState{})
 }
 
 // ctrlExactPoints are control points where no two requests meet at a
@@ -221,8 +215,7 @@ func ctrlExactPoints() []exactPoint {
 // at a bank or a CPU at one instant, the closed-form control system —
 // one event per local access, two per remote one, an in-model CPU queue
 // — gives results identical to the activity oracle at several horizons:
-// ops, remote accesses and per-node idle fractions, bit for bit. Both
-// shard counts run, so the exactness covers the partitioned kernel too.
+// ops, remote accesses and per-node idle fractions, bit for bit.
 func TestControlMatchesActivityExactly(t *testing.T) {
 	for _, pt := range ctrlExactPoints() {
 		for _, h := range []float64{1, 17, 997.5, 3001, 20000} {
@@ -235,16 +228,13 @@ func TestControlMatchesActivityExactly(t *testing.T) {
 			if h == 20000 && (want.Ops == 0 || (p.RemoteFrac > 0 && p.Nodes > 1 && want.RemoteAccesses == 0)) {
 				t.Fatalf("%s threads=%d: degenerate oracle run %+v", pt.name, p.ControlThreads, want)
 			}
-			for _, rp := range []int{0, 2} {
-				p.RunParallel = rp
-				got, err := runControl(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s L=%g threads=%d horizon %g RunParallel=%d:\n got  %+v\n want %+v",
-						pt.name, p.Latency, p.ControlThreads, h, rp, got, want)
-				}
+			got, err := runControl(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s L=%g threads=%d horizon %g:\n got  %+v\n want %+v",
+					pt.name, p.Latency, p.ControlThreads, h, got, want)
 			}
 		}
 	}
@@ -333,7 +323,7 @@ func BenchmarkControlSystem(b *testing.B) {
 			var rs runState
 			var ops int64
 			for i := 0; i < b.N; i++ {
-				r, err := runControlPar(p, &rs)
+				r, err := runControlSystem(p, &rs)
 				if err != nil {
 					b.Fatal(err)
 				}

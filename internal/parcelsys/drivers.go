@@ -1,91 +1,43 @@
 package parcelsys
 
-// The drivers of both systems. A system's nodes are sharded contiguously
-// over a sim.ParKernel of max(1, min(RunParallel, Nodes)) shards, where
-// RunParallel is the system's own share of the run's workers (see
-// runWith), and every
-// cross-node interaction is a Send landing at least the conservative
-// lookahead, the minimum one-way latency, after it is made. One shard is
-// the plain serial kernel. Two choices make the model partitionable, and
-// neither depends on the partition, so the results are identical for
-// every RunParallel (the invariance tests pin this):
+// The drivers of both systems. Each system runs on a sim.Kernel of its
+// own and keeps its state in closed form, so the kernel only orders
+// events:
 //
 //   - Test system: each node is a FIFO server held in closed form as the
-//     time it next falls free (testNode), booked only on its own shard.
-//     Each parcel draws its route from its own stream (workParcel.rt), and
-//     a landing books the visit and Sends the parcel to the destination
-//     node's shard, to land when the visit ends plus the one-way latency.
+//     time it next falls free (testNode). Each parcel draws its route
+//     from its own stream (workParcel.rt), and a landing books the visit
+//     and sends the parcel on, to land at the destination node when the
+//     visit ends plus the one-way latency.
 //
 //   - Control system: each node's memory bank and CPU are held in closed
-//     form (ctrlNode), booked only on the node's own shard, and each
-//     thread draws from its own stream. A thread's events are its bank
-//     arrivals: a local access arrives at its own bank when its useful
-//     run ends, and a remote access Sends its request to land at the
-//     destination bank one-way latency after the run ends. The bank's
-//     shard books the next slot and Sends the reply, which leaves when
-//     the service ends and travels the latency back.
+//     form (ctrlNode), and each thread draws from its own stream. A
+//     thread's events are its bank arrivals: a local access arrives at
+//     its own bank when its useful run ends, and a remote access sends
+//     its request to land at the destination bank one-way latency after
+//     the run ends. The destination books the next slot and sends the
+//     reply, which leaves when the service ends and travels the latency
+//     back.
+//
+// The systems share no mutable state, so running them side by side
+// (RunParallel 2 and above) gives the results of running them one after
+// the other; the invariance tests pin this.
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// partition returns the shard count and conservative lookahead of a run:
-// max(1, min(RunParallel, Nodes)) shards, lookahead = the minimum one-way
-// latency between distinct nodes (the flat Latency, or the topology
-// minimum when Net is set — an O(Nodes²) scan done once per system).
-func (p Params) partition() (parts int, lookahead float64, err error) {
-	parts = p.RunParallel
-	if parts > p.Nodes {
-		parts = p.Nodes
-	}
-	if parts <= 1 {
-		return 1, 0, nil // single shard: the lookahead is never consulted
-	}
-	lookahead = p.Latency
-	if p.Net != nil {
-		lookahead = math.Inf(1)
-		for i := 0; i < p.Nodes; i++ {
-			for j := 0; j < p.Nodes; j++ {
-				if i != j && p.Net.Latency(i, j) < lookahead {
-					lookahead = p.Net.Latency(i, j)
-				}
-			}
-		}
-	}
-	if !(lookahead > 0) {
-		return 0, 0, fmt.Errorf("parcelsys: %d shards need a positive minimum one-way latency (the lookahead), got %g", parts, lookahead)
-	}
-	return parts, lookahead, nil
-}
-
-// parKernel builds one system's partitioned kernel; node i lives on shard
-// i*Parts()/Nodes.
-func (p Params) parKernel() (*sim.ParKernel, error) {
-	parts, look, err := p.partition()
-	if err != nil {
-		return nil, err
-	}
-	return sim.NewParKernel(parts, p.RunParallel, look), nil
-}
-
-// runTestPar simulates the split-transaction parcel system: one event
+// runTestSystem simulates the split-transaction parcel system: one event
 // per hop, the parcel's landing (testNode.land). The initial parcels
 // land at time 0, in order, at setup.
-func runTestPar(p Params, rs *runState) (SystemResult, error) {
-	pk, err := p.parKernel()
-	if err != nil {
-		return SystemResult{}, err
-	}
+func runTestSystem(p Params, rs *runState) (SystemResult, error) {
+	k := sim.NewKernel()
 	rs.testStats = slab(rs.testStats, p.Nodes)
 	rs.testNodes = slab(rs.testNodes, p.Nodes)
 	nodes, tns := rs.testStats, rs.testNodes
 	for i := range tns {
-		part := i * pk.Parts() / p.Nodes
-		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
+		tns[i] = testNode{p: &p, k: k, i: i, ns: &nodes[i], peers: tns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}
@@ -99,7 +51,7 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 			tns[i].land(wp)
 		}
 	}
-	if err := pk.Run(p.Horizon); err != nil {
+	if err := k.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
 	r := gather(nodes, p.Horizon)
@@ -112,7 +64,7 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 }
 
 // ctrlNode is one control processor: its memory bank and its CPU, both
-// in closed form and read and booked only on the node's own shard.
+// in closed form.
 //
 // The bank is a FIFO single server with a deterministic service time, so
 // it is fully described by the time its last booked service ends.
@@ -126,9 +78,8 @@ func runTestPar(p Params, rs *runState) (SystemResult, error) {
 // which the release drains. With one thread per node nothing ever waits.
 type ctrlNode struct {
 	p     *Params
-	k     *sim.Kernel // the owning shard's kernel
+	k     *sim.Kernel // the system's kernel
 	i     int
-	part  int // this node's shard
 	ns    *nodeStats
 	peers []ctrlNode // every node of the run, indexed by node
 	bank  sim.Time   // end of the last booked bank service
@@ -211,8 +162,8 @@ func (n *ctrlNode) dispatch() {
 // credited in closed form: busy time clipped to the horizon, ops only if
 // the run ends by it. A remote access releases the CPU when the run ends
 // and sends the request to land at the destination bank one-way latency
-// later — at least the lookahead after now. A local access keeps the CPU
-// and arrives at its own bank when the run ends.
+// later. A local access keeps the CPU and arrives at its own bank when
+// the run ends.
 func (n *ctrlNode) grant(t *ctrlThread, g sim.Time) {
 	p, ns := n.p, n.ns
 	h := p.Horizon
@@ -231,11 +182,11 @@ func (n *ctrlNode) grant(t *ctrlThread, g sim.Time) {
 	}
 	ns.ops += int64(t.nops)
 	if !t.remote {
-		n.k.SendAt(n.part, end, ctrlArrive, t)
+		n.k.ScheduleArgAt(end, ctrlArrive, t)
 		return
 	}
 	t.dst = &n.peers[p.pickDest(&t.st, n.i)]
-	n.k.SendAt(t.dst.part, end+p.latency(n.i, t.dst.i), ctrlRequest, t)
+	n.k.ScheduleArgAt(end+p.latency(n.i, t.dst.i), ctrlRequest, t)
 }
 
 // ctrlArrive is a local access's one event: the thread arrives at its
@@ -271,7 +222,7 @@ func ctrlArrive(x any) {
 	n.dispatch()
 	if end <= h {
 		n.rejoin, n.rejoinAt = t, end
-		n.k.SendAt(n.part, end, ctrlRejoin, n)
+		n.k.ScheduleArgAt(end, ctrlRejoin, n)
 	}
 }
 
@@ -279,20 +230,19 @@ func ctrlArrive(x any) {
 // earlier event at this instant already has.
 func ctrlRejoin(x any) { x.(*ctrlNode).settle() }
 
-// ctrlRequest runs on the destination bank's shard when a remote request
-// arrives: it books the next slot and sends the reply, which leaves when
-// the service ends and travels the one-way latency back. The delay is at
-// least that latency, so it never undercuts the lookahead.
+// ctrlRequest runs when a remote request arrives at the destination
+// bank: it books the next slot and sends the reply, which leaves when the
+// service ends and travels the one-way latency back.
 func ctrlRequest(x any) {
 	t := x.(*ctrlThread)
 	b, p := t.dst, t.n.p
 	queued := b.book(p.MemCycles) - b.k.Now()
-	b.k.Send(t.n.part, queued+p.MemCycles+p.latency(b.i, t.n.i), ctrlReply, t)
+	b.k.ScheduleArg(queued+p.MemCycles+p.latency(b.i, t.n.i), ctrlReply, t)
 }
 
-// ctrlReply runs on the requester's shard: the round trip is over, the
-// access completes, and the thread draws its next segment and queues for
-// the CPU.
+// ctrlReply runs when the reply lands at the requester: the round trip
+// is over, the access completes, and the thread draws its next segment
+// and queues for the CPU.
 func ctrlReply(x any) {
 	t := x.(*ctrlThread)
 	n := t.n
@@ -303,20 +253,16 @@ func ctrlReply(x any) {
 	n.join(t, n.k.Now())
 }
 
-// runControlPar simulates the blocking message-passing system. Every
+// runControlSystem simulates the blocking message-passing system. Every
 // thread draws its first segment and queues for its node's CPU at time
 // 0, thread 0 of each node first.
-func runControlPar(p Params, rs *runState) (SystemResult, error) {
-	pk, err := p.parKernel()
-	if err != nil {
-		return SystemResult{}, err
-	}
+func runControlSystem(p Params, rs *runState) (SystemResult, error) {
+	k := sim.NewKernel()
 	rs.ctrlStats = slab(rs.ctrlStats, p.Nodes)
 	rs.ctrlNodes = slab(rs.ctrlNodes, p.Nodes)
 	nodes, cns := rs.ctrlStats, rs.ctrlNodes
 	for i := range cns {
-		part := i * pk.Parts() / p.Nodes
-		cns[i] = ctrlNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: cns}
+		cns[i] = ctrlNode{p: &p, k: k, i: i, ns: &nodes[i], peers: cns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}
@@ -331,7 +277,7 @@ func runControlPar(p Params, rs *runState) (SystemResult, error) {
 			cns[i].join(t, 0)
 		}
 	}
-	if err := pk.Run(p.Horizon); err != nil {
+	if err := k.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
 	return gather(nodes, p.Horizon), nil

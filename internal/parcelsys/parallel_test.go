@@ -2,18 +2,14 @@ package parcelsys
 
 // The driver's contract: Params.RunParallel gives results that are
 // exactly identical — every op count, idle fraction, and queue mean, bit
-// for bit — for every value, because the two systems share no state (so
-// running them side by side changes nothing), the model's trajectory
-// does not depend on the partition assignment, and sim.ParKernel
-// reproduces the single-shard trajectory byte-identically for every
-// shard count. RunParallel 0 and 1 run the systems one after the other
-// on one shard; 2 runs them side by side on one shard each; 3 shards the
-// test system over two kernels, and 4 both systems.
+// for bit — for every value, because the two systems share no state, so
+// running them side by side changes nothing. RunParallel 0 and 1 run the
+// systems one after the other; 2 and above run them side by side, one
+// kernel each.
 
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/network"
@@ -39,7 +35,7 @@ func parParams() Params {
 // genParams draws one parameter point: 1-12 nodes, 1-8 parcels per node,
 // 0-3 control threads, optional hotspot skew, either overhead model, and
 // a flat or hop-topology interconnect. A zero latency is drawn only for a
-// single node, the one case where every RunParallel value is one shard.
+// single node; TestRunParallelZeroLatency covers it on several.
 func genParams(g *rng.Stream) Params {
 	p := DefaultParams()
 	p.Nodes = 1 + g.Intn(12)
@@ -81,8 +77,6 @@ func TestRunParallelInvariance(t *testing.T) {
 		if want.Control.Ops == 0 || want.Test.Ops == 0 {
 			t.Fatalf("point %d: degenerate run %+v", n, want)
 		}
-		// 2·Nodes+4 exercises the shard clamp: each system gets more
-		// than Nodes workers and still runs Nodes shards.
 		for _, rp := range []int{1, 2, 3, 4, 2*p.Nodes + 4} {
 			q := p
 			q.RunParallel = rp
@@ -158,31 +152,23 @@ func TestRunParallelBankHotspotSaturated(t *testing.T) {
 	}
 }
 
-// TestRunParallelNeedsPositiveLatency: partitioning is conservative PDES,
-// so a zero minimum latency (zero lookahead) must be rejected whenever a
-// system runs on two shards or more: from RunParallel 3, which gives the
-// test system two workers, and at 4, two shards per system. Below that
-// every system runs on one shard and needs no lookahead, and at 2, the
-// systems side by side, the results are those of the serial run.
-func TestRunParallelNeedsPositiveLatency(t *testing.T) {
+// TestRunParallelZeroLatency: a zero one-way latency is a valid point at
+// every RunParallel, and every value gives the results of RunParallel 0.
+func TestRunParallelZeroLatency(t *testing.T) {
 	p := parParams()
 	p.Latency = 0
-	for _, rp := range []int{3, 4} {
-		p.RunParallel = rp
-		if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "lookahead") {
-			t.Fatalf("zero latency at RunParallel %d: err = %v, want lookahead error", rp, err)
-		}
-	}
-	p.RunParallel = 0
 	want, err := Run(p)
 	if err != nil {
-		t.Fatalf("zero latency on a single shard should run: %v", err)
+		t.Fatalf("zero latency at RunParallel 0: %v", err)
 	}
-	for _, rp := range []int{1, 2} {
+	if want.Control.Ops == 0 || want.Test.Ops == 0 {
+		t.Fatalf("degenerate zero-latency run %+v", want)
+	}
+	for _, rp := range []int{1, 2, 3, 4, 2*p.Nodes + 4} {
 		p.RunParallel = rp
 		got, err := Run(p)
 		if err != nil {
-			t.Fatalf("zero latency at RunParallel %d (one shard per system) should run: %v", rp, err)
+			t.Fatalf("zero latency at RunParallel %d: %v", rp, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("zero latency at RunParallel %d diverged from 0:\n got  %+v\n want %+v", rp, got, want)
@@ -191,7 +177,7 @@ func TestRunParallelNeedsPositiveLatency(t *testing.T) {
 }
 
 // TestRunParallelReplicate: the replication driver reuses its slabs
-// across partitioned runs too.
+// across side-by-side runs too.
 func TestRunParallelReplicate(t *testing.T) {
 	p := parParams()
 	p.Horizon = 5000
@@ -207,11 +193,12 @@ func TestRunParallelReplicate(t *testing.T) {
 
 // TestReplicateAllocsPinned pins the allocation count of one run on
 // Replicate's reused-slab path (a warmed runState) at parParams. The
-// remaining allocations are per-run kernel state: two ParKernels, the
-// event queues' wheels and lanes, and the result slices. Neither system
-// has resources, signals, stores or activity contexts left.
+// remaining allocations are per-run kernel state: two kernels, their
+// events, the event queues' wheels and lanes, and the result slices.
+// Neither system has resources, signals, stores or activity contexts
+// left.
 func TestReplicateAllocsPinned(t *testing.T) {
-	checkReusedSlabAllocs(t, parParams(), 80)
+	checkReusedSlabAllocs(t, parParams(), 66)
 }
 
 // TestReplicateAllocsPinnedSideBySide pins the same path at RunParallel
@@ -221,7 +208,7 @@ func TestReplicateAllocsPinned(t *testing.T) {
 func TestReplicateAllocsPinnedSideBySide(t *testing.T) {
 	p := parParams()
 	p.RunParallel = 2
-	checkReusedSlabAllocs(t, p, 85)
+	checkReusedSlabAllocs(t, p, 71)
 }
 
 // checkReusedSlabAllocs fails unless one run of p on a warmed runState

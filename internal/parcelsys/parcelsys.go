@@ -24,10 +24,10 @@
 //     and immediately services its next pending parcel; it idles only when
 //     no parcels are queued ("split transaction execution").
 //
-// Simulation. Both systems run on the sim kernel (the drivers are in
-// parallel.go), and in both the model keeps its own state in closed form:
-// the kernel only orders events. The systems share nothing, so from
-// RunParallel 2 on they run side by side on two goroutines.
+// Simulation. Each system runs on a sim kernel of its own (the drivers
+// are in drivers.go), and in both the model keeps its own state in
+// closed form: the kernel only orders events. The systems share nothing,
+// so from RunParallel 2 on they run side by side on two goroutines.
 //
 // A control thread's events are its arrivals at memory banks. A node's
 // bank is a FIFO server with a fixed service time, and its CPU is a FIFO
@@ -108,18 +108,11 @@ type Params struct {
 	// parcels' remaining advantage (one-way migration vs round trips and
 	// hardware-assisted handling). 0 means 1.
 	ControlThreads int
-	// RunParallel is the worker count of one run. Below 2 the systems
-	// run one after the other, each on one shard kernel. From 2 on they
-	// run side by side, the control on ⌊RunParallel/2⌋ workers and the
-	// test on ⌈RunParallel/2⌉, and each system is partitioned over
-	// min(its workers, Nodes) shard kernels (sim.ParKernel), so sharding
-	// starts at RunParallel 3 for the test system and 4 for both.
-	// Results are identical for every value: the systems share no state,
-	// parcels route with per-parcel streams and each memory bank is
-	// booked by its own node's shard, so the trajectory does not depend
-	// on the partition assignment. More than one shard requires a
-	// positive minimum one-way latency (it is the conservative
-	// lookahead).
+	// RunParallel is the worker count of one run. Each system runs on
+	// one kernel: below 2 the systems run one after the other, and from 2
+	// on side by side, one goroutine each; larger values add nothing.
+	// Results are identical for every value, since the systems share no
+	// state.
 	RunParallel int
 }
 
@@ -257,8 +250,7 @@ func slab[T any](s []T, n int) []T {
 }
 
 // runWith executes the paired experiment against reusable slabs: the
-// systems one after the other on one shard each below RunParallel 2,
-// else side by side.
+// systems one after the other below RunParallel 2, else side by side.
 func runWith(p Params, st *runState) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -266,12 +258,12 @@ func runWith(p Params, st *runState) (Result, error) {
 	var ctrl, test SystemResult
 	var err error
 	if p.RunParallel < 2 {
-		if ctrl, err = runControlPar(p, st); err == nil {
+		if ctrl, err = runControlSystem(p, st); err == nil {
 			// One after the other, the systems can share one stats slab:
 			// gather has copied out what the control reports. The alias
 			// ends with the run, so a side-by-side run never sees it.
 			st.testStats = st.ctrlStats
-			test, err = runTestPar(p, st)
+			test, err = runTestSystem(p, st)
 			st.testStats = nil
 		}
 	} else {
@@ -288,24 +280,20 @@ func runWith(p Params, st *runState) (Result, error) {
 }
 
 // runSideBySide runs the two systems concurrently, the control on a
-// goroutine of its own with ⌊RunParallel/2⌋ workers and the test on the
-// caller with the other ⌈RunParallel/2⌉. They share no mutable state, so
-// the results are those of the serial order. The control's error, the
-// one the serial order reports first, wins; a panic on the control's
-// goroutine is raised again on the caller.
+// goroutine of its own and the test on the caller. They share no mutable
+// state, so the results are those of the serial order. The control's
+// error, the one the serial order reports first, wins; a panic on the
+// control's goroutine is raised again on the caller.
 func runSideBySide(p Params, st *runState) (ctrl, test SystemResult, err error) {
-	c, t := p, p
-	c.RunParallel = p.RunParallel / 2
-	t.RunParallel = p.RunParallel - c.RunParallel
 	var cerr error
 	var cpanic any
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer func() { cpanic = recover() }()
-		ctrl, cerr = runControlPar(c, st)
+		ctrl, cerr = runControlSystem(p, st)
 	}()
-	test, err = runTestPar(t, st)
+	test, err = runTestSystem(p, st)
 	<-done
 	if cpanic != nil {
 		panic(cpanic)
@@ -339,10 +327,9 @@ func segment(st *rng.Stream, p *Params) (int, bool) {
 // reusable slab instead of two allocations per parcel.
 type workParcel struct {
 	st rng.Stream
-	// rt draws the parcel's routing decisions. A run-wide routing stream
-	// would be consumed from several shards at once; a per-parcel one is
-	// consumed only where the parcel is, so the draws do not depend on the
-	// partition.
+	// rt draws the parcel's routing decisions, from a stream of the
+	// parcel's own, so a parcel's route does not depend on how the other
+	// parcels' landings interleave with its own.
 	rt rng.Stream
 	// dst is the destination node while the parcel is in flight (the
 	// landing event carries the parcel, not a closure).
@@ -364,15 +351,14 @@ func (p *Params) seedParcel(wp *workParcel, i, j int) {
 // preempted: once it fetches a parcel it runs that thread until the
 // thread needs remote data, and nothing can observe the node in between.
 // So it is a FIFO single server whose service times are the visits, held
-// in closed form as the time it next falls free, and read and booked
-// only on its own shard. A landing parcel books the next visit, the
+// in closed form as the time it next falls free. A landing parcel books
+// the next visit, the
 // node idles only while nothing is booked, and the continuation ships
 // one-way when the visit ends.
 type testNode struct {
 	p     *Params
-	k     *sim.Kernel // the owning shard's kernel
+	k     *sim.Kernel // the system's kernel
 	i     int
-	part  int // this node's shard
 	ns    *nodeStats
 	peers []testNode // every node of the run, indexed by node
 	free  sim.Time   // end of the last booked visit
@@ -382,8 +368,7 @@ type testNode struct {
 // node falls free and is credited in closed form — ops by visit, busy
 // time and the parcel's queue wait clipped to the horizon. A visit that
 // ends by the horizon ships the continuation, sent now to land when the
-// visit ends plus the one-way latency, so the delay is at least the
-// latency and never undercuts the lookahead.
+// visit ends plus the one-way latency.
 func (n *testNode) land(wp *workParcel) {
 	p, ns := n.p, n.ns
 	h := p.Horizon
@@ -402,7 +387,7 @@ func (n *testNode) land(wp *workParcel) {
 	ns.rem++
 	wp.pendingAccess = true
 	wp.dst = &n.peers[p.pickDest(&wp.rt, n.i)]
-	n.k.SendAt(wp.dst.part, end+p.latency(n.i, wp.dst.i), deliverParcel, wp)
+	n.k.ScheduleArgAt(end+p.latency(n.i, wp.dst.i), deliverParcel, wp)
 }
 
 // visit plans the busy period of parcel wp starting at time t and
@@ -441,7 +426,7 @@ func (n *testNode) visit(wp *workParcel, t sim.Time) sim.Time {
 }
 
 // deliverParcel lands an in-flight parcel on its destination: the one
-// event of a hop. It runs on the destination's shard.
+// event of a hop.
 func deliverParcel(x any) {
 	wp := x.(*workParcel)
 	wp.dst.land(wp)

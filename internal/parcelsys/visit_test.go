@@ -31,6 +31,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
 
@@ -77,20 +78,17 @@ func (n *storeNode) ship(a *simtest.ActCtx) {
 	wp := n.wp
 	wp.pendingAccess = true
 	wp.dst = &n.peers[n.p.pickDest(&wp.rt, n.i)]
-	a.Kernel().Send(wp.dst.part, n.p.latency(n.i, wp.dst.i), n.deliver, wp)
+	a.Kernel().ScheduleArg(n.p.latency(n.i, wp.dst.i), n.deliver, wp)
 	n.wp = nil
 }
 
 // runStores runs p's test system with one activity per node over a
 // store of pending parcels, the activity made by mk: the oracles'
 // driver. It seeds the same parcels and gathers the same statistics as
-// runTestPar, and takes the queue mean from the stores' time-weighted
+// runTestSystem, and takes the queue mean from the stores' time-weighted
 // lengths.
 func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, error) {
-	pk, err := p.parKernel()
-	if err != nil {
-		return SystemResult{}, err
-	}
+	k := sim.NewKernel()
 	nodes := make([]nodeStats, p.Nodes)
 	tns := make([]testNode, p.Nodes)
 	sns := make([]storeNode, p.Nodes)
@@ -99,10 +97,9 @@ func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, er
 		sns[wp.dst.i].queue.Put(wp)
 	}
 	for i := range sns {
-		part := i * pk.Parts() / p.Nodes
-		tns[i] = testNode{p: &p, k: pk.Part(part), i: i, part: part, ns: &nodes[i], peers: tns}
+		tns[i] = testNode{p: &p, k: k, i: i, ns: &nodes[i], peers: tns}
 		nodes[i].busy.Set(0, 0)
-		sns[i] = storeNode{testNode: &tns[i], queue: simtest.NewStore[*workParcel](pk.Part(part)), deliver: deliver}
+		sns[i] = storeNode{testNode: &tns[i], queue: simtest.NewStore[*workParcel](k), deliver: deliver}
 	}
 	parcels := make([]workParcel, p.Nodes*p.Parallelism)
 	for i := 0; i < p.Nodes; i++ {
@@ -112,14 +109,11 @@ func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, er
 			sns[i].queue.Put(wp)
 		}
 	}
-	envs := make([]*simtest.Env, pk.Parts())
-	for i := range envs {
-		envs[i] = simtest.New(pk.Part(i))
-	}
+	env := simtest.New(k)
 	for i := range sns {
-		envs[sns[i].part].Spawn("test-"+strconv.Itoa(i), mk(&sns[i]))
+		env.Spawn("test-"+strconv.Itoa(i), mk(&sns[i]))
 	}
-	if err := pk.Run(p.Horizon); err != nil {
+	if err := k.Run(p.Horizon); err != nil {
 		return SystemResult{}, err
 	}
 	r := gather(nodes, p.Horizon)
@@ -252,7 +246,7 @@ func runPieces(p Params) (SystemResult, error) {
 
 // runHops runs p's test system as the package does: one event per hop.
 func runHops(p Params) (SystemResult, error) {
-	return runTestPar(p, &runState{})
+	return runTestSystem(p, &runState{})
 }
 
 // firstPieceEnds returns the times the first n pieces of node 0's first
@@ -376,18 +370,12 @@ func TestVisitMatchesPiecesExactly(t *testing.T) {
 // at one instant, the closed-form node — one event per hop, busy time
 // and queue wait credited at booking — gives results identical to the
 // one-event-per-visit oracle at every horizon: ops, remote accesses,
-// per-node idle fractions and the queue mean, bit for bit. Both shard
-// counts run, so the exactness covers the partitioned kernel too. A
-// two-node point at non-integral latency and memory time, over 20
-// seeds, checks that a hop lands where the oracle's does, at the visit's
-// end plus the latency, to the last bit.
+// per-node idle fractions and the queue mean, bit for bit. A two-node
+// point at non-integral latency and memory time, over 20 seeds, checks
+// that a hop lands where the oracle's does, at the visit's end plus the
+// latency, to the last bit.
 func TestHopMatchesVisitExactly(t *testing.T) {
-	par2 := func(p Params) (SystemResult, error) {
-		p.RunParallel = 2
-		return runHops(p)
-	}
 	matchExactly(t, runHops, runVisits)
-	matchExactly(t, par2, runVisits)
 	p := DefaultParams()
 	p.Nodes, p.Parallelism, p.Latency, p.MemCycles, p.Horizon = 2, 1, 203.13, 9.91, 20000
 	for seed := uint64(0); seed < 20; seed++ {
@@ -396,14 +384,12 @@ func TestHopMatchesVisitExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for shards, run := range []func(Params) (SystemResult, error){runHops, par2} {
-			g, err := run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("non-integral two-node point, seed %d, %d shards:\n got  %+v\n want %+v", seed, shards+1, g, w)
-			}
+		g, err := runHops(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("non-integral two-node point, seed %d:\n got  %+v\n want %+v", seed, g, w)
 		}
 	}
 }

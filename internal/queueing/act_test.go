@@ -274,39 +274,6 @@ func (d *ActDelay) AcceptAct(k *sim.Kernel, j *Job) {
 	k.ScheduleArg(t, d.forward, j)
 }
 
-// ActLink carries jobs to a station on another partition of a
-// partitioned run (sim.ParKernel): each traversal is one cross-partition
-// Send after the link's latency, which must be at least the run's
-// declared lookahead. Ownership of the job crosses with it — the sending
-// partition must not touch the job again (the usual station-chain
-// discipline already guarantees this). On a serial kernel the Send
-// degenerates to ScheduleArg, so the same network description runs
-// unchanged both ways; the link then behaves exactly like an ActDelay of
-// its latency.
-type ActLink struct {
-	Name string
-
-	part    int
-	latency float64
-	deliver func(any)
-}
-
-// NewActLink creates a link from a station on kernel k to the node out,
-// which lives on partition part's kernel dst, after the given latency.
-func NewActLink(k *sim.Kernel, name string, dst *sim.Kernel, part int, latency float64, out ActNode) *ActLink {
-	if latency < 0 {
-		panic(fmt.Sprintf("queueing: NewActLink %q with negative latency %g", name, latency))
-	}
-	l := &ActLink{Name: name, part: part, latency: latency}
-	l.deliver = func(x any) { out.AcceptAct(dst, x.(*Job)) }
-	return l
-}
-
-// AcceptAct ships the job across the link.
-func (l *ActLink) AcceptAct(k *sim.Kernel, j *Job) {
-	k.Send(l.part, l.latency, l.deliver, j)
-}
-
 // ActRouter sends each job to one of several outputs according to a
 // choice function (probabilistic, class-based, round-robin...).
 type ActRouter struct {

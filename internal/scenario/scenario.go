@@ -80,11 +80,10 @@ type Machine struct {
 	// partitioned and advanced in conservative lookahead windows, with
 	// results byte-identical to the serial run for any value. On the sim
 	// backend, from 2 on, parcelsys runs its two systems side by side,
-	// the control on ⌊RunParallel/2⌋ workers and the test on
-	// ⌈RunParallel/2⌉, each partitioned over that many sim.ParKernel
-	// shards (so shards start at 3 for the test system, 4 for both), with
-	// results bit-identical for every value; hostpim's study-1 simulation
-	// runs no kernel and ignores it. 0 or 1 runs serially (one shard).
+	// one kernel and one goroutine each, and larger values add nothing;
+	// 0 or 1 runs them one after the other. The results are bit-identical
+	// for every value. hostpim's study-1 simulation runs no kernel and
+	// ignores it.
 	RunParallel int
 
 	// The fault-injection knobs (machine scenarios only; see

@@ -1,10 +1,11 @@
 package scenario
 
-// Scenario-level face of the partitioned sim kernel's determinism
-// guarantee, mirroring TestMachineRunParallelInvariant for the sim
-// backend: parcel metrics are bit-identical for every RunParallel value,
-// serial included. (The study-1 sim path runs no kernel and does not
-// read RunParallel.)
+// Scenario-level face of parcelsys's determinism guarantee, mirroring
+// TestMachineRunParallelInvariant for the sim backend: parcel metrics
+// are bit-identical for every RunParallel value, serial included, with
+// the two systems run one after the other (0, 1) or side by side (2 and
+// above; 4 is parcel-scale-1k's own value). (The study-1 sim path runs
+// no kernel and does not read RunParallel.)
 
 import (
 	"reflect"
@@ -26,7 +27,7 @@ func TestSimParcelRunParallelInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		for _, p := range []int{1, 2, 4} {
+		for _, p := range []int{1, 2, 3, 4} {
 			s.Machine.RunParallel = p
 			got, err := Run(s, "sim", cfg)
 			if err != nil {

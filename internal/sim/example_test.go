@@ -19,10 +19,9 @@ func (s *server) arrive(job any) {
 	start := max(s.k.Now(), s.free)
 	s.free = start + s.service
 	fmt.Printf("t=%v: %s arrives, served %v-%v\n", s.k.Now(), job, start, s.free)
-	// SendAt lands at exactly the booked end (a delay of s.free-now could
-	// round elsewhere); on a ParKernel shard the same call reaches
-	// another partition.
-	s.k.SendAt(s.k.Partition(), s.free, s.depart, job)
+	// ScheduleArgAt lands at exactly the booked end (a delay of
+	// s.free-now could round elsewhere).
+	s.k.ScheduleArgAt(s.free, s.depart, job)
 }
 
 func (s *server) depart(job any) { fmt.Printf("t=%v: %s departs\n", s.k.Now(), job) }

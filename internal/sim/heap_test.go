@@ -145,16 +145,11 @@ func (s *queueStats) add(o queueStats) {
 
 // nextTier reports the tier q's next pop comes from.
 func nextTier(q eventQueue) int {
-	var src int
-	switch q := q.(type) {
-	case *laneQueue:
-		_, src = q.front()
-	case *partitionedQueue:
-		_, _, src = q.front()
-	default:
+	lq, ok := q.(*laneQueue)
+	if !ok {
 		return tierHeap
 	}
-	switch {
+	switch _, src := lq.front(); {
 	case src == fromHeap:
 		return tierHeap
 	case src < fromWheel:
@@ -163,36 +158,20 @@ func nextTier(q eventQueue) int {
 	return tierWheel
 }
 
-// wheelLen returns the number of events on q's near wheels.
+// wheelLen returns the number of events on q's near wheel.
 func wheelLen(q eventQueue) int {
-	n := 0
-	switch q := q.(type) {
-	case *laneQueue:
-		if q.wheel != nil {
-			n = q.wheel.n
-		}
-	case *partitionedQueue:
-		for i := range q.parts {
-			n += wheelLen(&q.parts[i])
-		}
+	if lq, ok := q.(*laneQueue); ok && lq.wheel != nil {
+		return lq.wheel.n
 	}
-	return n
+	return 0
 }
 
-// farLen returns the number of events on q's far tiers.
+// farLen returns the number of events on q's far tier.
 func farLen(q eventQueue) int {
-	n := 0
-	switch q := q.(type) {
-	case *laneQueue:
-		if q.far != nil {
-			n = q.far.n
-		}
-	case *partitionedQueue:
-		for i := range q.parts {
-			n += farLen(&q.parts[i])
-		}
+	if lq, ok := q.(*laneQueue); ok && lq.far != nil {
+		return lq.far.n
 	}
-	return n
+	return 0
 }
 
 // runQueueProgram executes a queue program against q and container/heap
@@ -215,10 +194,10 @@ func farLen(q eventQueue) int {
 //	           Kernel.Advance does — the next pushes may land past the
 //	           wheel's span until a pop catches it up
 //	0x48-0x4f  stale push: at the last pushed time, with a seq just
-//	           below the last push's, like a cross-shard delivery
-//	           renumbered at a ParKernel barrier; the near wheel must not
-//	           append it behind its bucket's tail, and a far block must
-//	           not cascade it there
+//	           below the last push's — an order the kernel never makes,
+//	           but the queue must stay correct for; the near wheel must
+//	           not append it behind its bucket's tail, and a far block
+//	           must not cascade it there
 //	0x50-0x8f  push on constant-delay stream b&3 (now + laneDelays[b&3])
 //	0x90-0x97  push far ahead (now + 64 + 512*(b&7)), onto the far tier
 //	0x98-0x9f  push after a non-integral delay (b&7) + 0.25

@@ -4,7 +4,7 @@
 //
 // The kernel has one event kind: a scheduled callback, either a closure
 // (Schedule, ScheduleAt) or a function and its argument carried through
-// the recycled event (ScheduleArg, Send, SendAt), run inline by the
+// the recycled event (ScheduleArg, ScheduleArgAt), run inline by the
 // dispatch loop. Models keep their own state: a service node in the
 // SES/Workbench sense is a closed-form server that books its busy period
 // when a job arrives and schedules the job's next arrival, so a job's
@@ -24,12 +24,9 @@
 // arrive in order, and a 4-ary heap takes the rest; the front is the
 // minimum over the near wheel, the lanes and the heap.
 //
-// For big models, ParKernel partitions a run across shard kernels advanced
-// concurrently in conservative time windows, with cross-shard interactions
-// routed through Kernel.Send under a declared lookahead. Barrier-time
-// replay renumbering keeps the trajectory byte-identical to one serial
-// kernel running the whole model, for every shard count and partition
-// assignment — parallelism is an execution strategy, never a semantic.
+// A kernel runs on one goroutine. Models that share nothing run in
+// parallel as separate kernels, one per goroutine — parcelsys runs its
+// two systems side by side this way.
 package sim
 
 import (
@@ -59,30 +56,20 @@ type event struct {
 	next *event // wheel bucket or far-block link while queued there (queue.go)
 }
 
-// Kernel is a discrete-event simulation instance. Create one with NewKernel;
-// the zero value is not usable.
+// Kernel is a discrete-event simulation instance. Create one with
+// NewKernel.
 type Kernel struct {
-	now Time
-	// events is a pointer so a partitioned run can alias one shard of a
-	// partitionedQueue here (see parallel.go); the calls stay devirtualized
-	// *laneQueue methods either way.
-	events *laneQueue
+	now    Time
+	events laneQueue
 	free   []*event // recycled events (see event)
 	seq    uint64
 
-	// par is non-nil when this kernel is one shard of a ParKernel; it
-	// carries the shard's window state and cross-shard buffers.
-	par *shardState
-
 	err error // first model panic, if any
 
-	// until/bounded frame the current drain window (set by Advance, Run,
-	// and RunUntilIdle; read by every dispatcher). strict excludes events
-	// at exactly `until` — the half-open [W, W+L) windows of a partitioned
-	// run; serial drains are inclusive and leave it false.
+	// until/bounded frame the current drain window, inclusive of until
+	// (set by Advance, Run and RunUntilIdle; read by dispatch).
 	until   Time
 	bounded bool
-	strict  bool
 
 	stopped bool // Stop() requested
 	running bool // a drain window is active: Run/Advance must not reenter
@@ -90,7 +77,7 @@ type Kernel struct {
 
 // NewKernel returns an empty simulation at time 0.
 func NewKernel() *Kernel {
-	return &Kernel{events: new(laneQueue)}
+	return new(Kernel)
 }
 
 // Now returns the current simulated time.
@@ -123,41 +110,18 @@ func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%g) before now (%g)", t, k.now))
 	}
-	ev := k.allocEvent(t)
-	ev.seq = k.nextSeq()
-	if sh := k.par; sh != nil && sh.window {
-		sh.logCall(ev, ev.gen)
-	}
-	return ev
-}
-
-// allocEvent takes a recycled event from the free list (or allocates
-// one) and stamps it live at time t; the caller assigns seq and payload.
-func (k *Kernel) allocEvent(t Time) *event {
+	var ev *event
 	if n := len(k.free); n > 0 {
-		ev := k.free[n-1]
+		ev = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 		ev.t, ev.dead = t, false
-		return ev
+	} else {
+		ev = &event{t: t}
 	}
-	return &event{t: t}
-}
-
-// nextSeq draws the next sequence number. A standalone kernel uses its own
-// counter; a ParKernel shard draws from the shared counter while the run is
-// single-threaded (setup, between windows) and from its provisional
-// per-shard counter (rebased each window, renumbered to the exact serial
-// values at the barrier — see parallel.go) while a window is draining.
-func (k *Kernel) nextSeq() uint64 {
-	if sh := k.par; sh != nil && !sh.window {
-		s := sh.pk.seq
-		sh.pk.seq++
-		return s
-	}
-	s := k.seq
+	ev.seq = k.seq
 	k.seq++
-	return s
+	return ev
 }
 
 // ScheduleAt registers fn to run at absolute simulated time t. Scheduling
@@ -187,11 +151,14 @@ func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %g", delay))
 	}
-	return k.scheduleArgAt(k.now+delay, fn, arg)
+	return k.ScheduleArgAt(k.now+delay, fn, arg)
 }
 
-// scheduleArgAt registers fn(arg) to run at absolute time t.
-func (k *Kernel) scheduleArgAt(t Time, fn func(any), arg any) Timer {
+// ScheduleArgAt registers fn(arg) to run at absolute time t. A model that
+// sums a busy period itself schedules at the sum, not after its
+// difference from now, which can round differently. Scheduling in the
+// past panics.
+func (k *Kernel) ScheduleArgAt(t Time, fn func(any), arg any) Timer {
 	ev := k.newEvent(t)
 	ev.afn, ev.arg = fn, arg
 	k.events.push(ev)
@@ -228,7 +195,7 @@ func (k *Kernel) haltErr() error {
 // A panicking callback is recorded as the run's error and stops the run
 // instead of unwinding the caller.
 func (k *Kernel) dispatch() {
-	q := k.events
+	q := &k.events
 	for !k.stopped {
 		ev, src := q.front()
 		if ev == nil {
@@ -239,16 +206,11 @@ func (k *Kernel) dispatch() {
 			k.recycle(ev)
 			continue
 		}
-		if k.bounded && (ev.t > k.until || (k.strict && ev.t == k.until)) {
+		if k.bounded && ev.t > k.until {
 			return
 		}
 		q.take(src)
 		k.now = ev.t
-		if sh := k.par; sh != nil && sh.window {
-			// Every schedule made while this event runs is logged under it
-			// for the barrier's serial renumbering.
-			sh.curT, sh.curSeq, sh.curLogged = ev.t, ev.seq, false
-		}
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		k.recycle(ev)
 		if afn != nil {

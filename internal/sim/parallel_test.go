@@ -1,13 +1,19 @@
 package sim_test
 
-// Tests of the partitioned kernel (parallel.go): byte-identical
-// trajectories against the serial kernel across partition counts, worker
-// counts and partition assignments — a fixed corpus in
+// Tests of a model split over several plain kernels ("shards") that run
+// side by side — the way parcelsys runs its two systems — driven here by
+// a gang (internal/gang) that advances every shard through the same
+// windows. Shards share no state, so each must keep the trajectory its
+// part of the model has on one serial kernel, for every shard count,
+// worker count and placement of the model's copies: a fixed corpus in
 // TestParKernelTraceEquivalence and a generator in FuzzParKernelTrace,
-// both on activity models (internal/sim/simtest) — plus the window
-// mechanics (incremental Advance, infinite lookahead, lookahead
-// violation surfacing, deadlock parity). Run under -race these tests
-// also prove the window discipline keeps shard state single-threaded.
+// both on activity models (internal/sim/simtest). The rest cover the
+// run mechanics across shards — incremental Advance, one-round runs,
+// model errors and deadlocks reported per shard, Stop, goroutine
+// cleanup — and ScheduleArgAt, which replaced the partitioned kernel's
+// SendAt. The test names are those of the partitioned kernel
+// (ParKernel) these checks were first written for. Run under -race
+// these tests also show that two kernels touch no common memory.
 
 import (
 	"errors"
@@ -18,17 +24,107 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gang"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 	"repro/internal/testutil"
 )
 
+// shardRun is a model split over plain kernels that a gang drives side
+// by side: each round, member m runs the round's operation on shards m,
+// m+workers, m+2·workers, …
+type shardRun struct {
+	ks      []*sim.Kernel
+	workers int
+	g       *gang.Gang
+	op      func(k *sim.Kernel) error
+	errs    []error
+}
+
+func newShardRun(parts, workers int) *shardRun {
+	r := &shardRun{ks: make([]*sim.Kernel, parts), workers: workers, errs: make([]error, parts)}
+	for i := range r.ks {
+		r.ks[i] = sim.NewKernel()
+	}
+	r.g = gang.New(workers, func(m int) {
+		for i := m; i < len(r.ks); i += r.workers {
+			r.errs[i] = r.op(r.ks[i])
+		}
+	})
+	return r
+}
+
+// round runs op on every shard and returns the first shard's error, in
+// shard order.
+func (r *shardRun) round(op func(k *sim.Kernel) error) error {
+	r.op = op
+	r.g.Run()
+	for _, err := range r.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Advance advances every shard to until.
+func (r *shardRun) Advance(until sim.Time) error {
+	return r.round(func(k *sim.Kernel) error { return k.Advance(until) })
+}
+
+// Run advances every shard to until and closes the gang.
+func (r *shardRun) Run(until sim.Time) error {
+	defer r.Close()
+	return r.Advance(until)
+}
+
+// RunUntilIdle runs every shard until it has no events left, closes the
+// gang, and returns the latest shard clock: the time a serial kernel
+// holding the whole model would stop at.
+func (r *shardRun) RunUntilIdle() (sim.Time, error) {
+	defer r.Close()
+	err := r.round(func(k *sim.Kernel) error {
+		_, err := k.RunUntilIdle()
+		return err
+	})
+	return r.Now(), err
+}
+
+// Now is the latest shard clock.
+func (r *shardRun) Now() sim.Time {
+	var now sim.Time
+	for _, k := range r.ks {
+		now = max(now, k.Now())
+	}
+	return now
+}
+
+// Seq sums the shards' schedule counters: a run that scheduled exactly
+// the serial run's events ends with the serial kernel's counter.
+func (r *shardRun) Seq() uint64 {
+	var seq uint64
+	for _, k := range r.ks {
+		seq += sim.KernelSeq(k)
+	}
+	return seq
+}
+
+// Close stops the gang's helpers; it is idempotent.
+func (r *shardRun) Close() { r.g.Close() }
+
+// envs gives each shard an activity roster.
+func (r *shardRun) envs() []*simtest.Env {
+	envs := make([]*simtest.Env, len(r.ks))
+	for i, k := range r.ks {
+		envs[i] = simtest.New(k)
+	}
+	return envs
+}
+
 // copyState is one replicated model copy: a resource contended by plan
 // workers and store producers, a consumer draining the store, and a ping
-// counter bumped only by cross-copy
-// deliveries (so it exercises the barrier merge when copies land on
-// different partitions).
+// counter bumped only by the copy's own timed deliveries.
 type copyState struct {
 	g     int
 	env   *simtest.Env
@@ -39,9 +135,9 @@ type copyState struct {
 	track string // trace track of ping deliveries
 }
 
-// bumpPing is the cross-copy delivery callback; it runs on the
-// destination copy's kernel and traces the delivery, so its position
-// among the partition's other events is part of the compared trajectory.
+// bumpPing is the ping delivery callback; it traces the delivery, so its
+// position among the shard's other events is part of the compared
+// trajectory.
 func bumpPing(arg any) {
 	cs := arg.(*copyState)
 	cs.pings++
@@ -50,18 +146,16 @@ func bumpPing(arg any) {
 	}
 }
 
-// pinger sends a timed ping to the next copy between plan-driven waits.
-// The ping delay never drops below the declared lookahead of 1.
+// pinger schedules a timed ping to its copy between plan-driven waits.
 type pinger struct {
-	dst     *copyState
-	dstPart int
-	waits   []sim.Time
-	i       int
+	cs    *copyState
+	waits []sim.Time
+	i     int
 }
 
 func (p *pinger) Step(a *simtest.ActCtx) {
 	if p.i > 0 {
-		a.Kernel().Send(p.dstPart, 1+sim.Time(p.i%3), bumpPing, p.dst)
+		a.Kernel().ScheduleArg(1+sim.Time(p.i%3), bumpPing, p.cs)
 	}
 	if p.i >= len(p.waits) {
 		a.Exit()
@@ -143,9 +237,8 @@ func makeParModel(seed uint64, copies, workers, steps, pings int) parModelSpec {
 }
 
 // snapToGrid rounds every drawn time up to a whole unit, so events of
-// different copies coincide and the barrier's tie-breaking between
-// partitions is exercised (with continuous draws, cross-partition ties
-// almost never happen).
+// different copies on one shard coincide and their tie-breaking is
+// exercised (with continuous draws, ties almost never happen).
 func (spec parModelSpec) snapToGrid() {
 	up := func(ts []sim.Time) {
 		for i := range ts {
@@ -161,25 +254,23 @@ func (spec parModelSpec) snapToGrid() {
 	}
 }
 
-// buildParModel lays the spec's copies out across the given per-copy
-// rosters (all the same one for a serial run) and wires the ping ring.
-func buildParModel(spec parModelSpec, envFor func(g int) *simtest.Env, partOf func(g int) int) []*copyState {
+// buildParModel lays the spec's copies out on the given per-copy rosters
+// (all the same one for a serial run), each copy's pinger last, after
+// every copy is built.
+func buildParModel(spec parModelSpec, envFor func(g int) *simtest.Env) []*copyState {
 	states := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
 		states[g] = buildCopy(envFor(g), g, spec.capacity, spec.plans[g])
 	}
 	for g := 0; g < spec.copies; g++ {
-		dst := (g + 1) % spec.copies
-		envFor(g).Spawn(fmt.Sprintf("g%d/ping", g), &pinger{
-			dst: states[dst], dstPart: partOf(dst), waits: spec.pings[g],
-		})
+		envFor(g).Spawn(fmt.Sprintf("g%d/ping", g), &pinger{cs: states[g], waits: spec.pings[g]})
 	}
 	return states
 }
 
 // parRunResult is everything a run exposes for the byte-identity check.
 type parRunResult struct {
-	traces [][]traceEvent // per partition (one entry for the serial run)
+	traces [][]traceEvent // per shard (one entry for the serial run)
 	grants []int64
 	got    []int
 	pings  []int
@@ -200,45 +291,46 @@ func runParModelSerial(spec parModelSpec) (parRunResult, error) {
 	env := simtest.New(k)
 	rec := &recTracer{}
 	env.Tracer = rec
-	states := buildParModel(spec, func(int) *simtest.Env { return env }, func(int) int { return 0 })
+	states := buildParModel(spec, func(int) *simtest.Env { return env })
 	now, err := env.RunUntilIdle()
 	res := parRunResult{traces: [][]traceEvent{rec.events}, now: now, seq: sim.KernelSeq(k)}
 	res.collect(states)
 	return res, err
 }
 
-func runParModelPartitioned(spec parModelSpec, parts, workers int, assign func(g int) int) (parRunResult, error) {
-	pk := sim.NewParKernel(parts, workers, 1)
-	envs := shardEnvs(pk)
+// runParModelSharded runs spec with copy g on shard assign(g), through
+// unit-wide Advance windows up to half the serial run's final time
+// (halfway), then to idle in one round.
+func runParModelSharded(spec parModelSpec, parts, workers int, assign func(g int) int, halfway sim.Time) (parRunResult, error) {
+	r := newShardRun(parts, workers)
+	defer r.Close()
+	envs := r.envs()
 	recs := make([]*recTracer, parts)
-	for i := 0; i < parts; i++ {
+	for i := range recs {
 		recs[i] = &recTracer{}
 		envs[i].Tracer = recs[i]
 	}
-	states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] }, assign)
-	now, err := pk.RunUntilIdle()
+	states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] })
+	var err error
+	for until := sim.Time(1); until < halfway && err == nil; until++ {
+		err = r.Advance(until)
+	}
+	now := r.Now()
+	if err == nil {
+		now, err = r.RunUntilIdle()
+	}
 	for _, env := range envs {
+		if err == nil {
+			err = env.Deadlock()
+		}
 		env.Finish()
 	}
-	// Shards draw setup and between-window seqs from the shared counter
-	// (including the single-partition case, which bypasses the window
-	// machinery entirely), so the ParKernel's counter is the run's final
-	// schedule counter.
-	res := parRunResult{now: now, seq: sim.ParKernelSeq(pk)}
-	for _, r := range recs {
-		res.traces = append(res.traces, r.events)
+	res := parRunResult{now: now, seq: r.Seq()}
+	for _, rec := range recs {
+		res.traces = append(res.traces, rec.events)
 	}
 	res.collect(states)
 	return res, err
-}
-
-// shardEnvs gives each shard of pk an activity roster.
-func shardEnvs(pk *sim.ParKernel) []*simtest.Env {
-	envs := make([]*simtest.Env, pk.Parts())
-	for i := range envs {
-		envs[i] = simtest.New(pk.Part(i))
-	}
-	return envs
 }
 
 // copyOfTrack extracts the copy index from a "g<N>/..." track name.
@@ -252,7 +344,7 @@ func copyOfTrack(track string) int {
 	return g
 }
 
-// filterTrace restricts a serial trace to the copies a partition owns.
+// filterTrace restricts a serial trace to the copies a shard owns.
 func filterTrace(events []traceEvent, assign func(g int) int, part int) []traceEvent {
 	out := []traceEvent{}
 	for _, e := range events {
@@ -263,7 +355,7 @@ func filterTrace(events []traceEvent, assign func(g int) int, part int) []traceE
 	return out
 }
 
-// parAssignments is the partition-assignment corpus for model copies:
+// parAssignments is the shard-assignment corpus for model copies:
 // contiguous blocks and strided round-robin.
 func parAssignments(copies, parts int) map[string]func(g int) int {
 	return map[string]func(g int) int{
@@ -272,15 +364,14 @@ func parAssignments(copies, parts int) map[string]func(g int) int {
 	}
 }
 
-// checkParEquivalence runs spec partitioned and compares it with the
-// serial run want: per-partition traces equal to the serial trace
-// restricted to each partition's copies, identical grant, drain and ping
-// counts, identical final time, and an identical final value of the
-// schedule counter (the sharpest witness that the barrier's replay
-// renumbering reproduced every serial sequence number).
+// checkParEquivalence runs spec sharded and compares it with the serial
+// run want: per-shard traces equal to the serial trace restricted to
+// each shard's copies, identical grant, drain and ping counts, identical
+// final time, and the serial final value of the schedule counter summed
+// over the shards.
 func checkParEquivalence(t *testing.T, spec parModelSpec, want parRunResult, parts, workers int, assign func(g int) int) {
 	t.Helper()
-	got, err := runParModelPartitioned(spec, parts, workers, assign)
+	got, err := runParModelSharded(spec, parts, workers, assign, want.now/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +379,7 @@ func checkParEquivalence(t *testing.T, spec parModelSpec, want parRunResult, par
 		t.Fatalf("final time %g, serial %g", got.now, want.now)
 	}
 	if got.seq != want.seq {
-		t.Fatalf("final schedule counter %d, serial %d", got.seq, want.seq)
+		t.Fatalf("schedule counters sum to %d, serial %d", got.seq, want.seq)
 	}
 	for g := 0; g < spec.copies; g++ {
 		if got.grants[g] != want.grants[g] || got.got[g] != want.got[g] || got.pings[g] != want.pings[g] {
@@ -299,15 +390,15 @@ func checkParEquivalence(t *testing.T, spec parModelSpec, want parRunResult, par
 	for p := 0; p < parts; p++ {
 		ref := filterTrace(want.traces[0], assign, p)
 		if !tracesEqual(got.traces[p], ref) {
-			t.Fatalf("partition %d trace diverges from serial restriction (%d vs %d events)",
+			t.Fatalf("shard %d trace diverges from serial restriction (%d vs %d events)",
 				p, len(got.traces[p]), len(ref))
 		}
 	}
 }
 
-// TestParKernelTraceEquivalence: the replicated model, wired into a
-// cross-partition ping ring, produces the serial kernel's exact
-// trajectory (see checkParEquivalence) for every tested partition count,
+// TestParKernelTraceEquivalence: the replicated model, its copies spread
+// over side-by-side shards, reproduces the serial kernel's exact
+// trajectory (see checkParEquivalence) for every tested shard count,
 // worker count, and assignment function, both with continuous times and
 // snapped to a whole-unit grid.
 func TestParKernelTraceEquivalence(t *testing.T) {
@@ -339,9 +430,9 @@ func TestParKernelTraceEquivalence(t *testing.T) {
 }
 
 // FuzzParKernelTrace generates the equivalence check's inputs: the model
-// seed (which also sizes each copy), the number of copies, the partition
+// seed (which also sizes each copy), the number of copies, the shard
 // and worker counts, whether times snap to a whole-unit grid, and an
-// arbitrary copy-to-partition assignment (copy g goes to partition
+// arbitrary copy-to-shard assignment (copy g goes to shard
 // assign[g mod len] mod parts; strided when assign is empty).
 func FuzzParKernelTrace(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(4), uint8(2), false, []byte{})
@@ -366,31 +457,33 @@ func FuzzParKernelTrace(f *testing.F) {
 	})
 }
 
-// TestParKernelAdvanceIncremental: driving the partitioned run through
-// repeated Advance windows (with an explicit Close) reaches the same
-// state as one big Advance and as the serial kernel.
+// TestParKernelAdvanceIncremental: driving the shards through repeated
+// Advance windows (with an explicit Close) leaves every shard's clock at
+// each window's end and reaches the same state as one big Advance.
 func TestParKernelAdvanceIncremental(t *testing.T) {
 	spec := makeParModel(11, 6, 3, 5, 8)
 	assign := func(g int) int { return g % 3 }
 
 	run := func(steps []sim.Time) (int, sim.Time) {
-		pk := sim.NewParKernel(3, 3, 1)
-		envs := shardEnvs(pk)
-		states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] }, assign)
+		r := newShardRun(3, 3)
+		envs := r.envs()
+		states := buildParModel(spec, func(g int) *simtest.Env { return envs[assign(g)] })
 		for _, until := range steps {
-			if err := pk.Advance(until); err != nil {
+			if err := r.Advance(until); err != nil {
 				t.Fatal(err)
 			}
-			if pk.Now() != until {
-				t.Fatalf("Now = %g after Advance(%g)", pk.Now(), until)
+			for i, k := range r.ks {
+				if k.Now() != until {
+					t.Fatalf("shard %d: Now = %g after Advance(%g)", i, k.Now(), until)
+				}
 			}
 		}
-		pk.Close()
+		r.Close()
 		total := 0
 		for _, cs := range states {
 			total += cs.pings
 		}
-		return total, pk.Now()
+		return total, r.Now()
 	}
 
 	var chunks []sim.Time
@@ -405,12 +498,12 @@ func TestParKernelAdvanceIncremental(t *testing.T) {
 	}
 }
 
-// TestParKernelInfiniteLookahead: partitions that never communicate may
-// declare an infinite lookahead — the run collapses into one window and
-// still matches the serial kernel exactly.
+// TestParKernelInfiniteLookahead: copies that never interact need no
+// windows at all — one gang round runs every shard to idle — and still
+// match the serial kernel exactly.
 func TestParKernelInfiniteLookahead(t *testing.T) {
 	spec := makeParModel(21, 6, 4, 6, 0)
-	spec.pings = make([][]sim.Time, spec.copies) // no cross traffic at all
+	spec.pings = make([][]sim.Time, spec.copies) // no pings at all
 
 	senv := simtest.New(sim.NewKernel())
 	serialStates := make([]*copyState, spec.copies)
@@ -422,14 +515,14 @@ func TestParKernelInfiniteLookahead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pk := sim.NewParKernel(4, 4, math.Inf(1))
-	envs := shardEnvs(pk)
+	r := newShardRun(4, 4)
+	envs := r.envs()
 	assign := func(g int) int { return g % 4 }
 	states := make([]*copyState, spec.copies)
 	for g := 0; g < spec.copies; g++ {
 		states[g] = buildCopy(envs[assign(g)], g, spec.capacity, spec.plans[g])
 	}
-	gotNow, err := pk.RunUntilIdle()
+	gotNow, err := r.RunUntilIdle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,58 +536,54 @@ func TestParKernelInfiniteLookahead(t *testing.T) {
 	}
 }
 
-// TestParKernelSendLookaheadViolation: a cross-partition Send below the
-// declared lookahead is a model bug; it surfaces as the run's error, not
-// a crash, and names both partitions.
+// TestParKernelSendLookaheadViolation: a model bug on one shard — here
+// an event scheduled before now — surfaces as the run's error, not a
+// crash, and the other shards still run to their end.
 func TestParKernelSendLookaheadViolation(t *testing.T) {
-	pk := sim.NewParKernel(2, 2, 5)
-	k1 := pk.Part(1)
-	k1.Schedule(1, func() {
-		k1.Send(0, 2, func(any) {}, nil) // delay 2 < lookahead 5
-	})
-	_, err := pk.RunUntilIdle()
-	if err == nil || !strings.Contains(err.Error(), "below declared lookahead") {
-		t.Fatalf("err = %v, want lookahead violation", err)
+	r := newShardRun(2, 2)
+	k0, k1 := r.ks[0], r.ks[1]
+	k1.Schedule(1, func() { k1.ScheduleArgAt(0.5, func(any) {}, nil) })
+	k0.Schedule(7, func() {})
+	_, err := r.RunUntilIdle()
+	if err == nil || !strings.Contains(err.Error(), "before now") {
+		t.Fatalf("err = %v, want a past-time error", err)
+	}
+	if k0.Now() != 7 {
+		t.Fatalf("the healthy shard stopped at %g, want 7", k0.Now())
 	}
 }
 
-// TestParKernelSendAt: SendAt lands at exactly the absolute time it is
-// given, on its own shard, across shards and on the serial kernel, where
-// now plus the difference would round elsewhere; a cross-shard SendAt
-// that lands before now + lookahead is the run's error.
+// TestParKernelSendAt: ScheduleArgAt lands at exactly the absolute time
+// it is given, where now plus the difference would round elsewhere, on
+// one shard and on each of two side by side.
 func TestParKernelSendAt(t *testing.T) {
 	const from, at = 0.2, 0.9 // 0.2 + (0.9-0.2) != 0.9 in float64
 	if f, a := sim.Time(from), sim.Time(at); f+(a-f) == a {
 		t.Fatal("the times no longer round apart")
 	}
-	for _, pk := range []*sim.ParKernel{sim.NewParKernel(1, 1, 0), sim.NewParKernel(2, 2, 0.5)} {
-		// One slot per destination, each written only on its own shard.
-		var got [2]sim.Time
-		land := func(k *sim.Kernel, slot *sim.Time) func(any) {
-			return func(any) { *slot = k.Now() }
+	for _, parts := range []int{1, 2} {
+		r := newShardRun(parts, parts)
+		// One slot per shard, each written only on its own shard.
+		got := make([]sim.Time, parts)
+		for i, k := range r.ks {
+			k.Schedule(from, func() {
+				k.ScheduleArgAt(at, func(any) { got[i] = k.Now() }, nil)
+			})
 		}
-		k0, kn := pk.Part(0), pk.Part(pk.Parts()-1)
-		k0.Schedule(from, func() {
-			k0.SendAt(0, at, land(k0, &got[0]), nil)
-			k0.SendAt(pk.Parts()-1, at, land(kn, &got[1]), nil)
-		})
-		if err := pk.Run(2); err != nil {
+		if err := r.Run(2); err != nil {
 			t.Fatal(err)
 		}
-		if got[0] != at || got[1] != at {
-			t.Errorf("%d shards: landed at %v, want %v twice", pk.Parts(), got, at)
+		for i := range got {
+			if got[i] != at {
+				t.Errorf("%d shards: shard %d landed at %v, want %v", parts, i, got[i], at)
+			}
 		}
-	}
-	pk := sim.NewParKernel(2, 2, 5)
-	k1 := pk.Part(1)
-	k1.Schedule(1, func() { k1.SendAt(0, 5.5, func(any) {}, nil) }) // 4.5 < lookahead 5
-	if _, err := pk.RunUntilIdle(); err == nil || !strings.Contains(err.Error(), "undercuts the declared lookahead") {
-		t.Fatalf("err = %v, want lookahead violation", err)
 	}
 }
 
 // TestParKernelDeadlockParity: a starved activity on one shard is
-// reported as a deadlock exactly as on the serial kernel.
+// reported as a deadlock on that shard only, exactly as on the serial
+// kernel.
 func TestParKernelDeadlockParity(t *testing.T) {
 	build := func(env *simtest.Env) {
 		s := simtest.NewStore[int](env.K)
@@ -505,10 +594,10 @@ func TestParKernelDeadlockParity(t *testing.T) {
 	if _, err := senv.RunUntilIdle(); !errors.Is(err, simtest.ErrDeadlock) {
 		t.Fatalf("serial err = %v, want ErrDeadlock", err)
 	}
-	pk := sim.NewParKernel(3, 2, 1)
-	envs := shardEnvs(pk)
+	r := newShardRun(3, 2)
+	envs := r.envs()
 	build(envs[1])
-	if _, err := pk.RunUntilIdle(); err != nil {
+	if _, err := r.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	for i, env := range envs {
@@ -518,34 +607,36 @@ func TestParKernelDeadlockParity(t *testing.T) {
 	}
 }
 
-// TestParKernelSetupSend: cross-partition Sends made while the run is
-// single-threaded (model setup, between Advance windows) deliver
-// directly with exact sequence numbers.
+// TestParKernelSetupSend: events scheduled while no shard runs — at
+// model setup, and between Advance windows — fire at their times, in
+// order.
 func TestParKernelSetupSend(t *testing.T) {
-	pk := sim.NewParKernel(2, 2, 1)
+	r := newShardRun(2, 2)
+	defer r.Close()
 	var got []string
-	pk.Part(0).Send(1, 3, func(arg any) { got = append(got, arg.(string)) }, "setup")
-	if err := pk.Advance(10); err != nil {
+	deliver := func(k *sim.Kernel) func(any) {
+		return func(arg any) { got = append(got, fmt.Sprintf("%s@%g", arg, k.Now())) }
+	}
+	r.ks[1].ScheduleArg(3, deliver(r.ks[1]), "setup")
+	if err := r.Advance(10); err != nil {
 		t.Fatal(err)
 	}
-	pk.Part(1).Send(0, 2, func(arg any) { got = append(got, arg.(string)) }, "between")
-	if err := pk.Advance(20); err != nil {
+	r.ks[0].ScheduleArg(2, deliver(r.ks[0]), "between")
+	if err := r.Advance(20); err != nil {
 		t.Fatal(err)
 	}
-	pk.Close()
-	if len(got) != 2 || got[0] != "setup" || got[1] != "between" {
+	if len(got) != 2 || got[0] != "setup@3" || got[1] != "between@12" {
 		t.Fatalf("deliveries = %v", got)
 	}
 }
 
-// tickShards schedules a self-rescheduling tick on every shard of pk,
-// one per time unit up to last, each also sending a ping to the next
-// shard, and returns the per-shard tick counts. When stopAt > 0, shard 1
+// tickShards schedules a self-rescheduling tick on every shard of r,
+// one per time unit up to last, each also scheduling a ping one unit
+// ahead, and returns the per-shard tick counts. When stopAt > 0, shard 1
 // stops its kernel at that time.
-func tickShards(pk *sim.ParKernel, last, stopAt sim.Time) []int {
-	ticks := make([]int, pk.Parts())
-	for i := 0; i < pk.Parts(); i++ {
-		k := pk.Part(i)
+func tickShards(r *shardRun, last, stopAt sim.Time) []int {
+	ticks := make([]int, len(r.ks))
+	for i, k := range r.ks {
 		var tick func()
 		tick = func() {
 			ticks[i]++
@@ -553,7 +644,7 @@ func tickShards(pk *sim.ParKernel, last, stopAt sim.Time) []int {
 				k.Stop()
 				return
 			}
-			k.Send((i+1)%pk.Parts(), pk.Lookahead(), func(any) {}, nil)
+			k.ScheduleArg(1, func(any) {}, nil)
 			if k.Now() < last {
 				k.Schedule(1, tick)
 			}
@@ -563,34 +654,34 @@ func tickShards(pk *sim.ParKernel, last, stopAt sim.Time) []int {
 	return ticks
 }
 
-// TestParKernelLeavesNoGoroutines: Run and RunUntilIdle stop the
-// workers on completion, and Close stops them after Advance, so the
+// TestParKernelLeavesNoGoroutines: Run and RunUntilIdle stop the gang's
+// helpers on completion, and Close stops them after Advance, so the
 // goroutine count returns to where it was.
 func TestParKernelLeavesNoGoroutines(t *testing.T) {
 	drives := []struct {
 		name  string
-		drive func(pk *sim.ParKernel) error
+		drive func(r *shardRun) error
 	}{
-		{"Run", func(pk *sim.ParKernel) error { return pk.Run(30) }},
-		{"RunUntilIdle", func(pk *sim.ParKernel) error {
-			_, err := pk.RunUntilIdle()
+		{"Run", func(r *shardRun) error { return r.Run(30) }},
+		{"RunUntilIdle", func(r *shardRun) error {
+			_, err := r.RunUntilIdle()
 			return err
 		}},
-		{"Advance+Close", func(pk *sim.ParKernel) error {
-			defer pk.Close()
-			if err := pk.Advance(10); err != nil {
+		{"Advance+Close", func(r *shardRun) error {
+			defer r.Close()
+			if err := r.Advance(10); err != nil {
 				return err
 			}
-			return pk.Advance(30)
+			return r.Advance(30)
 		}},
 	}
 	for _, d := range drives {
 		name, drive := d.name, d.drive
 		t.Run(name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			pk := sim.NewParKernel(3, 3, 1)
-			tickShards(pk, 20, 0)
-			if err := drive(pk); err != nil {
+			r := newShardRun(3, 3)
+			tickShards(r, 20, 0)
+			if err := drive(r); err != nil {
 				t.Fatal(err)
 			}
 			testutil.WaitGoroutines(t, base, name)
@@ -598,28 +689,32 @@ func TestParKernelLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestParKernelStopIsFinal: a Stop from model code halts the run at the
-// window's barrier, and every later Advance or RunUntilIdle dispatches
-// nothing and returns ErrStopped.
+// TestParKernelStopIsFinal: a Stop from model code halts its shard for
+// good — every later Advance or RunUntilIdle dispatches nothing there
+// and returns ErrStopped — while the other shards run on.
 func TestParKernelStopIsFinal(t *testing.T) {
 	base := runtime.NumGoroutine()
-	pk := sim.NewParKernel(3, 3, 1)
-	ticks := tickShards(pk, 100, 5)
-	if err := pk.Advance(50); err != nil {
+	r := newShardRun(3, 3)
+	ticks := tickShards(r, 100, 5)
+	if err := r.Advance(50); err != nil {
 		t.Fatalf("the Advance that stops: %v", err)
 	}
-	now, before := pk.Now(), fmt.Sprint(ticks)
-	if now >= 50 {
-		t.Fatalf("Now = %g after a Stop at 5, want the stop's window", now)
+	k1 := r.ks[1]
+	now, before := k1.Now(), ticks[1]
+	if now != 5 {
+		t.Fatalf("stopped shard at %g after a Stop at 5", now)
 	}
-	if err := pk.Advance(80); !errors.Is(err, sim.ErrStopped) {
+	if err := r.Advance(80); !errors.Is(err, sim.ErrStopped) {
 		t.Fatalf("Advance after Stop: err = %v, want ErrStopped", err)
 	}
-	if _, err := pk.RunUntilIdle(); !errors.Is(err, sim.ErrStopped) {
+	if _, err := r.RunUntilIdle(); !errors.Is(err, sim.ErrStopped) {
 		t.Fatalf("RunUntilIdle after Stop: err = %v, want ErrStopped", err)
 	}
-	if pk.Now() != now || fmt.Sprint(ticks) != before {
-		t.Fatalf("a stopped kernel moved: Now %g -> %g, ticks %s -> %v", now, pk.Now(), before, ticks)
+	if k1.Now() != now || ticks[1] != before {
+		t.Fatalf("the stopped shard moved: Now %g -> %g, ticks %d -> %d", now, k1.Now(), before, ticks[1])
 	}
-	testutil.WaitGoroutines(t, base, "after RunUntilIdle on the stopped kernel")
+	if ticks[0] != 100 || ticks[2] != 100 || r.ks[0].Now() != 101 {
+		t.Fatalf("the other shards did not run on: ticks %v, shard 0 at %g", ticks, r.ks[0].Now())
+	}
+	testutil.WaitGoroutines(t, base, "after RunUntilIdle on the stopped shard")
 }

@@ -30,19 +30,8 @@ import "math/bits"
 // 31(10), 1988; Varghese & Lauck, "Hashed and Hierarchical Timing
 // Wheels", SOSP 1987) cut down to what the models need: keep the heap
 // as the catch-all and give the common, already-ordered cases an O(1)
-// path.
-//
-// partitionedQueue holds one laneQueue per partition and pops through a
-// merge front: the global minimum over the partition fronts. Because
-// (t, seq) is a strict total order (seq is the kernel's unique schedule
-// counter), the merge front is deterministic and the pop sequence is
-// byte-identical to a single queue for every partition count and
-// assignment function — the property tests in queue_test.go are the
-// proof. The Kernel keeps a concrete *laneQueue so the hot paths stay
-// devirtualized; the partitioned kernel (parallel.go) aliases each shard
-// kernel's queue to one partition of a partitionedQueue, and the
-// queue's merge front serves as the coordinator's global-minimum (next
-// window base) scan.
+// path. The Kernel holds a concrete laneQueue, so the hot paths stay
+// devirtualized.
 
 // eventQueue is the event-ordering contract: push any number of events,
 // pop them in strictly ascending (t, seq) order. pop on an empty queue
@@ -59,7 +48,6 @@ type eventQueue interface {
 var (
 	_ eventQueue = (*eventHeap)(nil)
 	_ eventQueue = (*laneQueue)(nil)
-	_ eventQueue = (*partitionedQueue)(nil)
 )
 
 // before reports whether a precedes b in the (t, seq) order.
@@ -337,9 +325,10 @@ func (f *farWheel) take(s int) *event {
 // cycle has a bucket of its own, every far event follows every near one,
 // and the minimum of the heap top, the lane heads, the first occupied
 // bucket and, with the near wheel empty, the first far block is the
-// global (t, seq) minimum. Keys are read through the event pointers, so
-// ParKernel's barrier re-stamp — order-isomorphic within a
-// shard — needs no bucket or lane bookkeeping. The near wheel and the
+// global (t, seq) minimum. The kernel pushes every event with a seq
+// above all queued ones, so it never meets the seq-order fallback; the
+// queue keeps it so it stays correct for any push order, which the heap
+// tests and FuzzEventQueue exercise. The near wheel and the
 // far tier are each allocated on their first push, so a kernel that
 // never schedules an integral time within their spans never pays for
 // them; likewise the lane rings are carved on the first lane push.
@@ -428,10 +417,10 @@ func (q *laneQueue) enter(b0 uint64) (spilled bool) {
 
 // cascade moves far block b, which must lie in the near span, onto the
 // near wheel in push order. An event whose bucket's tail follows it in
-// seq order — a cross-shard delivery renumbered at a ParKernel barrier
-// can be pushed after a later-numbered event of its cycle — is pushed
-// again, which turns it away from the wheel to the lanes or the heap;
-// cascade reports whether any was.
+// seq order — possible only when events are pushed out of seq order,
+// which the kernel never does — is pushed again, which turns it away
+// from the wheel to the lanes or the heap; cascade reports whether any
+// was.
 func (q *laneQueue) cascade(b uint64) (spilled bool) {
 	f := q.far
 	s := b & (farBlocks - 1)
@@ -566,73 +555,6 @@ func (q *laneQueue) size() int {
 	}
 	if q.far != nil {
 		n += q.far.n
-	}
-	return n
-}
-
-// partitionedQueue distributes events over per-partition laneQueues by
-// an assignment function (by processor, by node, by shard — any total
-// function of the event) and merges at pop time by scanning the
-// partition fronts. Pushes touch only the owning partition — the
-// property a parallel kernel needs so concurrent partitions can schedule
-// without contending on one queue. A ParKernel leaves assign nil: its
-// shard kernels push into their own partitions directly.
-type partitionedQueue struct {
-	parts  []laneQueue
-	assign func(*event) int
-}
-
-// newPartitionedQueue creates a queue of the given partition count.
-// Assignment values outside [0, parts) are folded into partition 0 so
-// the queue stays total over every event.
-func newPartitionedQueue(parts int, assign func(*event) int) *partitionedQueue {
-	if parts < 1 {
-		parts = 1
-	}
-	return &partitionedQueue{parts: make([]laneQueue, parts), assign: assign}
-}
-
-func (q *partitionedQueue) push(ev *event) {
-	p := q.assign(ev)
-	if p < 0 || p >= len(q.parts) {
-		p = 0
-	}
-	q.parts[p].push(ev)
-}
-
-// front returns the global minimum, the partition holding it and its
-// source within that partition; part is -1 when every partition is
-// empty.
-func (q *partitionedQueue) front() (ev *event, part, src int) {
-	part = -1
-	for i := range q.parts {
-		e, s := q.parts[i].front()
-		if e != nil && (ev == nil || before(e, ev)) {
-			ev, part, src = e, i, s
-		}
-	}
-	return ev, part, src
-}
-
-func (q *partitionedQueue) pop() *event {
-	ev, part, src := q.front()
-	if part >= 0 {
-		q.parts[part].take(src)
-	}
-	return ev
-}
-
-func (q *partitionedQueue) peek() *event {
-	ev, _, _ := q.front()
-	return ev
-}
-
-// size sums the partitions, so it stays exact however the events got
-// there — through push or straight into a partition.
-func (q *partitionedQueue) size() int {
-	n := 0
-	for i := range q.parts {
-		n += q.parts[i].size()
 	}
 	return n
 }

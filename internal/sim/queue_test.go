@@ -1,17 +1,13 @@
 package sim
 
-// Property tests of the partitioned event queue against the single
-// 4-ary heap and container/heap: for arbitrary randomized schedules —
-// integral-cycle and constant-delay runs, wheel fallbacks, duplicate
-// timestamps, interleaved pushes, pops, cancels and Advance jumps — and
-// for every partition count and assignment function tried, the
-// partitioned queue (one four-tier laneQueue per partition) must pop
-// the identical event sequence. Together with heap_test.go (single heap
-// == laneQueue == container/heap) this chains the partitioned queue all
-// the way to the original reference ordering, so the partitioned kernel
-// preserves byte-identical trajectories by construction. FuzzEventQueue
-// lets the mutator hunt for a queue program on which any of them
-// diverges.
+// Tests of the four-tier queue inside the kernel: FuzzEventQueue lets the
+// mutator hunt for a queue program on which the queue diverges from
+// container/heap (heap_test.go holds the generated cases); a model split
+// over partitions, one queue each as side-by-side kernels hold them,
+// keeps every partition's share of the single heap's order; the
+// empty-pop and interface contracts; and the tier each kernel workload
+// rides — cycle waits on the near wheel, hops on the far tier — with
+// their allocations pinned.
 
 import (
 	"fmt"
@@ -22,9 +18,9 @@ import (
 )
 
 // assigners is the partition-assignment corpus: by schedule order, by
-// coarse time bucket (so whole partitions go quiet and the merge front
-// skips them), hash-scattered, everything-in-one (degenerate), and
-// out-of-range (exercises the fold-to-zero clamp).
+// coarse time bucket (so whole partitions go quiet), hash-scattered,
+// everything-in-one (degenerate), and out of range (wrapped back by
+// partOf).
 func assigners(parts int) map[string]func(*event) int {
 	return map[string]func(*event) int{
 		"by-seq":  func(ev *event) int { return int(ev.seq) % parts },
@@ -38,9 +34,16 @@ func assigners(parts int) map[string]func(*event) int {
 	}
 }
 
-// TestPartitionedQueueMatchesSingleHeap: pushing one randomized schedule
-// into the single heap and into partitioned queues of several widths and
-// assignments, then draining, yields the identical pop sequence.
+// partOf is ev's partition under assign, wrapped into [0, parts).
+func partOf(assign func(*event) int, ev *event, parts int) int {
+	return assign(ev) % parts
+}
+
+// TestPartitionedQueueMatchesSingleHeap: one randomized schedule split
+// over per-partition queues, for several partition counts and
+// assignments, pops on every partition the single heap's order
+// restricted to it: draining the single heap, each event it yields is
+// the front of its partition's queue.
 func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 5, 8} {
 		for name, assign := range assigners(parts) {
@@ -49,26 +52,33 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 					t.Run(shape.name, func(t *testing.T) {
 						err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
 							ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400), shape)
-							n := len(ts)
 							var ref eventHeap
-							pq := newPartitionedQueue(parts, assign)
+							qs := make([]laneQueue, parts)
 							for i, at := range ts {
 								ev := &event{t: at, seq: uint64(i)}
 								ref.push(ev)
-								pq.push(ev)
+								qs[partOf(assign, ev, parts)].push(ev)
 							}
-							if pq.size() != ref.size() {
+							held := 0
+							for i := range qs {
+								held += qs[i].size()
+							}
+							if held != ref.size() {
 								return false
 							}
-							for i := 0; i < n; i++ {
-								if pq.peek() != ref.peek() {
-									return false
-								}
-								if pq.pop() != ref.pop() {
+							for ref.size() > 0 {
+								want := ref.pop()
+								q := &qs[partOf(assign, want, parts)]
+								if q.peek() != want || q.pop() != want {
 									return false
 								}
 							}
-							return pq.size() == 0 && pq.peek() == nil
+							for i := range qs {
+								if qs[i].size() != 0 || qs[i].peek() != nil {
+									return false
+								}
+							}
+							return true
 						}, &quick.Config{MaxCount: 60})
 						if err != nil {
 							t.Error(err)
@@ -80,10 +90,13 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 	}
 }
 
-// TestPartitionedQueueInterleaved: arbitrary interleavings of pushes,
-// pops, cancels and Advance jumps — the dispatch loop's shape, where
-// firing events schedule new ones — agree with container/heap at every
-// step, and exercise the tiers each shape exists for.
+// TestPartitionedQueueInterleaved: a queue program — pushes, pops,
+// cancels and Advance jumps, the dispatch loop's shape — split over four
+// partitions by each assignment of the corpus runs on every partition's
+// queue against container/heap, and the partitions together exercise
+// the tiers each shape exists for. An operation's index stands in for
+// its seq and its opcode for its time, so by-time gives each partition
+// its own mix of operations.
 func TestPartitionedQueueInterleaved(t *testing.T) {
 	const parts = 4
 	for name, assign := range assigners(parts) {
@@ -93,12 +106,19 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 					var total queueStats
 					err := quick.Check(func(seed uint64, opsRaw uint16) bool {
 						prog := randomProgram(rng.New(seed), 10+int(opsRaw%1500))
-						st, err := runQueueProgram(newPartitionedQueue(parts, assign), prog, shape)
-						if err != nil {
-							t.Log(err)
-							return false
+						subs := make([][]byte, parts)
+						for i, b := range prog {
+							p := partOf(assign, &event{t: Time(b), seq: uint64(i)}, parts)
+							subs[p] = append(subs[p], b)
 						}
-						total.add(st)
+						for p, sub := range subs {
+							st, err := runQueueProgram(&laneQueue{}, sub, shape)
+							if err != nil {
+								t.Logf("partition %d: %v", p, err)
+								return false
+							}
+							total.add(st)
+						}
 						return true
 					}, &quick.Config{MaxCount: 40})
 					if err != nil {
@@ -111,39 +131,109 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 	}
 }
 
+// TestPartitionedQueueSizeMatchesShards: each of several kernels run
+// side by side ("shards") reports as pending exactly the events its
+// model has scheduled and not yet seen fire, with every tier of the
+// queues populated, at setup and between Advance windows. Hops start at
+// half cycles and re-schedule themselves 70 cycles ahead, so they
+// stream through one lane; each also schedules a ping 5.5 cycles ahead,
+// at a whole cycle on the near wheel, beside a setup event at an
+// integral time; one setup event per shard lies some 900 cycles ahead,
+// on the far tier; and each shard's decreasing half-cycle times fit
+// behind no lane tail, so they fill the other lanes and spill onto the
+// heap.
+func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
+	const parts = 3
+	type shard struct {
+		k   *Kernel
+		out int // events scheduled and not yet fired
+	}
+	sched := func(s *shard, d Time, fn func(any)) {
+		s.out++
+		s.k.ScheduleArg(d, fn, s)
+	}
+	fired := func(arg any) { arg.(*shard).out-- }
+	var hops func(any)
+	hops = func(arg any) {
+		s := arg.(*shard)
+		s.out--
+		sched(s, 70, hops)
+		sched(s, 5.5, fired)
+	}
+	shards := make([]*shard, parts)
+	for i := range shards {
+		s := &shard{k: NewKernel()}
+		shards[i] = s
+		for j := 0; j < 24; j++ {
+			sched(s, Time(64+3*j)+0.5, hops)
+		}
+		for j := 0; j < 8; j++ {
+			sched(s, Time(120-j)+0.5, fired)
+		}
+		sched(s, Time(50-i), fired)
+		sched(s, Time(1000+i), fired)
+	}
+	check := func(when string) {
+		t.Helper()
+		var inLanes, onWheel, onFar, inHeap int
+		for i, s := range shards {
+			if got := s.k.PendingEvents(); got != s.out || got == 0 {
+				t.Fatalf("%s: shard %d holds %d events, its model %d", when, i, got, s.out)
+			}
+			q := &s.k.events
+			for _, l := range q.lanes {
+				inLanes += l.n
+			}
+			onWheel += wheelLen(q)
+			onFar += farLen(q)
+			inHeap += q.heap.size()
+		}
+		if inLanes == 0 {
+			t.Fatalf("%s: no events in lanes", when)
+		}
+		if onWheel == 0 {
+			t.Fatalf("%s: no events on the wheel", when)
+		}
+		if onFar == 0 {
+			t.Fatalf("%s: no events on the far tier", when)
+		}
+		if inHeap == 0 {
+			t.Fatalf("%s: no events in the heap", when)
+		}
+	}
+	check("setup")
+	for _, until := range []Time{12, 40, 41.5, 100} {
+		for _, s := range shards {
+			if err := s.k.Advance(until); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("after Advance(%g)", until))
+	}
+}
+
 // FuzzEventQueue runs arbitrary queue programs (see runQueueProgram for
-// the opcodes) differentially against container/heap, on the four-tier
-// queue and on a partitioned queue of 1-4 partitions, with integral
-// (wheel-shaped), stretched integral (far-shaped) and half-cycle
-// (lane-shaped) stream and random delays.
+// the opcodes) differentially against container/heap on the four-tier
+// queue, with integral (wheel-shaped), stretched integral (far-shaped)
+// and half-cycle (lane-shaped) stream and random delays.
 func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00}, uint8(0))
-	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03}, uint8(3))
-	f.Fuzz(func(t *testing.T, prog []byte, partsRaw uint8) {
-		parts := 1 + int(partsRaw%4)
+	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00})
+	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03})
+	f.Fuzz(func(t *testing.T, prog []byte) {
 		for _, shape := range queueShapes {
 			if _, err := runQueueProgram(&laneQueue{}, prog, shape); err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
-			}
-			pq := newPartitionedQueue(parts, func(ev *event) int { return int(ev.seq*2654435761>>7) % parts })
-			if _, err := runQueueProgram(pq, prog, shape); err != nil {
-				t.Fatalf("%s/partitioned/%d: %v", shape.name, parts, err)
 			}
 		}
 	})
 }
 
 // TestEventQueueEmptyPopContract pins the empty-queue contract across
-// every implementation: pop and peek on an empty queue return nil — the
-// partitioned queue used to forward its front() == -1 sentinel straight
-// into a slice index, turning "empty" into an opaque bounds panic — and
+// every implementation: pop and peek on an empty queue return nil, and
 // draining to empty then popping again behaves the same way, with the
-// size and the merge front intact afterwards.
+// size and the front intact afterwards.
 func TestEventQueueEmptyPopContract(t *testing.T) {
-	impls := append(queueCases(), queueCase{"partitioned", func() eventQueue {
-		return newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 })
-	}, queueShape{"partitioned", 0, 1}})
-	for _, c := range impls {
+	for _, c := range queueCases() {
 		t.Run(c.name, func(t *testing.T) {
 			q := c.mk()
 			if got := q.pop(); got != nil {
@@ -198,89 +288,14 @@ func TestEventQueueInterfaceConformance(t *testing.T) {
 	}
 	const n, seed = 300, 99
 	single := drain(&eventHeap{}, n, seed)
-	for name, q := range map[string]eventQueue{
-		"lanes":       &laneQueue{},
-		"partitioned": newPartitionedQueue(3, func(ev *event) int { return int(ev.seq) % 3 }),
-	} {
-		got := drain(q, n, seed)
-		if len(single) != n || len(got) != n {
-			t.Fatalf("%s: drained %d and %d of %d", name, len(single), len(got), n)
-		}
-		for i := range single {
-			if single[i] != got[i] {
-				t.Fatalf("%s: pop %d: single heap seq %d, got seq %d", name, i, single[i], got[i])
-			}
-		}
+	got := drain(&laneQueue{}, n, seed)
+	if len(single) != n || len(got) != n {
+		t.Fatalf("drained %d and %d of %d", len(single), len(got), n)
 	}
-}
-
-// TestPartitionedQueueSizeMatchesShards: a ParKernel's shards push into
-// their partitions directly, never through partitionedQueue.push, so the
-// queue's size must come from the partitions themselves — it equals the
-// sum of the shards' PendingEvents with every tier populated, at setup
-// and between windows. Hops start at half cycles and re-send
-// themselves 70 cycles ahead, so they stream through one lane; their
-// cross-shard Sends land 5.5 cycles ahead, at whole cycles on the near
-// wheel, beside a few setup events at integral times; one setup event
-// per shard lies some 900 cycles ahead, on the far tier; and each
-// shard's decreasing half-cycle times fit behind no lane tail, so they
-// fill the other lanes and spill onto the heap.
-func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
-	const parts = 3
-	pk := NewParKernel(parts, 2, 5)
-	defer pk.Close()
-	var hops func(any)
-	hops = func(arg any) {
-		k := arg.(*Kernel)
-		k.ScheduleArg(70, hops, k)
-		k.Send((k.Partition()+1)%parts, 5.5, func(any) {}, nil)
-	}
-	for i := 0; i < parts; i++ {
-		k := pk.Part(i)
-		for j := 0; j < 24; j++ {
-			k.ScheduleArg(Time(64+3*j)+0.5, hops, k)
+	for i := range single {
+		if single[i] != got[i] {
+			t.Fatalf("pop %d: single heap seq %d, four-tier queue seq %d", i, single[i], got[i])
 		}
-		for j := 0; j < 8; j++ {
-			k.Schedule(Time(120-j)+0.5, func() {})
-		}
-		k.Schedule(Time(50-i), func() {})
-		k.Schedule(Time(1000+i), func() {})
-	}
-	check := func(when string) {
-		t.Helper()
-		var sum, inLanes, onWheel, onFar, inHeap int
-		for i := 0; i < parts; i++ {
-			sum += pk.Part(i).PendingEvents()
-			q := &pk.pq.parts[i]
-			for _, l := range q.lanes {
-				inLanes += l.n
-			}
-			onWheel += wheelLen(q)
-			onFar += farLen(q)
-			inHeap += q.heap.size()
-		}
-		if got := pk.pq.size(); got != sum || sum == 0 {
-			t.Fatalf("%s: partitioned size %d, shards hold %d", when, got, sum)
-		}
-		if inLanes == 0 {
-			t.Fatalf("%s: no events in lanes", when)
-		}
-		if onWheel == 0 {
-			t.Fatalf("%s: no events on the wheel", when)
-		}
-		if onFar == 0 {
-			t.Fatalf("%s: no events on the far tier", when)
-		}
-		if inHeap == 0 {
-			t.Fatalf("%s: no events in the heap", when)
-		}
-	}
-	check("setup")
-	for _, until := range []Time{12, 40, 41.5, 100} {
-		if err := pk.Advance(until); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("after Advance(%g)", until))
 	}
 }
 
@@ -298,7 +313,7 @@ func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 		if err := k.Advance(until); err != nil {
 			t.Fatal(err)
 		}
-		q := k.events
+		q := &k.events
 		lanes := 0
 		for _, l := range q.lanes {
 			lanes += l.n

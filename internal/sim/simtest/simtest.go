@@ -4,18 +4,16 @@
 // kernel's public event API. The oracles the closed-form models are held
 // to run on it — hostpim's kernel formulation, parcelsys's store nodes
 // and control threads, parcel's activity TimedMachine, queueing's DES
-// stations — as do sim's ParKernel equivalence tests. No non-test file
-// may import it (TestNoProductionImports).
+// stations. No non-test file may import it (TestNoProductionImports).
 //
 // An activity is a state machine the kernel steps: Step runs inline,
 // makes at most one wait or registration, and returns. Every blocking
 // primitive has a "try or register" form (Resource.Acquire, Store.GetAct,
 // Signal.WaitAct) whose fast path continues inline.
 //
-// A resumption is one event, k.SendAt(k.Partition(), t, step, a), which
-// draws one schedule seq on a plain kernel and on a ParKernel shard
-// alike, exactly as the kernel's own activity resumptions did: activity
-// models keep the trajectories they had on the old kernel.
+// A resumption is one event, k.ScheduleArgAt(t, step, a), which draws one
+// schedule seq, exactly as the kernel's own activity resumptions did:
+// activity models keep the trajectories they had on the old kernel.
 package simtest
 
 import (
@@ -41,7 +39,7 @@ type ActivityFunc func(a *ActCtx)
 // Step calls the function.
 func (f ActivityFunc) Step(a *ActCtx) { f(a) }
 
-// Env is the activity roster of one kernel (or of one ParKernel shard).
+// Env is the activity roster of one kernel.
 type Env struct {
 	K *sim.Kernel
 	// Tracer, if non-nil, observes every activity's "start", "wait",
@@ -68,7 +66,7 @@ func (e *Env) SpawnAt(t sim.Time, name string, act Activity) *ActCtx {
 }
 
 // resume schedules a's next step at time t.
-func (e *Env) resume(a *ActCtx, t sim.Time) { e.K.SendAt(e.K.Partition(), t, step, a) }
+func (e *Env) resume(a *ActCtx, t sim.Time) { e.K.ScheduleArgAt(t, step, a) }
 
 // step delivers one resumption.
 func step(x any) {
