@@ -1,4 +1,4 @@
-// Command pimsweep runs custom parameter sweeps of the two models and
+// Command pimsweep runs custom parameter sweeps of the scenario models and
 // emits a table (and optionally CSV) — the tool for design-space questions
 // the canned pimstudy experiments don't answer. Sweeps execute through the
 // concurrent engine (internal/engine): each sweep is wrapped as an ad-hoc
@@ -8,19 +8,29 @@
 //
 // Usage:
 //
-//	pimsweep hostpim   -pct 0:1:11 -nodes 1,2,4,8,16,32,64 [flags]
-//	pimsweep parcelsys -parallelism 1,2,4,8 -latency 10,100,1000 [flags]
 //	pimsweep scenario  -preset fig11-point -backend sim \
 //	                   -sweep parallelism=1,2,4,8 -sweep latency=10:1000:4 [flags]
 //	pimsweep scenario  -preset machine-dram -backend machine \
 //	                   -sweep pagepolicy=0,1,2 -sweep updates=256,1024,4096 [flags]
+//	pimsweep hostpim   -pct 0:1:11 -nodes 1,2,4,8,16,32,64 [flags]
+//	pimsweep parcelsys -parallelism 1,2,4,8 -latency 10,100,1000 [flags]
 //
 // Axis syntax: either a comma list ("1,2,4,8") or "lo:hi:n" for n evenly
 // spaced values ("0:1:11"). Every combination of the axes is run.
 //
 // The scenario subcommand starts from a named preset (internal/scenario)
 // and sweeps any of its fields by name on any model backend; the metric
-// columns are whatever that backend reports for the scenario.
+// columns are whatever that backend reports for the scenario. hostpim and
+// parcelsys are aliases over the same sweep, for the paper's two studies:
+//
+//	hostpim    preset paper-baseline, backend analytic (-sim: sim)
+//	           axes -pct → pctwl, -nodes → nodes
+//	           fixed -pmiss → pmiss, -mix → mixls, -w → w, -overlap → overlap,
+//	           -fixedmiss → the fixed-miss control policy
+//	parcelsys  preset fig11-point, backend sim, mixls 0.3
+//	           axes -parallelism → parallelism, -latency → latency
+//	           fixed -nodes → nodes, -remote → remote, -mem → memcycles,
+//	           -horizon → horizon, -software → software
 //
 // Common flags:
 //
@@ -37,9 +47,6 @@
 //	                 exponential backoff between attempts (default 0)
 //	-retrybackoff D  base backoff between point retries (default 100ms)
 //	-v               print retry counts and result-cache statistics
-//
-// hostpim flags: -pmiss, -mix, -w, -overlap, -fixedmiss, -sim
-// parcelsys flags: -nodes, -remote, -mem, -horizon, -software
 package main
 
 import (
@@ -56,7 +63,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hostpim"
-	"repro/internal/parcel"
 	"repro/internal/parcelsys"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -72,7 +78,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: pimsweep hostpim|parcelsys [flags]")
+		return fmt.Errorf("usage: pimsweep hostpim|parcelsys|scenario [flags]")
 	}
 	switch args[0] {
 	case "hostpim":
@@ -115,7 +121,7 @@ func parseAxis(s string) ([]float64, error) {
 	return out, nil
 }
 
-// engineFlags are the execution flags shared by both sweep subcommands.
+// engineFlags are the execution flags shared by every sweep subcommand.
 type engineFlags struct {
 	seed         *uint64
 	csvPath      *string
@@ -145,377 +151,8 @@ func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 	}
 }
 
-// withRetries applies the -retries policy to a point function; with
-// -retries 0 it returns fn unchanged.
-func (ef *engineFlags) withRetries(fn sweep.RunFunc) sweep.RunFunc {
-	return sweep.WithRetries(fn, *ef.retries, *ef.retryBackoff, nil, &ef.retryStats)
-}
-
-// sweepSpec describes one sweep as the engine sees it: the grid, how to
-// evaluate a point, and how to lay the results out as a table.
-type sweepSpec struct {
-	id, title   string
-	tableTitle  string
-	axes        []sweep.Axis
-	axisHeaders []string
-	// axisCols formats a point's axis values for a table row.
-	axisCols func(p sweep.Point) []any
-	// metrics lists the metric keys in column order.
-	metrics []string
-	// metricHeaders are the table headers for metrics, same order.
-	metricHeaders []string
-	run           sweep.RunFunc
-}
-
-// pointKey flattens a grid point into a stable metric-name prefix, e.g.
-// "pct=0.5,n=8".
-func (s *sweepSpec) pointKey(p sweep.Point) string {
-	return pointKeyOf(s.axes, p)
-}
-
-// table renders one sweep's outcomes in point order. Points that failed
-// (an injected crash, the livelock guard, the watchdog) render "-" in
-// every metric column instead of fabricated zeros.
-func (s *sweepSpec) table(outs []sweep.Outcome) *report.Table {
-	headers := make([]string, 0, len(s.axisHeaders)+len(s.metricHeaders))
-	headers = append(append(headers, s.axisHeaders...), s.metricHeaders...)
-	t := report.NewTable(s.tableTitle, headers...)
-	row := make([]any, 0, len(headers))
-	for _, o := range outs {
-		row = append(row[:0], s.axisCols(o.Point)...)
-		for _, m := range s.metrics {
-			if o.Err != nil {
-				row = append(row, "-")
-			} else {
-				row = append(row, o.Metrics[m])
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// sweepErrors implements graceful per-point degradation: a sweep aborts
-// only when every point failed (returning that first error); otherwise the
-// failed count comes back and the surviving points carry the sweep.
-func sweepErrors(outs []sweep.Outcome) (int, error) {
-	failed := 0
-	for _, o := range outs {
-		if o.Err != nil {
-			failed++
-		}
-	}
-	if failed == len(outs) && failed > 0 {
-		return failed, sweep.FirstError(outs)
-	}
-	return failed, nil
-}
-
-// renderPointErrors appends the failure note after a degraded table.
-func renderPointErrors(w io.Writer, outs []sweep.Outcome, failed int) error {
-	if failed == 0 {
-		return nil
-	}
-	_, err := fmt.Fprintf(w, "%d of %d points failed; first: %v\n",
-		failed, len(outs), sweep.FirstError(outs))
-	return err
-}
-
-// aggregateTable lays the engine's per-point aggregates out as a table:
-// one row per grid point, a mean and CI column per metric.
-func (s *sweepSpec) aggregateTable(baseSeed uint64, aggs map[string]engine.Aggregate, reps int, level float64) (*report.Table, error) {
-	g, err := sweep.NewGrid(baseSeed, s.axes...)
-	if err != nil {
-		return nil, err
-	}
-	headers := append([]string{}, s.axisHeaders...)
-	for _, h := range s.metricHeaders {
-		headers = append(headers, h+" mean", h+" ±ci")
-	}
-	t := report.NewTable(fmt.Sprintf("%s — %d replications (%.0f%% CI)", s.tableTitle, reps, level*100), headers...)
-	row := make([]any, 0, len(headers))
-	var keyBuf []byte
-	for _, p := range g.Points() {
-		row = append(row[:0], s.axisCols(p)...)
-		// Build "pointkey/metric" in a reused buffer; the map lookup with
-		// string(keyBuf) does not allocate.
-		keyBuf = appendPointKey(keyBuf[:0], s.axes, p)
-		keyBuf = append(keyBuf, '/')
-		base := len(keyBuf)
-		for _, m := range s.metrics {
-			keyBuf = append(keyBuf[:base], m...)
-			a := aggs[string(keyBuf)]
-			row = append(row, a.Mean, a.CI)
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// experiment wraps the sweep as an ad-hoc core.Experiment. Each replicate
-// rebuilds the grid from its own (engine-derived) seed; the replicate that
-// runs the base seed captures its table for CSV emission.
-func (s *sweepSpec) experiment(baseSeed uint64, capture func(*report.Table)) *core.Experiment {
-	return &core.Experiment{
-		ID:         s.id,
-		Title:      s.title,
-		PaperClaim: "custom sweep (not a paper artifact)",
-		Run: func(cfg core.Config, w io.Writer) (*core.Outcome, error) {
-			g, err := sweep.NewGrid(cfg.Seed, s.axes...)
-			if err != nil {
-				return nil, err
-			}
-			outs := g.Run(cfg.Workers, s.run)
-			failed, err := sweepErrors(outs)
-			if err != nil {
-				return nil, fmt.Errorf("all %d sweep points failed: %w", len(outs), err)
-			}
-			t := s.table(outs)
-			if err := t.Render(w); err != nil {
-				return nil, err
-			}
-			if err := renderPointErrors(w, outs, failed); err != nil {
-				return nil, err
-			}
-			o := &core.Outcome{Metrics: make(map[string]float64, len(outs)*len(s.metrics))}
-			for _, out := range outs {
-				if out.Err != nil {
-					continue
-				}
-				key := s.pointKey(out.Point)
-				for _, m := range s.metrics {
-					o.Metrics[key+"/"+m] = out.Metrics[m]
-				}
-			}
-			if cfg.Seed == baseSeed {
-				capture(t)
-			}
-			return o, nil
-		},
-	}
-}
-
-// executeSweep runs the sweep through the engine and emits table, CSV, and
-// aggregate output per the shared flags.
-func executeSweep(ef *engineFlags, spec *sweepSpec) error {
-	spec.run = ef.withRetries(spec.run)
-	var mu sync.Mutex
-	var baseTable *report.Table
-	exp := spec.experiment(*ef.seed, func(t *report.Table) {
-		mu.Lock()
-		defer mu.Unlock()
-		baseTable = t
-	})
-	return emitSweepResults(ef, exp,
-		func() *report.Table {
-			mu.Lock()
-			defer mu.Unlock()
-			return baseTable
-		},
-		func(aggs map[string]engine.Aggregate, reps int, level float64) (*report.Table, error) {
-			return spec.aggregateTable(*ef.seed, aggs, reps, level)
-		})
-}
-
-// emitSweepResults runs one sweep experiment through the engine and emits
-// the table (or JSON), the replication aggregate table, and CSV from the
-// base-seed replicate — the output tail shared by every sweep subcommand.
-func emitSweepResults(ef *engineFlags, exp *core.Experiment, baseTable func() *report.Table,
-	aggTable func(aggs map[string]engine.Aggregate, reps int, level float64) (*report.Table, error)) error {
-	cfg := core.Config{Seed: *ef.seed, Workers: *ef.workers}
-	cache := engine.NewCache()
-	eng := engine.New(engine.Options{Workers: *ef.parallel, Replications: *ef.replications,
-		RunTimeout: *ef.runTimeout, Cache: cache})
-	// When replicated sweeps run concurrently, pin each sweep's inner pool
-	// to one worker (unless -workers was set explicitly) so total
-	// goroutines stay ~GOMAXPROCS instead of its square.
-	if cfg.Workers == 0 && eng.Options().Workers > 1 && eng.Options().Replications > 1 {
-		cfg.Workers = 1
-	}
-	results, err := eng.Run(cfg, []*core.Experiment{exp})
-	if *ef.verbose {
-		st := cache.Stats()
-		fmt.Fprintf(os.Stderr,
-			"pimsweep: retries: %d attempts, %d retried, %d recovered; cache: %d hits, %d misses, %d evictions\n",
-			ef.retryStats.Attempts.Load(), ef.retryStats.Retries.Load(), ef.retryStats.Recovered.Load(),
-			st.Hits, st.Misses, st.Evictions)
-	}
-	if err != nil {
-		return err
-	}
-	// Render to stdout before touching the CSV path: a bad -csv target
-	// must not swallow a completed sweep's results.
-	if *ef.jsonOut {
-		if err := engine.WriteJSON(os.Stdout, results); err != nil {
-			return err
-		}
-	} else {
-		r := results[0]
-		if _, err := os.Stdout.Write(r.Output); err != nil {
-			return err
-		}
-		reps := eng.Options().Replications
-		if reps > 1 {
-			at, err := aggTable(r.Aggregates, reps, eng.Options().Level)
-			if err != nil {
-				return err
-			}
-			fmt.Println()
-			if err := at.Render(os.Stdout); err != nil {
-				return err
-			}
-		}
-	}
-	if *ef.csvPath == "" {
-		return nil
-	}
-	f, err := os.Create(*ef.csvPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return baseTable().RenderCSV(f)
-}
-
-func runHostPIM(args []string) error {
-	fs := flag.NewFlagSet("pimsweep hostpim", flag.ContinueOnError)
-	pctAxis := fs.String("pct", "0:1:11", "axis: %WL values")
-	nodeAxis := fs.String("nodes", "1,2,4,8,16,32,64", "axis: PIM node counts")
-	pmiss := fs.Float64("pmiss", 0.1, "HWP cache miss rate")
-	mix := fs.Float64("mix", 0.3, "load/store fraction")
-	w := fs.Float64("w", 100e6, "total operations")
-	overlap := fs.Bool("overlap", false, "overlap HWP and LWP phases")
-	fixedMiss := fs.Bool("fixedmiss", false, "fixed-miss control policy (default locality-aware)")
-	useSim := fs.Bool("sim", false, "run the DES simulation instead of the closed form")
-	ef := addEngineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	pcts, err := parseAxis(*pctAxis)
-	if err != nil {
-		return err
-	}
-	nodes, err := parseAxis(*nodeAxis)
-	if err != nil {
-		return err
-	}
-	spec := &sweepSpec{
-		id:    "hostpim-sweep",
-		title: "custom hostpim sweep",
-		tableTitle: fmt.Sprintf("hostpim sweep (pmiss=%g mix=%g overlap=%v sim=%v)",
-			*pmiss, *mix, *overlap, *useSim),
-		axes: []sweep.Axis{
-			{Name: "pct", Values: pcts},
-			{Name: "n", Values: nodes},
-		},
-		axisHeaders: []string{"%WL", "N"},
-		axisCols: func(p sweep.Point) []any {
-			return []any{p.Get("pct"), p.GetInt("n")}
-		},
-		metrics:       []string{"total", "gain", "relative"},
-		metricHeaders: []string{"total cycles", "gain", "relative"},
-		run: func(pt sweep.Point) (map[string]float64, error) {
-			p := hostpim.DefaultParams()
-			p.PctWL = pt.Get("pct")
-			p.N = pt.GetInt("n")
-			p.Pmiss = *pmiss
-			p.MixLS = *mix
-			p.W = *w
-			p.Overlap = *overlap
-			if *fixedMiss {
-				p.Control = hostpim.ControlFixedMiss
-			}
-			var r hostpim.Result
-			var err error
-			if *useSim {
-				r, err = hostpim.Simulate(p, hostpim.SimOptions{Seed: pt.Seed})
-			} else {
-				r, err = hostpim.Analytic(p)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"total": r.Total, "gain": r.Gain, "relative": r.Relative,
-			}, nil
-		},
-	}
-	return executeSweep(ef, spec)
-}
-
-func runParcelSys(args []string) error {
-	fs := flag.NewFlagSet("pimsweep parcelsys", flag.ContinueOnError)
-	parAxis := fs.String("parallelism", "1,2,4,8,16,32", "axis: parcels per node")
-	latAxis := fs.String("latency", "10,100,1000", "axis: one-way latency (cycles)")
-	nodes := fs.Int("nodes", 16, "node count")
-	remote := fs.Float64("remote", 0.3, "remote access fraction")
-	mem := fs.Float64("mem", 10, "local memory cycles")
-	horizon := fs.Float64("horizon", 100000, "simulated cycles")
-	software := fs.Bool("software", false, "software-only parcel overheads")
-	ef := addEngineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	pars, err := parseAxis(*parAxis)
-	if err != nil {
-		return err
-	}
-	lats, err := parseAxis(*latAxis)
-	if err != nil {
-		return err
-	}
-	spec := &sweepSpec{
-		id:    "parcelsys-sweep",
-		title: "custom parcelsys sweep",
-		tableTitle: fmt.Sprintf("parcelsys sweep (%d nodes, remote=%g, software=%v)",
-			*nodes, *remote, *software),
-		axes: []sweep.Axis{
-			{Name: "p", Values: pars},
-			{Name: "l", Values: lats},
-		},
-		axisHeaders: []string{"parallelism", "latency"},
-		axisCols: func(p sweep.Point) []any {
-			return []any{p.GetInt("p"), p.Get("l")}
-		},
-		metrics:       []string{"ratio", "ctrlIdle", "testIdle"},
-		metricHeaders: []string{"ratio", "control idle", "test idle"},
-		run: func(pt sweep.Point) (map[string]float64, error) {
-			p := parcelsys.DefaultParams()
-			p.Nodes = *nodes
-			p.Parallelism = pt.GetInt("p")
-			p.Latency = pt.Get("l")
-			p.RemoteFrac = *remote
-			p.MemCycles = *mem
-			p.Horizon = *horizon
-			p.Seed = pt.Seed
-			if *software {
-				p.Overhead = parcel.SoftwareOnly()
-			}
-			r, err := parcelsys.Run(p)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"ratio": r.Ratio, "ctrlIdle": r.Control.IdleFrac, "testIdle": r.Test.IdleFrac,
-			}, nil
-		},
-	}
-	return executeSweep(ef, spec)
-}
-
-// sweepList collects repeatable -sweep field=axis flags.
-type sweepList []string
-
-func (l *sweepList) String() string { return strings.Join(*l, " ") }
-
-// Set appends one field=axis entry.
-func (l *sweepList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 // appendPointKey appends a grid point's stable metric-name prefix
-// ("pct=0.5,n=8") to buf without going through fmt.
+// ("pctwl=0.5,nodes=8") to buf without going through fmt.
 func appendPointKey(buf []byte, axes []sweep.Axis, p sweep.Point) []byte {
 	for i, a := range axes {
 		if i > 0 {
@@ -529,27 +166,83 @@ func appendPointKey(buf []byte, axes []sweep.Axis, p sweep.Point) []byte {
 	return buf
 }
 
-// pointKeyOf flattens a grid point into a stable metric-name prefix.
-func pointKeyOf(axes []sweep.Axis, p sweep.Point) string {
-	return string(appendPointKey(nil, axes, p))
+// runHostPIM is the study-1 alias: the paper-baseline preset with the
+// fixed flags written into its fields and -pct and -nodes as the pctwl
+// and nodes axes, on the analytic backend (sim with -sim).
+func runHostPIM(args []string) error {
+	fs := flag.NewFlagSet("pimsweep hostpim", flag.ContinueOnError)
+	pctAxis := fs.String("pct", "0:1:11", "axis: %WL values (field pctwl)")
+	nodeAxis := fs.String("nodes", "1,2,4,8,16,32,64", "axis: PIM node counts (field nodes)")
+	pmiss := fs.Float64("pmiss", 0.1, "HWP cache miss rate (field pmiss)")
+	mix := fs.Float64("mix", 0.3, "load/store fraction (field mixls)")
+	w := fs.Float64("w", 100e6, "total operations (field w)")
+	overlap := fs.Bool("overlap", false, "overlap HWP and LWP phases (field overlap)")
+	fixedMiss := fs.Bool("fixedmiss", false, "fixed-miss control policy (default locality-aware)")
+	useSim := fs.Bool("sim", false, "run the DES simulation instead of the closed form (backend sim)")
+	ef := addEngineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	base := scenario.MustFind("paper-baseline")
+	base.Machine.Pmiss = *pmiss
+	base.Workload.MixLS = *mix
+	base.Workload.W = *w
+	base.Overlap = *overlap
+	if *fixedMiss {
+		base.Control = hostpim.ControlFixedMiss
+	}
+	backend := "analytic"
+	if *useSim {
+		backend = "sim"
+	}
+	pct, err := fieldAxis("pctwl", *pctAxis)
+	if err != nil {
+		return err
+	}
+	n, err := fieldAxis("nodes", *nodeAxis)
+	if err != nil {
+		return err
+	}
+	return scenarioSweep(ef, base, backend, false, []sweep.Axis{pct, n})
 }
 
-// metricUnion returns the sorted union of metric names over outcomes. The
-// set can vary across points when a sweep crosses a scenario-kind
-// boundary (e.g. remote 0 -> 0.3); missing cells render as NaN.
-func metricUnion(outs []sweep.Outcome) []string {
-	seen := map[string]bool{}
-	for _, o := range outs {
-		for m := range o.Metrics {
-			seen[m] = true
-		}
+// runParcelSys is the study-2 alias: the fig11-point preset with the
+// fixed flags written into its fields and -parallelism and -latency as
+// axes, on the sim backend.
+func runParcelSys(args []string) error {
+	fs := flag.NewFlagSet("pimsweep parcelsys", flag.ContinueOnError)
+	parAxis := fs.String("parallelism", "1,2,4,8,16,32", "axis: parcels per node (field parallelism)")
+	latAxis := fs.String("latency", "10,100,1000", "axis: one-way latency in cycles (field latency)")
+	nodes := fs.Int("nodes", 16, "node count (field nodes)")
+	remote := fs.Float64("remote", 0.3, "remote access fraction (field remote)")
+	mem := fs.Float64("mem", 10, "local memory cycles (field memcycles)")
+	horizon := fs.Float64("horizon", 100000, "simulated cycles (field horizon)")
+	software := fs.Bool("software", false, "software-only parcel overheads (field software)")
+	ef := addEngineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	out := make([]string, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
+	if *remote == 0 {
+		// Without remote accesses the point is a study-1 scenario, which
+		// would fail as one without work (W = 0).
+		return fmt.Errorf("parcelsys: -remote 0 is a study-1 point; sweep it with hostpim")
 	}
-	sort.Strings(out)
-	return out
+	base := scenario.MustFind("fig11-point")
+	base.Machine.N = *nodes
+	base.Workload.RemoteFrac = *remote
+	base.Machine.MemCycles = *mem
+	base.Workload.Horizon = *horizon
+	base.Software = *software
+	base.Workload.MixLS = parcelsys.DefaultParams().MixMem
+	par, err := fieldAxis("parallelism", *parAxis)
+	if err != nil {
+		return err
+	}
+	lat, err := fieldAxis("latency", *latAxis)
+	if err != nil {
+		return err
+	}
+	return scenarioSweep(ef, base, "sim", false, []sweep.Axis{par, lat})
 }
 
 func runScenarioSweep(args []string) error {
@@ -557,8 +250,11 @@ func runScenarioSweep(args []string) error {
 	preset := fs.String("preset", "paper-baseline", "scenario preset to start from")
 	backendName := fs.String("backend", "sim", "model backend to run")
 	quick := fs.Bool("quick", false, "clamp workload sizes and horizons (quick mode)")
-	var sweeps sweepList
-	fs.Var(&sweeps, "sweep", "field=axis to sweep, repeatable (see sweepable fields)")
+	var sweeps []string
+	fs.Func("sweep", "field=axis to sweep, repeatable (see sweepable fields)", func(v string) error {
+		sweeps = append(sweeps, v)
+		return nil
+	})
 	ef := addEngineFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: pimsweep scenario -preset <name> -backend <name> -sweep field=axis [-sweep ...]\n\npresets:\n")
@@ -591,18 +287,50 @@ func runScenarioSweep(args []string) error {
 		if !ok {
 			return fmt.Errorf("-sweep %q: want field=axis", spec)
 		}
-		probe := base // name check against the field registry
-		if err := scenario.SetField(&probe, name, 0); err != nil {
-			return err
-		}
-		vals, err := parseAxis(axisSpec)
+		a, err := fieldAxis(name, axisSpec)
 		if err != nil {
 			return err
 		}
-		axes = append(axes, sweep.Axis{Name: name, Values: vals})
+		axes = append(axes, a)
 	}
+	return scenarioSweep(ef, base, *backendName, *quick, axes)
+}
 
-	title := fmt.Sprintf("scenario sweep: %s on %s", base.Name, *backendName)
+// fieldAxis parses one field's axis spec into a grid axis, checking the
+// name against the scenario field registry.
+func fieldAxis(name, spec string) (sweep.Axis, error) {
+	if _, err := scenario.GetField(scenario.Scenario{}, name); err != nil {
+		return sweep.Axis{}, err
+	}
+	vals, err := parseAxis(spec)
+	if err != nil {
+		return sweep.Axis{}, err
+	}
+	return sweep.Axis{Name: name, Values: vals}, nil
+}
+
+// scenarioSweep is the one sweep path: every grid point writes its axis
+// values into the fields of base and runs it on the named backend. The
+// sweep runs through the engine as an ad-hoc experiment, which emits the
+// table (or JSON), the replication aggregate table, and CSV from the
+// base-seed replicate.
+func scenarioSweep(ef *engineFlags, base scenario.Scenario, backend string, quick bool, axes []sweep.Axis) error {
+	title := fmt.Sprintf("scenario sweep: %s on %s", base.Name, backend)
+	runPoint := sweep.WithRetries(func(pt sweep.Point) (map[string]float64, error) {
+		s := base
+		for _, a := range axes {
+			if err := scenario.SetField(&s, a.Name, pt.Get(a.Name)); err != nil {
+				return nil, err
+			}
+		}
+		r, err := scenario.Run(s, backend, scenario.Config{Seed: pt.Seed, Quick: quick})
+		if err != nil {
+			return nil, err
+		}
+		return r.Metrics, nil
+	}, *ef.retries, *ef.retryBackoff, nil, &ef.retryStats)
+	// The replicates run concurrently (and a watchdogged one may finish
+	// after the engine returns), so the base-seed table is guarded.
 	var mu sync.Mutex
 	var baseTable *report.Table
 	exp := &core.Experiment{
@@ -614,53 +342,35 @@ func runScenarioSweep(args []string) error {
 			if err != nil {
 				return nil, err
 			}
-			outs := g.Run(cfg.Workers, ef.withRetries(func(pt sweep.Point) (map[string]float64, error) {
-				s := base
-				for _, a := range axes {
-					if err := scenario.SetField(&s, a.Name, pt.Get(a.Name)); err != nil {
-						return nil, err
-					}
-				}
-				r, err := scenario.Run(s, *backendName, scenario.Config{Seed: pt.Seed, Quick: *quick})
-				if err != nil {
-					return nil, err
-				}
-				return r.Metrics, nil
-			}))
-			failed, err := sweepErrors(outs)
-			if err != nil {
-				return nil, fmt.Errorf("all %d sweep points failed: %w", len(outs), err)
-			}
-			metrics := metricUnion(outs)
-			headers := make([]string, 0, len(axes)+len(metrics))
-			for _, a := range axes {
-				headers = append(headers, a.Name)
-			}
-			headers = append(headers, metrics...)
-			t := report.NewTable(title, headers...)
-			o := &core.Outcome{Metrics: make(map[string]float64, len(outs)*len(metrics))}
+			// A sweep aborts only when every point failed (an injected
+			// crash, the livelock guard, the watchdog); otherwise the
+			// surviving points carry it and a note names the first failure.
+			outs := g.Run(cfg.Workers, runPoint)
+			failed := 0
+			o := &core.Outcome{Metrics: make(map[string]float64)}
 			for _, out := range outs {
-				row := make([]any, 0, len(headers))
-				for _, a := range axes {
-					row = append(row, out.Point.Get(a.Name))
+				if out.Err != nil {
+					failed++
+					continue
 				}
-				key := pointKeyOf(axes, out.Point)
-				for _, m := range metrics {
-					v, ok := out.Metrics[m]
-					if !ok {
-						row = append(row, "-")
-						continue
-					}
-					row = append(row, v)
+				key := string(appendPointKey(nil, axes, out.Point))
+				for m, v := range out.Metrics {
 					o.Metrics[key+"/"+m] = v
 				}
-				t.AddRow(row...)
 			}
+			if failed == len(outs) {
+				return nil, fmt.Errorf("all %d sweep points failed: %w", failed, sweep.FirstError(outs))
+			}
+			t := pointTable(title, axes, g.Points(), o.Metrics, []string{""},
+				func(v float64) []any { return []any{v} })
 			if err := t.Render(w); err != nil {
 				return nil, err
 			}
-			if err := renderPointErrors(w, outs, failed); err != nil {
-				return nil, err
+			if failed > 0 {
+				if _, err := fmt.Fprintf(w, "%d of %d points failed; first: %v\n",
+					failed, len(outs), sweep.FirstError(outs)); err != nil {
+					return nil, err
+				}
 			}
 			if cfg.Seed == *ef.seed {
 				mu.Lock()
@@ -671,23 +381,76 @@ func runScenarioSweep(args []string) error {
 		},
 	}
 
-	return emitSweepResults(ef, exp,
-		func() *report.Table {
-			mu.Lock()
-			defer mu.Unlock()
-			return baseTable
-		},
-		func(aggs map[string]engine.Aggregate, reps int, level float64) (*report.Table, error) {
-			return scenarioAggregateTable(title, axes, *ef.seed, aggs, reps, level)
-		})
+	cfg := core.Config{Seed: *ef.seed, Workers: *ef.workers}
+	cache := engine.NewCache()
+	eng := engine.New(engine.Options{Workers: *ef.parallel, Replications: *ef.replications,
+		RunTimeout: *ef.runTimeout, Cache: cache})
+	// When replicated sweeps run concurrently, pin each sweep's inner pool
+	// to one worker (unless -workers was set explicitly) so total
+	// goroutines stay ~GOMAXPROCS instead of its square.
+	if cfg.Workers == 0 && eng.Options().Workers > 1 && eng.Options().Replications > 1 {
+		cfg.Workers = 1
+	}
+	results, err := eng.Run(cfg, []*core.Experiment{exp})
+	if *ef.verbose {
+		st := cache.Stats()
+		fmt.Fprintf(os.Stderr,
+			"pimsweep: retries: %d attempts, %d retried, %d recovered; cache: %d hits, %d misses, %d evictions\n",
+			ef.retryStats.Attempts.Load(), ef.retryStats.Retries.Load(), ef.retryStats.Recovered.Load(),
+			st.Hits, st.Misses, st.Evictions)
+	}
+	if err != nil {
+		return err
+	}
+	// Render to stdout before touching the CSV path: a bad -csv target
+	// must not swallow a completed sweep's results.
+	if *ef.jsonOut {
+		if err := engine.WriteJSON(os.Stdout, results); err != nil {
+			return err
+		}
+	} else {
+		r := results[0]
+		if _, err := os.Stdout.Write(r.Output); err != nil {
+			return err
+		}
+		if reps := eng.Options().Replications; reps > 1 {
+			g, err := sweep.NewGrid(*ef.seed, axes...)
+			if err != nil {
+				return err
+			}
+			at := pointTable(fmt.Sprintf("%s — %d replications (%.0f%% CI)", title, reps, eng.Options().Level*100),
+				axes, g.Points(), r.Aggregates, []string{" mean", " ±ci"},
+				func(a engine.Aggregate) []any { return []any{a.Mean, a.CI} })
+			fmt.Println()
+			if err := at.Render(os.Stdout); err != nil {
+				return err
+			}
+		}
+	}
+	if *ef.csvPath == "" {
+		return nil
+	}
+	f, err := os.Create(*ef.csvPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	return baseTable.RenderCSV(f)
 }
 
-// scenarioAggregateTable lays the engine's per-point aggregates out as a
-// table. Metric names are recovered from the aggregate keys (pointkey is
-// slash-free, so the first slash separates the two).
-func scenarioAggregateTable(title string, axes []sweep.Axis, baseSeed uint64, aggs map[string]engine.Aggregate, reps int, level float64) (*report.Table, error) {
+// pointTable lays a sweep's per-point values out as a table: one row per
+// grid point, its axis values, then one column per metric and suffix in
+// cols, filled by cells from the value stored under "pointkey/metric".
+// Metric names come from the keys (a point key is slash-free) and are
+// sorted; the set can vary across points when a sweep crosses a
+// scenario-kind boundary (e.g. remote 0 -> 0.3), and a point without a
+// metric, or one that failed, renders "-" there rather than a zero.
+func pointTable[V any](title string, axes []sweep.Axis, points []sweep.Point, vals map[string]V,
+	cols []string, cells func(V) []any) *report.Table {
 	seen := map[string]bool{}
-	for k := range aggs {
+	for k := range vals {
 		if _, metric, ok := strings.Cut(k, "/"); ok {
 			seen[metric] = true
 		}
@@ -697,41 +460,40 @@ func scenarioAggregateTable(title string, axes []sweep.Axis, baseSeed uint64, ag
 		metrics = append(metrics, m)
 	}
 	sort.Strings(metrics)
-	g, err := sweep.NewGrid(baseSeed, axes...)
-	if err != nil {
-		return nil, err
-	}
-	headers := make([]string, 0, len(axes)+2*len(metrics))
+	headers := make([]string, 0, len(axes)+len(cols)*len(metrics))
 	for _, a := range axes {
 		headers = append(headers, a.Name)
 	}
 	for _, m := range metrics {
-		headers = append(headers, m+" mean", m+" ±ci")
+		for _, c := range cols {
+			headers = append(headers, m+c)
+		}
 	}
-	t := report.NewTable(fmt.Sprintf("%s — %d replications (%.0f%% CI)", title, reps, level*100), headers...)
+	t := report.NewTable(title, headers...)
 	row := make([]any, 0, len(headers))
 	var keyBuf []byte
-	for _, p := range g.Points() {
+	for _, p := range points {
 		row = row[:0]
 		for _, a := range axes {
 			row = append(row, p.Get(a.Name))
 		}
+		// Build "pointkey/metric" in a reused buffer; the map lookup with
+		// string(keyBuf) does not allocate.
 		keyBuf = appendPointKey(keyBuf[:0], axes, p)
 		keyBuf = append(keyBuf, '/')
 		base := len(keyBuf)
 		for _, m := range metrics {
 			keyBuf = append(keyBuf[:base], m...)
-			a, ok := aggs[string(keyBuf)]
+			v, ok := vals[string(keyBuf)]
 			if !ok {
-				// The metric does not exist at this grid point (the sweep
-				// crossed a scenario-kind boundary) — mirror the base
-				// table's "-" rather than fabricating a zero.
-				row = append(row, "-", "-")
+				for range cols {
+					row = append(row, "-")
+				}
 				continue
 			}
-			row = append(row, a.Mean, a.CI)
+			row = append(row, cells(v)...)
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t
 }

@@ -2,12 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/hostpim"
+	"repro/internal/parcel"
+	"repro/internal/parcelsys"
+	"repro/internal/sweep"
 	"repro/internal/testutil"
 )
 
@@ -77,8 +82,12 @@ func TestBadModel(t *testing.T) {
 	if err := run([]string{"nonsense"}); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if err := run(nil); err == nil {
+	err := run(nil)
+	if err == nil {
 		t.Fatal("missing model accepted")
+	}
+	if !strings.Contains(err.Error(), "hostpim|parcelsys|scenario") {
+		t.Errorf("usage does not list every subcommand: %v", err)
 	}
 }
 
@@ -113,16 +122,124 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if len(decoded) != 1 || decoded[0]["id"] != "hostpim-sweep" {
+	if len(decoded) != 1 || decoded[0]["id"] != "scenario-sweep" {
 		t.Fatalf("unexpected JSON: %v", decoded)
 	}
 	metrics, ok := decoded[0]["metrics"].(map[string]any)
-	if !ok || metrics["pct=0.5,n=4/gain"] == nil {
+	if !ok || metrics["pctwl=0.5,nodes=4/gain"] == nil {
 		t.Errorf("per-point metrics missing: %v", decoded[0]["metrics"])
 	}
 	aggs, ok := decoded[0]["aggregates"].(map[string]any)
-	if !ok || aggs["pct=0.5,n=8/gain"] == nil {
+	if !ok || aggs["pctwl=0.5,nodes=8/gain"] == nil {
 		t.Errorf("per-point aggregates missing")
+	}
+}
+
+// sweepMetrics runs a sweep with -json and returns its per-point metrics.
+func sweepMetrics(t *testing.T, args []string) map[string]float64 {
+	t.Helper()
+	out := captureStdout(t, func() error { return run(append(args, "-json")) })
+	var decoded []struct {
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(out), &decoded); err != nil || len(decoded) != 1 {
+		t.Fatalf("%v: bad JSON (%v):\n%s", args, err, out)
+	}
+	return decoded[0].Metrics
+}
+
+// TestAliasesMatchModels pins each alias to the model call it stands for:
+// every swept metric equals hostpim.Analytic, hostpim.Simulate or
+// parcelsys.Run on the model's DefaultParams with the same flags and the
+// grid's point seeds. This ties the presets' base values to the model
+// defaults the aliases rely on.
+func TestAliasesMatchModels(t *testing.T) {
+	check := func(args []string, axes []sweep.Axis, want func(pt sweep.Point) (map[string]float64, error)) {
+		t.Helper()
+		got := sweepMetrics(t, args)
+		g, err := sweep.NewGrid(1, axes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, pt := range g.Points() {
+			w, err := want(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s=%g,%s=%g/", axes[0].Name, pt.Get(axes[0].Name), axes[1].Name, pt.Get(axes[1].Name))
+			for m, v := range w {
+				if have, ok := got[key+m]; !ok || have != v {
+					t.Errorf("%v: %s%s = %v (present %v), model says %v", args, key, m, have, ok, v)
+				}
+				n++
+			}
+		}
+		if len(got) != n {
+			t.Errorf("%v: %d metrics, want %d", args, len(got), n)
+		}
+	}
+
+	hostAxes := []sweep.Axis{{Name: "pctwl", Values: []float64{0, 0.4, 1}}, {Name: "nodes", Values: []float64{1, 8}}}
+	for _, sim := range []bool{false, true} {
+		for _, tc := range []struct {
+			flags []string
+			set   func(p *hostpim.Params)
+		}{
+			{nil, func(*hostpim.Params) {}},
+			{[]string{"-overlap"}, func(p *hostpim.Params) { p.Overlap = true }},
+			{[]string{"-fixedmiss"}, func(p *hostpim.Params) { p.Control = hostpim.ControlFixedMiss }},
+			{[]string{"-overlap", "-fixedmiss", "-pmiss", "0.2", "-mix", "0.4"}, func(p *hostpim.Params) {
+				p.Overlap, p.Control, p.Pmiss, p.MixLS = true, hostpim.ControlFixedMiss, 0.2, 0.4
+			}},
+		} {
+			args := append([]string{"hostpim", "-pct", "0,0.4,1", "-nodes", "1,8"}, tc.flags...)
+			if sim {
+				args = append(args, "-sim", "-w", "1e6")
+			}
+			check(args, hostAxes, func(pt sweep.Point) (map[string]float64, error) {
+				p := hostpim.DefaultParams()
+				p.PctWL, p.N = pt.Get("pctwl"), pt.GetInt("nodes")
+				tc.set(&p)
+				var r hostpim.Result
+				var err error
+				if sim {
+					p.W = 1e6
+					r, err = hostpim.Simulate(p, hostpim.SimOptions{Seed: pt.Seed})
+				} else {
+					r, err = hostpim.Analytic(p)
+				}
+				return map[string]float64{"gain": r.Gain, "total": r.Total, "relative": r.Relative}, err
+			})
+		}
+	}
+
+	parcelAxes := []sweep.Axis{{Name: "parallelism", Values: []float64{1, 4}}, {Name: "latency", Values: []float64{50, 500}}}
+	for _, software := range []bool{false, true} {
+		args := []string{"parcelsys", "-parallelism", "1,4", "-latency", "50,500", "-nodes", "4", "-horizon", "5000"}
+		if software {
+			args = append(args, "-software")
+		}
+		check(args, parcelAxes, func(pt sweep.Point) (map[string]float64, error) {
+			p := parcelsys.DefaultParams()
+			p.Nodes, p.Horizon, p.Seed = 4, 5000, pt.Seed
+			p.Parallelism, p.Latency = pt.GetInt("parallelism"), pt.Get("latency")
+			if software {
+				p.Overhead = parcel.SoftwareOnly()
+			}
+			r, err := parcelsys.Run(p)
+			return map[string]float64{"ratio": r.Ratio, "ctrl_idle": r.Control.IdleFrac,
+				"test_idle": r.Test.IdleFrac, "efficiency": 1 - r.Test.IdleFrac}, err
+		})
+	}
+
+	// An invalid point reports its validation error, and a remote-free
+	// parcelsys point says where it belongs.
+	if err := run([]string{"hostpim", "-nodes", "0"}); err == nil || !strings.Contains(err.Error(), "N = 0") {
+		t.Errorf("hostpim -nodes 0: want the N = 0 validation error, got %v", err)
+	}
+	if err := run([]string{"parcelsys", "-remote", "0"}); err == nil || !strings.Contains(err.Error(), "hostpim") {
+		t.Errorf("parcelsys -remote 0: got %v", err)
 	}
 }
 

@@ -434,11 +434,6 @@ func ResponseCurve(base Params, pct float64, nodes []int) ([]float64, error) {
 	return times, nil
 }
 
-// CrossoverN returns the node count above which the PIM-augmented system
-// beats the fixed-miss control for every %WL — the paper's N = NB
-// coincidence point (Fig. 7).
-func CrossoverN(p Params) float64 { return p.NB() }
-
 // AgreementBand runs both evaluation paths over a (pct × nodes) grid and
 // returns the min, mean, and max relative error between simulation and
 // analytic totals — the reproduction of the paper's "5% to 18%" agreement

@@ -165,9 +165,6 @@ func (n *NodeState) startThread(entry, arg, src uint64) int {
 	return idx
 }
 
-// LiveThreads returns the number of unfinished threads.
-func (n *NodeState) LiveThreads() int { return n.live }
-
 // Machine is a deterministic cycle-driven multi-node PIM interpreter: one
 // instruction issue per node per cycle from the round-robin ready thread
 // (fine-grain multithreading), memory/wide/parcel costs modeled as thread

@@ -131,9 +131,6 @@ func MM1PSMeanSojourn(lambda, mu float64) (float64, error) {
 	return r.W, nil
 }
 
-// LittlesLawL returns L = λW — used as an invariant check in tests.
-func LittlesLawL(lambda, w float64) float64 { return lambda * w }
-
 // Kingman returns the classical G/G/1 heavy-traffic approximation for mean
 // waiting time: Wq ≈ (ρ/(1−ρ)) · ((ca² + cs²)/2) · E[S], where ca and cs
 // are the coefficients of variation of interarrival and service times.

@@ -37,9 +37,6 @@ func (t *Table) AddStringRow(cells ...string) {
 	t.rows = append(t.rows, append([]string(nil), cells...))
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func formatCell(c any) string {
 	switch v := c.(type) {
 	case float64:

@@ -32,9 +32,6 @@ var backends = []Backend{
 	machineBackend{},
 }
 
-// Backends returns all backends in presentation order.
-func Backends() []Backend { return backends }
-
 // BackendNames returns the backend names in presentation order.
 func BackendNames() []string {
 	out := make([]string, len(backends))
@@ -55,13 +52,17 @@ func FindBackend(name string) (Backend, error) {
 }
 
 // Run is the one-call convenience: evaluate scenario s on the named
-// backend.
+// backend. An invalid scenario fails with Validate's error, not as one
+// the backend does not support.
 func Run(s Scenario, backend string, cfg Config) (Result, error) {
 	b, err := FindBackend(backend)
 	if err != nil {
 		return Result{}, err
 	}
 	if !b.Supports(s) {
+		if err := s.Validate(); err != nil {
+			return Result{}, err
+		}
 		return Result{}, fmt.Errorf("scenario: backend %s does not support scenario %s (%s)",
 			b.Name(), s.Name, s.Kind())
 	}

@@ -8,8 +8,11 @@ import (
 )
 
 // Field is one numerically sweepable scenario knob, addressable by name —
-// the hook pimsweep's scenario mode uses to sweep design-space axes
-// without per-field code.
+// the hook pimsweep's one sweep path uses to sweep design-space axes
+// without per-field code. Every pimsweep subcommand sweeps fields: the
+// scenario subcommand takes them by name, and the hostpim and parcelsys
+// aliases map their flags onto fields of the paper-baseline and
+// fig11-point presets. The same names key Spec.Fields.
 type Field struct {
 	// Name is the sweep-axis name (lower-case, no spaces).
 	Name string

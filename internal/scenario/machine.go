@@ -90,10 +90,6 @@ func MachineProgramNames() []string {
 	return out
 }
 
-// MachineTopologyNames returns the topology names a machine scenario
-// accepts (network.ByName's registry).
-func MachineTopologyNames() []string { return network.TopologyNames() }
-
 // validateMachine checks the machine-kind-specific fields (called from
 // Scenario.Validate once the shared machine-timing checks have passed).
 func (s Scenario) validateMachine() error {

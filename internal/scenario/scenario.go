@@ -171,8 +171,8 @@ type Scenario struct {
 	// hardware-assisted cost point.
 	Software bool
 
-	// Tol overrides the cross-backend agreement tolerance per metric
-	// (see DefaultTolerances). Useful where models legitimately diverge —
+	// Tol overrides the validator's default cross-backend agreement
+	// tolerance per metric. Useful where models legitimately diverge —
 	// e.g. hybrid closed forms vs the calibrated simulation.
 	Tol map[string]float64
 }

@@ -191,6 +191,24 @@ func TestRunUnsupportedBackend(t *testing.T) {
 	}
 }
 
+func TestRunReportsValidationError(t *testing.T) {
+	// An invalid point names its fault on every backend instead of
+	// reading as a scenario the backend does not cover; a valid but
+	// unclaimed scenario still gets the "does not support" error.
+	s := MustFind("paper-baseline")
+	s.Machine.N = 0
+	for _, b := range BackendNames() {
+		_, err := Run(s, b, Config{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "N = 0") {
+			t.Errorf("%s: want the N = 0 validation error, got %v", b, err)
+		}
+	}
+	_, err := Run(MustFind("paper-baseline"), "queueing", Config{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Errorf("queueing on a valid study-1 scenario: got %v", err)
+	}
+}
+
 func TestAnalyticMatchesHostpimDirectly(t *testing.T) {
 	s := MustFind("paper-baseline")
 	r, err := Run(s, "analytic", Config{Seed: 1})

@@ -34,16 +34,6 @@ var defaultTolerances = map[string]tolerance{
 	MetricEfficiency: {Tol: 0.15, Abs: true},
 }
 
-// DefaultTolerances returns a copy of the default per-metric tolerances
-// (the Tol values; whether a metric compares absolutely is fixed).
-func DefaultTolerances() map[string]float64 {
-	out := make(map[string]float64, len(defaultTolerances))
-	for k, v := range defaultTolerances {
-		out[k] = v.Tol
-	}
-	return out
-}
-
 // toleranceFor resolves the scenario's tolerance for a metric; ok is false
 // when the metric is not subject to agreement checks.
 func toleranceFor(s Scenario, metric string) (tolerance, bool) {

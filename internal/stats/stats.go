@@ -253,9 +253,6 @@ func (h *Histogram) N() int64 { return h.n }
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
 
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Underflow and Overflow return out-of-range counts.
 func (h *Histogram) Underflow() int64 { return h.under }
 

@@ -75,9 +75,6 @@ func (g *Grid) Size() int {
 	return n
 }
 
-// Axes returns the axis definitions.
-func (g *Grid) Axes() []Axis { return g.axes }
-
 // Points enumerates all grid points in deterministic order.
 func (g *Grid) Points() []Point {
 	n := g.Size()
