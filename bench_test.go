@@ -127,16 +127,16 @@ func BenchmarkAblationMTControl(b *testing.B)     { benchExperiment(b, "ablation
 // dispatch (no processes).
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	k := sim.NewKernel()
-	var tick func()
+	var tick func(any)
 	n := 0
-	tick = func() {
+	tick = func(any) {
 		n++
 		if n < b.N {
-			k.Schedule(1, tick)
+			k.ScheduleArg(1, tick, nil)
 		}
 	}
 	b.ResetTimer()
-	k.Schedule(1, tick)
+	k.ScheduleArg(1, tick, nil)
 	if _, err := k.RunUntilIdle(); err != nil {
 		b.Fatal(err)
 	}

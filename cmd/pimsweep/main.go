@@ -297,7 +297,8 @@ func runScenarioSweep(args []string) error {
 }
 
 // fieldAxis parses one field's axis spec into a grid axis, checking the
-// name against the scenario field registry.
+// name against the scenario field registry and each value against the
+// field (an integer field takes whole numbers only).
 func fieldAxis(name, spec string) (sweep.Axis, error) {
 	if _, err := scenario.GetField(scenario.Scenario{}, name); err != nil {
 		return sweep.Axis{}, err
@@ -305,6 +306,11 @@ func fieldAxis(name, spec string) (sweep.Axis, error) {
 	vals, err := parseAxis(spec)
 	if err != nil {
 		return sweep.Axis{}, err
+	}
+	for _, v := range vals {
+		if err := scenario.SetField(&scenario.Scenario{}, name, v); err != nil {
+			return sweep.Axis{}, err
+		}
 	}
 	return sweep.Axis{Name: name, Values: vals}, nil
 }

@@ -91,6 +91,25 @@ func TestBadModel(t *testing.T) {
 	}
 }
 
+// TestFractionalIntAxisRejected: a fractional value on an integer field's
+// axis fails the sweep before any point runs, naming the field, instead
+// of running the truncated value under the fractional label.
+func TestFractionalIntAxisRejected(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"hostpim", "-pct", "0.5", "-nodes", "4,4.5"}, "nodes"},
+		{[]string{"parcelsys", "-parallelism", "1,2.5", "-latency", "100", "-horizon", "2000"}, "parallelism"},
+		{[]string{"scenario", "-preset", "machine-gups", "-backend", "machine", "-quick", "-sweep", "updates=16,16.5"}, "updates"},
+	} {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), `field "`+c.field+`" takes whole numbers`) {
+			t.Errorf("%v: err = %v, want the %s field's whole-number error", c.args, err, c.field)
+		}
+	}
+}
+
 // captureStdout runs fn, failing the test on error, and returns stdout.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()

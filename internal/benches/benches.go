@@ -29,18 +29,17 @@ import (
 
 // KernelSchedule measures the callback-event path: schedule a batch of
 // events, drain them. With the free list, steady-state scheduling reuses
-// recycled event structs instead of heap-allocating one per Schedule, and
-// the value Timer handle lives on the caller's stack.
+// recycled event structs instead of heap-allocating one per ScheduleArg.
 func KernelSchedule(b *testing.B) {
 	k := sim.NewKernel()
 	var sink int
-	fn := func() { sink++ }
+	fn := func(any) { sink++ }
 	b.ReportAllocs()
 	b.ResetTimer()
 	const batch = 256
 	for done := 0; done < b.N; done += batch {
 		for j := 0; j < batch; j++ {
-			k.Schedule(sim.Time(j), fn)
+			k.ScheduleArg(sim.Time(j), fn, nil)
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			b.Fatal(err)

@@ -164,7 +164,7 @@ func oracleSimulate(p Params, opt SimOptions) (Result, error) {
 	lk := sim.NewKernel()
 	lenv := simtest.New(lk)
 	lenv.Tracer = opt.Tracer
-	if err := lk.Advance(start); err != nil {
+	if err := lk.Run(start); err != nil {
 		return Result{}, err
 	}
 	lwpCPU := make([]*simtest.Resource, p.N)

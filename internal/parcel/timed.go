@@ -45,8 +45,8 @@ type TimedMachine struct {
 	last        sim.Time
 	horizon     sim.Time  // maxCycles of the last RunToQuiescence, else +Inf
 	arrive      func(any) // bound once: every arrival event reuses it
-	err         error
-	errAt       sim.Time // when err happened
+	err         error     // the earliest handler or emission error
+	errAt       sim.Time  // when err happened
 }
 
 // DefaultActionCycles prices memory-touching actions at memCycles and
@@ -115,9 +115,11 @@ func (tm *TimedMachine) send(t sim.Time, p *Parcel) {
 }
 
 // fail records err, which happened at time t; of several errors the
-// latest one stands.
+// earliest one stands, the first cause. A node runs its handler when the
+// parcel lands, ahead of the time the handling ends, so errors are not
+// met in time order.
 func (tm *TimedMachine) fail(err error, t sim.Time) {
-	if tm.err == nil || t >= tm.errAt {
+	if tm.err == nil || t < tm.errAt {
 		tm.err, tm.errAt = err, t
 	}
 }

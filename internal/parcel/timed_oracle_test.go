@@ -112,7 +112,7 @@ func (n *actNode) Step(a *simtest.ActCtx) {
 			out, err := tm.nodes[i].Handle(n.cur)
 			n.cur = nil
 			if err != nil {
-				tm.err = err
+				tm.fail(err)
 				tm.finishParcel(i, a.Now())
 				a.Exit()
 				return
@@ -127,7 +127,7 @@ func (n *actNode) Step(a *simtest.ActCtx) {
 				continue
 			}
 			if q := n.out[0]; int(q.DestNode) >= len(tm.nodes) {
-				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
+				tm.fail(fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes)))
 				n.out = n.out[1:]
 				continue
 			}
@@ -147,6 +147,14 @@ func (n *actNode) Step(a *simtest.ActCtx) {
 			a.Kernel().ScheduleArg(lat, tm.deliver, q)
 			n.state = nodeEmit
 		}
+	}
+}
+
+// fail records err unless an earlier error stands: errors happen here
+// in time order, so the first one is the earliest.
+func (tm *actMachine) fail(err error) {
+	if tm.err == nil {
+		tm.err = err
 	}
 }
 
@@ -319,7 +327,7 @@ type timedOutcome struct {
 // parcel (so each machine handles its own) through put.
 func (pr timedProgram) inject(k *sim.Kernel, put func(*Parcel)) {
 	for i, p := range pr.initial {
-		if err := k.Advance(pr.at[i]); err != nil {
+		if err := k.Run(pr.at[i]); err != nil {
 			panic(err)
 		}
 		q := *p
@@ -421,5 +429,55 @@ func TestTimedMatchesActivityOracle(t *testing.T) {
 	t.Logf("%d cases: %d cut runs failed, %d runs had handler or emission errors", cases, cut, broken)
 	if cut < cases/2 || broken < cases/4 {
 		t.Errorf("edge cases too rare: %d cut runs and %d handler errors in %d cases", cut, broken, cases)
+	}
+}
+
+// TestTimedKeepsEarliestError: of two failing handlers, the error that
+// happens first stands, whichever parcel was injected first. Each
+// generated program injects an invocation of an unregistered method and
+// a write without its operand into two idle nodes at distinct times;
+// a node runs its handler when the parcel lands, so the two errors are
+// met in landing order but happen at the end of each action, and the
+// invocation's action is the longer one. The activity oracle agrees bit
+// for bit.
+func TestTimedKeepsEarliestError(t *testing.T) {
+	gen := rng.NewWithStream(30, 1)
+	reg := programRegistry(2, 0)
+	var swapped int
+	for c := 0; c < 50; c++ {
+		pr := genProgram(gen)
+		pr.nodes = 2 + gen.Intn(15)
+		mem, invoke := 1+10*gen.Float64(), 5+30*gen.Float64()
+		pr.action = DefaultActionCycles(mem, invoke)
+		bad := &Parcel{DestNode: 0, DestAddr: 0x100, Action: ActionInvoke, MethodID: methodBroken}
+		short := &Parcel{DestNode: 1, DestAddr: 0x100, Action: ActionWrite}
+		atBad, atShort := 0.0, 0.0
+		if gen.Intn(2) == 0 {
+			atShort = 0.5 + 50*gen.Float64()
+			pr.initial, pr.at = []*Parcel{bad, short}, []sim.Time{atBad, atShort}
+		} else {
+			atBad = 0.5 + 50*gen.Float64()
+			pr.initial, pr.at = []*Parcel{short, bad}, []sim.Time{atShort, atBad}
+		}
+		badEnd := atBad + pr.cost.AssimilateCycles + invoke
+		shortEnd := atShort + pr.cost.AssimilateCycles + mem
+		want := "parcel: write with 0 operands"
+		if badEnd < shortEnd {
+			want = fmt.Sprintf("parcel: unknown method %d", methodBroken)
+		}
+		if (badEnd < shortEnd) != (atBad < atShort) {
+			swapped++
+		}
+		got, oracle := pr.runTimed(reg, 1e9), pr.runActivities(reg, 1e9)
+		if got.err == nil || got.err.Error() != want {
+			t.Fatalf("case %d: error %v, want %q (failing handlers end at %g and %g)",
+				c, got.err, want, badEnd, shortEnd)
+		}
+		if !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("case %d:\n got  %+v\n want %+v", c, got, oracle)
+		}
+	}
+	if swapped == 0 || swapped == 50 {
+		t.Errorf("%d of 50 cases fail in the opposite order to their injections, want some but not all", swapped)
 	}
 }

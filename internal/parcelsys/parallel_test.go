@@ -194,7 +194,7 @@ func TestRunParallelReplicate(t *testing.T) {
 // TestReplicateAllocsPinned pins the allocation count of one run on
 // Replicate's reused-slab path (a warmed runState) at parParams. The
 // remaining allocations are per-run kernel state: two kernels, their
-// events, the event queues' wheels and lanes, and the result slices.
+// events, the event queues' wheels and heaps, and the result slices.
 // Neither system has resources, signals, stores or activity contexts
 // left.
 func TestReplicateAllocsPinned(t *testing.T) {

@@ -366,9 +366,9 @@ type ActPSServer struct {
 	out      ActNode
 	jobs     []psJob // in arrival order
 	lastT    sim.Time
-	next     *Job // the job the pending completion event finishes
-	timer    sim.Timer
-	complete func()
+	next     *Job   // the job the pending completion event finishes
+	gen      uint64 // generation of the pending completion event
+	complete func(any)
 }
 
 type psJob struct {
@@ -414,10 +414,11 @@ func (ps *ActPSServer) advance() {
 }
 
 // reschedule replaces any pending completion event with one for the
-// resident job closest to done (the earliest arrival on ties).
+// resident job closest to done (the earliest arrival on ties). The
+// replaced event stays queued; bumping the generation makes it stale.
 func (ps *ActPSServer) reschedule() {
-	ps.timer.Cancel()
-	ps.timer, ps.next = sim.Timer{}, nil
+	ps.gen++
+	ps.next = nil
 	if len(ps.jobs) == 0 {
 		return
 	}
@@ -432,11 +433,15 @@ func (ps *ActPSServer) reschedule() {
 		dt = 0
 	}
 	ps.next = ps.jobs[best].j
-	ps.timer = ps.k.Schedule(dt, ps.complete)
+	ps.k.ScheduleArg(dt, ps.complete, ps.gen)
 }
 
-// finish completes the scheduled job and forwards it downstream.
-func (ps *ActPSServer) finish() {
+// finish completes the scheduled job and forwards it downstream; a stale
+// completion, one of an earlier generation, does nothing.
+func (ps *ActPSServer) finish(gen any) {
+	if gen.(uint64) != ps.gen {
+		return
+	}
 	ps.advance()
 	j := ps.next
 	for i := range ps.jobs {

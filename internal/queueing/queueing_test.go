@@ -402,7 +402,7 @@ func TestAllenCunneenReducesToMMC(t *testing.T) {
 func TestServerNegativeServicePanics(t *testing.T) {
 	k := sim.NewKernel()
 	srv := NewActServer(k, "bad", 1, func(*Job) float64 { return -1 }, nil)
-	k.Schedule(1, func() { srv.AcceptAct(k, &Job{Created: k.Now()}) })
+	k.ScheduleArg(1, func(any) { srv.AcceptAct(k, &Job{Created: k.Now()}) }, nil)
 	if err := k.Run(10); err == nil {
 		t.Fatal("expected error from negative service time")
 	}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -300,6 +302,42 @@ func TestSetGetField(t *testing.T) {
 		if err := SetField(&s, f.Name, f.Get(s)); err != nil {
 			t.Errorf("field %s does not round-trip: %v", f.Name, err)
 		}
+	}
+}
+
+// TestSetFieldRejectsFractionalInts: an integer field refuses a
+// fractional value, naming the field and leaving the scenario as it
+// was, instead of truncating it; it takes whole values, and the other
+// fields take fractions.
+func TestSetFieldRejectsFractionalInts(t *testing.T) {
+	want := []string{"faultseed", "memwords", "nodes", "pagepolicy", "parallelism", "runparallel", "topology", "updates"}
+	var ints []string
+	for _, f := range Fields() {
+		s := MustFind("machine-gups")
+		if !f.Int {
+			if err := SetField(&s, f.Name, 0.5); err != nil {
+				t.Errorf("real field %s refuses 0.5: %v", f.Name, err)
+			}
+			continue
+		}
+		ints = append(ints, f.Name)
+		before := s
+		for _, v := range []float64{4.5, -0.25, 1e-9} {
+			err := SetField(&s, f.Name, v)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(f.Name)) {
+				t.Errorf("SetField(%s, %g) = %v, want an error naming the field", f.Name, v, err)
+			}
+		}
+		if !reflect.DeepEqual(s, before) {
+			t.Errorf("a refused %s value changed the scenario", f.Name)
+		}
+		if err := SetField(&s, f.Name, 2); err != nil {
+			t.Errorf("SetField(%s, 2): %v", f.Name, err)
+		}
+	}
+	sort.Strings(ints)
+	if !reflect.DeepEqual(ints, want) {
+		t.Errorf("integer fields %v, want %v", ints, want)
 	}
 }
 

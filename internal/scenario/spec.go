@@ -137,9 +137,10 @@ func (sp Spec) Resolve(lim SpecLimits) (Resolved, error) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return Resolved{}, fmt.Errorf("scenario: field %q = %v is not finite", name, v)
 		}
-		// Integer-typed knobs truncate through int(v); a value beyond
-		// int64 range would be implementation-defined, so reject it here
-		// rather than trust the conversion.
+		// Integer-typed knobs take whole values only (SetField rejects a
+		// fraction) and convert through int(v); a value beyond int64
+		// range would be implementation-defined, so reject it here rather
+		// than trust the conversion.
 		if v > math.MaxInt64 || v < math.MinInt64 {
 			return Resolved{}, fmt.Errorf("scenario: field %q = %g out of range", name, v)
 		}

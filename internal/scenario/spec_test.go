@@ -77,6 +77,7 @@ func TestResolveRejections(t *testing.T) {
 		{"nan field", Spec{Preset: "paper-baseline", Fields: map[string]float64{"nodes": math.NaN()}}, "not finite"},
 		{"inf field", Spec{Preset: "paper-baseline", Fields: map[string]float64{"w": math.Inf(1)}}, "not finite"},
 		{"overflow field", Spec{Preset: "paper-baseline", Fields: map[string]float64{"nodes": 1e300}}, "out of range"},
+		{"fractional int field", Spec{Preset: "paper-baseline", Fields: map[string]float64{"nodes": 4.5}}, `field "nodes" takes whole numbers`},
 		{"node cap", Spec{Preset: "paper-baseline", Fields: map[string]float64{"nodes": 1e5}}, "node cap"},
 		{"memory cap", Spec{Preset: "machine-gups", Fields: map[string]float64{"memwords": 1 << 24}}, "word cap"},
 		{"total memory cap", Spec{Preset: "machine-gups-256", Fields: map[string]float64{"memwords": 1 << 19}}, "total cap"},

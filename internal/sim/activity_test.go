@@ -1,7 +1,7 @@
 package sim_test
 
 // Tests of activities beyond the scripted tests in sim_test.go: the
-// Timer.Cancel/Advance interplay, model-bug reporting, concurrently
+// ScheduleArg delivery path, model-bug reporting, concurrently
 // driven kernels, and allocation guards pinning the inline paths — a
 // resumption is one recycled kernel event — at zero.
 
@@ -98,70 +98,20 @@ func tracesEqual(a, b []traceEvent) bool {
 	return true
 }
 
-// TestActivityTimerCancelAdvance: timers armed from activity steps honour
-// Cancel across Advance windows, Wait resumptions span window boundaries,
-// and a canceled resumption never steps the activity.
-func TestActivityTimerCancelAdvance(t *testing.T) {
-	k := sim.NewKernel()
-	env := simtest.New(k)
-	fired := 0
-	var tm sim.Timer
-	var steps []sim.Time
-	arm := env.Spawn("arm", simtest.ActivityFunc(func(a *simtest.ActCtx) {
-		steps = append(steps, a.Now())
-		if a.Now() == 0 {
-			// Arm a callback due in the second window; it is canceled from
-			// outside between the windows, so it must never fire.
-			tm = a.Kernel().Schedule(40, func() { fired++ })
-			a.Wait(10) // resumes in the same window
-			return
-		}
-		if a.Now() == 10 {
-			a.Wait(20) // spans the window boundary at 25
-			return
-		}
-		a.Exit()
-	}))
-	if err := k.Advance(25); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 25 {
-		t.Fatalf("Now = %g after Advance(25)", k.Now())
-	}
-	if !tm.Cancel() {
-		t.Fatal("cancel of pending timer between windows failed")
-	}
-	if err := k.Advance(100); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatalf("canceled timer fired %d times", fired)
-	}
-	if len(steps) != 3 || steps[0] != 0 || steps[1] != 10 || steps[2] != 30 {
-		t.Fatalf("steps = %v, want [0 10 30]", steps)
-	}
-	if !arm.Done() {
-		t.Fatal("activity live after Exit")
-	}
-}
-
 // TestScheduleArgDelivery: ScheduleArg delivers the argument without a
-// per-call closure, and its Timer cancels like any other.
+// per-call closure, in time order.
 func TestScheduleArgDelivery(t *testing.T) {
 	k := sim.NewKernel()
 	var got []int
 	deliver := func(x any) { got = append(got, x.(int)) }
 	k.ScheduleArg(2, deliver, 7)
 	k.ScheduleArg(1, deliver, 3)
-	tm := k.ScheduleArg(3, deliver, 9)
-	if !tm.Cancel() {
-		t.Fatal("ScheduleArg timer cancel failed")
-	}
+	k.ScheduleArg(3, deliver, 9)
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("deliveries = %v, want [3 7]", got)
+	if len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 9 {
+		t.Fatalf("deliveries = %v, want [3 7 9]", got)
 	}
 }
 
@@ -305,7 +255,7 @@ func TestActivityCrossStoreGetPanics(t *testing.T) {
 		// Resumed by s1's delivery, but collects from s2: model bug.
 		s2.GetAct(a)
 	}))
-	k.Schedule(1, func() { s1.Put(7) })
+	schedule(k, 1, func() { s1.Put(7) })
 	if _, err := env.RunUntilIdle(); err == nil {
 		t.Fatal("cross-store GetAct not reported")
 	}
@@ -406,12 +356,12 @@ func TestActivityWaitAllocsPinned(t *testing.T) {
 	env.Spawn("w", &w)
 	t.Cleanup(func() { _ = env.Run(k.Now()) })
 	next := sim.Time(256)
-	if err := k.Advance(next); err != nil {
+	if err := k.Run(next); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		next += 256
-		if err := k.Advance(next); err != nil {
+		if err := k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -440,10 +390,10 @@ func TestActivitySignalAllocsPinned(t *testing.T) {
 	next := sim.Time(0)
 	window := func() {
 		for j := 0; j < 64; j++ {
-			k.Schedule(sim.Time(j)+0.5, round)
+			schedule(k, sim.Time(j)+0.5, round)
 		}
 		next += 64
-		if err := k.Advance(next); err != nil {
+		if err := k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,12 +432,12 @@ func TestActivityAcquireContendedAllocsPinned(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = env.Run(k.Now()) })
 	next := sim.Time(256)
-	if err := k.Advance(next); err != nil {
+	if err := k.Run(next); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		next += 256
-		if err := k.Advance(next); err != nil {
+		if err := k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -534,10 +484,10 @@ func TestActivityStoreAllocsPinned(t *testing.T) {
 	next := sim.Time(0)
 	window := func() {
 		for j := 0; j < 64; j++ {
-			k.Schedule(sim.Time(j)+0.5, feed)
+			schedule(k, sim.Time(j)+0.5, feed)
 		}
 		next += 64
-		if err := k.Advance(next); err != nil {
+		if err := k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,15 +27,14 @@ func (s *server) arrive(job any) {
 func (s *server) depart(job any) { fmt.Printf("t=%v: %s departs\n", s.k.Now(), job) }
 
 // Events are callbacks. ScheduleArg carries an argument through the
-// recycled event, so one function value serves every job; Schedule takes
-// a closure.
+// recycled event, so one function value serves every job.
 func Example() {
 	k := sim.NewKernel()
 	srv := &server{k: k, service: 4}
 	arrive := srv.arrive
 	k.ScheduleArg(0, arrive, "job0")
 	k.ScheduleArg(1, arrive, "job1")
-	k.Schedule(10, func() { fmt.Printf("t=%v: idle\n", k.Now()) })
+	k.ScheduleArg(10, func(any) { fmt.Printf("t=%v: idle\n", k.Now()) }, nil)
 	if _, err := k.RunUntilIdle(); err != nil {
 		panic(err)
 	}

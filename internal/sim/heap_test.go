@@ -4,14 +4,14 @@ package sim
 // container/heap implementation the kernel used before the hot-path
 // overhaul: for arbitrary randomized schedules — integral-cycle waits
 // that ride the near wheel, hops hundreds to thousands of cycles ahead
-// that ride the far tier and cascade, constant-delay runs that ride the
-// lanes, random delays that sift through the heap, pushes the wheel
-// must turn away (past the far span, non-integral, or ordered before
-// their bucket's tail), Advance-style jumps across blocks, duplicate
-// timestamps, interleaved pushes and pops, and canceled events sitting
-// in any tier — every queue must pop in the identical (t, seq) order,
-// so kernel determinism (and byte-identical suite output) is preserved
-// by construction.
+// that ride the far tier and cascade, constant-delay runs and random
+// delays, pushes the wheel must turn away to the heap (past the far
+// span or non-integral), Run-style jumps across blocks, duplicate
+// timestamps, and interleaved pushes and pops — every queue must pop in
+// the identical (t, seq) order, so kernel determinism (and
+// byte-identical suite output) is preserved by construction. Pushes
+// into the kernel's wheelQueue come in ascending seq order, as the
+// kernel stamps them; the bare heap takes any order.
 
 import (
 	"container/heap"
@@ -54,9 +54,9 @@ type queueShape struct {
 }
 
 // queueShapes are the schedule shapes the queue is tested on: 0.5 keeps
-// every stream and random delay off the wheel, so the lanes and the
-// heap carry the schedule; 0 keeps them integral, the near wheel's
-// shape; and a scale of 67 cycles stretches the integral delays over
+// every stream and random delay off the wheel, so the heap carries the
+// schedule ("lanes" names that shape: ordered non-integral streams);
+// 0 keeps them integral, the near wheel's shape; and a scale of 67 cycles stretches the integral delays over
 // 64-4096 cycles, the far tier's shape (67 is coprime to the 64-cycle
 // block, so the times spread over every bucket).
 var queueShapes = []queueShape{{"lanes", 0.5, 1}, {"wheel", 0, 1}, {"far", 0, 67}}
@@ -70,18 +70,18 @@ type queueCase struct {
 }
 
 // queueCases is the single-queue corpus of the ordering tests: the bare
-// 4-ary heap, and the kernel's laneQueue on every shape.
+// 4-ary heap, and the kernel's wheelQueue on every shape.
 func queueCases() []queueCase {
 	cases := []queueCase{{"heap", func() eventQueue { return &eventHeap{} }, queueShape{"heap", 0, 1}}}
 	for _, shape := range queueShapes {
-		cases = append(cases, queueCase{shape.name, func() eventQueue { return &laneQueue{} }, shape})
+		cases = append(cases, queueCase{shape.name, func() eventQueue { return &wheelQueue{} }, shape})
 	}
 	return cases
 }
 
 // laneDelays are the fixed delays of the constant-delay streams: a
-// stream's events arrive already sorted, the shape lanes exist for (and,
-// at integral times within the span, the wheel).
+// stream's events arrive already sorted, on the wheel at integral times
+// within its span and on the heap otherwise.
 var laneDelays = [4]Time{3, 5, 8, 13}
 
 // mixedTimes draws n timestamps in schedule order from four sources:
@@ -110,66 +110,56 @@ func mixedTimes(st *rng.Stream, n int, sh queueShape) []Time {
 	return ts
 }
 
-// The tiers a pop can come from.
+// The tiers a pop can come from: the heap, or the wheel (a near bucket
+// or a lone far event).
 const (
 	tierHeap = iota
-	tierLane
 	tierWheel
 	numTiers
 )
 
 // queueStats counts where a program's pops came from, how many pushes
-// landed on the far tier, and how many stale pushes the program made —
-// after their bucket's tail in time but before it in seq — that the near
-// wheel had to turn away or that the far tier took, to be turned away
-// when their block cascades.
+// landed on the far tier, and how many pushes repeated the last pushed
+// time on the near wheel or the far tier, appending behind a tail of
+// their own time.
 type queueStats struct {
-	pops           int
-	tierPops       [numTiers]int
-	deadTierPops   [numTiers]int
-	farPushes      int
-	staleFallbacks int
-	staleFar       int
+	pops        int
+	tierPops    [numTiers]int
+	farPushes   int
+	tailRepeats int
 }
 
 func (s *queueStats) add(o queueStats) {
 	s.pops += o.pops
 	s.farPushes += o.farPushes
-	s.staleFallbacks += o.staleFallbacks
-	s.staleFar += o.staleFar
+	s.tailRepeats += o.tailRepeats
 	for i := range s.tierPops {
 		s.tierPops[i] += o.tierPops[i]
-		s.deadTierPops[i] += o.deadTierPops[i]
 	}
 }
 
 // nextTier reports the tier q's next pop comes from.
 func nextTier(q eventQueue) int {
-	lq, ok := q.(*laneQueue)
-	if !ok {
-		return tierHeap
+	if wq, ok := q.(*wheelQueue); ok {
+		if _, src := wq.front(); src != fromHeap {
+			return tierWheel
+		}
 	}
-	switch _, src := lq.front(); {
-	case src == fromHeap:
-		return tierHeap
-	case src < fromWheel:
-		return tierLane
-	}
-	return tierWheel
+	return tierHeap
 }
 
 // wheelLen returns the number of events on q's near wheel.
 func wheelLen(q eventQueue) int {
-	if lq, ok := q.(*laneQueue); ok && lq.wheel != nil {
-		return lq.wheel.n
+	if wq, ok := q.(*wheelQueue); ok && wq.wheel != nil {
+		return wq.wheel.n
 	}
 	return 0
 }
 
 // farLen returns the number of events on q's far tier.
 func farLen(q eventQueue) int {
-	if lq, ok := q.(*laneQueue); ok && lq.far != nil {
-		return lq.far.n
+	if wq, ok := q.(*wheelQueue); ok && wq.far != nil {
+		return wq.far.n
 	}
 	return 0
 }
@@ -177,7 +167,8 @@ func farLen(q eventQueue) int {
 // runQueueProgram executes a queue program against q and container/heap
 // side by side and reports the first divergence. Each byte is one
 // operation, causal like the dispatch loop (pushes never precede the
-// last popped time). sh.mul scales the stream and random delays and the
+// last popped time) and, like the kernel, stamping its pushes with
+// ascending seqs. sh.mul scales the stream and random delays and the
 // short advances, and sh.frac is added to every push but the
 // non-integral ones and the ties; B is now's 64-cycle block:
 //
@@ -190,20 +181,19 @@ func farLen(q eventQueue) int {
 //	           so the next pop moves the queue's first cycle up to 66
 //	           blocks at once
 //	0x40-0x47  advance: pop (and compare) everything due by
-//	           now + 40 + 16*(b&7), then jump now there, as
-//	           Kernel.Advance does — the next pushes may land past the
-//	           wheel's span until a pop catches it up
-//	0x48-0x4f  stale push: at the last pushed time, with a seq just
-//	           below the last push's — an order the kernel never makes,
-//	           but the queue must stay correct for; the near wheel must
-//	           not append it behind its bucket's tail, and a far block
-//	           must not cascade it there
+//	           now + 40 + 16*(b&7), then jump now there, as Kernel.Run
+//	           does — the next pushes may land past the wheel's span
+//	           until a pop catches it up
+//	0x48-0x4f  repeat push: at the last pushed time, if it is not
+//	           past, so it appends behind a tail of its own time in a
+//	           near bucket, a far block or the heap
 //	0x50-0x8f  push on constant-delay stream b&3 (now + laneDelays[b&3])
 //	0x90-0x97  push far ahead (now + 64 + 512*(b&7)), onto the far tier
 //	0x98-0x9f  push after a non-integral delay (b&7) + 0.25
 //	0xa0-0xcf  push after a random delay b%16
 //	0xd0-0xe7  push at now: an equal-time tie
-//	0xe8-0xff  cancel queued event b%size (it stays queued, marked dead)
+//	0xe8-0xff  push at the time of queued event b%size: a tie with an
+//	           event already in any tier
 //
 // The rest drains after the program ends. size and peek are checked
 // before every operation.
@@ -211,11 +201,8 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 	var ref refHeap
 	var st queueStats
 	now := Time(0)
-	// Regular pushes take odd seqs, so each one leaves the even seq just
-	// below it free for one stale push.
-	seq := uint64(1)
-	var last *event
-	staleFree := false
+	var seq uint64
+	last := Time(-1) // the last pushed time
 	pop := func() error {
 		tier := nextTier(q)
 		want := heap.Pop(&ref).(*event)
@@ -224,9 +211,6 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 		}
 		st.pops++
 		st.tierPops[tier]++
-		if want.dead {
-			st.deadTierPops[tier]++
-		}
 		now = want.t
 		return nil
 	}
@@ -239,13 +223,15 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 		}
 		return nil
 	}
-	push := func(ev *event) {
-		onFar := farLen(q)
+	// push reports whether ev went onto the near wheel or the far tier.
+	push := func(ev *event) bool {
+		onWheel, onFar := wheelLen(q), farLen(q)
 		q.push(ev)
 		heap.Push(&ref, ev)
 		if farLen(q) > onFar {
 			st.farPushes++
 		}
+		return wheelLen(q) > onWheel || farLen(q) > onFar
 	}
 	advance := func(until Time) error {
 		for len(ref) > 0 && ref[0].t <= until {
@@ -264,6 +250,7 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 			return st, err
 		}
 		var t Time
+		repeat := false
 		switch {
 		case b < 0x30:
 			if len(ref) > 0 {
@@ -290,18 +277,10 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 			}
 			continue
 		case b < 0x50:
-			if staleFree && last.t >= now {
-				staleFree = false
-				onWheel, onFar := wheelLen(q), farLen(q)
-				push(&event{t: last.t, seq: last.seq - 1})
-				switch {
-				case farLen(q) > onFar:
-					st.staleFar++
-				case wheelLen(q) == onWheel:
-					st.staleFallbacks++
-				}
+			if last < now {
+				continue
 			}
-			continue
+			t, repeat = last, true
 		case b < 0x90:
 			t = now + laneDelays[b&3]*sh.mul + sh.frac
 		case b < 0x98:
@@ -313,15 +292,16 @@ func runQueueProgram(q eventQueue, prog []byte, sh queueShape) (queueStats, erro
 		case b < 0xe8:
 			t = now
 		default:
-			if len(ref) > 0 {
-				ref[int(b)%len(ref)].dead = true
+			if len(ref) == 0 {
+				continue
 			}
-			continue
+			t = ref[int(b)%len(ref)].t
 		}
-		last = &event{t: t, seq: seq}
-		seq += 2
-		staleFree = true
-		push(last)
+		if push(&event{t: t, seq: seq}) && repeat {
+			st.tailRepeats++
+		}
+		seq++
+		last = t
 	}
 	for len(ref) > 0 {
 		if err := check(); err != nil {
@@ -351,28 +331,26 @@ func randomProgram(st *rng.Stream, n int) []byte {
 }
 
 // checkTiers fails t unless the corpus exercised the tiers its case
-// exists for: on lane-shaped schedules the lanes serve pops, dead ones
-// included; on wheel-shaped ones the wheel does, and the heap and the
-// lanes still take the pushes the wheel turns away, stale ones among
-// them; on far-shaped ones the far tier takes pushes, stale ones among
-// them, and the wheel serves the pops its blocks cascade into.
+// exists for: on lane-shaped schedules the heap serves pops; on
+// wheel-shaped ones the wheel does, repeated times append behind their
+// bucket's tail, and the heap still takes the pushes the wheel turns
+// away; on far-shaped ones the far tier takes pushes, repeated times
+// among them, and the wheel serves the pops its blocks cascade into.
 func checkTiers(t *testing.T, name string, total queueStats) {
 	t.Helper()
 	switch name {
 	case "lanes":
-		if total.tierPops[tierLane] == 0 || total.deadTierPops[tierLane] == 0 {
-			t.Errorf("lane tier not exercised: %+v", total)
+		if total.tierPops[tierHeap] == 0 {
+			t.Errorf("heap tier not exercised: %+v", total)
 		}
 	case "wheel":
-		if total.tierPops[tierWheel] == 0 || total.deadTierPops[tierWheel] == 0 ||
-			total.tierPops[tierLane] == 0 || total.tierPops[tierHeap] == 0 ||
-			total.staleFallbacks == 0 {
-			t.Errorf("wheel tier or its fallbacks not exercised: %+v", total)
+		if total.tierPops[tierWheel] == 0 || total.tierPops[tierHeap] == 0 ||
+			total.tailRepeats == 0 {
+			t.Errorf("wheel tier or its fallback not exercised: %+v", total)
 		}
 	case "far":
-		if total.farPushes == 0 || total.staleFar == 0 ||
-			total.tierPops[tierWheel] == 0 || total.deadTierPops[tierWheel] == 0 ||
-			total.tierPops[tierHeap] == 0 {
+		if total.farPushes == 0 || total.tailRepeats == 0 ||
+			total.tierPops[tierWheel] == 0 || total.tierPops[tierHeap] == 0 {
 			t.Errorf("far tier or its cascade not exercised: %+v", total)
 		}
 	}
@@ -381,7 +359,8 @@ func checkTiers(t *testing.T, name string, total queueStats) {
 // TestEventQueueMatchesContainerHeap: pushing the same randomized
 // schedule — constant-delay runs, random times and ties — into each
 // queue and into container/heap, then draining, yields the identical
-// pop order.
+// pop order. The bare heap takes its seqs scrambled (multiplying by an
+// odd constant permutes them), since it does not rely on push order.
 func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	for _, c := range queueCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -393,6 +372,9 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 				var ref refHeap
 				for i, at := range ts {
 					ev := &event{t: at, seq: uint64(i)}
+					if c.name == "heap" {
+						ev.seq *= 0x9e3779b97f4a7c15
+					}
 					onFar := farLen(q)
 					q.push(ev)
 					heap.Push(&ref, ev)
@@ -416,8 +398,8 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			if c.name == "wheel" && (total.tierPops[tierWheel] == 0 || total.tierPops[tierLane] == 0) {
-				t.Errorf("wheel or lane tier not exercised: %+v", total)
+			if c.name == "wheel" && (total.tierPops[tierWheel] == 0 || total.tierPops[tierHeap] == 0) {
+				t.Errorf("wheel or heap tier not exercised: %+v", total)
 			}
 			if c.name == "far" && (total.tierPops[tierWheel] == 0 || total.farPushes == 0) {
 				t.Errorf("far tier or its cascade not exercised: %+v", total)
@@ -427,7 +409,7 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 }
 
 // TestEventQueueInterleavedMatchesContainerHeap: arbitrary interleavings
-// of pushes, pops, cancels and Advance jumps — the shape the dispatch
+// of pushes, pops and Run jumps — the shape the dispatch
 // loop actually produces, where firing events schedule new ones — agree
 // with container/heap at every step. Each case must also exercise the
 // tiers it exists for (checkTiers), or the generator is not testing
@@ -457,9 +439,9 @@ func TestEventQueueInterleavedMatchesContainerHeap(t *testing.T) {
 // TestEventQueueNonCausalPushes: the queue contract does not ask pushes
 // to follow the last pop — only the kernel's own schedulers are causal —
 // so pushes at any time, before or after what has already been popped,
-// still pop in (t, seq) order against container/heap. On the four-tier
-// queue this drives pushes below the wheel's span, which must fall back
-// rather than alias a bucket or a far block.
+// still pop in (t, seq) order against container/heap. On the three-tier
+// queue this drives pushes below the wheel's span, which must go to the
+// heap rather than alias a bucket or a far block.
 func TestEventQueueNonCausalPushes(t *testing.T) {
 	for _, c := range queueCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -493,28 +475,26 @@ func TestEventQueueNonCausalPushes(t *testing.T) {
 }
 
 // TestKernelScheduleOrderRandomized: end to end through the kernel —
-// random same-and-distinct-time schedules with a sprinkling of cancels
-// fire strictly in (t, seq) order, identically across reruns.
+// random same-and-distinct-time schedules fire strictly in (t, seq)
+// order, identically across reruns.
 func TestKernelScheduleOrderRandomized(t *testing.T) {
 	run := func(seed uint64, n int) []int {
 		st := rng.New(seed)
 		k := NewKernel()
+		at := make([]Time, n)
 		var order []int
-		timers := make([]Timer, 0, n)
-		for i := 0; i < n; i++ {
-			i := i
-			timers = append(timers, k.Schedule(Time(st.Intn(16)), func() {
-				order = append(order, i)
-			}))
-		}
-		// Cancel a deterministic random subset.
-		for i := range timers {
-			if st.Float64() < 0.2 {
-				timers[i].Cancel()
-			}
+		fire := func(arg any) { order = append(order, arg.(int)) }
+		for i := range at {
+			at[i] = Time(st.Intn(16))
+			k.ScheduleArg(at[i], fire, i)
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			t.Fatal(err)
+		}
+		for j := 1; j < len(order); j++ {
+			if a, b := order[j-1], order[j]; at[a] > at[b] || at[a] == at[b] && a > b {
+				t.Fatalf("event %d (t=%g) fired before event %d (t=%g)", a, at[a], b, at[b])
+			}
 		}
 		return order
 	}
@@ -522,7 +502,7 @@ func TestKernelScheduleOrderRandomized(t *testing.T) {
 		n := 1 + int(sizeRaw%200)
 		a := run(seed, n)
 		b := run(seed, n)
-		if len(a) != len(b) {
+		if len(a) != n || len(b) != n {
 			return false
 		}
 		for i := range a {

@@ -2,27 +2,26 @@
 // the replacement for the commercial HyPerformix SES/Workbench tool the
 // paper used.
 //
-// The kernel has one event kind: a scheduled callback, either a closure
-// (Schedule, ScheduleAt) or a function and its argument carried through
-// the recycled event (ScheduleArg, ScheduleArgAt), run inline by the
-// dispatch loop. Models keep their own state: a service node in the
-// SES/Workbench sense is a closed-form server that books its busy period
-// when a job arrives and schedules the job's next arrival, so a job's
-// visit costs one event. (The run-to-completion activities and the
-// resources, stores and signals they waited on are a test-only layer on
-// this API, in internal/sim/simtest, for the oracles the closed-form
-// models are held to.)
+// The kernel has one event kind: a scheduled callback, a function and
+// its argument carried through a recycled event (ScheduleArg,
+// ScheduleArgAt), run inline by the dispatch loop. Models keep their own
+// state: a service node in the SES/Workbench sense is a closed-form
+// server that books its busy period when a job arrives and schedules the
+// job's next arrival, so a job's visit costs one event. (The
+// run-to-completion activities and the resources, stores and signals
+// they waited on are a test-only layer on this API, in
+// internal/sim/simtest, for the oracles the closed-form models are held
+// to.)
 //
 // Events fire in (t, seq) order, where seq is the kernel's schedule
 // counter, so ties in event time are broken by schedule order and the
 // same seed and model always produce the same trajectory. The pending
-// events live in a four-tier queue (queue.go): a two-level cycle wheel
+// events live in a three-tier queue (queue.go): a two-level cycle wheel
 // takes the events at integral times up to ~4096 cycles ahead — the
 // whole-cycle waits of the HWP-cycle models on a 128-cycle near wheel,
 // message hops hundreds of cycles out on a far wheel of 64-cycle blocks
-// that cascade into it — sorted FIFO lanes take other events that
-// arrive in order, and a 4-ary heap takes the rest; the front is the
-// minimum over the near wheel, the lanes and the heap.
+// that cascade into it — and a 4-ary heap takes the rest; the front is
+// the minimum of the near wheel and the heap.
 //
 // A kernel runs on one goroutine. Models that share nothing run in
 // parallel as separate kernels, one per goroutine — parcelsys runs its
@@ -40,19 +39,14 @@ import (
 type Time = float64
 
 // event is a scheduled callback. Events are recycled through the
-// kernel's free list once fired or collected dead, so steady-state
-// scheduling does not allocate; gen distinguishes incarnations so a stale
-// Timer cannot cancel the struct's next tenant. ScheduleArg callbacks
-// carry their argument out of line so one function value can serve many
-// deliveries with no closure per call.
+// kernel's free list once fired, so steady-state scheduling does not
+// allocate. The callback and its argument travel separately, so one
+// function value can serve many deliveries with no closure per call.
 type event struct {
 	t    Time
 	seq  uint64 // tie-breaker: schedule order
-	fn   func()
-	afn  func(any) // when non-nil, call afn(arg)
+	fn   func(any)
 	arg  any
-	dead bool   // canceled
-	gen  uint64 // incarnation counter, bumped on recycle
 	next *event // wheel bucket or far-block link while queued there (queue.go)
 }
 
@@ -60,19 +54,19 @@ type event struct {
 // NewKernel.
 type Kernel struct {
 	now    Time
-	events laneQueue
+	events wheelQueue
 	free   []*event // recycled events (see event)
 	seq    uint64
 
 	err error // first model panic, if any
 
 	// until/bounded frame the current drain window, inclusive of until
-	// (set by Advance, Run and RunUntilIdle; read by dispatch).
+	// (set by Run and RunUntilIdle; read by dispatch).
 	until   Time
 	bounded bool
 
 	stopped bool // Stop() requested
-	running bool // a drain window is active: Run/Advance must not reenter
+	running bool // a drain window is active: Run must not reenter
 }
 
 // NewKernel returns an empty simulation at time 0.
@@ -83,90 +77,43 @@ func NewKernel() *Kernel {
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Timer is a handle to a scheduled callback; Cancel prevents a pending
-// callback from firing. The generation pins the handle to one incarnation
-// of the (recycled) event struct. Timer is a small value: copying it is
-// free and the zero value is a no-op handle.
-type Timer struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel marks the timer dead. Canceling an already-fired or already-
-// canceled timer is a no-op. It reports whether the cancel took effect.
-func (t Timer) Cancel() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
-		return false
-	}
-	t.ev.dead = true
-	return true
-}
-
-// newEvent takes a recycled event (or allocates one), stamps it with the
-// given time and the next sequence number, and leaves the payload fields
-// for the caller to fill before pushing. Scheduling in the past panics
-// (events must be causal).
-func (k *Kernel) newEvent(t Time) *event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: ScheduleAt(%g) before now (%g)", t, k.now))
-	}
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		ev.t, ev.dead = t, false
-	} else {
-		ev = &event{t: t}
-	}
-	ev.seq = k.seq
-	k.seq++
-	return ev
-}
-
-// ScheduleAt registers fn to run at absolute simulated time t. Scheduling
-// in the past panics (events must be causal).
-func (k *Kernel) ScheduleAt(t Time, fn func()) Timer {
-	ev := k.newEvent(t)
-	ev.fn = fn
-	k.events.push(ev)
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// Schedule registers fn to run after the given delay (>= 0).
-func (k *Kernel) Schedule(delay Time, fn func()) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %g", delay))
-	}
-	return k.ScheduleAt(k.now+delay, fn)
-}
-
 // ScheduleArg registers fn(arg) to run after the given delay (>= 0). The
 // callback and its argument travel separately through the (recycled)
 // event, so one per-run function value can serve any number of scheduled
 // deliveries with no closure allocation per call — the timed
 // message-delivery path of the models. Passing a pointer as arg does not
 // allocate.
-func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
+func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %g", delay))
 	}
-	return k.ScheduleArgAt(k.now+delay, fn, arg)
+	k.ScheduleArgAt(k.now+delay, fn, arg)
 }
 
 // ScheduleArgAt registers fn(arg) to run at absolute time t. A model that
 // sums a busy period itself schedules at the sum, not after its
 // difference from now, which can round differently. Scheduling in the
-// past panics.
-func (k *Kernel) ScheduleArgAt(t Time, fn func(any), arg any) Timer {
-	ev := k.newEvent(t)
-	ev.afn, ev.arg = fn, arg
+// past panics (events must be causal). The event takes the next
+// sequence number, so the queue sees seqs in ascending order.
+func (k *Kernel) ScheduleArgAt(t Time, fn func(any), arg any) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: ScheduleArgAt(%g) before now (%g)", t, k.now))
+	}
+	var ev *event
+	if n := len(k.free); n > 0 {
+		ev = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.t, ev.seq, ev.fn, ev.arg = t, k.seq, fn, arg
+	k.seq++
 	k.events.push(ev)
-	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Stop requests that the current Run call return after the event that is
-// executing finishes. The halt is for good: every later Run, Advance or
+// executing finishes. The halt is for good: every later Run or
 // RunUntilIdle dispatches nothing, leaves Now() where the run stopped and
 // returns ErrStopped (or the run's first model error, which also stops
 // it).
@@ -191,52 +138,26 @@ func (k *Kernel) haltErr() error {
 // dispatch executes due events until nothing is due within the current
 // window (bound reached, queue empty, or the run stopped). Callbacks run
 // inline on the calling goroutine.
-//
-// A panicking callback is recorded as the run's error and stops the run
-// instead of unwinding the caller.
 func (k *Kernel) dispatch() {
 	q := &k.events
 	for !k.stopped {
 		ev, src := q.front()
-		if ev == nil {
-			return
-		}
-		if ev.dead {
-			q.take(src)
-			k.recycle(ev)
-			continue
-		}
-		if k.bounded && ev.t > k.until {
+		if ev == nil || k.bounded && ev.t > k.until {
 			return
 		}
 		q.take(src)
 		k.now = ev.t
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		k.recycle(ev)
-		if afn != nil {
-			k.runArgCallback(afn, arg)
-		} else {
-			k.runCallback(fn)
-		}
+		fn, arg := ev.fn, ev.arg
+		ev.fn, ev.arg = nil, nil
+		k.free = append(k.free, ev)
+		k.runCallback(fn, arg)
 	}
 }
 
 // runCallback runs one scheduled callback, converting a panic into the
-// run's error so the failure surfaces from Run.
-func (k *Kernel) runCallback(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			if k.err == nil {
-				k.err = fmt.Errorf("sim: scheduled callback panicked: %v", r)
-			}
-			k.stopped = true
-		}
-	}()
-	fn()
-}
-
-// runArgCallback is runCallback for ScheduleArg events.
-func (k *Kernel) runArgCallback(fn func(any), arg any) {
+// run's error so the failure surfaces from Run instead of unwinding the
+// caller.
+func (k *Kernel) runCallback(fn func(any), arg any) {
 	defer func() {
 		if r := recover(); r != nil {
 			if k.err == nil {
@@ -248,23 +169,13 @@ func (k *Kernel) runArgCallback(fn func(any), arg any) {
 	fn(arg)
 }
 
-// recycle returns a popped event to the free list for the next
-// newEvent. Bumping gen invalidates any Timer still holding the struct.
-func (k *Kernel) recycle(ev *event) {
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	ev.gen++
-	k.free = append(k.free, ev)
-}
-
-// drain runs the event loop over the given window. Reentry — Run or
-// Advance called from a callback while a window is active —
-// would clobber the window, so it panics instead (surfacing as the run's
-// error when it happens inside the simulation).
+// drain runs the event loop over the given window. Reentry — Run called
+// from a callback while a window is active — would clobber the window,
+// so it panics instead (surfacing as the run's error when it happens
+// inside the simulation).
 func (k *Kernel) drain(until Time, bounded bool) {
 	if k.running {
-		panic("sim: Run/Advance called from inside the running simulation")
+		panic("sim: Run called from inside the running simulation")
 	}
 	k.running = true
 	defer func() { k.running = false }()
@@ -272,17 +183,17 @@ func (k *Kernel) drain(until Time, bounded bool) {
 	k.dispatch()
 }
 
-// Advance runs the simulation up to simulated time `until` and returns
-// the first model error (a panicking callback), if any. After Advance
-// returns, Now() == until (unless Stop was called), so repeated calls
-// execute a simulation incrementally. Advance must be called from outside
-// the simulation — calling it from a scheduled callback panics.
-func (k *Kernel) Advance(until Time) error {
+// Run runs the simulation up to simulated time `until` and returns the
+// first model error (a panicking callback), if any. After Run returns,
+// Now() == until (unless Stop was called), so repeated calls execute a
+// simulation incrementally. Run must be called from outside the
+// simulation — calling it from a scheduled callback panics.
+func (k *Kernel) Run(until Time) error {
 	if err := k.haltErr(); err != nil {
 		return err
 	}
 	if until < k.now {
-		return fmt.Errorf("sim: Advance(%g) before now (%g)", until, k.now)
+		return fmt.Errorf("sim: Run(%g) before now (%g)", until, k.now)
 	}
 	k.drain(until, true)
 	if !k.stopped {
@@ -290,9 +201,6 @@ func (k *Kernel) Advance(until Time) error {
 	}
 	return k.err
 }
-
-// Run is Advance under the name a one-shot run reads best with.
-func (k *Kernel) Run(until Time) error { return k.Advance(until) }
 
 // RunUntilIdle advances the simulation until no events remain and returns
 // the final simulated time and the first model error, if any.
@@ -304,6 +212,6 @@ func (k *Kernel) RunUntilIdle() (Time, error) {
 	return k.now, k.err
 }
 
-// PendingEvents returns the number of scheduled (possibly canceled) events;
-// exposed for tests and diagnostics.
+// PendingEvents returns the number of scheduled events; exposed for
+// tests and diagnostics.
 func (k *Kernel) PendingEvents() int { return k.events.size() }

@@ -5,7 +5,7 @@ package sim_test
 // tuning a driver there changes both measurements together, so the
 // trajectory stays comparable. BenchmarkKernelDeliveries and
 // BenchmarkKernelCycleWaits are test-only: they profile the event
-// queue's lane and cycle-wheel tiers without changing the pimbench
+// queue's heap and cycle-wheel tiers without changing the pimbench
 // suite. (The activity switch, BenchmarkKernelActivityChain, is measured
 // with the activity layer in internal/sim/simtest.)
 
@@ -19,31 +19,11 @@ import (
 
 func BenchmarkKernelSchedule(b *testing.B) { benches.KernelSchedule(b) }
 
-// BenchmarkTimerCancel measures the cancel-and-collect path: schedule,
-// cancel, and let the dead event be swept on the next drain.
-func BenchmarkTimerCancel(b *testing.B) {
-	k := sim.NewKernel()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 256
-	for done := 0; done < b.N; done += batch {
-		for j := 0; j < batch; j++ {
-			tm := k.Schedule(sim.Time(j), fn)
-			if !tm.Cancel() {
-				b.Fatal("cancel failed")
-			}
-		}
-		if _, err := k.RunUntilIdle(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // holdModel is a hold model of message traffic: in-flight messages each
 // delivered after a constant latency and re-sent on arrival — already
-// sorted arrivals, the lane path — beside waiters re-arming themselves
-// after short delays that go through the heap.
+// sorted arrivals, most at non-integral times, so they ride the heap —
+// beside waiters re-arming themselves after short whole-cycle delays on
+// the near wheel.
 type holdModel struct {
 	k       *sim.Kernel
 	latency sim.Time
@@ -87,7 +67,7 @@ func BenchmarkKernelDeliveries(b *testing.B) {
 	const msgs, latency = 8192, 500
 	m := newHoldModel(msgs, 64, latency)
 	next := sim.Time(latency)
-	if err := m.k.Advance(next); err != nil {
+	if err := m.k.Run(next); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -95,7 +75,7 @@ func BenchmarkKernelDeliveries(b *testing.B) {
 	start := m.n
 	for m.n-start < b.N {
 		next += latency / 8
-		if err := m.k.Advance(next); err != nil {
+		if err := m.k.Run(next); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +122,7 @@ func (w *cycleWaiter) delay() sim.Time { return sim.Time(1 + (w.i*7)%10) }
 func BenchmarkKernelCycleWaits(b *testing.B) {
 	m := newCycleModel(1024, 0)
 	next := sim.Time(64)
-	if err := m.k.Advance(next); err != nil {
+	if err := m.k.Run(next); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -150,7 +130,7 @@ func BenchmarkKernelCycleWaits(b *testing.B) {
 	start := m.n
 	for m.n-start < b.N {
 		next += 4
-		if err := m.k.Advance(next); err != nil {
+		if err := m.k.Run(next); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,31 +140,33 @@ func BenchmarkKernelCycleWaits(b *testing.B) {
 //
 // These pin the post-overhaul allocation counts of the kernel's hot
 // paths. If a change re-introduces a per-event allocation (boxing in the
-// event queue, a heap-escaping Timer, a closure on the resume path), the
-// corresponding test fails rather than silently regressing every model.
+// event queue, a closure on the resume path), the corresponding test
+// fails rather than silently regressing every model.
 
-// TestScheduleAllocsPinned: steady-state Schedule + drain is
-// allocation-free (the free list recycles events; Timer is a value).
+// TestScheduleAllocsPinned: steady-state scheduling of a prebuilt
+// closure (the schedule helper) + drain is allocation-free: the free
+// list recycles events, and a func value travels as the argument
+// without boxing.
 func TestScheduleAllocsPinned(t *testing.T) {
 	k := sim.NewKernel()
 	fn := func() {}
 	// Prime the free list and the queue's capacity.
 	for j := 0; j < 512; j++ {
-		k.Schedule(sim.Time(j), fn)
+		schedule(k, sim.Time(j), fn)
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for j := 0; j < 512; j++ {
-			k.Schedule(sim.Time(j), fn)
+			schedule(k, sim.Time(j), fn)
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Schedule+drain allocates %.1f objects per 512-event batch, want 0", allocs)
+		t.Errorf("steady-state schedule+drain allocates %.1f objects per 512-event batch, want 0", allocs)
 	}
 }
 
@@ -204,12 +186,12 @@ func TestWaitWakeupAllocsPinned(t *testing.T) {
 	t.Cleanup(func() { _ = env.Run(k.Now()) })
 	// Prime: the first window grows the queue and the free list.
 	next := sim.Time(256)
-	if err := k.Advance(next); err != nil {
+	if err := k.Run(next); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		next += 256
-		if err := k.Advance(next); err != nil {
+		if err := k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -218,47 +200,19 @@ func TestWaitWakeupAllocsPinned(t *testing.T) {
 	}
 }
 
-// TestTimerCancelAllocsPinned: Cancel plus dead-event collection is
-// allocation-free.
-func TestTimerCancelAllocsPinned(t *testing.T) {
-	k := sim.NewKernel()
-	fn := func() {}
-	for j := 0; j < 256; j++ {
-		k.Schedule(sim.Time(j), fn)
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for j := 0; j < 256; j++ {
-			tm := k.Schedule(sim.Time(j), fn)
-			if !tm.Cancel() {
-				t.Fatal("cancel failed")
-			}
-		}
-		if _, err := k.RunUntilIdle(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Schedule+Cancel+collect allocates %.1f objects per 256-timer batch, want 0", allocs)
-	}
-}
-
 // TestScheduleArgAllocsPinned: steady-state constant-delay ScheduleArg
-// deliveries — in-flight messages re-sent on arrival, the event queue's
-// lane path — are allocation-free once the lanes and the free list have
-// grown.
+// deliveries — in-flight messages re-sent on arrival — are
+// allocation-free once the queue and the free list have grown.
 func TestScheduleArgAllocsPinned(t *testing.T) {
 	const latency = 64
 	m := newHoldModel(256, 0, latency)
 	next := sim.Time(2 * latency)
-	if err := m.k.Advance(next); err != nil {
+	if err := m.k.Run(next); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		next += latency
-		if err := m.k.Advance(next); err != nil {
+		if err := m.k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -276,12 +230,12 @@ func TestScheduleArgAllocsPinned(t *testing.T) {
 func TestCycleWaitAllocsPinned(t *testing.T) {
 	m := newCycleModel(256, 64)
 	next := sim.Time(128)
-	if err := m.k.Advance(next); err != nil {
+	if err := m.k.Run(next); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		next += 64
-		if err := m.k.Advance(next); err != nil {
+		if err := m.k.Run(next); err != nil {
 			t.Fatal(err)
 		}
 	})

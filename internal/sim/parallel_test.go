@@ -70,7 +70,7 @@ func (r *shardRun) round(op func(k *sim.Kernel) error) error {
 
 // Advance advances every shard to until.
 func (r *shardRun) Advance(until sim.Time) error {
-	return r.round(func(k *sim.Kernel) error { return k.Advance(until) })
+	return r.round(func(k *sim.Kernel) error { return k.Run(until) })
 }
 
 // Run advances every shard to until and closes the gang.
@@ -542,8 +542,8 @@ func TestParKernelInfiniteLookahead(t *testing.T) {
 func TestParKernelSendLookaheadViolation(t *testing.T) {
 	r := newShardRun(2, 2)
 	k0, k1 := r.ks[0], r.ks[1]
-	k1.Schedule(1, func() { k1.ScheduleArgAt(0.5, func(any) {}, nil) })
-	k0.Schedule(7, func() {})
+	schedule(k1, 1, func() { k1.ScheduleArgAt(0.5, func(any) {}, nil) })
+	schedule(k0, 7, func() {})
 	_, err := r.RunUntilIdle()
 	if err == nil || !strings.Contains(err.Error(), "before now") {
 		t.Fatalf("err = %v, want a past-time error", err)
@@ -566,7 +566,7 @@ func TestParKernelSendAt(t *testing.T) {
 		// One slot per shard, each written only on its own shard.
 		got := make([]sim.Time, parts)
 		for i, k := range r.ks {
-			k.Schedule(from, func() {
+			schedule(k, from, func() {
 				k.ScheduleArgAt(at, func(any) { got[i] = k.Now() }, nil)
 			})
 		}
@@ -646,10 +646,10 @@ func tickShards(r *shardRun, last, stopAt sim.Time) []int {
 			}
 			k.ScheduleArg(1, func(any) {}, nil)
 			if k.Now() < last {
-				k.Schedule(1, tick)
+				schedule(k, 1, tick)
 			}
 		}
-		k.Schedule(1, tick)
+		schedule(k, 1, tick)
 	}
 	return ticks
 }

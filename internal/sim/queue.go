@@ -3,7 +3,7 @@ package sim
 import "math/bits"
 
 // This file holds the kernel's event ordering. The pending-event set is
-// a four-tier queue (laneQueue) on the (t, seq) order:
+// a three-tier queue (wheelQueue) on the (t, seq) order:
 //
 //   - a near wheel: one FIFO bucket per integral time in a 128-cycle
 //     span starting at the 64-cycle block of lo, the floor of the latest
@@ -17,21 +17,17 @@ import "math/bits"
 //     500-cycle latency — also push in O(1). A block cascades into the
 //     near wheel, one bucket append per event, when it enters the near
 //     span.
-//   - a few sorted FIFO lanes for events that arrive in order but off
-//     the wheels: ordered non-integral streams, such as constant
-//     non-integral delays.
-//   - a 4-ary min-heap for everything else.
+//   - a 4-ary min-heap for everything else: non-integral times and
+//     times past the far span.
 //
-// The front is the minimum over the heap top, the lane heads and the
-// first occupied near bucket — or, with the near wheel empty, the far
-// tier's first block — so the pop order is the exact (t, seq) total
-// order the heap alone would produce. This is the calendar-queue
-// and hierarchical timing-wheel idea (Brown, "Calendar Queues", CACM
-// 31(10), 1988; Varghese & Lauck, "Hashed and Hierarchical Timing
-// Wheels", SOSP 1987) cut down to what the models need: keep the heap
-// as the catch-all and give the common, already-ordered cases an O(1)
-// path. The Kernel holds a concrete laneQueue, so the hot paths stay
-// devirtualized.
+// The front is the minimum of the heap top and the first occupied near
+// bucket — or, with the near wheel empty, the far tier's first block —
+// so the pop order is the exact (t, seq) total order the heap alone
+// would produce. This is the hierarchical timing-wheel idea (Varghese &
+// Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987) cut down to
+// what the models need: two wheel levels for the whole-cycle waits that
+// carry nearly every event, and the heap as the catch-all. The Kernel
+// holds a concrete wheelQueue, so the hot paths stay devirtualized.
 
 // eventQueue is the event-ordering contract: push any number of events,
 // pop them in strictly ascending (t, seq) order. pop on an empty queue
@@ -47,7 +43,7 @@ type eventQueue interface {
 
 var (
 	_ eventQueue = (*eventHeap)(nil)
-	_ eventQueue = (*laneQueue)(nil)
+	_ eventQueue = (*wheelQueue)(nil)
 )
 
 // before reports whether a precedes b in the (t, seq) order.
@@ -59,7 +55,7 @@ func before(a, b *event) bool {
 // comparisons are inlined and nothing is boxed, unlike container/heap's
 // interface-driven sift. The wider fan-out halves the tree depth of the
 // binary heap, which pays on the pop-heavy dispatch loop. It is the
-// unordered tier of laneQueue.
+// catch-all tier of wheelQueue.
 type eventHeap []*event
 
 // push inserts ev, sifting up with inlined (t, seq) comparisons.
@@ -133,53 +129,14 @@ func (q *eventHeap) peek() *event {
 // size returns the number of queued events.
 func (q *eventHeap) size() int { return len(*q) }
 
-// numLanes is the lane count of a laneQueue. A handful is enough: each
-// steady stream of constant-delay deliveries needs one lane, and a push
-// scans every lane tail.
-const numLanes = 4
-
-// Front sources, as returned by laneQueue.front for take: fromHeap names
-// the heap, 0..numLanes-1 a lane, fromWheel+b near bucket b, and
-// fromFar+s the lone event of far slot s.
+// Front sources, as returned by wheelQueue.front for take: fromHeap
+// names the heap, fromWheel+b near bucket b, and fromFar+s the lone
+// event of far slot s.
 const (
 	fromHeap  = -1
-	fromWheel = numLanes
+	fromWheel = 0
 	fromFar   = fromWheel + nearSize
 )
-
-// laneRing is a lane's first ring length. The first lane a queue uses
-// allocates the first rings of all numLanes lanes as one slab, so a
-// kernel pays one allocation for its lanes until one of them outgrows
-// its ring.
-const laneRing = 16
-
-// lane is a FIFO ring of events sorted by (t, seq) by construction: push
-// only appends an event that does not precede the tail. The ring's
-// length is a power of two (zero until its queue carves the lane slab).
-type lane struct {
-	buf  []*event
-	head int
-	n    int
-}
-
-// tail returns the lane's last event; the lane must be non-empty.
-func (l *lane) tail() *event {
-	return l.buf[(l.head+l.n-1)&(len(l.buf)-1)]
-}
-
-// append adds ev at the tail, doubling the ring when it is full. The
-// ring must have been carved (laneQueue.carveLanes).
-func (l *lane) append(ev *event) {
-	if l.n == len(l.buf) {
-		buf := make([]*event, 2*len(l.buf))
-		for i := 0; i < l.n; i++ {
-			buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
-		}
-		l.buf, l.head = buf, 0
-	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
-	l.n++
-}
 
 // The wheel tiers count integral time in blocks of blockSize cycles:
 // block b holds the cycles [b·64, b·64+64), so one block's occupancy is
@@ -196,38 +153,32 @@ const (
 // below 2^53 converts to uint64 exactly.
 const maxWheelTime = 1 << 53
 
-// cycleWheel is the near tier of laneQueue: one bucket per cycle of the
-// span [B·64, B·64+128), where B is the block of the queue's first cycle
-// lo — lo's block and the next, so the span always holds one whole
-// block past lo's. Bucket c&127 holds the events at time c, sorted by
-// seq: each bucket is a circular singly-linked FIFO threaded through
-// event.next and addressed by its tail (tail.next is the head). occ[w]
-// has bit i set when bucket w·64+i is non-empty, so block b's occupancy
-// is the word occ[b&1].
+// cycleWheel is the near tier of wheelQueue: one bucket per cycle of
+// the span [B·64, B·64+128), where B is the block of the queue's first
+// cycle lo — lo's block and the next, so the span always holds one whole
+// block past lo's. Bucket c&127 holds the events at time c in push
+// order, which is seq order: each bucket is a circular singly-linked
+// FIFO threaded through event.next and addressed by its tail (tail.next
+// is the head). occ[w] has bit i set when bucket w·64+i is non-empty, so
+// block b's occupancy is the word occ[b&1].
 type cycleWheel struct {
 	tails [nearSize]*event
 	occ   [nearBlocks]uint64
 	n     int
 }
 
-// add appends ev, at integral time c, to its bucket unless the bucket's
-// tail follows it in seq order; it reports whether ev was taken.
-func (w *cycleWheel) add(ev *event, c uint64) bool {
+// add appends ev, at integral time c, to its bucket.
+func (w *cycleWheel) add(ev *event, c uint64) {
 	b := c & (nearSize - 1)
-	tail := w.tails[b]
-	if tail == nil {
+	if tail := w.tails[b]; tail == nil {
 		ev.next = ev
 		w.occ[b>>blockBits] |= 1 << (b & (blockSize - 1))
 	} else {
-		if tail.seq > ev.seq {
-			return false
-		}
 		ev.next = tail.next
 		tail.next = ev
 	}
 	w.tails[b] = ev
 	w.n++
-	return true
 }
 
 // first returns the bucket holding the earliest wheel time; the wheel
@@ -258,12 +209,12 @@ func (w *cycleWheel) take(b int) *event {
 	return head
 }
 
-// farWheel is the far tier of laneQueue: one FIFO per block for the
+// farWheel is the far tier of wheelQueue: one FIFO per block for the
 // farBlocks blocks after the near span, B+2 to B+65. Slot b&63 holds
-// block b's events in push order, unsorted, as a circular list through
-// event.next addressed by its tail like a near bucket; occ has bit b&63
-// set when the slot is non-empty. A block is sorted only when it
-// cascades into the near wheel, one bucket append per event.
+// block b's events in push order, unsorted by time, as a circular list
+// through event.next addressed by its tail like a near bucket; occ has
+// bit b&63 set when the slot is non-empty. A block is sorted only when
+// it cascades into the near wheel, one bucket append per event.
 type farWheel struct {
 	tails [farBlocks]*event
 	occ   uint64
@@ -302,47 +253,38 @@ func (f *farWheel) take(s int) *event {
 	return ev
 }
 
-// laneQueue is the kernel's pending-event set: a two-level cycle wheel
-// for integral times up to ~4096 cycles ahead, sorted FIFO lanes for
-// other events that arrive in order, a 4-ary heap for the rest.
+// wheelQueue is the kernel's pending-event set: a two-level cycle wheel
+// for integral times up to ~4096 cycles ahead and a 4-ary heap for the
+// rest. Events must be pushed in ascending seq order, as the kernel
+// stamps them.
 //
 // push puts an event at integral cycle c on the near wheel when c lies
-// in the near span [lo, B·64+128) and its bucket is empty or ends
-// before it in seq order, and on the far tier when c's block is one of
-// the far span's. Otherwise it appends the event to the non-empty lane
-// whose tail is the latest one not after it (the tightest fit, so a
-// steady delivery stream keeps extending its own lane), else to an
-// empty lane, else to the heap. Every bucket and lane stays sorted, and
-// no queued time precedes lo: take raises lo only to the time of the
-// front, and front only to the block before the first far block when
-// nothing precedes that block; neither lowers it. When lo enters a new
-// block, the far blocks that enter the near span cascade into it
-// (enter), so front cascades the first far block when the near wheel
-// runs empty and no heap or lane event precedes that block, unless it
-// holds a single event, which front offers from its slot as it stands.
-// A cascading event whose bucket's tail follows it in seq order falls
-// back to the lanes or the heap, as a push would. So each queued near
-// cycle has a bucket of its own, every far event follows every near one,
-// and the minimum of the heap top, the lane heads, the first occupied
+// in the near span [lo, B·64+128), on the far tier when c's block is one
+// of the far span's, and on the heap otherwise. No queued time precedes
+// lo: take raises lo only to the time of the front, and front only to
+// the block before the first far block when nothing precedes that
+// block; neither lowers it. When lo enters a new block, the far blocks
+// that enter the near span cascade into it (enter), so front cascades
+// the first far block when the near wheel runs empty and no heap event
+// precedes that block, unless it holds a single event, which front
+// offers from its slot as it stands. A block cascades before any push
+// can reach the near buckets of its cycles, and it cascades in push
+// order, so with ascending seqs every bucket stays in seq order. So each
+// queued near cycle has a bucket of its own, every far event follows
+// every near one, and the minimum of the heap top, the first occupied
 // bucket and, with the near wheel empty, the first far block is the
-// global (t, seq) minimum. The kernel pushes every event with a seq
-// above all queued ones, so it never meets the seq-order fallback; the
-// queue keeps it so it stays correct for any push order, which the heap
-// tests and FuzzEventQueue exercise. The near wheel and the
-// far tier are each allocated on their first push, so a kernel that
-// never schedules an integral time within their spans never pays for
-// them; likewise the lane rings are carved on the first lane push.
-type laneQueue struct {
+// global (t, seq) minimum. The near wheel and the far tier are each
+// allocated on their first push, so a kernel that never schedules an
+// integral time within their spans never pays for them.
+type wheelQueue struct {
 	heap  eventHeap
-	lanes [numLanes]lane
 	wheel *cycleWheel
 	far   *farWheel
 	lo    uint64 // the wheel's first cycle: no queued time precedes it
 }
 
-// push inserts ev into the near wheel, the far tier, the
-// tightest-fitting lane, or the heap.
-func (q *laneQueue) push(ev *event) {
+// push inserts ev into the near wheel, the far tier or the heap.
+func (q *wheelQueue) push(ev *event) {
 	if t := ev.t; t >= 0 && t < maxWheelTime {
 		// c < lo wraps both differences past their spans, so one compare
 		// bounds each tier at both ends.
@@ -351,10 +293,10 @@ func (q *laneQueue) push(ev *event) {
 				if q.wheel == nil {
 					q.wheel = new(cycleWheel)
 				}
-				if q.wheel.add(ev, c) {
-					return
-				}
-			} else if b := c >> blockBits; b-(q.lo>>blockBits+nearBlocks) < farBlocks {
+				q.wheel.add(ev, c)
+				return
+			}
+			if b := c >> blockBits; b-(q.lo>>blockBits+nearBlocks) < farBlocks {
 				if q.far == nil {
 					q.far = new(farWheel)
 				}
@@ -363,65 +305,25 @@ func (q *laneQueue) push(ev *event) {
 			}
 		}
 	}
-	best, empty := -1, -1
-	var bt *event
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		if l.n == 0 {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
-		if tl := l.tail(); before(tl, ev) && (bt == nil || before(bt, tl)) {
-			best, bt = i, tl
-		}
-	}
-	if best < 0 {
-		best = empty
-	}
-	if best < 0 {
-		q.heap.push(ev)
-		return
-	}
-	if q.lanes[best].buf == nil {
-		q.carveLanes()
-	}
-	q.lanes[best].append(ev)
-}
-
-// carveLanes gives every lane its first ring, cut from one slab. Lanes
-// are carved together and a ring is never dropped, only replaced by a
-// larger one, so it runs once per queue.
-func (q *laneQueue) carveLanes() {
-	slab := make([]*event, numLanes*laneRing)
-	for i := range q.lanes {
-		q.lanes[i].buf = slab[i*laneRing : (i+1)*laneRing : (i+1)*laneRing]
-	}
+	q.heap.push(ev)
 }
 
 // enter cascades the far blocks that enter the near span now that lo has
 // left block b0 for a later one: lo's block and the next. No queued time
 // precedes lo, so the far blocks before lo's hold nothing and neither
-// slot can hold a block other than the one cascaded. It reports whether
-// a cascading event fell back to the lanes or the heap.
-func (q *laneQueue) enter(b0 uint64) (spilled bool) {
+// slot can hold a block other than the one cascaded.
+func (q *wheelQueue) enter(b0 uint64) {
 	nb := q.lo >> blockBits
 	for b := max(nb, b0+nearBlocks); b < nb+nearBlocks; b++ {
-		if q.far.occ&(1<<(b&(farBlocks-1))) != 0 && q.cascade(b) {
-			spilled = true
+		if q.far.occ&(1<<(b&(farBlocks-1))) != 0 {
+			q.cascade(b)
 		}
 	}
-	return spilled
 }
 
 // cascade moves far block b, which must lie in the near span, onto the
-// near wheel in push order. An event whose bucket's tail follows it in
-// seq order — possible only when events are pushed out of seq order,
-// which the kernel never does — is pushed again, which turns it away
-// from the wheel to the lanes or the heap; cascade reports whether any
-// was.
-func (q *laneQueue) cascade(b uint64) (spilled bool) {
+// near wheel in push order.
+func (q *wheelQueue) cascade(b uint64) {
 	f := q.far
 	s := b & (farBlocks - 1)
 	tail := f.tails[s]
@@ -433,41 +335,26 @@ func (q *laneQueue) cascade(b uint64) (spilled bool) {
 	for ev := tail.next; ; {
 		next := ev.next
 		f.n--
-		if !q.wheel.add(ev, uint64(ev.t)) {
-			ev.next = nil
-			q.push(ev)
-			spilled = true
-		}
+		q.wheel.add(ev, uint64(ev.t))
 		if ev == tail {
-			return spilled
+			return
 		}
 		ev = next
 	}
 }
 
-// front returns the minimum event and its source — fromHeap, a lane
-// index, fromWheel+bucket or fromFar+slot — for take; nil when the queue
-// is empty. The dispatch loop computes it once per event and removes
+// front returns the minimum event and its source — fromHeap,
+// fromWheel+bucket or fromFar+slot — for take; nil when the queue is
+// empty. The dispatch loop computes it once per event and removes
 // through take, so the front is never searched twice. When the near
 // wheel is empty, the far tier's minimum is in its first block: a block
 // of one event is the minimum as it stands, so front compares it in its
-// slot; a larger block, unless a heap or lane event precedes it,
-// cascades first, and only an event that falls back to the lanes or the
-// heap on the way makes front search them again.
-func (q *laneQueue) front() (*event, int) {
+// slot; a larger block cascades first, unless a heap event precedes it.
+func (q *wheelQueue) front() (*event, int) {
 	var best *event
 	src := fromHeap
 	if len(q.heap) > 0 {
 		best = q.heap[0]
-	}
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		if l.n == 0 {
-			continue
-		}
-		if ev := l.buf[l.head]; best == nil || before(ev, best) {
-			best, src = ev, i
-		}
 	}
 	w := q.wheel
 	if f := q.far; (w == nil || w.n == 0) && f != nil && f.n != 0 {
@@ -485,9 +372,7 @@ func (q *laneQueue) front() (*event, int) {
 		// pushes just ahead of now while the front waits for a window.
 		b0 := q.lo >> blockBits
 		q.lo = (b - 1) << blockBits
-		if q.enter(b0) {
-			return q.front()
-		}
+		q.enter(b0)
 		w = q.wheel
 	}
 	if w != nil && w.n != 0 {
@@ -502,17 +387,11 @@ func (q *laneQueue) front() (*event, int) {
 // take removes the front event of src, as returned by front, and moves
 // the wheel's span up to the removed event's cycle, cascading the far
 // blocks that enter it.
-func (q *laneQueue) take(src int) {
+func (q *wheelQueue) take(src int) {
 	var ev *event
 	switch {
 	case src == fromHeap:
 		ev = q.heap.pop()
-	case src < fromWheel:
-		l := &q.lanes[src]
-		ev = l.buf[l.head]
-		l.buf[l.head] = nil
-		l.head = (l.head + 1) & (len(l.buf) - 1)
-		l.n--
 	case src < fromFar:
 		ev = q.wheel.take(src - fromWheel)
 	default:
@@ -530,7 +409,7 @@ func (q *laneQueue) take(src int) {
 }
 
 // pop removes and returns the minimum event, nil when empty.
-func (q *laneQueue) pop() *event {
+func (q *wheelQueue) pop() *event {
 	ev, src := q.front()
 	if ev != nil {
 		q.take(src)
@@ -539,17 +418,14 @@ func (q *laneQueue) pop() *event {
 }
 
 // peek returns the minimum event without removing it, nil when empty.
-func (q *laneQueue) peek() *event {
+func (q *wheelQueue) peek() *event {
 	ev, _ := q.front()
 	return ev
 }
 
 // size returns the number of queued events, every tier included.
-func (q *laneQueue) size() int {
+func (q *wheelQueue) size() int {
 	n := len(q.heap)
-	for i := range q.lanes {
-		n += q.lanes[i].n
-	}
 	if q.wheel != nil {
 		n += q.wheel.n
 	}

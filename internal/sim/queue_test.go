@@ -1,6 +1,6 @@
 package sim
 
-// Tests of the four-tier queue inside the kernel: FuzzEventQueue lets the
+// Tests of the three-tier queue inside the kernel: FuzzEventQueue lets the
 // mutator hunt for a queue program on which the queue diverges from
 // container/heap (heap_test.go holds the generated cases); a model split
 // over partitions, one queue each as side-by-side kernels hold them,
@@ -53,7 +53,7 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 						err := quick.Check(func(seed uint64, sizeRaw uint16) bool {
 							ts := mixedTimes(rng.New(seed), 1+int(sizeRaw%400), shape)
 							var ref eventHeap
-							qs := make([]laneQueue, parts)
+							qs := make([]wheelQueue, parts)
 							for i, at := range ts {
 								ev := &event{t: at, seq: uint64(i)}
 								ref.push(ev)
@@ -90,8 +90,8 @@ func TestPartitionedQueueMatchesSingleHeap(t *testing.T) {
 	}
 }
 
-// TestPartitionedQueueInterleaved: a queue program — pushes, pops,
-// cancels and Advance jumps, the dispatch loop's shape — split over four
+// TestPartitionedQueueInterleaved: a queue program — pushes, pops and
+// Run jumps, the dispatch loop's shape — split over four
 // partitions by each assignment of the corpus runs on every partition's
 // queue against container/heap, and the partitions together exercise
 // the tiers each shape exists for. An operation's index stands in for
@@ -112,7 +112,7 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 							subs[p] = append(subs[p], b)
 						}
 						for p, sub := range subs {
-							st, err := runQueueProgram(&laneQueue{}, sub, shape)
+							st, err := runQueueProgram(&wheelQueue{}, sub, shape)
 							if err != nil {
 								t.Logf("partition %d: %v", p, err)
 								return false
@@ -134,14 +134,13 @@ func TestPartitionedQueueInterleaved(t *testing.T) {
 // TestPartitionedQueueSizeMatchesShards: each of several kernels run
 // side by side ("shards") reports as pending exactly the events its
 // model has scheduled and not yet seen fire, with every tier of the
-// queues populated, at setup and between Advance windows. Hops start at
+// queues populated, at setup and between Run windows. Hops start at
 // half cycles and re-schedule themselves 70 cycles ahead, so they
-// stream through one lane; each also schedules a ping 5.5 cycles ahead,
+// stream through the heap; each also schedules a ping 5.5 cycles ahead,
 // at a whole cycle on the near wheel, beside a setup event at an
 // integral time; one setup event per shard lies some 900 cycles ahead,
-// on the far tier; and each shard's decreasing half-cycle times fit
-// behind no lane tail, so they fill the other lanes and spill onto the
-// heap.
+// on the far tier; and each shard's decreasing half-cycle times join
+// the hops on the heap.
 func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	const parts = 3
 	type shard struct {
@@ -175,21 +174,15 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		var inLanes, onWheel, onFar, inHeap int
+		var onWheel, onFar, inHeap int
 		for i, s := range shards {
 			if got := s.k.PendingEvents(); got != s.out || got == 0 {
 				t.Fatalf("%s: shard %d holds %d events, its model %d", when, i, got, s.out)
 			}
 			q := &s.k.events
-			for _, l := range q.lanes {
-				inLanes += l.n
-			}
 			onWheel += wheelLen(q)
 			onFar += farLen(q)
 			inHeap += q.heap.size()
-		}
-		if inLanes == 0 {
-			t.Fatalf("%s: no events in lanes", when)
 		}
 		if onWheel == 0 {
 			t.Fatalf("%s: no events on the wheel", when)
@@ -204,24 +197,24 @@ func TestPartitionedQueueSizeMatchesShards(t *testing.T) {
 	check("setup")
 	for _, until := range []Time{12, 40, 41.5, 100} {
 		for _, s := range shards {
-			if err := s.k.Advance(until); err != nil {
+			if err := s.k.Run(until); err != nil {
 				t.Fatal(err)
 			}
 		}
-		check(fmt.Sprintf("after Advance(%g)", until))
+		check(fmt.Sprintf("after Run(%g)", until))
 	}
 }
 
 // FuzzEventQueue runs arbitrary queue programs (see runQueueProgram for
-// the opcodes) differentially against container/heap on the four-tier
+// the opcodes) differentially against container/heap on the three-tier
 // queue, with integral (wheel-shaped), stretched integral (far-shaped)
-// and half-cycle (lane-shaped) stream and random delays.
+// and half-cycle (heap-shaped) stream and random delays.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0x50, 0x50, 0x51, 0xa7, 0x00, 0xd0, 0xe9, 0x00})
 	f.Add([]byte{0x52, 0x53, 0xa3, 0xa3, 0xe8, 0x01, 0x50, 0xd4, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		for _, shape := range queueShapes {
-			if _, err := runQueueProgram(&laneQueue{}, prog, shape); err != nil {
+			if _, err := runQueueProgram(&wheelQueue{}, prog, shape); err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
 			}
 		}
@@ -288,20 +281,20 @@ func TestEventQueueInterfaceConformance(t *testing.T) {
 	}
 	const n, seed = 300, 99
 	single := drain(&eventHeap{}, n, seed)
-	got := drain(&laneQueue{}, n, seed)
+	got := drain(&wheelQueue{}, n, seed)
 	if len(single) != n || len(got) != n {
 		t.Fatalf("drained %d and %d of %d", len(single), len(got), n)
 	}
 	for i := range single {
 		if single[i] != got[i] {
-			t.Fatalf("pop %d: single heap seq %d, four-tier queue seq %d", i, single[i], got[i])
+			t.Fatalf("pop %d: single heap seq %d, three-tier queue seq %d", i, single[i], got[i])
 		}
 	}
 }
 
 // TestKernelCycleWaitsRideTheWheel: a kernel whose callbacks re-arm
 // themselves whole cycles a few at a time keeps every pending event on
-// the cycle wheel: the heap and the lanes stay empty.
+// the cycle wheel: the heap stays empty.
 func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 	k := NewKernel()
 	var rearm func(any)
@@ -310,17 +303,13 @@ func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 		k.ScheduleArg(0, rearm, Time(1+i%9))
 	}
 	for _, until := range []Time{0, 3, 40, 41, 500, 502} {
-		if err := k.Advance(until); err != nil {
+		if err := k.Run(until); err != nil {
 			t.Fatal(err)
 		}
 		q := &k.events
-		lanes := 0
-		for _, l := range q.lanes {
-			lanes += l.n
-		}
-		if on := wheelLen(q); on != 50 || lanes != 0 || q.heap.size() != 0 {
-			t.Fatalf("after Advance(%g): wheel %d, lanes %d, heap %d; want all 50 on the wheel",
-				until, on, lanes, q.heap.size())
+		if on := wheelLen(q); on != 50 || q.heap.size() != 0 {
+			t.Fatalf("after Run(%g): wheel %d, heap %d; want all 50 on the wheel",
+				until, on, q.heap.size())
 		}
 	}
 }
@@ -331,13 +320,13 @@ func TestKernelCycleWaitsRideTheWheel(t *testing.T) {
 // plus a 500-cycle latency: events 500-2000 cycles ahead, out of push
 // order, all at whole cycles.
 type hopStream struct {
-	q    *laneQueue
+	q    *wheelQueue
 	st   *rng.Stream
 	free []Time
 	seq  uint64
 }
 
-func newHopStream(q *laneQueue, nodes, parcels int) *hopStream {
+func newHopStream(q *wheelQueue, nodes, parcels int) *hopStream {
 	h := &hopStream{q: q, st: rng.New(20), free: make([]Time, nodes)}
 	for i := 0; i < nodes*parcels; i++ {
 		h.land(&event{arg: i % nodes}, 0)
@@ -370,13 +359,13 @@ func (h *hopStream) step() int {
 // span, on the far tier, and reach the near wheel by cascading — and
 // the heap takes under 5% of them.
 func TestFarTierCarriesHopStream(t *testing.T) {
-	h := newHopStream(&laneQueue{}, 1024, 8)
+	h := newHopStream(&wheelQueue{}, 1024, 8)
 	var tiers [numTiers]int
 	const pops = 100000
 	for i := 0; i < pops; i++ {
 		tiers[h.step()]++
 	}
-	t.Logf("pops by tier (heap, lane, wheel): %v", tiers)
+	t.Logf("pops by tier (heap, wheel): %v", tiers)
 	if share := float64(tiers[tierHeap]) / pops; share >= 0.05 {
 		t.Errorf("heap served %.1f%% of the hop stream's pops, want under 5%%: %v", 100*share, tiers)
 	}
@@ -388,7 +377,7 @@ func TestFarTierCarriesHopStream(t *testing.T) {
 // TestFarTierAllocsPinned: steady-state far pushes, cascades and pops
 // are allocation-free once both wheel tiers exist.
 func TestFarTierAllocsPinned(t *testing.T) {
-	q := &laneQueue{}
+	q := &wheelQueue{}
 	h := newHopStream(q, 64, 4)
 	for i := 0; i < 4096; i++ {
 		h.step()

@@ -91,6 +91,12 @@ func get[T any](s *simtest.Store[T], f func(a *simtest.ActCtx, v T)) stage {
 	}
 }
 
+// schedule runs fn after delay d on k: the closure travels as the
+// argument of one shared callback.
+func schedule(k *sim.Kernel, d sim.Time, fn func()) { k.ScheduleArg(d, callFunc, fn) }
+
+func callFunc(fn any) { fn.(func())() }
+
 // put adds v to s.
 func put[T any](s *simtest.Store[T], v T) stage {
 	return do(func(*simtest.ActCtx) { s.Put(v) })
@@ -99,9 +105,9 @@ func put[T any](s *simtest.Store[T], v T) stage {
 func TestScheduleOrdering(t *testing.T) {
 	k := sim.NewKernel()
 	var order []int
-	k.Schedule(5, func() { order = append(order, 2) })
-	k.Schedule(1, func() { order = append(order, 1) })
-	k.Schedule(5, func() { order = append(order, 3) }) // same time: schedule order
+	schedule(k, 5, func() { order = append(order, 2) })
+	schedule(k, 1, func() { order = append(order, 1) })
+	schedule(k, 5, func() { order = append(order, 3) }) // same time: schedule order
 	if err := k.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestScheduleOrdering(t *testing.T) {
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	k := sim.NewKernel()
-	k.Schedule(5, func() {})
+	schedule(k, 5, func() {})
 	if err := k.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -130,25 +136,7 @@ func TestScheduleAtPastPanics(t *testing.T) {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	k.ScheduleAt(1, func() {})
-}
-
-func TestTimerCancel(t *testing.T) {
-	k := sim.NewKernel()
-	fired := false
-	tm := k.Schedule(5, func() { fired = true })
-	if !tm.Cancel() {
-		t.Fatal("first Cancel should succeed")
-	}
-	if tm.Cancel() {
-		t.Fatal("second Cancel should report false")
-	}
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled timer fired")
-	}
+	k.ScheduleArgAt(1, func(any) {}, nil)
 }
 
 func TestProcessWait(t *testing.T) {
@@ -388,7 +376,7 @@ func TestSignalBroadcast(t *testing.T) {
 			do(func(a *simtest.ActCtx) { woke = append(woke, a.Now()) }),
 		))
 	}
-	k.Schedule(4, sig.Trigger)
+	schedule(k, 4, sig.Trigger)
 	if _, err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -494,9 +482,9 @@ func TestStopEndsRun(t *testing.T) {
 			k.Stop()
 			return
 		}
-		k.Schedule(1, tick)
+		schedule(k, 1, tick)
 	}
-	k.Schedule(1, tick)
+	schedule(k, 1, tick)
 	if err := k.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -508,9 +496,9 @@ func TestStopEndsRun(t *testing.T) {
 	}
 }
 
-// TestStopIsFinal: after a Stop, every later Run, Advance or
-// RunUntilIdle dispatches nothing, leaves Now() where the run stopped and
-// returns ErrStopped; after a model panic, which also stops the kernel,
+// TestStopIsFinal: after a Stop, every later Run or RunUntilIdle
+// dispatches nothing, leaves Now() where the run stopped and returns
+// ErrStopped; after a model panic, which also stops the kernel,
 // they return the panic's error.
 func TestStopIsFinal(t *testing.T) {
 	k := sim.NewKernel()
@@ -521,17 +509,14 @@ func TestStopIsFinal(t *testing.T) {
 		if count == 5 {
 			k.Stop()
 		}
-		k.Schedule(1, tick)
+		schedule(k, 1, tick)
 	}
-	k.Schedule(1, tick)
+	schedule(k, 1, tick)
 	if err := k.Run(1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(2000); !errors.Is(err, sim.ErrStopped) {
 		t.Errorf("Run after Stop: err = %v, want ErrStopped", err)
-	}
-	if err := k.Advance(2000); !errors.Is(err, sim.ErrStopped) {
-		t.Errorf("Advance after Stop: err = %v, want ErrStopped", err)
 	}
 	if now, err := k.RunUntilIdle(); !errors.Is(err, sim.ErrStopped) || now != 5 {
 		t.Errorf("RunUntilIdle after Stop: (%g, %v), want (5, ErrStopped)", now, err)
@@ -541,7 +526,7 @@ func TestStopIsFinal(t *testing.T) {
 	}
 
 	k = sim.NewKernel()
-	k.Schedule(1, func() { panic("boom") })
+	schedule(k, 1, func() { panic("boom") })
 	first := k.Run(10)
 	if first == nil {
 		t.Fatal("a panicking callback returned no error")
@@ -579,56 +564,14 @@ func TestResourceQueueStats(t *testing.T) {
 	}
 }
 
-func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
-	// After an event fires, its struct returns to the free list and may be
-	// reused by the next Schedule. A Timer held across the firing must not
-	// cancel the struct's next tenant.
-	k := sim.NewKernel()
-	var fired []string
-	tm := k.Schedule(1, func() { fired = append(fired, "a") })
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	k.Schedule(1, func() { fired = append(fired, "b") })
-	if tm.Cancel() {
-		t.Error("stale Timer claimed to cancel a recycled event")
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || fired[1] != "b" {
-		t.Errorf("fired = %v, want [a b]", fired)
-	}
-}
-
-func TestCanceledEventRecycledAndReused(t *testing.T) {
-	// A canceled event is collected dead and recycled; subsequent
-	// schedules reuse it and run normally.
-	k := sim.NewKernel()
-	ran := 0
-	tm := k.Schedule(1, func() { t.Error("canceled event ran") })
-	if !tm.Cancel() {
-		t.Fatal("cancel failed")
-	}
-	for i := 0; i < 100; i++ {
-		k.Schedule(float64(i), func() { ran++ })
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 100 {
-		t.Errorf("ran = %d, want 100", ran)
-	}
-}
-
 func TestNestedRunFromCallbackErrors(t *testing.T) {
-	// Run/Advance from inside the simulation would clobber the active
-	// drain window; it must surface as a run error, never hang.
+	// Run from inside the simulation would clobber the active drain
+	// window; it must surface as a run error, never hang.
 	k := sim.NewKernel()
-	k.Schedule(1, func() { _ = k.Advance(50) })
+	schedule(k, 1, func() { _ = k.Run(50) })
 	err := k.Run(10)
 	if err == nil {
-		t.Fatal("nested Advance from a callback did not error")
+		t.Fatal("nested Run from a callback did not error")
 	}
 
 	k2 := sim.NewKernel()

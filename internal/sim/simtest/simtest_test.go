@@ -82,7 +82,7 @@ func BenchmarkKernelActivityChain(b *testing.B) {
 	for done := 0; done < b.N; done += batch {
 		// Each window completes batch Waits per activity; 2 activities →
 		// count iterations in activity-waits.
-		if err := k.Advance(sim.Time((done + batch) / 2)); err != nil {
+		if err := k.Run(sim.Time((done + batch) / 2)); err != nil {
 			b.Fatal(err)
 		}
 	}
