@@ -248,7 +248,7 @@ func runParcelSys(args []string) error {
 func runScenarioSweep(args []string) error {
 	fs := flag.NewFlagSet("pimsweep scenario", flag.ContinueOnError)
 	preset := fs.String("preset", "paper-baseline", "scenario preset to start from")
-	backendName := fs.String("backend", "sim", "model backend to run")
+	backendName := fs.String("backend", "", "model backend to run (default: the preset's first supporting one)")
 	quick := fs.Bool("quick", false, "clamp workload sizes and horizons (quick mode)")
 	var sweeps []string
 	fs.Func("sweep", "field=axis to sweep, repeatable (see sweepable fields)", func(v string) error {
@@ -271,11 +271,10 @@ func runScenarioSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base, err := scenario.Find(*preset)
+	// Resolve picks the backend as a served spec does: the named one, or
+	// the preset's first supporting one.
+	res, err := scenario.Spec{Preset: *preset, Backend: *backendName}.Resolve(scenario.SpecLimits{})
 	if err != nil {
-		return err
-	}
-	if _, err := scenario.FindBackend(*backendName); err != nil {
 		return err
 	}
 	if len(sweeps) == 0 {
@@ -293,7 +292,7 @@ func runScenarioSweep(args []string) error {
 		}
 		axes = append(axes, a)
 	}
-	return scenarioSweep(ef, base, *backendName, *quick, axes)
+	return scenarioSweep(ef, res.Scenario, res.Backend, *quick, axes)
 }
 
 // fieldAxis parses one field's axis spec into a grid axis, checking the

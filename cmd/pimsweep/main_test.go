@@ -311,12 +311,28 @@ func TestScenarioSweepSim(t *testing.T) {
 	}
 }
 
+// TestScenarioSweepDefaultBackend: without -backend a sweep runs on the
+// backend a served spec of the preset resolves to, its first supporting
+// one, so a machine preset sweeps on the machine backend instead of
+// failing every point on sim.
+func TestScenarioSweepDefaultBackend(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"scenario", "-quick", "-preset", "machine-gups", "-sweep", "updates=16,32"})
+	})
+	if !strings.Contains(out, "scenario sweep: machine-gups on machine") {
+		t.Errorf("sweep did not run on the machine backend:\n%s", out)
+	}
+}
+
 func TestScenarioSweepErrors(t *testing.T) {
 	if err := run([]string{"scenario", "-preset", "nope", "-sweep", "latency=1"}); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 	if err := run([]string{"scenario", "-backend", "warp", "-sweep", "latency=1"}); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+	if err := run([]string{"scenario", "-preset", "machine-gups", "-backend", "sim", "-sweep", "updates=16"}); err == nil {
+		t.Fatal("backend that does not support the preset accepted")
 	}
 	if err := run([]string{"scenario", "-sweep", "warp-drive=1"}); err == nil {
 		t.Fatal("unknown field accepted")

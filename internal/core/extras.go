@@ -285,7 +285,7 @@ func runReplication(cfg Config, w io.Writer) (*Outcome, error) {
 	}
 	reps := 10
 	if cfg.Quick {
-		reps = 4
+		reps = 6
 	}
 	r, err := parcelsys.Replicate(p, reps)
 	if err != nil {

@@ -37,7 +37,7 @@ func runTestSystem(p Params, rs *runState) (SystemResult, error) {
 	rs.testNodes = slab(rs.testNodes, p.Nodes)
 	nodes, tns := rs.testStats, rs.testNodes
 	for i := range tns {
-		tns[i] = testNode{p: &p, k: k, i: i, ns: &nodes[i], peers: tns}
+		tns[i] = testNode{p: &p, mix: newOpMix(&p), k: k, i: i, ns: &nodes[i], peers: tns}
 		nodes[i] = nodeStats{}
 		nodes[i].busy.Set(0, 0)
 	}

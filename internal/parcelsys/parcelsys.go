@@ -49,13 +49,20 @@
 // is a FIFO server held in closed form, like the bank, and a parcel's
 // hop costs one event, its landing. The landing books the node's next
 // busy period, plans the parcel's whole visit in it — assimilation, the
-// migrated access, the useful runs and local accesses up to the next
-// remote access, creation — and sends the parcel on to land when the
-// visit ends plus the one-way latency.
+// migrated access, the thread's ops up to its next remote access,
+// creation — and sends the parcel on to land when the visit ends plus
+// the one-way latency. Each of the thread's ops is independently a
+// useful op, a local access, or the remote access that ends the visit,
+// so its ops take two draws: the count N of non-remote ops before the
+// remote access, which is geometric, and the count L of local accesses
+// among them, which given N is binomial. Only a visit that might not end
+// by the horizon walks its ops in order. The control system keeps
+// drawing a segment per access: its local accesses queue at a bank that
+// remote requests also use, so its runs depend on other nodes.
 //
-// In both systems ops are credited as each piece would complete, so a
-// piece ending on the horizon counts and one ending past it does not,
-// and busy time is clipped to the horizon.
+// Ops are credited as they would complete: in the test system each op,
+// in the control system each piece (a useful run, an access), counts if
+// it ends by the horizon. Busy time is clipped to the horizon.
 package parcelsys
 
 import (
@@ -357,6 +364,7 @@ func (p *Params) seedParcel(wp *workParcel, i, j int) {
 // one-way when the visit ends.
 type testNode struct {
 	p     *Params
+	mix   opMix
 	k     *sim.Kernel // the system's kernel
 	i     int
 	ns    *nodeStats
@@ -386,20 +394,26 @@ func (n *testNode) land(wp *workParcel) {
 	}
 	ns.rem++
 	wp.pendingAccess = true
-	wp.dst = &n.peers[p.pickDest(&wp.rt, n.i)]
-	n.k.ScheduleArgAt(end+p.latency(n.i, wp.dst.i), deliverParcel, wp)
+	d := p.pickDest(&wp.rt, n.i)
+	wp.dst = &n.peers[d]
+	n.k.ScheduleArgAt(end+p.latency(n.i, d), deliverParcel, wp)
 }
 
 // visit plans the busy period of parcel wp starting at time t and
 // returns the time it ships. In order: the assimilation overhead that
 // instantiates the parcel's action, the access that caused the migration
-// (it executes here, where the data lives), then the thread's useful runs
-// and local accesses, drawn from the parcel's own stream, up to its next
-// remote access, and the creation overhead of the continuation. Each
-// piece's ops are credited as the piece would complete: only a piece
-// ending by the horizon counts, and no segment is drawn past it. A visit
-// the horizon cuts (every visit at RemoteFrac 0 or on one node) ends past
-// the horizon, so it never ships.
+// (it executes here, where the data lives), then the thread's useful ops
+// and local accesses up to its next remote access, and the creation
+// overhead of the continuation.
+//
+// The thread's ops are two draws from the parcel's own stream (body):
+// the count N of non-remote ops before the next remote access, and the
+// count L of local accesses among them, so the visit ends at t + (N−L) +
+// L·MemCycles + CreateCycles. Only a visit that might not end by the
+// horizon needs the order of its ops: it walks them a run at a time
+// (opMix.run). Each op is credited as it would complete: only an op
+// ending by the horizon counts. A visit the horizon cuts (every visit at
+// RemoteFrac 0 or on one node) ends past the horizon, so it never ships.
 func (n *testNode) visit(wp *workParcel, t sim.Time) sim.Time {
 	p, ns := n.p, n.ns
 	h := p.Horizon
@@ -410,19 +424,113 @@ func (n *testNode) visit(wp *workParcel, t sim.Time) sim.Time {
 			ns.ops++
 		}
 	}
-	for t <= h {
-		nops, remote := segment(&wp.st, p)
-		if t += float64(nops); t <= h {
-			ns.ops += int64(nops)
+	if t > h {
+		return t
+	}
+	left, local, whole := n.body(&wp.st, t)
+	if whole {
+		if t += float64(left-local) + float64(local)*p.MemCycles; t <= h {
+			ns.ops += int64(left)
 		}
-		if remote {
-			return t + p.Overhead.CreateCycles
-		}
-		if t += p.MemCycles; t <= h {
-			ns.ops++
+		return t + p.Overhead.CreateCycles
+	}
+	for left > 0 && t <= h {
+		useful, access := n.mix.run(&wp.st, left)
+		ns.ops += creditable(t, useful, h)
+		t += float64(useful)
+		left -= useful
+		if access {
+			if t += p.MemCycles; t <= h {
+				ns.ops++
+			}
+			left--
 		}
 	}
+	if left == 0 {
+		return t + p.Overhead.CreateCycles
+	}
 	return t
+}
+
+// opMix is the test system's draw of a thread's ops. Each op is
+// independently a remote access with probability end = MixMem·RemoteFrac,
+// which ends the visit, or else a local access with probability
+// local = MixMem·(1−RemoteFrac)/(1−end), or else a useful 1-cycle op. On
+// one node or at RemoteFrac 0 no access is remote: end is 0 and local is
+// MixMem.
+type opMix struct {
+	end, local float64
+	// longest is the longest op, max(1, MemCycles): N ops take at most
+	// N·longest cycles, whatever their order.
+	longest float64
+}
+
+// newOpMix returns p's op mix.
+func newOpMix(p *Params) opMix {
+	m := opMix{local: p.MixMem, longest: max(1, p.MemCycles)}
+	if p.Nodes > 1 {
+		m.end = p.MixMem * p.RemoteFrac
+	}
+	switch {
+	case m.end >= 1:
+		m.local = 0
+	case m.end > 0:
+		m.local = min(1, p.MixMem*(1-p.RemoteFrac)/(1-m.end))
+	}
+	return m
+}
+
+// body draws the ops of a visit whose thread starts running at time t,
+// after the migrated access. left is N, the non-remote ops before the
+// next remote access; a thread that never makes one gets math.MaxInt,
+// more than any horizon lets it run. When all N ops end by the horizon
+// whatever their order (whole), local is L, the local accesses among
+// them: given N, each is local independently with probability
+// mix.local, so L ~ Binomial(N, mix.local). Otherwise local is 0 and the
+// caller walks the ops in order with mix.run; whole depends on N and t
+// only, so either way the draw is exact.
+func (n *testNode) body(st *rng.Stream, t sim.Time) (left, local int, whole bool) {
+	if n.mix.end == 0 {
+		return math.MaxInt, 0, false
+	}
+	left = st.Geometric(n.mix.end)
+	// A saturated N forms no time: the product stays a finite float64.
+	if float64(left)*n.mix.longest > n.p.Horizon-t {
+		return left, 0, false
+	}
+	return left, st.Binomial(left, n.mix.local), true
+}
+
+// run draws the next run of a walk through a visit's ops with left > 0
+// non-remote ops to go: useful ops, then a local access if access. Given
+// N the ops are independent, so a run of useful ops is Geometric(local)
+// long, cut at left.
+func (m opMix) run(st *rng.Stream, left int) (useful int, access bool) {
+	if m.local > 0 {
+		if g := st.Geometric(m.local); g < left {
+			return g, true
+		}
+	}
+	return left, false
+}
+
+// creditable returns how many of n useful ops starting at t end by the
+// horizon h: the i in [1, n] with t + i <= h.
+func creditable(t sim.Time, n int, h sim.Time) int64 {
+	if t+float64(n) <= h {
+		return int64(n)
+	}
+	k := n
+	if d := h - t; d < float64(n) {
+		k = max(int(d), 0)
+	}
+	for k < n && t+float64(k+1) <= h {
+		k++
+	}
+	for k > 0 && t+float64(k) > h {
+		k--
+	}
+	return int64(k)
 }
 
 // deliverParcel lands an in-flight parcel on its destination: the one

@@ -97,7 +97,7 @@ func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, er
 		sns[wp.dst.i].queue.Put(wp)
 	}
 	for i := range sns {
-		tns[i] = testNode{p: &p, k: k, i: i, ns: &nodes[i], peers: tns}
+		tns[i] = testNode{p: &p, mix: newOpMix(&p), k: k, i: i, ns: &nodes[i], peers: tns}
 		nodes[i].busy.Set(0, 0)
 		sns[i] = storeNode{testNode: &tns[i], queue: simtest.NewStore[*workParcel](k), deliver: deliver}
 	}
@@ -125,12 +125,20 @@ func runStores(p Params, mk func(*storeNode) simtest.Activity) (SystemResult, er
 	return r, nil
 }
 
-// pieceNode runs a storeNode's parcels piece by piece.
+// pieceNode runs a storeNode's parcels piece by piece: assimilation, the
+// migrated access, the thread's ops, creation. It draws the ops as visit
+// does (body, opMix.run), so the two see the same numbers; it differs in
+// spending an event on each piece and crediting a piece when its event
+// fires. A body that ends by the horizon whatever its order is one piece;
+// a walked body is a piece per useful op and per local access.
 type pieceNode struct {
 	*storeNode
-	state int
-	nops  int
-	rem   bool
+	state    int
+	left     int      // the body's non-remote ops to go
+	useful   int      // useful ops in the current run
+	done     int      // of them, done
+	access   bool     // the run ends in a local access
+	runStart sim.Time // when the current run started
 }
 
 // pieceNode states.
@@ -138,8 +146,10 @@ const (
 	pnFetch      = iota // take (or wait for) the next pending parcel
 	pnAssimDone         // assimilation overhead paid
 	pnAccessDone        // migrated access performed
-	pnSegment           // draw the next execution segment
-	pnUsefulDone        // useful-ops run finished
+	pnBody              // draw the thread's ops
+	pnBodyDone          // a whole body finished
+	pnRun               // draw the next run of a walked body
+	pnOpDone            // a useful op of the run finished
 	pnLocalDone         // local memory access finished
 	pnCreateDone        // parcel-creation overhead paid: ship
 )
@@ -177,26 +187,54 @@ func (n *pieceNode) Step(a *simtest.ActCtx) {
 		case pnAccessDone:
 			ns.busy.Add(a.Now(), -1)
 			ns.ops++
-			n.state = pnSegment
-		case pnSegment:
-			n.nops, n.rem = segment(&n.wp.st, p)
-			if n.nops > 0 {
-				n.busyFor(a, float64(n.nops), pnUsefulDone)
+			n.state = pnBody
+		case pnBody:
+			left, local, whole := n.body(&n.wp.st, a.Now())
+			n.left = left
+			if !whole {
+				n.state = pnRun
+				continue
+			}
+			if left > 0 {
+				n.busyFor(a, float64(left-local)+float64(local)*p.MemCycles, pnBodyDone)
 				return
 			}
-			if n.afterUseful(a) {
+			if n.create(a) {
 				return
 			}
-		case pnUsefulDone:
+		case pnBodyDone:
 			ns.busy.Add(a.Now(), -1)
-			ns.ops += int64(n.nops)
-			if n.afterUseful(a) {
+			ns.ops += int64(n.left)
+			if n.create(a) {
+				return
+			}
+		case pnRun:
+			if n.left == 0 {
+				if n.create(a) {
+					return
+				}
+				continue
+			}
+			n.useful, n.access = n.mix.run(&n.wp.st, n.left)
+			n.left -= n.useful
+			if n.access {
+				n.left--
+			}
+			n.done, n.runStart = 0, a.Now()
+			if n.nextOp(a) {
+				return
+			}
+		case pnOpDone:
+			ns.busy.Add(a.Now(), -1)
+			ns.ops++
+			n.done++
+			if n.nextOp(a) {
 				return
 			}
 		case pnLocalDone:
 			ns.busy.Add(a.Now(), -1)
 			ns.ops++
-			n.state = pnSegment
+			n.state = pnRun
 		case pnCreateDone:
 			ns.busy.Add(a.Now(), -1)
 			n.ship(a)
@@ -213,18 +251,31 @@ func (n *pieceNode) postAssim(a *simtest.ActCtx) bool {
 		n.busyFor(a, n.p.MemCycles, pnAccessDone)
 		return true
 	}
-	n.state = pnSegment
+	n.state = pnBody
 	return false
 }
 
-// afterUseful performs the drawn access: local (busy the memory bank) or
-// remote (pay the creation overhead, then ship). Reports whether the node
-// parked.
-func (n *pieceNode) afterUseful(a *simtest.ActCtx) bool {
-	if !n.rem {
+// nextOp runs the current run's next useful op, ending at the run's start
+// plus its index (the time visit credits it by), or after the last one
+// the run's local access, if any. Reports whether the node parked.
+func (n *pieceNode) nextOp(a *simtest.ActCtx) bool {
+	if n.done < n.useful {
+		n.ns.busy.Add(a.Now(), 1)
+		n.state = pnOpDone
+		a.WaitUntil(n.runStart + float64(n.done+1))
+		return true
+	}
+	if n.access {
 		n.busyFor(a, n.p.MemCycles, pnLocalDone)
 		return true
 	}
+	n.state = pnRun
+	return false
+}
+
+// create pays the creation overhead of the continuation, then ships it.
+// Reports whether the node parked.
+func (n *pieceNode) create(a *simtest.ActCtx) bool {
 	if n.p.Overhead.CreateCycles > 0 {
 		n.busyFor(a, n.p.Overhead.CreateCycles, pnCreateDone)
 		return true
@@ -253,23 +304,46 @@ func runHops(p Params) (SystemResult, error) {
 // parcel end when that parcel never leaves (RemoteFrac 0 or one node),
 // split into the ends of useful runs and of local accesses, redrawing
 // the parcel's stream as the model does. ship is the end of the
-// parcel's first visit, when it first ships, or 0 if it never does
-// within those pieces.
+// parcel's first visit at a horizon on that end, where the parcel must
+// still ship, or 0 if it never ships or no horizon is on it: whether the
+// visit draws its ops whole or walks them depends on the horizon, and
+// with it the end.
 func firstPieceEnds(p Params, n int) (useful, local []float64, ship float64) {
 	var st rng.Stream
 	st.Reseed(p.Seed, 2000)
+	mix := newOpMix(&p)
+	if mix.end > 0 {
+		st.Geometric(mix.end)
+	}
+	// Every access local, as when the parcel never leaves.
+	stay := opMix{local: p.MixMem}
 	t := p.Overhead.AssimilateCycles
 	for len(useful) < n || len(local) < n {
-		nops, remote := segment(&st, &p)
+		nops, _ := stay.run(&st, math.MaxInt)
 		if nops > 0 {
 			t += float64(nops)
 			useful = append(useful, t)
 		}
-		if remote && ship == 0 {
-			ship = t + p.Overhead.CreateCycles
-		}
 		t += p.MemCycles
 		local = append(local, t)
+	}
+	if mix.end > 0 {
+		end := func(h float64) float64 {
+			q := p
+			q.Horizon = h
+			var wp workParcel
+			q.seedParcel(&wp, 0, 0)
+			tn := testNode{p: &q, mix: newOpMix(&q), ns: &nodeStats{}}
+			return tn.visit(&wp, 0)
+		}
+		h := end(math.MaxFloat64)
+		for i := 0; i < 3 && ship == 0; i++ {
+			if e := end(h); e == h {
+				ship = h
+			} else {
+				h = e
+			}
+		}
 	}
 	return useful[:n], local[:n], ship
 }
@@ -322,13 +396,14 @@ func exactPoints() []exactPoint {
 
 // exactHorizons are the horizons each exact point runs at, including
 // horizons that fall exactly on the end of a useful run or of a local
-// access, where the piece ending on the horizon must count, and on the
+// access, where the piece ending on the horizon must count, one cycle
+// before the end of a run, where the run's earlier ops count, and on the
 // end of the first visit, where the parcel must still ship. On two nodes
 // the first parcel leaves at its first remote access; there the later
 // piece ends are plain horizons.
 func exactHorizons(p Params) []float64 {
 	useful, local, ship := firstPieceEnds(p, 40)
-	hs := []float64{1, 2, 3, 997.5, 20000, useful[0], local[0], useful[39], local[39]}
+	hs := []float64{1, 2, 3, 997.5, 20000, useful[0], local[0], useful[39] - 1, useful[39], local[39]}
 	if ship > 0 {
 		hs = append(hs, ship)
 	}
@@ -467,5 +542,154 @@ func TestVisitAgreesWithPiecesStatistically(t *testing.T) {
 			t.Errorf("%s: queue %g, pieces %g", id, queue[1], queue[0])
 		}
 		t.Logf("%s: ops %.6g/%.6g idle %.4f/%.4f queue %.4f/%.4f", id, ops[1], ops[0], idle[1], idle[0], queue[1], queue[0])
+	}
+}
+
+// walkVisit is the visit draw this package used before it drew a visit's
+// ops in two draws: a run of Geometric(MixMem) useful ops, then an access
+// that is remote with probability RemoteFrac (segment), run by run until
+// the remote access, each op credited if it ends by h. It returns the
+// visit's non-remote ops N, its local accesses L, the ops credited and
+// the time it ends, past h if the horizon cuts it.
+func walkVisit(st *rng.Stream, p *Params, t, h float64) (n, l, ops int, end float64) {
+	for t <= h {
+		nops, remote := segment(st, p)
+		for i := 0; i < nops; i++ {
+			if t++; t <= h {
+				ops++
+			}
+		}
+		n += nops
+		if remote {
+			return n, l, ops, t + p.Overhead.CreateCycles
+		}
+		if t += p.MemCycles; t <= h {
+			ops++
+		}
+		n++
+		l++
+	}
+	return n, l, ops, t
+}
+
+// homogeneous reports whether two equal-sized samples of a discrete
+// variable fit one distribution by a two-sample chi-square test: values
+// are pooled into bins of at least 40 draws from both samples together,
+// and the statistic must not exceed the chi-square quantile at 1 − 1e-4
+// (Wilson–Hilferty). It returns the statistic and the bound.
+func homogeneous(a, b []int) (chi2, bound float64) {
+	hi := 0
+	for _, x := range append(a[:len(a):len(a)], b...) {
+		hi = max(hi, x)
+	}
+	ca, cb := make([]float64, hi+1), make([]float64, hi+1)
+	for _, x := range a {
+		ca[x]++
+	}
+	for _, x := range b {
+		cb[x]++
+	}
+	var binA, binB []float64
+	var sa, sb float64
+	for x := 0; x <= hi; x++ {
+		sa += ca[x]
+		sb += cb[x]
+		if sa+sb >= 40 {
+			binA, binB = append(binA, sa), append(binB, sb)
+			sa, sb = 0, 0
+		}
+	}
+	if len(binA) == 0 {
+		return 0, 0
+	}
+	binA[len(binA)-1] += sa
+	binB[len(binB)-1] += sb
+	for i := range binA {
+		d := binA[i] - binB[i]
+		chi2 += d * d / (binA[i] + binB[i])
+	}
+	df := float64(len(binA) - 1)
+	if df == 0 {
+		return chi2, 0
+	}
+	const z = 3.719 // standard normal quantile at 1 − 1e-4
+	bound = df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
+	return chi2, bound
+}
+
+// TestVisitDrawMatchesPerRunWalk holds the two-draw visit to the per-run
+// walk it replaced, in distribution. At each point it draws 100000
+// visits each way, from streams of their own, and compares by
+// homogeneous (bound fixed at chi-square's 1 − 1e-4 quantile before the
+// first run):
+//   - the N and L marginals (body, at a horizon no visit reaches);
+//   - the visit's length without a horizon cut;
+//   - with the horizon 30 cycles plus the overheads on, the ops credited
+//     by it, and the length of the visits that end by it (a cut one in a
+//     bin of its own, so the shipping fraction is compared too).
+func TestVisitDrawMatchesPerRunWalk(t *testing.T) {
+	const visits = 100000
+	sw := DefaultParams()
+	sw.MixMem, sw.RemoteFrac, sw.MemCycles, sw.Overhead = 0.6, 0.1, 3, parcel.SoftwareOnly()
+	allRemote := DefaultParams()
+	allRemote.RemoteFrac = 1
+	points := []struct {
+		name string
+		p    Params
+	}{{"default", DefaultParams()}, {"software", sw}, {"all-remote", allRemote}}
+	for i, pt := range points {
+		// A visit starts at 0, and its ops after the assimilation
+		// overhead: open's horizon no visit reaches, and cut's leaves 30
+		// cycles for the ops besides both overheads.
+		oh := pt.p.Overhead
+		open, cut := pt.p, pt.p
+		open.Horizon, cut.Horizon = 1e15, oh.AssimilateCycles+30+oh.CreateCycles
+		on := testNode{p: &open, mix: newOpMix(&open), ns: &nodeStats{}}
+		cn := testNode{p: &cut, mix: newOpMix(&cut), ns: &nodeStats{}}
+		var wp workParcel
+		var ref rng.Stream
+		wp.st.Reseed(uint64(i), 1)
+		ref.Reseed(uint64(i), 2)
+		start := pt.p.Overhead.AssimilateCycles
+		// shipped is a visit's length if it ends by the cut, else -1.
+		shipped := func(end float64) int {
+			if end <= cut.Horizon {
+				return int(end)
+			}
+			return -1
+		}
+		var n, l, length, ops, cutLength [2][]int
+		for v := 0; v < visits; v++ {
+			left, local, whole := on.body(&wp.st, start)
+			if !whole {
+				t.Fatalf("%s: a body is walked at horizon %g", pt.name, open.Horizon)
+			}
+			n[0] = append(n[0], left)
+			l[0] = append(l[0], local)
+			length[0] = append(length[0], int(on.visit(&wp, 0)))
+			before := cn.ns.ops
+			end := cn.visit(&wp, 0)
+			ops[0] = append(ops[0], int(cn.ns.ops-before))
+			cutLength[0] = append(cutLength[0], shipped(end)+1)
+
+			wn, wl, _, _ := walkVisit(&ref, &open, start, open.Horizon)
+			n[1] = append(n[1], wn)
+			l[1] = append(l[1], wl)
+			_, _, _, wend := walkVisit(&ref, &open, start, open.Horizon)
+			length[1] = append(length[1], int(wend))
+			_, _, wops, wend := walkVisit(&ref, &cut, start, cut.Horizon)
+			ops[1] = append(ops[1], wops)
+			cutLength[1] = append(cutLength[1], shipped(wend)+1)
+		}
+		for _, c := range []struct {
+			what string
+			ab   [2][]int
+		}{{"N", n}, {"L", l}, {"length", length}, {"ops by a cut", ops}, {"length by a cut", cutLength}} {
+			chi2, bound := homogeneous(c.ab[0], c.ab[1])
+			if chi2 > bound {
+				t.Errorf("%s: %s: chi-square %.1f exceeds %.1f", pt.name, c.what, chi2, bound)
+			}
+			t.Logf("%s: %s: chi-square %.1f, bound %.1f", pt.name, c.what, chi2, bound)
+		}
 	}
 }
