@@ -56,7 +56,8 @@ func init() {
 }
 
 func runFig4(cfg Config, w io.Writer) (*Outcome, error) {
-	// A deliberately small run so the timeline is readable.
+	// A deliberately small run. Each station renders as one processor
+	// piece and one memory piece.
 	base := table1Base()
 	base.Workload.W = 40000
 	base.Workload.PctWL = 0.5
@@ -69,7 +70,7 @@ func runFig4(cfg Config, w io.Writer) (*Outcome, error) {
 	rec.Filter = func(track string) bool {
 		return track == "hwp-phase" || strings.HasPrefix(track, "lwp-")
 	}
-	res, err := hostpim.Simulate(p, hostpim.SimOptions{Seed: cfg.Seed, ChunkOps: 2000, Tracer: rec})
+	res, err := hostpim.Simulate(p, hostpim.SimOptions{Seed: cfg.Seed, Tracer: rec})
 	if err != nil {
 		return nil, err
 	}

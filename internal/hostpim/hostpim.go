@@ -12,8 +12,8 @@
 // counterpart of the paper's SES/Workbench runs behind Figs. 5 and 6) and
 // the closed forms in internal/analytic (the paper's §3.1.2 model behind
 // Fig. 7). The ACC experiment compares them. No station of the queuing
-// model shares a resource, so Simulate sums each station's service times
-// in a loop instead of running an event kernel.
+// model shares a resource, so Simulate draws each station's totals
+// instead of running an event kernel.
 package hostpim
 
 import (
@@ -228,17 +228,18 @@ type SimOptions struct {
 	// Seed drives all stochastic draws: the HWP station draws from stream
 	// 1, LWP node i from stream 100+i, and the control run from stream 2.
 	Seed uint64
-	// ChunkOps batches operations per station step; the op *counts*
-	// inside a chunk are sampled exactly (binomial), so batching changes
-	// only the timeline's granularity, not the statistics. 0 means a
-	// default chosen for ~10k steps per run.
-	ChunkOps int
 	// Tracer, when non-nil, observes the test system's station timelines
 	// (tracks "hwp-phase" and "lwp-<i>") — attach a trace.Recorder to
-	// regenerate the paper's Fig. 4 thread timeline. The calls come
-	// station by station, each track's in time order.
+	// regenerate the paper's Fig. 4 thread timeline. Each station shows
+	// one processor piece and, if it drew any memory cycles, one memory
+	// piece. The calls come station by station, each track's in time
+	// order.
 	Tracer trace.Tracer
 }
+
+// maxSimOps bounds W for Simulate: op counts are drawn as integers, and
+// every integer up to 2^53 is exact in a float64.
+const maxSimOps = 1 << 53
 
 // Simulate runs the queuing model: the HWP station of Fig. 2 followed by
 // the N-node LWP array of Fig. 3 (or both at once under Overlap), with
@@ -246,33 +247,26 @@ type SimOptions struct {
 // measured Result.
 //
 // Every station owns a capacity-1 processor and memory that nobody else
-// uses, so no request ever queues: a station's timeline is the running
-// sum of its pieces' service times and its busy time the sum of their
-// lengths. Each station is therefore one loop over its own stream
-// (stationSum) rather than a process on the event kernel; the oracle
-// test holds the Result, every field bit for bit, and the traced
-// timeline to the kernel formulation.
+// uses, so no request ever queues, and a station's cycles are linear in
+// its load/store and miss counts. So each station is two binomial draws
+// from its own stream (stationSum) rather than a process on the event
+// kernel; the oracle test holds the Result, every field bit for bit, and
+// the traced timeline to the kernel formulation run with whole-station
+// chunks, and the distributions to it run chunk by chunk.
 func Simulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	chunk := opt.ChunkOps
-	if chunk <= 0 {
-		chunk = int(math.Max(1, p.W/10000))
+	if p.W > maxSimOps {
+		return Result{}, fmt.Errorf("hostpim: W = %g exceeds the simulator's 2^53 ops", p.W)
 	}
 	wh := (1 - p.PctWL) * p.W
 	wl := p.PctWL * p.W
 	tr := opt.Tracer
-	tabs := getTables()
-	defer putTables(tabs)
-	tabs.mix.Reset(p.MixLS)
-	tabs.miss.Reset(p.Pmiss)
-	tabs.missLow.Reset(p.PmissLow)
-	mix, miss := &tabs.mix, &tabs.miss
 
 	var st rng.Stream
 	st.Reseed(opt.Seed, 1)
-	hwpEnd, hwpCPU, hwpMem := stationSum(p, &st, mix, miss, wh, chunk, 0, tr, "hwp-phase")
+	hwpEnd, hwpCPU, hwpMem := stationSum(p, &st, true, p.Pmiss, wh, 0, tr, "hwp-phase")
 	res := Result{TimeHWPPhase: hwpEnd, NodeTimes: make([]float64, p.N)}
 
 	// The LWP array starts at the end of the HWP phase (Fig. 4's barrier),
@@ -289,7 +283,7 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 		if tr != nil {
 			name = "lwp-" + strconv.Itoa(i)
 		}
-		end, cpu, mem := stationSum(p, &st, mix, nil, wl/float64(p.N), chunk, start, tr, name)
+		end, cpu, mem := stationSum(p, &st, false, 0, wl/float64(p.N), start, tr, name)
 		res.NodeTimes[i] = end - start
 		if end > lwpEnd {
 			lwpEnd = end
@@ -308,10 +302,10 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	st.Reseed(opt.Seed, 2)
 	switch p.Control {
 	case ControlFixedMiss:
-		res.ControlTime, _, _ = stationSum(p, &st, mix, miss, p.W, chunk, 0, nil, "")
+		res.ControlTime, _, _ = stationSum(p, &st, true, p.Pmiss, p.W, 0, nil, "")
 	case ControlLocalityAware:
-		t, _, _ := stationSum(p, &st, mix, miss, wh, chunk, 0, nil, "")
-		res.ControlTime, _, _ = stationSum(p, &st, mix, &tabs.missLow, wl, chunk, t, nil, "")
+		t, _, _ := stationSum(p, &st, true, p.Pmiss, wh, 0, nil, "")
+		res.ControlTime, _, _ = stationSum(p, &st, true, p.PmissLow, wl, t, nil, "")
 	}
 	if res.Total > 0 {
 		res.Gain = res.ControlTime / res.Total
@@ -320,61 +314,29 @@ func Simulate(p Params, opt SimOptions) (Result, error) {
 	return res, nil
 }
 
-// drawTables are the binomial tables of one Simulate call, one per
-// probability its stations draw with. A call owns its set until it
-// returns, so no two goroutines use one at once, and the channel hand-off
-// below orders their uses.
-type drawTables struct{ mix, miss, missLow rng.BinomialTable }
-
-// idleTables keeps finished calls' sets for reuse, so Simulate allocates
-// none once warm and a new p rebuilds tables in memory it already has.
-// It is a channel, not a sync.Pool, because its reuse must be
-// deterministic (the race detector makes sync.Pool drop entries at
-// random), and its capacity bounds the idle memory: at most 32 sets,
-// each capped by rng.BinomialTable, whatever p values callers send.
-var idleTables = make(chan *drawTables, 32)
-
-func getTables() *drawTables {
-	select {
-	case t := <-idleTables:
-		return t
-	default:
-		return new(drawTables)
-	}
-}
-
-func putTables(t *drawTables) {
-	select {
-	case idleTables <- t:
-	default:
-	}
-}
-
-// stationSum runs ops operations through one station from time t, chunk
-// by chunk: it draws the chunk's composition from st, then holds the
-// processor for the compute cycles and, if there are any, the memory for
-// the access cycles. Batching changes only the timeline's granularity,
-// not the statistics. mix draws each chunk's load/store count at MixLS.
-// The HWP station of Fig. 2 (miss non-nil: issue + cache-hit cycles on
-// the CPU, misses drawn from miss's rate on memory) and an LWP node of
-// Fig. 3 (miss nil: TLCycle per issue on the node CPU, TML per load/store
-// on its bank) share the loop. It returns the station's end time and each
-// resource's busy time, summed piece by piece as end − start. tr, when
-// non-nil, sees the timeline as track name.
-func stationSum(p Params, st *rng.Stream, mix, miss *rng.BinomialTable, ops float64, chunk int, t float64, tr trace.Tracer, name string) (end, cpuBusy, memBusy float64) {
+// stationSum runs ops operations through one station from time t. It
+// draws the station's load/store count, Binomial(ops, MixLS), then holds
+// the processor once for all the compute cycles and, if there are any,
+// the memory once for all the access cycles. The HWP station of Fig. 2
+// (hwp: issue + cache-hit cycles on the CPU, Binomial(load/stores, pmiss)
+// misses on memory) and an LWP node of Fig. 3 (TLCycle per issue on the
+// node CPU, TML per load/store on its bank) share it. A station's cycles
+// are linear in its two counts, so these draws give the totals the
+// op-by-op model would, in distribution. It returns the station's end
+// time and each resource's busy time, summed piece by piece as
+// end − start. tr, when non-nil, sees the timeline as track name.
+func stationSum(p Params, st *rng.Stream, hwp bool, pmiss, ops, t float64, tr trace.Tracer, name string) (end, cpuBusy, memBusy float64) {
 	if tr != nil {
 		tr.ProcState(t, name, "start")
 	}
-	for left := int64(math.Round(ops)); left > 0; {
-		n := min(int64(chunk), left)
-		left -= n
-		nLS := mix.Sample(st, int(n))
+	if n := int(math.Round(ops)); n > 0 {
+		nLS := st.Binomial(n, p.MixLS)
 		var cpu, mem float64
-		if miss != nil {
+		if hwp {
 			cpu = float64(n) + float64(nLS)*(p.TCH-1)
-			mem = float64(miss.Sample(st, nLS)) * p.TMH
+			mem = float64(st.Binomial(nLS, pmiss)) * p.TMH
 		} else {
-			cpu = float64(n-int64(nLS)) * p.TLCycle
+			cpu = float64(n-nLS) * p.TLCycle
 			mem = float64(nLS) * p.TML
 		}
 		t = hold(t, cpu, &cpuBusy, tr, name)

@@ -322,6 +322,17 @@ func TestValidateRejectsBadParams(t *testing.T) {
 			t.Errorf("case %d: invalid params accepted", i)
 		}
 	}
+	// Analytic takes any finite W; Simulate counts ops as integers, so it
+	// stops at 2^53.
+	p := DefaultParams()
+	p.W = 1 << 53
+	if _, err := Simulate(p, SimOptions{Seed: 1}); err != nil {
+		t.Errorf("Simulate at W = 2^53: %v", err)
+	}
+	p.W = 1e19
+	if _, err := Simulate(p, SimOptions{Seed: 1}); err == nil {
+		t.Error("Simulate accepted W = 1e19")
+	}
 }
 
 func TestAnalyticIdentitiesProperty(t *testing.T) {

@@ -1,26 +1,32 @@
 package hostpim
 
 // The oracle: the queuing model on the DES kernel, the formulation
-// Simulate's closed-form station loop replaced. Every station is a
-// run-to-completion activity (internal/sim/simtest) that acquires its own
-// capacity-1 processor and memory resource and waits out each piece's
-// service time; the HWP phase, the LWP array and the control run each on
-// a kernel of their own. Busy times are
-// the resources' utilization areas and phase ends are kernel clocks, so
-// the oracle shares with stationSum only the draws and each chunk's
-// cycle counts. Simulate must match it bit for bit, traced timeline
-// included.
+// Simulate's closed-form stations replaced. Every station is a
+// run-to-completion activity (internal/sim/simtest) that runs its
+// operations chunk by chunk: it draws each chunk's load/store and miss
+// counts, acquires its own capacity-1 processor and memory resource and
+// waits out each piece's service time; the HWP phase, the LWP array and
+// the control run each on a kernel of their own. Busy times are the
+// resources' utilization areas and phase ends are kernel clocks, so the
+// oracle shares with stationSum only the draws and their cycle counts.
+// With chunks of a whole station it makes stationSum's draws from the
+// same streams in the same order, and Simulate must match it bit for bit,
+// traced timeline included. With smaller chunks a station's counts are
+// sums of chunk binomials, which are the same binomials in distribution,
+// and Simulate must match it by a two-sample test.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
+	"repro/internal/testutil"
 )
 
 // stationWork drives a batch of operations through one two-resource
@@ -127,15 +133,15 @@ func (s *segments) Step(a *simtest.ActCtx) {
 	a.Exit()
 }
 
-// oracleSimulate is Simulate on the kernel. opt.Tracer is attached to the
-// HWP phase and the LWP array.
-func oracleSimulate(p Params, opt SimOptions) (Result, error) {
+// wholeStation is an oracle chunk no station's op count exceeds.
+const wholeStation = math.MaxInt
+
+// oracleSimulate is Simulate on the kernel, each station drawing its
+// operations chunk (> 0) at a time. opt.Tracer is attached to the HWP
+// phase and the LWP array.
+func oracleSimulate(p Params, opt SimOptions, chunk int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
-	}
-	chunk := opt.ChunkOps
-	if chunk <= 0 {
-		chunk = int(math.Max(1, p.W/10000))
 	}
 	wh := (1 - p.PctWL) * p.W
 	wl := p.PctWL * p.W
@@ -229,7 +235,7 @@ func oracleSimulate(p Params, opt SimOptions) (Result, error) {
 }
 
 // genPoint draws one model point and its options: small work so the
-// kernel oracle stays cheap, the edges of PctWL and ChunkOps often.
+// kernel oracle stays cheap, the edges of PctWL often.
 func genPoint(st *rng.Stream) (Params, SimOptions) {
 	p := DefaultParams()
 	p.W = float64(1 + st.Intn(20000))
@@ -256,19 +262,12 @@ func genPoint(st *rng.Stream) (Params, SimOptions) {
 	}
 	p.Control = ControlPolicy(st.Intn(2))
 	p.Overlap = st.Intn(2) == 1
-	opt := SimOptions{Seed: st.Uint64()}
-	switch st.Intn(3) {
-	case 0: // the default chunk
-	case 1:
-		opt.ChunkOps = 1 + st.Intn(8)
-	default:
-		opt.ChunkOps = 1 + st.Intn(5000)
-	}
-	return p, opt
+	return p, SimOptions{Seed: st.Uint64()}
 }
 
 // TestSimulateMatchesKernelOracle holds Simulate to the kernel
-// formulation, every Result field bit for bit, over generated points.
+// formulation with whole-station chunks, every Result field bit for bit,
+// over generated points.
 func TestSimulateMatchesKernelOracle(t *testing.T) {
 	cases := 300
 	if testing.Short() {
@@ -281,7 +280,7 @@ func TestSimulateMatchesKernelOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d %+v: %v", c, p, err)
 		}
-		want, err := oracleSimulate(p, opt)
+		want, err := oracleSimulate(p, opt, wholeStation)
 		if err != nil {
 			t.Fatalf("case %d %+v: oracle: %v", c, p, err)
 		}
@@ -300,34 +299,35 @@ func (tt trackTracer) ProcState(t float64, name, state string) {
 }
 
 // TestSimulateTraceMatchesKernelOracle holds every traced track — the HWP
-// phase and each LWP thread — to the kernel's sequence of state changes,
-// time for time. Only the interleaving across tracks may differ. Chunks
-// of 4 ops often draw no miss, so HWP chunks without a memory piece are
-// covered too.
+// phase and each LWP thread — to the kernel's sequence of state changes
+// with whole-station chunks, time for time. Only the interleaving across
+// tracks may differ. At W = 8 some stations draw no miss, so an HWP
+// station without a memory piece is covered, and some LWP threads get no
+// operations at all.
 func TestSimulateTraceMatchesKernelOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2004, 77} {
 		for _, n := range []int{1, 4, 13} {
 			for _, overlap := range []bool{false, true} {
-				for _, chunk := range []int{700, 4} {
+				for _, w := range []float64{6000, 8} {
 					p := DefaultParams()
-					p.W, p.PctWL, p.N, p.Overlap = 6000, 0.5, n, overlap
+					p.W, p.PctWL, p.N, p.Overlap = w, 0.5, n, overlap
 					got, want := trackTracer{}, trackTracer{}
-					if _, err := Simulate(p, SimOptions{Seed: seed, ChunkOps: chunk, Tracer: got}); err != nil {
+					if _, err := Simulate(p, SimOptions{Seed: seed, Tracer: got}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := oracleSimulate(p, SimOptions{Seed: seed, ChunkOps: chunk, Tracer: want}); err != nil {
+					if _, err := oracleSimulate(p, SimOptions{Seed: seed, Tracer: want}, wholeStation); err != nil {
 						t.Fatal(err)
 					}
 					if len(got) != n+1 || len(want) != n+1 {
-						t.Errorf("seed %d N %d overlap %v chunk %d: %d tracks (oracle %d), want %d",
-							seed, n, overlap, chunk, len(got), len(want), n+1)
+						t.Errorf("seed %d N %d overlap %v W %g: %d tracks (oracle %d), want %d",
+							seed, n, overlap, w, len(got), len(want), n+1)
 					}
-					for track, w := range want {
+					for track, wt := range want {
 						g := got[track]
-						for i := range max(len(g), len(w)) {
-							if i >= len(g) || i >= len(w) || g[i] != w[i] {
-								t.Errorf("seed %d N %d overlap %v chunk %d: track %s diverges at event %d of %d (oracle %d)",
-									seed, n, overlap, chunk, track, i, len(g), len(w))
+						for i := range max(len(g), len(wt)) {
+							if i >= len(g) || i >= len(wt) || g[i] != wt[i] {
+								t.Errorf("seed %d N %d overlap %v W %g: track %s diverges at event %d of %d (oracle %d)",
+									seed, n, overlap, w, track, i, len(g), len(wt))
 								break
 							}
 						}
@@ -336,6 +336,139 @@ func TestSimulateTraceMatchesKernelOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSimulateMatchesChunkedOracleInDistribution holds Simulate's one
+// draw per count to the oracle's chunk-by-chunk draws, which a sum of
+// chunk binomials makes equal in distribution. Each case runs both over
+// disjoint seeds and compares Total, TimeHWPPhase, ControlTime and
+// NodeTimes[0] by a two-sample chi-square test. The bound was fixed
+// before the first run: the chi-square quantile at 1 − 1e-4 for the
+// test's degrees of freedom. The cases cover a chunk of one op, odd
+// chunks with non-integral service times under fixed-miss control and
+// Overlap, and chunks large enough that the draws take BTPE.
+func TestSimulateMatchesChunkedOracleInDistribution(t *testing.T) {
+	runs := 600
+	if testing.Short() {
+		runs = 150
+	}
+	type metric struct {
+		name string
+		get  func(r Result) float64
+	}
+	metrics := []metric{
+		{"Total", func(r Result) float64 { return r.Total }},
+		{"TimeHWPPhase", func(r Result) float64 { return r.TimeHWPPhase }},
+		{"ControlTime", func(r Result) float64 { return r.ControlTime }},
+		{"NodeTimes[0]", func(r Result) float64 { return r.NodeTimes[0] }},
+	}
+	irregular := DefaultParams()
+	irregular.TLCycle, irregular.TCH, irregular.TMH, irregular.TML = 3.7, 2.5, 71.3, 17.9
+	irregular.Pmiss, irregular.MixLS, irregular.Control, irregular.Overlap = 0.35, 0.6, ControlFixedMiss, true
+	cases := []struct {
+		base  Params
+		w     float64
+		pct   float64
+		n     int
+		chunk int
+	}{
+		{DefaultParams(), 1500, 0.5, 4, 1},
+		{irregular, 8000, 0.3, 3, 7},
+		{DefaultParams(), 30000, 0.8, 2, 5000},
+		{irregular, 200000, 0.6, 5, 4999},
+	}
+	for ci, c := range cases {
+		p := c.base
+		p.W, p.PctWL, p.N = c.w, c.pct, c.n
+		one := make([][]float64, len(metrics))
+		chunked := make([][]float64, len(metrics))
+		for r := 0; r < runs; r++ {
+			a, err := Simulate(p, SimOptions{Seed: uint64(r)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := oracleSimulate(p, SimOptions{Seed: uint64(runs + r)}, c.chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range metrics {
+				one[i] = append(one[i], m.get(a))
+				chunked[i] = append(chunked[i], m.get(b))
+			}
+		}
+		for i, m := range metrics {
+			chi2, df := chiSquareTwoSample(one[i], chunked[i], 20)
+			if df < 5 {
+				t.Fatalf("case %d %s: only %d degrees of freedom; the case does not spread the metric", ci, m.name, df)
+			}
+			bound := testutil.ChiSquareBound(float64(df))
+			if chi2 > bound {
+				t.Errorf("case %d (W %g, chunk %d) %s: chi-square %.1f on %d df exceeds %.1f",
+					ci, c.w, c.chunk, m.name, chi2, df, bound)
+			}
+			t.Logf("case %d (W %g, chunk %d) %s: chi-square %.1f on %d df, bound %.1f", ci, c.w, c.chunk, m.name, chi2, df, bound)
+		}
+	}
+}
+
+// chiSquareTwoSample returns the two-sample chi-square statistic of a
+// and b, the test of whether they come from one distribution, and its
+// degrees of freedom. The bins are cut after up to bins−1 quantiles of
+// the pooled sample and merged until each holds at least 20 pooled
+// values. The metrics lie on a lattice of the drawn counts, and the two
+// formulations sum a lattice point's cycles in different orders, so its
+// copies can differ in the last bits: each cut lies midway to the next
+// value more than a relative 1e-9 above the quantile, never on a value.
+func chiSquareTwoSample(a, b []float64, bins int) (chi2 float64, df int) {
+	pooled := append(append([]float64(nil), a...), b...)
+	sort.Float64s(pooled)
+	// Bin k holds the values in (edges[k−1], edges[k]); the last bin has
+	// no upper edge.
+	var edges []float64
+	for k := 1; k < bins; k++ {
+		q := pooled[k*len(pooled)/bins]
+		j := sort.SearchFloat64s(pooled, q+1e-9*math.Abs(q))
+		for j < len(pooled) && pooled[j] <= q+1e-9*math.Abs(q) {
+			j++
+		}
+		if j == len(pooled) {
+			break
+		}
+		if e := (q + pooled[j]) / 2; len(edges) == 0 || e > edges[len(edges)-1] {
+			edges = append(edges, e)
+		}
+	}
+	ca := make([]float64, len(edges)+1)
+	cb := make([]float64, len(edges)+1)
+	for _, x := range a {
+		ca[sort.SearchFloat64s(edges, x)]++
+	}
+	for _, x := range b {
+		cb[sort.SearchFloat64s(edges, x)]++
+	}
+	var oa, ob []float64
+	var accA, accB float64
+	for k := range ca {
+		accA += ca[k]
+		accB += cb[k]
+		if accA+accB >= 20 {
+			oa, ob = append(oa, accA), append(ob, accB)
+			accA, accB = 0, 0
+		}
+	}
+	if len(oa) == 0 {
+		return 0, 0
+	}
+	oa[len(oa)-1] += accA
+	ob[len(ob)-1] += accB
+	na, nb := float64(len(a)), float64(len(b))
+	for k := range oa {
+		tot := oa[k] + ob[k]
+		ea := tot * na / (na + nb)
+		eb := tot * nb / (na + nb)
+		chi2 += (oa[k]-ea)*(oa[k]-ea)/ea + (ob[k]-eb)*(ob[k]-eb)/eb
+	}
+	return chi2, len(oa) - 1
 }
 
 // TestSimulateAllocations pins Simulate at one allocation — the

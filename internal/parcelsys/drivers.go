@@ -32,7 +32,7 @@ import (
 // per hop, the parcel's landing (testNode.land). The initial parcels
 // land at time 0, in order, at setup.
 func runTestSystem(p Params, rs *runState) (SystemResult, error) {
-	k := sim.NewKernel()
+	k := kernel(&rs.testK)
 	rs.testStats = slab(rs.testStats, p.Nodes)
 	rs.testNodes = slab(rs.testNodes, p.Nodes)
 	nodes, tns := rs.testStats, rs.testNodes
@@ -257,7 +257,7 @@ func ctrlReply(x any) {
 // thread draws its first segment and queues for its node's CPU at time
 // 0, thread 0 of each node first.
 func runControlSystem(p Params, rs *runState) (SystemResult, error) {
-	k := sim.NewKernel()
+	k := kernel(&rs.ctrlK)
 	rs.ctrlStats = slab(rs.ctrlStats, p.Nodes)
 	rs.ctrlNodes = slab(rs.ctrlNodes, p.Nodes)
 	nodes, cns := rs.ctrlStats, rs.ctrlNodes

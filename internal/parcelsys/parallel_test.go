@@ -15,6 +15,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // parParams is a small but non-trivial point: multiple threads per
@@ -193,12 +194,12 @@ func TestRunParallelReplicate(t *testing.T) {
 
 // TestReplicateAllocsPinned pins the allocation count of one run on
 // Replicate's reused-slab path (a warmed runState) at parParams. The
-// remaining allocations are per-run kernel state: two kernels, their
-// events, the event queues' wheels and heaps, and the result slices.
-// Neither system has resources, signals, stores or activity contexts
-// left.
+// runState's two kernels are reset, not rebuilt, so their events and
+// the event queues' wheels and heaps are reused too; the remaining
+// allocations are the result slices. Neither system has resources,
+// signals, stores or activity contexts left.
 func TestReplicateAllocsPinned(t *testing.T) {
-	checkReusedSlabAllocs(t, parParams(), 66)
+	checkReusedSlabAllocs(t, parParams(), 4)
 }
 
 // TestReplicateAllocsPinnedSideBySide pins the same path at RunParallel
@@ -208,7 +209,44 @@ func TestReplicateAllocsPinned(t *testing.T) {
 func TestReplicateAllocsPinnedSideBySide(t *testing.T) {
 	p := parParams()
 	p.RunParallel = 2
-	checkReusedSlabAllocs(t, p, 71)
+	checkReusedSlabAllocs(t, p, 9)
+}
+
+// TestReplicateMatchesFreshRuns holds Replicate, whose replications
+// reuse one runState and its two reset kernels, to the same
+// replications each run by Run on fresh state, field for field, with
+// the systems one after the other and side by side.
+func TestReplicateMatchesFreshRuns(t *testing.T) {
+	for _, par := range []int{0, 2} {
+		p := parParams()
+		p.Horizon = 5000
+		p.RunParallel = par
+		const reps = 4
+		got, err := Replicate(p, reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ratio, ctrl, test stats.Sample
+		seeds := rng.New(p.Seed)
+		for i := 0; i < reps; i++ {
+			q := p
+			q.Seed = seeds.Uint64()
+			r, err := Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratio.Add(r.Ratio)
+			ctrl.Add(r.Control.IdleFrac)
+			test.Add(r.Test.IdleFrac)
+		}
+		mk := func(s *stats.Sample) Replicated {
+			return Replicated{Mean: s.Mean(), CI95: s.CI(0.95), N: int(s.N())}
+		}
+		want := ReplicatedResult{Ratio: mk(&ratio), CtrlIdle: mk(&ctrl), TestIdle: mk(&test)}
+		if got != want {
+			t.Errorf("RunParallel %d: Replicate %+v, fresh runs %+v", par, got, want)
+		}
+	}
 }
 
 // checkReusedSlabAllocs fails unless one run of p on a warmed runState

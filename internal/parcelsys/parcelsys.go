@@ -234,10 +234,11 @@ func Run(p Params) (Result, error) {
 
 // runState holds the per-run slabs — control nodes, threads and their
 // per-node statistics; parcel structs with their embedded RNG streams,
-// test nodes and theirs — that Replicate reuses across replications
-// instead of reallocating per run. Each system has slabs of its own, so
-// the two can run side by side (one after the other they share the
-// stats slab). All state is fully re-initialized by each run.
+// test nodes and theirs — and each system's event kernel, which
+// Replicate reuses across replications instead of reallocating per run.
+// Each system has slabs and a kernel of its own, so the two can run side
+// by side (one after the other they share the stats slab). All state is
+// fully re-initialized by each run.
 type runState struct {
 	ctrlStats []nodeStats
 	ctrlNodes []ctrlNode
@@ -245,6 +246,18 @@ type runState struct {
 	testStats []nodeStats
 	parcels   []workParcel
 	testNodes []testNode
+	ctrlK     *sim.Kernel
+	testK     *sim.Kernel
+}
+
+// kernel returns *k reset for a new run, creating it on first use.
+func kernel(k **sim.Kernel) *sim.Kernel {
+	if *k == nil {
+		*k = sim.NewKernel()
+	} else {
+		(*k).Reset()
+	}
+	return *k
 }
 
 // slab returns s resized to n elements, reusing capacity; the caller

@@ -33,6 +33,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
+	"repro/internal/testutil"
 )
 
 // storeNode is a test node as an activity over a store of pending
@@ -612,9 +613,7 @@ func homogeneous(a, b []int) (chi2, bound float64) {
 	if df == 0 {
 		return chi2, 0
 	}
-	const z = 3.719 // standard normal quantile at 1 − 1e-4
-	bound = df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
-	return chi2, bound
+	return chi2, testutil.ChiSquareBound(df)
 }
 
 // TestVisitDrawMatchesPerRunWalk holds the two-draw visit to the per-run

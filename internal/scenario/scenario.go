@@ -182,8 +182,9 @@ type Config struct {
 	// Seed drives all stochastic draws; every backend is deterministic
 	// given (Scenario, Config).
 	Seed uint64
-	// Quick shrinks workload sizes, horizons, and kernel measurements for
-	// tests: W is clamped to 1e6 ops, Horizon to 20000 cycles.
+	// Quick shrinks horizons, machine-program work and kernel
+	// measurements for tests: Horizon is clamped to 20000 cycles. W is
+	// left as it is: a study-1 station costs two draws at any W.
 	Quick bool
 	// Cancel, when non-nil, is polled by long-running backends (today the
 	// execution-driven machine backend); once it returns true the run
@@ -194,7 +195,6 @@ type Config struct {
 
 // Quick-mode clamps (never raised, only lowered).
 const (
-	quickMaxW       = 1e6
 	quickMaxHorizon = 20000
 	quickMaxUpdates = 64
 	measureOpsFull  = 200000
@@ -347,14 +347,6 @@ func (s Scenario) Overhead() parcel.CostModel {
 	return parcel.HardwareAssisted()
 }
 
-// effectiveW applies the quick-mode clamp.
-func (s Scenario) effectiveW(cfg Config) float64 {
-	if cfg.Quick && s.Workload.W > quickMaxW {
-		return quickMaxW
-	}
-	return s.Workload.W
-}
-
 // effectiveHorizon applies the quick-mode clamp.
 func (s Scenario) effectiveHorizon(cfg Config) float64 {
 	if cfg.Quick && s.Workload.Horizon > quickMaxHorizon {
@@ -386,7 +378,7 @@ func (s Scenario) HostParams(cfg Config) (hostpim.Params, error) {
 		return hostpim.Params{}, err
 	}
 	p := hostpim.Params{
-		W:        s.effectiveW(cfg),
+		W:        s.Workload.W,
 		PctWL:    s.Workload.PctWL,
 		N:        s.Machine.N,
 		TLCycle:  s.Machine.TLCycle,

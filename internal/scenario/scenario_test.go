@@ -133,22 +133,28 @@ func TestParcelParamsHybridCycleMapping(t *testing.T) {
 	}
 }
 
+// TestQuickClampsOnlyDown states quick mode's rule: it lowers a horizon
+// to its clamp and never raises one, and it leaves W alone, since a
+// study-1 station costs the same at any W.
 func TestQuickClampsOnlyDown(t *testing.T) {
 	s := MustFind("paper-baseline")
 	p, err := s.HostParams(Config{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.W != quickMaxW {
-		t.Errorf("quick W = %g, want %g", p.W, quickMaxW)
+	if p.W != s.Workload.W {
+		t.Errorf("quick W = %g, want the preset's %g", p.W, s.Workload.W)
 	}
-	s.Workload.W = 5000 // already below the clamp
-	p, err = s.HostParams(Config{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.W != 5000 {
-		t.Errorf("quick W = %g, want 5000 (clamp must never raise)", p.W)
+	h := MustFind("fig11-point")
+	for _, horizon := range []float64{5000, 10 * quickMaxHorizon} {
+		h.Workload.Horizon = horizon
+		q, err := h.ParcelParams(Config{Seed: 1, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(horizon, quickMaxHorizon); q.Horizon != want {
+			t.Errorf("quick Horizon for %g = %g, want %g", horizon, q.Horizon, want)
+		}
 	}
 }
 

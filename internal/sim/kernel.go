@@ -74,6 +74,25 @@ func NewKernel() *Kernel {
 	return new(Kernel)
 }
 
+// Reset returns k to the state NewKernel leaves it in — time 0, no
+// pending events, not stopped, no error — but keeps the memory it has
+// grown: the recycled events and the queue's wheels and heap array. The
+// events still pending are dropped unrun. A model that runs many
+// independent trajectories one after another reuses one kernel this way
+// without reallocating it. Reset must be called from outside the
+// simulation.
+func (k *Kernel) Reset() {
+	if k.running {
+		panic("sim: Reset called from inside the running simulation")
+	}
+	for ev := k.events.pop(); ev != nil; ev = k.events.pop() {
+		ev.fn, ev.arg = nil, nil
+		k.free = append(k.free, ev)
+	}
+	k.events.lo = 0
+	k.now, k.seq, k.stopped, k.err = 0, 0, false, nil
+}
+
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 

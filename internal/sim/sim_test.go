@@ -581,3 +581,93 @@ func TestNestedRunFromCallbackErrors(t *testing.T) {
 		t.Fatal("nested Run from an activity did not error")
 	}
 }
+
+// resetModel is a self-rescheduling model whose events spread over every
+// tier of the queue: whole cycles a few ahead (the near wheel), hundreds
+// to thousands ahead (the far wheel and the heap past it) and fractional
+// times (the heap). Each firing logs its time and schedules one more.
+type resetModel struct {
+	k   *sim.Kernel
+	st  rng.Stream
+	fn  func(any)
+	log []sim.Time
+}
+
+func (m *resetModel) fire(any) {
+	m.log = append(m.log, m.k.Now())
+	switch m.st.Intn(4) {
+	case 0:
+		m.k.ScheduleArg(sim.Time(1+m.st.Intn(100)), m.fn, nil)
+	case 1:
+		m.k.ScheduleArg(sim.Time(200+m.st.Intn(6000)), m.fn, nil)
+	default:
+		m.k.ScheduleArg(50*m.st.Float64(), m.fn, nil)
+	}
+}
+
+// run seeds 16 events and runs the model on k to time 3000, which leaves
+// events pending in every tier.
+func (m *resetModel) run(k *sim.Kernel, seed uint64) error {
+	m.k, m.log = k, m.log[:0]
+	m.st.Reseed(seed, 1)
+	if m.fn == nil {
+		m.fn = m.fire
+	}
+	for i := 0; i < 16; i++ {
+		k.ScheduleArg(sim.Time(i*37%101), m.fn, nil)
+	}
+	return k.Run(3000)
+}
+
+// TestResetMatchesFreshKernel runs a model on one kernel again and again,
+// Reset between runs — with events pending in every queue tier, and
+// after a model panic stopped it — and holds each run to the same model
+// on a new kernel: the same firing times, schedule counter, clock and
+// pending events. Once warm, a run on the reset kernel allocates nothing.
+func TestResetMatchesFreshKernel(t *testing.T) {
+	reused := sim.NewKernel()
+	var got, want resetModel
+	for seed := uint64(1); seed <= 6; seed++ {
+		reused.Reset()
+		if seed == 4 {
+			schedule(reused, 1, func() { panic("boom") })
+			if err := reused.Run(10); err == nil {
+				t.Fatal("a panicking callback returned no error")
+			}
+			reused.Reset()
+		}
+		fresh := sim.NewKernel()
+		if err := got.run(reused, seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.run(fresh, seed); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d firings on the reset kernel, %d on a new one", seed, len(got.log), len(want.log))
+		}
+		for i := range want.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: firing %d at %g on the reset kernel, %g on a new one", seed, i, got.log[i], want.log[i])
+			}
+		}
+		if sim.KernelSeq(reused) != sim.KernelSeq(fresh) || reused.Now() != fresh.Now() ||
+			reused.PendingEvents() != fresh.PendingEvents() {
+			t.Errorf("seed %d: reset kernel ends at (seq %d, now %g, %d pending), new one at (%d, %g, %d)", seed,
+				sim.KernelSeq(reused), reused.Now(), reused.PendingEvents(),
+				sim.KernelSeq(fresh), fresh.Now(), fresh.PendingEvents())
+		}
+		if fresh.PendingEvents() == 0 {
+			t.Errorf("seed %d: no events pending at the horizon; Reset drops none", seed)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		reused.Reset()
+		if err := got.run(reused, 6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a run on a reset kernel made %v allocations, want 0", allocs)
+	}
+}

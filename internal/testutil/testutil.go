@@ -3,6 +3,7 @@ package testutil
 
 import (
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -47,4 +48,12 @@ func CaptureStdout(t *testing.T, fn func() error) (string, error) {
 	runErr := fn()
 	w.Close()
 	return <-done, runErr
+}
+
+// ChiSquareBound returns the chi-square quantile at 1 − 1e-4 for df
+// degrees of freedom, by the Wilson–Hilferty approximation: the bound
+// the statistical tests fix before their first run.
+func ChiSquareBound(df float64) float64 {
+	const z = 3.719 // standard normal quantile at 1 − 1e-4
+	return df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
 }
