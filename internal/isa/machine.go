@@ -260,7 +260,12 @@ type Machine struct {
 	maxWindow int64
 }
 
-// NewMachine creates n nodes with memWords words of memory each.
+// NewMachine creates n nodes with memWords words of memory each. Every
+// node's memory is zero and exactly memWords long. It is a slab that an
+// earlier machine handed back with Release when one of that length is
+// free, else a fresh allocation; the two are indistinguishable. The
+// machine owns its memory until Release, or until the garbage collector
+// takes it when Release is never called.
 func NewMachine(n int, memWords int, timing Timing) (*Machine, error) {
 	if n <= 0 || memWords <= 0 {
 		return nil, fmt.Errorf("isa: NewMachine(%d, %d)", n, memWords)
@@ -268,9 +273,10 @@ func NewMachine(n int, memWords int, timing Timing) (*Machine, error) {
 	if err := timing.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Timing: timing}
-	for i := 0; i < n; i++ {
-		m.Nodes = append(m.Nodes, &NodeState{ID: i, Mem: make([]uint64, memWords)})
+	m := &Machine{Timing: timing, Nodes: make([]*NodeState, n)}
+	pool := memPool(memWords, false)
+	for i := range m.Nodes {
+		m.Nodes[i] = &NodeState{ID: i, Mem: newMem(pool, memWords)}
 	}
 	return m, nil
 }

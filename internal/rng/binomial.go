@@ -164,15 +164,23 @@ func clampBinomial(y float64, n int) int {
 // 0 < p <= 0.5 and small n·p (so that P(0) = qⁿ ≳ e⁻⁶⁰ stays comfortably
 // normal and the expected walk length ≈ n·p stays short).
 //
-// Rounding can leave the terms summing to less than u: 1 − p is rounded,
-// so qⁿ is off by a factor that grows with n. Then the walk runs past the
-// support and returns n. A term that has underflowed to 0 stays 0, so the
-// walk returns n at once there, which is what walking on would return,
-// instead of taking n steps.
+// q = 1 − p is rounded, so powN(q, n) is off by a relative
+// ≈ n·|(1−q)−p|. That stays near 10⁻¹⁴ or below in the models' draws,
+// but at tiny p and huge n it does not: at n ≈ 2⁶³, p = 6.3e-17 it
+// leaves P(0) too small by e¹⁴. Past the bound binvExact, P(0) comes instead from
+// exp(n·log1p(−p)), which never forms q; below it, powN keeps every
+// existing stream's draws. Rounding can still leave the terms summing
+// to less than u, and then the walk runs past the support and returns
+// n. A term that has underflowed to 0 stays 0, so the walk returns n at
+// once there, which is what walking on would return, instead of taking
+// n steps.
 func binvWalk(u float64, n int, p float64) int {
 	q := 1 - p
 	ratio := p / q
 	r := powN(q, n)
+	if float64(n)*math.Abs((1-q)-p) > binvExact {
+		r = math.Exp(float64(n) * math.Log1p(-p))
+	}
 	k := 0
 	for u > r {
 		u -= r
@@ -185,6 +193,10 @@ func binvWalk(u float64, n int, p float64) int {
 	}
 	return k
 }
+
+// binvExact bounds the relative error of binvWalk's P(0) = qⁿ taken by
+// powN; past it, the walk takes P(0) from log1p instead.
+const binvExact = 1e-9
 
 // powN computes qⁿ by binary exponentiation — plain multiplications, so
 // the result (and therefore every stream's draw sequence) is identical on

@@ -124,6 +124,28 @@ func TestBinomialBTPEChiSquare(t *testing.T) {
 	}
 }
 
+// TestBinomialTinyPHugeN holds Binomial at n near math.MaxInt and
+// p = 6.3e-17, where 1 − p rounds, to its mean n·p ≈ 581: the mean of
+// 400 draws must lie within 5σ of it. With P(0) taken as the rounded
+// (1−p)ⁿ, every leaf of the halving walked past its support and the
+// draw came out ≈ n.
+func TestBinomialTinyPHugeN(t *testing.T) {
+	const (
+		n     = math.MaxInt - 16
+		p     = 6.3e-17
+		draws = 400
+	)
+	s := New(17)
+	sum := 0.0
+	for i := 0; i < draws; i++ {
+		sum += float64(s.Binomial(n, p))
+	}
+	mean, np := sum/draws, float64(n)*p
+	if sd := math.Sqrt(np * (1 - p) / draws); math.Abs(mean-np) > 5*sd {
+		t.Errorf("Binomial(%d, %g): mean of %d draws %.1f, want %.1f ± %.1f", n, p, draws, mean, np, 5*sd)
+	}
+}
+
 // TestLnPMFRatio holds BTPE's Stirling evaluation of ln f(y)/f(m) to the
 // pmf's ratio recursion, summed term by term, within 1e-8 at ~320 points
 // on each side of the mode m out to 8 sd, at three (n, p). The chi-square test cannot see an

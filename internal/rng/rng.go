@@ -412,14 +412,25 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 // auxiliary mixing. Its zero value is a valid (seed-0) generator.
 type SplitMix64 struct{ State uint64 }
 
+// splitMixGamma is SplitMix64's state increment γ, the odd integer
+// closest to 2⁶⁴/φ.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
 // Next returns the next 64-bit output.
 func (s *SplitMix64) Next() uint64 {
-	s.State += 0x9e3779b97f4a7c15
+	s.State += splitMixGamma
 	z := s.State
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Skip advances the generator past k outputs in O(1), as k calls of Next
+// would: the state is a counter, so the k-th output is mix(State + k·γ)
+// (Steele, Lea & Flood, "Fast splittable pseudorandom number
+// generators", OOPSLA 2014). It lets disjoint blocks of one stream be
+// generated independently, each from its own offset.
+func (s *SplitMix64) Skip(k uint64) { s.State += k * splitMixGamma }
 
 // --- 128-bit helper arithmetic. ---
 

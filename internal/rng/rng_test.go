@@ -404,6 +404,41 @@ func TestSplitMix64KnownValues(t *testing.T) {
 	}
 }
 
+// TestSplitMix64Skip holds Skip(k) to k calls of Next. A k too large to
+// step through is checked by wrap-around: 2·(2⁶³+5) ≡ 10 mod 2⁶⁴, the
+// state's period, so skipping 2⁶³+5 twice lands where ten Next calls do.
+func TestSplitMix64Skip(t *testing.T) {
+	const seed = 0x6d616368696e65
+	for _, k := range []uint64{0, 1, 2, 1e6} {
+		want := SplitMix64{State: seed}
+		for i := uint64(0); i < k; i++ {
+			want.Next()
+		}
+		got := SplitMix64{State: seed}
+		got.Skip(k)
+		if got != want {
+			t.Errorf("Skip(%d): state %#x, want %#x", k, got.State, want.State)
+		}
+		if g, w := got.Next(), want.Next(); g != w {
+			t.Errorf("Skip(%d): next output %#x, want %#x", k, g, w)
+		}
+	}
+	const huge = 1<<63 + 5
+	want := SplitMix64{State: seed}
+	for i := 0; i < 10; i++ {
+		want.Next()
+	}
+	got := SplitMix64{State: seed}
+	got.Skip(huge)
+	if got == want {
+		t.Fatalf("Skip(2^63+5) landed where 10 Next calls do")
+	}
+	got.Skip(huge)
+	if got != want {
+		t.Errorf("Skip(2^63+5) twice: state %#x, want %#x (10 Next calls)", got.State, want.State)
+	}
+}
+
 func TestUint64nNeverExceedsBound(t *testing.T) {
 	s := New(131)
 	err := quick.Check(func(bound uint64) bool {

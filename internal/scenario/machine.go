@@ -226,7 +226,12 @@ func runMachineScenario(s Scenario, cfg Config) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Node memory goes back to isa's pool once verify and the metrics
+	// below have read it, so the next run of this size reuses it.
+	defer m.Release()
 	m.MaxCycles = machineMaxCycles
+	// RunParallel sets the VM's workers, and the host-side staging and
+	// verification run per node on as many goroutines (isa.EachNode).
 	m.Parallelism = s.Machine.RunParallel
 	m.Cancel = cfg.Cancel
 
@@ -367,7 +372,10 @@ type machineWork struct {
 }
 
 // stageMachineProgram assembles the scenario's program, loads it on every
-// node, stages input data, and starts the initial threads.
+// node, stages input data, and starts the initial threads. The data of
+// node i is the block of the one SplitMix64 stream that a node-by-node
+// fill would give it, reached by Skip, so the nodes fill independently
+// (m.EachNode) and the image is the same at every RunParallel.
 func stageMachineProgram(m *isa.Machine, s Scenario, cfg Config, updates int) (machineWork, error) {
 	none := machineWork{verify: func(*isa.Machine) error { return nil }}
 	nodes := s.Machine.N
@@ -425,13 +433,21 @@ func stageMachineProgram(m *isa.Machine, s Scenario, cfg Config, updates int) (m
 		if err := m.LoadAll(prog); err != nil {
 			return none, err
 		}
-		var want uint64
-		for _, n := range m.Nodes {
-			for k := 0; k < layout.DataWords; k++ {
-				v := sm.Next() >> 40 // small values: the sum stays exact
-				n.Mem[layout.DataBase+uint64(k)] = v
-				want += v
+		sums := make([]uint64, nodes)
+		m.EachNode(func(n *isa.NodeState) {
+			g := sm
+			g.Skip(uint64(n.ID) * uint64(layout.DataWords))
+			var sum uint64
+			data := n.Mem[layout.DataBase:][:layout.DataWords]
+			for k := range data {
+				data[k] = g.Next() >> 40 // small values: the sum stays exact
+				sum += data[k]
 			}
+			sums[n.ID] = sum
+		})
+		var want uint64
+		for _, sum := range sums {
+			want += sum
 		}
 		entry, err := prog.Entry("main")
 		if err != nil {
@@ -484,12 +500,15 @@ func stageMachineProgram(m *isa.Machine, s Scenario, cfg Config, updates int) (m
 		if err := m.LoadAll(prog); err != nil {
 			return none, err
 		}
-		for _, n := range m.Nodes {
-			for k := 0; k < words; k++ {
-				n.Mem[layout.A+uint64(k)] = sm.Next() >> 32
-				n.Mem[layout.B+uint64(k)] = sm.Next() >> 32
+		m.EachNode(func(n *isa.NodeState) {
+			g := sm
+			g.Skip(uint64(n.ID) * 2 * uint64(words))
+			a, b := n.Mem[layout.A:][:words], n.Mem[layout.B:][:words]
+			for k := range a {
+				a[k] = g.Next() >> 32
+				b[k] = g.Next() >> 32
 			}
-		}
+		})
 		entry, err := prog.Entry("main")
 		if err != nil {
 			return none, err
@@ -499,12 +518,22 @@ func stageMachineProgram(m *isa.Machine, s Scenario, cfg Config, updates int) (m
 		}
 		return machineWork{units: int64(nodes) * int64(words) / isa.WideWords,
 			verify: func(m *isa.Machine) error {
-				for _, n := range m.Nodes {
-					for k := 0; k < words; k++ {
-						a, b := n.Mem[layout.A+uint64(k)], n.Mem[layout.B+uint64(k)]
-						if n.Mem[layout.C+uint64(k)] != a+b {
-							return fmt.Errorf("triad: node %d word %d wrong", n.ID, k)
+				// bad[i] is node i's first wrong word, or -1; the error
+				// names the lowest node's, as a node-by-node scan would.
+				bad := make([]int, len(m.Nodes))
+				m.EachNode(func(n *isa.NodeState) {
+					bad[n.ID] = -1
+					a, b := n.Mem[layout.A:][:words], n.Mem[layout.B:][:words]
+					for k, c := range n.Mem[layout.C:][:words] {
+						if c != a[k]+b[k] {
+							bad[n.ID] = k
+							return
 						}
+					}
+				})
+				for id, k := range bad {
+					if k >= 0 {
+						return fmt.Errorf("triad: node %d word %d wrong", id, k)
 					}
 				}
 				return nil
